@@ -17,13 +17,17 @@ lazily on lookup.
 from __future__ import annotations
 
 import itertools
+import zlib
 from collections import OrderedDict
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from .polyhash import AnchorSet
 from .ringtable import RingEntry, RingFingerprintTable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .shardcache import ShardedPacketStore
 
 
 class CacheEntry:
@@ -102,12 +106,18 @@ class PacketStore:
     def bytes_used(self) -> int:
         return self._bytes
 
-    def add(self, payload: bytes) -> int:
-        """Store a payload; returns its store id.  May evict old entries."""
+    def add(self, payload: bytes, route: Optional[int] = None) -> int:
+        """Store a payload; returns its store id.  May evict old entries.
+
+        ``route`` (the payload's first anchor fingerprint) is a
+        placement key for stores with more than one home; a single
+        store has nowhere to route and ignores it.
+        """
         store_id = next(self._ids)
         self._data[store_id] = payload
         self._bytes += len(payload)
-        self._evict()
+        if self._bytes > self.byte_budget or self.max_packets is not None:
+            self._evict()
         return store_id
 
     def get(self, store_id: int) -> Optional[bytes]:
@@ -224,7 +234,16 @@ class ByteCache:
     :class:`FingerprintTable`, kept as the reference implementation
     (the property tests and the differential runner hold the two to
     byte-identical encoder output).
+
+    The payload side is whatever ``store`` is: one
+    :class:`PacketStore` here, N routed ones under
+    :class:`~repro.core.shardcache.ShardedByteCache`, which inherits
+    every method below unchanged.
     """
+
+    #: Fraction of payloads admitted (content-keyed coin); only the
+    #: sharded serving cache exposes it as a constructor argument.
+    admission: float = 1.0
 
     def __init__(self, byte_budget: int = 4 * 1024 * 1024,
                  max_packets: Optional[int] = None,
@@ -232,7 +251,8 @@ class ByteCache:
                  table_kind: str = "ring") -> None:
         if table_kind not in ("ring", "dict"):
             raise ValueError(f"unknown table_kind: {table_kind!r}")
-        self.store = PacketStore(byte_budget, max_packets, eviction)
+        self.store: "Union[PacketStore, ShardedPacketStore]" = PacketStore(
+            byte_budget, max_packets, eviction)
         self.table_kind = table_kind
         self._ring: Optional[RingFingerprintTable] = (
             RingFingerprintTable() if table_kind == "ring" else None)
@@ -245,13 +265,26 @@ class ByteCache:
         #: Cache Flush policy flushes on every retransmission without
         #: the caches diverging.
         self.epoch = 0
+        #: Payloads the admission coin declined to cache.
+        self.admission_rejected = 0
         self._external_ids: Dict[int, int] = {}
+        # Size of _external_ids that triggers the next prune (four
+        # times the payloads that were live at the last one).
+        self._prune_at = 64
         self._unusable_store_ids: set = set()
         # One generation of history: when a fingerprint's entry is
         # replaced, the displaced entry is kept here.  Decoders use it
         # to resolve references made against a slightly older cache
         # state (the encoder's view can lag by up to one RTT).
         self._previous_entries: Dict[int, CacheEntry] = {}
+
+    def _admit(self, payload: bytes) -> bool:
+        # Content-keyed coin: both gateways flip identically for the
+        # same bytes, independent of arrival order or loss between
+        # them.  (A sequence-keyed coin would silently desynchronise
+        # the caches on the first dropped packet.)
+        threshold = int(self.admission * 0xFFFFFFFF)
+        return (zlib.crc32(payload) & 0xFFFFFFFF) <= threshold
 
     def insert_packet(self, payload: bytes,
                       anchors: list,
@@ -263,31 +296,39 @@ class ByteCache:
 
         This is the Cache Update Procedure of Fig. 2 / Fig. 7: each
         selected fingerprint's table entry is replaced to reference the
-        new packet.
+        new packet.  Returns the payload's store id, or ``0`` when the
+        admission coin declined it.
         """
-        store_id = self.store.add(payload)
-        if external_id is not None:
-            self._external_ids[store_id] = external_id
-            if len(self._external_ids) > 4 * len(self.store._data) + 64:
-                self._prune_external_ids()
+        if self.admission < 1.0 and not self._admit(payload):
+            self.admission_rejected += 1
+            return 0
         ring = self._ring
+        route: Optional[int] = None
         if ring is not None:
             # Batched path: anchors stay numpy end-to-end; one packet
             # record plus vectorised array fills, no per-anchor objects.
             # Displaced generations stay in the ring, so the history
             # fallback needs no per-insert tracking either.
             if type(anchors) is AnchorSet:
-                ring.insert_batch(anchors.offsets, anchors.fingerprints,
-                                  store_id, tcp_seq, flow, packet_counter,
-                                  anchors.fps_list())
+                offsets = anchors.offsets
+                fps = anchors.fingerprints
+                fps_list = anchors.fps_list()
             else:
                 pairs = anchors if hasattr(anchors, "__len__") else list(anchors)
+                fps_list = [pair[1] for pair in pairs]
                 offsets = np.fromiter((pair[0] for pair in pairs),
                                       dtype=np.int64, count=len(pairs))
-                fps = np.fromiter((pair[1] for pair in pairs),
-                                  dtype=np.uint64, count=len(pairs))
-                ring.insert_batch(offsets, fps, store_id, tcp_seq, flow,
-                                  packet_counter)
+                fps = np.array(fps_list, dtype=np.uint64)
+            if fps_list:
+                route = fps_list[0]
+        store_id = self.store.add(payload, route)
+        if external_id is not None:
+            self._external_ids[store_id] = external_id
+            if len(self._external_ids) > self._prune_at:
+                self._prune_external_ids()
+        if ring is not None:
+            ring.insert_batch(offsets, fps, store_id, tcp_seq, flow,
+                              packet_counter, fps_list)
             return store_id
         # Reference path: per-entry dict updates with explicit
         # displacement tracking (the pre-ring implementation).
@@ -445,6 +486,7 @@ class ByteCache:
 
     def _prune_external_ids(self) -> None:
         live = set(self.store.ids())
+        self._prune_at = 4 * len(live) + 64
         self._external_ids = {sid: ext for sid, ext in self._external_ids.items()
                               if sid in live}
         self._unusable_store_ids &= live

@@ -1,50 +1,48 @@
 """Sharded, memory-bounded byte cache for population serving.
 
-A single :class:`~repro.core.cache.ByteCache` serves one transfer well,
-but a gateway in front of thousands of subscribers holds *one* cache
-for all of them, and a single dict + FIFO store becomes both a memory
-liability and (eventually) a contention point.  This module shards the
-cache by fingerprint:
+A gateway in front of thousands of subscribers holds *one* cache for
+all of them.  This module shards the *payload* side of that cache and
+leaves the fingerprint side alone:
 
-* **Fingerprint routing** — every fingerprint is owned by exactly one
-  of ``n_shards`` shards (``shard_of``: a Fibonacci-mixed hash of the
-  fingerprint, deliberately *not* the low bits, which anchor selection
-  zeroes out).
-* **Payload homes** — a cached payload lives in exactly one shard's
-  :class:`~repro.core.cache.PacketStore` (its *home*, the shard of its
-  first anchor); table entries in other shards reference it by a
-  globally unique store id plus the home shard index.  Cross-shard
-  entries left dangling by the home's eviction are invalidated lazily
-  on lookup, exactly like the unsharded cache's dangling entries.
+* **One fingerprint table** — :class:`ShardedByteCache` inherits
+  ``insert_packet`` / ``lookup*`` / ``mark_unusable`` / ``flush`` and
+  the ring table from :class:`~repro.core.cache.ByteCache`, so the
+  encoder's candidate-bitmap prefilter and inlined ring probe serve the
+  population path too.
+* **Payload homes** — a cached payload lives in exactly one of
+  ``n_shards`` :class:`~repro.core.cache.PacketStore` homes, the shard
+  of its first anchor, under a store id drawn from one shared counter.
+  Table entries left dangling by a home's eviction are invalidated
+  lazily on lookup, like the unsharded cache's.
 * **Per-shard byte budgets** — the total budget splits evenly across
-  shards, each enforcing its own bound (LRU by default here: a shared
+  homes, each enforcing its own bound (LRU by default here: a shared
   cache keeps hot content alive instead of sliding a window).
-* **Probabilistic admission** — an optional content-keyed coin
-  (``admission < 1.0``) that skips caching a payload entirely.  Keyed
-  on a CRC of the payload bytes, never on call order, so an encoder
-  and decoder make identical decisions regardless of loss/reordering
-  between them.
+* **Probabilistic admission** — ``admission < 1.0`` skips caching a
+  payload entirely on a content-keyed coin (:meth:`ByteCache._admit`).
 
-In the no-eviction regime the sharded cache is observationally
-equivalent to one big :class:`ByteCache` (the property tests hold
-``insert_packet``/``lookup``/``lookup_previous``/``mark_unusable`` to
-parity against that oracle for arbitrary interleavings); under memory
-pressure the per-shard budgets differ from the global FIFO only in
-*which* payloads are evicted, never in safety — a dangling reference is
-a decode miss, the same failure TCP already repairs.
+Which shard *owns a fingerprint* is bookkeeping only: per-shard entry
+counts route the table's keys with ``shard_of`` when a report or a
+telemetry sample asks, never per packet.
+
+Without eviction the sharded cache is observationally equivalent to one
+big :class:`ByteCache`, and one FIFO shard stays so under eviction
+(both held by property tests); more shards differ only in *which*
+payloads are evicted, never in safety — a dangling reference is a
+decode miss, the same failure TCP already repairs.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .cache import CacheEntry, FingerprintTable, PacketStore, TableEntry
+import numpy as np
 
-#: Fibonacci multiplier (2^64 / phi) used to mix fingerprints before
-#: shard routing — anchor selection zeroes the low ``zero_bits`` of
-#: every selected fingerprint, so raw ``fp % n`` would collapse small
-#: shard counts onto shard 0.
+from .cache import ByteCache, PacketStore
+
+#: Fibonacci multiplier (2^64 / phi) mixing fingerprints before shard
+#: routing — anchor selection zeroes the low ``zero_bits`` of every
+#: fingerprint, so raw ``fp % n`` would collapse onto shard 0.
 _MIX = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
@@ -54,392 +52,199 @@ def shard_of(fingerprint: int, n_shards: int) -> int:
     return (((fingerprint * _MIX) & _MASK64) >> 17) % n_shards
 
 
-class ShardEntry(CacheEntry):
-    """A :class:`CacheEntry` that also records its payload's home shard.
-
-    Carrying the home index inside the entry keeps lookup a two-dict
-    walk (table shard -> home store) with no auxiliary owner map.
-    """
-
-    __slots__ = ("home",)
-
-    def __init__(self, fingerprint: int, store_id: int, offset: int,
-                 home: int,
-                 tcp_seq: Optional[int] = None,
-                 flow: Optional[tuple] = None,
-                 packet_counter: int = 0,
-                 usable: bool = True) -> None:
-        super().__init__(fingerprint, store_id, offset, tcp_seq, flow,
-                         packet_counter, usable)
-        self.home = home
-
-
-class CacheShard:
-    """One shard: a byte-budgeted payload store plus a fingerprint table."""
-
-    __slots__ = ("index", "store", "table", "previous")
-
-    def __init__(self, index: int, byte_budget: int,
-                 max_packets: Optional[int], eviction: str) -> None:
-        self.index = index
-        self.store = PacketStore(byte_budget, max_packets, eviction)
-        self.table = FingerprintTable()
-        # One generation of displaced entries, as in ByteCache.
-        self.previous: Dict[int, ShardEntry] = {}
-
-
-class _ShardedStoreView:
-    """Aggregate, read-only ``store`` facade over all shards.
-
-    Presents the attribute surface telemetry and the verify oracles
-    read from ``ByteCache.store``: ``len``, ``bytes_used``,
-    ``evictions`` and the side-effect-free ``_data.get``.
-    """
-
-    __slots__ = ("_shards",)
-
-    def __init__(self, shards: List[CacheShard]) -> None:
-        self._shards = shards
-
-    def __len__(self) -> int:
-        return sum(len(shard.store) for shard in self._shards)
-
-    @property
-    def bytes_used(self) -> int:
-        return sum(shard.store.bytes_used for shard in self._shards)
-
-    @property
-    def evictions(self) -> int:
-        return sum(shard.store.evictions for shard in self._shards)
-
-    @property
-    def byte_budget(self) -> int:
-        return sum(shard.store.byte_budget for shard in self._shards)
-
-    @property
-    def _data(self) -> "_MergedPayloads":
-        return _MergedPayloads(self._shards)
-
-    def ids(self) -> Iterator[int]:
-        for shard in self._shards:
-            yield from shard.store.ids()
-
-
 class _MergedPayloads:
     """``store._data``-shaped view: ``get`` without LRU side effects."""
 
-    __slots__ = ("_shards",)
-
-    def __init__(self, shards: List[CacheShard]) -> None:
-        self._shards = shards
+    def __init__(self, store: "ShardedPacketStore") -> None:
+        self._store = store
 
     def get(self, store_id: int) -> Optional[bytes]:
-        for shard in self._shards:
-            payload = shard.store._data.get(store_id)
-            if payload is not None:
-                return payload
-        return None
+        home = self._store._home.get(store_id)
+        return None if home is None else home._data.get(store_id)
 
 
-class _ShardedTableView:
-    """Aggregate ``table`` facade (``get``/``entries``/counters)."""
+class ShardedPacketStore:
+    """N byte-budgeted :class:`PacketStore` homes behind one store surface.
 
-    __slots__ = ("_parent",)
+    ``add`` routes a payload to the shard of its first anchor; reads
+    find it again through ``_home`` (store id -> shard), whose entries
+    for evicted payloads are dropped in amortised sweeps.
+    """
 
-    def __init__(self, parent: "ShardedByteCache") -> None:
-        self._parent = parent
+    def __init__(self, byte_budget: int, n_shards: int,
+                 max_packets: Optional[int], eviction: str) -> None:
+        per_shard_packets = (None if max_packets is None
+                             else max(1, -(-max_packets // n_shards)))
+        per_shard = max(1, byte_budget // n_shards)
+        self.shards: List[PacketStore] = [
+            PacketStore(per_shard, per_shard_packets, eviction)
+            for _ in range(n_shards)]
+        # One shared counter: an id names one payload cache-wide (the
+        # external-id map and the verify oracles depend on that).
+        for shard in self.shards[1:]:
+            shard._ids = self.shards[0]._ids
+        self._home: Dict[int, PacketStore] = {}
+        self._prune_at = 64
+        self._data = _MergedPayloads(self)
 
     def __len__(self) -> int:
-        return sum(len(shard.table) for shard in self._parent.shards)
+        return sum(len(shard) for shard in self.shards)
 
-    def get(self, fingerprint: int) -> Optional[TableEntry]:
-        parent = self._parent
-        shard = parent.shards[shard_of(fingerprint, parent.n_shards)]
-        return shard.table.get(fingerprint)
+    @property
+    def bytes_used(self) -> int:
+        return sum(shard.bytes_used for shard in self.shards)
 
-    def remove(self, fingerprint: int) -> None:
-        parent = self._parent
-        shard = parent.shards[shard_of(fingerprint, parent.n_shards)]
-        shard.table.remove(fingerprint)
+    @property
+    def evictions(self) -> int:
+        return sum(shard.evictions for shard in self.shards)
+
+    @property
+    def byte_budget(self) -> int:
+        return sum(shard.byte_budget for shard in self.shards)
+
+    def add(self, payload: bytes, route: Optional[int] = None) -> int:
+        n_shards = len(self.shards)
+        home = self.shards[
+            shard_of(route, n_shards) if route is not None
+            else (zlib.crc32(payload) & 0xFFFFFFFF) % n_shards]
+        store_id = home.add(payload)
+        self._home[store_id] = home
+        if len(self._home) > self._prune_at:
+            self._home = {sid: self._home[sid] for sid in self.ids()}
+            self._prune_at = 2 * len(self._home) + 64
+        return store_id
+
+    def get(self, store_id: int) -> Optional[bytes]:
+        home = self._home.get(store_id)
+        return None if home is None else home.get(store_id)
+
+    def view(self, store_id: int) -> Optional[memoryview]:
+        home = self._home.get(store_id)
+        return None if home is None else home.view(store_id)
+
+    def ids(self) -> Iterator[int]:
+        for shard in self.shards:
+            yield from shard.ids()
 
     def clear(self) -> None:
-        for shard in self._parent.shards:
-            shard.table.clear()
+        for shard in self.shards:
+            shard.clear()
+        self._home.clear()
 
-    def entries(self) -> Iterator[TableEntry]:
-        for shard in self._parent.shards:
-            yield from shard.table.entries()
+    def set_byte_budget(self, byte_budget: int) -> int:
+        """Re-split the budget across shards; returns evictions forced."""
+        if byte_budget <= 0:
+            raise ValueError("byte_budget must be positive")
+        share = max(1, byte_budget // len(self.shards))
+        return sum(shard.set_byte_budget(share) for shard in self.shards)
 
-    @property
-    def inserts(self) -> int:
-        return sum(shard.table.inserts for shard in self._parent.shards)
+    def evict_oldest(self, count: int) -> int:
+        """Force out up to ``count`` payloads, always the eviction head
+        with the oldest store id of any shard; returns how many."""
+        evicted = 0
+        while evicted < count:
+            heads = [shard for shard in self.shards if len(shard)]
+            if not heads:
+                break
+            oldest = min(heads, key=lambda shard: next(shard.ids()))
+            evicted += oldest.evict_oldest(1)
+        return evicted
 
-    @property
-    def replacements(self) -> int:
-        return sum(shard.table.replacements for shard in self._parent.shards)
 
+class ShardedByteCache(ByteCache):
+    """A :class:`ByteCache` whose payloads live in N routed homes.
 
-class ShardedByteCache:
-    """A drop-in :class:`ByteCache` replacement sharded by fingerprint.
-
-    Exposes the same surface the encoder/decoder cores, gateways,
-    policies, resilience layer, telemetry and verify oracles consume:
-    ``insert_packet`` / ``lookup`` / ``lookup_view`` /
-    ``lookup_previous`` / ``mark_unusable`` / ``flush`` /
-    ``bump_epoch`` / ``set_byte_budget`` / ``evict_fraction``, the
-    ``store`` and ``table`` views, and ``epoch``/``flushes``.  The
-    ``_ring`` attribute is ``None`` so the encoder's batched ring fast
-    path falls back to the generic (table-agnostic) loop.
+    Every cache operation is the inherited :class:`ByteCache` code over
+    a :class:`ShardedPacketStore` (swapped in for the single store the
+    base constructor builds); ``_ring`` is the one ring table, so the
+    encoder's batched fast path serves this cache too.  This class adds
+    the shard bookkeeping: the split budget, the admission argument,
+    per-shard occupancy and the invariant check.
     """
+
+    store: ShardedPacketStore
 
     def __init__(self, byte_budget: int = 16 * 1024 * 1024,
                  n_shards: int = 8,
                  max_packets: Optional[int] = None,
                  eviction: str = "lru",
                  admission: float = 1.0) -> None:
-        if byte_budget <= 0:
-            raise ValueError("byte_budget must be positive")
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
         if not 0.0 < admission <= 1.0:
             raise ValueError(f"admission must be in (0, 1], got {admission}")
+        super().__init__(byte_budget, max_packets, eviction)
+        self.store = ShardedPacketStore(
+            byte_budget, n_shards, max_packets, eviction)
         self.byte_budget = byte_budget
         self.n_shards = n_shards
         self.admission = admission
-        per_shard = max(1, byte_budget // n_shards)
-        per_shard_packets = (None if max_packets is None
-                             else max(1, -(-max_packets // n_shards)))
-        self.shards: List[CacheShard] = [
-            CacheShard(index, per_shard, per_shard_packets, eviction)
-            for index in range(n_shards)]
-        # Globally unique store ids: every shard's PacketStore draws
-        # from one shared counter, so an id names one payload cache-wide
-        # (external-id maps and the verify oracles depend on that).
-        shared_ids = self.shards[0].store._ids
-        for shard in self.shards[1:]:
-            shard.store._ids = shared_ids
-        self.store = _ShardedStoreView(self.shards)
-        self.table = _ShardedTableView(self)
-        self.table_kind = "sharded-dict"
-        #: No ring table: consumers testing `cache._ring is None` take
-        #: their generic path (see ByteCache.table_kind "dict").
-        self._ring = None
-        self.epoch = 0
-        self.flushes = 0
-        #: Payloads the admission coin declined to cache.
-        self.admission_rejected = 0
-        self._external_ids: Dict[int, int] = {}
-        self._unusable_store_ids: Set[int] = set()
-
-    # -- admission ---------------------------------------------------------
-
-    def _admit(self, payload: bytes) -> bool:
-        # Content-keyed coin: both gateways flip identically for the
-        # same bytes, independent of arrival order or loss between
-        # them.  (A sequence-keyed coin would silently desynchronise
-        # the caches on the first dropped packet.)
-        threshold = int(self.admission * 0xFFFFFFFF)
-        return (zlib.crc32(payload) & 0xFFFFFFFF) <= threshold
-
-    # -- the ByteCache surface ---------------------------------------------
-
-    def insert_packet(self, payload: bytes,
-                      anchors: list,
-                      tcp_seq: Optional[int] = None,
-                      flow: Optional[tuple] = None,
-                      packet_counter: int = 0,
-                      external_id: Optional[int] = None) -> int:
-        """Cache ``payload`` in its home shard; route anchors to theirs.
-
-        Returns the payload's (globally unique) store id, or ``0`` when
-        the admission coin declined the payload.
-        """
-        pairs = anchors.pairs() if hasattr(anchors, "pairs") else anchors
-        if not hasattr(pairs, "__len__"):
-            pairs = list(pairs)
-        if self.admission < 1.0 and not self._admit(payload):
-            self.admission_rejected += 1
-            return 0
-        n_shards = self.n_shards
-        if pairs:
-            home = shard_of(pairs[0][1], n_shards)
-        else:
-            home = (zlib.crc32(payload) & 0xFFFFFFFF) % n_shards
-        shards = self.shards
-        store_id = shards[home].store.add(payload)
-        if external_id is not None:
-            self._external_ids[store_id] = external_id
-            if len(self._external_ids) > 4 * len(self.store) + 64:
-                self._prune()
-        entry_cls = ShardEntry
-        for offset, fingerprint in pairs:
-            shard = shards[shard_of(fingerprint, n_shards)]
-            table = shard.table
-            entries = table._table
-            displaced = entries.get(fingerprint)
-            if displaced is not None:
-                table.replacements += 1
-                if displaced.store_id != store_id:
-                    shard.previous[fingerprint] = displaced
-            table.inserts += 1
-            entries[fingerprint] = entry_cls(fingerprint, store_id, offset,
-                                             home, tcp_seq, flow,
-                                             packet_counter)
-        return store_id
-
-    def lookup(self, fingerprint: int) -> Optional[Tuple[TableEntry, bytes]]:
-        """Return (entry, cached payload) or None; lazy invalidation."""
-        shard = self.shards[shard_of(fingerprint, self.n_shards)]
-        entry = shard.table._table.get(fingerprint)
-        if entry is None or not entry.usable:
-            return None
-        store_id = entry.store_id
-        if store_id in self._unusable_store_ids:
-            return None
-        payload = self.shards[entry.home].store.get(store_id)
-        if payload is None:
-            shard.table.remove(fingerprint)
-            return None
-        return entry, payload
-
-    def lookup_view(self, fingerprint: int) -> Optional[memoryview]:
-        """Zero-copy variant of :meth:`lookup` for region reads."""
-        hit = self.lookup(fingerprint)
-        if hit is None:
-            return None
-        return memoryview(hit[1])
-
-    def lookup_previous(self, fingerprint: int
-                        ) -> Optional[Tuple[TableEntry, bytes]]:
-        """The displaced (one-generation-older) entry, as in ByteCache."""
-        shard = self.shards[shard_of(fingerprint, self.n_shards)]
-        entry = shard.previous.get(fingerprint)
-        if entry is None or not entry.usable:
-            return None
-        if entry.store_id in self._unusable_store_ids:
-            return None
-        payload = self.shards[entry.home].store.get(entry.store_id)
-        if payload is None:
-            shard.previous.pop(fingerprint, None)
-            return None
-        return entry, payload
-
-    def external_id_for(self, store_id: int) -> Optional[int]:
-        return self._external_ids.get(store_id)
-
-    def mark_unusable(self, fingerprint: int) -> bool:
-        """Informed marking, with the whole-payload semantics of
-        :meth:`ByteCache.mark_unusable` (every fingerprint resolving to
-        the same payload is disabled via the store-id set)."""
-        shard = self.shards[shard_of(fingerprint, self.n_shards)]
-        entry = shard.table.get(fingerprint)
-        if entry is None:
-            return False
-        entry.usable = False
-        self._unusable_store_ids.add(entry.store_id)
-        return True
-
-    def flush(self) -> None:
-        """Drop everything in every shard (one cache, one flush)."""
-        for shard in self.shards:
-            shard.store.clear()
-            shard.table.clear()
-            shard.previous.clear()
-        self._external_ids.clear()
-        self._unusable_store_ids.clear()
-        self.flushes += 1
-
-    def bump_epoch(self) -> int:
-        self.epoch += 1
-        return self.epoch
+        # shard_entries() memo: (table inserts, table size) -> counts.
+        self._entries_key: Optional[Tuple[int, int]] = None
+        self._entries: List[int] = []
 
     def set_byte_budget(self, byte_budget: int) -> int:
-        """Re-split the budget across shards; returns evictions forced."""
-        if byte_budget <= 0:
-            raise ValueError("byte_budget must be positive")
+        evicted = self.store.set_byte_budget(byte_budget)
         self.byte_budget = byte_budget
-        per_shard = max(1, byte_budget // self.n_shards)
-        evicted = 0
-        for shard in self.shards:
-            evicted += shard.store.set_byte_budget(per_shard)
         return evicted
 
-    def evict_fraction(self, fraction: float) -> int:
-        """Evict the oldest ``fraction`` of each shard's payloads."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        evicted = 0
-        for shard in self.shards:
-            evicted += shard.store.evict_oldest(
-                int(len(shard.store) * fraction))
-        return evicted
+    def shard_entries(self) -> List[int]:
+        """Table entries per owning shard, routed on demand.
 
-    # -- maintenance / introspection ---------------------------------------
-
-    def _prune(self) -> None:
-        live = set(self.store.ids())
-        self._external_ids = {sid: ext
-                              for sid, ext in self._external_ids.items()
-                              if sid in live}
-        self._unusable_store_ids &= live
-        for shard in self.shards:
-            shard.previous = {fp: entry
-                              for fp, entry in shard.previous.items()
-                              if entry.store_id in live}
-
-    def __len__(self) -> int:
-        return len(self.table)
+        The table only changes by an insert (bumps ``inserts``), a lazy
+        removal or a flush (both shrink it), so ``(inserts, size)``
+        names its key set exactly and memoises the routing: the N
+        per-shard gauges of one telemetry sample share one pass.
+        """
+        ring = self._ring
+        assert ring is not None
+        key = (ring.inserts, len(ring))
+        if key != self._entries_key:
+            fps = np.fromiter(ring._index.keys(), dtype=np.uint64,
+                              count=len(ring))
+            # shard_of, vectorised: uint64 multiplication wraps mod 2^64.
+            owners = (fps * np.uint64(_MIX) >> np.uint64(17)) % np.uint64(
+                self.n_shards)
+            self._entries = np.bincount(
+                owners.astype(np.int64), minlength=self.n_shards).tolist()
+            self._entries_key = key
+        return self._entries
 
     def shard_occupancy(self) -> List[Dict[str, int]]:
         """Per-shard occupancy/eviction snapshot (telemetry + reports)."""
-        rows: List[Dict[str, int]] = []
-        for shard in self.shards:
-            rows.append({
-                "shard": shard.index,
-                "payloads": len(shard.store),
-                "bytes": shard.store.bytes_used,
-                "byte_budget": shard.store.byte_budget,
-                "entries": len(shard.table),
-                "evictions": shard.store.evictions,
-            })
-        return rows
+        entries = self.shard_entries()
+        return [{
+            "shard": index,
+            "payloads": len(shard),
+            "bytes": shard.bytes_used,
+            "byte_budget": shard.byte_budget,
+            "entries": entries[index],
+            "evictions": shard.evictions,
+        } for index, shard in enumerate(self.store.shards)]
 
     def check_invariants(self) -> List[str]:
         """Machine-checked shard invariants; returns violation strings.
 
         The serving oracle calls this during a run: per-shard bytes
-        within budget (and consistent with the stored payloads), every
-        fingerprint resident in exactly the shard that owns it, and the
-        global entry count equal to the sum over shards.
+        within budget and equal to the payloads stored, store ids
+        unique across shards, every payload homed where it is held.
         """
         problems: List[str] = []
-        seen_fps: Set[int] = set()
-        total_entries = 0
-        for shard in self.shards:
-            store = shard.store
-            if store.bytes_used > store.byte_budget:
-                problems.append(
-                    f"shard {shard.index}: {store.bytes_used} bytes "
-                    f"exceeds budget {store.byte_budget}")
-            actual = sum(len(payload) for payload in store._data.values())
-            if actual != store.bytes_used:
-                problems.append(
-                    f"shard {shard.index}: accounted {store.bytes_used} "
-                    f"bytes but stores {actual}")
-            total_entries += len(shard.table)
-            for entry in shard.table.entries():
-                fp = entry.fingerprint
-                owner = shard_of(fp, self.n_shards)
-                if owner != shard.index:
-                    problems.append(
-                        f"fingerprint {fp} resident in shard "
-                        f"{shard.index} but owned by shard {owner}")
-                if fp in seen_fps:
-                    problems.append(
-                        f"fingerprint {fp} resident in two shards")
-                seen_fps.add(fp)
-        if total_entries != len(self.table):
-            problems.append(
-                f"global entry count {len(self.table)} != "
-                f"sum of shards {total_entries}")
+        holder: Dict[int, int] = {}
+        for index, shard in enumerate(self.store.shards):
+            if shard.bytes_used > shard.byte_budget:
+                problems.append(f"shard {index}: {shard.bytes_used} bytes "
+                                f"exceeds budget {shard.byte_budget}")
+            actual = sum(len(payload) for payload in shard._data.values())
+            if actual != shard.bytes_used:
+                problems.append(f"shard {index}: accounted "
+                                f"{shard.bytes_used} bytes but stores {actual}")
+            for store_id in shard.ids():
+                if store_id in holder:
+                    problems.append(f"store id {store_id} held by shards "
+                                    f"{holder[store_id]} and {index}")
+                holder[store_id] = index
+                if self.store._home.get(store_id) is not shard:
+                    problems.append(f"store id {store_id} held by shard "
+                                    f"{index} but not homed there")
         return problems

@@ -519,23 +519,24 @@ class Telemetry:
                             fn=lambda c=cache: c.store.evictions, gw=role)
         self.registry.gauge("cache.epoch",
                             fn=lambda c=cache: c.epoch, gw=role)
-        shards = getattr(cache, "shards", None)
-        if shards is not None and self.config.per_shard:
+        shard_entries = getattr(cache, "shard_entries", None)
+        if shard_entries is not None and self.config.per_shard:
             # Sharded serving cache: per-shard occupancy and eviction
             # gauges (duck-typed — only repro.core.shardcache has them).
-            for shard in shards:
-                index = shard.index
+            # Entries are routed from the one fingerprint table at
+            # sample time; the N gauges of a sample share one routing.
+            for index, shard in enumerate(cache.store.shards):
                 self.registry.gauge(
                     "cache.shard_bytes",
-                    fn=lambda s=shard: s.store.bytes_used,
+                    fn=lambda s=shard: s.bytes_used,
                     gw=role, shard=index)
                 self.registry.gauge(
                     "cache.shard_entries",
-                    fn=lambda s=shard: len(s.table),
+                    fn=lambda f=shard_entries, i=index: f()[i],
                     gw=role, shard=index)
                 self.registry.gauge(
                     "cache.shard_evictions",
-                    fn=lambda s=shard: s.store.evictions,
+                    fn=lambda s=shard: s.evictions,
                     gw=role, shard=index)
         stats = gateway.stats
         self.registry.gauge("gw.undecodable_dropped",

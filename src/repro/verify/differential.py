@@ -1,6 +1,6 @@
 """Differential runner: paired executions that must agree.
 
-Six comparisons, each a pair of runs differing in exactly one
+Seven comparisons, each a pair of runs differing in exactly one
 implementation choice that must be behaviour-preserving:
 
 * **fingerprinters** — the vectorised polynomial fingerprinter against
@@ -26,6 +26,10 @@ implementation choice that must be behaviour-preserving:
 * **multiflow parallelism** — independent flows run serially and
   sharded over a process pool must merge to the same per-flow link
   byte counts (see :func:`repro.experiments.multiflow.run_parallel_flows`).
+* **sharded vs unsharded** — the serving cache against the transfer
+  cache.  One FIFO shard *is* a :class:`ByteCache` (same wire bytes,
+  under a budget that evicts); eight shards evict different payloads,
+  so the wire may differ but the delivered stream may not.
 
 Each comparison returns a :class:`DifferentialResult`; ``repro verify``
 runs all of them and exits non-zero on any mismatch.
@@ -38,6 +42,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..app.transfer import FileClient, FileServer, TransferOutcome
+from ..core.cache import ByteCache
+from ..core.shardcache import ShardedByteCache
 from ..experiments.config import ExperimentConfig
 from ..experiments.runner import FILE_NAME, SERVER_ADDR, build_testbed
 from ..workload.corpus import corpus_object
@@ -177,17 +183,17 @@ def _offline_packets(n_packets: int, mss: int = 1460) -> List[bytes]:
 
 
 def _offline_encode(packets: List[bytes], *, batched: bool,
-                    table_kind: str = "ring") -> List[bytes]:
+                    cache: Optional[ByteCache] = None) -> List[bytes]:
     """Wire bytes of one offline encoder pass over ``packets``."""
-    from ..core.cache import ByteCache
     from ..core.encoder import ByteCachingEncoder
     from ..core.fingerprint import FingerprintScheme
     from ..core.policies import PacketMeta, make_policy_pair
 
     scheme = FingerprintScheme(window=16, zero_bits=4)
     policy, _ = make_policy_pair("naive")
-    encoder = ByteCachingEncoder(
-        scheme, ByteCache(16 * 1024 * 1024, table_kind=table_kind), policy)
+    if cache is None:
+        cache = ByteCache(16 * 1024 * 1024)
+    encoder = ByteCachingEncoder(scheme, cache, policy)
     metas = [PacketMeta(packet_id=counter, flow=("diff", 0),
                         tcp_seq=counter * 1460, counter=counter)
              for counter in range(len(packets))]
@@ -218,8 +224,10 @@ def compare_batched_encoder(n_packets: int = 96) -> DifferentialResult:
 def compare_table_impls(n_packets: int = 96) -> DifferentialResult:
     """Ring fingerprint table vs the reference dict table."""
     packets = _offline_packets(n_packets)
-    ring = _offline_encode(packets, batched=True, table_kind="ring")
-    reference = _offline_encode(packets, batched=True, table_kind="dict")
+    ring = _offline_encode(packets, batched=True)
+    reference = _offline_encode(
+        packets, batched=True,
+        cache=ByteCache(16 * 1024 * 1024, table_kind="dict"))
     matched = ring == reference
     mismatches = sum(1 for left, right in zip(ring, reference)
                      if left != right)
@@ -258,10 +266,50 @@ def compare_multiflow_parallelism(n_flows: int = 3,
         _digest(repr(parallel_bytes).encode()))
 
 
+def compare_sharding(n_packets: int = 96, file_size: int = 40 * 1460,
+                     policy: str = "cache_flush",
+                     seed: int = 11) -> DifferentialResult:
+    """ShardedByteCache vs ByteCache: one FIFO shard byte-identical on
+    the wire, eight shards byte-identical at the application."""
+    packets = _offline_packets(n_packets)
+    budget = 32 * 1460          # a third of the cold phase: both evict
+    plain = _offline_encode(packets, batched=True, cache=ByteCache(budget))
+    one_shard = _offline_encode(
+        packets, batched=True,
+        cache=ShardedByteCache(budget, n_shards=1, eviction="fifo"))
+    left, right = _digest(b"".join(plain)), _digest(b"".join(one_shard))
+    if plain != one_shard:
+        mismatches = sum(1 for a, b in zip(plain, one_shard) if a != b)
+        return DifferentialResult(
+            "sharded-vs-unsharded", False,
+            f"{mismatches}/{len(packets)} packets differ between ByteCache "
+            f"and one FIFO shard", left, right)
+    base = ExperimentConfig(policy=policy, file_size=file_size,
+                            loss_rate=0.0, seed=seed)
+    source = corpus_object(base.corpus, base.file_size, base.corpus_seed)
+    streams = {}
+    for shards in (0, 8):
+        outcome, stream = run_captured(base.with_updates(cache_shards=shards))
+        if not outcome.completed:
+            return DifferentialResult(
+                "sharded-vs-unsharded", False,
+                f"cache_shards={shards} run did not complete "
+                f"({outcome.bytes_received}/{outcome.expected_size} bytes)",
+                left, right)
+        streams[shards] = stream
+    matched = (streams[0] == streams[8] == source)
+    detail = (f"one FIFO shard byte-identical to ByteCache over "
+              f"{len(packets)} packets; 8 shards delivered the identical "
+              f"{len(source):,}-byte stream (= source object)" if matched
+              else "8-shard cache changed the delivered stream")
+    return DifferentialResult("sharded-vs-unsharded", matched, detail,
+                              _digest(streams[0]), _digest(streams[8]))
+
+
 def run_differential(scale: str = "smoke",
                      log: Optional[Callable[[str], None]] = None
                      ) -> List[DifferentialResult]:
-    """All six comparisons; ``scale`` picks the workload size.
+    """All seven comparisons; ``scale`` picks the workload size.
 
     ``smoke`` uses small objects (seconds, used by the test suite);
     ``headline`` uses the paper-scale object of the headline scenario
@@ -291,7 +339,8 @@ def run_differential(scale: str = "smoke",
             lambda: compare_resilience(**pairs),
             lambda: compare_batched_encoder(**offline),
             lambda: compare_table_impls(**offline),
-            lambda: compare_multiflow_parallelism(**multiflow)):
+            lambda: compare_multiflow_parallelism(**multiflow),
+            lambda: compare_sharding(**offline, **pairs)):
         result = runner()
         if log is not None:
             log(str(result))

@@ -8,7 +8,7 @@ Covers the acceptance criteria of the verify layer:
   grid violation-free;
 * the cache-coherence oracle catches a deliberately poisoned decoder
   store and the byte-integrity oracle catches a wrong delivered chunk;
-* the differential runner's six comparisons all agree;
+* the differential runner's seven comparisons all agree;
 * the fuzzer finds an injected policy bug, shrinks it to a minimal
   case, and the JSON round-trip replays to the same oracle.
 """
@@ -234,11 +234,12 @@ class TestPolicyOracles:
 # ---------------------------------------------------------------------------
 
 class TestDifferential:
-    def test_all_six_comparisons_agree(self):
+    def test_all_comparisons_agree(self):
         results = run_differential("smoke")
         assert [r.name for r in results] == \
             ["fingerprinters", "sweep-parallelism", "resilience",
-             "batched-encoder", "table-impls", "multiflow-parallelism"]
+             "batched-encoder", "table-impls", "multiflow-parallelism",
+             "sharded-vs-unsharded"]
         for result in results:
             assert result.matched, str(result)
 
@@ -254,6 +255,13 @@ class TestDifferential:
 
         result = compare_table_impls(n_packets=32)
         assert result.matched, result.detail
+
+    def test_sharding_comparison(self):
+        from repro.verify.differential import compare_sharding
+
+        result = compare_sharding(n_packets=48, file_size=20 * 1460)
+        assert result.matched, result.detail
+        assert result.name == "sharded-vs-unsharded"
 
     def test_multiflow_parallelism_comparison(self):
         from repro.verify.differential import compare_multiflow_parallelism
@@ -327,7 +335,7 @@ class TestCli:
 
         assert main(["verify", "--scale", "smoke"]) == 0
         out = capsys.readouterr().out
-        assert "all 6 differential comparisons agree" in out
+        assert "all 7 differential comparisons agree" in out
 
     def test_fuzz_command_clean(self, capsys):
         from repro.cli import main
