@@ -17,13 +17,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import (TYPE_CHECKING, Any, Iterable, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from .cache import ByteCache
 from .fingerprint import FingerprintScheme
 from .polyhash import AnchorSet
 from .region import Region, expand_bounds
+from .ringtable import RingEntry
 from .wire import MIN_REGION_LENGTH, SHIM_SIZE, encode_payload, wrap_raw
 from .policies.base import EncoderPolicy, PacketMeta
 
@@ -486,12 +487,11 @@ class ByteCachingEncoder:
             slot_mask = ring._mask
             store_get = cache.store.get
             unusable_sids = cache._unusable_store_ids
-        # A policy that keeps the base entry_eligible hook (always True)
-        # and no verifier never looks at the entry view, so the ring
-        # branch can skip materialising a RingEntry per hit entirely.
-        lazy_entry = (verifier is None and
-                      type(policy).entry_eligible is EncoderPolicy.entry_eligible)
-        entry: "Optional[object]" = None
+        # entry_eligible reads per-packet-record facts only (see the
+        # hook's contract), so one verdict per distinct source record
+        # serves every other anchor of that record in this packet: a
+        # retransmitted segment hits its own cached copy ~90 times.
+        verdicts: Dict[Any, bool] = {}
         n = len(offs_l)
         i = 0
         while i < n:
@@ -513,19 +513,22 @@ class ByteCachingEncoder:
                 if eid in unusable_ids:
                     continue
                 slot = eid & slot_mask
-                sid = rec_store[pkt_arr[slot]]
+                record = pkt_arr[slot]
+                sid = rec_store[record]
                 if sid in unusable_sids:
                     continue
                 stored = store_get(sid)
                 if stored is None:
                     ring.remove(fingerprint)
                     continue
+                eligible = verdicts.get(record)
+                if eligible is None:
+                    eligible = verdicts[record] = entry_eligible(
+                        RingEntry(ring, eid), meta)
+                if not eligible:
+                    stats.ineligible_hits += 1
+                    continue
                 entry_offset = int(off_arr[slot])
-                if not lazy_entry:
-                    entry = ring.entry(eid)
-                    if not entry_eligible(entry, meta):
-                        stats.ineligible_hits += 1
-                        continue
             else:
                 hit = lookup(fingerprint)
                 if hit is None:
@@ -536,7 +539,6 @@ class ByteCachingEncoder:
                     continue
                 entry_offset = table_entry.offset
                 sid = table_entry.store_id
-                entry = table_entry
             if (offset == entry_offset and payload_len == len(stored)
                     and payload == stored):
                 # Identical payloads (the repeated-transfer case): the
@@ -564,9 +566,11 @@ class ByteCachingEncoder:
                 length=length,
             )
             if verifier is not None:
-                # verifier set forces lazy_entry False, so every path
-                # that reaches here has a live entry view.
-                verifier.on_region(meta, entry, region)  # type: ignore[arg-type]
+                # The only consumer of a per-anchor entry view.
+                verifier.on_region(
+                    meta,
+                    RingEntry(ring, eid) if use_ring else table_entry,
+                    region)
             regions.append(region)
             external = external_id(sid)
             if external is not None:

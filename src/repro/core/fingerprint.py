@@ -8,7 +8,7 @@ bits are zero, i.e. roughly one anchor per 16 byte positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Protocol, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -17,6 +17,8 @@ from .rabin import RabinFingerprinter
 
 DEFAULT_WINDOW = 16
 DEFAULT_ZERO_BITS = 4
+#: Payloads whose anchors :meth:`FingerprintScheme.anchors` remembers.
+ANCHOR_MEMO_SIZE = 128
 
 
 class Fingerprinter(Protocol):
@@ -59,7 +61,11 @@ class FingerprintScheme:
     zero_bits: int = DEFAULT_ZERO_BITS
     kind: str = "poly"
     selection: str = "value"
-    _impl: Fingerprinter = field(init=False, repr=False)
+    _impl: Fingerprinter = field(init=False, repr=False, compare=False)
+    # payload -> its AnchorSet, oldest first (see anchors()).
+    _memo: Dict[bytes, AnchorSet] = field(init=False, repr=False,
+                                          compare=False,
+                                          default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.zero_bits < 0 or self.zero_bits > 32:
@@ -82,7 +88,26 @@ class FingerprintScheme:
 
         Always an :class:`AnchorSet`, regardless of the underlying
         fingerprinter, so the encoder/decoder hot paths see one type.
+
+        A gateway pair shares one scheme, and the same payload bytes
+        come through it again within a few packets: the decoder mirrors
+        the encoder's cache update, and TCP retransmits.  The last
+        :data:`ANCHOR_MEMO_SIZE` distinct payloads keep their anchor
+        set; selection is a pure function of the bytes and of
+        parameters fixed at construction, so an entry cannot go stale.
         """
+        if type(data) is not bytes:     # mutable buffers cannot be keys
+            return self._select(data)
+        memo = self._memo
+        selected = memo.get(data)
+        if selected is None:
+            selected = self._select(data)
+            if len(memo) >= ANCHOR_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[data] = selected
+        return selected
+
+    def _select(self, data: bytes) -> AnchorSet:
         if self.selection == "value":
             selected = self._impl.anchors(data, self.mask)
             if isinstance(selected, AnchorSet):

@@ -156,6 +156,10 @@ class RingFingerprintTable:
         # the insert can reuse the hashes instead of recomputing them.
         self._scratch_u64 = np.empty(256, dtype=np.uint64)
         self._scratch_tag: Optional[np.ndarray] = None
+        # fingerprint -> previous_entry's answer (an entry id, -1 for
+        # none); dropped by every mutation that could change it.  Room
+        # making renumbers ids but only ever runs inside insert_batch.
+        self._history_memo: Dict[int, int] = {}
 
     # -- size and capacity -------------------------------------------------
 
@@ -204,6 +208,8 @@ class RingFingerprintTable:
         self._rec_counter.append(packet_counter)
         if n == 0:
             return
+        if self._history_memo:
+            self._history_memo.clear()
         if self._next + n - self._floor > self._capacity:
             self._make_room(n)
         base = self._next
@@ -233,7 +239,6 @@ class RingFingerprintTable:
             # The candidate probe of this same fingerprint array left
             # its bitmap hashes in the scratch — stamp them directly.
             scratch = self._scratch_u64[:n]
-            self._scratch_tag = None
         else:
             if len(self._scratch_u64) < n:
                 self._scratch_u64 = np.empty(
@@ -241,6 +246,10 @@ class RingFingerprintTable:
             scratch = self._scratch_u64[:n]
             np.multiply(fps, _FIB, out=scratch)
             scratch >>= self._bm_shift
+        # Either way the tag is spent: a deferred insert (ack_gated)
+        # that recomputed above has overwritten some other array's
+        # hashes, and a stale tag would stamp them for that array.
+        self._scratch_tag = None
         self._bm[scratch] = self._bm_epoch
         if len(index) > (len(self._bm) >> 3) and self._bm_bits < 22:
             self._rebuild_bitmap(self._bm_bits + 2)
@@ -295,12 +304,10 @@ class RingFingerprintTable:
         """Newest entry id for a fingerprint (internal fast probes)."""
         return self._index.get(fingerprint)
 
-    def entry(self, entry_id: int) -> RingEntry:
-        """View of a (valid) entry id."""
-        return RingEntry(self, entry_id)
-
     def remove(self, fingerprint: int) -> None:
         self._index.pop(fingerprint, None)
+        if self._history_memo:
+            self._history_memo.clear()
 
     def clear(self) -> None:
         self._index.clear()
@@ -309,6 +316,7 @@ class RingFingerprintTable:
         self._rec_flow.clear()
         self._rec_counter.clear()
         self._unusable_ids.clear()
+        self._history_memo.clear()
         self._next = 0
         self._floor = 0
         self._scratch_tag = None
@@ -328,15 +336,39 @@ class RingFingerprintTable:
         displaced generations in place until compaction or wrap, so no
         per-insert displacement tracking is needed — this scans the
         ring on demand (the fallback path is rare and checksum-gated).
+
+        One failed fallback asks about the same handful of fingerprints
+        a dozen times with no table mutation in between, so the answer
+        is remembered until the next :meth:`insert_batch`,
+        :meth:`remove` or :meth:`clear`.
         """
-        window = self._next - self._floor
-        if window == 0:
+        memo = self._history_memo
+        entry_id = memo.get(fingerprint)
+        if entry_id is None:
+            entry_id = memo[fingerprint] = self._scan_previous(fingerprint)
+        if entry_id < 0:
             return None
-        ids = np.arange(self._floor, self._next, dtype=np.int64)
-        slots = ids & self._mask
-        matches = ids[self._fps[slots] == _U64(fingerprint)]
+        return RingEntry(self, entry_id)
+
+    def _scan_previous(self, fingerprint: int) -> int:
+        """Entry id :meth:`previous_entry` resolves to, or -1."""
+        floor = self._floor
+        if self._next == floor:
+            return -1
+        # Compare the live window in place: one slice of ``_fps`` when
+        # it is contiguous, two when it wraps the end of the arrays.
+        target = _U64(fingerprint)
+        lo = floor & self._mask
+        hi = self._next & self._mask
+        if lo < hi:
+            matches = (self._fps[lo:hi] == target).nonzero()[0] + floor
+        else:
+            matches = np.concatenate((
+                (self._fps[lo:] == target).nonzero()[0] + floor,
+                (self._fps[:hi] == target).nonzero()[0]
+                + (floor + self._capacity - lo)))
         if len(matches) == 0:
-            return None
+            return -1
         ref_id = self._index.get(fingerprint)
         if ref_id is None:
             # Lazily removed (dangling store): the newest ring entry
@@ -351,8 +383,8 @@ class RingFingerprintTable:
             if entry_id >= ref_id:
                 continue
             if rec_store[int(pkt[entry_id & mask])] != ref_store:
-                return RingEntry(self, entry_id)
-        return None
+                return entry_id
+        return -1
 
     # -- room making: wrap, compact, grow ----------------------------------
 

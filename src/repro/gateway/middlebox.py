@@ -274,9 +274,12 @@ class EncoderGateway(_GatewayBase):
             self.stats.encoded_packets += 1
             if self.retain_logs:
                 self.dependency_log[pkt.packet_id] = result.dependencies
-            self.tracer.emit(self.name, "encode", packet_id=pkt.packet_id,
-                             deps=sorted(result.dependencies),
-                             saved=result.bytes_in - result.bytes_out)
+            tracer = self.tracer
+            if tracer.enabled or tracer.sink is not None:
+                # Guarded so the disabled path skips the sorted() copy.
+                tracer.emit(self.name, "encode", packet_id=pkt.packet_id,
+                            deps=sorted(result.dependencies),
+                            saved=result.bytes_in - result.bytes_out)
             if spans is not None:
                 # The paper's causal arrow: this packet now depends on
                 # the traces of the cache entries it was encoded against.
@@ -406,30 +409,40 @@ class DecoderGateway(_GatewayBase):
             if spans is not None:
                 spans.packet_end(span, status="ok")
             return pkt
+        # Failure paths only from here; one flag decides whether they
+        # build trace records (kwargs dict, len() of the missing list).
+        tracer = self.tracer
+        tracing = tracer.enabled or tracer.sink is not None
         if result.status is DecodeStatus.BUFFERED:
             self.stats.buffered += 1
-            self.tracer.emit(self.name, "buffer", packet_id=pkt.packet_id,
-                             missing=len(result.missing))
+            if tracing:
+                tracer.emit(self.name, "buffer", packet_id=pkt.packet_id,
+                            missing=len(result.missing))
             if spans is not None:
                 spans.packet_end(span, status="buffered",
                                  missing=len(result.missing))
             return None
         if result.status is DecodeStatus.MISSING:
             self.stats.undecodable_dropped += 1
-            self.tracer.emit(self.name, "drop_undecodable",
-                             packet_id=pkt.packet_id,
-                             missing=len(result.missing))
+            if tracing:
+                tracer.emit(self.name, "drop_undecodable",
+                            packet_id=pkt.packet_id,
+                            missing=len(result.missing))
             if spans is not None:
                 spans.packet_end(span, status="missing",
                                  missing=len(result.missing))
         elif result.status is DecodeStatus.CHECKSUM_MISMATCH:
             self.stats.checksum_dropped += 1
-            self.tracer.emit(self.name, "drop_checksum", packet_id=pkt.packet_id)
+            if tracing:
+                tracer.emit(self.name, "drop_checksum",
+                            packet_id=pkt.packet_id)
             if spans is not None:
                 spans.packet_end(span, status="checksum_mismatch")
         else:
             self.stats.malformed_dropped += 1
-            self.tracer.emit(self.name, "drop_malformed", packet_id=pkt.packet_id)
+            if tracing:
+                tracer.emit(self.name, "drop_malformed",
+                            packet_id=pkt.packet_id)
             if spans is not None:
                 spans.packet_end(span, status="malformed")
         return None

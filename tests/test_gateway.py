@@ -119,6 +119,54 @@ class TestEncodeDecodePath:
         assert stats.bytes_after < stats.bytes_before
 
 
+class TestTraceRecords:
+    """The encode / drop records cost nothing unless someone listens."""
+
+    def _run(self, tracer):
+        sim, pair, enc_out, dec_out = make_pair(tracer=tracer)
+        payload = random_bytes(6)
+        for seq in (0, 1460, 2920):
+            pair.encoder.receive(data_packet(payload, seq=seq))
+        for pkt in enc_out.packets[1:]:     # carrier lost: two drops
+            pair.decoder.receive(pkt)
+        assert pair.encoder.stats.encoded_packets == 2
+        assert pair.decoder.stats.undecodable_dropped == 2
+        return enc_out.packets
+
+    def test_disabled_tracer_without_sink_is_never_called(self):
+        from repro.sim.trace import Tracer
+
+        tracer = Tracer(enabled=False)
+
+        def emit(*args, **kwargs):
+            raise AssertionError("emit() reached on the disabled path")
+
+        tracer.emit = emit
+        self._run(tracer)
+
+    def test_sink_alone_still_receives_every_record(self):
+        from repro.sim.trace import Tracer
+
+        tracer = Tracer(enabled=False)
+        seen = []
+        tracer.sink = lambda time, source, event, detail: seen.append(
+            (event, detail))
+        sent = self._run(tracer)
+        assert [event for event, _ in seen] == \
+            ["encode", "encode", "drop_undecodable", "drop_undecodable"]
+        assert seen[1][1]["deps"] == [sent[1].packet_id]
+        assert seen[2][1]["missing"] == 1
+        assert tracer.records == []
+
+    def test_enabled_tracer_records_as_before(self):
+        from repro.sim.trace import Tracer
+
+        tracer = Tracer(enabled=True)
+        self._run(tracer)
+        assert tracer.count(event="encode") == 2
+        assert tracer.count(event="drop_undecodable") == 2
+
+
 class TestControlChannel:
     def test_control_message_consumed_by_addressee(self):
         sim, pair, enc_out, dec_out = make_pair(policy="informed_marking")

@@ -77,6 +77,21 @@ class TestCandidateBitmap:
         # Tag is consumed: a second insert recomputes.
         assert tagged._scratch_tag is None
 
+    def test_deferred_inserts_do_not_stamp_each_others_hashes(self):
+        # ack_gated order: probe A, probe B, then commit A and B.  The
+        # commit of A recomputes over the scratch; B's tag must not
+        # survive that, or B gets A's hashes stamped into the bitmap.
+        table = RingFingerprintTable(capacity=64)
+        a = np.array([101, 202, 303], dtype=np.uint64)
+        b = np.array([404, 505, 606], dtype=np.uint64)
+        offsets = np.arange(3, dtype=np.int64)
+        table.candidate_indices(a)
+        table.candidate_indices(b)
+        table.insert_batch(offsets, a, 0, None, None, 0)
+        table.insert_batch(offsets, b, 1, None, None, 1)
+        assert table.candidates(a).all()
+        assert table.candidates(b).all()        # no false negatives
+
     def test_epoch_bump_clears_without_touching_memory(self):
         table = RingFingerprintTable(capacity=64)
         _insert(table, [42])
@@ -159,6 +174,97 @@ class TestAutogrow:
         assert table.grows >= 1
         for fingerprint in range(100, 108):
             assert table.get(fingerprint) is not None
+
+
+def _brute_previous(table, fingerprint):
+    """previous_entry by walking every live id, newest first."""
+    floor, top = table.id_window()
+    ids = [i for i in range(floor, top)
+           if int(table._fps[i & table._mask]) == fingerprint]
+    if not ids:
+        return None
+    ref = table.get_id(fingerprint)
+    if ref is None:
+        ref = ids[-1]
+
+    def store_of(entry_id):
+        return table._rec_store[int(table._pkt[entry_id & table._mask])]
+
+    for entry_id in reversed(ids):
+        if entry_id < ref and store_of(entry_id) != store_of(ref):
+            return entry_id
+    return None
+
+
+def _assert_history_matches_brute_force(table, fingerprints):
+    for fingerprint in fingerprints:
+        for _ in range(2):              # second ask is served by the memo
+            got = table.previous_entry(fingerprint)
+            want = _brute_previous(table, fingerprint)
+            assert (got._id if got is not None else None) == want
+
+
+class TestPreviousEntry:
+    FPS = list(range(1, 7))
+
+    @pytest.mark.parametrize("autogrow", [True, False])
+    def test_matches_brute_force_across_room_making(self, autogrow):
+        # Capacity 8 with 3-anchor batches: the window wraps the array
+        # end, then compacts / grows (autogrow) or evicts (fixed).
+        table = RingFingerprintTable(capacity=8, autogrow=autogrow)
+        rnd = np.random.default_rng(14)
+        wrapped = 0
+        for store_id in range(40):
+            batch = rnd.choice(self.FPS, size=3, replace=False).tolist()
+            _insert(table, batch, store_id=store_id // 2)
+            floor, top = table.id_window()
+            wrapped += (floor & table._mask) >= (top & table._mask)
+            _assert_history_matches_brute_force(table, self.FPS)
+        if autogrow:        # floor stays 0: wraps only when exactly full
+            assert table.compactions >= 1 and table.grows >= 1
+        else:
+            assert table.evictions >= 1 and wrapped
+
+    def test_exactly_full_ring(self):
+        table = RingFingerprintTable(capacity=4)
+        _insert(table, [1, 2], store_id=0)
+        _insert(table, [1, 2], store_id=1)
+        assert table.id_window() == (0, 4)
+        _assert_history_matches_brute_force(table, [1, 2, 3])
+        assert table.previous_entry(2).store_id == 0
+
+    def test_mutation_between_two_queries_is_seen(self):
+        table = RingFingerprintTable(capacity=16)
+        _insert(table, [1, 2], store_id=0)
+        assert table.previous_entry(1) is None
+        _insert(table, [1], store_id=1)
+        assert table.previous_entry(1).store_id == 0        # insert
+        _insert(table, [1], store_id=2)
+        assert table.previous_entry(1).store_id == 1
+        table.remove(1)
+        # Lazily removed: the newest ring entry (store 2) is the
+        # reference, so the answer stays store 1 — by a fresh scan.
+        assert not table._history_memo
+        assert table.previous_entry(1).store_id == 1
+        _assert_history_matches_brute_force(table, [1, 2])
+        table.clear()
+        assert table.previous_entry(1) is None              # clear
+        _insert(table, [1], store_id=7)
+        _insert(table, [1], store_id=8)
+        assert table.previous_entry(1).store_id == 7
+
+    def test_scan_allocates_no_window_sized_id_arrays(self):
+        table = RingFingerprintTable(capacity=1 << 14)
+        _insert(table, list(range(10_000)), store_id=0)
+        _insert(table, [5], store_id=1)
+        import tracemalloc
+
+        tracemalloc.start()
+        assert table.previous_entry(5).store_id == 0
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # One bool per live entry, not three int64 arrays of them.
+        assert peak < 3 * 10_000
 
 
 def _entry(fingerprint, store_id, offset, counter):

@@ -307,6 +307,18 @@ class TestFuzzer:
         assert outcome.violation["oracle"] == \
             campaign.shrunk_violation["oracle"]
 
+    @pytest.mark.parametrize("bug, oracles", [
+        ("tcp_seq_gate", ("circular_dependency", "tcp_seq")),
+        ("k_distance_gate", ("circular_dependency", "k_distance")),
+    ])
+    def test_gate_bugs_surface_through_per_record_eligibility(self, bug,
+                                                              oracles):
+        """A patched-out gate answers once per source packet now; the
+        oracle still sees the region that answer let through."""
+        campaign = run_campaign(7, 20, inject_bug=bug)
+        assert campaign.violations >= 1
+        assert campaign.shrunk_violation["oracle"] in oracles
+
     def test_shrink_drops_irrelevant_fault_events(self):
         """A reproducer that ignores faults entirely shrinks to zero
         fault events and the minimum object."""
