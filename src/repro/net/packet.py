@@ -79,7 +79,7 @@ class TCPSegment:
 
     @property
     def size(self) -> int:
-        return self.header_size + len(self.data)
+        return TCP_HEADER_SIZE + self.options_size + len(self.data)
 
     def flag_names(self) -> str:
         names = []

@@ -88,6 +88,17 @@ class TCPState(enum.Enum):
     ABORTED = "aborted"
 
 
+# Flag bits and state groups the per-segment path tests; module
+# constants so an arriving segment costs no property calls.
+_FIN = TCPSegment.FIN
+_SYN = TCPSegment.SYN
+_RST = TCPSegment.RST
+_ACK = TCPSegment.ACK
+_SYN_ACK = _SYN | _ACK
+_DATA_STATES = (TCPState.ESTABLISHED, TCPState.FIN_SENT)
+_CLOSED_STATES = (TCPState.DONE, TCPState.ABORTED)
+
+
 class TCPConnection:
     """One endpoint of a simulated TCP connection.
 
@@ -116,6 +127,9 @@ class TCPConnection:
         self.remote_addr = remote_addr
         self.remote_port = remote_port
         self.config = config if config is not None else TCPConfig()
+        #: Window advertised in every segment (the receive buffer never
+        #: fills: data is handed to the app as it arrives).
+        self._advertised_window = min(self.config.rwnd, 0xFFFFFFF)
         self.state = TCPState.CLOSED
         self.stats = TCPStats()
 
@@ -191,7 +205,7 @@ class TCPConnection:
 
     def send(self, data: bytes) -> None:
         """Queue application data for transmission."""
-        if self.state in (TCPState.DONE, TCPState.ABORTED):
+        if self.state in _CLOSED_STATES:
             raise RuntimeError(f"send() on closed connection ({self.state})")
         if self._fin_queued:
             raise RuntimeError("send() after close()")
@@ -200,7 +214,7 @@ class TCPConnection:
 
     def close(self) -> None:
         """Half-close: FIN goes out once all queued data has been sent."""
-        if self._fin_queued or self.state in (TCPState.DONE, TCPState.ABORTED):
+        if self._fin_queued or self.state in _CLOSED_STATES:
             return
         self._fin_queued = True
         self._try_send()
@@ -242,8 +256,9 @@ class TCPConnection:
     def segment_arrived(self, segment: TCPSegment) -> None:
         """Entry point from the stack's demultiplexer."""
         self.stats.segments_received += 1
+        flags = segment.flags
 
-        if segment.rst:
+        if flags & _RST:
             self._finish(TCPState.ABORTED, "reset")
             return
 
@@ -251,26 +266,26 @@ class TCPConnection:
             self._handle_in_syn_sent(segment)
             return
         if self.state is TCPState.SYN_RCVD:
-            if segment.has_ack and segment.ack > self.iss:
+            if flags & _ACK and segment.ack > self.iss:
                 self._become_established()
-            elif segment.syn:
+            elif flags & _SYN:
                 # Retransmitted SYN: the SYN-ACK was lost; resend it.
-                self._send_segment(TCPSegment.SYN | TCPSegment.ACK, seq=self.iss)
+                self._send_segment(_SYN_ACK, seq=self.iss)
                 return
             # fall through: the ACK may carry data
 
-        if self.state not in (TCPState.ESTABLISHED, TCPState.FIN_SENT):
+        if self.state not in _DATA_STATES:
             return
 
-        if segment.syn:
+        if flags & _SYN:
             # Stray retransmitted SYN: the peer never saw our SYN-ACK.
-            self._send_segment(TCPSegment.SYN | TCPSegment.ACK, seq=self.iss)
+            self._send_segment(_SYN_ACK, seq=self.iss)
             return
 
-        if segment.has_ack:
+        if flags & _ACK:
             self._process_ack(segment)
 
-        if segment.data or segment.fin:
+        if segment.data or flags & _FIN:
             self._process_payload(segment)
 
     # ------------------------------------------------------------------
@@ -278,7 +293,8 @@ class TCPConnection:
     # ------------------------------------------------------------------
 
     def _handle_in_syn_sent(self, segment: TCPSegment) -> None:
-        if not (segment.syn and segment.has_ack and segment.ack == self.iss + 1):
+        if (segment.flags & _SYN_ACK != _SYN_ACK
+                or segment.ack != self.iss + 1):
             return
         self.irs = segment.seq
         self.rcv_nxt = segment.seq + 1
@@ -317,15 +333,18 @@ class TCPConnection:
 
     def _try_send(self) -> None:
         """Transmit as much new data as the windows allow."""
-        if self.state not in (TCPState.ESTABLISHED, TCPState.FIN_SENT):
+        if self.state not in _DATA_STATES:
             return
-        if self.in_recovery and self.config.sack_enabled:
+        if self._recovery_point is not None and self.config.sack_enabled:
             self._sack_transmit()
             return
         mss = self.config.mss
         limit = self.snd_una + self._effective_window()
-        while self.snd_nxt < self._buffer_end_seq():
-            chunk_len = min(mss, self._buffer_end_seq() - self.snd_nxt)
+        buffer_end = self._buffer_seq + len(self._buffer)
+        while self.snd_nxt < buffer_end:
+            chunk_len = buffer_end - self.snd_nxt
+            if chunk_len > mss:
+                chunk_len = mss
             if self.snd_nxt + chunk_len > limit:
                 # Never emit a window-truncated runt: segments stay
                 # MSS-quantised (as Linux does), which keeps packet
@@ -336,7 +355,7 @@ class TCPConnection:
             self._send_from_buffer(self.snd_nxt, chunk_len, fresh=True)
             self.snd_nxt += chunk_len
         self._maybe_send_fin()
-        if self.flight_size > 0:
+        if self.snd_nxt > self.snd_una:
             self._arm_retx_timer(only_if_unarmed=True)
 
     def _send_new_data_once(self) -> bool:
@@ -369,7 +388,7 @@ class TCPConnection:
         segment = TCPSegment(
             src_port=self.local_port, dst_port=self.remote_port,
             seq=seq, ack=self.rcv_nxt if self.rcv_nxt is not None else 0,
-            flags=flags, window=self._advertised_window(),
+            flags=flags, window=self._advertised_window,
             data=data, checksum=payload_checksum(data))
         if fresh:
             self.stats.bytes_sent += len(data)
@@ -396,7 +415,7 @@ class TCPConnection:
             src_port=self.local_port, dst_port=self.remote_port,
             seq=seq,
             ack=self.rcv_nxt if self.rcv_nxt is not None else 0,
-            flags=flags, window=self._advertised_window(),
+            flags=flags, window=self._advertised_window,
             options_size=options_size)
         segment.sack_blocks = sack_blocks
         self.stats.segments_sent += 1
@@ -416,9 +435,6 @@ class TCPConnection:
         if self._delack_pending > 0:
             self._send_ack()
 
-    def _advertised_window(self) -> int:
-        return min(self.config.rwnd, 0xFFFFFFF)
-
     # ------------------------------------------------------------------
     # ACK processing (sender side)
     # ------------------------------------------------------------------
@@ -436,18 +452,18 @@ class TCPConnection:
             self._handle_new_ack(ack)
             return
 
-        if ack == self.snd_una and self.flight_size > 0 and not segment.data:
+        if ack == self.snd_una and self.snd_nxt > ack and not segment.data:
             self.stats.dup_acks_received += 1
             self._dup_ack_count += 1
             if self._dup_ack_count < self.config.dup_ack_threshold \
                     and not self._should_enter_recovery():
                 self._try_send()  # limited transmit
-            elif not self.in_recovery:
+            elif self._recovery_point is None:
                 self._enter_recovery()
             else:
                 self.cc.on_dup_ack_in_recovery()
                 self._try_send()
-        elif sack_advanced and self.in_recovery:
+        elif sack_advanced and self._recovery_point is not None:
             self._sack_transmit()
 
     def _handle_new_ack(self, ack: int) -> None:
@@ -464,9 +480,8 @@ class TCPConnection:
         self._sacked.remove_below(ack)
         self._retx_marked.remove_below(ack)
 
-        if self.in_recovery:
-            assert self._recovery_point is not None
-            if self.snd_una >= self._recovery_point:
+        if self._recovery_point is not None:
+            if ack >= self._recovery_point:
                 self._exit_recovery()
             else:
                 # NewReno/RFC 6675 partial ACK: keep filling holes.
@@ -477,7 +492,7 @@ class TCPConnection:
         else:
             self.cc.on_new_ack(acked, self.snd_una)
 
-        if self.flight_size > 0:
+        if self.snd_nxt > ack:
             self._arm_retx_timer()
         else:
             self._retx_timer.stop()
@@ -485,9 +500,9 @@ class TCPConnection:
         self._try_send()
 
     def _absorb_sack(self, segment: TCPSegment) -> bool:
-        blocks = getattr(segment, "sack_blocks", ()) or ()
-        if not self.config.sack_enabled or not blocks:
-            return False
+        blocks = segment.sack_blocks
+        if not blocks or not self.config.sack_enabled:
+            return False  # the common ACK: scoreboard untouched
         before = self._sacked.coverage(self.snd_una, self.snd_nxt)
         for start, end in blocks:
             if end > self.snd_una:
@@ -676,17 +691,19 @@ class TCPConnection:
     def _process_payload(self, segment: TCPSegment) -> None:
         assert self.rcv_nxt is not None
 
-        if segment.data and self.config.verify_checksums:
-            if not verify_payload(segment.data, segment.checksum):
+        data = segment.data
+        if data and self.config.verify_checksums:
+            if not verify_payload(data, segment.checksum):
                 self.stats.checksum_drops += 1
                 return  # corrupted payload: no ACK, as if never received
 
-        if segment.fin:
-            self._remote_fin_seq = segment.seq + len(segment.data)
+        fin = segment.flags & _FIN
+        if fin:
+            self._remote_fin_seq = segment.seq + len(data)
 
         advanced = False
-        if segment.data:
-            advanced = self._ingest_data(segment.seq, segment.data)
+        if data:
+            advanced = self._ingest_data(segment.seq, data)
 
         # FIN consumes one sequence number once all data before it is in.
         if (self._remote_fin_seq is not None
@@ -698,7 +715,7 @@ class TCPConnection:
             self._on_remote_fin()
             return
 
-        if segment.data or segment.fin:
+        if data or fin:
             if not advanced:
                 # Out-of-order or duplicate: ACK immediately so the
                 # sender's dup-ack machinery keeps working (RFC 1122
@@ -767,12 +784,16 @@ class TCPConnection:
     # ------------------------------------------------------------------
 
     def _finish(self, state: TCPState, reason: str) -> None:
-        if self.state in (TCPState.DONE, TCPState.ABORTED):
+        if self.state in _CLOSED_STATES:
             return
         self.state = state
         self.close_reason = reason
         self.closed_at = self.sim.now
+        # A closed connection puts nothing more on the wire: neither a
+        # retransmission nor the bare ACK a delayed-ACK timer still owes.
         self._retx_timer.stop()
+        self._delack_timer.stop()
+        self._delack_pending = 0
         if self.on_close is not None:
             self.on_close(reason)
 

@@ -65,8 +65,9 @@ class RangeSet:
     def remove_below(self, bound: int) -> None:
         """Drop everything strictly below ``bound``."""
         index = bisect_right(self._ends, bound)
-        self._starts = self._starts[index:]
-        self._ends = self._ends[index:]
+        if index:
+            del self._starts[:index]
+            del self._ends[:index]
         if self._starts and self._starts[0] < bound:
             self._starts[0] = bound
 
@@ -87,14 +88,22 @@ class RangeSet:
 
     def coverage(self, start: int, end: int) -> int:
         """Total covered bytes within ``[start, end)``."""
+        starts = self._starts
+        ends = self._ends
         total = 0
-        for range_start, range_end in self:
-            lo = max(start, range_start)
-            hi = min(end, range_end)
+        # Ranges ending at or before ``start`` contribute nothing, and
+        # the scoreboard is asked several times per ACK: bisect past them.
+        for index in range(bisect_right(ends, start), len(starts)):
+            lo = starts[index]
+            if lo >= end:
+                break
+            if lo < start:
+                lo = start
+            hi = ends[index]
+            if hi > end:
+                hi = end
             if hi > lo:
                 total += hi - lo
-            if range_start >= end:
-                break
         return total
 
     def first_gap(self, start: int, end: int) -> Optional[Range]:

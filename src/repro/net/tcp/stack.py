@@ -97,15 +97,15 @@ class TCPStack:
         return conn
 
     def _on_packet(self, pkt: IPPacket) -> None:
-        segment = pkt.tcp
-        if segment is None:
+        if pkt.proto != PROTO_TCP:
             return
+        segment: TCPSegment = pkt.payload  # type: ignore[assignment]
         key: ConnKey = (segment.dst_port, pkt.src, segment.src_port)
         conn = self._connections.get(key)
         if conn is not None:
             conn.segment_arrived(segment)
             return
-        if segment.syn and not segment.has_ack:
+        if segment.flags & (TCPSegment.SYN | TCPSegment.ACK) == TCPSegment.SYN:
             on_accept = self._listeners.get(segment.dst_port)
             if on_accept is not None:
                 conn = self._make_connection(segment.dst_port, pkt.src,

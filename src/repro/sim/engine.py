@@ -12,8 +12,7 @@ or real threads involved, which keeps runs reproducible and fast.
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, Optional
 
@@ -22,66 +21,49 @@ class SimulationError(Exception):
     """Raised for invalid uses of the simulation engine."""
 
 
-#: Upper bound on recycled Event shells kept by a Simulator — enough
-#: for any realistic in-flight window, small enough that a burst does
-#: not pin memory forever.
-_EVENT_POOL_CAP = 1024
-
-
 class Event:
-    """Handle for a scheduled callback.
+    """Cancellation handle for a scheduled callback.
 
     Returned by :meth:`Simulator.at` / :meth:`Simulator.after` so the
     caller can cancel the callback (e.g. a retransmission timer being
-    disarmed by an ACK).  The run loop orders events by heap entries of
-    ``(time, seq, event)`` tuples, so ordering is resolved by C-level
-    tuple comparison and this class is never compared on the hot path.
-
-    Events created by :meth:`Simulator.post` / :meth:`post_after` are
-    *pooled*: no handle escapes, so the run loop recycles the shell
-    into the simulator's free list after dispatch instead of leaving it
-    for the allocator.
+    disarmed by an ACK).  The callback itself lives in the heap entry,
+    not here, so a handle someone keeps never pins it.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "done", "_sim",
-                 "pooled")
+    __slots__ = ("time", "cancelled", "done", "_sim")
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple,
-                 sim: "Optional[Simulator]" = None, pooled: bool = False):
+    def __init__(self, time: float, sim: "Simulator"):
         self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
         self.cancelled = False
         self.done = False
         self._sim = sim
-        self.pooled = pooled
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent."""
         if self.cancelled or self.done:
             return
         self.cancelled = True
-        if self._sim is not None:
-            self._sim._live -= 1
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        self._sim._live -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.6f} {getattr(self.fn, '__name__', self.fn)} {state}>"
+        state = ("cancelled" if self.cancelled
+                 else "done" if self.done else "pending")
+        return f"<Event t={self.time:.6f} {state}>"
 
 
 class Simulator:
     """Deterministic discrete-event scheduler with a simulated clock."""
 
     def __init__(self, profiler=None) -> None:
-        # Heap of (time, seq, Event): comparisons stay on primitive
-        # tuples (C code) instead of calling Event.__lt__ per sift.
+        # Heap of (time, seq, fn, args, handle).  ``seq`` is unique, so
+        # ordering is settled by C-level comparison of the first two
+        # fields; ``handle`` is the Event of at()/after() and None for
+        # post()/post_after(), which therefore allocate nothing but
+        # the entry itself.
         self._heap: list = []
-        self._counter = itertools.count()
-        self._now = 0.0
+        self._seq = 0
+        #: Current simulated time in seconds.
+        self.now = 0.0
         self._running = False
         self._stopped = False
         self.events_processed = 0
@@ -91,63 +73,57 @@ class Simulator:
         #: Optional :class:`repro.metrics.profiling.StageProfiler`
         #: accumulating an "event_dispatch" stage.
         self.profiler = profiler
-        # Free list of Event shells for post()/post_after(); see Event.
-        self._pool: list = []
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+    # post() and post_after() each push their own entry instead of one
+    # calling the other: links post twice per packet, so a hop there is
+    # a Python call per event.  The guards are written ``not x >= y`` so
+    # that NaN, which compares false either way, is refused instead of
+    # poisoning the heap order and the clock.
 
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule event in the past: {time} < now {self._now}"
+                f"cannot schedule event in the past: {time} < now {self.now}"
             )
-        seq = next(self._counter)
-        event = Event(time, seq, fn, args, self)
-        heapq.heappush(self._heap, (time, seq, event))
+        event = Event(time, self)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (time, seq, fn, args, event))
         self._live += 1
         return event
 
     def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.at(self._now + delay, fn, *args)
+        return self.at(self.now + delay, fn, *args)
 
     def post(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at ``time``, fire-and-forget.
 
-        Like :meth:`at` but returns no handle: the event cannot be
-        cancelled, and its shell is recycled through the simulator's
-        free list after dispatch.  Links and other components that
-        never cancel their callbacks use this to keep the per-packet
-        event allocation out of the hot loop.
+        Like :meth:`at` but returns no handle, so the event cannot be
+        cancelled.  Links and other components that never cancel their
+        callbacks use this to keep a per-packet Event allocation out of
+        the hot loop.
         """
-        if time < self._now:
-            raise SimulationError("cannot schedule event in the past")
-        seq = next(self._counter)
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-            event.done = False
-        else:
-            event = Event(time, seq, fn, args, self, True)
-        heapq.heappush(self._heap, (time, seq, event))
+        if not time >= self.now:
+            raise SimulationError(
+                f"cannot schedule event in the past: {time} < now {self.now}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (time, seq, fn, args, None))
         self._live += 1
 
     def post_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """:meth:`post` at ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError("negative delay")
-        self.post(self._now + delay, fn, *args)
+        if not delay >= 0:
+            raise SimulationError(f"negative delay: {delay}")
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (self.now + delay, seq, fn, args, None))
+        self._live += 1
 
     def stop(self) -> None:
         """Stop the run loop after the current event returns."""
@@ -165,38 +141,35 @@ class Simulator:
         self._stopped = False
         processed = 0
         heap = self._heap
-        heappop = heapq.heappop
         profiler = self.profiler
         try:
             while heap and not self._stopped:
                 if until is not None and heap[0][0] > until:
-                    self._now = until
+                    self.now = until
                     break
-                event = heappop(heap)[2]
-                if event.cancelled:
-                    continue
-                event.done = True
+                time, _seq, fn, args, handle = heappop(heap)
+                if handle is not None:
+                    if handle.cancelled:
+                        continue
+                    handle.done = True
                 self._live -= 1
-                self._now = event.time
+                self.now = time
                 if profiler is not None:
                     started = perf_counter()
-                    event.fn(*event.args)
+                    fn(*args)
                     profiler.add("event_dispatch", perf_counter() - started)
                 else:
-                    event.fn(*event.args)
-                if event.pooled and len(self._pool) < _EVENT_POOL_CAP:
-                    event.fn = event.args = None  # type: ignore[assignment]
-                    self._pool.append(event)
+                    fn(*args)
                 self.events_processed += 1
                 processed += 1
                 if max_events is not None and processed >= max_events:
                     break
             else:
                 if until is not None and not self._stopped:
-                    self._now = max(self._now, until)
+                    self.now = max(self.now, until)
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def pending(self) -> int:
         """Number of scheduled (non-cancelled) events still queued.
@@ -234,7 +207,8 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """(Re)arm the timer ``delay`` seconds from now."""
-        self.stop()
+        if self._event is not None:
+            self._event.cancel()
         self._event = self._sim.after(delay, self._fire)
 
     def stop(self) -> None:

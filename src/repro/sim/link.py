@@ -199,31 +199,44 @@ class Link:
         """Offer ``pkt`` to the link for transmission."""
         if self.receiver is None:
             raise RuntimeError(f"link {self.name!r} has no receiver connected")
-        self.stats.packets_offered += 1
-        self.stats.bytes_offered += pkt.wire_size
+        # The one size read of the crossing: ``wire_size`` walks the
+        # payload, and nothing resizes a packet while the link holds it
+        # (``_corrupt`` flips bytes in place), so the value rides in the
+        # event args to ``_deliver``.
+        size = pkt.wire_size
+        stats = self.stats
+        stats.packets_offered += 1
+        stats.bytes_offered += size
         spans = self.spans
 
         if self.queue_limit is not None and self._queued >= self.queue_limit:
-            self.stats.packets_queue_dropped += 1
+            stats.packets_queue_dropped += 1
             if spans is not None:
                 spans.packet_event("queue_drop", self.name, pkt.packet_id)
             return
 
         if spans is not None:
-            spans.link_begin(self.name, pkt.packet_id, bytes=pkt.wire_size)
-        now = self.sim.now
-        start = max(now, self._busy_until)
-        tx_time = pkt.wire_size / self.bandwidth
-        self._busy_until = start + tx_time
+            spans.link_begin(self.name, pkt.packet_id, bytes=size)
+        sim = self.sim
+        start = sim.now
+        if self._busy_until > start:
+            start = self._busy_until
+        self._busy_until = done = start + size / self.bandwidth
         self._queued += 1
-        # Fire-and-forget: links never cancel a transmission, so the
-        # pooled path avoids one Event allocation per packet.
-        self.sim.post(self._busy_until, self._transmitted, pkt)
+        # Fire-and-forget: links never cancel a transmission.
+        sim.post(done, self._transmitted, pkt, size)
 
     # -- internal ---------------------------------------------------------
 
-    def _transmitted(self, pkt: IPPacket) -> None:
-        """Packet finished serialising; apply impairments and propagate."""
+    def _transmitted(self, pkt: IPPacket, size: int) -> None:
+        """Packet finished serialising; apply impairments and propagate.
+
+        Loss, ``down`` and ``loss_model`` are sampled here, at the end
+        of serialisation and not in :meth:`send`: a flap or a burst that
+        starts while the packet queues must still catch it, and span
+        ``link_end`` times and the telemetry gauges show the difference.
+        That is why a crossing is two events and not one.
+        """
         self._queued -= 1
         spans = self.spans
 
@@ -260,11 +273,12 @@ class Link:
             if spans is not None:
                 spans.link_annotate(pkt.packet_id, reordered=True)
 
-        self.sim.post_after(delay, self._deliver, pkt)
+        self.sim.post_after(delay, self._deliver, pkt, size)
 
-    def _deliver(self, pkt: IPPacket) -> None:
-        self.stats.packets_delivered += 1
-        self.stats.bytes_delivered += pkt.wire_size
+    def _deliver(self, pkt: IPPacket, size: int) -> None:
+        stats = self.stats
+        stats.packets_delivered += 1
+        stats.bytes_delivered += size
         spans = self.spans
         if spans is not None:
             spans.link_end(pkt.packet_id, "delivered")

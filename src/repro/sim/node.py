@@ -43,9 +43,6 @@ class Node:
     def set_default_route(self, link: object) -> None:
         self.default_route = link
 
-    def route_for(self, dst: str) -> Optional[object]:
-        return self.routes.get(dst, self.default_route)
-
     def receive(self, pkt: IPPacket) -> None:
         """Entry point invoked by an attached link."""
         if pkt.header_corrupt:
@@ -65,7 +62,7 @@ class Node:
             self.packets_dropped += 1
             self.tracer.emit(self.name, "drop_ttl", packet_id=pkt.packet_id)
             return
-        link = self.route_for(pkt.dst)
+        link = self.routes.get(pkt.dst, self.default_route)
         if link is None:
             self.packets_dropped += 1
             self.tracer.emit(self.name, "drop_no_route", packet_id=pkt.packet_id,
@@ -94,7 +91,7 @@ class Host(Node):
     def send(self, pkt: IPPacket) -> None:
         """Transmit a locally originated packet."""
         pkt.created_at = self.sim.now
-        link = self.route_for(pkt.dst)
+        link = self.routes.get(pkt.dst, self.default_route)
         if link is None:
             raise RuntimeError(f"{self.name}: no route to {pkt.dst}")
         link.send(pkt)

@@ -2,7 +2,9 @@
 
 import random
 
-from repro.net.tcp import TCPConfig
+import pytest
+
+from repro.net.tcp import TCPConfig, TCPSegment, TCPState
 
 from tests.tcp_helpers import TcpTestbed, drop_data_segments
 
@@ -89,3 +91,34 @@ def test_transfer_with_dre_and_delayed_acks():
     testbed.sim.run(until=120)
     assert outcome.completed
     assert outcome.content_ok is True
+
+
+def _client_owing_a_delayed_ack():
+    """A client that has taken one lone segment and not yet ACKed it."""
+    testbed = TcpTestbed(config=TCPConfig(delayed_ack=True))
+    testbed.server_stack.listen(
+        80, lambda conn: setattr(conn, "on_receive",
+                                 lambda _request: conn.send(b"lone segment")))
+    conn, received, _ = testbed.fetch()
+    testbed.sim.run(until=0.02)
+    assert bytes(received) == b"lone segment"
+    assert conn._delack_pending == 1 and conn._delack_timer.armed
+    return testbed, conn
+
+
+@pytest.mark.parametrize("how", ["abort", "reset"])
+def test_closed_connection_sends_no_delayed_ack(how):
+    """The delayed-ACK timer dies with the connection: nothing leaves a
+    DONE/ABORTED endpoint, not even the bare ACK it still owed."""
+    testbed, conn = _client_owing_a_delayed_ack()
+    if how == "abort":
+        conn.abort()
+    else:
+        conn.segment_arrived(TCPSegment(
+            src_port=80, dst_port=conn.local_port, seq=0, ack=0,
+            flags=TCPSegment.RST, window=0))
+    assert conn.state is TCPState.ABORTED
+    offered = testbed.c2s.offered
+    testbed.sim.run(until=1.0)
+    assert testbed.c2s.offered == offered
+    assert conn._delack_pending == 0 and not conn._delack_timer.armed

@@ -55,6 +55,18 @@ def test_negative_delay_rejected():
         sim.after(-1.0, lambda: None)
 
 
+@pytest.mark.parametrize("entry", ["at", "post", "after", "post_after"])
+def test_nan_time_rejected(entry):
+    # nan < now is False, so a ``time < now`` guard would let it in: the
+    # heap would stop being ordered and the clock would become nan.
+    sim = Simulator()
+    sim.at(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        getattr(sim, entry)(float("nan"), lambda: None)
+    assert sim.pending() == 1
+    assert sim.run() == 1.0
+
+
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
@@ -237,7 +249,9 @@ def test_dispatch_profiling_counts_every_event():
 
 
 class TestPooledEvents:
-    """post/post_after: fire-and-forget events recycled via a free list."""
+    """post/post_after: fire-and-forget events that are nothing but
+    their heap entry (the class keeps its name from the free-list days
+    so the test ids stay stable)."""
 
     def test_post_runs_in_time_order_with_handles(self):
         sim = Simulator()
@@ -248,29 +262,54 @@ class TestPooledEvents:
         sim.run()
         assert order == ["handle", "pooled", "late"]
 
-    def test_shells_are_recycled(self):
+    def test_same_timestamp_dispatches_in_call_order(self):
+        # All four entry points draw from one sequence counter, so a
+        # tie is settled by who scheduled first, handle or not.
+        sim = Simulator()
+        order = []
+        sim.at(1.0, order.append, "at")
+        sim.post(1.0, order.append, "post")
+        sim.post_after(1.0, order.append, "post_after")
+        sim.after(1.0, order.append, "after")
+        sim.post(1.0, order.append, "post again")
+        sim.run()
+        assert order == ["at", "post", "post_after", "after", "post again"]
+
+    def test_dispatched_callback_is_released(self):
+        # Nothing outlives dispatch: with no shell to recycle, the heap
+        # entry was the only reference to the callback and its args.
+        import gc
+        import weakref
+
+        class Payload:
+            def fire(self, _arg):
+                pass
+
+        sim = Simulator()
+        refs = []
+        for schedule in (sim.post, sim.at):
+            target, arg = Payload(), Payload()
+            schedule(1.0, target.fire, arg)
+            refs += [weakref.ref(target), weakref.ref(arg)]
+        del target, arg
+        assert all(ref() is not None for ref in refs)   # the heap pins them
+        sim.run()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("bound", [{"max_events": 2}, {"until": 2.5}])
+    def test_bounded_run_leaves_later_posts_queued(self, bound):
         sim = Simulator()
         fired = []
-        sim.post(1.0, fired.append, 1)
+        for t in (1.0, 2.0, 3.0, 4.0):
+            sim.post(t, fired.append, t)
+        sim.run(**bound)
+        assert fired == [1.0, 2.0]
+        assert sim.pending() == 2
         sim.run()
-        assert len(sim._pool) == 1
-        shell = sim._pool[0]
-        # Recycled shells drop their callback references (no leaks).
-        assert shell.fn is None and shell.args is None
-        sim.post(2.0, fired.append, 2)
-        assert sim._pool == []          # the shell was taken back out
-        sim.run()
-        assert fired == [1, 2]
-
-    def test_pool_is_bounded(self):
-        from repro.sim.engine import _EVENT_POOL_CAP
-
-        sim = Simulator()
-        n = _EVENT_POOL_CAP + 64
-        for index in range(n):
-            sim.post(float(index), lambda: None)
-        sim.run()
-        assert len(sim._pool) == _EVENT_POOL_CAP
+        assert fired == [1.0, 2.0, 3.0, 4.0]
+        assert sim.pending() == 0
+        assert sim.events_processed == 4
 
     def test_post_validates_like_at(self):
         sim = Simulator()
@@ -289,9 +328,11 @@ class TestPooledEvents:
         handle = sim.at(1.5, lambda: order.append("cancelled"))
         sim.post(2.0, order.append, "b")
         handle.cancel()
+        assert sim.pending() == 2
         sim.run()
         assert order == ["a", "b"]
         assert sim.pending() == 0
+        assert sim.events_processed == 2
 
     def test_post_reschedules_from_callback(self):
         sim = Simulator()

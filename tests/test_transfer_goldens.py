@@ -1,0 +1,159 @@
+"""Cross-commit goldens for single transfers.
+
+The e2e harness holds repeats of a unit to the *same* commit's first
+run, and only the serving mode has committed goldens, so a substrate
+change (event engine, link, TCP) that shifted one tie-break would pass
+both.  These pin one headline transfer per policy — file1, 5 % loss,
+``seed=0``, ``corpus_seed=0``, 16 MB cache — down to the event count and
+the last digit of the duration.  A differing digit means the substrate
+drew its sequence numbers or its random stream in a different order.
+
+To regenerate after an *intended* behaviour change, run this file as a
+script (``PYTHONPATH=src python tests/test_transfer_goldens.py``) and
+paste what it prints.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro import ExperimentConfig
+from repro.experiments import runner
+
+
+def _config(policy, **extra):
+    return ExperimentConfig(corpus="file1", corpus_seed=0, policy=policy,
+                            loss_rate=0.05, seed=0,
+                            cache_bytes=16 * 1024 * 1024, **extra)
+
+
+def _run(config):
+    """``run_transfer`` plus the testbed it built (for the event count)."""
+    built = []
+    real_build = runner.build_testbed
+
+    def recording_build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    runner.build_testbed = recording_build
+    try:
+        result = runner.run_transfer(config)
+    finally:
+        runner.build_testbed = real_build
+    return built[0], result
+
+
+def _undecodable(decoder_stats):
+    """Packets the decoder could not hand on: a referenced payload was
+    missing, or the reconstruction failed its checksum."""
+    if decoder_stats is None:
+        return 0
+    return decoder_stats.undecodable_dropped + decoder_stats.checksum_dropped
+
+
+def _observed(policy):
+    testbed, result = _run(_config(policy))
+    forward, reverse = result.bottleneck_forward, result.bottleneck_reverse
+    return {
+        "events": testbed.sim.events_processed,
+        "duration": result.outcome.duration,
+        "fwd_packets": forward.packets_offered,
+        "fwd_bytes_offered": forward.bytes_offered,
+        "fwd_lost": forward.packets_lost,
+        "fwd_bytes_delivered": forward.bytes_delivered,
+        "rev_bytes_offered": reverse.bytes_offered,
+        "retransmissions": result.server_retransmissions,
+        "timeouts": result.server_timeouts,
+        "undecodable": _undecodable(result.decoder_stats),
+        "completed": result.outcome.completed,
+    }
+
+
+GOLDEN = {
+    None: {
+        "events": 4924, "duration": 0.6718473199999946,
+        "fwd_packets": 427, "fwd_bytes_offered": 635516, "fwd_lost": 21,
+        "fwd_bytes_delivered": 604016, "rev_bytes_offered": 19171,
+        "retransmissions": 21, "timeouts": 0, "undecodable": 0,
+        "completed": True,
+    },
+    "cache_flush": {
+        "events": 5388, "duration": 4.300100415999985,
+        "fwd_packets": 537, "fwd_bytes_offered": 505602, "fwd_lost": 25,
+        "fwd_bytes_delivered": 482382, "rev_bytes_offered": 17607,
+        "retransmissions": 131, "timeouts": 17, "undecodable": 106,
+        "completed": True,
+    },
+    "tcp_seq": {
+        "events": 5414, "duration": 4.8002274479999745,
+        "fwd_packets": 545, "fwd_bytes_offered": 497506, "fwd_lost": 25,
+        "fwd_bytes_delivered": 475138, "rev_bytes_offered": 17405,
+        "retransmissions": 139, "timeouts": 19, "undecodable": 114,
+        "completed": True,
+    },
+    "k_distance": {
+        "events": 5138, "duration": 2.16472282399998,
+        "fwd_packets": 479, "fwd_bytes_offered": 556882, "fwd_lost": 22,
+        "fwd_bytes_delivered": 530274, "rev_bytes_offered": 19457,
+        "retransmissions": 73, "timeouts": 7, "undecodable": 51,
+        "completed": True,
+    },
+}
+
+
+@pytest.mark.parametrize("policy", list(GOLDEN), ids=str)
+def test_transfer_matches_golden(policy):
+    assert _observed(policy) == GOLDEN[policy]
+
+
+def _strip_spans(doc):
+    # Wall times are host noise and packet ids come from a
+    # process-global counter; everything else must replay exactly.
+    spans = []
+    for span in doc["spans"]:
+        clean = {k: v for k, v in span.items() if k != "wall"}
+        clean["tags"] = {k: v for k, v in span["tags"].items()
+                         if k != "packet"}
+        if "links" in clean:
+            clean["links"] = [{k: v for k, v in link.items() if k != "packet"}
+                              for link in clean["links"]]
+        spans.append(clean)
+    return dict(doc, spans=spans)
+
+
+def _digest(doc):
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode("ascii")).hexdigest()
+
+
+def _observed_exports():
+    _testbed, result = _run(_config("cache_flush", telemetry=True,
+                                    spans=True))
+    return {
+        "telemetry/v1": _digest(result.telemetry),
+        "repro.spans/v1": _digest(_strip_spans(result.spans)),
+    }
+
+
+GOLDEN_EXPORTS = {
+    "telemetry/v1":
+        "45d9297d756f9f9aa1fff5dd545378f201bee43d15b4da7532bd32703eb5fe9e",
+    "repro.spans/v1":
+        "2b780705918fbf17f162ce239b2e2ec8d5b71f4466a0d8fac098cbcb4cd3bd77",
+}
+
+
+def test_observer_exports_match_golden():
+    """The observers see the same run: every sampled gauge, counter and
+    span time of an observed transfer hashes as it did at PR 14."""
+    assert _observed_exports() == GOLDEN_EXPORTS
+
+
+if __name__ == "__main__":  # pragma: no cover - golden regeneration
+    import pprint
+
+    pprint.pprint({policy: _observed(policy) for policy in GOLDEN},
+                  sort_dicts=False)
+    pprint.pprint(_observed_exports())
