@@ -613,6 +613,10 @@ def cmd_timeline(args) -> int:
          ["sim time", f"{result.sim_time:.3f}s"],
          ["perceived loss", f"{result.perceived_loss_rate:.1%}"],
          ["samples", len(sampler["times"])],
+         # What a sampled run pays for: one gauge read per cell.
+         ["gauge reads", f"{len(sampler['times'])} samples x "
+          f"{len(sampler['series'])} gauges = "
+          f"{len(sampler['times']) * len(sampler['series'])}"],
          ["sample interval", f"{sampler['interval']:.3g}s"
           + (f" (decimated x{sampler['decimations']})"
              if sampler["decimations"] else "")],
@@ -873,6 +877,21 @@ def cmd_flame(args) -> int:
     return 0
 
 
+def _span_cost_line(doc: dict) -> str:
+    """What a traced run pays for: spans recorded per data packet."""
+    from .metrics.spans import spans_rollup
+
+    by_name = spans_rollup(doc)["by_name"]
+    packets = by_name["encode"]["count"] if "encode" in by_name else 0
+    total = doc["summary"]["spans"]
+    top = sorted(by_name, key=lambda name: -by_name[name]["count"])[:4]
+    return (f"cost: {total} spans / {packets} data packets = "
+            + (f"{total / packets:.1f}" if packets else "-")
+            + " per packet ("
+            + ", ".join(f"{name} {by_name[name]['count']}" for name in top)
+            + f"; dropped {doc['summary']['dropped']})")
+
+
 def cmd_spans(args) -> int:
     from .metrics.spans import (find_livelock_trace, format_chain,
                                 spans_by_trace, validate_spans)
@@ -889,6 +908,7 @@ def cmd_spans(args) -> int:
         print("export contains no spans (was tracing sampled away? "
               "try --sample 1)")
         return 1
+    print(_span_cost_line(doc))
 
     if args.list:
         rows = []

@@ -134,19 +134,20 @@ class ByteCachingDecoder:
             return DecodeResult(DecodeStatus.MISSING, missing=missing)
 
         spans = self.spans
-        recon_span = None
         if spans is not None:
-            recon_span = spans.begin_stage("reconstruct", "decoder-core",
-                                           regions=len(parsed.regions))
+            wall0 = perf_counter()
         try:
             payload = self._reconstruct(parsed)
         except (WireFormatError, MissingFingerprintError):
             self.stats.malformed += 1
             if spans is not None:
-                spans.end_stage(recon_span, outcome="malformed")
+                spans.stage("reconstruct", "decoder-core",
+                            perf_counter() - wall0, len(parsed.regions),
+                            None, "malformed")
             return DecodeResult(DecodeStatus.MALFORMED)
         if spans is not None:
-            spans.end_stage(recon_span, bytes_out=len(payload))
+            spans.stage("reconstruct", "decoder-core", perf_counter() - wall0,
+                        len(parsed.regions), len(payload))
 
         if checksum is not None and not verify_payload(payload, checksum):
             # Stale cache entry: some fingerprint resolved to bytes that

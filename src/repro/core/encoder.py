@@ -170,7 +170,7 @@ class ByteCachingEncoder:
         #: :class:`repro.metrics.spans.SpanRecorder`).  When set, the
         #: per-packet pass emits table_probe / region_expand /
         #: wire_pack stage spans under the gateway's encode span; when
-        #: None the cost is an ``is None`` check per stage boundary.
+        #: None (and no profiler) a stage boundary costs one flag test.
         self.spans: Optional[Any] = None
         # Adaptive candidate-probe bypass (see _candidate_pairs): in
         # hit-dense traffic every anchor survives the bitmap prefilter,
@@ -313,41 +313,22 @@ class ByteCachingEncoder:
 
         self.policy.before_packet(meta, self.cache)
 
-        spans = self.spans
+        # One stage mark serves both observers: each boundary reads the
+        # clock once, and the end of a stage is the start of the next.
+        timed = profiler is not None or self.spans is not None
+        if timed:
+            mark = perf_counter()
         regions: List[Region] = []
         dependencies: Set[int] = set()
         if not force_raw and self.policy.may_encode(meta):
-            probe_span = None
-            if spans is not None:
-                probe_span = spans.begin_stage("table_probe", "encoder-core")
-            if profiler is not None:
-                started = perf_counter()
-                pairs = self._candidate_pairs(anchors)
-                profiler.add("table_probe", perf_counter() - started)
-            else:
-                pairs = self._candidate_pairs(anchors)
-            expand_span = None
-            if spans is not None:
-                spans.end_stage(probe_span)
-                expand_span = spans.begin_stage("region_expand",
-                                                "encoder-core")
-            if profiler is not None:
-                started = perf_counter()
-                regions, dependencies = self._find_regions(payload, pairs,
-                                                           meta)
-                profiler.add("region_expand", perf_counter() - started)
-            else:
-                regions, dependencies = self._find_regions(payload, pairs,
-                                                           meta)
-            if spans is not None:
-                spans.end_stage(expand_span, regions=len(regions),
-                                dependencies=len(dependencies))
+            pairs = self._candidate_pairs(anchors)
+            if timed:
+                mark = self._stage_mark("table_probe", mark)
+            regions, dependencies = self._find_regions(payload, pairs, meta)
+            if timed:
+                mark = self._stage_mark("region_expand", mark, len(regions),
+                                        len(dependencies))
 
-        pack_span = None
-        if spans is not None:
-            pack_span = spans.begin_stage("wire_pack", "encoder-core")
-        if profiler is not None:
-            started = perf_counter()
         if regions:
             data = encode_payload(payload, regions)
             if len(data) >= len(payload) + SHIM_SIZE:
@@ -357,21 +338,17 @@ class ByteCachingEncoder:
                 data = wrap_raw(payload)
         else:
             data = wrap_raw(payload)
-        if profiler is not None:
-            profiler.add("wire_pack", perf_counter() - started)
-        if spans is not None:
-            spans.end_stage(pack_span, bytes_out=len(data))
+        if timed:
+            mark = self._stage_mark("wire_pack", mark, len(data))
 
         cached = False
-        if profiler is not None:
-            started = perf_counter()
         if self.policy.should_cache_now(meta):
             self.insert_into_cache(payload, anchors, meta)
             cached = True
         else:
             self.policy.defer_cache(payload, anchors, meta)
         if profiler is not None:
-            profiler.add("cache_ops", perf_counter() - started)
+            profiler.add("cache_ops", perf_counter() - mark)
 
         stats.bytes_out += len(data)
         if regions:
@@ -394,6 +371,18 @@ class ByteCachingEncoder:
             cached=cached,
             shim_overhead=self.shim_overhead,
         )
+
+    def _stage_mark(self, stage: str, mark: float, a: Optional[int] = None,
+                    b: Optional[int] = None) -> float:
+        """Close the stage that began at ``mark`` for whichever of the
+        profiler and the span recorder is on (``a``, ``b``: the stage
+        span's tag values); returns the next mark."""
+        now = perf_counter()
+        if self.profiler is not None:
+            self.profiler.add(stage, now - mark)
+        if self.spans is not None:
+            self.spans.stage(stage, "encoder-core", now - mark, a, b)
+        return now
 
     def insert_into_cache(self, payload: bytes, anchors: "AnchorSet",
                           meta: PacketMeta) -> None:

@@ -253,9 +253,16 @@ class EncoderGateway(_GatewayBase):
             # Roots this packet's trace (flow-sampled); the codec's
             # stage sub-spans attach underneath via the context stack.
             span = spans.packet_begin("encode", self.name, pkt.packet_id,
-                                      flow=meta.flow, seq=meta.tcp_seq)
-        result = self.encoder.encode(payload.data, meta,
-                                     force_raw=(mode == MODE_RAW))
+                                      meta.flow, meta.tcp_seq)
+        try:
+            result = self.encoder.encode(payload.data, meta,
+                                         force_raw=(mode == MODE_RAW))
+        except BaseException:
+            # An armed oracle or a policy error must not leave a dead
+            # span as the context of everything recorded afterwards.
+            if spans is not None:
+                spans.end(span)
+            raise
         if mode == MODE_RAW:
             self.resilience.stats.grace_packets += 1
         payload.data = result.data
@@ -287,9 +294,8 @@ class EncoderGateway(_GatewayBase):
         else:
             self.stats.passthrough_packets += 1
         if spans is not None:
-            spans.packet_end(span, encoded=result.encoded,
-                             bytes_in=result.bytes_in,
-                             bytes_out=result.bytes_out)
+            spans.end(span, result.encoded, result.bytes_in,
+                      result.bytes_out)
         self.stats.bytes_after += pkt.wire_size
         # The shell is consumed within this event (dependencies/regions
         # are never recycled — see EncodeResultPool's ownership rule).
@@ -373,76 +379,77 @@ class DecoderGateway(_GatewayBase):
             # Continues the trace rooted at the encoder gateway (the
             # packet id resolves it across the link hop).
             span = spans.packet_begin("decode", self.name, pkt.packet_id,
-                                      flow=meta.flow, seq=meta.tcp_seq)
-        carries_regions = False
-        if self.resilience is not None:
-            try:
-                carries_regions = not isinstance(
-                    parse_payload(payload.data), bytes)
-            except WireFormatError:
-                pass  # fall through; the decoder counts it as malformed
-            if carries_regions and not self.resilience.gate_encoded(
-                    getattr(payload, "dre_epoch", None)):
-                # Foreign cache generation (or mid-resync): the
-                # references cannot be trusted, drop and let TCP
-                # retransmit into the resynced cache.
-                self.stats.desync_dropped += 1
-                self.tracer.emit(self.name, "drop_desync",
-                                 packet_id=pkt.packet_id)
-                if spans is not None:
-                    spans.packet_end(span, status="desync_drop")
-                return None
-        tag = getattr(payload, "dre_wire_tag", None)
-        if tag is not None:
-            self.policy.on_wire_tag(tag, meta, self.cache)
-        result = self.decoder.decode(payload.data, meta,
-                                     checksum=payload.checksum, pkt=pkt)
-        if self.resilience is not None and carries_regions:
-            self.resilience.record_outcome(
-                result.ok or result.status is DecodeStatus.BUFFERED)
-        if result.ok:
-            payload.data = result.payload
-            payload.dre_encoded = False
-            self.stats.decoded_ok += 1
-            if self.retain_logs:
-                self.delivered_ids.add(pkt.packet_id)
-            if spans is not None:
-                spans.packet_end(span, status="ok")
-            return pkt
-        # Failure paths only from here; one flag decides whether they
-        # build trace records (kwargs dict, len() of the missing list).
-        tracer = self.tracer
-        tracing = tracer.enabled or tracer.sink is not None
-        if result.status is DecodeStatus.BUFFERED:
-            self.stats.buffered += 1
-            if tracing:
-                tracer.emit(self.name, "buffer", packet_id=pkt.packet_id,
-                            missing=len(result.missing))
-            if spans is not None:
-                spans.packet_end(span, status="buffered",
-                                 missing=len(result.missing))
+                                      meta.flow, meta.tcp_seq)
+        # What the span closes with, set on the way to each return; an
+        # exception (an armed oracle, a policy error) closes it bare.
+        status = missing = None
+        try:
+            carries_regions = False
+            if self.resilience is not None:
+                try:
+                    carries_regions = not isinstance(
+                        parse_payload(payload.data), bytes)
+                except WireFormatError:
+                    pass  # fall through; the decoder counts it as malformed
+                if carries_regions and not self.resilience.gate_encoded(
+                        getattr(payload, "dre_epoch", None)):
+                    # Foreign cache generation (or mid-resync): the
+                    # references cannot be trusted, drop and let TCP
+                    # retransmit into the resynced cache.
+                    self.stats.desync_dropped += 1
+                    self.tracer.emit(self.name, "drop_desync",
+                                     packet_id=pkt.packet_id)
+                    status = "desync_drop"
+                    return None
+            tag = getattr(payload, "dre_wire_tag", None)
+            if tag is not None:
+                self.policy.on_wire_tag(tag, meta, self.cache)
+            result = self.decoder.decode(payload.data, meta,
+                                         checksum=payload.checksum, pkt=pkt)
+            if self.resilience is not None and carries_regions:
+                self.resilience.record_outcome(
+                    result.ok or result.status is DecodeStatus.BUFFERED)
+            if result.ok:
+                payload.data = result.payload
+                payload.dre_encoded = False
+                self.stats.decoded_ok += 1
+                if self.retain_logs:
+                    self.delivered_ids.add(pkt.packet_id)
+                status = "ok"
+                return pkt
+            # Failure paths only from here; one flag decides whether
+            # they build trace records (kwargs dict, len() of missing).
+            tracer = self.tracer
+            tracing = tracer.enabled or tracer.sink is not None
+            if result.status is DecodeStatus.BUFFERED:
+                self.stats.buffered += 1
+                if tracing:
+                    tracer.emit(self.name, "buffer", packet_id=pkt.packet_id,
+                                missing=len(result.missing))
+                status = "buffered"
+                missing = result.missing
+            elif result.status is DecodeStatus.MISSING:
+                self.stats.undecodable_dropped += 1
+                if tracing:
+                    tracer.emit(self.name, "drop_undecodable",
+                                packet_id=pkt.packet_id,
+                                missing=len(result.missing))
+                status = "missing"
+                missing = result.missing
+            elif result.status is DecodeStatus.CHECKSUM_MISMATCH:
+                self.stats.checksum_dropped += 1
+                if tracing:
+                    tracer.emit(self.name, "drop_checksum",
+                                packet_id=pkt.packet_id)
+                status = "checksum_mismatch"
+            else:
+                self.stats.malformed_dropped += 1
+                if tracing:
+                    tracer.emit(self.name, "drop_malformed",
+                                packet_id=pkt.packet_id)
+                status = "malformed"
             return None
-        if result.status is DecodeStatus.MISSING:
-            self.stats.undecodable_dropped += 1
-            if tracing:
-                tracer.emit(self.name, "drop_undecodable",
-                            packet_id=pkt.packet_id,
-                            missing=len(result.missing))
+        finally:
             if spans is not None:
-                spans.packet_end(span, status="missing",
-                                 missing=len(result.missing))
-        elif result.status is DecodeStatus.CHECKSUM_MISMATCH:
-            self.stats.checksum_dropped += 1
-            if tracing:
-                tracer.emit(self.name, "drop_checksum",
-                            packet_id=pkt.packet_id)
-            if spans is not None:
-                spans.packet_end(span, status="checksum_mismatch")
-        else:
-            self.stats.malformed_dropped += 1
-            if tracing:
-                tracer.emit(self.name, "drop_malformed",
-                            packet_id=pkt.packet_id)
-            if spans is not None:
-                spans.packet_end(span, status="malformed")
-        return None
+                spans.end(span, status,
+                          None if missing is None else len(missing))

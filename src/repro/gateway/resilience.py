@@ -178,7 +178,7 @@ class EncoderResilience:
                 spans = self.gateway.spans
                 if spans is not None:
                     spans.event("resync_served", self.gateway.name,
-                                resync_id=payload, epoch=self.epoch)
+                                payload, self.epoch)
             self.gateway.send_control(CONTROL_KIND_RESYNC_ACK,
                                       (payload, self.epoch))
 
@@ -220,8 +220,7 @@ class EncoderResilience:
                                  epoch=self.epoch)
         spans = self.gateway.spans
         if spans is not None:
-            spans.event("degraded_recover", self.gateway.name,
-                        epoch=self.epoch)
+            spans.event("degraded_recover", self.gateway.name, self.epoch)
 
     def _heartbeat_tick(self) -> None:
         gateway = self.gateway
@@ -244,8 +243,7 @@ class EncoderResilience:
             spans = gateway.spans
             if spans is not None:
                 spans.event("degraded_enter", gateway.name,
-                            last_ack_age=gateway.sim.now
-                            - self._last_ack_time)
+                            gateway.sim.now - self._last_ack_time)
 
 
 class DecoderResilience:
@@ -292,8 +290,7 @@ class DecoderResilience:
                 elapsed=self.gateway.sim.now - self._resync_started)
             spans = self.gateway.spans
             if spans is not None:
-                spans.end(self._resync_span, outcome="completed",
-                          epoch=epoch)
+                spans.end(self._resync_span, "completed", epoch)
                 self._resync_span = None
 
     def gate_encoded(self, wire_epoch: Optional[int]) -> bool:
@@ -335,8 +332,7 @@ class DecoderResilience:
             spans = self.gateway.spans
             if spans is not None:
                 spans.event("watchdog_trip", self.gateway.name,
-                            undecodable=sum(self._window),
-                            window=config.watchdog_window)
+                            sum(self._window), config.watchdog_window)
             self.start_resync()
 
     def start_resync(self) -> None:
@@ -356,7 +352,7 @@ class DecoderResilience:
         spans = self.gateway.spans
         if spans is not None:
             self._resync_span = spans.open("resync", self.gateway.name,
-                                           resync_id=self._resync_id)
+                                           self._resync_id)
         self._send_request()
 
     def on_restart(self) -> None:
@@ -368,7 +364,7 @@ class DecoderResilience:
         self._window.clear()
         spans = self.gateway.spans
         if spans is not None and self._resync_span is not None:
-            spans.end(self._resync_span, outcome="aborted_by_restart")
+            spans.end(self._resync_span, "aborted_by_restart")
             self._resync_span = None
 
     # ------------------------------------------------------------------
@@ -392,8 +388,8 @@ class DecoderResilience:
                                      retries=self._retries)
             spans = self.gateway.spans
             if spans is not None:
-                spans.end(self._resync_span, outcome="gave_up",
-                          retries=self._retries)
+                spans.end(self._resync_span, "gave_up", None,
+                          self._retries)
                 self._resync_span = None
             return
         self._retries += 1
@@ -402,6 +398,6 @@ class DecoderResilience:
         spans = self.gateway.spans
         if spans is not None:
             spans.child_event(self._resync_span, "resync_retry",
-                              self.gateway.name, attempt=self._retries,
-                              delay=self._retry_delay)
+                              self.gateway.name, self._retries,
+                              self._retry_delay)
         self._send_request()

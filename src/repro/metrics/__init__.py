@@ -11,7 +11,7 @@ from .regression import (BENCH_DIFF_SCHEMA, BenchDiff, BenchSpec,
                          run_bench_diff)
 from .report import format_series, format_table, format_timeseries
 from .series import Aggregate, Series, sweep
-from .spans import (SPANS_SCHEMA, Span, SpanRecorder, find_livelock_trace,
+from .spans import (SPANS_SCHEMA, SpanRecorder, find_livelock_trace,
                     format_chain, spans_by_trace, spans_if, spans_rollup,
                     validate_spans)
 from .telemetry import (TELEMETRY_SCHEMA, FlightRecorder, MetricsRegistry,
@@ -23,7 +23,6 @@ __all__ = [
     "StageProfiler",
     "profiler_if",
     "SPANS_SCHEMA",
-    "Span",
     "SpanRecorder",
     "spans_if",
     "spans_rollup",

@@ -32,10 +32,16 @@ the layer scales to multiflow runs.  Wall-clock self-times come from
 ``perf_counter`` — permitted by the determinism lint because they feed
 profiling output, never simulation results; simulation timestamps come
 from the injected ``sim`` clock and stay deterministic.
+
+Record flat, render at export: a span is one row of scalars in an
+append-only log and the handle a site holds is the row's index.  Sites
+pass tag *values* positionally; the names live in :data:`SPAN_KINDS`
+and the ``spans/v1`` dicts are built once, in :meth:`SpanRecorder.export`.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -46,108 +52,113 @@ SPANS_SCHEMA = "spans/v1"
 #: hotpath family forbids calling any of these inside an inner batch
 #: loop of a registered hot function (see analysis/rules/hotpath.py).
 SPAN_CREATION_METHODS = frozenset([
-    "begin", "open", "event", "child_event", "begin_stage",
+    "begin", "open", "event", "child_event", "stage",
     "packet_begin", "packet_event", "link_begin", "note_retransmit",
 ])
 
+_PACKET_EVENT = ("packet",)
+_FAULT_EVENT = ("packet", "fault")
 
-class Span:
-    """One timed causal unit inside a trace."""
+#: The span vocabulary: kind (the exported ``name``) -> the names of the
+#: tag values sites pass positionally.  Slots 0-2 are filled when a span
+#: opens and slots 3-5 when it closes; ``None`` marks a slot the kind
+#: does not use, and a ``None`` value means the tag is absent.  A kind
+#: outside the table carries no tags.  DESIGN.md §14 lists which site
+#: emits each kind.
+SPAN_KINDS: Dict[str, Tuple[Optional[str], ...]] = {
+    # Open/close pairs: a child can appear, or the span outlives an event.
+    "encode": ("packet", "flow", "seq", "encoded", "bytes_in", "bytes_out"),
+    "decode": ("packet", "flow", "seq", "status", "missing"),
+    "link_transit": ("packet", "bytes", None, "outcome", "reason"),
+    "resync": ("resync_id", None, None, "outcome", "epoch", "retries"),
+    # One-shot codec stages, emitted after the work (SpanRecorder.stage).
+    "table_probe": (),
+    "region_expand": ("regions", "dependencies"),
+    "wire_pack": ("bytes_out",),
+    "reconstruct": ("regions", "bytes_out", "outcome"),
+    # Zero-duration events.
+    "queue_drop": _PACKET_EVENT,
+    "drop_gateway_down": _PACKET_EVENT,
+    "fault_drop": _FAULT_EVENT,
+    "fault_corrupt": _FAULT_EVENT,
+    "fault_delay": _FAULT_EVENT,
+    "fault_reorder": _FAULT_EVENT,
+    "fault_duplicate": _FAULT_EVENT,
+    "tcp_retransmit": ("flow", "seq", "length"),
+    "resync_retry": ("attempt", "delay"),
+    "resync_served": ("resync_id", "epoch"),
+    "watchdog_trip": ("undecodable", "window"),
+    "degraded_enter": ("last_ack_age",),
+    "degraded_recover": ("epoch",),
+}
 
-    __slots__ = ("trace_id", "span_id", "parent_id", "name", "source",
-                 "start", "end", "wall", "tags", "links", "_wall0")
+# One span = _STRIDE consecutive scalar slots of the log: eight header
+# slots, then three opening and three closing tag values.  No object is
+# allocated per span, so recording adds no work for the cyclic
+# collector.  Span ids are not stored: rows are appended in id order,
+# so id == row // _STRIDE + 1.  _WALL holds the perf_counter reading at
+# open until the span closes.
+(_TRACE, _PARENT, _KIND, _SOURCE, _START, _END, _WALL, _FAULTS,
+ _TAG0) = range(9)
+_CLOSE = _TAG0 + 3
+_STRIDE = _TAG0 + 6
 
-    def __init__(self, trace_id: int, span_id: int, parent_id: Optional[int],
-                 name: str, source: str, start: float) -> None:
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.source = source
-        self.start = start
-        self.end: Optional[float] = None
-        self.wall: float = 0.0
-        self.tags: Dict[str, Any] = {}
-        self.links: List[Dict[str, Any]] = []
-        self._wall0 = perf_counter()
+# SPAN_KINDS padded to one name (or None) per tag slot, for the export.
+_UNNAMED: Tuple[Optional[str], ...] = (None,) * (_STRIDE - _TAG0)
+_SLOT_NAMES = {kind: (names + _UNNAMED)[:len(_UNNAMED)]
+               for kind, names in SPAN_KINDS.items()}
 
-    def to_dict(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {
-            "trace": self.trace_id,
-            "span": self.span_id,
-            "parent": self.parent_id,
-            "name": self.name,
-            "source": self.source,
-            "start": self.start,
-            "end": self.end,
-            "wall": self.wall,
-            "tags": self.tags,
-        }
-        if self.links:
-            doc["links"] = self.links
-        return doc
+
+class _Epoch:
+    """Clock of a recorder built without a simulator: always 0.0."""
+
+    now = 0.0
 
 
 class SpanRecorder:
     """Collects spans for sampled flows; bounded, append-only.
 
-    All methods are no-ops (returning ``None``) for packets whose flow
-    was not sampled or once ``max_spans`` is reached — call sites never
-    need to distinguish the cases, they just pass the returned handle
-    back to the matching ``end``.
+    Creation methods return a handle (an ``int``; 0 is a valid one) or
+    ``None`` for packets whose flow was not sampled or once
+    ``max_spans`` is reached — call sites never need to distinguish the
+    cases, they just pass the handle back to :meth:`end`.  Tag values
+    are positional (``a``, ``b``, ``c``); :data:`SPAN_KINDS` names them.
     """
 
     def __init__(self, sim: Any = None, trace_sample: int = 1,
                  max_spans: int = 50_000) -> None:
-        self.sim = sim
+        self._clock = sim if sim is not None else _Epoch
         self.trace_sample = max(1, int(trace_sample))
         self.max_spans = int(max_spans)
-        self.spans: List[Span] = []
         self.traces = 0
         self.dropped = 0
-        self._next_span = 0
+        self._log: List[Any] = []
+        self._next = 0
+        self._limit = self.max_spans * _STRIDE
+        # What only a few rows have, keyed by row: the span a retransmit
+        # decision or a re-encoded packet links to, the spans an encode
+        # was encoded against, and flags set while in transit.
+        self._cause: Dict[int, int] = {}
+        self._deps: Dict[int, List[Optional[int]]] = {}
+        self._notes: Dict[int, List[str]] = {}
         # Synchronous context stack: packet_begin/begin push, end pops.
         # Stage sub-spans attach to the top, so the core codec never
         # needs to know trace ids.
-        self._stack: List[Span] = []
+        self._stack: List[int] = []
         # packet_id -> most recent span in that packet's trace; how a
         # trace id crosses the gateway -> link -> gateway boundary
         # without touching the packet objects.
-        self._pkt: Dict[int, Span] = {}
-        self._open_links: Dict[int, Span] = {}
+        self._pkt: Dict[int, int] = {}
+        self._open_links: Dict[int, int] = {}
         self._flow_sampled: Dict[Any, bool] = {}
         self._flow_seen = 0
         # (flow, seq) -> first span that carried this segment / the
         # pending retransmit decision for it.
-        self._seq_origin: Dict[Any, Span] = {}
-        self._retx: Dict[Any, Span] = {}
+        self._seq_origin: Dict[Any, int] = {}
+        self._retx: Dict[Any, int] = {}
         self._faults: List[str] = []
-
-    # -- internals ---------------------------------------------------------
-
-    def _now(self) -> float:
-        sim = self.sim
-        return 0.0 if sim is None else sim.now
-
-    def _full(self) -> bool:
-        if len(self.spans) >= self.max_spans:
-            self.dropped += 1
-            return True
-        return False
-
-    def _alloc(self, name: str, source: str, trace_id: int,
-               parent_id: Optional[int]) -> Span:
-        self._next_span += 1
-        span = Span(trace_id, self._next_span, parent_id, name, source,
-                    self._now())
-        if self._faults:
-            span.tags["faults"] = list(self._faults)
-        self.spans.append(span)
-        return span
-
-    def _new_trace(self) -> int:
-        self.traces += 1
-        return self.traces
+        #: Snapshot of the open fault windows every new row points at.
+        self._fault_tags: Optional[Tuple[str, ...]] = None
 
     def sampled(self, flow: Any) -> bool:
         """Deterministic per-flow sampling: every Nth new flow."""
@@ -160,283 +171,377 @@ class SpanRecorder:
             self._flow_sampled[flow] = hit
         return hit
 
+    def _append(self, parent: Optional[int], kind: str, source: str,
+                closed: bool, a: Any = None, b: Any = None,
+                c: Any = None) -> Optional[int]:
+        """Append one row off the per-packet path; ``parent=None`` roots
+        a new trace, ``closed`` makes it a zero-duration event."""
+        row = self._next
+        if row >= self._limit:
+            self.dropped += 1
+            return None
+        self._next = row + _STRIDE
+        log = self._log
+        if parent is None:
+            self.traces += 1
+            trace = self.traces
+        else:
+            trace = log[parent]
+        now = self._clock.now
+        if closed:
+            log += (trace, parent, kind, source, now, now, 0.0,
+                    self._fault_tags, a, b, c, None, None, None)
+        else:
+            log += (trace, parent, kind, source, now, None, perf_counter(),
+                    self._fault_tags, a, b, c, None, None, None)
+        return row
+
     # -- synchronous scopes (same-event begin/end) -------------------------
 
-    def begin(self, name: str, source: str, **tags: Any) -> Optional[Span]:
+    def begin(self, kind: str, source: str, a: Any = None, b: Any = None,
+              c: Any = None) -> Optional[int]:
         """Open a span and push it as the current context.
 
         Child of the current context if one is active, else the root
         of a fresh (always-sampled) trace.  Must be closed with
         :meth:`end` within the same simulator event.
         """
-        if self._full():
-            return None
-        if self._stack:
-            top = self._stack[-1]
-            span = self._alloc(name, source, top.trace_id, top.span_id)
-        else:
-            span = self._alloc(name, source, self._new_trace(), None)
-        if tags:
-            span.tags.update(tags)
-        self._stack.append(span)
-        return span
+        stack = self._stack
+        row = self._append(stack[-1] if stack else None, kind, source,
+                           False, a, b, c)
+        if row is not None:
+            stack.append(row)
+        return row
 
-    def begin_stage(self, name: str, source: str, **tags: Any) -> Optional[Span]:
-        """Like :meth:`begin` but only when a context is already active.
+    def end(self, row: Optional[int], a: Any = None, b: Any = None,
+            c: Any = None) -> None:
+        """Close a span, filling its closing tags.
 
-        The codec cores call this: with no enclosing packet span (flow
-        unsampled, or the core driven directly by a benchmark) it
-        records nothing rather than minting orphan traces per packet.
+        Unwinds the context stack down to and including ``row``, so a
+        span closed out of order (or after a child was abandoned by an
+        exception) never leaves a dead context behind.
         """
-        if not self._stack or self._full():
-            return None
-        top = self._stack[-1]
-        span = self._alloc(name, source, top.trace_id, top.span_id)
-        if tags:
-            span.tags.update(tags)
-        self._stack.append(span)
-        return span
-
-    def end(self, span: Optional[Span], **tags: Any) -> None:
-        if span is None:
+        if row is None:
             return
-        span.end = self._now()
-        span.wall = perf_counter() - span._wall0
-        if tags:
-            span.tags.update(tags)
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
+        log = self._log
+        log[row + _END] = self._clock.now
+        log[row + _WALL] = perf_counter() - log[row + _WALL]
+        log[row + _CLOSE:row + _STRIDE] = (a, b, c)
+        stack = self._stack
+        if stack:
+            if stack[-1] == row:
+                stack.pop()
+            elif row in stack:
+                del stack[stack.index(row):]
 
-    def end_stage(self, span: Optional[Span], **tags: Any) -> None:
-        self.end(span, **tags)
+    def stage(self, kind: str, source: str, wall: float, a: Any = None,
+              b: Any = None, c: Any = None) -> None:
+        """One-shot leaf span under the active context, emitted *after*
+        the work with the ``wall`` seconds the site measured.
+
+        A stage begins and ends inside one simulator event, so
+        ``start == end == now``; it takes the id it would have taken at
+        its begin because nothing allocates a span while it runs.  With
+        no enclosing packet span (flow unsampled, or the core driven
+        directly by a benchmark) it records nothing rather than minting
+        orphan traces per packet.
+        """
+        stack = self._stack
+        if not stack:
+            return
+        row = self._next
+        if row >= self._limit:
+            self.dropped += 1
+            return
+        self._next = row + _STRIDE
+        parent = stack[-1]
+        log = self._log
+        now = self._clock.now
+        log += (log[parent], parent, kind, source, now, now, wall,
+                self._fault_tags, a, b, c, None, None, None)
 
     # -- asynchronous scopes (multi-event units, e.g. a resync) ------------
 
-    def open(self, name: str, source: str, parent: Optional[Span] = None,
-             **tags: Any) -> Optional[Span]:
-        """Open a span that stays live across simulator events.
+    def open(self, kind: str, source: str, a: Any = None) -> Optional[int]:
+        """Open a root span that stays live across simulator events.
 
         Not pushed on the context stack; the caller holds the handle
         and closes it with :meth:`end` when the unit completes.
         """
-        if self._full():
-            return None
-        if parent is not None:
-            span = self._alloc(name, source, parent.trace_id, parent.span_id)
-        else:
-            span = self._alloc(name, source, self._new_trace(), None)
-        if tags:
-            span.tags.update(tags)
-        return span
+        return self._append(None, kind, source, False, a)
 
-    def event(self, name: str, source: str, **tags: Any) -> Optional[Span]:
+    def event(self, kind: str, source: str, a: Any = None,
+              b: Any = None) -> Optional[int]:
         """Zero-duration span: child of the active context, else a root."""
-        if self._full():
-            return None
-        if self._stack:
-            top = self._stack[-1]
-            span = self._alloc(name, source, top.trace_id, top.span_id)
-        else:
-            span = self._alloc(name, source, self._new_trace(), None)
-        span.end = span.start
-        if tags:
-            span.tags.update(tags)
-        return span
+        stack = self._stack
+        return self._append(stack[-1] if stack else None, kind, source,
+                            True, a, b)
 
-    def child_event(self, parent: Optional[Span], name: str, source: str,
-                    **tags: Any) -> Optional[Span]:
+    def child_event(self, parent: Optional[int], kind: str, source: str,
+                    a: Any = None, b: Any = None) -> Optional[int]:
         """Zero-duration span under an explicitly held parent."""
-        if parent is None or self._full():
+        if parent is None:
             return None
-        span = self._alloc(name, source, parent.trace_id, parent.span_id)
-        span.end = span.start
-        if tags:
-            span.tags.update(tags)
-        return span
+        return self._append(parent, kind, source, True, a, b)
 
     # -- packet plumbing (trace propagation across hops) -------------------
 
-    def packet_begin(self, name: str, source: str, packet_id: int,
-                     flow: Any = None, seq: Optional[int] = None,
-                     **tags: Any) -> Optional[Span]:
+    def packet_begin(self, kind: str, source: str, packet_id: int,
+                     flow: Any = None, seq: Optional[int] = None
+                     ) -> Optional[int]:
         """Open a packet-scoped span and push it as the context.
 
         Continues the packet's existing trace when one is known (the
         decode side of a hop), else roots a new trace subject to flow
         sampling.  A fresh root inherits any pending retransmit
         decision for (flow, seq) as a ``caused_by_retransmit`` link.
+        Closed with :meth:`end`.
         """
-        prior = self._pkt.get(packet_id)
-        if prior is not None:
-            if self._full():
-                return None
-            span = self._alloc(name, source, prior.trace_id, prior.span_id)
+        parent = self._pkt.get(packet_id)
+        if parent is None and not self.sampled(flow):
+            return None
+        row = self._next
+        if row >= self._limit:
+            self.dropped += 1
+            return None
+        self._next = row + _STRIDE
+        log = self._log
+        if parent is None:
+            self.traces += 1
+            trace = self.traces
         else:
-            if not self.sampled(flow) or self._full():
-                return None
-            span = self._alloc(name, source, self._new_trace(), None)
-        span.tags["packet"] = packet_id
-        if flow is not None:
-            span.tags["flow"] = list(flow)
+            trace = log[parent]
+        log += (trace, parent, kind, source, self._clock.now, None,
+                perf_counter(), self._fault_tags, packet_id, flow, seq,
+                None, None, None)
         if seq is not None:
-            span.tags["seq"] = seq
             key = (flow, seq)
             if key not in self._seq_origin:
-                self._seq_origin[key] = span
-            retx = self._retx.pop(key, None)
-            if retx is not None:
-                span.links.append({"ref": "caused_by_retransmit",
-                                   "trace": retx.trace_id,
-                                   "span": retx.span_id})
-        if tags:
-            span.tags.update(tags)
-        self._pkt[packet_id] = span
-        self._stack.append(span)
-        return span
+                self._seq_origin[key] = row
+            if self._retx:
+                retx = self._retx.pop(key, None)
+                if retx is not None:
+                    self._cause[row] = retx
+        self._pkt[packet_id] = row
+        self._stack.append(row)
+        return row
 
-    def packet_end(self, span: Optional[Span], **tags: Any) -> None:
-        self.end(span, **tags)
-
-    def packet_event(self, name: str, source: str, packet_id: int,
-                     **tags: Any) -> Optional[Span]:
+    def packet_event(self, kind: str, source: str, packet_id: int,
+                     a: Any = None) -> Optional[int]:
         """Zero-duration span appended to a packet's trace (if traced)."""
-        ctx = self._pkt.get(packet_id)
-        if ctx is None or self._full():
+        parent = self._pkt.get(packet_id)
+        if parent is None:
             return None
-        span = self._alloc(name, source, ctx.trace_id, ctx.span_id)
-        span.end = span.start
-        span.tags["packet"] = packet_id
-        if tags:
-            span.tags.update(tags)
-        return span
+        return self._append(parent, kind, source, True, packet_id, a)
 
-    def link_deps(self, span: Optional[Span],
+    def link_deps(self, row: Optional[int],
                   dep_packet_ids: Iterable[int]) -> None:
-        """Record ``encoded_against`` links to the dependencies' traces."""
-        if span is None:
-            return
-        pkt = self._pkt
-        links = []
-        for dep in dep_packet_ids:
-            target = pkt.get(dep)
-            if target is not None:
-                links.append({"ref": "encoded_against",
-                              "trace": target.trace_id,
-                              "span": target.span_id,
-                              "packet": dep})
-        # Dependencies arrive as a set of process-global packet ids;
-        # order by trace so the export replays bit-identically.
-        links.sort(key=lambda link: (link["trace"], link["span"]))
-        span.links.extend(links)
+        """Record ``encoded_against`` links to the dependencies' traces.
+
+        Each dependency resolves *now* to the latest span of its trace;
+        untraced ones resolve to ``None`` and are dropped at export.
+        """
+        if row is not None:
+            self._deps.setdefault(row, []).extend(
+                map(self._pkt.get, dep_packet_ids))
 
     # -- link transit ------------------------------------------------------
 
     def link_begin(self, source: str, packet_id: int,
-                   **tags: Any) -> Optional[Span]:
+                   size: int) -> Optional[int]:
         """Open a transit span when a traced packet enters a link."""
-        ctx = self._pkt.get(packet_id)
-        if ctx is None or self._full():
+        parent = self._pkt.get(packet_id)
+        if parent is None:
             return None
-        span = self._alloc("link_transit", source, ctx.trace_id, ctx.span_id)
-        span.tags["packet"] = packet_id
-        if tags:
-            span.tags.update(tags)
-        self._open_links[packet_id] = span
-        self._pkt[packet_id] = span
-        return span
+        row = self._next
+        if row >= self._limit:
+            self.dropped += 1
+            return None
+        self._next = row + _STRIDE
+        log = self._log
+        log += (log[parent], parent, "link_transit", source, self._clock.now,
+                None, perf_counter(), self._fault_tags, packet_id, size,
+                None, None, None, None)
+        self._open_links[packet_id] = row
+        self._pkt[packet_id] = row
+        return row
 
-    def link_annotate(self, packet_id: int, **tags: Any) -> None:
-        span = self._open_links.get(packet_id)
-        if span is not None:
-            span.tags.update(tags)
+    def link_annotate(self, packet_id: int, tag: str) -> None:
+        """Flag the packet's open transit span (corrupted / reordered)."""
+        row = self._open_links.get(packet_id)
+        if row is not None:
+            self._notes.setdefault(row, []).append(tag)
 
     def link_end(self, packet_id: int, outcome: str,
-                 **tags: Any) -> Optional[Span]:
+                 reason: Optional[str] = None) -> None:
         """Close the packet's open transit span with an outcome tag."""
-        span = self._open_links.pop(packet_id, None)
-        if span is None:
-            return None
-        span.end = self._now()
-        span.wall = perf_counter() - span._wall0
-        span.tags["outcome"] = outcome
-        if tags:
-            span.tags.update(tags)
-        return span
+        row = self._open_links.pop(packet_id, None)
+        if row is not None:
+            log = self._log
+            log[row + _END] = self._clock.now
+            log[row + _WALL] = perf_counter() - log[row + _WALL]
+            log[row + _CLOSE] = outcome
+            log[row + _CLOSE + 1] = reason
 
     # -- control plane -----------------------------------------------------
 
     def note_retransmit(self, source: str, flow: Any, seq: int,
-                        **tags: Any) -> Optional[Span]:
+                        length: int) -> Optional[int]:
         """Record a TCP retransmit decision as its own small trace.
 
         Links back to the first traced packet that carried this
-        sequence number; the next packet traced with the same
+        (flow, seq) (``retransmission_of``); the next encode of the same
         (flow, seq) links forward to this span, closing the causal
         chain stall -> retransmit -> re-encode.
         """
-        if not self.sampled(flow) or self._full():
+        if not self.sampled(flow):
             return None
-        span = self._alloc("tcp_retransmit", source, self._new_trace(), None)
-        span.end = span.start
-        if flow is not None:
-            span.tags["flow"] = list(flow)
-        span.tags["seq"] = seq
-        if tags:
-            span.tags.update(tags)
-        key = (flow, seq)
-        origin = self._seq_origin.get(key)
-        if origin is not None:
-            span.links.append({"ref": "retransmission_of",
-                               "trace": origin.trace_id,
-                               "span": origin.span_id})
-        self._retx[key] = span
-        return span
+        row = self._append(None, "tcp_retransmit", source, True, flow, seq,
+                           length)
+        if row is not None:
+            key = (flow, seq)
+            origin = self._seq_origin.get(key)
+            if origin is not None:
+                self._cause[row] = origin
+            self._retx[key] = row
+        return row
 
     def fault_begin(self, name: str) -> None:
         """Mark an injected-fault window: spans created while any
         window is active carry a ``faults`` tag."""
         self._faults.append(name)
+        self._fault_tags = tuple(self._faults)
 
     def fault_end(self, name: str) -> None:
         try:
             self._faults.remove(name)
         except ValueError:
-            pass
+            return
+        self._fault_tags = tuple(self._faults) or None
 
     # -- introspection -----------------------------------------------------
 
     def current_ids(self) -> Tuple[Optional[int], Optional[int]]:
         """(trace_id, span_id) of the active context, or (None, None)."""
-        if self._stack:
-            top = self._stack[-1]
-            return (top.trace_id, top.span_id)
-        return (None, None)
+        stack = self._stack
+        if not stack:
+            return (None, None)
+        row = stack[-1]
+        return (self._log[row], row // _STRIDE + 1)
 
     def ids_for_packet(self, packet_id: int
                        ) -> Tuple[Optional[int], Optional[int]]:
-        span = self._pkt.get(packet_id)
-        if span is None:
+        row = self._pkt.get(packet_id)
+        if row is None:
             return (None, None)
-        return (span.trace_id, span.span_id)
+        return (self._log[row], row // _STRIDE + 1)
 
     # -- export ------------------------------------------------------------
 
+    def span(self, row: int) -> Dict[str, Any]:
+        """The ``spans/v1`` dict of one span, rendered from its handle."""
+        return self._render(row, row + _STRIDE)[0]
+
+    def _render(self, first: int, stop: int) -> List[Dict[str, Any]]:
+        """Rows ``first`` (a handle) up to ``stop`` as ``spans/v1`` dicts.
+
+        The one place tag names, ``list(flow)`` and link dicts are
+        built; a tight loop because it runs over every row of the log.
+        """
+        log = self._log
+        slot_names = _SLOT_NAMES
+        cause = self._cause
+        deps = self._deps
+        notes = self._notes
+        out: List[Dict[str, Any]] = []
+        for row in range(first, stop, _STRIDE):
+            (trace, parent, kind, source, start, end, wall, faults,
+             a, b, c, d, e, f) = log[row:row + _STRIDE]
+            tags: Dict[Any, Any] = {}
+            if faults:
+                tags["faults"] = list(faults)
+            names = slot_names[kind] if kind in slot_names else _UNNAMED
+            if a is not None:
+                tags[names[0]] = a
+            if b is not None:
+                tags[names[1]] = b
+            if c is not None:
+                tags[names[2]] = c
+            if d is not None:
+                tags[names[3]] = d
+            if e is not None:
+                tags[names[4]] = e
+            if f is not None:
+                tags[names[5]] = f
+            if None in tags:
+                raise ValueError(f"span kind {kind!r} names no tag for "
+                                 f"one of {(a, b, c, d, e, f)}: {names}")
+            if "flow" in tags:
+                tags["flow"] = list(tags["flow"])
+            if row in notes:
+                for flag in notes[row]:
+                    tags[flag] = True
+            doc: Dict[str, Any] = {
+                "trace": trace,
+                "span": row // _STRIDE + 1,
+                "parent": None if parent is None else parent // _STRIDE + 1,
+                "name": kind,
+                "source": source,
+                "start": start,
+                "end": end,
+                "wall": wall if end is not None else 0.0,
+                "tags": tags,
+            }
+            if row in cause or row in deps:
+                links = self._render_links(row, kind)
+                if links:  # every dependency may have been untraced
+                    doc["links"] = links
+            out.append(doc)
+        return out
+
+    def _render_links(self, row: int, kind: str) -> List[Dict[str, Any]]:
+        log = self._log
+        links: List[Dict[str, Any]] = []
+        if row in self._cause:
+            target = self._cause[row]
+            links.append({"ref": ("retransmission_of"
+                                  if kind == "tcp_retransmit"
+                                  else "caused_by_retransmit"),
+                          "trace": log[target],
+                          "span": target // _STRIDE + 1})
+        if row in self._deps:
+            # Dependencies arrive as a set of process-global packet ids;
+            # order by trace so the export replays bit-identically.  The
+            # first tag of a packet's span is always its packet id.
+            targets = sorted([(log[dep], dep) for dep in self._deps[row]
+                              if dep is not None])
+            links += [{"ref": "encoded_against", "trace": trace,
+                       "span": dep // _STRIDE + 1, "packet": log[dep + _TAG0]}
+                      for trace, dep in targets]
+        return links
+
     def export(self) -> Dict[str, Any]:
         """The full spans/v1 document (JSON-shaped, schema-stamped)."""
-        open_spans = 0
-        for span in self.spans:
-            if span.end is None:
-                open_spans += 1
+        # The document is acyclic and built in one burst of ~3 containers
+        # per span: pausing the cyclic collector while it is built saves
+        # a dozen young-generation passes that could free nothing.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            spans = self._render(0, self._next)
+        finally:
+            if was_enabled:
+                gc.enable()
         return {
             "schema": SPANS_SCHEMA,
             "trace_sample": self.trace_sample,
             "summary": {
-                "spans": len(self.spans),
+                "spans": len(spans),
                 "traces": self.traces,
                 "dropped": self.dropped,
-                "open": open_spans,
+                "open": sum(1 for span in spans if span["end"] is None),
             },
-            "spans": [span.to_dict() for span in self.spans],
+            "spans": spans,
         }
 
     def to_jsonl(self, path: str) -> None:

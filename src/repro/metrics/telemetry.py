@@ -85,12 +85,14 @@ class Gauge:
     the instrumented code nothing) or *push-based* via :meth:`set`.
     """
 
-    __slots__ = ("name", "labels", "fn", "_value")
+    __slots__ = ("name", "labels", "key", "fn", "_value")
 
     def __init__(self, name: str, labels: Dict[str, Any],
                  fn: Optional[Callable[[], float]] = None):
         self.name = name
         self.labels = labels
+        #: ``name{k=v,...}``, fixed for life, so built once.
+        self.key = metric_key(name, labels)
         self.fn = fn
         self._value = math.nan
 
@@ -106,10 +108,6 @@ class Gauge:
                 # torn-down state (e.g. a closed connection) reads nan.
                 return math.nan
         return self._value
-
-    @property
-    def key(self) -> str:
-        return metric_key(self.name, self.labels)
 
 
 class Histogram:
@@ -276,6 +274,9 @@ class TelemetrySampler:
         self.max_samples = int(max_samples)
         self.times: List[float] = []
         self._series: "OrderedDict[str, List[float]]" = OrderedDict()
+        # (series.append, gauge) per gauge, bound the first tick that
+        # sees it; registry order, which never changes.
+        self._bound: List[Tuple[Callable[[float], None], Gauge]] = []
         self.decimations = 0
         self._started = False
 
@@ -288,22 +289,38 @@ class TelemetrySampler:
 
     def sample_once(self) -> None:
         """Record one aligned sample of every gauge right now."""
-        now = self.sim.now
-        self.times.append(now)
-        n_before = len(self.times) - 1
-        series = self._series
-        for gauge in self.registry.gauges():
-            key = gauge.key
-            values = series.get(key)
-            if values is None:
-                # Late registration: align with the shared time axis.
-                values = [math.nan] * n_before
-                series[key] = values
-            values.append(gauge.read())
-        # Gauges can in principle disappear only with the registry; a
-        # registry never drops entries, so no per-series pad-out needed.
-        if len(self.times) >= self.max_samples:
+        times = self.times
+        bound = self._bound
+        if len(bound) != len(self.registry._gauges):
+            self._bind_new_gauges(len(times))
+        times.append(self.sim.now)
+        for append, gauge in bound:
+            # ``fn`` is read per tick: unregister_connection clears it
+            # and re-registration replaces it.
+            fn = gauge.fn
+            if fn is None:
+                append(gauge._value)
+                continue
+            try:
+                append(float(fn()))
+            except Exception:
+                # A gauge must never take the run down: a callback over
+                # torn-down state (e.g. a closed connection) reads nan.
+                append(math.nan)
+        if len(times) >= self.max_samples:
             self._decimate()
+
+    def _bind_new_gauges(self, n_before: int) -> None:
+        """Late registration: nan-pad back along the shared time axis.
+
+        A registry never drops entries, so the gauges past the bound
+        ones are exactly the new ones.
+        """
+        bound = self._bound
+        for gauge in list(self.registry.gauges())[len(bound):]:
+            values = [math.nan] * n_before
+            self._series[gauge.key] = values
+            bound.append((values.append, gauge))
 
     def series(self) -> Dict[str, List[float]]:
         """key -> aligned value list (same length as :attr:`times`)."""
@@ -318,9 +335,10 @@ class TelemetrySampler:
     def _decimate(self) -> None:
         self.decimations += 1
         self.interval *= 2.0
-        self.times = self.times[::2]
-        for key, values in self._series.items():
-            self._series[key] = values[::2]
+        # In place: the bound ``append`` of every series must survive.
+        del self.times[1::2]
+        for values in self._series.values():
+            del values[1::2]
 
     def export(self) -> Dict[str, Any]:
         return {
@@ -328,7 +346,10 @@ class TelemetrySampler:
             "initial_interval": self.initial_interval,
             "decimations": self.decimations,
             "times": list(self.times),
-            "series": {key: [_json_number(v) for v in values]
+            # Every stored sample is a float; nan and +-inf fail the
+            # range test and export as null (see _json_number).
+            "series": {key: [v if -math.inf < v < math.inf else None
+                             for v in values]
                        for key, values in self._series.items()},
         }
 
@@ -370,16 +391,19 @@ class FlightRecorder:
 
     def record(self, time: float, source: str, event: str,
                detail: Optional[Dict[str, Any]] = None) -> None:
-        """Append one event to its flow's ring."""
+        """Append one event to its flow's ring.
+
+        ``detail`` belongs to the caller (the tracer stores the same
+        dict in its own record), so the trace/span ids ride beside it
+        in the ring and are merged only into :meth:`dump`'s copy.
+        """
         detail = detail if detail is not None else {}
+        trace_id = span_id = None
         spans = self.spans
         if spans is not None and "trace" not in detail:
             trace_id, span_id = spans.ids_for_packet(detail.get("packet_id"))
             if trace_id is None:
                 trace_id, span_id = spans.current_ids()
-            if trace_id is not None:
-                detail["trace"] = trace_id
-                detail["span"] = span_id
         key = detail.get("flow", source)
         ring = self._rings.get(key)
         if ring is None:
@@ -390,7 +414,8 @@ class FlightRecorder:
                 self._rings[key] = ring
         self.events_seen += 1
         self._seq += 1
-        ring.append((time, self._seq, source, event, detail))
+        ring.append((time, self._seq, source, event, detail, trace_id,
+                     span_id))
 
     def note(self, time: float, source: str, event: str,
              **detail: Any) -> None:
@@ -402,16 +427,22 @@ class FlightRecorder:
 
         ``max_events`` keeps only the most recent N after merging.
         """
-        merged: List[Tuple[float, int, str, str, Dict[str, Any]]] = []
+        merged: List[Tuple[Any, ...]] = []
         for ring in self._rings.values():
             merged.extend(ring)
         merged.extend(self._overflow)
         merged.sort(key=lambda item: (item[0], item[1]))
         if max_events is not None:
             merged = merged[-max_events:]
-        return [{"time": time, "source": source, "event": event,
-                 "detail": dict(detail)}
-                for time, _seq, source, event, detail in merged]
+        rows = []
+        for time, _seq, source, event, detail, trace_id, span_id in merged:
+            detail = dict(detail)
+            if trace_id is not None:
+                detail["trace"] = trace_id
+                detail["span"] = span_id
+            rows.append({"time": time, "source": source, "event": event,
+                         "detail": detail})
+        return rows
 
     def __len__(self) -> int:
         return (sum(len(ring) for ring in self._rings.values())

@@ -403,7 +403,7 @@ class TCPConnection:
                     f"tcp:{self.local_addr}:{self.local_port}",
                     (self.local_addr, self.local_port,
                      self.remote_addr, self.remote_port),
-                    seq, length=len(data))
+                    seq, len(data))
         self.stats.segments_sent += 1
         self._transmit(segment)
 

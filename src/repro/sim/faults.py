@@ -297,7 +297,7 @@ class FaultInjector:
             if spans is not None:
                 # Traced packets record which injected fault hit them.
                 spans.packet_event("fault_" + action, self.link.name,
-                                   pkt.packet_id, fault=action)
+                                   pkt.packet_id, action)
             if action == "drop":
                 self.log.dropped.append(index)
                 return

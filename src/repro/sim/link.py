@@ -216,7 +216,7 @@ class Link:
             return
 
         if spans is not None:
-            spans.link_begin(self.name, pkt.packet_id, bytes=size)
+            spans.link_begin(self.name, pkt.packet_id, size)
         sim = self.sim
         start = sim.now
         if self._busy_until > start:
@@ -243,7 +243,7 @@ class Link:
         if self.down:
             self.stats.packets_lost += 1
             if spans is not None:
-                spans.link_end(pkt.packet_id, "lost", reason="link_down")
+                spans.link_end(pkt.packet_id, "lost", "link_down")
             return
 
         loss_model = self.loss_model
@@ -251,27 +251,26 @@ class Link:
             if loss_model.lost():
                 self.stats.packets_lost += 1
                 if spans is not None:
-                    spans.link_end(pkt.packet_id, "lost",
-                                   reason="bursty_loss")
+                    spans.link_end(pkt.packet_id, "lost", "bursty_loss")
                 return
         elif self.rng.random() < self.loss_rate:
             self.stats.packets_lost += 1
             if spans is not None:
-                spans.link_end(pkt.packet_id, "lost", reason="loss")
+                spans.link_end(pkt.packet_id, "lost", "loss")
             return
 
         if self.corrupt_rate and self.rng.random() < self.corrupt_rate:
             self.stats.packets_corrupted += 1
             pkt = self._corrupt(pkt)
             if spans is not None:
-                spans.link_annotate(pkt.packet_id, corrupted=True)
+                spans.link_annotate(pkt.packet_id, "corrupted")
 
         delay = self.prop_delay
         if self.reorder_rate and self.rng.random() < self.reorder_rate:
             self.stats.packets_reordered += 1
             delay += self.rng.uniform(0.0, self.reorder_extra_delay)
             if spans is not None:
-                spans.link_annotate(pkt.packet_id, reordered=True)
+                spans.link_annotate(pkt.packet_id, "reordered")
 
         self.sim.post_after(delay, self._deliver, pkt, size)
 

@@ -131,3 +131,16 @@ def test_lint_command_select_and_json(capsys):
 def test_lint_command_unknown_selector():
     code = main(["lint", "--select", "wat"])
     assert code == 2
+
+
+def test_spans_and_timeline_print_their_cost_drivers(capsys):
+    """Observed runs say what they paid for: spans per data packet and
+    gauge reads per run, both read off the exports."""
+    code, out = run_cli(capsys, "spans", "--policy", "cache_flush",
+                        "--loss", "0", "--size", "29200")
+    assert code == 0
+    assert "cost: 139 spans / 20 data packets = 7.0 per packet" in out
+    code, out = run_cli(capsys, "timeline", "--policy", "cache_flush",
+                        "--loss", "0", "--size", "29200")
+    assert code == 0
+    assert "gauge reads" in out and "gauges =" in out

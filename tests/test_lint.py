@@ -241,7 +241,7 @@ class TestHotpath:
             "spans = self.spans",
             "for b in data:",
             "    if spans is not None:",
-            "        spans.begin_stage('probe', 'enc')",
+            "        spans.stage('probe', 'enc', 0.0)",
             "return data"])
         assert "hotpath-span-in-loop" in rules_of(report)
 
@@ -250,11 +250,12 @@ class TestHotpath:
             "spans = self.spans",
             "span = None",
             "if spans is not None:",
-            "    span = spans.begin_stage('probe', 'enc')",
+            "    span = spans.begin('probe', 'enc')",
             "for b in data:",
             "    pass",
             "if spans is not None:",
-            "    spans.end_stage(span)",
+            "    spans.stage('pack', 'enc', 0.0)",
+            "    spans.end(span)",
             "return data"])
         assert "hotpath-span-in-loop" not in rules_of(report)
 

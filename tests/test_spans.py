@@ -2,7 +2,6 @@
 builder (repro.metrics.flame)."""
 
 import json
-import math
 
 import pytest
 
@@ -26,8 +25,8 @@ class TestSpanRecorderScopes:
         rec = SpanRecorder()
         outer = rec.begin("outer", "a")
         inner = rec.begin("inner", "a")
-        assert inner.trace_id == outer.trace_id
-        assert inner.parent_id == outer.span_id
+        assert rec.span(inner)["trace"] == rec.span(outer)["trace"]
+        assert rec.span(inner)["parent"] == rec.span(outer)["span"]
         rec.end(inner)
         rec.end(outer)
         assert rec.current_ids() == (None, None)
@@ -35,19 +34,42 @@ class TestSpanRecorderScopes:
     def test_begin_stage_noops_without_context(self):
         """Codec cores driven directly (benchmarks) record nothing."""
         rec = SpanRecorder()
-        assert rec.begin_stage("table_probe", "enc") is None
-        rec.end_stage(None)  # must be None-safe
-        assert rec.spans == []
+        assert rec.stage("table_probe", "enc", 0.0) is None
+        rec.end(None)  # must be None-safe
+        assert rec.export()["spans"] == []
 
     def test_stage_attaches_to_active_packet(self):
         rec = SpanRecorder()
         pkt = rec.packet_begin("encode", "gw", packet_id=1)
-        stage = rec.begin_stage("table_probe", "enc")
-        assert stage.trace_id == pkt.trace_id
-        assert stage.parent_id == pkt.span_id
-        rec.end_stage(stage)
-        rec.packet_end(pkt, encoded=True)
-        assert pkt.tags["encoded"] is True
+        rec.stage("table_probe", "enc", 0.25)
+        rec.end(pkt, True)
+        enc, stage = rec.export()["spans"]
+        assert stage["trace"] == enc["trace"]
+        assert stage["parent"] == enc["span"]
+        assert stage["wall"] == 0.25 and stage["start"] == stage["end"]
+        assert enc["tags"]["encoded"] is True
+
+    def test_stage_takes_the_id_its_begin_would_have(self):
+        """A one-shot stage is emitted after the work; its id equals the
+        one an open/close pair would have drawn at the start only
+        because nothing allocates a span while the stage runs."""
+        paired, one_shot = SpanRecorder(), SpanRecorder()
+        for rec in (paired, one_shot):
+            pkt = rec.packet_begin("encode", "gw", packet_id=1)
+            if rec is paired:
+                rec.end(rec.begin("table_probe", "enc"))
+                rec.end(rec.begin("wire_pack", "enc"))
+            else:
+                rec.stage("table_probe", "enc", 0.0)
+                rec.stage("wire_pack", "enc", 0.0)
+            rec.end(pkt)
+            rec.event("queue_drop", "link", 1)
+
+        def ids(rec):
+            return [(s["span"], s["parent"], s["name"])
+                    for s in rec.export()["spans"]]
+
+        assert ids(paired) == ids(one_shot)
 
     def test_sim_clock_stamps_start_end(self):
         sim = FakeSim()
@@ -55,21 +77,29 @@ class TestSpanRecorderScopes:
         span = rec.begin("s", "a")
         sim.now = 2.5
         rec.end(span)
-        assert span.start == 0.0 and span.end == 2.5
+        doc = rec.span(span)
+        assert doc["start"] == 0.0 and doc["end"] == 2.5
 
     def test_event_is_zero_duration(self):
         rec = SpanRecorder()
-        span = rec.event("watchdog_trip", "dec", window=16)
-        assert span.end == span.start
-        assert span.tags["window"] == 16
+        span = rec.span(rec.event("watchdog_trip", "dec", None, 16))
+        assert span["end"] == span["start"]
+        assert span["tags"] == {"window": 16}
 
     def test_open_span_survives_across_events(self):
         rec = SpanRecorder()
-        resync = rec.open("resync", "dec", resync_id=3)
-        child = rec.child_event(resync, "resync_retry", "dec", attempt=1)
-        assert child.parent_id == resync.span_id
-        rec.end(resync, outcome="completed")
-        assert resync.tags["outcome"] == "completed"
+        resync = rec.open("resync", "dec", 3)
+        child = rec.child_event(resync, "resync_retry", "dec", 1)
+        assert rec.span(child)["parent"] == rec.span(resync)["span"]
+        rec.end(resync, "completed")
+        assert rec.span(resync)["tags"] == {"resync_id": 3,
+                                           "outcome": "completed"}
+
+    def test_tag_outside_the_vocabulary_is_rejected_at_export(self):
+        rec = SpanRecorder()
+        rec.event("wire_pack", "enc", 10, "one too many")
+        with pytest.raises(ValueError, match="wire_pack"):
+            rec.export()
 
 
 class TestTracePropagation:
@@ -78,69 +108,74 @@ class TestTracePropagation:
         rec = SpanRecorder()
         enc = rec.packet_begin("encode", "enc-gw", packet_id=7,
                                flow=("a", 1, "b", 2), seq=100)
-        rec.packet_end(enc)
-        transit = rec.link_begin("link.fwd", 7, bytes=60)
+        rec.end(enc)
+        transit = rec.link_begin("link.fwd", 7, 60)
         rec.link_end(7, "delivered")
         dec = rec.packet_begin("decode", "dec-gw", packet_id=7)
-        rec.packet_end(dec, status="ok")
-        assert enc.trace_id == transit.trace_id == dec.trace_id
-        assert transit.parent_id == enc.span_id
-        assert dec.parent_id == transit.span_id
-        assert transit.tags["outcome"] == "delivered"
+        rec.end(dec, "ok")
+        enc, transit, dec = rec.export()["spans"]
+        assert enc["trace"] == transit["trace"] == dec["trace"]
+        assert transit["parent"] == enc["span"]
+        assert dec["parent"] == transit["span"]
+        assert transit["tags"] == {"packet": 7, "bytes": 60,
+                                   "outcome": "delivered"}
+        assert dec["tags"] == {"packet": 7, "status": "ok"}
 
     def test_flow_sampling_every_nth(self):
         rec = SpanRecorder(trace_sample=2)
         kept = rec.packet_begin("encode", "gw", 1, flow="f0", seq=1)
-        rec.packet_end(kept)
+        rec.end(kept)
         skipped = rec.packet_begin("encode", "gw", 2, flow="f1", seq=1)
         assert kept is not None and skipped is None
         # Same flow keeps its verdict.
         again = rec.packet_begin("encode", "gw", 3, flow="f0", seq=2)
         assert again is not None
-        rec.packet_end(again)
+        rec.end(again)
 
     def test_packet_event_needs_traced_packet(self):
         rec = SpanRecorder()
         assert rec.packet_event("queue_drop", "link", 99) is None
         span = rec.packet_begin("encode", "gw", 99)
-        rec.packet_end(span)
+        rec.end(span)
         drop = rec.packet_event("queue_drop", "link", 99)
-        assert drop.trace_id == span.trace_id
+        assert rec.span(drop)["trace"] == rec.span(span)["trace"]
 
     def test_link_deps_record_encoded_against(self):
         rec = SpanRecorder()
         dep = rec.packet_begin("encode", "gw", 1)
-        rec.packet_end(dep)
+        rec.end(dep)
         cur = rec.packet_begin("encode", "gw", 2)
         rec.link_deps(cur, [1, 42])  # 42 untraced -> skipped
-        rec.packet_end(cur)
-        assert cur.links == [{"ref": "encoded_against",
-                              "trace": dep.trace_id,
-                              "span": dep.span_id, "packet": 1}]
+        rec.end(cur)
+        dep = rec.span(dep)
+        assert rec.span(cur)["links"] == [{"ref": "encoded_against",
+                                           "trace": dep["trace"],
+                                           "span": dep["span"], "packet": 1}]
 
     def test_retransmit_links_close_the_causal_loop(self):
         rec = SpanRecorder()
         flow = ("s", 80, "c", 1000)
         first = rec.packet_begin("encode", "gw", 1, flow=flow, seq=500)
-        rec.packet_end(first)
-        retx = rec.note_retransmit("tcp", flow, 500)
-        assert retx.links == [{"ref": "retransmission_of",
-                               "trace": first.trace_id,
-                               "span": first.span_id}]
+        rec.end(first)
+        retx = rec.note_retransmit("tcp", flow, 500, 1460)
+        first, retx = rec.span(first), rec.span(retx)
+        assert retx["links"] == [{"ref": "retransmission_of",
+                                  "trace": first["trace"],
+                                  "span": first["span"]}]
         second = rec.packet_begin("encode", "gw", 2, flow=flow, seq=500)
-        rec.packet_end(second)
-        assert {"ref": "caused_by_retransmit", "trace": retx.trace_id,
-                "span": retx.span_id} in second.links
+        rec.end(second)
+        assert {"ref": "caused_by_retransmit", "trace": retx["trace"],
+                "span": retx["span"]} in rec.span(second)["links"]
 
     def test_fault_windows_tag_spans(self):
         rec = SpanRecorder()
         rec.fault_begin("link_flap")
         span = rec.packet_begin("encode", "gw", 1)
-        rec.packet_end(span)
+        rec.end(span)
         rec.fault_end("link_flap")
         after = rec.packet_begin("encode", "gw", 2)
-        assert span.tags["faults"] == ["link_flap"]
-        assert "faults" not in after.tags
+        assert rec.span(span)["tags"]["faults"] == ["link_flap"]
+        assert "faults" not in rec.span(after)["tags"]
         rec.fault_end("never_opened")  # must not raise
 
     def test_max_spans_bounds_and_counts_drops(self):
@@ -151,9 +186,65 @@ class TestTracePropagation:
         rec.end(b)
         assert rec.begin("c", "x") is None
         assert rec.packet_begin("d", "x", 9) is None
-        assert len(rec.spans) == 2
+        assert len(rec.export()["spans"]) == 2
         assert rec.dropped == 2
         assert rec.export()["summary"]["dropped"] == 2
+
+
+class TestContextStackUnwinds:
+    """A span closed out of order, or abandoned by an exception, must
+    not stay the context of everything recorded afterwards."""
+
+    def test_out_of_order_close_leaves_no_dead_context(self):
+        rec = SpanRecorder()
+        a = rec.begin("a", "x")
+        b = rec.begin("b", "x")
+        rec.end(a)
+        rec.end(b)
+        assert rec.current_ids() == (None, None)
+        event = rec.span(rec.event("queue_drop", "x"))
+        assert event["parent"] is None
+        assert event["trace"] != rec.span(a)["trace"]
+
+    def test_closing_a_parent_unwinds_its_abandoned_child(self):
+        rec = SpanRecorder()
+        outer = rec.packet_begin("encode", "gw", 1)
+        rec.begin("inner", "x")  # never closed: its owner raised
+        rec.end(outer)
+        assert rec.current_ids() == (None, None)
+
+    @pytest.mark.parametrize("side", ["encoder", "decoder"])
+    def test_gateway_closes_its_packet_span_when_the_codec_raises(self, side):
+        from repro.gateway import GatewayPair
+        from repro.sim import Simulator
+        from tests.test_gateway import Sink, data_packet, random_bytes
+
+        sim = Simulator()
+        rec = SpanRecorder(sim=sim)
+        pair = GatewayPair.create(sim, policy="naive", data_dst="10.0.1.1",
+                                  spans=rec)
+        enc_out = Sink()
+        pair.encoder.set_default_route(enc_out)
+        pair.decoder.set_default_route(Sink())
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("armed oracle")
+
+        if side == "encoder":
+            pair.encoder.encoder.encode = boom
+            with pytest.raises(RuntimeError):
+                pair.encoder.receive(data_packet(random_bytes(1)))
+        else:
+            pair.encoder.receive(data_packet(random_bytes(1)))
+            pair.decoder.decoder.decode = boom
+            with pytest.raises(RuntimeError):
+                pair.decoder.receive(enc_out.packets[0])
+        assert rec.current_ids() == (None, None)
+        doc = rec.export()
+        validate_spans(doc)
+        assert doc["summary"]["open"] == 0
+        # The next root event starts its own trace, not the dead one's.
+        assert rec.span(rec.event("watchdog_trip", "dec"))["parent"] is None
 
 
 class TestExport:
@@ -161,10 +252,9 @@ class TestExport:
         rec = SpanRecorder(sim=FakeSim())
         enc = rec.packet_begin("encode", "gw", 1, flow=("a", 1, "b", 2),
                                seq=10)
-        stage = rec.begin_stage("table_probe", "enc")
-        rec.end_stage(stage)
-        rec.packet_end(enc)
-        rec.link_begin("link", 1)
+        rec.stage("table_probe", "enc", 0.0)
+        rec.end(enc)
+        rec.link_begin("link", 1, 60)
         rec.link_end(1, "delivered")
         return rec.export()
 
@@ -220,9 +310,8 @@ class TestFlame:
         rec = SpanRecorder(sim=FakeSim())
         for pkt in range(3):
             enc = rec.packet_begin("encode", "gw", pkt)
-            stage = rec.begin_stage("table_probe", "enc")
-            rec.end_stage(stage)
-            rec.packet_end(enc)
+            rec.stage("table_probe", "enc", 0.0)
+            rec.end(enc)
         return rec.export()
 
     def test_tree_structure_and_counts(self):

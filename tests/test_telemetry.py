@@ -161,6 +161,65 @@ class TestTelemetrySampler:
         assert series["late"][-1] == 2.0
         assert math.isnan(series["late"][0])
 
+    def test_bound_series_survive_registration_failure_and_decimation(self):
+        """One run through everything the pre-bound tick must keep: a
+        gauge registered mid-run, one whose callback raises, one
+        re-registered under the same key, and a decimation crossing."""
+        sim = Simulator()
+        registry = MetricsRegistry()
+        registry.gauge("clock", fn=lambda: sim.now)
+        registry.gauge("torn", fn=lambda: 1 / 0)
+        pushed = registry.gauge("pushed")
+        sampler = TelemetrySampler(sim, registry, interval=0.01,
+                                   max_samples=16)
+        sampler.start()
+        sim.at(0.035, lambda: pushed.set(7))
+        sim.at(0.055, lambda: registry.gauge("late", fn=lambda: 2.0))
+        sim.at(0.075, lambda: registry.gauge("late", fn=lambda: 3.0))
+        sim.run(until=0.5)
+        assert sampler.decimations >= 1
+        series = sampler.series()
+        assert list(series) == ["clock", "torn", "pushed", "late"]
+        assert all(len(values) == len(sampler.times)
+                   for values in series.values())
+        assert series["clock"] == sampler.times
+        assert all(math.isnan(v) for v in series["torn"])
+        assert math.isnan(series["pushed"][0]) and series["pushed"][-1] == 7.0
+        assert math.isnan(series["late"][0]) and series["late"][-1] == 3.0
+        exported = sampler.export()["series"]
+        assert set(exported["torn"]) == {None}  # nan exports as null
+        assert exported["clock"] == sampler.times
+        json.dumps(exported, allow_nan=False)
+
+    def test_unregistered_connection_reads_nan_and_is_released(self):
+        import gc
+        import weakref
+
+        class Conn:
+            class cc:
+                cwnd, ssthresh = 10, 20
+
+            class rto:
+                rto = 0.2
+
+            flight_size = 3
+
+        sim = Simulator()
+        telemetry = Telemetry(sim)
+        conn = Conn()
+        telemetry.register_connection(conn, "c0")
+        telemetry.start()
+        sim.at(0.12, lambda: telemetry.unregister_connection(conn))
+        sim.run(until=0.3)
+        cwnd = telemetry.sampler.series()["tcp.cwnd{conn=c0}"]
+        assert len(cwnd) == len(telemetry.sampler.times)
+        assert cwnd[0] == 10.0 and math.isnan(cwnd[-1])
+        # The sampler's binding holds the gauge, not the connection.
+        ref = weakref.ref(conn)
+        del conn
+        gc.collect()
+        assert ref() is None
+
     def test_invalid_parameters_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
@@ -263,6 +322,51 @@ class TestTelemetryFacade:
         assert tracer.records == []  # full tracing stayed off
         assert telemetry.recorder.events_seen == 1
         assert telemetry.recorder.dump()[0]["detail"]["packet_id"] == 3
+
+
+class TestObserversDoNotCrossTalk:
+    """The flight recorder rides the tracer's call sites; what the
+    tracer itself records must not depend on whether it is there."""
+
+    def emit_under_open_span(self, with_sink):
+        from repro.metrics.spans import SpanRecorder
+
+        sim = Simulator()
+        tracer = Tracer(enabled=True)
+        tracer.bind_clock(lambda: sim.now)
+        telemetry = Telemetry(sim)
+        spans = SpanRecorder(sim=sim)
+        telemetry.recorder.spans = spans
+        if with_sink:
+            tracer.sink = telemetry.trace_sink()
+        span = spans.packet_begin("encode", "gw", 7)
+        tracer.emit("gw", "encode", packet_id=7)
+        spans.end(span)
+        tracer.emit("gw", "idle")
+        return tracer, telemetry.recorder
+
+    def test_tracer_records_identical_with_and_without_a_sink(self):
+        plain, _ = self.emit_under_open_span(with_sink=False)
+        tapped, _ = self.emit_under_open_span(with_sink=True)
+        assert tapped.to_jsonl() == plain.to_jsonl()
+        assert tapped.records[0].detail == {"packet_id": 7}
+
+    def test_flight_recorder_dump_still_carries_the_span_ids(self):
+        _, recorder = self.emit_under_open_span(with_sink=True)
+        assert recorder.dump() == [
+            {"time": 0.0, "source": "gw", "event": "encode",
+             "detail": {"packet_id": 7, "trace": 1, "span": 1}},
+            {"time": 0.0, "source": "gw", "event": "idle", "detail": {}},
+        ]
+
+    def test_caller_supplied_trace_is_kept(self):
+        from repro.metrics.spans import SpanRecorder
+
+        recorder = FlightRecorder()
+        recorder.spans = SpanRecorder()
+        recorder.spans.begin("encode", "gw")
+        recorder.record(0.0, "verify", "violation", {"trace": 9, "span": 4})
+        assert recorder.dump()[0]["detail"] == {"trace": 9, "span": 4}
 
 
 class TestTracerJsonl:
