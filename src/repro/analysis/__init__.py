@@ -10,8 +10,8 @@ architectural assumptions the rest of the repo only checks at runtime:
   clocks into results, so fuzz replay and paired sweeps stay
   bit-identical;
 * **hot-path discipline** — the registered encoder/decoder/simulator
-  hot functions keep the single-None-check telemetry pattern the
-  ``bench_hotpath`` 1.5x gate times;
+  hot functions keep the single-None-check telemetry pattern that
+  ``bench_hotpath`` and the e2e call budgets hold them to;
 * **robustness hygiene** — no bare excepts, mutable defaults,
   silently swallowed :class:`InvariantViolation`, or tracked bytecode;
 * **whole-program dataflow** (PR 10) — a shared

@@ -52,8 +52,8 @@ DEFAULT_WALLCLOCK = [
 ]
 
 #: Functions on the per-packet/per-byte path, held to the strict
-#: telemetry-None-check and no-allocation discipline the 1.5x
-#: bench_hotpath gate depends on.
+#: telemetry-None-check and no-allocation discipline the per-packet
+#: call budgets depend on.
 DEFAULT_HOT_FUNCTIONS = [
     "repro.core.encoder.ByteCachingEncoder.encode",
     "repro.core.encoder.ByteCachingEncoder._find_regions",

@@ -1,8 +1,8 @@
 """Hot-path discipline: the per-packet/per-byte loop stays lean.
 
 ``[tool.repro-lint.hotpath] functions`` registers the functions on the
-encoder/decoder/cache/region/simulator hot path — the ones the
-``benchmarks/bench_hotpath.py`` 1.5x gate times.  Inside them:
+encoder/decoder/cache/region/simulator hot path — the ones
+``benchmarks/bench_hotpath.py`` times.  Inside them:
 
 * no ``logging`` or ``print`` calls — the disabled-telemetry branch
   must cost one attribute load and an ``is None`` check, nothing more;
@@ -216,7 +216,7 @@ class _Scan:
                         f"`if {ast.unparse(base)} is not None:` guard",
                         fixable=True,
                         fix="wrap the call in the single None-check the "
-                            "bench_hotpath gate assumes")
+                            "hot-path budget assumes")
                 if node.func.attr in SPAN_CREATION_METHODS and loops:
                     self.add(
                         "hotpath-span-in-loop", node,

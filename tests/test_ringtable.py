@@ -2,10 +2,11 @@
 
 The contiguous table (repro.core.ringtable) must match the reference
 dict table observable-for-observable; these tests pin the corners the
-differential runner's whole-pipeline comparison can miss: bitmap hash
-collisions, fixed-capacity wrap evicting live entries, the epoch stamp
-across flushes, and a property-level parity sweep against the dict
-table through the ByteCache front door.
+differential runner's whole-pipeline comparison can miss:
+fixed-capacity wrap evicting live entries, compaction and growth, the
+one-generation history scan, the capacity ByteCache derives from its
+budget, and a property-level parity sweep against the dict table
+through the ByteCache front door.
 """
 
 import numpy as np
@@ -13,101 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import ByteCache, CacheEntry, FingerprintTable
-from repro.core.ringtable import _FIB, RingFingerprintTable
+from repro.core.ringtable import RingFingerprintTable
 
 
 def _insert(table, fingerprints, store_id=0, counter=0):
     fps = np.array(fingerprints, dtype=np.uint64)
     offsets = np.arange(len(fingerprints), dtype=np.int64)
     table.insert_batch(offsets, fps, store_id, None, None, counter)
-
-
-def _colliding_fingerprints(bits):
-    """Two distinct fingerprints sharing one bitmap slot."""
-    multiplier = int(_FIB)
-    shift = 64 - bits
-    base = 12345
-    target = (base * multiplier) % (1 << 64) >> shift
-    for candidate in range(base + 1, base + 1_000_000):
-        if (candidate * multiplier) % (1 << 64) >> shift == target:
-            return base, candidate
-    raise AssertionError("no collision found in search range")
-
-
-class TestCandidateBitmap:
-    def test_hash_collision_is_a_false_positive_only(self):
-        table = RingFingerprintTable(capacity=64, bitmap_bits=8)
-        present, absent = _colliding_fingerprints(8)
-        _insert(table, [present])
-        mask = table.candidates(np.array([present, absent],
-                                         dtype=np.uint64))
-        # The bitmap cannot tell the two apart (shared slot) ...
-        assert mask.tolist() == [True, True]
-        # ... but the index ground truth can.
-        assert table.get(present) is not None
-        assert table.get(absent) is None
-
-    def test_no_false_negatives(self):
-        table = RingFingerprintTable(capacity=256, bitmap_bits=10)
-        fingerprints = list(range(1000, 1100))
-        _insert(table, fingerprints)
-        mask = table.candidates(np.array(fingerprints, dtype=np.uint64))
-        assert mask.all()
-
-    def test_candidate_indices_matches_candidates(self):
-        table = RingFingerprintTable(capacity=64)
-        _insert(table, [7, 11, 13])
-        probe = np.array([5, 7, 9, 11, 13, 15], dtype=np.uint64)
-        mask = table.candidates(probe)
-        idxs = table.candidate_indices(probe)
-        assert idxs.tolist() == mask.nonzero()[0].tolist()
-
-    def test_scratch_tag_reuse_after_probe(self):
-        # Probing then inserting the SAME array must stamp the same
-        # bitmap slots as a cold insert (the tag shortcut skips the
-        # hash recompute, not the stamping).
-        tagged = RingFingerprintTable(capacity=64)
-        cold = RingFingerprintTable(capacity=64)
-        fps = np.array([101, 202, 303], dtype=np.uint64)
-        offsets = np.arange(3, dtype=np.int64)
-        tagged.candidates(fps)          # leaves hashes + tag in scratch
-        tagged.insert_batch(offsets, fps, 0, None, None, 0)
-        cold.insert_batch(offsets, fps.copy(), 0, None, None, 0)
-        assert np.array_equal(tagged._bm, cold._bm)
-        # Tag is consumed: a second insert recomputes.
-        assert tagged._scratch_tag is None
-
-    def test_deferred_inserts_do_not_stamp_each_others_hashes(self):
-        # ack_gated order: probe A, probe B, then commit A and B.  The
-        # commit of A recomputes over the scratch; B's tag must not
-        # survive that, or B gets A's hashes stamped into the bitmap.
-        table = RingFingerprintTable(capacity=64)
-        a = np.array([101, 202, 303], dtype=np.uint64)
-        b = np.array([404, 505, 606], dtype=np.uint64)
-        offsets = np.arange(3, dtype=np.int64)
-        table.candidate_indices(a)
-        table.candidate_indices(b)
-        table.insert_batch(offsets, a, 0, None, None, 0)
-        table.insert_batch(offsets, b, 1, None, None, 1)
-        assert table.candidates(a).all()
-        assert table.candidates(b).all()        # no false negatives
-
-    def test_epoch_bump_clears_without_touching_memory(self):
-        table = RingFingerprintTable(capacity=64)
-        _insert(table, [42])
-        assert table.candidates(np.array([42], dtype=np.uint64))[0]
-        table.clear()
-        assert not table.candidates(np.array([42], dtype=np.uint64))[0]
-
-    def test_epoch_wraps_at_256_flushes(self):
-        table = RingFingerprintTable(capacity=64)
-        for _ in range(300):    # crosses the uint8 wrap at least once
-            _insert(table, [42])
-            assert table.candidates(np.array([42], dtype=np.uint64))[0]
-            table.clear()
-            assert not table.candidates(
-                np.array([42], dtype=np.uint64))[0]
-            assert table.get(42) is None
 
 
 class TestFixedModeWrap:
@@ -174,6 +87,65 @@ class TestAutogrow:
         assert table.grows >= 1
         for fingerprint in range(100, 108):
             assert table.get(fingerprint) is not None
+
+
+class TestCapacityFromBudget:
+    """ByteCache sizes its ring from the budgets it is given."""
+
+    def test_16mb_cache_absorbs_file1_twice_without_growing(self):
+        from repro.core.fingerprint import FingerprintScheme
+        from repro.workload.corpus import corpus_object
+
+        scheme = FingerprintScheme(window=16, zero_bits=4)
+        data = corpus_object("file1", seed=0)
+        cache = ByteCache(16 * 1024 * 1024)
+        anchors = 0
+        for _ in range(2):                      # forward and reverse copy
+            for seq in range(0, len(data), 1460):
+                payload = data[seq: seq + 1460]
+                selected = scheme.anchors(payload)
+                anchors += len(selected)
+                cache.insert_packet(payload, selected, tcp_seq=seq)
+        ring = cache._ring
+        assert ring.inserts == anchors > 70_000
+        assert ring.grows == 0 and ring.compactions == 0
+        assert ring.capacity >= anchors
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(byte_budget=16 * 1024 * 1024, max_packets=10),   # Table I
+        dict(byte_budget=1),
+    ])
+    def test_small_budgets_get_the_floor_capacity(self, kwargs):
+        assert ByteCache(**kwargs)._ring.capacity == 1024
+        # ... and a larger budget does not.
+        assert ByteCache(256 * 1024)._ring.capacity == 16_384
+
+    def test_capacity_is_a_power_of_two_between_floor_and_ceiling(self):
+        for budget in (1, 1000, 16_385, 48 * 1024, 1 << 20, 1 << 24, 1 << 30):
+            capacity = ByteCache(budget)._ring.capacity
+            assert capacity & (capacity - 1) == 0
+            assert 1024 <= capacity <= 1 << 17
+            assert capacity >= min(budget // 16, 1 << 17)
+
+    def test_cache_that_outgrows_its_ring_compacts_grows_and_keeps_history(self):
+        # The autogrow tests above, driven through ByteCache at the
+        # capacity it derives (the floor) instead of a hand-picked one.
+        cache = ByteCache(byte_budget=1, max_packets=1)
+        ring = cache._ring
+        assert ring.capacity == 1024
+        rnd = np.random.default_rng(17)
+        hot = list(range(1, 41))
+        for store_id in range(120):             # 40 hot fps: compaction
+            batch = rnd.choice(hot, size=30, replace=False).tolist()
+            _insert(ring, batch, store_id=store_id // 2)
+            if store_id % 10 == 0:
+                _assert_history_matches_brute_force(ring, hot)
+        assert ring.compactions >= 1 and ring.grows == 0
+        _insert(ring, list(range(1000, 3000)), store_id=500)   # too wide
+        assert ring.grows >= 1 and ring.capacity > 1024
+        _assert_history_matches_brute_force(ring, hot + [1000, 2999])
+        for fingerprint in hot:
+            assert ring.get(fingerprint) is not None
 
 
 def _brute_previous(table, fingerprint):
