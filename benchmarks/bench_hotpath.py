@@ -1,9 +1,9 @@
-"""Hot-path microbenchmark: the batched encoder on a three-phase mix.
+"""Hot-path microbenchmark: the per-packet encoder on a three-phase mix.
 
-The encoder hot path fingerprints a whole window of packets in one
-numpy pass (:meth:`FingerprintScheme.batch_anchors`), resolves each
-packet's anchors against the ring table's index in one C pass
-(:mod:`repro.core.ringtable`), and locates match boundaries with
+Each packet goes through :meth:`ByteCachingEncoder.encode`, as at a
+gateway: anchors selected in one numpy pass over the payload, resolved
+against the ring table's index in one C pass
+(:mod:`repro.core.ringtable`), match boundaries located with
 single-slice compares plus a big-endian-XOR diff.
 
 This bench holds two things.  *What the pipeline emits*: the wire
@@ -56,11 +56,11 @@ def _encode_pass(scheme: FingerprintScheme, packets: List[bytes],
     policy, _ = make_policy_pair("naive")
     encoder = ByteCachingEncoder(scheme, cache, policy)
     encoder.profiler = profiler
-    metas = [PacketMeta(packet_id=counter, flow=("bench", 0),
-                        tcp_seq=counter * MSS, counter=counter)
-             for counter in range(len(packets))]
     total_out = 0
-    for result in encoder.encode_batch(packets, metas):
+    for counter, payload in enumerate(packets):
+        result = encoder.encode(payload, PacketMeta(
+            packet_id=counter, flow=("bench", 0),
+            tcp_seq=counter * MSS, counter=counter))
         total_out += result.bytes_out
         if out is not None:
             out.append(result.data)
@@ -101,7 +101,7 @@ def test_hotpath_wire_bytes_and_timing(benchmark):
     wire_bytes = _encode_pass(scheme, packets, out=wire)
     digest = _wire_digest(wire)
 
-    _encode_pass(scheme, packets)   # warm allocators and workspaces
+    _encode_pass(scheme, packets)   # warm allocators
     times: List[float] = []
     for _ in range(ROUNDS):
         started = time.perf_counter()
@@ -129,7 +129,7 @@ def test_hotpath_wire_bytes_and_timing(benchmark):
         "stages": profiler.as_dict(),
     }, "BENCH_hotpath.json")
     print_report(
-        "Hot path — batched fingerprint + encode "
+        "Hot path — per-packet fingerprint + encode "
         f"({len(packets)} x {MSS} B packets, fresh/cold/warm mix)",
         f"current:    {new_time * 1e3:8.2f} ms (median of {ROUNDS})\n"
         f"wire bytes: {wire_bytes:8d}\n"

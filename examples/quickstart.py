@@ -16,7 +16,7 @@ import random
 from repro.core import (ByteCache, ByteCachingDecoder, ByteCachingEncoder,
                         FingerprintScheme)
 from repro.core.policies import DecoderPolicy, NaivePolicy, PacketMeta
-from repro.net.checksum import payload_checksum
+from repro.core.checksum import payload_checksum
 
 FLOW = ("server", 80, "client", 5000)
 

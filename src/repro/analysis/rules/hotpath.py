@@ -22,6 +22,11 @@ encoder/decoder/cache/region/simulator hot path — the ones
   ... — :data:`repro.metrics.spans.SPAN_CREATION_METHODS`) must not
   sit inside an inner loop: one span per packet is the contract, a
   span per byte/region would dominate the run being measured.
+
+The roster itself is checked too: an entry that names no function in
+the linted tree is a finding (``hotpath-unknown-function``), because
+the checks above silently skip it — a renamed or deleted hot function
+would otherwise drop out of the discipline unnoticed.
 """
 
 from __future__ import annotations
@@ -259,4 +264,34 @@ def check_hotpath(parsed: ParsedFile, config: LintConfig,
         for statement in fn_node.body:
             scan.visit(statement, guards=set(), loops=0, raising=False)
         findings.extend(scan.findings)
+    return findings
+
+
+@rule("hotpath-unknown-function", scope="project")
+def check_roster(files: List[ParsedFile], config: LintConfig,
+                 project: ProjectModel) -> List[Finding]:
+    """Every ``[tool.repro-lint.hotpath].functions`` entry names a function."""
+    unknown = [entry for entry in config.hot_functions
+               if entry not in project.functions]
+    pyproject = config.root / "pyproject.toml"
+    if not unknown or not pyproject.is_file():
+        return []
+    lines = pyproject.read_text(encoding="utf-8").splitlines()
+    findings: List[Finding] = []
+    for entry in unknown:
+        # Anchor at the line that spells the entry; one the file does
+        # not spell came from the built-in default roster, which makes
+        # no claim about this tree.
+        line = next((number for number, text in enumerate(lines, start=1)
+                     if f'"{entry}"' in text or f"'{entry}'" in text), None)
+        if line is None:
+            continue
+        findings.append(Finding(
+            rule="hotpath-unknown-function", path="pyproject.toml",
+            line=line,
+            message=f"hot-path roster entry {entry} names no function in "
+                    "the linted tree, so no hotpath rule checks it",
+            fixable=True,
+            fix="correct the dotted name, or drop the entry if the "
+                "function is gone"))
     return findings

@@ -1,6 +1,6 @@
 """Byte caching core: fingerprints, caches, encoder/decoder, policies."""
 
-from .cache import ByteCache, CacheEntry, FingerprintTable, PacketStore
+from .cache import ByteCache, PacketStore
 from .decoder import ByteCachingDecoder, DecodeResult, DecodeStatus, DecoderStats
 from .encoder import ByteCachingEncoder, EncodeResult, EncoderStats
 from .fingerprint import (DEFAULT_WINDOW, DEFAULT_ZERO_BITS, FingerprintScheme,
@@ -15,8 +15,6 @@ from .wire import (FIELD_SIZE, MIN_REGION_LENGTH, MissingFingerprintError,
 
 __all__ = [
     "ByteCache",
-    "CacheEntry",
-    "FingerprintTable",
     "PacketStore",
     "ByteCachingDecoder",
     "DecodeResult",

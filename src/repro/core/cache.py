@@ -5,13 +5,14 @@ Two cooperating structures, as in Spring & Wetherall:
 * :class:`PacketStore` — the payload cache: recently seen packet
   payloads, evicted FIFO under a byte budget (and optionally a packet
   budget, which is how Table I's "window of k packets" is expressed).
-* :class:`FingerprintTable` — fingerprint -> newest packet containing
-  it.  §III-B: entries are *replaced* when a newer packet contains the
-  same fingerprint, and the byte offset of the fingerprint inside the
-  payload is stored alongside so match expansion starts instantly.
+* :class:`~repro.core.ringtable.RingFingerprintTable` — fingerprint ->
+  newest packet containing it.  §III-B: entries are *replaced* when a
+  newer packet contains the same fingerprint, and the byte offset of
+  the fingerprint inside the payload is stored alongside so match
+  expansion starts instantly.
 
-Entries whose packet has been evicted from the store are invalidated
-lazily on lookup.
+:class:`ByteCache` joins the two.  Entries whose packet has been
+evicted from the store are invalidated lazily on lookup.
 """
 
 from __future__ import annotations
@@ -28,48 +29,6 @@ from .ringtable import RingEntry, RingFingerprintTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .shardcache import ShardedPacketStore
-
-
-class CacheEntry:
-    """One fingerprint-table entry.
-
-    One entry is created per anchor per cached packet — millions per
-    sweep — so this is a hand-slotted class rather than a dataclass
-    (``dataclass(slots=True)`` needs Python >= 3.10).
-    """
-
-    __slots__ = ("fingerprint", "store_id", "offset", "tcp_seq", "flow",
-                 "packet_counter", "usable")
-
-    def __init__(self, fingerprint: int, store_id: int, offset: int,
-                 tcp_seq: Optional[int] = None,
-                 flow: Optional[tuple] = None,
-                 packet_counter: int = 0,
-                 usable: bool = True) -> None:
-        self.fingerprint = fingerprint
-        self.store_id = store_id          # key into the PacketStore
-        self.offset = offset              # fingerprint window offset in payload
-        self.tcp_seq = tcp_seq            # §V-B: seq of the cached segment
-        self.flow = flow                  # flow identity of the cached segment
-        self.packet_counter = packet_counter  # §V-C: monotone packet index
-        self.usable = usable              # informed marking can veto an entry
-
-    def __repr__(self) -> str:
-        return (f"CacheEntry(fingerprint={self.fingerprint}, "
-                f"store_id={self.store_id}, offset={self.offset}, "
-                f"tcp_seq={self.tcp_seq}, flow={self.flow}, "
-                f"packet_counter={self.packet_counter}, usable={self.usable})")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CacheEntry):
-            return NotImplemented
-        return (self.fingerprint == other.fingerprint
-                and self.store_id == other.store_id
-                and self.offset == other.offset
-                and self.tcp_seq == other.tcp_seq
-                and self.flow == other.flow
-                and self.packet_counter == other.packet_counter
-                and self.usable == other.usable)
 
 
 class PacketStore:
@@ -190,40 +149,6 @@ class PacketStore:
             self.evictions += 1
 
 
-class FingerprintTable:
-    """fingerprint -> :class:`CacheEntry`, newest-wins."""
-
-    def __init__(self) -> None:
-        self._table: Dict[int, CacheEntry] = {}
-        self.inserts = 0
-        self.replacements = 0
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def put(self, entry: CacheEntry) -> None:
-        """Insert or replace the entry for ``entry.fingerprint``."""
-        if entry.fingerprint in self._table:
-            self.replacements += 1
-        self.inserts += 1
-        self._table[entry.fingerprint] = entry
-
-    def get(self, fingerprint: int) -> Optional[CacheEntry]:
-        return self._table.get(fingerprint)
-
-    def remove(self, fingerprint: int) -> None:
-        self._table.pop(fingerprint, None)
-
-    def clear(self) -> None:
-        self._table.clear()
-
-    def entries(self) -> Iterator[CacheEntry]:
-        return iter(self._table.values())
-
-
-#: Either table's entry type; both expose the same attribute set.
-TableEntry = Union[CacheEntry, RingEntry]
-
 #: Ring sizing.  Value sampling selects one anchor per 16 payload bytes
 #: (§III-B: k = 4) and a packet is at most an MTU, so a byte / packet
 #: budget bounds the anchors a full cache indexes.  The ceiling is what
@@ -248,14 +173,7 @@ def _ring_capacity(byte_budget: int, max_packets: Optional[int]) -> int:
 class ByteCache:
     """The combined cache used by an encoder or decoder gateway.
 
-    ``table_kind`` selects the fingerprint-table implementation:
-    ``"ring"`` (the default) is the batched numpy ring buffer of
-    :mod:`repro.core.ringtable`; ``"dict"`` is the per-entry dict of
-    :class:`FingerprintTable`, kept as the reference implementation
-    (the property tests and the differential runner hold the two to
-    byte-identical encoder output).
-
-    The payload side is whatever ``store`` is: one
+    ``table`` is the fingerprint index, ``store`` the payload side: one
     :class:`PacketStore` here, N routed ones under
     :class:`~repro.core.shardcache.ShardedByteCache`, which inherits
     every method below unchanged.
@@ -267,18 +185,11 @@ class ByteCache:
 
     def __init__(self, byte_budget: int = 4 * 1024 * 1024,
                  max_packets: Optional[int] = None,
-                 eviction: str = "fifo",
-                 table_kind: str = "ring") -> None:
-        if table_kind not in ("ring", "dict"):
-            raise ValueError(f"unknown table_kind: {table_kind!r}")
+                 eviction: str = "fifo") -> None:
         self.store: "Union[PacketStore, ShardedPacketStore]" = PacketStore(
             byte_budget, max_packets, eviction)
-        self.table_kind = table_kind
-        self._ring: Optional[RingFingerprintTable] = (
-            RingFingerprintTable(_ring_capacity(byte_budget, max_packets))
-            if table_kind == "ring" else None)
-        self.table: Union[RingFingerprintTable, FingerprintTable] = (
-            self._ring if self._ring is not None else FingerprintTable())
+        self.table = RingFingerprintTable(
+            _ring_capacity(byte_budget, max_packets))
         self.flushes = 0
         #: Cache generation, stamped onto encoded packets by gateways
         #: running the resilience layer (see repro.gateway.resilience).
@@ -293,11 +204,6 @@ class ByteCache:
         # times the payloads that were live at the last one).
         self._prune_at = 64
         self._unusable_store_ids: set = set()
-        # One generation of history: when a fingerprint's entry is
-        # replaced, the displaced entry is kept here.  Decoders use it
-        # to resolve references made against a slightly older cache
-        # state (the encoder's view can lag by up to one RTT).
-        self._previous_entries: Dict[int, CacheEntry] = {}
 
     def _admit(self, payload: bytes) -> bool:
         # Content-keyed coin: both gateways flip identically for the
@@ -323,92 +229,50 @@ class ByteCache:
         if self.admission < 1.0 and not self._admit(payload):
             self.admission_rejected += 1
             return 0
-        ring = self._ring
-        route: Optional[int] = None
-        if ring is not None:
-            # Batched path: anchors stay numpy end-to-end; one packet
-            # record plus vectorised array fills, no per-anchor objects.
-            # Displaced generations stay in the ring, so the history
-            # fallback needs no per-insert tracking either.
-            if type(anchors) is AnchorSet:
-                offsets = anchors.offsets
-                fps = anchors.fingerprints
-                fps_list = anchors.fps_list()
-            else:
-                pairs = anchors if hasattr(anchors, "__len__") else list(anchors)
-                fps_list = [pair[1] for pair in pairs]
-                offsets = np.fromiter((pair[0] for pair in pairs),
-                                      dtype=np.int64, count=len(pairs))
-                fps = np.array(fps_list, dtype=np.uint64)
-            if fps_list:
-                route = fps_list[0]
-        store_id = self.store.add(payload, route)
+        # Anchors stay numpy end-to-end; one packet record plus
+        # vectorised array fills, no per-anchor objects.  Displaced
+        # generations stay in the ring, so the history fallback needs
+        # no per-insert tracking either.
+        if type(anchors) is AnchorSet:
+            offsets = anchors.offsets
+            fps = anchors.fingerprints
+            fps_list = anchors.fps_list()
+        else:
+            pairs = anchors if hasattr(anchors, "__len__") else list(anchors)
+            fps_list = [pair[1] for pair in pairs]
+            offsets = np.fromiter((pair[0] for pair in pairs),
+                                  dtype=np.int64, count=len(pairs))
+            fps = np.array(fps_list, dtype=np.uint64)
+        store_id = self.store.add(payload, fps_list[0] if fps_list else None)
         if external_id is not None:
             self._external_ids[store_id] = external_id
             if len(self._external_ids) > self._prune_at:
                 self._prune_external_ids()
-        if ring is not None:
-            ring.insert_batch(offsets, fps, store_id, tcp_seq, flow,
-                              packet_counter, fps_list)
-            return store_id
-        # Reference path: per-entry dict updates with explicit
-        # displacement tracking (the pre-ring implementation).
-        pairs = anchors.pairs() if hasattr(anchors, "pairs") else anchors
-        if not hasattr(pairs, "__len__"):
-            pairs = list(pairs)
-        table = self.table
-        assert isinstance(table, FingerprintTable)
-        entries = table._table
-        lookup = entries.get
-        previous = self._previous_entries
-        entry_cls = CacheEntry
-        replaced = 0
-        for offset, fingerprint in pairs:
-            displaced = lookup(fingerprint)
-            if displaced is not None:
-                replaced += 1
-                if displaced.store_id != store_id:
-                    previous[fingerprint] = displaced
-            entries[fingerprint] = entry_cls(fingerprint, store_id, offset,
-                                             tcp_seq, flow, packet_counter)
-        table.inserts += len(pairs)
-        table.replacements += replaced
+        self.table.insert_batch(offsets, fps, store_id, tcp_seq, flow,
+                                packet_counter, fps_list)
         return store_id
 
-    def lookup(self, fingerprint: int) -> Optional[Tuple[TableEntry, bytes]]:
+    def lookup(self, fingerprint: int) -> Optional[Tuple[RingEntry, bytes]]:
         """Return (entry, cached payload) or None.
 
-        Entries pointing at evicted payloads are removed lazily.
+        Entries pointing at evicted payloads are removed lazily.  The
+        checks run against the table arrays so the (common) miss and
+        filtered cases never materialise a :class:`RingEntry` view.
         """
-        ring = self._ring
-        if ring is not None:
-            # Ring fast path: same checks as below, but inlined against
-            # the table arrays so the (common) miss and filtered cases
-            # never materialise a RingEntry view.
-            entry_id = ring._index.get(fingerprint)
-            if entry_id is None:
-                return None
-            if entry_id in ring._unusable_ids:
-                return None
-            store_id = ring._rec_store[ring._pkt[entry_id & ring._mask]]
-            if store_id in self._unusable_store_ids:
-                return None
-            payload = self.store.get(store_id)
-            if payload is None:
-                ring.remove(fingerprint)
-                return None
-            return RingEntry(ring, entry_id), payload
-        entry = self.table.get(fingerprint)
-        if entry is None or not entry.usable:
+        ring = self.table
+        entry_id = ring._index.get(fingerprint)
+        if entry_id is None:
             return None
-        store_id = entry.store_id
+        if entry_id in ring._unusable_ids:
+            return None
+        store_id = ring._rec_store[ring._pkt[entry_id & ring._mask]]
         if store_id in self._unusable_store_ids:
             return None
         payload = self.store.get(store_id)
         if payload is None:
-            self.table.remove(fingerprint)
+            ring.remove(fingerprint)
             return None
-        return entry, payload
+        return RingEntry(ring, entry_id), payload
 
     def lookup_view(self, fingerprint: int) -> Optional[memoryview]:
         """Zero-copy variant of :meth:`lookup` for region reads.
@@ -419,49 +283,31 @@ class ByteCache:
         :meth:`PacketStore.view`) skips one intermediate copy per
         referenced region.
         """
-        ring = self._ring
-        if ring is not None:
-            entry_id = ring._index.get(fingerprint)
-            if entry_id is None or entry_id in ring._unusable_ids:
-                return None
-            store_id = ring._rec_store[ring._pkt[entry_id & ring._mask]]
-            if store_id in self._unusable_store_ids:
-                return None
-            view = self.store.view(store_id)
-            if view is None:
-                ring.remove(fingerprint)
-            return view
-        hit = self.lookup(fingerprint)
-        if hit is None:
+        ring = self.table
+        entry_id = ring._index.get(fingerprint)
+        if entry_id is None or entry_id in ring._unusable_ids:
             return None
-        return memoryview(hit[1])
+        store_id = ring._rec_store[ring._pkt[entry_id & ring._mask]]
+        if store_id in self._unusable_store_ids:
+            return None
+        view = self.store.view(store_id)
+        if view is None:
+            ring.remove(fingerprint)
+        return view
 
-    def lookup_previous(self, fingerprint: int) -> Optional[Tuple[TableEntry, bytes]]:
+    def lookup_previous(self, fingerprint: int) -> Optional[Tuple[RingEntry, bytes]]:
         """The displaced (one-generation-older) entry for a fingerprint.
 
         Used by decoders to resolve references encoded against a cache
         state from just before the latest replacement.
         """
-        ring = self._ring
-        entry: Optional[TableEntry]
-        if ring is not None:
-            entry = ring.previous_entry(fingerprint)
-            if entry is None or not entry.usable:
-                return None
-            if entry.store_id in self._unusable_store_ids:
-                return None
-            payload = self.store.get(entry.store_id)
-            if payload is None:
-                return None
-            return entry, payload
-        entry = self._previous_entries.get(fingerprint)
+        entry = self.table.previous_entry(fingerprint)
         if entry is None or not entry.usable:
             return None
         if entry.store_id in self._unusable_store_ids:
             return None
         payload = self.store.get(entry.store_id)
         if payload is None:
-            self._previous_entries.pop(fingerprint, None)
             return None
         return entry, payload
 
@@ -476,7 +322,6 @@ class ByteCache:
         self.table.clear()
         self._external_ids.clear()
         self._unusable_store_ids.clear()
-        self._previous_entries.clear()
         self.flushes += 1
 
     def bump_epoch(self) -> int:
@@ -511,9 +356,6 @@ class ByteCache:
         self._external_ids = {sid: ext for sid, ext in self._external_ids.items()
                               if sid in live}
         self._unusable_store_ids &= live
-        self._previous_entries = {
-            fp: entry for fp, entry in self._previous_entries.items()
-            if entry.store_id in live}
 
     def mark_unusable(self, fingerprint: int) -> bool:
         """Informed marking: forbid encodings against the packet this

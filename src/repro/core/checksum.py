@@ -10,8 +10,7 @@ paper's decoder drops every packet it cannot faithfully reconstruct).
 This lives in ``repro.core`` (not ``repro.net``) because the decoder's
 §III-B acceptance test depends on it: the checksum is part of the
 codec's correctness contract, while the network layer merely carries
-it.  ``repro.net.checksum`` re-exports these names for transport-side
-callers.
+it (``repro.net`` re-exports the two names for transport-side callers).
 """
 
 from __future__ import annotations

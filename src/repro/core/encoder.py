@@ -17,8 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
-                    Optional, Sequence, Set, Tuple, Union)
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .cache import ByteCache
 from .fingerprint import FingerprintScheme
@@ -28,9 +27,6 @@ from .ringtable import RingEntry
 from .wire import MIN_REGION_LENGTH, SHIM_SIZE, encode_payload, wrap_raw
 from .policies.base import EncoderPolicy, PacketMeta
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
-
 
 class _SplitPairs:
     """A packet's anchors, resolved against the ring index.
@@ -39,7 +35,7 @@ class _SplitPairs:
     can ``bisect`` past every anchor an accepted region swallowed in one
     C call), their ``fingerprints``, and ``ids`` — the entry id each
     fingerprint resolved to when the packet was probed, ``None`` for a
-    miss.  Iterates as ``(offsets, fingerprints)``.
+    miss.
     """
 
     __slots__ = ("offsets", "fingerprints", "ids")
@@ -49,9 +45,6 @@ class _SplitPairs:
         self.offsets = offsets
         self.fingerprints = fingerprints
         self.ids = ids
-
-    def __iter__(self) -> Iterator[Sequence[int]]:
-        return iter((self.offsets, self.fingerprints))
 
 
 _EMPTY_SPLIT = _SplitPairs((), (), ())
@@ -192,115 +185,9 @@ class ByteCachingEncoder:
             profiler.add("fingerprint", perf_counter() - started)
         else:
             anchors = self.scheme.anchors(payload)
-        return self._encode_with_anchors(payload, anchors, meta, force_raw)
-
-    def encode_batch(self, payloads: Sequence[bytes],
-                     metas: Sequence[PacketMeta],
-                     force_raw: bool = False) -> List[EncodeResult]:
-        """Encode a whole window of packets, fingerprinted in one pass.
-
-        Anchor selection is content-defined and cache-independent, so
-        all payloads are fingerprinted up front in a single vectorised
-        sweep (:meth:`FingerprintScheme.batch_anchors`); the per-packet
-        policy hooks, region search and cache updates then run in
-        arrival order, making the output byte-identical to calling
-        :meth:`encode` per packet.
-        """
-        profiler = self.profiler
-        if profiler is not None:
-            started = perf_counter()
-            anchor_sets = self.scheme.batch_anchors(payloads)
-            profiler.add("batch_fingerprint", perf_counter() - started)
-        else:
-            anchor_sets = self.scheme.batch_anchors(payloads)
-        results: List[EncodeResult] = []
-        append = results.append
-        policy = self.policy
-        policy_cls = type(policy)
-        fused = (profiler is None and self.verifier is None
-                 and self.spans is None
-                 and not force_raw
-                 and policy_cls.before_packet is EncoderPolicy.before_packet
-                 and policy_cls.may_encode is EncoderPolicy.may_encode
-                 and policy_cls.should_cache_now
-                 is EncoderPolicy.should_cache_now)
-        if not fused:
-            encode_one = self._encode_with_anchors
-            for payload, meta, anchors in zip(payloads, metas, anchor_sets):
-                append(encode_one(payload, anchors, meta, force_raw))
-            return results
-        # Fused fast loop: the exact work of _encode_with_anchors under
-        # the permissive base hooks, with the no-op policy calls,
-        # profiler branches and per-packet stats attribute traffic
-        # hoisted out of the loop (stats are flushed once at the end).
-        candidate_pairs = self._candidate_pairs
-        find_regions = self._find_regions
-        insert = self.cache.insert_packet
-        pool = self.result_pool
-        shim_overhead = self.shim_overhead
-        bytes_in = 0
-        bytes_out = 0
-        packets_encoded = 0
-        total_regions = 0
-        matched_bytes = 0
-        for payload, meta, anchors in zip(payloads, metas, anchor_sets):
-            payload_len = len(payload)
-            bytes_in += payload_len
-            regions, dependencies = find_regions(
-                payload, candidate_pairs(anchors), meta)
-            if regions:
-                data = encode_payload(payload, regions)
-                if len(data) >= payload_len + SHIM_SIZE:
-                    # Net loss after headers; ship raw instead.
-                    regions = []
-                    dependencies = set()
-                    data = wrap_raw(payload)
-            else:
-                data = wrap_raw(payload)
-            insert(payload, anchors, meta.tcp_seq, meta.flow, meta.counter,
-                   meta.packet_id)
-            data_len = len(data)
-            bytes_out += data_len
-            if regions:
-                packets_encoded += 1
-                total_regions += len(regions)
-                for region in regions:
-                    matched_bytes += region.length
-                encoded = True
-            else:
-                encoded = False
-            if pool is not None:
-                append(pool.acquire(data, encoded, payload_len, data_len,
-                                    regions, dependencies, True,
-                                    shim_overhead))
-            else:
-                append(EncodeResult(
-                    data=data,
-                    encoded=encoded,
-                    bytes_in=payload_len,
-                    bytes_out=data_len,
-                    regions=regions,
-                    dependencies=dependencies,
-                    cached=True,
-                    shim_overhead=shim_overhead,
-                ))
-        stats = self.stats
-        stats.packets += len(results)
-        stats.bytes_in += bytes_in
-        stats.bytes_out += bytes_out
-        stats.packets_encoded += packets_encoded
-        stats.regions += total_regions
-        stats.matched_bytes += matched_bytes
-        return results
-
-    def _encode_with_anchors(self, payload: bytes, anchors: "AnchorSet",
-                             meta: PacketMeta,
-                             force_raw: bool) -> EncodeResult:
-        """Everything after anchor selection (shared by both paths)."""
         stats = self.stats
         stats.packets += 1
         stats.bytes_in += len(payload)
-        profiler = self.profiler
         verifier = self.verifier
         if verifier is not None:
             verifier.on_packet(meta)
@@ -378,7 +265,7 @@ class ByteCachingEncoder:
             self.spans.stage(stage, "encoder-core", now - mark, a, b)
         return now
 
-    def insert_into_cache(self, payload: bytes, anchors: "AnchorSet",
+    def insert_into_cache(self, payload: bytes, anchors: AnchorSet,
                           meta: PacketMeta) -> None:
         """Cache Update Procedure (Fig. 2 part C / Fig. 7 part C)."""
         self.cache.insert_packet(
@@ -391,49 +278,35 @@ class ByteCachingEncoder:
 
     # -- internal ---------------------------------------------------------
 
-    def _candidate_pairs(
-        self, anchors: "Union[AnchorSet, Sequence[Tuple[int, int]]]",
-    ) -> "Union[AnchorSet, _SplitPairs, Sequence[Tuple[int, int]]]":
+    def _candidate_pairs(self, anchors: AnchorSet) -> _SplitPairs:
         """The ``table_probe`` stage: resolve a packet's anchors at once.
 
-        With the ring table, one ``map`` over the fingerprint index (a
-        C loop, no per-anchor bytecode) yields the entry id behind
-        every anchor; :meth:`_find_regions` reads them by position.  A
-        packet whose anchors all miss — most of fresh traffic — comes
-        back empty, so the region loop binds nothing for it.  Other
-        table kinds pass through.
+        One ``map`` over the fingerprint index (a C loop, no per-anchor
+        bytecode) yields the entry id behind every anchor;
+        :meth:`_find_regions` reads them by position.  A packet whose
+        anchors all miss — most of fresh traffic — comes back empty, so
+        the region loop binds nothing for it.
         """
-        ring = self.cache._ring
-        if ring is None or type(anchors) is not AnchorSet:
-            return anchors
         fps = anchors.fps_list()
-        ids = list(map(ring._index.get, fps))
+        ids = list(map(self.cache.table._index.get, fps))
         if ids.count(None) == len(ids):
             return _EMPTY_SPLIT
         return _SplitPairs(anchors.offsets.tolist(), fps, ids)
 
-    def _find_regions(self, payload: bytes,
-                      anchors: "Union[AnchorSet, _SplitPairs, Iterable[Tuple[int, int]]]",
+    def _find_regions(self, payload: bytes, anchors: _SplitPairs,
                       meta: PacketMeta) -> Tuple[List[Region], Set[int]]:
         """Redundancy Identification and Elimination (Fig. 2 part B)."""
         regions: List[Region] = []
         dependencies: Set[int] = set()
         pos = 0  # first byte not yet covered by an accepted region
-        ids: Optional[Sequence[Optional[int]]] = None
-        if type(anchors) is _SplitPairs:
-            offs_l = anchors.offsets
-            fps_l = anchors.fingerprints
-            ids = anchors.ids
-        else:
-            seq = anchors.pairs() if hasattr(anchors, "pairs") else list(anchors)  # type: ignore[union-attr]
-            offs_l = [p[0] for p in seq]
-            fps_l = [p[1] for p in seq]
+        offs_l = anchors.offsets
+        fps_l = anchors.fingerprints
+        ids = anchors.ids
         if not offs_l:
             # Every anchor missed (or there was none) — skip the local
             # binding below (fresh traffic hits this for most packets).
             return regions, dependencies
         cache = self.cache
-        lookup = cache.lookup
         external_id = cache._external_ids.get
         policy = self.policy
         entry_eligible = policy.entry_eligible
@@ -442,16 +315,14 @@ class ByteCachingEncoder:
         window = self.scheme.window
         min_length = self.min_region_length
         payload_len = len(payload)
-        ring = cache._ring
-        if ids is not None:
-            assert ring is not None
-            unusable_ids = ring._unusable_ids
-            pkt_arr = ring._pkt
-            off_arr = ring._offsets
-            rec_store = ring._rec_store
-            slot_mask = ring._mask
-            store_get = cache.store.get
-            unusable_sids = cache._unusable_store_ids
+        ring = cache.table
+        unusable_ids = ring._unusable_ids
+        pkt_arr = ring._pkt
+        off_arr = ring._offsets
+        rec_store = ring._rec_store
+        slot_mask = ring._mask
+        store_get = cache.store.get
+        unusable_sids = cache._unusable_store_ids
         # entry_eligible reads per-packet-record facts only (see the
         # hook's contract), so one verdict per distinct source record
         # serves every other anchor of that record in this packet: a
@@ -468,47 +339,35 @@ class ByteCachingEncoder:
                 i = bisect_left(offs_l, pos, i + 1)
                 continue
             fingerprint = fps_l[i]
-            if ids is not None:
-                # Inlined ByteCache.lookup against the ring arrays (the
-                # registered hot loop; see that method for the checks),
-                # starting from the id _candidate_pairs resolved.  An
-                # id gone stale since — this loop removed the index
-                # entry at an earlier, duplicate anchor — fails the
-                # store check again and lands on the same ``continue``.
-                eid = ids[i]
-                i += 1
-                if eid is None:
-                    continue
-                if eid in unusable_ids:
-                    continue
-                slot = eid & slot_mask
-                record = pkt_arr[slot]
-                sid = rec_store[record]
-                if sid in unusable_sids:
-                    continue
-                stored = store_get(sid)
-                if stored is None:
-                    ring.remove(fingerprint)
-                    continue
-                eligible = verdicts.get(record)
-                if eligible is None:
-                    eligible = verdicts[record] = entry_eligible(
-                        RingEntry(ring, eid), meta)
-                if not eligible:
-                    stats.ineligible_hits += 1
-                    continue
-                entry_offset = int(off_arr[slot])
-            else:
-                i += 1
-                hit = lookup(fingerprint)
-                if hit is None:
-                    continue
-                table_entry, stored = hit
-                if not entry_eligible(table_entry, meta):
-                    stats.ineligible_hits += 1
-                    continue
-                entry_offset = table_entry.offset
-                sid = table_entry.store_id
+            # Inlined ByteCache.lookup against the ring arrays (the
+            # registered hot loop; see that method for the checks),
+            # starting from the id _candidate_pairs resolved.  An id
+            # gone stale since — this loop removed the index entry at
+            # an earlier, duplicate anchor — fails the store check
+            # again and lands on the same ``continue``.
+            eid = ids[i]
+            i += 1
+            if eid is None:
+                continue
+            if eid in unusable_ids:
+                continue
+            slot = eid & slot_mask
+            record = pkt_arr[slot]
+            sid = rec_store[record]
+            if sid in unusable_sids:
+                continue
+            stored = store_get(sid)
+            if stored is None:
+                ring.remove(fingerprint)
+                continue
+            eligible = verdicts.get(record)
+            if eligible is None:
+                eligible = verdicts[record] = entry_eligible(
+                    RingEntry(ring, eid), meta)
+            if not eligible:
+                stats.ineligible_hits += 1
+                continue
+            entry_offset = int(off_arr[slot])
             if (offset == entry_offset and payload_len == len(stored)
                     and payload == stored):
                 # Identical payloads (the repeated-transfer case): the
@@ -537,10 +396,7 @@ class ByteCachingEncoder:
             )
             if verifier is not None:
                 # The only consumer of a per-anchor entry view.
-                verifier.on_region(
-                    meta,
-                    RingEntry(ring, eid) if ids is not None else table_entry,
-                    region)
+                verifier.on_region(meta, RingEntry(ring, eid), region)
             regions.append(region)
             external = external_id(sid)
             if external is not None:

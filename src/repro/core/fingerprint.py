@@ -8,7 +8,7 @@ bits are zero, i.e. roughly one anchor per 16 byte positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Protocol, Sequence, Tuple, Union
+from typing import Dict, Iterable, Protocol, Tuple, Union
 
 import numpy as np
 
@@ -126,22 +126,6 @@ class FingerprintScheme:
         return AnchorSet.from_pairs(
             winnow_anchors(list(self._impl.window_fingerprints(data)),
                            selection_window))
-
-    def batch_anchors(self, payloads: Sequence[bytes]) -> List[AnchorSet]:
-        """Anchor sets for a whole window of packets.
-
-        The poly + value-sampling configuration (the fast path every
-        experiment uses) fingerprints the concatenation of all payloads
-        in a single numpy pass (see
-        :meth:`~repro.core.polyhash.PolyFingerprinter.batch_anchors`);
-        other fingerprinters and selection rules fall back to the
-        per-packet code.  Both routes are byte-identical to calling
-        :meth:`anchors` on each payload.
-        """
-        if self.selection == "value" and isinstance(self._impl,
-                                                    PolyFingerprinter):
-            return self._impl.batch_anchors(payloads, self.mask)
-        return [self.anchors(payload) for payload in payloads]
 
     def expected_anchor_spacing(self) -> float:
         """Mean byte distance between anchors on random data."""

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cache import ByteCache, CacheEntry
+    from ..cache import ByteCache
+    from ..ringtable import RingEntry
     from ..encoder import ByteCachingEncoder
     from ..decoder import ByteCachingDecoder
 
@@ -89,7 +90,7 @@ class EncoderPolicy:
         """False to force this packet out unencoded (k-distance refs)."""
         return True
 
-    def entry_eligible(self, entry: "CacheEntry", meta: PacketMeta) -> bool:
+    def entry_eligible(self, entry: "RingEntry", meta: PacketMeta) -> bool:
         """Whether a cache hit may be used as the encoding source.
 
         Per-record contract: the verdict may depend only on ``meta``

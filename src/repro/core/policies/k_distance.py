@@ -33,7 +33,8 @@ from typing import TYPE_CHECKING
 from .base import EncoderPolicy, PacketMeta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cache import ByteCache, CacheEntry
+    from ..cache import ByteCache
+    from ..ringtable import RingEntry
 
 DEFAULT_MSS = 1460
 
@@ -101,7 +102,7 @@ class KDistancePolicy(EncoderPolicy):
             return False
         return True
 
-    def entry_eligible(self, entry: "CacheEntry",
+    def entry_eligible(self, entry: "RingEntry",
                        meta: PacketMeta) -> bool:
         if meta.tcp_seq is not None:
             # Stream mode: sources are strictly earlier segments of the

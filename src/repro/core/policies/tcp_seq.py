@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from .base import EncoderPolicy, PacketMeta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cache import CacheEntry
+    from ..ringtable import RingEntry
 
 
 class TcpSeqPolicy(EncoderPolicy):
@@ -36,7 +36,7 @@ class TcpSeqPolicy(EncoderPolicy):
         super().__init__()
         self.strict_cross_flow = strict_cross_flow
 
-    def entry_eligible(self, entry: "CacheEntry",
+    def entry_eligible(self, entry: "RingEntry",
                        meta: PacketMeta) -> bool:
         if meta.tcp_seq is None:
             # Non-TCP traffic carries no ordering information; the

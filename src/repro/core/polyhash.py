@@ -24,7 +24,7 @@ byte-compares candidate regions, exactly as the paper does.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -159,24 +159,6 @@ def _mix(values: np.ndarray) -> np.ndarray:
     return x
 
 
-def _mix_inplace(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """:func:`_mix` operating in place (``x`` is consumed).
-
-    The batched fingerprint pass works on one hash array covering a
-    whole window of packets; recycling ``x`` and one scratch buffer
-    instead of allocating five temporaries is a measurable win there.
-    """
-    np.right_shift(x, _U64(33), out=scratch)
-    x ^= scratch
-    x *= _MIX1
-    np.right_shift(x, _U64(29), out=scratch)
-    x ^= scratch
-    x *= _MIX2
-    np.right_shift(x, _U64(32), out=scratch)
-    x ^= scratch
-    return x
-
-
 class PolyFingerprinter:
     """Vectorised rolling fingerprints of a ``window``-byte window."""
 
@@ -186,19 +168,6 @@ class PolyFingerprinter:
         if window < 2:
             raise ValueError("window must be at least 2 bytes")
         self.window = window
-        # Grow-only uint64 workspace for the batched pass.  The batch
-        # buffers are megabytes, which glibc serves via mmap and
-        # returns to the OS on free — reallocating them every call
-        # costs more in page faults than the arithmetic itself.
-        self._ws = np.empty(0, dtype=np.uint64)
-
-    def _workspace(self, n: int) -> Tuple[np.ndarray, np.ndarray,
-                                          np.ndarray]:
-        """Three disjoint uint64 scratch views of ``n`` elements."""
-        if len(self._ws) < 3 * n:
-            self._ws = np.empty(3 * n, dtype=np.uint64)
-        ws = self._ws
-        return ws[:n], ws[n:2 * n], ws[2 * n:3 * n]
 
     def hashes(self, data: bytes) -> np.ndarray:
         """Array of mixed window hashes; index i covers data[i:i+w]."""
@@ -238,63 +207,3 @@ class PolyFingerprinter:
             return AnchorSet.empty()
         selected = np.nonzero((hashes & _U64(mask)) == 0)[0]
         return AnchorSet(selected, hashes[selected])
-
-    def batch_anchors(self, payloads: Sequence[bytes],
-                      mask: int) -> List[AnchorSet]:
-        """Anchor sets of a whole window of packets in one numpy pass.
-
-        The rolling hash of a window depends only on the window's bytes
-        (``(A[i+w] - A[i]) * B**-i`` cancels the positional factor), so
-        the payloads can be concatenated into a single buffer, hashed
-        with one prefix-sum, and anchor-selected with one mask — then
-        split back per packet.  Windows straddling a packet boundary are
-        discarded, which makes the result byte-identical to calling
-        :meth:`anchors` per payload.
-        """
-        if not payloads:
-            return []
-        w = self.window
-        sizes = np.fromiter((len(p) for p in payloads),
-                            dtype=np.int64, count=len(payloads))
-        starts = np.empty(len(payloads) + 1, dtype=np.int64)
-        starts[0] = 0
-        np.cumsum(sizes, out=starts[1:])
-        total = int(starts[-1])
-        if total < w:
-            return [AnchorSet.empty() for _ in payloads]
-        buf = b"".join(payloads)
-        _POWERS.ensure(total + 1)
-        terms, prefix_ws, scratch = self._workspace(total + 1)
-        terms = terms[:total]
-        np.multiply(np.frombuffer(buf, dtype=np.uint8),
-                    _POWERS.pows[:total], out=terms)
-        prefix = prefix_ws
-        prefix[0] = 0
-        np.cumsum(terms, out=prefix[1:])
-        n_windows = total - w + 1
-        raw = np.subtract(prefix[w:], prefix[:-w], out=terms[:n_windows])
-        raw *= _POWERS.inv_pows[:n_windows]
-        hashes = _mix_inplace(raw, scratch[:n_windows])
-        # The prefix buffer is dead after ``raw``; recycle it for the
-        # mask step so selection allocates only the boolean temp.
-        masked = np.bitwise_and(hashes, _U64(mask), out=prefix[:n_windows])
-        sel = np.nonzero(masked == 0)[0]
-        # Map each selected global position to its packet, and drop
-        # windows that straddle a packet boundary.
-        pkt = np.searchsorted(starts, sel, side="right") - 1
-        ok = sel + w <= starts[pkt + 1]
-        sel = sel[ok]
-        pkt = pkt[ok]
-        fps = hashes[sel]
-        offs = sel - starts[pkt]
-        # Per-packet split points: sel/pkt are sorted, so each packet's
-        # anchors are one contiguous run.
-        bounds = np.searchsorted(pkt, np.arange(len(payloads) + 1))
-        out: List[AnchorSet] = []
-        for i in range(len(payloads)):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            if lo == hi:
-                out.append(AnchorSet.empty())
-            else:
-                out.append(AnchorSet(offs[lo:hi], fps[lo:hi]))
-        return out

@@ -1,15 +1,15 @@
-"""Contiguous ring-buffer fingerprint table (batched fast path).
+"""Contiguous ring-buffer fingerprint table.
 
-The dict-of-:class:`~repro.core.cache.CacheEntry` table costs one
-object allocation and two dict probes per anchor per cached packet —
-millions per sweep.  This module stores entries in parallel numpy
-arrays instead and addresses them by a monotone *entry id*:
+A dict of per-entry objects would cost one allocation and two dict
+probes per anchor per cached packet — millions per sweep.  This module
+stores entries in parallel numpy arrays instead and addresses them by
+a monotone *entry id*:
 
 * ``_fps`` / ``_offsets`` / ``_pkt`` — per-entry arrays, indexed by
-  ``id % capacity`` (capacity is a power of two, so the modulo is a
-  mask).  ``_pkt`` points into per-insert *packet records* (store id,
-  tcp seq, flow, counter are identical for every anchor of one cached
-  packet, so they are stored once per packet, not once per anchor).
+  ``id & _mask`` (capacity is a power of two).  ``_pkt`` points into
+  per-insert *packet records* (store id, tcp seq, flow, counter are
+  identical for every anchor of one cached packet, so they are stored
+  once per packet, not once per anchor).
 * ``_index`` — fingerprint -> newest entry id.  CPython dicts are
   open-addressed hash tables with C-speed bulk operations
   (``update(zip(...))``), which measured faster than a hand-rolled
@@ -20,24 +20,23 @@ whole packet's anchors against it with one ``map(index.get, ...)`` (a
 C loop), and nothing sits in front of it — a vectorised prefilter
 measured dearer than the misses it saved (DESIGN.md §13).
 
-Ids are valid while ``id >= _floor``.  In the default *autogrow* mode
-the ring never invalidates a live entry: when full it either compacts
-(keeping, per fingerprint, the newest entry plus the newest older
-entry referencing a different stored packet — exactly the entries
-reachable through ``get`` and ``previous_entry``) or doubles capacity.
-With ``autogrow=False`` the ring is a fixed-size window: wrapping
-evicts the oldest entries, invalidating them even if still current
-(the classic ring-buffer trade-off, exercised by the edge-case tests).
+Ids ``0 .. _next - 1`` are live and ``_next`` never exceeds the
+capacity, so an id is its own slot (the mask is the identity; see
+ROADMAP).  The table never invalidates a reachable entry: when full it
+either compacts (keeping, per fingerprint, the newest entry plus the
+newest older entry referencing a different stored packet — exactly the
+entries reachable through ``get`` and ``previous_entry``) or doubles
+capacity.
 
-Newest-wins, insert/replacement counting, ``len`` and lazy removal all
-match :class:`~repro.core.cache.FingerprintTable` exactly — the
-encoder's wire output is byte-identical whichever table backs the
-cache (enforced by the differential runner and the property tests).
+Newest-wins, insert/replacement counting, ``len`` and lazy removal
+match the dict-of-entries table kept as the test oracle
+(``tests/reference_cache.py``), which the property tests hold this one
+to observable for observable.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 import numpy as np
 
@@ -45,7 +44,7 @@ _U64 = np.uint64
 
 
 class RingEntry:
-    """View of one ring-table entry (CacheEntry-compatible).
+    """View of one ring-table entry.
 
     Allocated only for fingerprints that *hit* — the miss path never
     materialises an entry.  Attribute reads go straight to the table's
@@ -105,14 +104,12 @@ class RingEntry:
 class RingFingerprintTable:
     """fingerprint -> newest entry, backed by ring-buffer numpy arrays."""
 
-    def __init__(self, capacity: int = 8192, *,
-                 autogrow: bool = True) -> None:
+    def __init__(self, capacity: int = 8192) -> None:
         if capacity < 2 or capacity & (capacity - 1):
             raise ValueError(f"capacity must be a power of two >= 2, "
                              f"got {capacity}")
         self._capacity = capacity
         self._mask = capacity - 1
-        self.autogrow = autogrow
         # Uninitialised on purpose: only slots of live ids are ever
         # read, and zero-filling would touch (make resident) the whole
         # ring whenever the allocator hands back recycled memory.
@@ -126,11 +123,9 @@ class RingFingerprintTable:
         self._rec_counter: List[int] = []
         self._index: Dict[int, int] = {}
         self._next = 0          # next entry id to assign
-        self._floor = 0         # smallest valid entry id
         self._unusable_ids: Set[int] = set()
         self.inserts = 0
         self.replacements = 0
-        self.evictions = 0      # entries invalidated by fixed-mode wrap
         self.compactions = 0
         self.grows = 0
         # fingerprint -> previous_entry's answer (an entry id, -1 for
@@ -146,18 +141,6 @@ class RingFingerprintTable:
     @property
     def capacity(self) -> int:
         return self._capacity
-
-    def put(self, entry: object) -> None:
-        """Insert one CacheEntry-shaped object (compatibility path)."""
-        offsets = np.array([entry.offset], dtype=np.int64)  # type: ignore[attr-defined]
-        fps = np.array([entry.fingerprint], dtype=np.uint64)  # type: ignore[attr-defined]
-        self.insert_batch(offsets, fps,
-                          entry.store_id,      # type: ignore[attr-defined]
-                          entry.tcp_seq,       # type: ignore[attr-defined]
-                          entry.flow,          # type: ignore[attr-defined]
-                          entry.packet_counter)  # type: ignore[attr-defined]
-        if not getattr(entry, "usable", True):
-            self._unusable_ids.add(self._next - 1)
 
     # -- the batched hot path ----------------------------------------------
 
@@ -187,23 +170,12 @@ class RingFingerprintTable:
             return
         if self._history_memo:
             self._history_memo.clear()
-        if self._next + n - self._floor > self._capacity:
+        if self._next + n > self._capacity:
             self._make_room(n)
         base = self._next
-        lo = base & self._mask
-        if lo + n <= self._capacity:
-            # Contiguous run: three plain slice stores.
-            self._fps[lo:lo + n] = fps
-            self._offsets[lo:lo + n] = offsets
-            self._pkt[lo:lo + n] = rec
-        else:
-            head = self._capacity - lo
-            self._fps[lo:] = fps[:head]
-            self._fps[:n - head] = fps[head:]
-            self._offsets[lo:] = offsets[:head]
-            self._offsets[:n - head] = offsets[head:]
-            self._pkt[lo:] = rec
-            self._pkt[:n - head] = rec
+        self._fps[base:base + n] = fps
+        self._offsets[base:base + n] = offsets
+        self._pkt[base:base + n] = rec
         self._next = base + n
         index = self._index
         before = len(index)
@@ -213,7 +185,7 @@ class RingFingerprintTable:
         self.inserts += n
         self.replacements += n - (len(index) - before)
 
-    # -- scalar API (FingerprintTable-compatible) --------------------------
+    # -- scalar API --------------------------------------------------------
 
     def get(self, fingerprint: int) -> Optional[RingEntry]:
         entry_id = self._index.get(fingerprint)
@@ -239,7 +211,6 @@ class RingFingerprintTable:
         self._unusable_ids.clear()
         self._history_memo.clear()
         self._next = 0
-        self._floor = 0
 
     def entries(self) -> Iterator[RingEntry]:
         """Views of the *current* entry of every indexed fingerprint."""
@@ -252,7 +223,7 @@ class RingFingerprintTable:
         The decoder's one-generation history fallback: when a reference
         raced a cache update, the displaced entry (same fingerprint,
         previous stored packet) may still resolve it.  The ring keeps
-        displaced generations in place until compaction or wrap, so no
+        displaced generations in place until compaction, so no
         per-insert displacement tracking is needed — this scans the
         ring on demand (the fallback path is rare and checksum-gated).
 
@@ -271,28 +242,16 @@ class RingFingerprintTable:
 
     def _scan_previous(self, fingerprint: int) -> int:
         """Entry id :meth:`previous_entry` resolves to, or -1."""
-        floor = self._floor
-        if self._next == floor:
-            return -1
-        # Compare the live window in place: one slice of ``_fps`` when
-        # it is contiguous, two when it wraps the end of the arrays.
-        target = _U64(fingerprint)
-        lo = floor & self._mask
-        hi = self._next & self._mask
-        if lo < hi:
-            matches = (self._fps[lo:hi] == target).nonzero()[0] + floor
-        else:
-            matches = np.concatenate((
-                (self._fps[lo:] == target).nonzero()[0] + floor,
-                (self._fps[:hi] == target).nonzero()[0]
-                + (floor + self._capacity - lo)))
+        # Compare the live window in place: one slice of ``_fps``.
+        matches = (self._fps[:self._next] == _U64(fingerprint)).nonzero()[0]
         if len(matches) == 0:
             return -1
         ref_id = self._index.get(fingerprint)
         if ref_id is None:
             # Lazily removed (dangling store): the newest ring entry
-            # plays the reference role, exactly as the dict table kept
-            # its displaced entry after removing the current one.
+            # plays the reference role, exactly as a dict-of-entries
+            # table keeps its displaced entry after removing the
+            # current one.
             ref_id = int(matches[-1])
         ref_store = self._rec_store[int(self._pkt[ref_id & self._mask])]
         pkt = self._pkt
@@ -305,15 +264,9 @@ class RingFingerprintTable:
                 return entry_id
         return -1
 
-    # -- room making: wrap, compact, grow ----------------------------------
+    # -- room making: compact, grow ---------------------------------------
 
     def _make_room(self, n: int) -> None:
-        if n > self._capacity and not self.autogrow:
-            raise ValueError(
-                f"batch of {n} exceeds fixed ring capacity {self._capacity}")
-        if not self.autogrow:
-            self._advance_floor(self._next + n - self._floor - self._capacity)
-            return
         # Reachable entries are bounded by 2 per indexed fingerprint
         # (current + history candidate); compact when that fits in half
         # the ring, otherwise double.  Compaction must strictly shrink
@@ -321,40 +274,22 @@ class RingFingerprintTable:
         # cannot absorb the batch (e.g. a batch wider than the whole
         # capacity) has to fall through to growth or the loop would
         # never terminate.
-        while self._next + n - self._floor > self._capacity:
+        while self._next + n > self._capacity:
             compacted = False
             if 4 * len(self._index) <= self._capacity:
-                window = self._next - self._floor
-                compacted = (self._compact()
-                             and self._next - self._floor < window)
+                window = self._next
+                compacted = self._compact() and self._next < window
             if not compacted:
                 self._grow()
-
-    def _advance_floor(self, count: int) -> None:
-        """Fixed-capacity wrap: invalidate the ``count`` oldest entries."""
-        if count <= 0:
-            return
-        new_floor = self._floor + count
-        index = self._index
-        fps = self._fps
-        mask = self._mask
-        unusable = self._unusable_ids
-        for entry_id in range(self._floor, new_floor):
-            fp = int(fps[entry_id & mask])
-            if index.get(fp) == entry_id:
-                del index[fp]
-                self.evictions += 1
-            unusable.discard(entry_id)
-        self._floor = new_floor
 
     def _reachable_ids(self) -> np.ndarray:
         """Sorted ids of every entry reachable through the public API:
         per fingerprint, the newest entry plus the newest older entry
         with a different stored packet (see :meth:`previous_entry`)."""
-        window = self._next - self._floor
+        window = self._next
         if window == 0:
             return np.empty(0, dtype=np.int64)
-        ids = np.arange(self._floor, self._next, dtype=np.int64)
+        ids = np.arange(window, dtype=np.int64)
         slots = ids & self._mask
         fps = self._fps[slots]
         stores = np.asarray(self._rec_store, dtype=np.int64)[self._pkt[slots]]
@@ -398,7 +333,6 @@ class RingFingerprintTable:
         self._unusable_ids = {remap[entry_id]
                               for entry_id in self._unusable_ids
                               if entry_id in remap}
-        self._floor = 0
         self._next = len(kept)
         self.compactions += 1
         return True
@@ -409,7 +343,7 @@ class RingFingerprintTable:
         fps = np.zeros(capacity, dtype=np.uint64)
         offsets = np.zeros(capacity, dtype=np.int64)
         pkt = np.zeros(capacity, dtype=np.int64)
-        ids = np.arange(self._floor, self._next, dtype=np.int64)
+        ids = np.arange(self._next, dtype=np.int64)
         old_slots = ids & old_mask
         new_slots = ids & (capacity - 1)
         fps[new_slots] = self._fps[old_slots]
@@ -421,9 +355,3 @@ class RingFingerprintTable:
         self._capacity = capacity
         self._mask = capacity - 1
         self.grows += 1
-
-    # -- introspection (tests, oracles) ------------------------------------
-
-    def id_window(self) -> Tuple[int, int]:
-        """(floor, next): the currently valid id range."""
-        return self._floor, self._next

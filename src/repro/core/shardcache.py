@@ -156,10 +156,9 @@ class ShardedByteCache(ByteCache):
 
     Every cache operation is the inherited :class:`ByteCache` code over
     a :class:`ShardedPacketStore` (swapped in for the single store the
-    base constructor builds); ``_ring`` is the one ring table, so the
-    encoder's batched fast path serves this cache too.  This class adds
-    the shard bookkeeping: the split budget, the admission argument,
-    per-shard occupancy and the invariant check.
+    base constructor builds) and the one inherited ring table.  This
+    class adds the shard bookkeeping: the split budget, the admission
+    argument, per-shard occupancy and the invariant check.
     """
 
     store: ShardedPacketStore
@@ -196,8 +195,7 @@ class ShardedByteCache(ByteCache):
         names its key set exactly and memoises the routing: the N
         per-shard gauges of one telemetry sample share one pass.
         """
-        ring = self._ring
-        assert ring is not None
+        ring = self.table
         key = (ring.inserts, len(ring))
         if key != self._entries_key:
             fps = np.fromiter(ring._index.keys(), dtype=np.uint64,

@@ -2,8 +2,7 @@
 
 from .config import ExperimentConfig
 from .mobility import MobilityConfig, MobilityResult, run_mobility
-from .multiflow import (MultiFlowResult, MultiFlowSetResult,
-                        run_concurrent_fetches, run_parallel_flows,
+from .multiflow import (MultiFlowResult, run_concurrent_fetches,
                         run_sequential_fetches)
 from .runner import Testbed, build_testbed, run_paired, run_transfer
 from .sweep import (CellResult, SweepResult, SweepSpec, config_hash,
@@ -22,9 +21,7 @@ __all__ = [
     "MobilityResult",
     "run_mobility",
     "MultiFlowResult",
-    "MultiFlowSetResult",
     "run_concurrent_fetches",
-    "run_parallel_flows",
     "run_sequential_fetches",
     "Testbed",
     "build_testbed",

@@ -16,11 +16,9 @@ Two claims of the paper live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 from ..app.transfer import FileClient, FileServer, TransferOutcome
-from ..metrics.profiling import StageProfiler
 from ..workload.corpus import corpus_object
 from .config import ExperimentConfig
 from .runner import FILE_NAME, SERVER_ADDR, build_testbed
@@ -165,79 +163,3 @@ def run_concurrent_fetches(config: ExperimentConfig,
     return MultiFlowResult(
         outcomes=outcomes,
         bytes_on_link=testbed.bottleneck_forward.stats.bytes_offered)
-
-
-# ---------------------------------------------------------------------------
-# Flow-parallel execution: independent flows sharded over a process pool
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MultiFlowSetResult:
-    """Deterministic merge of independently executed flow runs.
-
-    ``flows[i]`` is the result of ``configs[i]`` regardless of worker
-    count or completion order — each flow runs its own testbed and
-    simulator with seeds derived only from its config, so the merged
-    result of a parallel run is bit-identical to the serial one.
-    """
-
-    flows: List[MultiFlowResult]
-    total_bytes_on_link: int
-    workers_used: int
-
-    @property
-    def all_completed(self) -> bool:
-        return all(flow.all_completed for flow in self.flows)
-
-    @property
-    def per_flow_link_bytes(self) -> List[int]:
-        return [flow.bytes_on_link for flow in self.flows]
-
-
-def _run_flow_job(job: Tuple[int, ExperimentConfig, int]
-                  ) -> Tuple[int, MultiFlowResult]:
-    """Pool worker: run one flow's transfer in its own simulator.
-
-    Module-level so it pickles into a ``ProcessPoolExecutor``; the
-    index rides along so the merge can re-establish submission order.
-    """
-    index, config, n_fetches = job
-    return index, run_sequential_fetches(config, n_fetches=n_fetches)
-
-
-def run_parallel_flows(configs: Sequence[ExperimentConfig], *,
-                       n_fetches: int = 1,
-                       workers: Optional[int] = None,
-                       profiler: Optional[StageProfiler] = None
-                       ) -> MultiFlowSetResult:
-    """Run independent flows, optionally sharded across a process pool.
-
-    Flows here are *independent* in the strict sense: each config gets
-    its own testbed (gateway pair, caches, simulator), which is what
-    makes process sharding sound — there is no shared mutable state to
-    race on.  With ``workers`` ``None``/``<=1`` everything runs in this
-    process; otherwise the flows fan out over
-    :func:`repro.experiments.sweep.parallel_map` and are merged back in
-    submission-index order, so the output is byte-identical either way
-    (the differential runner asserts exactly that).
-
-    ``profiler``, when given, accumulates the recombination cost under
-    the ``merge`` stage.
-    """
-    from .sweep import parallel_map
-
-    jobs = [(index, config, n_fetches)
-            for index, config in enumerate(configs)]
-    indexed = parallel_map(_run_flow_job, jobs, workers=workers)
-    started = perf_counter() if profiler is not None else 0.0
-    # Deterministic merge: order by submission index, never by
-    # completion order (parallel_map preserves order today, but the
-    # merge must not depend on that detail).
-    flows = [flow for _, flow in sorted(indexed, key=lambda pair: pair[0])]
-    merged = MultiFlowSetResult(
-        flows=flows,
-        total_bytes_on_link=sum(flow.bytes_on_link for flow in flows),
-        workers_used=1 if workers is None else max(1, workers))
-    if profiler is not None:
-        profiler.add("merge", perf_counter() - started)
-    return merged

@@ -397,10 +397,10 @@ def append_bench_history(payload: Dict[str, Any], path: str) -> Dict[str, Any]:
     If ``path`` already holds a document with the same ``schema``, its
     ``name``/``generated_at``/``summary`` are appended to this
     document's ``history`` list — successive runs accumulate a
-    performance trajectory.  Shared by the sweep, hot-path and
-    multiflow-scaling bench writers; ``payload`` must carry ``schema``
-    and ``summary`` keys and is mutated in place (history + timestamp)
-    before being written.
+    performance trajectory.  Shared by the sweep, hot-path and serving
+    bench writers; ``payload`` must carry ``schema`` and ``summary``
+    keys and is mutated in place (history + timestamp) before being
+    written.
     """
     history: List[Dict[str, Any]] = []
     try:

@@ -32,12 +32,12 @@ import struct
 from typing import Callable, Dict, Optional
 
 from ..core.cache import ByteCache
+from ..core.checksum import payload_checksum
 from ..core.decoder import ByteCachingDecoder
 from ..core.encoder import ByteCachingEncoder
 from ..core.fingerprint import FingerprintScheme
 from ..core.policies import make_policy_pair
 from ..core.policies.base import PacketMeta
-from ..net.checksum import payload_checksum
 from ..net.packet import IPPacket, PROTO_TCP
 from ..net.tcp import TCPConfig, TCPConnection, TCPStack
 from ..sim.engine import Simulator

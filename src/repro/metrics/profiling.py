@@ -2,10 +2,9 @@
 
 A :class:`StageProfiler` accumulates (total seconds, call count) per
 named stage.  The instrumented code — the encoder/decoder
-(``batch_fingerprint``, ``fingerprint``, ``table_probe``,
-``region_expand``, ``wire_pack``, ``cache_ops``), the flow-shard
-recombiner (``merge``) and the simulator run loop
-(``event_dispatch``) — holds an optional profiler reference:
+(``fingerprint``, ``table_probe``, ``region_expand``, ``wire_pack``,
+``cache_ops``) and the simulator run loop (``event_dispatch``) — holds
+an optional profiler reference:
 when it is ``None`` (the default) each hook costs one attribute load
 and an identity check, so profiling is effectively free when off.
 
@@ -21,12 +20,8 @@ from typing import Dict, Iterator, Optional, Tuple
 
 #: Canonical stage names, in pipeline order (unknown stages are allowed;
 #: these are the ones the built-in instrumentation emits).
-#: ``batch_fingerprint`` is the vectorised whole-window sweep of
-#: ``encode_batch``; ``fingerprint`` the per-packet path; ``merge`` the
-#: deterministic recombination of flow-sharded results.
-STAGES = ("batch_fingerprint", "fingerprint", "table_probe",
-          "region_expand", "wire_pack", "cache_ops", "merge",
-          "event_dispatch")
+STAGES = ("fingerprint", "table_probe", "region_expand", "wire_pack",
+          "cache_ops", "event_dispatch")
 
 
 class StageProfiler:

@@ -1,6 +1,6 @@
 """Protocol substrate: packets, checksums, TCP and UDP stacks."""
 
-from .checksum import payload_checksum, verify_payload
+from ..core.checksum import payload_checksum, verify_payload
 from .packet import (ControlMessage, IPPacket, IP_HEADER_SIZE, PROTO_DRE_CONTROL,
                      PROTO_TCP, PROTO_UDP, TCPSegment, TCP_HEADER_SIZE,
                      UDPDatagram, UDP_HEADER_SIZE)

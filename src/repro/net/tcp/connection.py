@@ -31,8 +31,8 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
+from ...core.checksum import payload_checksum, verify_payload
 from ...sim.engine import Simulator, Timer
-from ..checksum import payload_checksum, verify_payload
 from ..packet import TCPSegment
 from .congestion import make_congestion_control
 from .sack import RangeSet, select_sack_blocks

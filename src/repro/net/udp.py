@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, Optional
 
+from ..core.checksum import payload_checksum, verify_payload
 from ..sim.engine import Simulator
 from ..sim.node import Host
-from .checksum import payload_checksum, verify_payload
 from .packet import IPPacket, PROTO_UDP, UDPDatagram
 
 

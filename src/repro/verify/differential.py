@@ -1,7 +1,7 @@
 """Differential runner: paired executions that must agree.
 
-Seven comparisons, each a pair of runs differing in exactly one
-implementation choice that must be behaviour-preserving:
+Four comparisons, each a pair of runs differing in exactly one choice
+production actually makes and that must be behaviour-preserving:
 
 * **fingerprinters** — the vectorised polynomial fingerprinter against
   the GF(2) Rabin reference.  The two schemes select different anchor
@@ -17,15 +17,6 @@ implementation choice that must be behaviour-preserving:
   faults* must not change the delivered stream (the epoch stamp rides
   in the shim; heartbeats share the bottleneck but cannot perturb
   correctness).
-* **batched encoder** — :meth:`ByteCachingEncoder.encode_batch` (the
-  fused whole-window path) against a per-packet ``encode`` loop: the
-  wire bytes must match packet for packet.
-* **table implementations** — the ring fingerprint table against the
-  reference dict table, same packet sequence: byte-identical wire
-  output.
-* **multiflow parallelism** — independent flows run serially and
-  sharded over a process pool must merge to the same per-flow link
-  byte counts (see :func:`repro.experiments.multiflow.run_parallel_flows`).
 * **sharded vs unsharded** — the serving cache against the transfer
   cache.  One FIFO shard *is* a :class:`ByteCache` (same wire bytes,
   under a budget that evicts); eight shards evict different payloads,
@@ -182,8 +173,7 @@ def _offline_packets(n_packets: int, mss: int = 1460) -> List[bytes]:
     return fresh + cold + cold
 
 
-def _offline_encode(packets: List[bytes], *, batched: bool,
-                    cache: Optional[ByteCache] = None) -> List[bytes]:
+def _offline_encode(packets: List[bytes], cache: ByteCache) -> List[bytes]:
     """Wire bytes of one offline encoder pass over ``packets``."""
     from ..core.encoder import ByteCachingEncoder
     from ..core.fingerprint import FingerprintScheme
@@ -191,79 +181,12 @@ def _offline_encode(packets: List[bytes], *, batched: bool,
 
     scheme = FingerprintScheme(window=16, zero_bits=4)
     policy, _ = make_policy_pair("naive")
-    if cache is None:
-        cache = ByteCache(16 * 1024 * 1024)
     encoder = ByteCachingEncoder(scheme, cache, policy)
     metas = [PacketMeta(packet_id=counter, flow=("diff", 0),
                         tcp_seq=counter * 1460, counter=counter)
              for counter in range(len(packets))]
-    if batched:
-        return [result.data
-                for result in encoder.encode_batch(packets, metas)]
     return [encoder.encode(payload, meta).data
             for payload, meta in zip(packets, metas)]
-
-
-def compare_batched_encoder(n_packets: int = 96) -> DifferentialResult:
-    """encode_batch (fused window path) vs a per-packet encode loop."""
-    packets = _offline_packets(n_packets)
-    per_packet = _offline_encode(packets, batched=False)
-    batched = _offline_encode(packets, batched=True)
-    matched = per_packet == batched
-    mismatches = sum(1 for left, right in zip(per_packet, batched)
-                     if left != right)
-    detail = (f"{len(packets)} packets byte-identical between encode() "
-              f"and encode_batch()" if matched else
-              f"{mismatches}/{len(packets)} packets differ between "
-              f"per-packet and batched encoding")
-    return DifferentialResult(
-        "batched-encoder", matched, detail,
-        _digest(b"".join(per_packet)), _digest(b"".join(batched)))
-
-
-def compare_table_impls(n_packets: int = 96) -> DifferentialResult:
-    """Ring fingerprint table vs the reference dict table."""
-    packets = _offline_packets(n_packets)
-    ring = _offline_encode(packets, batched=True)
-    reference = _offline_encode(
-        packets, batched=True,
-        cache=ByteCache(16 * 1024 * 1024, table_kind="dict"))
-    matched = ring == reference
-    mismatches = sum(1 for left, right in zip(ring, reference)
-                     if left != right)
-    detail = (f"{len(packets)} packets byte-identical between ring and "
-              f"dict tables" if matched else
-              f"{mismatches}/{len(packets)} packets differ between "
-              f"table implementations")
-    return DifferentialResult(
-        "table-impls", matched, detail,
-        _digest(b"".join(ring)), _digest(b"".join(reference)))
-
-
-def compare_multiflow_parallelism(n_flows: int = 3,
-                                  file_size: int = 30 * 1460,
-                                  workers: int = 2) -> DifferentialResult:
-    """Serial vs process-pool multiflow: identical per-flow results."""
-    from ..experiments.multiflow import run_parallel_flows
-
-    configs = [ExperimentConfig(file_size=file_size,
-                                corpus_seed=3 + index, seed=11 + index)
-               for index in range(n_flows)]
-    serial = run_parallel_flows(configs)
-    parallel = run_parallel_flows(configs, workers=workers)
-    serial_bytes = [flow.per_fetch_link_bytes for flow in serial.flows]
-    parallel_bytes = [flow.per_fetch_link_bytes for flow in parallel.flows]
-    matched = (serial_bytes == parallel_bytes
-               and serial.total_bytes_on_link == parallel.total_bytes_on_link
-               and serial.all_completed and parallel.all_completed)
-    detail = (f"{n_flows} flows merge bit-identically across serial and "
-              f"{workers}-worker execution" if matched else
-              f"flow results diverge between serial and parallel "
-              f"execution ({serial_bytes} vs {parallel_bytes})")
-    return DifferentialResult(
-        "multiflow-parallelism", matched, detail,
-        _digest(repr(serial_bytes).encode()),
-        _digest(repr(parallel_bytes).encode()))
 
 
 def compare_sharding(n_packets: int = 96, file_size: int = 40 * 1460,
@@ -273,10 +196,9 @@ def compare_sharding(n_packets: int = 96, file_size: int = 40 * 1460,
     the wire, eight shards byte-identical at the application."""
     packets = _offline_packets(n_packets)
     budget = 32 * 1460          # a third of the cold phase: both evict
-    plain = _offline_encode(packets, batched=True, cache=ByteCache(budget))
+    plain = _offline_encode(packets, ByteCache(budget))
     one_shard = _offline_encode(
-        packets, batched=True,
-        cache=ShardedByteCache(budget, n_shards=1, eviction="fifo"))
+        packets, ShardedByteCache(budget, n_shards=1, eviction="fifo"))
     left, right = _digest(b"".join(plain)), _digest(b"".join(one_shard))
     if plain != one_shard:
         mismatches = sum(1 for a, b in zip(plain, one_shard) if a != b)
@@ -309,7 +231,7 @@ def compare_sharding(n_packets: int = 96, file_size: int = 40 * 1460,
 def run_differential(scale: str = "smoke",
                      log: Optional[Callable[[str], None]] = None
                      ) -> List[DifferentialResult]:
-    """All seven comparisons; ``scale`` picks the workload size.
+    """All four comparisons; ``scale`` picks the workload size.
 
     ``smoke`` uses small objects (seconds, used by the test suite);
     ``headline`` uses the paper-scale object of the headline scenario
@@ -325,21 +247,16 @@ def run_differential(scale: str = "smoke",
         pairs = dict(file_size=0)
         sweep = dict(losses=(0.0, 0.02, 0.05), file_size=60 * 1460)
         offline = dict(n_packets=384)
-        multiflow = dict(n_flows=4, file_size=60 * 1460)
     else:
         pairs = dict(file_size=40 * 1460)
         sweep = dict(losses=(0.0, 0.02), file_size=30 * 1460)
         offline = dict(n_packets=96)
-        multiflow = dict(n_flows=3, file_size=30 * 1460)
 
     results = []
     for runner in (
             lambda: compare_fingerprinters(**pairs),
             lambda: compare_sweep_parallelism(**sweep),
             lambda: compare_resilience(**pairs),
-            lambda: compare_batched_encoder(**offline),
-            lambda: compare_table_impls(**offline),
-            lambda: compare_multiflow_parallelism(**multiflow),
             lambda: compare_sharding(**offline, **pairs)):
         result = runner()
         if log is not None:

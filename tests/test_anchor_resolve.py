@@ -3,8 +3,8 @@
 ``ByteCachingEncoder._candidate_pairs`` maps a whole packet's
 fingerprints through the ring index before the region loop runs, and
 ``_find_regions`` reads the entry ids by position.  The per-anchor
-reference encoder of ``tests/test_per_record_eligibility.py`` ignores
-those ids and calls ``ByteCache.lookup`` anchor by anchor, so wire
+reference encoder of ``tests/reference_cache.py`` resolves nothing up
+front and calls ``ByteCache.lookup`` anchor by anchor, so wire
 bytes, regions, dependencies, the whole ``EncoderStats`` and the
 store's recency order must agree on exactly the cases where a
 pre-resolved id could differ from a fresh lookup.
@@ -19,8 +19,8 @@ from repro.core.cache import ByteCache
 from repro.core.encoder import ByteCachingEncoder, _EMPTY_SPLIT
 from repro.core.fingerprint import FingerprintScheme
 from repro.core.policies import PacketMeta, make_policy_pair
-from tests.test_per_record_eligibility import (FLOWS, SEGMENT,
-                                               PerAnchorEncoder, _stream)
+from tests.reference_cache import PerAnchorEncoder
+from tests.test_per_record_eligibility import FLOWS, SEGMENT, _stream
 
 
 def _pair(policy="naive", scheme=None, **cache_kwargs):

@@ -1,14 +1,10 @@
-"""Batched encoder core: encode_batch parity and result pooling.
+"""Per-packet encoder core: ``force_raw`` and result pooling.
 
-The whole-window path (:meth:`ByteCachingEncoder.encode_batch`) has a
-fused fast loop that engages only under the permissive base policy
-hooks; both the fused and the hook-dispatching variant must be
-byte-identical to a per-packet ``encode`` loop.
+(The file and class names predate the removal of the whole-window
+``encode_batch`` path; what remains here drives ``encode()``.)
 """
 
 import random
-
-import pytest
 
 from repro.core.cache import ByteCache
 from repro.core.encoder import (ByteCachingEncoder, EncodeResult,
@@ -40,77 +36,21 @@ def _encoder(policy_name="naive", **kwargs):
     return ByteCachingEncoder(scheme, ByteCache(1 << 24), policy)
 
 
-def _per_packet_wire(policy_name, packets):
-    encoder = _encoder(policy_name)
-    return [encoder.encode(p, m).data
-            for p, m in zip(packets, _metas(len(packets)))], encoder
-
-
-def _batched_wire(policy_name, packets):
-    encoder = _encoder(policy_name)
-    results = encoder.encode_batch(packets, _metas(len(packets)))
-    return [r.data for r in results], encoder
+def _encode_all(encoder, packets, **kwargs):
+    return [encoder.encode(p, m, **kwargs)
+            for p, m in zip(packets, _metas(len(packets)))]
 
 
 class TestEncodeBatchParity:
-    def test_fused_path_matches_per_packet(self):
-        # The naive policy keeps every base hook → fused loop engages.
-        packets = _mixed_packets()
-        per_packet, enc_a = _per_packet_wire("naive", packets)
-        batched, enc_b = _batched_wire("naive", packets)
-        assert per_packet == batched
-        # Stats parity too: the fused loop flushes identical counters.
-        for field in ("packets", "packets_encoded", "bytes_in",
-                      "bytes_out", "regions", "matched_bytes",
-                      "collisions"):
-            assert getattr(enc_a.stats, field) == \
-                getattr(enc_b.stats, field), field
-
-    def test_hook_dispatching_path_matches_per_packet(self):
-        # cache_flush overrides before_packet → encode_batch falls back
-        # to the per-packet hook-dispatching loop.
-        packets = _mixed_packets(24)
-        per_packet, _ = _per_packet_wire("cache_flush", packets)
-        batched, _ = _batched_wire("cache_flush", packets)
-        assert per_packet == batched
-
     def test_force_raw_disables_fused_path_but_still_caches(self):
         packets = _mixed_packets(8)
         encoder = _encoder("naive")
-        results = encoder.encode_batch(packets, _metas(len(packets)),
-                                       force_raw=True)
+        results = _encode_all(encoder, packets, force_raw=True)
         assert all(not r.encoded for r in results)
         # Cache Update still ran: a second (non-raw) pass over the same
         # bytes should now find everything.
-        repeat = encoder.encode_batch(packets, _metas(len(packets)))
+        repeat = _encode_all(encoder, packets)
         assert all(r.encoded for r in repeat)
-
-    def test_profiler_disables_fused_path_with_identical_output(self):
-        from repro.metrics.profiling import StageProfiler
-
-        packets = _mixed_packets(24)
-        plain, _ = _batched_wire("naive", packets)
-        encoder = _encoder("naive")
-        encoder.profiler = StageProfiler()
-        profiled = [r.data for r in
-                    encoder.encode_batch(packets, _metas(len(packets)))]
-        assert plain == profiled
-        assert encoder.profiler.total("batch_fingerprint") > 0.0
-
-    def test_empty_batch(self):
-        encoder = _encoder("naive")
-        assert encoder.encode_batch([], []) == []
-
-
-class TestProbeSkip:
-    """Kept under its old name; what it pinned (a prefilter bypass that
-    must not change output) is now just batch-vs-scalar identity."""
-
-    def test_bypass_never_changes_output(self):
-        packets = _mixed_packets(32)
-        reference, _ = _per_packet_wire("naive", packets)
-        batched, _ = _batched_wire("naive", packets)
-        assert batched == reference
 
 
 class TestEncodeResultPool:
@@ -147,10 +87,9 @@ class TestEncodeResultPool:
         encoder = _encoder("naive")
         pool = EncodeResultPool()
         encoder.result_pool = pool
-        results = encoder.encode_batch(packets, _metas(len(packets)))
-        for result in results:
+        for result in _encode_all(encoder, packets):
             pool.release(result)
-        again = encoder.encode_batch(packets, _metas(len(packets)))
+        again = _encode_all(encoder, packets)
         assert pool.reused > 0
         assert len(again) == len(packets)
 

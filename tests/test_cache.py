@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.cache import (ByteCache, CacheEntry, FingerprintTable,
-                              PacketStore)
+from repro.core.cache import ByteCache, PacketStore
+from tests.reference_cache import CacheEntry, FingerprintTable
 
 
 class TestPacketStore:
@@ -50,6 +50,8 @@ class TestPacketStore:
 
 
 class TestFingerprintTable:
+    """The dict-table oracle (``tests/reference_cache.py``) itself."""
+
     def test_put_get_remove(self):
         table = FingerprintTable()
         entry = CacheEntry(fingerprint=42, store_id=1, offset=0)

@@ -8,7 +8,7 @@ from repro.core import (ByteCache, ByteCachingDecoder, ByteCachingEncoder,
                         FingerprintScheme)
 from repro.core.policies import (DecoderPolicy, NaivePolicy,
                                  PacketMeta)
-from repro.net.checksum import payload_checksum
+from repro.core.checksum import payload_checksum
 
 FLOW = ("s", 80, "c", 5000)
 
@@ -184,7 +184,7 @@ class TestOracleArmedBoundaries:
 class TestGatewayAccounting:
     def test_wire_tag_charges_options_bytes(self):
         from repro.gateway import GatewayPair
-        from repro.net.checksum import payload_checksum as cksum
+        from repro.core.checksum import payload_checksum as cksum
         from repro.net.packet import IPPacket, PROTO_TCP, TCPSegment
         from repro.sim import Simulator
 

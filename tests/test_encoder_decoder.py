@@ -5,7 +5,7 @@ import random
 from repro.core import (ByteCache, ByteCachingDecoder, ByteCachingEncoder,
                         DecodeStatus, FingerprintScheme)
 from repro.core.policies import DecoderPolicy, NaivePolicy, PacketMeta
-from repro.net.checksum import payload_checksum
+from repro.core.checksum import payload_checksum
 
 FLOW = ("10.0.2.1", 80, "10.0.1.1", 5000)
 

@@ -16,7 +16,7 @@ from repro.core import (ByteCache, ByteCachingDecoder, ByteCachingEncoder,
 from repro.core.decoder import DecodeStatus
 from repro.core.policies import DecoderPolicy, NaivePolicy, PacketMeta
 from repro.core.wire import WireFormatError, parse_payload
-from repro.net.checksum import payload_checksum
+from repro.core.checksum import payload_checksum
 from repro.sim.rng import RngRegistry
 
 FLOW = ("s", 80, "c", 5000)

@@ -3,7 +3,7 @@
 import random
 
 from repro.gateway import GatewayPair
-from repro.net.checksum import payload_checksum
+from repro.core.checksum import payload_checksum
 from repro.net.packet import (ControlMessage, IPPacket, PROTO_DRE_CONTROL,
                               PROTO_TCP, TCPSegment)
 from repro.sim import Simulator

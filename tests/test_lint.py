@@ -274,6 +274,23 @@ class TestHotpath:
         })
         assert rules_of(lint(tmp_path)) == set()
 
+    def test_roster_entry_naming_no_function_flagged(self, tmp_path):
+        make_tree(tmp_path, {
+            "src/repro/core/encoder.py": hot_module(["return data"]),
+        })
+        (tmp_path / "pyproject.toml").write_text(
+            "[tool.repro-lint.hotpath]\n"
+            "functions = [\n"
+            '    "repro.core.encoder.ByteCachingEncoder.encode",\n'
+            '    "repro.core.encoder.ByteCachingEncoder.encode_batch",\n'
+            "]\n", encoding="utf-8")
+        report = lint(tmp_path)
+        unknown = [f for f in report.findings
+                   if f.rule == "hotpath-unknown-function"]
+        assert [(f.path, f.line) for f in unknown] == [("pyproject.toml", 4)]
+        assert "encode_batch" in unknown[0].message
+        assert report.exit_code == 1
+
 
 class TestHygiene:
     def test_bare_except_flagged(self, tmp_path):

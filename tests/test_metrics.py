@@ -261,8 +261,8 @@ class TestStageAccounting:
     def test_batch_stages_are_canonical(self):
         from repro.metrics.profiling import STAGES
 
-        for stage in ("batch_fingerprint", "table_probe", "wire_pack",
-                      "merge"):
+        for stage in ("fingerprint", "table_probe", "region_expand",
+                      "wire_pack", "cache_ops"):
             assert stage in STAGES
 
     def test_stage_totals_sum_to_wall_time(self):
@@ -287,29 +287,21 @@ class TestStageAccounting:
         scheme = FingerprintScheme(window=16, zero_bits=4)
         policy, _ = make_policy_pair("naive")
         encoder = ByteCachingEncoder(scheme, ByteCache(1 << 24), policy)
-        encoder.encode_batch(packets, metas)     # warm numpy workspaces
+        for payload, meta in zip(packets, metas):   # warm allocators
+            encoder.encode(payload, meta)
         profiler = StageProfiler()
         encoder.profiler = profiler
         started = _time.perf_counter()
-        encoder.encode_batch(packets, metas)
+        for payload, meta in zip(packets, metas):
+            encoder.encode(payload, meta)
         wall = _time.perf_counter() - started
-        for stage in ("batch_fingerprint", "table_probe",
+        for stage in ("fingerprint", "table_probe",
                       "region_expand", "wire_pack", "cache_ops"):
             assert profiler.count(stage) > 0, stage
         stage_sum = sum(total for _, total, _ in profiler.stages())
-        # The stages tile the batch pass: only loop glue is untimed, so
+        # The stages tile the encode pass: only loop glue is untimed, so
         # the sum must land within tolerance of the measured wall time
         # (and never exceed it beyond timer resolution).
         assert stage_sum <= wall * 1.05
         assert stage_sum >= wall * 0.65, (
             f"stages cover only {stage_sum / wall:.0%} of wall time")
-
-    def test_merge_stage_accumulates(self):
-        from repro.experiments import ExperimentConfig
-        from repro.experiments.multiflow import run_parallel_flows
-
-        profiler = StageProfiler()
-        run_parallel_flows([ExperimentConfig(file_size=10 * 1460)],
-                           profiler=profiler)
-        assert profiler.count("merge") == 1
-        assert profiler.total("merge") >= 0.0

@@ -116,49 +116,3 @@ class TestCrossConnectionPoisoning:
         result = run_sequential_fetches(
             config(policy="cache_flush", loss_rate=0.05), n_fetches=2)
         assert result.all_completed
-
-
-class TestParallelFlows:
-    """Flow-parallel execution: deterministic merge, serial == pooled."""
-
-    def _configs(self, n=3):
-        return [ExperimentConfig(corpus="file1", file_size=15 * 1460,
-                                 corpus_seed=3 + index, seed=11 + index)
-                for index in range(n)]
-
-    def test_serial_run_completes_in_index_order(self):
-        from repro.experiments.multiflow import run_parallel_flows
-
-        result = run_parallel_flows(self._configs())
-        assert result.all_completed
-        assert result.workers_used == 1
-        assert len(result.flows) == 3
-        assert result.total_bytes_on_link == \
-            sum(result.per_flow_link_bytes)
-
-    def test_parallel_merge_is_bit_identical_to_serial(self):
-        from repro.experiments.multiflow import run_parallel_flows
-
-        configs = self._configs()
-        serial = run_parallel_flows(configs)
-        parallel = run_parallel_flows(configs, workers=2)
-        assert parallel.workers_used == 2
-        assert serial.per_flow_link_bytes == parallel.per_flow_link_bytes
-        assert [flow.per_fetch_link_bytes for flow in serial.flows] == \
-            [flow.per_fetch_link_bytes for flow in parallel.flows]
-        assert serial.total_bytes_on_link == parallel.total_bytes_on_link
-
-    def test_distinct_seeds_give_distinct_flows(self):
-        from repro.experiments.multiflow import run_parallel_flows
-
-        result = run_parallel_flows(self._configs())
-        # Different corpus seeds → genuinely different transfers.
-        assert len(set(result.per_flow_link_bytes)) > 1
-
-    def test_empty_config_list(self):
-        from repro.experiments.multiflow import run_parallel_flows
-
-        result = run_parallel_flows([])
-        assert result.flows == []
-        assert result.total_bytes_on_link == 0
-        assert result.all_completed

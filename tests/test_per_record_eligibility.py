@@ -5,8 +5,8 @@ record and reuses the verdict for that record's other anchors.  On
 retransmission-heavy streams (where a segment's ~all anchors hit its
 own cached copy) the wire bytes, regions, dependencies and the
 ``ineligible_hits`` counter must equal those of a reference that asks
-the policy about every single anchor, and those of the dict-table
-oracle, which still does.
+the policy about every single anchor (``tests/reference_cache.py``),
+over the ring cache and over the dict-table oracle.
 """
 
 import random
@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import ByteCache
-from repro.core.encoder import ByteCachingEncoder, _SplitPairs
+from repro.core.encoder import ByteCachingEncoder
 from repro.core.fingerprint import FingerprintScheme
 from repro.core.policies import PacketMeta, make_policy_pair
-from repro.core.region import Region, expand_bounds
+from tests.reference_cache import DictByteCache, PerAnchorEncoder
 
 SEGMENT = 360
 FLOWS = (("s", 80, "c", 5000), ("s", 80, "c", 5001))
@@ -29,43 +29,6 @@ POLICIES = [
     ("k_distance", {"k": 3, "mss": SEGMENT}),
     ("adaptive_k", {"k_min": 2, "k_max": 6, "mss": SEGMENT}),
 ]
-
-
-class PerAnchorEncoder(ByteCachingEncoder):
-    """Fig. 2 part B with the policy consulted for every anchor hit."""
-
-    def _find_regions(self, payload, anchors, meta):
-        pairs = (zip(*anchors) if type(anchors) is _SplitPairs
-                 else anchors.pairs())
-        regions, dependencies, pos = [], set(), 0
-        for offset, fingerprint in pairs:
-            if offset < pos:
-                continue
-            hit = self.cache.lookup(fingerprint)
-            if hit is None:
-                continue
-            entry, stored = hit
-            if not self.policy.entry_eligible(entry, meta):
-                self.stats.ineligible_hits += 1
-                continue
-            bounds = expand_bounds(payload, offset, stored, entry.offset,
-                                   self.scheme.window, pos)
-            if bounds is None:
-                self.stats.collisions += 1
-                continue
-            offset_new, offset_stored, length = bounds
-            if length <= self.min_region_length:
-                continue
-            if not self.policy.region_acceptable(length, len(payload), meta):
-                self.stats.ineligible_hits += 1
-                continue
-            regions.append(Region(fingerprint, offset_new, offset_stored,
-                                  length))
-            external = self.cache.external_id_for(entry.store_id)
-            if external is not None:
-                dependencies.add(external)
-            pos = offset_new + length
-        return regions, dependencies
 
 
 def _stream(seed, steps):
@@ -91,11 +54,11 @@ def _stream(seed, steps):
 
 def _encoders(name, kwargs):
     scheme = FingerprintScheme(window=16, zero_bits=3)
-    return [cls(scheme, ByteCache(1 << 22, table_kind=table_kind),
-                make_policy_pair(name, **kwargs)[0])
-            for cls, table_kind in ((ByteCachingEncoder, "ring"),
-                                    (PerAnchorEncoder, "ring"),
-                                    (ByteCachingEncoder, "dict"))]
+    return [encoder_cls(scheme, cache_cls(1 << 22),
+                        make_policy_pair(name, **kwargs)[0])
+            for encoder_cls, cache_cls in ((ByteCachingEncoder, ByteCache),
+                                           (PerAnchorEncoder, ByteCache),
+                                           (PerAnchorEncoder, DictByteCache))]
 
 
 @settings(max_examples=30, deadline=None)

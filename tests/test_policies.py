@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import (ByteCache, ByteCachingDecoder, ByteCachingEncoder,
                         FingerprintScheme)
-from repro.core.cache import CacheEntry
 from repro.core.policies import (AckGatedPolicy, AdaptiveKDistancePolicy,
                                  CacheFlushPolicy, DecoderPolicy,
                                  ENCODER_POLICIES,
@@ -17,6 +16,7 @@ from repro.core.policies import (AckGatedPolicy, AdaptiveKDistancePolicy,
                                  NackRecoveryEncoderPolicy, PacketMeta,
                                  PolicyServices, TcpSeqPolicy,
                                  make_policy_pair)
+from tests.reference_cache import CacheEntry
 
 FLOW = ("10.0.2.1", 80, "10.0.1.1", 5000)
 

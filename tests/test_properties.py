@@ -10,7 +10,7 @@ from repro.core.policies import (DecoderPolicy, NaivePolicy, PacketMeta,
                                  make_policy_pair)
 from repro.core.region import common_prefix_length, common_suffix_length
 from repro.core.wire import encode_payload, parse_payload, wrap_raw
-from repro.net.checksum import payload_checksum
+from repro.core.checksum import payload_checksum
 from repro.net.tcp.sack import RangeSet
 from repro.net.tcp.timer import RtoEstimator
 

@@ -12,7 +12,7 @@ from repro.gateway.resilience import (CONTROL_KIND_HEARTBEAT,
                                       CONTROL_KIND_RESYNC,
                                       CONTROL_KIND_RESYNC_ACK,
                                       MODE_BYPASS, MODE_ENCODE, MODE_RAW)
-from repro.net.checksum import payload_checksum
+from repro.core.checksum import payload_checksum
 from repro.net.packet import (ControlMessage, IPPacket, PROTO_DRE_CONTROL,
                               PROTO_TCP, TCPSegment)
 from repro.sim import Simulator

@@ -1,71 +1,26 @@
 """Ring-buffer fingerprint table edge cases.
 
 The contiguous table (repro.core.ringtable) must match the reference
-dict table observable-for-observable; these tests pin the corners the
-differential runner's whole-pipeline comparison can miss:
-fixed-capacity wrap evicting live entries, compaction and growth, the
-one-generation history scan, the capacity ByteCache derives from its
-budget, and a property-level parity sweep against the dict table
-through the ByteCache front door.
+dict table of ``tests/reference_cache.py`` observable-for-observable;
+these tests pin the corners a whole-pipeline comparison can miss:
+compaction and growth, the one-generation history scan, the capacity
+ByteCache derives from its budget, and a property-level parity sweep
+against the dict table through the ByteCache front door.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cache import ByteCache, CacheEntry, FingerprintTable
+from repro.core.cache import ByteCache
 from repro.core.ringtable import RingFingerprintTable
+from tests.reference_cache import CacheEntry, DictByteCache, FingerprintTable
 
 
 def _insert(table, fingerprints, store_id=0, counter=0):
     fps = np.array(fingerprints, dtype=np.uint64)
     offsets = np.arange(len(fingerprints), dtype=np.int64)
     table.insert_batch(offsets, fps, store_id, None, None, counter)
-
-
-class TestFixedModeWrap:
-    def test_wrap_evicts_oldest_live_entries(self):
-        table = RingFingerprintTable(capacity=4, autogrow=False)
-        _insert(table, [1, 2], store_id=0)
-        _insert(table, [3, 4], store_id=1)
-        assert len(table) == 4
-        # The ring is full: two more anchors advance the floor past the
-        # two oldest entries, evicting them even though still current.
-        _insert(table, [5, 6], store_id=2)
-        assert table.get(1) is None
-        assert table.get(2) is None
-        assert table.get(5) is not None
-        assert table.evictions == 2
-        floor, nxt = table.id_window()
-        assert nxt - floor == 4
-
-    def test_wrap_does_not_evict_replaced_fingerprints_twice(self):
-        table = RingFingerprintTable(capacity=4, autogrow=False)
-        _insert(table, [1, 2], store_id=0)
-        _insert(table, [1, 2], store_id=1)   # replaces both
-        _insert(table, [3, 4], store_id=2)   # wraps past the stale pair
-        # The stale first-generation entries were not the index's
-        # current ids, so nothing live was evicted.
-        assert table.evictions == 0
-        assert table.get(1).store_id == 1
-        assert table.get(3).store_id == 2
-
-    def test_wrap_drops_unusable_marks_of_evicted_ids(self):
-        table = RingFingerprintTable(capacity=4, autogrow=False)
-        _insert(table, [1, 2], store_id=0)
-        entry = table.get(1)
-        entry.usable = False
-        _insert(table, [3, 4], store_id=1)
-        _insert(table, [5, 6], store_id=2)   # evicts ids 0 and 1
-        assert not table._unusable_ids
-        # A fresh insert reusing the wrapped slots starts usable.
-        _insert(table, [7, 8], store_id=3)
-        assert table.get(7).usable
-
-    def test_batch_larger_than_fixed_capacity_rejected(self):
-        table = RingFingerprintTable(capacity=4, autogrow=False)
-        with pytest.raises(ValueError):
-            _insert(table, [1, 2, 3, 4, 5])
 
 
 class TestAutogrow:
@@ -106,7 +61,7 @@ class TestCapacityFromBudget:
                 selected = scheme.anchors(payload)
                 anchors += len(selected)
                 cache.insert_packet(payload, selected, tcp_seq=seq)
-        ring = cache._ring
+        ring = cache.table
         assert ring.inserts == anchors > 70_000
         assert ring.grows == 0 and ring.compactions == 0
         assert ring.capacity >= anchors
@@ -116,22 +71,22 @@ class TestCapacityFromBudget:
         dict(byte_budget=1),
     ])
     def test_small_budgets_get_the_floor_capacity(self, kwargs):
-        assert ByteCache(**kwargs)._ring.capacity == 1024
+        assert ByteCache(**kwargs).table.capacity == 1024
         # ... and a larger budget does not.
-        assert ByteCache(256 * 1024)._ring.capacity == 16_384
+        assert ByteCache(256 * 1024).table.capacity == 16_384
 
     def test_capacity_is_a_power_of_two_between_floor_and_ceiling(self):
         for budget in (1, 1000, 16_385, 48 * 1024, 1 << 20, 1 << 24, 1 << 30):
-            capacity = ByteCache(budget)._ring.capacity
+            capacity = ByteCache(budget).table.capacity
             assert capacity & (capacity - 1) == 0
             assert 1024 <= capacity <= 1 << 17
             assert capacity >= min(budget // 16, 1 << 17)
 
     def test_cache_that_outgrows_its_ring_compacts_grows_and_keeps_history(self):
-        # The autogrow tests above, driven through ByteCache at the
+        # The room-making tests above, driven through ByteCache at the
         # capacity it derives (the floor) instead of a hand-picked one.
         cache = ByteCache(byte_budget=1, max_packets=1)
-        ring = cache._ring
+        ring = cache.table
         assert ring.capacity == 1024
         rnd = np.random.default_rng(17)
         hot = list(range(1, 41))
@@ -150,8 +105,7 @@ class TestCapacityFromBudget:
 
 def _brute_previous(table, fingerprint):
     """previous_entry by walking every live id, newest first."""
-    floor, top = table.id_window()
-    ids = [i for i in range(floor, top)
+    ids = [i for i in range(table._next)
            if int(table._fps[i & table._mask]) == fingerprint]
     if not ids:
         return None
@@ -179,29 +133,22 @@ def _assert_history_matches_brute_force(table, fingerprints):
 class TestPreviousEntry:
     FPS = list(range(1, 7))
 
-    @pytest.mark.parametrize("autogrow", [True, False])
-    def test_matches_brute_force_across_room_making(self, autogrow):
-        # Capacity 8 with 3-anchor batches: the window wraps the array
-        # end, then compacts / grows (autogrow) or evicts (fixed).
-        table = RingFingerprintTable(capacity=8, autogrow=autogrow)
+    def test_matches_brute_force_across_room_making(self):
+        # Capacity 8 with 3-anchor batches: the window fills the
+        # arrays, then compacts / grows.
+        table = RingFingerprintTable(capacity=8)
         rnd = np.random.default_rng(14)
-        wrapped = 0
         for store_id in range(40):
             batch = rnd.choice(self.FPS, size=3, replace=False).tolist()
             _insert(table, batch, store_id=store_id // 2)
-            floor, top = table.id_window()
-            wrapped += (floor & table._mask) >= (top & table._mask)
             _assert_history_matches_brute_force(table, self.FPS)
-        if autogrow:        # floor stays 0: wraps only when exactly full
-            assert table.compactions >= 1 and table.grows >= 1
-        else:
-            assert table.evictions >= 1 and wrapped
+        assert table.compactions >= 1 and table.grows >= 1
 
     def test_exactly_full_ring(self):
         table = RingFingerprintTable(capacity=4)
         _insert(table, [1, 2], store_id=0)
         _insert(table, [1, 2], store_id=1)
-        assert table.id_window() == (0, 4)
+        assert table._next == table.capacity == 4
         _assert_history_matches_brute_force(table, [1, 2, 3])
         assert table.previous_entry(2).store_id == 0
 
@@ -243,6 +190,14 @@ def _entry(fingerprint, store_id, offset, counter):
     return CacheEntry(fingerprint, store_id, offset, None, None, counter)
 
 
+def _put(ring, entry):
+    """``FingerprintTable.put`` spelled as a one-anchor ring insert."""
+    ring.insert_batch(np.array([entry.offset], dtype=np.int64),
+                      np.array([entry.fingerprint], dtype=np.uint64),
+                      entry.store_id, entry.tcp_seq, entry.flow,
+                      entry.packet_counter)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(
     st.tuples(st.integers(0, 30),                  # fingerprint (small: forces replacements)
@@ -254,7 +209,7 @@ def test_ring_matches_dict_table_property(ops):
     ring = RingFingerprintTable(capacity=8)
     reference = FingerprintTable()
     for counter, (fingerprint, store_id, offset) in enumerate(ops):
-        ring.put(_entry(fingerprint, store_id, offset, counter))
+        _put(ring, _entry(fingerprint, store_id, offset, counter))
         reference.put(_entry(fingerprint, store_id, offset, counter))
     assert len(ring) == len(reference)
     assert ring.inserts == reference.inserts
@@ -278,8 +233,8 @@ def test_cache_insert_parity_ring_vs_dict(payloads, seed):
     from repro.core.fingerprint import FingerprintScheme
 
     scheme = FingerprintScheme(window=16, zero_bits=2)
-    ring_cache = ByteCache(1 << 20, table_kind="ring")
-    dict_cache = ByteCache(1 << 20, table_kind="dict")
+    ring_cache = ByteCache(1 << 20)
+    dict_cache = DictByteCache(1 << 20)
     fingerprints = set()
     for counter, payload in enumerate(payloads):
         anchors = scheme.anchors(payload)

@@ -3,12 +3,13 @@
 The load-bearing property is the hypothesis parity test: in the
 no-eviction regime a sharded cache — one shard, eight, any number —
 must be observationally equivalent to one big reference
-:class:`ByteCache` (dict table) for *any* interleaving of inserts,
-lookups, markings and flushes, and one FIFO shard must stay equivalent
-to :class:`ByteCache` under eviction too — otherwise the serving
-refactor silently changed what the paper's encoder/decoder see.  The
-unit tests pin the shard-local behaviours the oracle cannot express:
-budget splitting, per-shard eviction, admission, invariants.
+:class:`DictByteCache` (``tests/reference_cache.py``) for *any*
+interleaving of inserts, lookups, markings and flushes, and one FIFO
+shard must stay equivalent to :class:`ByteCache` under eviction too —
+otherwise the serving refactor silently changed what the paper's
+encoder/decoder see.  The unit tests pin the shard-local behaviours
+the oracle cannot express: budget splitting, per-shard eviction,
+admission, invariants.
 """
 
 import random
@@ -23,6 +24,7 @@ from repro.core.fingerprint import FingerprintScheme
 from repro.core.policies import PacketMeta, make_policy_pair
 from repro.core.shardcache import ShardedByteCache, shard_of
 from repro.workload.corpus import corpus_object
+from tests.reference_cache import DictByteCache
 
 BIG = 1 << 30
 
@@ -34,7 +36,7 @@ FPS = [(i * 2654435761 % (1 << 36)) << 4 for i in range(1, 25)]
 def make_caches(n_shards):
     """The dict-table oracle, then N=1, N=8 and N=n_shards sharded
     caches, all with unbounded budgets — pure parity."""
-    return [ByteCache(BIG, table_kind="dict")] + [
+    return [DictByteCache(BIG)] + [
         ShardedByteCache(BIG, n_shards=n, eviction="fifo")
         for n in (1, 8, n_shards)]
 
@@ -352,6 +354,5 @@ def test_encoder_wire_bytes_identical_over_one_fifo_shard():
     assert plain == sharded
     assert sharded_cache.store.evictions > 0
     assert any(len(blob) < 1460 for blob in sharded)     # it did encode
-    assert sharded_cache._ring is not None
     anchors = encoder.scheme.anchors(sequence[0][1])
     assert type(encoder._candidate_pairs(anchors)) is _SplitPairs

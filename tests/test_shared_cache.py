@@ -10,12 +10,12 @@ state coherent for every flow, not just the one that triggered them.
 """
 
 from repro.app.transfer import FileClient, FileServer
-from repro.core.cache import ByteCache
 from repro.core.shardcache import ShardedByteCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.multiflow import run_concurrent_fetches
 from repro.experiments.runner import FILE_NAME, SERVER_ADDR, build_testbed
 from repro.workload.corpus import corpus_object
+from tests.reference_cache import DictByteCache
 
 FPS = [(i * 2654435761 % (1 << 36)) << 4 for i in range(1, 9)]
 
@@ -137,7 +137,7 @@ def test_epoch_bump_mid_transfer_keeps_flows_alive():
 
 def test_flush_preserves_epoch_and_id_uniqueness_like_unsharded():
     sharded = ShardedByteCache(1 << 20, n_shards=4)
-    plain = ByteCache(1 << 20, table_kind="dict")
+    plain = DictByteCache(1 << 20)
     for cache in (sharded, plain):
         first = cache.insert_packet(b"a" * 20, [(0, FPS[0])])
         cache.flush()

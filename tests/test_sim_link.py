@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.net.packet import IPPacket, PROTO_TCP, TCPSegment
-from repro.net.checksum import payload_checksum
+from repro.core.checksum import payload_checksum
 from repro.sim import DuplexLink, Link, Simulator
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import UDPStack
-from repro.net.checksum import payload_checksum
+from repro.core.checksum import payload_checksum
 from repro.sim import Host, Link, Simulator
 
 

@@ -8,7 +8,8 @@ Covers the acceptance criteria of the verify layer:
   grid violation-free;
 * the cache-coherence oracle catches a deliberately poisoned decoder
   store and the byte-integrity oracle catches a wrong delivered chunk;
-* the differential runner's seven comparisons all agree;
+* the differential runner's four comparisons all agree, and the ring
+  table encodes byte-identically to the dict-table oracle;
 * the fuzzer finds an injected policy bug, shrinks it to a minimal
   case, and the JSON round-trip replays to the same oracle.
 """
@@ -21,7 +22,7 @@ from repro.core import (ByteCache, ByteCachingDecoder, ByteCachingEncoder,
                         FingerprintScheme)
 from repro.core.policies import PacketMeta, make_policy_pair
 from repro.experiments import ExperimentConfig, run_transfer
-from repro.net.checksum import payload_checksum
+from repro.core.checksum import payload_checksum
 from repro.sim.rng import RngRegistry
 from repro.verify import InvariantViolation, VerificationHarness
 from repro.verify.differential import run_differential
@@ -238,23 +239,32 @@ class TestDifferential:
         results = run_differential("smoke")
         assert [r.name for r in results] == \
             ["fingerprinters", "sweep-parallelism", "resilience",
-             "batched-encoder", "table-impls", "multiflow-parallelism",
              "sharded-vs-unsharded"]
         for result in results:
             assert result.matched, str(result)
 
-    def test_batched_encoder_comparison(self):
-        from repro.verify.differential import compare_batched_encoder
-
-        result = compare_batched_encoder(n_packets=32)
-        assert result.matched, result.detail
-        assert result.left_digest == result.right_digest
-
     def test_table_impls_comparison(self):
-        from repro.verify.differential import compare_table_impls
+        """Ring table vs the dict-table oracle over the three-phase
+        workload, at the smoke and the CI-only headline size."""
+        from repro.verify.differential import _offline_packets
+        from tests.reference_cache import DictByteCache, PerAnchorEncoder
 
-        result = compare_table_impls(n_packets=32)
-        assert result.matched, result.detail
+        def encode(encoder_cls, cache_cls, packets):
+            policy, _ = make_policy_pair("naive")
+            encoder = encoder_cls(FingerprintScheme(window=16, zero_bits=4),
+                                  cache_cls(16 * 1024 * 1024), policy)
+            wire = [encoder.encode(payload, PacketMeta(
+                        packet_id=counter, flow=("diff", 0),
+                        tcp_seq=counter * 1460, counter=counter)).data
+                    for counter, payload in enumerate(packets)]
+            return wire, encoder.stats
+
+        for n_packets in (96, 384):
+            packets = _offline_packets(n_packets)
+            ring = encode(ByteCachingEncoder, ByteCache, packets)
+            reference = encode(PerAnchorEncoder, DictByteCache, packets)
+            assert ring == reference
+            assert ring[1].packets_encoded > n_packets // 2
 
     def test_sharding_comparison(self):
         from repro.verify.differential import compare_sharding
@@ -262,13 +272,6 @@ class TestDifferential:
         result = compare_sharding(n_packets=48, file_size=20 * 1460)
         assert result.matched, result.detail
         assert result.name == "sharded-vs-unsharded"
-
-    def test_multiflow_parallelism_comparison(self):
-        from repro.verify.differential import compare_multiflow_parallelism
-
-        result = compare_multiflow_parallelism(n_flows=2,
-                                               file_size=10 * 1460)
-        assert result.matched, result.detail
 
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -347,7 +350,7 @@ class TestCli:
 
         assert main(["verify", "--scale", "smoke"]) == 0
         out = capsys.readouterr().out
-        assert "all 7 differential comparisons agree" in out
+        assert "all 4 differential comparisons agree" in out
 
     def test_fuzz_command_clean(self, capsys):
         from repro.cli import main

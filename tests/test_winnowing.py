@@ -85,7 +85,7 @@ class TestWinnowingScheme:
                                 ByteCachingEncoder)
         from repro.core.policies import (DecoderPolicy, NaivePolicy,
                                          PacketMeta)
-        from repro.net.checksum import payload_checksum
+        from repro.core.checksum import payload_checksum
 
         scheme = FingerprintScheme(selection="winnowing")
         encoder = ByteCachingEncoder(scheme, ByteCache(), NaivePolicy())
