@@ -31,7 +31,8 @@ paper-versus-measured record of every table and figure.
 from .core import (ByteCache, ByteCachingDecoder, ByteCachingEncoder,
                    DecodeResult, DecodeStatus, EncodeResult,
                    FingerprintScheme, PolyFingerprinter, RabinFingerprinter)
-from .core.adaptive import AdaptiveKDistancePolicy, LossRateEstimator
+from .core.policies.k_distance import (AdaptiveKDistancePolicy,
+                                       LossRateEstimator)
 from .experiments import ExperimentConfig, run_paired, run_transfer
 from .gateway import DecoderGateway, EncoderGateway, GatewayPair
 from .sim import Simulator

@@ -536,14 +536,19 @@ def cmd_corpus(args) -> int:
 def cmd_trace(args) -> int:
     from .app.transfer import FileClient, FileServer
     from .experiments.runner import (FILE_NAME, SERVER_ADDR, build_testbed)
-    from .metrics.depgraph import format_dependency_trace, graph_from_gateways
+    from .metrics.depgraph import format_dependency_trace, graph_from_spans
     from .workload import corpus_object as load_object
 
     config = ExperimentConfig(
         corpus=args.corpus, file_size=args.size, policy=args.policy,
         policy_kwargs={}, loss_rate=_percent(args.loss), seed=args.seed,
         time_limit=120.0, tcp_max_retries=8, tcp_max_rto=2.0,
-        trace=bool(args.out))
+        trace=bool(args.out),
+        # The dependency graph is read off the span export, so every
+        # flow is traced and no span may be dropped (the 120 s time
+        # limit bounds the log).
+        spans=True, spans_kwargs={"trace_sample": 1,
+                                  "max_spans": sys.maxsize})
     testbed = build_testbed(config)
     data = load_object(config.corpus, config.file_size, config.corpus_seed)
     FileServer(testbed.server_stack, {FILE_NAME: data})
@@ -552,10 +557,7 @@ def cmd_trace(args) -> int:
                            on_done=lambda _o: testbed.sim.stop())
     testbed.sim.run(until=config.time_limit)
 
-    encoder = testbed.gateways.encoder
-    decoder = testbed.gateways.decoder
-    graph, lost = graph_from_gateways(encoder, decoder.delivered_ids,
-                                      segment_keys=encoder.segment_log)
+    graph, lost = graph_from_spans(testbed.spans.export())
     dead = graph.undecodable_closure(lost) | lost
     print(format_dependency_trace(graph, dead, max_rows=args.rows))
     cycles = graph.segment_cycles()

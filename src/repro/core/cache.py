@@ -5,6 +5,9 @@ Two cooperating structures, as in Spring & Wetherall:
 * :class:`PacketStore` — the payload cache: recently seen packet
   payloads, evicted FIFO under a byte budget (and optionally a packet
   budget, which is how Table I's "window of k packets" is expressed).
+  Each payload is stored with its *packet record* (TCP seq, flow,
+  packet counter, originating packet id), and the eviction that frees
+  the payload frees the record.
 * :class:`~repro.core.ringtable.RingFingerprintTable` — fingerprint ->
   newest packet containing it.  §III-B: entries are *replaced* when a
   newer packet contains the same fingerprint, and the byte offset of
@@ -20,12 +23,13 @@ from __future__ import annotations
 import itertools
 import zlib
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from .polyhash import AnchorSet
-from .ringtable import RingEntry, RingFingerprintTable
+from .ringtable import (NO_RECORD, PacketRecord, RingEntry,
+                        RingFingerprintTable)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .shardcache import ShardedPacketStore
@@ -54,6 +58,8 @@ class PacketStore:
         self.eviction = eviction
         self._lru = eviction == "lru"
         self._data: "OrderedDict[int, bytes]" = OrderedDict()
+        #: store id -> packet record, for exactly the ids in ``_data``.
+        self.records: Dict[int, PacketRecord] = {}
         self._bytes = 0
         self._ids = itertools.count(1)
         self.evictions = 0
@@ -65,8 +71,10 @@ class PacketStore:
     def bytes_used(self) -> int:
         return self._bytes
 
-    def add(self, payload: bytes, route: Optional[int] = None) -> int:
-        """Store a payload; returns its store id.  May evict old entries.
+    def add(self, payload: bytes, record: PacketRecord = NO_RECORD,
+            route: Optional[int] = None) -> int:
+        """Store a payload and its record; returns its store id.  May
+        evict old entries.
 
         ``route`` (the payload's first anchor fingerprint) is a
         placement key for stores with more than one home; a single
@@ -74,6 +82,7 @@ class PacketStore:
         """
         store_id = next(self._ids)
         self._data[store_id] = payload
+        self.records[store_id] = record
         self._bytes += len(payload)
         if self._bytes > self.byte_budget or self.max_packets is not None:
             self._evict()
@@ -106,6 +115,9 @@ class PacketStore:
         return store_id in self._data
 
     def clear(self) -> None:
+        # One by one: sharded homes share the records dict.
+        for store_id in self._data:
+            del self.records[store_id]
         self._data.clear()
         self._bytes = 0
 
@@ -132,7 +144,8 @@ class PacketStore:
         """
         evicted = 0
         while self._data and evicted < count:
-            _, payload = self._data.popitem(last=False)
+            store_id, payload = self._data.popitem(last=False)
+            del self.records[store_id]
             self._bytes -= len(payload)
             self.evictions += 1
             evicted += 1
@@ -144,7 +157,8 @@ class PacketStore:
     def _evict(self) -> None:
         while self._bytes > self.byte_budget or (
                 self.max_packets is not None and len(self._data) > self.max_packets):
-            _, payload = self._data.popitem(last=False)
+            store_id, payload = self._data.popitem(last=False)
+            del self.records[store_id]
             self._bytes -= len(payload)
             self.evictions += 1
 
@@ -190,6 +204,7 @@ class ByteCache:
             byte_budget, max_packets, eviction)
         self.table = RingFingerprintTable(
             _ring_capacity(byte_budget, max_packets))
+        self.table.records = self.store.records
         self.flushes = 0
         #: Cache generation, stamped onto encoded packets by gateways
         #: running the resilience layer (see repro.gateway.resilience).
@@ -199,11 +214,8 @@ class ByteCache:
         self.epoch = 0
         #: Payloads the admission coin declined to cache.
         self.admission_rejected = 0
-        self._external_ids: Dict[int, int] = {}
-        # Size of _external_ids that triggers the next prune (four
-        # times the payloads that were live at the last one).
-        self._prune_at = 64
-        self._unusable_store_ids: set = set()
+        #: Store ids of cached packets informed marking has vetoed.
+        self._unusable_store_ids: Set[int] = set()
 
     def _admit(self, payload: bytes) -> bool:
         # Content-keyed coin: both gateways flip identically for the
@@ -243,13 +255,10 @@ class ByteCache:
             offsets = np.fromiter((pair[0] for pair in pairs),
                                   dtype=np.int64, count=len(pairs))
             fps = np.array(fps_list, dtype=np.uint64)
-        store_id = self.store.add(payload, fps_list[0] if fps_list else None)
-        if external_id is not None:
-            self._external_ids[store_id] = external_id
-            if len(self._external_ids) > self._prune_at:
-                self._prune_external_ids()
-        self.table.insert_batch(offsets, fps, store_id, tcp_seq, flow,
-                                packet_counter, fps_list)
+        store_id = self.store.add(
+            payload, (tcp_seq, flow, packet_counter, external_id),
+            fps_list[0] if fps_list else None)
+        self.table.insert_batch(offsets, fps, store_id, fps_list)
         return store_id
 
     def lookup(self, fingerprint: int) -> Optional[Tuple[RingEntry, bytes]]:
@@ -263,9 +272,7 @@ class ByteCache:
         entry_id = ring._index.get(fingerprint)
         if entry_id is None:
             return None
-        if entry_id in ring._unusable_ids:
-            return None
-        store_id = ring._rec_store[ring._pkt[entry_id & ring._mask]]
+        store_id = int(ring._pkt[entry_id])
         if store_id in self._unusable_store_ids:
             return None
         payload = self.store.get(store_id)
@@ -285,9 +292,9 @@ class ByteCache:
         """
         ring = self.table
         entry_id = ring._index.get(fingerprint)
-        if entry_id is None or entry_id in ring._unusable_ids:
+        if entry_id is None:
             return None
-        store_id = ring._rec_store[ring._pkt[entry_id & ring._mask]]
+        store_id = int(ring._pkt[entry_id])
         if store_id in self._unusable_store_ids:
             return None
         view = self.store.view(store_id)
@@ -302,9 +309,7 @@ class ByteCache:
         state from just before the latest replacement.
         """
         entry = self.table.previous_entry(fingerprint)
-        if entry is None or not entry.usable:
-            return None
-        if entry.store_id in self._unusable_store_ids:
+        if entry is None or entry.store_id in self._unusable_store_ids:
             return None
         payload = self.store.get(entry.store_id)
         if payload is None:
@@ -314,13 +319,12 @@ class ByteCache:
     def external_id_for(self, store_id: int) -> Optional[int]:
         """Originating packet id of a stored payload (for dependency
         tracking in the metrics layer), if one was recorded."""
-        return self._external_ids.get(store_id)
+        return self.store.records.get(store_id, NO_RECORD)[3]
 
     def flush(self) -> None:
         """Drop everything (the Cache Flush policy's reset, §V-A)."""
         self.store.clear()
         self.table.clear()
-        self._external_ids.clear()
         self._unusable_store_ids.clear()
         self.flushes += 1
 
@@ -350,13 +354,6 @@ class ByteCache:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
         return self.store.evict_oldest(int(len(self.store) * fraction))
 
-    def _prune_external_ids(self) -> None:
-        live = set(self.store.ids())
-        self._prune_at = 4 * len(live) + 64
-        self._external_ids = {sid: ext for sid, ext in self._external_ids.items()
-                              if sid in live}
-        self._unusable_store_ids &= live
-
     def mark_unusable(self, fingerprint: int) -> bool:
         """Informed marking: forbid encodings against the packet this
         fingerprint currently resolves to.
@@ -365,10 +362,12 @@ class ByteCache:
         mark lost packets), so every other fingerprint resolving to the
         same payload is disabled too — otherwise the encoder would just
         re-reference the lost packet through one of its other anchors.
+        Marks die with their packet: the set is cut back to the stored
+        ids here, on the rare (NACK-driven) path that grows it.
         """
         entry = self.table.get(fingerprint)
         if entry is None:
             return False
-        entry.usable = False
         self._unusable_store_ids.add(entry.store_id)
+        self._unusable_store_ids &= self.store.records.keys()
         return True

@@ -71,51 +71,6 @@ class EncodeResult:
         return self.bytes_in - (self.bytes_out - self.shim_overhead)
 
 
-class EncodeResultPool:
-    """Free-list of :class:`EncodeResult` shells.
-
-    The gateway hot loop creates one result per packet and discards it
-    within the same event; pooling the dataclass shells kills that
-    allocation churn.  Ownership rule: a result obtained from a pool
-    belongs to the caller until :meth:`release`; the ``regions`` list
-    and ``dependencies`` set are *never* recycled (consumers may keep
-    them — the middlebox logs ``dependencies``), only the shell is.
-    """
-
-    __slots__ = ("_free", "reused")
-
-    def __init__(self) -> None:
-        self._free: List[EncodeResult] = []
-        self.reused = 0
-
-    def acquire(self, data: bytes, encoded: bool, bytes_in: int,
-                bytes_out: int, regions: List[Region],
-                dependencies: Set[int], cached: bool,
-                shim_overhead: int) -> EncodeResult:
-        free = self._free
-        if free:
-            result = free.pop()
-            self.reused += 1
-            result.data = data
-            result.encoded = encoded
-            result.bytes_in = bytes_in
-            result.bytes_out = bytes_out
-            result.regions = regions
-            result.dependencies = dependencies
-            result.cached = cached
-            result.shim_overhead = shim_overhead
-            return result
-        return EncodeResult(data=data, encoded=encoded, bytes_in=bytes_in,
-                            bytes_out=bytes_out, regions=regions,
-                            dependencies=dependencies, cached=cached,
-                            shim_overhead=shim_overhead)
-
-    def release(self, result: EncodeResult) -> None:
-        """Return a shell to the pool (caller must drop its reference)."""
-        if len(self._free) < 64:
-            self._free.append(result)
-
-
 @dataclass
 class EncoderStats:
     """Counters accumulated by an encoder over a run."""
@@ -157,10 +112,6 @@ class ByteCachingEncoder:
         #: same contract — None (the default) costs one attribute load
         #: and an ``is None`` check per packet / emitted region.
         self.verifier = None
-        #: Optional :class:`EncodeResultPool`; when set, results are
-        #: pooled shells the caller must release (see the pool's
-        #: ownership rule).  None (the default) allocates per packet.
-        self.result_pool: Optional[EncodeResultPool] = None
         #: Optional causal span recorder (duck-typed,
         #: :class:`repro.metrics.spans.SpanRecorder`).  When set, the
         #: per-packet pass emits table_probe / region_expand /
@@ -237,21 +188,10 @@ class ByteCachingEncoder:
             stats.regions += len(regions)
             stats.matched_bytes += sum(r.length for r in regions)
 
-        pool = self.result_pool
-        if pool is not None:
-            return pool.acquire(data, bool(regions), len(payload), len(data),
-                                regions, dependencies, cached,
-                                self.shim_overhead)
-        return EncodeResult(
-            data=data,
-            encoded=bool(regions),
-            bytes_in=len(payload),
-            bytes_out=len(data),
-            regions=regions,
-            dependencies=dependencies,
-            cached=cached,
-            shim_overhead=self.shim_overhead,
-        )
+        # Positional: the dataclass __init__ binds keywords at more
+        # than twice the cost, once per packet.
+        return EncodeResult(data, bool(regions), len(payload), len(data),
+                            regions, dependencies, cached, self.shim_overhead)
 
     def _stage_mark(self, stage: str, mark: float, a: Optional[int] = None,
                     b: Optional[int] = None) -> float:
@@ -307,7 +247,6 @@ class ByteCachingEncoder:
             # binding below (fresh traffic hits this for most packets).
             return regions, dependencies
         cache = self.cache
-        external_id = cache._external_ids.get
         policy = self.policy
         entry_eligible = policy.entry_eligible
         stats = self.stats
@@ -316,18 +255,16 @@ class ByteCachingEncoder:
         min_length = self.min_region_length
         payload_len = len(payload)
         ring = cache.table
-        unusable_ids = ring._unusable_ids
         pkt_arr = ring._pkt
         off_arr = ring._offsets
-        rec_store = ring._rec_store
-        slot_mask = ring._mask
         store_get = cache.store.get
+        records = cache.store.records
         unusable_sids = cache._unusable_store_ids
         # entry_eligible reads per-packet-record facts only (see the
-        # hook's contract), so one verdict per distinct source record
-        # serves every other anchor of that record in this packet: a
+        # hook's contract), so one verdict per distinct source packet
+        # serves every other anchor of that packet in this one: a
         # retransmitted segment hits its own cached copy ~90 times.
-        verdicts: Dict[Any, bool] = {}
+        verdicts: Dict[int, bool] = {}
         n = len(offs_l)
         i = 0
         while i < n:
@@ -349,25 +286,21 @@ class ByteCachingEncoder:
             i += 1
             if eid is None:
                 continue
-            if eid in unusable_ids:
-                continue
-            slot = eid & slot_mask
-            record = pkt_arr[slot]
-            sid = rec_store[record]
+            sid = int(pkt_arr[eid])
             if sid in unusable_sids:
                 continue
             stored = store_get(sid)
             if stored is None:
                 ring.remove(fingerprint)
                 continue
-            eligible = verdicts.get(record)
+            eligible = verdicts.get(sid)
             if eligible is None:
-                eligible = verdicts[record] = entry_eligible(
+                eligible = verdicts[sid] = entry_eligible(
                     RingEntry(ring, eid), meta)
             if not eligible:
                 stats.ineligible_hits += 1
                 continue
-            entry_offset = int(off_arr[slot])
+            entry_offset = int(off_arr[eid])
             if (offset == entry_offset and payload_len == len(stored)
                     and payload == stored):
                 # Identical payloads (the repeated-transfer case): the
@@ -398,7 +331,7 @@ class ByteCachingEncoder:
                 # The only consumer of a per-anchor entry view.
                 verifier.on_region(meta, RingEntry(ring, eid), region)
             regions.append(region)
-            external = external_id(sid)
+            external = records[sid][3]   # stored, so recorded
             if external is not None:
                 dependencies.add(external)
             pos = offset_new + length

@@ -28,7 +28,7 @@ very loss being repaired.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict, Optional
 
 from .base import EncoderPolicy, PacketMeta
 
@@ -123,14 +123,61 @@ class KDistancePolicy(EncoderPolicy):
         return length < payload_len
 
 
+class LossRateEstimator:
+    """EWMA loss-rate estimate from observed TCP retransmissions.
+
+    An encoder-side gateway cannot see channel drops directly, but it
+    does see every retransmission (a non-increasing TCP sequence
+    number), which under steady state approximates the perceived loss
+    rate one RTT late.  Feed :meth:`observe` with each outgoing data
+    segment's ``(flow, seq)``.
+    """
+
+    def __init__(self, alpha: float = 0.05, initial: float = 0.0) -> None:
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError("alpha must be in (0, 1]")
+        self.alpha = alpha
+        self.estimate = initial
+        self.observations = 0
+        self.retransmissions = 0
+        self._last_seq: Dict[tuple, int] = {}
+
+    def observe(self, flow: tuple, seq: Optional[int]) -> bool:
+        """Record one outgoing segment; returns True if it looked like
+        a retransmission."""
+        if seq is None or flow is None:
+            return False
+        self.observations += 1
+        last = self._last_seq.get(flow)
+        is_retransmission = last is not None and seq <= last
+        if last is None or seq > last:
+            self._last_seq[flow] = seq
+        if is_retransmission:
+            self.retransmissions += 1
+        sample = 1.0 if is_retransmission else 0.0
+        self.estimate += self.alpha * (sample - self.estimate)
+        return is_retransmission
+
+    def recommended_k(self, target: float = 0.5, k_min: int = 2,
+                      k_max: int = 64) -> int:
+        """Reference spacing k ≈ target / p̂, clamped.
+
+        §VII shows aggressive compression backfires once k exceeds the
+        mean loss-free run (1/p), hence the sub-1 target.
+        """
+        if self.estimate <= 0.0:
+            return k_max
+        return max(k_min, min(k_max, int(round(target / self.estimate))))
+
+
 class AdaptiveKDistancePolicy(KDistancePolicy):
     """Tune-able k-distance (§IX future work).
 
     The conclusion calls for "a tune-able byte caching scheme that can
     dynamically adapt how aggressively it compresses packets based on
-    the packet loss rate".  This policy estimates the loss rate from
-    observed TCP retransmissions (non-increasing sequence numbers, the
-    same signal Cache Flush uses) and sets
+    the packet loss rate".  This policy keeps a
+    :class:`LossRateEstimator` over the segments it sees (the same
+    signal Cache Flush uses) and sets
 
         k  =  clamp(round(target / p_hat), k_min, k_max)
 
@@ -148,33 +195,21 @@ class AdaptiveKDistancePolicy(KDistancePolicy):
         self.k_min = k_min
         self.k_max = k_max
         self.target = target
-        self.ewma_alpha = ewma_alpha
-        self._loss_estimate = initial_loss
-        self._highest_seq: dict = {}
+        self.estimator = LossRateEstimator(ewma_alpha, initial_loss)
         self.adaptations = 0
         self._retune()
 
     @property
     def loss_estimate(self) -> float:
-        return self._loss_estimate
+        return self.estimator.estimate
 
     def before_packet(self, meta: PacketMeta, cache: "ByteCache") -> None:
-        if meta.tcp_seq is None or meta.flow is None:
-            return
-        highest = self._highest_seq.get(meta.flow)
-        is_retransmission = highest is not None and meta.tcp_seq <= highest
-        if highest is None or meta.tcp_seq > highest:
-            self._highest_seq[meta.flow] = meta.tcp_seq
-        sample = 1.0 if is_retransmission else 0.0
-        self._loss_estimate += self.ewma_alpha * (sample - self._loss_estimate)
+        self.estimator.observe(meta.flow, meta.tcp_seq)
         self._retune()
 
     def _retune(self) -> None:
-        if self._loss_estimate <= 0.0:
-            new_k = self.k_max
-        else:
-            new_k = int(round(self.target / self._loss_estimate))
-        new_k = max(self.k_min, min(self.k_max, new_k))
+        new_k = self.estimator.recommended_k(self.target, self.k_min,
+                                             self.k_max)
         if new_k != self.k:
             self.k = new_k
             self.adaptations += 1

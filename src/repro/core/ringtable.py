@@ -1,30 +1,34 @@
-"""Contiguous ring-buffer fingerprint table.
+"""Append-log fingerprint table: entries live in parallel arrays and an
+entry's id is its slot.
 
-A dict of per-entry objects would cost one allocation and two dict
-probes per anchor per cached packet — millions per sweep.  This module
-stores entries in parallel numpy arrays instead and addresses them by
-a monotone *entry id*:
+The paper's byte cache is two structures (§III-B, Fig. 2 / Fig. 7): a
+packet store and a fingerprint table whose entries point into it.  This
+is the table.  A dict of per-entry objects would cost one allocation
+and two dict probes per anchor per cached packet — millions per sweep —
+so entries are rows of three numpy arrays instead:
 
-* ``_fps`` / ``_offsets`` / ``_pkt`` — per-entry arrays, indexed by
-  ``id & _mask`` (capacity is a power of two).  ``_pkt`` points into
-  per-insert *packet records* (store id, tcp seq, flow, counter are
-  identical for every anchor of one cached packet, so they are stored
-  once per packet, not once per anchor).
+* ``_fps`` / ``_offsets`` / ``_pkt`` — fingerprint, window offset and
+  the **store id** of the cached packet, indexed by entry id.  Ids
+  ``0 .. _next - 1`` are live; inserts append.
 * ``_index`` — fingerprint -> newest entry id.  CPython dicts are
   open-addressed hash tables with C-speed bulk operations
   (``update(zip(...))``), which measured faster than a hand-rolled
   numpy open-addressed probe for this scalar-probe mix.
+* ``records`` — store id -> :data:`PacketRecord`, what the loss-robust
+  algorithms know about a cached *packet* (its TCP ``seq`` for §V-B, a
+  packet counter for §V-C).  The dict belongs to the packet store, which
+  writes a record with the payload and deletes it with the payload; the
+  cache that owns both points ``table.records`` at it.  The table only
+  reads it, so per-packet state is bounded by the byte budget.
 
 The index is the only membership structure: the encoder resolves a
 whole packet's anchors against it with one ``map(index.get, ...)`` (a
 C loop), and nothing sits in front of it — a vectorised prefilter
 measured dearer than the misses it saved (DESIGN.md §13).
 
-Ids ``0 .. _next - 1`` are live and ``_next`` never exceeds the
-capacity, so an id is its own slot (the mask is the identity; see
-ROADMAP).  The table never invalidates a reachable entry: when full it
-either compacts (keeping, per fingerprint, the newest entry plus the
-newest older entry referencing a different stored packet — exactly the
+The table never invalidates a reachable entry: when full it either
+compacts (keeping, per fingerprint, the newest entry plus the newest
+older entry referencing a different stored packet — exactly the
 entries reachable through ``get`` and ``previous_entry``) or doubles
 capacity.
 
@@ -36,94 +40,73 @@ to observable for observable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 _U64 = np.uint64
 
+#: What is stored once per cached packet:
+#: ``(tcp_seq, flow, packet_counter, packet_id)``.
+PacketRecord = Tuple[Optional[int], Optional[tuple], int, Optional[int]]
+
+#: What reads back for a packet the store no longer holds (or one
+#: stored with nothing recorded).
+NO_RECORD: PacketRecord = (None, None, 0, None)
+
 
 class RingEntry:
-    """View of one ring-table entry.
+    """Snapshot of one table entry and of the packet it points at.
 
     Allocated only for fingerprints that *hit* — the miss path never
-    materialises an entry.  Attribute reads go straight to the table's
-    arrays; ``usable`` writes through (informed marking).
+    materialises an entry.  The per-packet facts are read once, here
+    (a packet evicted since reads as :data:`NO_RECORD`); ``fingerprint``
+    and ``offset`` go to the table's arrays.
     """
 
-    __slots__ = ("_table", "_id", "_slot")
+    __slots__ = ("_table", "_id", "store_id", "tcp_seq", "flow",
+                 "packet_counter")
 
     def __init__(self, table: "RingFingerprintTable", entry_id: int) -> None:
         self._table = table
         self._id = entry_id
-        self._slot = entry_id & table._mask
+        self.store_id = store_id = int(table._pkt[entry_id])
+        self.tcp_seq, self.flow, self.packet_counter, _ = table.records.get(
+            store_id, NO_RECORD)
 
     @property
     def fingerprint(self) -> int:
-        return int(self._table._fps[self._slot])
+        return int(self._table._fps[self._id])
 
     @property
     def offset(self) -> int:
-        return int(self._table._offsets[self._slot])
-
-    @property
-    def store_id(self) -> int:
-        return self._table._rec_store[self._table._pkt[self._slot]]
-
-    @property
-    def tcp_seq(self) -> Optional[int]:
-        return self._table._rec_seq[self._table._pkt[self._slot]]
-
-    @property
-    def flow(self) -> Optional[tuple]:
-        return self._table._rec_flow[self._table._pkt[self._slot]]
-
-    @property
-    def packet_counter(self) -> int:
-        return self._table._rec_counter[self._table._pkt[self._slot]]
-
-    @property
-    def usable(self) -> bool:
-        return self._id not in self._table._unusable_ids
-
-    @usable.setter
-    def usable(self, value: bool) -> None:
-        if value:
-            self._table._unusable_ids.discard(self._id)
-        else:
-            self._table._unusable_ids.add(self._id)
+        return int(self._table._offsets[self._id])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RingEntry(fingerprint={self.fingerprint}, "
                 f"store_id={self.store_id}, offset={self.offset}, "
                 f"tcp_seq={self.tcp_seq}, flow={self.flow}, "
-                f"packet_counter={self.packet_counter}, "
-                f"usable={self.usable})")
+                f"packet_counter={self.packet_counter})")
 
 
 class RingFingerprintTable:
-    """fingerprint -> newest entry, backed by ring-buffer numpy arrays."""
+    """fingerprint -> newest entry, backed by append-only numpy arrays."""
 
     def __init__(self, capacity: int = 8192) -> None:
-        if capacity < 2 or capacity & (capacity - 1):
-            raise ValueError(f"capacity must be a power of two >= 2, "
-                             f"got {capacity}")
+        if capacity < 1:
+            raise ValueError(f"capacity must be positive, got {capacity}")
         self._capacity = capacity
-        self._mask = capacity - 1
         # Uninitialised on purpose: only slots of live ids are ever
         # read, and zero-filling would touch (make resident) the whole
-        # ring whenever the allocator hands back recycled memory.
+        # log whenever the allocator hands back recycled memory.
         self._fps = np.empty(capacity, dtype=np.uint64)
         self._offsets = np.empty(capacity, dtype=np.int64)
         self._pkt = np.empty(capacity, dtype=np.int64)
-        # Per-insert packet records (shared by every anchor of a packet).
-        self._rec_store: List[int] = []
-        self._rec_seq: List[Optional[int]] = []
-        self._rec_flow: List[Optional[tuple]] = []
-        self._rec_counter: List[int] = []
+        #: store id -> packet record; the owning cache points this at
+        #: its packet store's dict (see the module docstring).
+        self.records: Dict[int, PacketRecord] = {}
         self._index: Dict[int, int] = {}
         self._next = 0          # next entry id to assign
-        self._unusable_ids: Set[int] = set()
         self.inserts = 0
         self.replacements = 0
         self.compactions = 0
@@ -145,15 +128,14 @@ class RingFingerprintTable:
     # -- the batched hot path ----------------------------------------------
 
     def insert_batch(self, offsets: np.ndarray, fps: np.ndarray,
-                     store_id: int, tcp_seq: Optional[int],
-                     flow: Optional[tuple], packet_counter: int,
+                     store_id: int,
                      fps_list: Optional[List[int]] = None) -> None:
         """Point every ``(offset, fingerprint)`` anchor at one packet.
 
-        One packet record plus three vectorised array fills plus one
-        C-speed bulk index update — no per-anchor Python objects.
-        Later anchors win on duplicate fingerprints within the batch,
-        matching the per-entry loop's newest-wins order.
+        Three vectorised array fills plus one C-speed bulk index update
+        — no per-anchor Python objects.  Later anchors win on duplicate
+        fingerprints within the batch, matching the per-entry loop's
+        newest-wins order.
 
         ``fps_list``, when given, must be ``fps.tolist()`` — callers
         that already materialised it (the encoder probes the same
@@ -161,11 +143,6 @@ class RingFingerprintTable:
         conversion.
         """
         n = len(fps)
-        rec = len(self._rec_store)
-        self._rec_store.append(store_id)
-        self._rec_seq.append(tcp_seq)
-        self._rec_flow.append(flow)
-        self._rec_counter.append(packet_counter)
         if n == 0:
             return
         if self._history_memo:
@@ -175,7 +152,7 @@ class RingFingerprintTable:
         base = self._next
         self._fps[base:base + n] = fps
         self._offsets[base:base + n] = offsets
-        self._pkt[base:base + n] = rec
+        self._pkt[base:base + n] = store_id
         self._next = base + n
         index = self._index
         before = len(index)
@@ -193,10 +170,6 @@ class RingFingerprintTable:
             return None
         return RingEntry(self, entry_id)
 
-    def get_id(self, fingerprint: int) -> Optional[int]:
-        """Newest entry id for a fingerprint (internal fast probes)."""
-        return self._index.get(fingerprint)
-
     def remove(self, fingerprint: int) -> None:
         self._index.pop(fingerprint, None)
         if self._history_memo:
@@ -204,16 +177,11 @@ class RingFingerprintTable:
 
     def clear(self) -> None:
         self._index.clear()
-        self._rec_store.clear()
-        self._rec_seq.clear()
-        self._rec_flow.clear()
-        self._rec_counter.clear()
-        self._unusable_ids.clear()
         self._history_memo.clear()
         self._next = 0
 
     def entries(self) -> Iterator[RingEntry]:
-        """Views of the *current* entry of every indexed fingerprint."""
+        """Snapshots of the *current* entry of every indexed fingerprint."""
         for entry_id in list(self._index.values()):
             yield RingEntry(self, entry_id)
 
@@ -222,10 +190,10 @@ class RingFingerprintTable:
 
         The decoder's one-generation history fallback: when a reference
         raced a cache update, the displaced entry (same fingerprint,
-        previous stored packet) may still resolve it.  The ring keeps
+        previous stored packet) may still resolve it.  The log keeps
         displaced generations in place until compaction, so no
         per-insert displacement tracking is needed — this scans the
-        ring on demand (the fallback path is rare and checksum-gated).
+        log on demand (the fallback path is rare and checksum-gated).
 
         One failed fallback asks about the same handful of fingerprints
         a dozen times with no table mutation in between, so the answer
@@ -242,38 +210,31 @@ class RingFingerprintTable:
 
     def _scan_previous(self, fingerprint: int) -> int:
         """Entry id :meth:`previous_entry` resolves to, or -1."""
-        # Compare the live window in place: one slice of ``_fps``.
+        # Compare the live prefix in place: one slice of ``_fps``.
         matches = (self._fps[:self._next] == _U64(fingerprint)).nonzero()[0]
         if len(matches) == 0:
             return -1
         ref_id = self._index.get(fingerprint)
         if ref_id is None:
-            # Lazily removed (dangling store): the newest ring entry
+            # Lazily removed (dangling store): the newest log entry
             # plays the reference role, exactly as a dict-of-entries
             # table keeps its displaced entry after removing the
             # current one.
-            ref_id = int(matches[-1])
-        ref_store = self._rec_store[int(self._pkt[ref_id & self._mask])]
-        pkt = self._pkt
-        rec_store = self._rec_store
-        mask = self._mask
-        for entry_id in matches[::-1].tolist():
-            if entry_id >= ref_id:
-                continue
-            if rec_store[int(pkt[entry_id & mask])] != ref_store:
-                return entry_id
-        return -1
+            ref_id = matches[-1]
+        older = matches[matches < ref_id]
+        older = older[self._pkt[older] != self._pkt[ref_id]]
+        return int(older[-1]) if len(older) else -1
 
     # -- room making: compact, grow ---------------------------------------
 
     def _make_room(self, n: int) -> None:
         # Reachable entries are bounded by 2 per indexed fingerprint
         # (current + history candidate); compact when that fits in half
-        # the ring, otherwise double.  Compaction must strictly shrink
-        # the window to count as progress — a compact ring that still
-        # cannot absorb the batch (e.g. a batch wider than the whole
-        # capacity) has to fall through to growth or the loop would
-        # never terminate.
+        # the log, otherwise double.  Compaction must strictly shrink
+        # the live prefix to count as progress — a compact log that
+        # still cannot absorb the batch (e.g. a batch wider than the
+        # whole capacity) has to fall through to growth or the loop
+        # would never terminate.
         while self._next + n > self._capacity:
             compacted = False
             if 4 * len(self._index) <= self._capacity:
@@ -290,12 +251,10 @@ class RingFingerprintTable:
         if window == 0:
             return np.empty(0, dtype=np.int64)
         ids = np.arange(window, dtype=np.int64)
-        slots = ids & self._mask
-        fps = self._fps[slots]
-        stores = np.asarray(self._rec_store, dtype=np.int64)[self._pkt[slots]]
+        fps = self._fps[:window]
         order = np.lexsort((ids, fps))
         fps_s = fps[order]
-        stores_s = stores[order]
+        stores_s = self._pkt[:window][order]
         ids_s = ids[order]
         breaks = np.nonzero(fps_s[1:] != fps_s[:-1])[0]
         group_starts = np.concatenate(
@@ -317,41 +276,29 @@ class RingFingerprintTable:
     def _compact(self) -> bool:
         """Rewrite reachable entries contiguously; False when too full."""
         kept = self._reachable_ids()
-        if 2 * len(kept) > self._capacity:
+        n = len(kept)
+        if 2 * n > self._capacity:
             return False
-        old_slots = kept & self._mask
-        remap: Dict[int, int] = dict(
-            zip(kept.tolist(), range(len(kept))))
-        fps = self._fps[old_slots]
-        offsets = self._offsets[old_slots]
-        pkt = self._pkt[old_slots]
-        self._fps[:len(kept)] = fps
-        self._offsets[:len(kept)] = offsets
-        self._pkt[:len(kept)] = pkt
+        remap: Dict[int, int] = dict(zip(kept.tolist(), range(n)))
+        # The fancy-indexed right-hand sides are copies, so the
+        # overlapping prefix writes are safe.
+        self._fps[:n] = self._fps[kept]
+        self._offsets[:n] = self._offsets[kept]
+        self._pkt[:n] = self._pkt[kept]
         self._index = {fp: remap[entry_id]
                        for fp, entry_id in self._index.items()}
-        self._unusable_ids = {remap[entry_id]
-                              for entry_id in self._unusable_ids
-                              if entry_id in remap}
-        self._next = len(kept)
+        self._next = n
         self.compactions += 1
         return True
 
     def _grow(self) -> None:
-        old_mask = self._mask
-        capacity = self._capacity * 2
-        fps = np.zeros(capacity, dtype=np.uint64)
-        offsets = np.zeros(capacity, dtype=np.int64)
-        pkt = np.zeros(capacity, dtype=np.int64)
-        ids = np.arange(self._next, dtype=np.int64)
-        old_slots = ids & old_mask
-        new_slots = ids & (capacity - 1)
-        fps[new_slots] = self._fps[old_slots]
-        offsets[new_slots] = self._offsets[old_slots]
-        pkt[new_slots] = self._pkt[old_slots]
-        self._fps = fps
-        self._offsets = offsets
-        self._pkt = pkt
-        self._capacity = capacity
-        self._mask = capacity - 1
+        live = self._next
+        self._capacity *= 2
+        fps = np.empty(self._capacity, dtype=np.uint64)
+        offsets = np.empty(self._capacity, dtype=np.int64)
+        pkt = np.empty(self._capacity, dtype=np.int64)
+        fps[:live] = self._fps[:live]
+        offsets[:live] = self._offsets[:live]
+        pkt[:live] = self._pkt[:live]
+        self._fps, self._offsets, self._pkt = fps, offsets, pkt
         self.grows += 1

@@ -11,7 +11,8 @@ leaves the fingerprint side alone:
   population path too.
 * **Payload homes** — a cached payload lives in exactly one of
   ``n_shards`` :class:`~repro.core.cache.PacketStore` homes, the shard
-  of its first anchor, under a store id drawn from one shared counter.
+  of its first anchor, under a store id drawn from one shared counter
+  and with its packet record in one shared ``records`` dict.
   Table entries left dangling by a home's eviction are invalidated
   lazily on lookup, like the unsharded cache's.
 * **Per-shard byte budgets** — the total budget splits evenly across
@@ -39,6 +40,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .cache import ByteCache, PacketStore
+from .ringtable import NO_RECORD, PacketRecord
 
 #: Fibonacci multiplier (2^64 / phi) mixing fingerprints before shard
 #: routing — anchor selection zeroes the low ``zero_bits`` of every
@@ -79,10 +81,13 @@ class ShardedPacketStore:
         self.shards: List[PacketStore] = [
             PacketStore(per_shard, per_shard_packets, eviction)
             for _ in range(n_shards)]
-        # One shared counter: an id names one payload cache-wide (the
-        # external-id map and the verify oracles depend on that).
+        # One shared counter and one shared record dict: an id names
+        # one payload cache-wide (the fingerprint table and the verify
+        # oracles depend on that).
+        self.records = self.shards[0].records
         for shard in self.shards[1:]:
             shard._ids = self.shards[0]._ids
+            shard.records = self.records
         self._home: Dict[int, PacketStore] = {}
         self._prune_at = 64
         self._data = _MergedPayloads(self)
@@ -102,12 +107,13 @@ class ShardedPacketStore:
     def byte_budget(self) -> int:
         return sum(shard.byte_budget for shard in self.shards)
 
-    def add(self, payload: bytes, route: Optional[int] = None) -> int:
+    def add(self, payload: bytes, record: PacketRecord = NO_RECORD,
+            route: Optional[int] = None) -> int:
         n_shards = len(self.shards)
         home = self.shards[
             shard_of(route, n_shards) if route is not None
             else (zlib.crc32(payload) & 0xFFFFFFFF) % n_shards]
-        store_id = home.add(payload)
+        store_id = home.add(payload, record)
         self._home[store_id] = home
         if len(self._home) > self._prune_at:
             self._home = {sid: self._home[sid] for sid in self.ids()}
@@ -175,6 +181,7 @@ class ShardedByteCache(ByteCache):
         super().__init__(byte_budget, max_packets, eviction)
         self.store = ShardedPacketStore(
             byte_budget, n_shards, max_packets, eviction)
+        self.table.records = self.store.records
         self.byte_budget = byte_budget
         self.n_shards = n_shards
         self.admission = admission
@@ -225,7 +232,8 @@ class ShardedByteCache(ByteCache):
 
         The serving oracle calls this during a run: per-shard bytes
         within budget and equal to the payloads stored, store ids
-        unique across shards, every payload homed where it is held.
+        unique across shards, every payload homed where it is held, one
+        packet record per stored payload and none beside.
         """
         problems: List[str] = []
         holder: Dict[int, int] = {}
@@ -245,4 +253,7 @@ class ShardedByteCache(ByteCache):
                 if self.store._home.get(store_id) is not shard:
                     problems.append(f"store id {store_id} held by shard "
                                     f"{index} but not homed there")
+        if self.store.records.keys() != holder.keys():
+            problems.append(f"{len(self.store.records)} packet records for "
+                            f"{len(holder)} stored payloads")
         return problems

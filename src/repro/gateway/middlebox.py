@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from ..core.cache import ByteCache
 from ..core.decoder import ByteCachingDecoder, DecodeStatus
-from ..core.encoder import ByteCachingEncoder, EncodeResultPool
+from ..core.encoder import ByteCachingEncoder
 from ..core.fingerprint import FingerprintScheme
 from ..core.policies.base import (DecoderPolicy, EncoderPolicy, PacketMeta,
                                   PolicyServices)
@@ -191,25 +191,9 @@ class EncoderGateway(_GatewayBase):
                                      if resilience is not None else 0)
         self.encoder = ByteCachingEncoder(scheme, cache, policy,
                                           shim_overhead=shim_overhead)
-        # One result shell per in-flight packet is all the gateway ever
-        # holds, so the encoder recycles them through a small free list.
-        self._result_pool = EncodeResultPool()
-        self.encoder.result_pool = self._result_pool
         if resilience is not None:
             self.resilience = EncoderResilience(self, resilience)
         self._data_counter = 0
-        #: The §VII dependency-graph bookkeeping below grows with every
-        #: data packet of the run — fine for one transfer, unbounded for
-        #: a serving run pushing millions of packets through one
-        #: gateway.  The serving engine clears this flag; everything
-        #: else keeps the analysis logs.
-        self.retain_logs = True
-        #: packet_id -> set of packet ids it was encoded against
-        #: (dependency bookkeeping for the §VII analysis)
-        self.dependency_log: dict = {}
-        #: packet_id -> TCP sequence number (folds retransmissions of
-        #: one segment together in the dependency-graph analysis)
-        self.segment_log: dict = {}
 
     def process(self, pkt: IPPacket) -> Optional[IPPacket]:
         if pkt.proto == PROTO_DRE_CONTROL:
@@ -245,8 +229,6 @@ class EncoderGateway(_GatewayBase):
             counter=self._data_counter,
         )
         self._data_counter += 1
-        if pkt.proto == PROTO_TCP and self.retain_logs:
-            self.segment_log[pkt.packet_id] = payload.seq
         spans = self.spans
         span = None
         if spans is not None:
@@ -279,8 +261,6 @@ class EncoderGateway(_GatewayBase):
                 payload.options_size += EPOCH_STAMP_SIZE
         if result.encoded:
             self.stats.encoded_packets += 1
-            if self.retain_logs:
-                self.dependency_log[pkt.packet_id] = result.dependencies
             tracer = self.tracer
             if tracer.enabled or tracer.sink is not None:
                 # Guarded so the disabled path skips the sorted() copy.
@@ -289,7 +269,9 @@ class EncoderGateway(_GatewayBase):
                             saved=result.bytes_in - result.bytes_out)
             if spans is not None:
                 # The paper's causal arrow: this packet now depends on
-                # the traces of the cache entries it was encoded against.
+                # the traces of the cache entries it was encoded against
+                # (the §VII dependency graph is rebuilt from these links:
+                # metrics.depgraph.graph_from_spans).
                 spans.link_deps(span, result.dependencies)
         else:
             self.stats.passthrough_packets += 1
@@ -297,9 +279,6 @@ class EncoderGateway(_GatewayBase):
             spans.end(span, result.encoded, result.bytes_in,
                       result.bytes_out)
         self.stats.bytes_after += pkt.wire_size
-        # The shell is consumed within this event (dependencies/regions
-        # are never recycled — see EncodeResultPool's ownership rule).
-        self._result_pool.release(result)
         return pkt
 
 
@@ -324,12 +303,6 @@ class DecoderGateway(_GatewayBase):
             self.policy.retry = self.reinject  # type: ignore[attr-defined]
         self.decoder = ByteCachingDecoder(scheme, cache, self.policy)
         self._data_counter = 0
-        #: Grows per delivered packet; cleared by the serving engine
-        #: (see EncoderGateway.retain_logs).
-        self.retain_logs = True
-        #: packet ids successfully decoded and forwarded (for the
-        #: dependency-graph analysis of §VII)
-        self.delivered_ids: set = set()
 
     def process(self, pkt: IPPacket) -> Optional[IPPacket]:
         if pkt.proto == PROTO_DRE_CONTROL:
@@ -413,8 +386,6 @@ class DecoderGateway(_GatewayBase):
                 payload.data = result.payload
                 payload.dre_encoded = False
                 self.stats.decoded_ok += 1
-                if self.retain_logs:
-                    self.delivered_ids.add(pkt.packet_id)
                 status = "ok"
                 return pkt
             # Failure paths only from here; one flag decides whether

@@ -2,7 +2,7 @@
 
 from .collectors import RatioPoint, TransferResult
 from .depgraph import (DependencyGraph, format_dependency_trace,
-                       graph_from_gateways)
+                       graph_from_spans)
 from .flame import FlameNode, build_flame, format_flame, to_folded
 from .profiling import STAGES, StageProfiler, profiler_if
 from .regression import (BENCH_DIFF_SCHEMA, BenchDiff, BenchSpec,
@@ -55,7 +55,7 @@ __all__ = [
     "TransferResult",
     "DependencyGraph",
     "format_dependency_trace",
-    "graph_from_gateways",
+    "graph_from_spans",
     "format_series",
     "format_table",
     "Aggregate",

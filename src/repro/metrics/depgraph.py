@@ -3,9 +3,10 @@
 The paper explains its results through the *dependency graph* between
 IP packets: packet A depends on packet B when A's encoding references a
 region cached from B (Fig. 5 shows the circular case; Fig. 14 walks an
-actual capture).  This module rebuilds that graph from an encoder
-gateway's dependency log plus the set of packets the decoder actually
-delivered, and derives the quantities the paper discusses:
+actual capture).  This module rebuilds that graph from a run's
+``spans/v1`` export — the encode spans' ``encoded_against`` links plus
+the decode spans that closed ``ok`` — and derives the quantities the
+paper discusses:
 
 * which packets were *undecodable* and through which chain of missing
   ancestors (transitive loss amplification);
@@ -17,7 +18,7 @@ delivered, and derives the quantities the paper discusses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 #: Graph nodes are opaque hashable keys.  The metrics layer uses packet
 #: ids (ints); the architecture linter (:mod:`repro.analysis`) reuses
@@ -155,25 +156,30 @@ class DependencyGraph:
         return any(len(cycle) == 1 for cycle in self.segment_cycles())
 
 
-def graph_from_gateways(encoder_gateway, delivered_ids: Set[int],
-                        segment_keys: Optional[Dict[int, int]] = None
-                        ) -> Tuple[DependencyGraph, Set[int]]:
-    """Build a graph from an :class:`EncoderGateway` dependency log.
+def graph_from_spans(doc: Dict[str, Any]
+                     ) -> Tuple[DependencyGraph, Set[int]]:
+    """Build a graph from a ``spans/v1`` export of an unsampled run.
 
-    ``delivered_ids`` are the packet ids the decoder forwarded; the
-    complement (packets sent but never delivered) is returned as the
-    lost/undecodable seed set.
+    An ``encode`` span that closed ``encoded`` is a node (its ``seq``
+    tag the segment key) and its ``encoded_against`` links are the
+    edges; a packet with no ``decode`` span that closed ``ok`` was sent
+    but never delivered, and those are returned as the lost/undecodable
+    seed set.
     """
     graph = DependencyGraph()
-    log = encoder_gateway.dependency_log
-    for packet_id in sorted(log):
-        segment = None
-        if segment_keys is not None:
-            segment = segment_keys.get(packet_id)
-        graph.add_packet(packet_id, log[packet_id], segment=segment)
-    lost = {packet_id for packet_id in graph.sent
-            if packet_id not in delivered_ids}
-    return graph, lost
+    encoded = {span["tags"]["packet"]: span for span in doc["spans"]
+               if span["name"] == "encode" and span["tags"].get("encoded")}
+    for packet_id in sorted(encoded):
+        span = encoded[packet_id]
+        graph.add_packet(
+            packet_id,
+            (link["packet"] for link in span.get("links", ())
+             if link["ref"] == "encoded_against"),
+            segment=span["tags"].get("seq"))
+    delivered = {span["tags"]["packet"] for span in doc["spans"]
+                 if span["name"] == "decode"
+                 and span["tags"].get("status") == "ok"}
+    return graph, set(graph.sent) - delivered
 
 
 def format_dependency_trace(graph: DependencyGraph, dead: Set[int],

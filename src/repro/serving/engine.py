@@ -18,12 +18,11 @@ Methodology notes baked in here (DESIGN.md §15 discusses why):
   requests scheduled after the warm-up boundary.
 * **Pooled per-flow state.**  A churning population leaks state in
   places a single transfer never notices (the stack's connection
-  table, the gateways' analysis logs, per-connection telemetry
-  gauges).  The :class:`FlowPool` sweeps fully-closed connections out
-  of both stacks after a linger longer than the max RTO, the gateways
-  run with ``retain_logs`` off, and telemetry runs with
-  ``per_connection`` off; the pool's high-water mark is the invariant
-  the soak test bounds.
+  table, per-connection telemetry gauges).  The :class:`FlowPool`
+  sweeps fully-closed connections out of both stacks after a linger
+  longer than the max RTO, and telemetry runs with ``per_connection``
+  off; the pool's high-water mark is the invariant the soak test
+  bounds.
 * **Determinism.**  The schedule is generated before the simulator
   starts, every random draw inside the run comes from the testbed's
   seeded streams, and the report contains no wall-clock — so a report
@@ -284,10 +283,6 @@ def run_serving(spec: ServingSpec) -> Dict[str, Any]:
 
     testbed = build_testbed(spec.experiment_config())
     sim = testbed.sim
-    if testbed.gateways is not None:
-        # Analysis logs grow per packet; a serving run doesn't read them.
-        testbed.gateways.encoder.retain_logs = False
-        testbed.gateways.decoder.retain_logs = False
 
     CatalogFileServer(testbed.server_stack, catalog)
     client_app = FileClient(testbed.client_stack, sim)

@@ -423,13 +423,13 @@ class VerificationHarness:
         dec_lookup = dec_cache.table.get  # side-effect-free on both table kinds
         self.coherence_checks += 1
         for entry in list(enc_cache.table.entries()):
-            if not entry.usable or entry.store_id in enc_cache._unusable_store_ids:
+            if entry.store_id in enc_cache._unusable_store_ids:
                 continue
             enc_payload = enc_cache.store._data.get(entry.store_id)
             if enc_payload is None:
                 continue
             dec_entry = dec_lookup(entry.fingerprint)
-            if dec_entry is None or not dec_entry.usable:
+            if dec_entry is None:
                 continue
             if dec_entry.store_id in dec_cache._unusable_store_ids:
                 continue

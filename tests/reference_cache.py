@@ -101,14 +101,15 @@ class DictByteCache(ByteCache):
         # to resolve references made against a slightly older cache
         # state (the encoder's view can lag by up to one RTT).
         self._previous_entries: Dict[int, CacheEntry] = {}
+        # Size of _previous_entries that triggers the next prune.
+        self._prune_at = 64
 
     def insert_packet(self, payload, anchors, tcp_seq=None, flow=None,
                       packet_counter=0, external_id=None) -> int:
-        store_id = self.store.add(payload)
-        if external_id is not None:
-            self._external_ids[store_id] = external_id
-            if len(self._external_ids) > self._prune_at:
-                self._prune_external_ids()
+        store_id = self.store.add(
+            payload, (tcp_seq, flow, packet_counter, external_id))
+        if len(self._previous_entries) > self._prune_at:
+            self._prune_previous_entries()
         pairs = anchors.pairs() if hasattr(anchors, "pairs") else anchors
         if not hasattr(pairs, "__len__"):
             pairs = list(pairs)
@@ -160,16 +161,24 @@ class DictByteCache(ByteCache):
             return None
         return entry, payload
 
+    def mark_unusable(self, fingerprint: int) -> bool:
+        entry = self.table.get(fingerprint)
+        if entry is None:
+            return False
+        entry.usable = False
+        self._unusable_store_ids.add(entry.store_id)
+        return True
+
     def flush(self) -> None:
         super().flush()
         self._previous_entries.clear()
 
-    def _prune_external_ids(self) -> None:
-        super()._prune_external_ids()
-        live = set(self.store.ids())
+    def _prune_previous_entries(self) -> None:
+        live = self.store.records
         self._previous_entries = {
             fp: entry for fp, entry in self._previous_entries.items()
             if entry.store_id in live}
+        self._prune_at = 4 * len(self._previous_entries) + 64
 
 
 class PerAnchorEncoder(ByteCachingEncoder):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.adaptive import AdaptiveKDistancePolicy, LossRateEstimator
+from repro.core.policies.k_distance import (AdaptiveKDistancePolicy,
+                                            LossRateEstimator)
 
 
 def test_clean_stream_estimate_decays_to_zero():

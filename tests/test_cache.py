@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.cache import ByteCache, PacketStore
+from repro.core.shardcache import ShardedByteCache
 from tests.reference_cache import CacheEntry, FingerprintTable
 
 
@@ -170,4 +171,90 @@ class TestByteCache:
         cache = ByteCache(byte_budget=1000, max_packets=4)
         for i in range(200):
             cache.insert_packet(b"x" * 100, [(0, i)], external_id=i)
-        assert len(cache._external_ids) <= 4 * 4 + 64
+        assert len(cache.store.records) == 4
+        assert cache.external_id_for(196) is None        # evicted
+        assert cache.external_id_for(197) == 196
+
+    def test_entry_of_an_evicted_packet_reads_no_record(self):
+        cache = ByteCache(byte_budget=100)
+        cache.insert_packet(b"a" * 80, [(3, 1)], tcp_seq=5, flow=("f",),
+                            packet_counter=9, external_id=1)
+        cache.insert_packet(b"b" * 80, [(0, 2)])  # evicts the first
+        entry = cache.table.get(1)                # dangling, not yet looked up
+        assert entry.store_id == 1 and entry.offset == 3
+        assert entry.tcp_seq is None and entry.flow is None
+        assert entry.packet_counter == 0
+
+    def test_marks_die_with_their_packets(self):
+        cache = ByteCache(byte_budget=1000)
+        for i in range(10):
+            cache.insert_packet(bytes([i]) * 100, [(0, i)])
+        for i in range(10):
+            assert cache.mark_unusable(i)
+        assert cache._unusable_store_ids == set(cache.store.ids())
+        cache.evict_fraction(0.7)                 # the eviction storm
+        cache.insert_packet(b"z" * 100, [(0, 99)])
+        cache.mark_unusable(99)
+        assert cache._unusable_store_ids <= set(cache.store.ids())
+        assert len(cache._unusable_store_ids) == 4
+        assert cache.mark_unusable(0)             # dangling: mark dropped at once
+        assert cache._unusable_store_ids <= set(cache.store.ids())
+
+
+@pytest.mark.parametrize("make", [
+    ByteCache,
+    lambda **kwargs: ShardedByteCache(n_shards=8, **kwargs),
+], ids=["plain", "8-shards"])
+class TestOneRecordPerStoredPayload:
+    """A packet's record is freed by the eviction that frees its payload."""
+
+    @staticmethod
+    def fill(cache, count=60):
+        for i in range(count):
+            cache.insert_packet(bytes([i]) * 100, [(0, 1000 + i)],
+                                tcp_seq=i, external_id=i)
+
+    @staticmethod
+    def check(cache):
+        store = cache.store
+        assert len(store.records) == len(store)
+        assert set(store.records) == set(store.ids())
+
+    def test_budget_eviction(self, make):
+        cache = make(byte_budget=1600)
+        self.fill(cache)
+        assert cache.store.evictions > 0
+        self.check(cache)
+
+    def test_packet_budget_eviction(self, make):
+        cache = make(byte_budget=1 << 20, max_packets=4)
+        self.fill(cache, 200)
+        assert cache.store.evictions >= 192
+        self.check(cache)
+
+    def test_evict_fraction(self, make):
+        cache = make(byte_budget=1 << 20)
+        self.fill(cache)
+        assert cache.evict_fraction(0.5) == 30
+        self.check(cache)
+
+    def test_set_byte_budget(self, make):
+        cache = make(byte_budget=1 << 20)
+        self.fill(cache)
+        assert cache.set_byte_budget(1600) > 0
+        self.check(cache)
+
+    def test_flush(self, make):
+        cache = make(byte_budget=1 << 20)
+        self.fill(cache)
+        cache.flush()
+        assert len(cache.store.records) == 0
+        self.check(cache)
+
+    def test_payload_without_anchors_leaves_nothing_behind(self, make):
+        cache = make(byte_budget=1 << 20, max_packets=8)
+        for i in range(50):
+            cache.insert_packet(bytes([i]) * 100, [], external_id=i)
+        assert cache.store.evictions >= 42
+        self.check(cache)
+        assert len(cache.table) == 0 and cache.table._next == 0

@@ -116,15 +116,11 @@ class TestEndToEnd:
     def test_naive_run_shows_self_dependency(self):
         """The naive policy under one forced loss must show the §IV-B
         circular dependency in its measured dependency graph."""
-        from repro.metrics.depgraph import graph_from_gateways
+        from repro.metrics.depgraph import graph_from_spans
         from tests.test_integration_stall import run_with_event
 
-        testbed, outcome, _state = run_with_event("naive")
-        encoder = testbed.gateways.encoder
-        decoder = testbed.gateways.decoder
-        graph, lost = graph_from_gateways(
-            encoder, delivered_ids=decoder.delivered_ids,
-            segment_keys=encoder.segment_log)
+        testbed, outcome, _state = run_with_event("naive", spans=True)
+        graph, lost = graph_from_spans(testbed.spans.export())
         assert graph.sent
         assert graph.average_degree() >= 1.0
         assert graph.has_self_dependency()
@@ -132,14 +128,10 @@ class TestEndToEnd:
         assert lost
 
     def test_robust_run_has_no_self_dependency(self):
-        from repro.metrics.depgraph import graph_from_gateways
+        from repro.metrics.depgraph import graph_from_spans
         from tests.test_integration_stall import run_with_event
 
-        testbed, outcome, _state = run_with_event("tcp_seq")
-        encoder = testbed.gateways.encoder
-        decoder = testbed.gateways.decoder
-        graph, _ = graph_from_gateways(
-            encoder, delivered_ids=decoder.delivered_ids,
-            segment_keys=encoder.segment_log)
+        testbed, outcome, _state = run_with_event("tcp_seq", spans=True)
+        graph, _ = graph_from_spans(testbed.spans.export())
         assert outcome.completed
         assert not graph.has_self_dependency()

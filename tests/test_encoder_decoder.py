@@ -232,6 +232,26 @@ class TestCacheSynchronisation:
         assert decoded.ok and decoded.payload == second
 
 
+class TestForceRaw:
+    def test_force_raw_disables_fused_path_but_still_caches(self):
+        from repro.workload.corpus import corpus_object
+
+        # Fresh + cold + warm traffic (the hot path's three regimes).
+        rng = random.Random(0xBC)
+        data = corpus_object("file1", seed=3)
+        cold = [data[i: i + 1460] for i in range(0, 8 * 1460, 1460)]
+        packets = [rng.randbytes(1460) for _ in range(4)] + cold + cold
+        encoder, _ = make_pair()
+        results = [encoder.encode(payload, meta(i), force_raw=True)
+                   for i, payload in enumerate(packets)]
+        assert all(not r.encoded for r in results)
+        # Cache Update still ran: a second (non-raw) pass over the same
+        # bytes should now find everything.
+        repeat = [encoder.encode(payload, meta(i))
+                  for i, payload in enumerate(packets)]
+        assert all(r.encoded for r in repeat)
+
+
 class TestStats:
     def test_encoder_stats_accumulate(self):
         encoder, decoder = make_pair()

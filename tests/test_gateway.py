@@ -100,13 +100,20 @@ class TestEncodeDecodePath:
         assert not enc_out.packets[0].tcp.dre_encoded
 
     def test_dependency_log_records_sources(self):
-        sim, pair, enc_out, _ = make_pair()
+        # The dependency record is the encode span's encoded_against
+        # links (read back by metrics.depgraph.graph_from_spans).
+        from repro.metrics.depgraph import graph_from_spans
+        from repro.metrics.spans import SpanRecorder
+
+        recorder = SpanRecorder()
+        sim, pair, enc_out, _ = make_pair(spans=recorder)
         payload = random_bytes(4)
         first = data_packet(payload, seq=0)
         pair.encoder.receive(first)
         second = data_packet(payload, seq=1460)
         pair.encoder.receive(second)
-        assert pair.encoder.dependency_log[second.packet_id] == \
+        graph, _lost = graph_from_spans(recorder.export())
+        assert graph.edges[second.packet_id] == \
             {first.packet_id}
 
     def test_byte_accounting(self):
@@ -264,3 +271,12 @@ class TestPolicyIntegration:
         payload_b = payload_a[:700] + random_bytes(11, 760)
         pair.encoder.receive(data_packet(payload_b, seq=7 * 1460))
         assert len(enc_out.packets[-1].tcp.data) < len(payload_b)
+
+
+def test_naive_transfer_through_the_gateways_completes():
+    from repro.experiments import ExperimentConfig
+    from repro.experiments.runner import run_transfer
+
+    result = run_transfer(ExperimentConfig(file_size=30 * 1460,
+                                           policy="naive", seed=11))
+    assert result.completed

@@ -21,14 +21,14 @@ FILE_SIZE = 40 * 1460
 
 
 def run_with_event(policy, policy_kwargs=None, drop_nth_data=5,
-                   corrupt_instead=False, time_limit=200.0):
+                   corrupt_instead=False, time_limit=200.0, spans=False):
     """Run a transfer dropping (or corrupting) exactly one data packet."""
     config = ExperimentConfig(
         corpus="file1", file_size=FILE_SIZE, corpus_seed=3,
         policy=policy, policy_kwargs=policy_kwargs or {},
         loss_rate=0.0, seed=2, time_limit=time_limit,
         tcp_max_retries=6, tcp_min_rto=0.05, tcp_max_rto=0.5,
-        verify_content=True)
+        verify_content=True, spans=spans)
     testbed = build_testbed(config)
     data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
     FileServer(testbed.server_stack, {FILE_NAME: data})

@@ -1,4 +1,4 @@
-"""Ring-buffer fingerprint table edge cases.
+"""Append-log fingerprint table edge cases.
 
 The contiguous table (repro.core.ringtable) must match the reference
 dict table of ``tests/reference_cache.py`` observable-for-observable;
@@ -20,7 +20,8 @@ from tests.reference_cache import CacheEntry, DictByteCache, FingerprintTable
 def _insert(table, fingerprints, store_id=0, counter=0):
     fps = np.array(fingerprints, dtype=np.uint64)
     offsets = np.arange(len(fingerprints), dtype=np.int64)
-    table.insert_batch(offsets, fps, store_id, None, None, counter)
+    table.records[store_id] = (None, None, counter, None)
+    table.insert_batch(offsets, fps, store_id)
 
 
 class TestAutogrow:
@@ -106,15 +107,15 @@ class TestCapacityFromBudget:
 def _brute_previous(table, fingerprint):
     """previous_entry by walking every live id, newest first."""
     ids = [i for i in range(table._next)
-           if int(table._fps[i & table._mask]) == fingerprint]
+           if int(table._fps[i]) == fingerprint]
     if not ids:
         return None
-    ref = table.get_id(fingerprint)
+    ref = table._index.get(fingerprint)
     if ref is None:
         ref = ids[-1]
 
     def store_of(entry_id):
-        return table._rec_store[int(table._pkt[entry_id & table._mask])]
+        return int(table._pkt[entry_id])
 
     for entry_id in reversed(ids):
         if entry_id < ref and store_of(entry_id) != store_of(ref):
@@ -192,10 +193,11 @@ def _entry(fingerprint, store_id, offset, counter):
 
 def _put(ring, entry):
     """``FingerprintTable.put`` spelled as a one-anchor ring insert."""
+    ring.records[entry.store_id] = (entry.tcp_seq, entry.flow,
+                                    entry.packet_counter, None)
     ring.insert_batch(np.array([entry.offset], dtype=np.int64),
                       np.array([entry.fingerprint], dtype=np.uint64),
-                      entry.store_id, entry.tcp_seq, entry.flow,
-                      entry.packet_counter)
+                      entry.store_id)
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,7 +210,9 @@ def test_ring_matches_dict_table_property(ops):
     """Same insert sequence → same observable state as the dict table."""
     ring = RingFingerprintTable(capacity=8)
     reference = FingerprintTable()
-    for counter, (fingerprint, store_id, offset) in enumerate(ops):
+    for fingerprint, store_id, offset in ops:
+        # One store id is one cached packet, so one packet counter.
+        counter = 100 + store_id
         _put(ring, _entry(fingerprint, store_id, offset, counter))
         reference.put(_entry(fingerprint, store_id, offset, counter))
     assert len(ring) == len(reference)

@@ -78,7 +78,7 @@ def _entry_view(hit):
         return None
     entry, payload = hit
     return (payload, entry.offset, entry.tcp_seq, entry.flow,
-            entry.packet_counter, entry.usable)
+            entry.packet_counter)
 
 
 def _apply(caches, op, counter):
