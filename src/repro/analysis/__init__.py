@@ -14,15 +14,11 @@ architectural assumptions the rest of the repo only checks at runtime:
   ``bench_hotpath`` and the e2e call budgets hold them to;
 * **robustness hygiene** — no bare excepts, mutable defaults,
   silently swallowed :class:`InvariantViolation`, or tracked bytecode;
-* **whole-program dataflow** (PR 10) — a shared
+* **process-boundary purity** — what crosses into a sweep worker
+  must pickle and workers must not mutate module globals; the one
+  family that walks the shared
   :class:`~repro.analysis.project.ProjectModel` (symbol table +
-  conservative call graph) feeds three interprocedural families:
-  ``taint`` (nondeterminism must not reach serialization sinks),
-  ``purity`` (what crosses a process boundary must pickle, workers
-  must not mutate module globals) and ``excflow``
-  (``InvariantViolation`` may not be swallowed outside the harness).
-  ``repro lint graph`` exports the graph and taint traces as
-  ``repro.lintgraph/v1``.
+  conservative call graph).
 
 Everything is declarative config under ``[tool.repro-lint]`` in
 ``pyproject.toml``; findings ratchet down through a committed baseline
@@ -35,16 +31,13 @@ from .config import LintConfig, load_config
 from .engine import collect_files, format_text, rewrite_baseline, run_lint
 from .findings import (FAMILIES, LINT_SCHEMA, Finding, LintReport,
                        validate_lint_report)
-from .graphexport import (LINTGRAPH_SCHEMA, build_lintgraph, build_project,
-                          format_graph_text, validate_lintgraph)
 from .project import ProjectModel
 from .registry import RULES, Rule, rule, select_rules
 
 __all__ = [
     "BASELINE_SCHEMA", "FAMILIES", "Finding", "LINT_SCHEMA",
-    "LINTGRAPH_SCHEMA", "LintConfig", "LintReport", "ProjectModel",
-    "RULES", "Rule", "build_lintgraph", "build_project", "collect_files",
-    "format_graph_text", "format_text", "load_baseline", "load_config",
+    "LintConfig", "LintReport", "ProjectModel", "RULES", "Rule",
+    "collect_files", "format_text", "load_baseline", "load_config",
     "rewrite_baseline", "rule", "run_lint", "select_rules",
-    "validate_lint_report", "validate_lintgraph", "write_baseline",
+    "validate_lint_report", "write_baseline",
 ]

@@ -44,11 +44,13 @@ DEFAULT_LAYER_ASSIGN = {
 #: the named-stream registry itself, and the CLI's user-facing edges.
 DEFAULT_DETERMINISM_ALLOW = ["repro.sim.rng", "repro.cli"]
 
-#: Wall-clock calls that silently break replay (``perf_counter`` is
-#: deliberately absent: it feeds profiling output, never results).
+#: Wall-clock and OS-entropy calls that silently break replay
+#: (``perf_counter`` is deliberately absent: it feeds profiling output,
+#: never results).
 DEFAULT_WALLCLOCK = [
     "time.time", "time.time_ns", "datetime.datetime.now",
     "datetime.datetime.utcnow", "datetime.date.today", "os.urandom",
+    "uuid.uuid1", "uuid.uuid4", "secrets.token_bytes", "secrets.token_hex",
 ]
 
 #: Functions on the per-packet/per-byte path, held to the strict
@@ -74,34 +76,11 @@ DEFAULT_HOT_FUNCTIONS = [
 DEFAULT_TELEMETRY_ATTRS = ["profiler", "verifier", "telemetry", "recorder",
                            "spans"]
 
-#: Determinism-taint sources: calls whose return value must never flow
-#: into a serialized report, cache key, bench JSON or telemetry
-#: export.  Global-state RNG draws and ``id()``-as-value are seeded by
-#: the rule itself on top of this list.
-DEFAULT_TAINT_SOURCES = DEFAULT_WALLCLOCK + [
-    "uuid.uuid1", "uuid.uuid4", "secrets.token_bytes", "secrets.token_hex",
-]
-
-#: Determinism-taint sinks: serialization edges.  An argument reaching
-#: one of these (directly or through any bounded call chain) must be
-#: deterministic, or runs stop being bit-identical across replays.
-DEFAULT_TAINT_SINKS = ["json.dump", "json.dumps", "pickle.dump",
-                       "pickle.dumps"]
-
-#: Maximum hops a taint trace may take source -> sink; flows deeper
-#: than this are out of the analysis' scope (soundness bound).
-DEFAULT_TAINT_MAX_HOPS = 24
-
 #: Process-boundary submission functions: their first argument is a
 #: callable shipped to a worker process and must pickle.  ``.submit``/
 #: ``.map`` on a ``concurrent.futures`` executor are detected
 #: structurally on top of this list.
 DEFAULT_PURITY_SUBMIT = ["repro.experiments.sweep.parallel_map"]
-
-#: Modules allowed to catch-and-handle ``InvariantViolation`` without
-#: re-raising: the verification harness itself (differential runner,
-#: fuzzer) and the chaos scorecard runner record violations as data.
-DEFAULT_EXCFLOW_ALLOW = ["repro.verify", "repro.chaos"]
 
 
 @dataclass
@@ -124,15 +103,8 @@ class LintConfig:
         default_factory=lambda: list(DEFAULT_HOT_FUNCTIONS))
     telemetry_attrs: List[str] = field(
         default_factory=lambda: list(DEFAULT_TELEMETRY_ATTRS))
-    taint_sources: List[str] = field(
-        default_factory=lambda: list(DEFAULT_TAINT_SOURCES))
-    taint_sinks: List[str] = field(
-        default_factory=lambda: list(DEFAULT_TAINT_SINKS))
-    taint_max_hops: int = DEFAULT_TAINT_MAX_HOPS
     purity_submit: List[str] = field(
         default_factory=lambda: list(DEFAULT_PURITY_SUBMIT))
-    excflow_allow: List[str] = field(
-        default_factory=lambda: list(DEFAULT_EXCFLOW_ALLOW))
 
     def layer_rank(self, module: str) -> Optional[int]:
         """Rank of ``module`` in the layer order, or None if unknown."""
@@ -221,24 +193,10 @@ def load_config(root: Path) -> LintConfig:
         if strings(hotpath.get("telemetry-attrs")) is not None:
             config.telemetry_attrs = strings(hotpath["telemetry-attrs"])
 
-    taint = table.get("taint", {})
-    if isinstance(taint, dict):
-        if strings(taint.get("sources")) is not None:
-            config.taint_sources = strings(taint["sources"])
-        if strings(taint.get("sinks")) is not None:
-            config.taint_sinks = strings(taint["sinks"])
-        if isinstance(taint.get("max-hops"), int):
-            config.taint_max_hops = taint["max-hops"]
-
     purity = table.get("purity", {})
     if isinstance(purity, dict):
         if strings(purity.get("submit-functions")) is not None:
             config.purity_submit = strings(purity["submit-functions"])
-
-    excflow = table.get("excflow", {})
-    if isinstance(excflow, dict):
-        if strings(excflow.get("allow-modules")) is not None:
-            config.excflow_allow = strings(excflow["allow-modules"])
 
     return config
 

@@ -16,8 +16,8 @@ from typing import Any, Dict, List
 LINT_SCHEMA = "repro.lint/v1"
 
 #: Rule families, in report order.
-FAMILIES = ("layering", "determinism", "taint", "purity", "excflow",
-            "hotpath", "hygiene", "pragma")
+FAMILIES = ("layering", "determinism", "purity", "hotpath", "hygiene",
+            "pragma")
 
 
 @dataclass
@@ -79,6 +79,13 @@ class Finding:
         if self.hops:
             payload["hops"] = list(self.hops)
         return payload
+
+
+def finding_hops_valid(finding: Finding) -> bool:
+    """True when a finding's hop chain is structurally well-formed."""
+    return all(isinstance(hop, dict)
+               and {"path", "line", "detail"} <= set(hop)
+               for hop in finding.hops)
 
 
 @dataclass

@@ -1,9 +1,8 @@
 """Whole-program project model: symbols + a conservative call graph.
 
 One build pass over every :class:`~repro.analysis.astutil.ParsedFile`
-produces the interprocedural substrate the dataflow rule families
-(``taint``, ``purity``, ``excflow``) walk and that ``repro lint
-graph`` exports as ``repro.lintgraph/v1``:
+produces the interprocedural substrate the ``purity`` rule family
+walks:
 
 * a **symbol table** — every module, class (with declared-attribute
   types where inferable) and function/method, keyed by fully-qualified
@@ -15,9 +14,8 @@ graph`` exports as ``repro.lintgraph/v1``:
   call, and constructor calls landing on ``__init__``.  Calls on
   duck-typed receivers stay *opaque* (recorded with a ``None`` callee)
   — the analysis is deliberately conservative rather than complete;
-* per-function **effect records** — module-global mutations, direct
-  raises, and ``try`` blocks with the exceptions they catch — the raw
-  material for the purity and exception-flow families.
+* per-function **effect records** — module-global mutations — the
+  raw material for ``purity-global-mutation``.
 
 The model is built exactly once per lint run and handed to every rule
 alongside the parsed files, the same sharing discipline as the
@@ -57,10 +55,6 @@ class FunctionInfo:
     class_id: Optional[str]      # owning class id for methods
     params: List[str]            # positional-or-keyword names, in order
     is_nested: bool              # defined inside another function
-
-    @property
-    def name(self) -> str:
-        return self.qualname.rsplit(".", 1)[-1]
 
 
 @dataclass
@@ -107,16 +101,6 @@ class GlobalMutation:
     detail: str                  # e.g. "CACHE[key] = ..." / "global hits += 1"
 
 
-@dataclass
-class TryRecord:
-    """One ``try`` statement and what its handlers catch."""
-
-    function: str
-    node: ast.Try
-    relpath: str
-    line: int
-
-
 class ProjectModel:
     """Symbols + call graph for the whole linted tree, built once."""
 
@@ -129,9 +113,7 @@ class ProjectModel:
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self.calls: Dict[str, List[CallSite]] = {}
-        self.callers: Dict[str, Set[str]] = {}
         self.mutations: Dict[str, List[GlobalMutation]] = {}
-        self.tries: Dict[str, List[TryRecord]] = {}
         #: module -> names assigned at module scope (mutation targets).
         self.module_globals: Dict[str, Set[str]] = {}
         #: module -> bound name -> dotted target (imports, incl. relative).
@@ -252,20 +234,13 @@ class ProjectModel:
                 if isinstance(node, ast.Call):
                     callee, external = self.resolve_call_in(
                         module, fn, local_types, node.func)
-                    site = CallSite(
+                    sites.append(CallSite(
                         caller=owner_id, callee=callee, external=external,
-                        relpath=parsed.relpath, line=node.lineno, node=node)
-                    sites.append(site)
-                    if callee is not None:
-                        self.callers.setdefault(callee, set()).add(owner_id)
+                        relpath=parsed.relpath, line=node.lineno, node=node))
                 if fn is not None:
                     self._record_mutation(
                         owner_id, parsed, node, globals_here,
                         declared_globals, locals_bound)
-                if isinstance(node, ast.Try):
-                    self.tries.setdefault(owner_id, []).append(TryRecord(
-                        function=owner_id, node=node,
-                        relpath=parsed.relpath, line=node.lineno))
 
     def _scopes_of(self, parsed: ParsedFile, module_fn: str
                    ) -> Iterator[Tuple[str, List[ast.stmt],

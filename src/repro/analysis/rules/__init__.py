@@ -1,7 +1,6 @@
 """Rule modules — importing this package registers every rule."""
 
-from . import (determinism, excflow, hotpath, hygiene,  # noqa: F401
-               layering, purity, taint)
+from . import (determinism, hotpath, hygiene, layering,  # noqa: F401
+               purity)
 
-__all__ = ["determinism", "excflow", "hotpath", "hygiene", "layering",
-           "purity", "taint"]
+__all__ = ["determinism", "hotpath", "hygiene", "layering", "purity"]

@@ -77,7 +77,7 @@ def check_global_random(parsed: ParsedFile, config: LintConfig,
 @rule("determinism-wallclock")
 def check_wallclock(parsed: ParsedFile, config: LintConfig,
                     project: ProjectModel) -> List[Finding]:
-    """No wall-clock reads (``time.time``, ``datetime.now``, ...)."""
+    """No wall-clock or OS-entropy reads (``time.time``, ``uuid4``, ...)."""
     if _exempt(parsed, config):
         return []
     banned = set(config.wallclock)
@@ -96,9 +96,9 @@ def check_wallclock(parsed: ParsedFile, config: LintConfig,
                 rule="determinism-wallclock", path=parsed.relpath,
                 line=node.lineno, col=node.col_offset,
                 scope=scopes.get(id(node), ""),
-                message=f"{dotted}() reads the wall clock; simulated time "
-                        "comes from Simulator.now and profiling from "
-                        "perf_counter",
+                message=f"{dotted}() reads the wall clock or OS entropy; "
+                        "simulated time comes from Simulator.now and "
+                        "profiling from perf_counter",
                 fixable=True,
                 fix="use sim.now for simulated time, perf_counter for "
                     "profiling, or pass the timestamp in from the CLI "

@@ -112,15 +112,29 @@ def _names_invariant_violation(type_node: ast.AST) -> bool:
     return name in ("InvariantViolation", "Exception", "BaseException")
 
 
+def _reraises_or_reads(handler: ast.ExceptHandler) -> bool:
+    """True when the handler re-raises or names what it caught."""
+    for node in ast.walk(handler):
+        if isinstance(node, ast.Raise):
+            return True
+        if handler.name is not None and isinstance(node, ast.Name) and \
+                node.id == handler.name:
+            return True
+    return False
+
+
 @rule("hygiene-swallowed-violation")
 def check_swallowed_violation(parsed: ParsedFile, config: LintConfig,
                               project: ProjectModel) -> List[Finding]:
     """No handler that silently swallows InvariantViolation.
 
     Flags ``except InvariantViolation`` (or a broad ``except
-    Exception``/``BaseException``, which would swallow it too) whose
-    body does nothing but ``pass``/``...``/``continue`` — a caught
-    oracle trip must be re-raised, recorded, or acted on.
+    Exception``/``BaseException``, which would swallow it too) that
+    neither re-raises nor names the exception it caught — a caught
+    oracle trip must be re-raised or recorded.  The test is syntactic
+    on purpose: it needs no call graph, so it also sees handlers over
+    opaque calls (callbacks, duck-typed receivers), and the harness
+    handlers that record ``exc.summary()`` pass by what they do.
     """
     findings: List[Finding] = []
     scopes = project.scopes(parsed)
@@ -129,22 +143,18 @@ def check_swallowed_violation(parsed: ParsedFile, config: LintConfig,
             continue
         if not _names_invariant_violation(node.type):
             continue
-        trivial = all(
-            isinstance(statement, (ast.Pass, ast.Continue)) or (
-                isinstance(statement, ast.Expr)
-                and isinstance(statement.value, ast.Constant)
-                and statement.value.value is Ellipsis)
-            for statement in node.body)
-        if trivial:
-            caught = ast.unparse(node.type)
-            findings.append(Finding(
-                rule="hygiene-swallowed-violation", path=parsed.relpath,
-                line=node.lineno, col=node.col_offset,
-                scope=scopes.get(id(node), ""),
-                message=f"except {caught}: pass would silently swallow an "
-                        "InvariantViolation; re-raise it, record it, or "
-                        "narrow the catch",
-                fixable=True,
-                fix="re-raise InvariantViolation (or handle it "
-                    "explicitly) before discarding other errors"))
+        if _reraises_or_reads(node):
+            continue
+        caught = ast.unparse(node.type)
+        findings.append(Finding(
+            rule="hygiene-swallowed-violation", path=parsed.relpath,
+            line=node.lineno, col=node.col_offset,
+            scope=scopes.get(id(node), ""),
+            message=f"except {caught} neither re-raises nor reads what "
+                    "it caught, so it would silently swallow an "
+                    "InvariantViolation; re-raise it, record it, or "
+                    "narrow the catch",
+            fixable=True,
+            fix="re-raise InvariantViolation (or handle it "
+                "explicitly) before discarding other errors"))
     return findings

@@ -247,14 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_replay.add_argument("--workers", type=int, default=None)
 
     lint_cmd = sub.add_parser(
-        "lint", help="architecture lint: layering DAG, determinism "
-                     "taint, process-boundary purity, exception flow, "
-                     "hot-path discipline, robustness hygiene")
-    lint_cmd.add_argument("mode", nargs="?", default=None,
-                          choices=["graph"],
-                          help="'graph' dumps the call graph and taint "
-                               "traces (repro.lintgraph/v1) instead of "
-                               "running the rules")
+        "lint", help="architecture lint: layering DAG, determinism, "
+                     "process-boundary purity, hot-path discipline, "
+                     "robustness hygiene")
     lint_cmd.add_argument("--root", default=".",
                           help="repo root holding pyproject.toml "
                                "(default: cwd)")
@@ -777,8 +772,6 @@ def cmd_lint(args) -> int:
                            select_rules, validate_lint_report)
 
     root = Path(args.root).resolve()
-    if args.mode == "graph":
-        return _lint_graph(root, args)
     select = ([token.strip() for token in args.select.split(",")
                if token.strip()] if args.select else None)
     try:
@@ -808,24 +801,6 @@ def cmd_lint(args) -> int:
         print(format_text(report,
                           verbose_suppressed=args.show_suppressed))
     return report.exit_code
-
-
-def _lint_graph(root, args) -> int:
-    """``repro lint graph``: export the repro.lintgraph/v1 document."""
-    from .analysis import (build_lintgraph, format_graph_text,
-                           validate_lintgraph)
-
-    payload = build_lintgraph(root)
-    validate_lintgraph(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-    if args.fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(format_graph_text(payload))
-    return 0
 
 
 def _spans_doc(args) -> dict:

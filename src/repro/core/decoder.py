@@ -239,7 +239,7 @@ class ByteCachingDecoder:
         if profiler is not None:
             started = perf_counter()
             anchors = self.scheme.anchors(payload)
-            profiler.add("fingerprint", perf_counter() - started)
+            profiler.add("decode_fingerprint", perf_counter() - started)
         else:
             anchors = self.scheme.anchors(payload)
         if not self.policy.should_cache_now(meta):
@@ -248,7 +248,7 @@ class ByteCachingDecoder:
         if profiler is not None:
             started = perf_counter()
             self.insert_anchors(payload, anchors, meta)
-            profiler.add("cache_ops", perf_counter() - started)
+            profiler.add("decode_cache_ops", perf_counter() - started)
         else:
             self.insert_anchors(payload, anchors, meta)
 

@@ -415,7 +415,7 @@ def append_bench_history(payload: Dict[str, Any], path: str) -> Dict[str, Any]:
     except (OSError, ValueError):
         pass
     payload["history"] = history
-    # lint: disable=determinism-wallclock(report metadata timestamp; never feeds simulation state),taint-flow(generated_at is report metadata by design; the bench sentinel compares summaries, never timestamps)
+    # lint: disable=determinism-wallclock(report metadata timestamp; never feeds simulation state)
     payload["generated_at"] = time.time()
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)

@@ -103,9 +103,8 @@ class Gauge:
         if self.fn is not None:
             try:
                 return float(self.fn())
+            # lint: disable=hygiene-swallowed-violation(gauge callbacks read counters and call no oracle; torn-down state must read nan)
             except Exception:
-                # A gauge must never take the run down: a callback over
-                # torn-down state (e.g. a closed connection) reads nan.
                 return math.nan
         return self._value
 
@@ -303,9 +302,8 @@ class TelemetrySampler:
                 continue
             try:
                 append(float(fn()))
+            # lint: disable=hygiene-swallowed-violation(gauge callbacks read counters and call no oracle; torn-down state must read nan)
             except Exception:
-                # A gauge must never take the run down: a callback over
-                # torn-down state (e.g. a closed connection) reads nan.
                 append(math.nan)
         if len(times) >= self.max_samples:
             self._decimate()

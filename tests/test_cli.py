@@ -129,8 +129,8 @@ def test_lint_command_select_and_json(capsys):
 
 
 def test_lint_command_unknown_selector():
-    code = main(["lint", "--select", "wat"])
-    assert code == 2
+    for selector in ("wat", "taint", "excflow"):
+        assert main(["lint", "--select", selector]) == 2
 
 
 def test_spans_and_timeline_print_their_cost_drivers(capsys):

@@ -4,12 +4,12 @@ The model is the substrate the interprocedural rule families walk, so
 these tests pin its resolution semantics: direct calls, ``self.``
 method resolution through declared bases, attribute- and local-typed
 receivers, relative imports, opaque duck-typed sinks, effect records
-(global mutations, tries) and the BFS reachability helpers.
+(global mutations) and the BFS reachability helpers.
 """
 
 from pathlib import Path
 
-from repro.analysis.config import LintConfig
+from repro.analysis.config import LintConfig, load_config
 from repro.analysis.engine import collect_files, parse_file
 from repro.analysis.project import MODULE_SCOPE, ProjectModel
 
@@ -24,7 +24,10 @@ def build(tmp_path, files):
         init = package_dir / "__init__.py"
         if package_dir != tmp_path / "src" and not init.exists():
             init.write_text("", encoding="utf-8")
-    config = LintConfig(root=Path(tmp_path))
+    return model_of(LintConfig(root=Path(tmp_path)))
+
+
+def model_of(config):
     parsed = [parse_file(path, config) for path in collect_files(config)]
     return ProjectModel(parsed, config)
 
@@ -244,8 +247,7 @@ class TestReachability:
 class TestRepoModel:
     def test_builds_on_shipped_tree(self):
         root = Path(__file__).resolve().parent.parent
-        from repro.analysis.graphexport import build_project
-        project = build_project(root)
+        project = model_of(load_config(root))
         # Spot-check a known hot-path edge: the encoder calls into the
         # cache it owns.
         encoder = "repro.core.encoder.ByteCachingEncoder"

@@ -150,6 +150,22 @@ class TestProfileCollection:
             assert result.profile[stage]["calls"] > 0
             assert result.profile[stage]["seconds"] >= 0.0
 
+    def test_decoder_books_under_its_own_stage_names(self):
+        """One profiler serves both cores of a pair; every encoder stage
+        must count encoded packets only, not the decoder's accepts."""
+        result = run_transfer(ExperimentConfig(
+            policy="cache_flush", loss_rate=0.05, seed=0, corpus_seed=0,
+            profile=True))
+        calls = {stage: entry["calls"]
+                 for stage, entry in result.profile.items()}
+        encoded = result.encoder_stats.data_packets
+        assert encoded > result.decoder_stats.decoded_ok > 0  # 5 % loss
+        for stage in ("fingerprint", "table_probe", "region_expand",
+                      "wire_pack", "cache_ops"):
+            assert calls[stage] == encoded
+        for stage in ("decode_fingerprint", "decode_cache_ops"):
+            assert calls[stage] == result.decoder_stats.decoded_ok
+
     def test_profile_is_none_by_default(self):
         result = run_transfer(ExperimentConfig(corpus="file1",
                                                file_size=FILE_SIZE,
