@@ -417,6 +417,13 @@ def cmd_run(args) -> int:
         ["bytes on link (fwd)", f"{result.forward_bytes_on_link:,}"],
         ["perceived loss", f"{result.perceived_loss_rate:.1%}"],
         ["server retransmissions", result.server_retransmissions],
+        ["  of which SACK found lost again",
+         result.server_lost_retransmits],
+        ["server timeouts", result.server_timeouts],
+        ["  lost retx / no feedback / below dupthresh",
+         f"{result.server_timeouts_lost_retransmit} / "
+         f"{result.server_timeouts_no_feedback} / "
+         f"{result.server_timeouts_below_dupthresh}"],
     ]
     if args.baseline:
         baseline = run_transfer(config.with_updates(policy=None,

@@ -234,9 +234,11 @@ def collect_result(testbed: Testbed, outcome,
     run/fault/verify sequence.
     """
     sim = testbed.sim
-    server_conns = testbed.server_stack.connections()
-    retransmissions = sum(c.stats.retransmissions for c in server_conns)
-    timeouts = sum(c.stats.timeouts for c in server_conns)
+    server_stats = [conn.stats
+                    for conn in testbed.server_stack.connections()]
+
+    def server_total(counter: str) -> int:
+        return sum(getattr(stats, counter) for stats in server_stats)
 
     forward = testbed.bottleneck_forward.stats
     avg_packet = (forward.bytes_offered / forward.packets_offered
@@ -279,8 +281,14 @@ def collect_result(testbed: Testbed, outcome,
         dre_enabled=config.dre_enabled,
         policy=config.policy or "none",
         seed=config.seed,
-        server_retransmissions=retransmissions,
-        server_timeouts=timeouts,
+        server_retransmissions=server_total("retransmissions"),
+        server_timeouts=server_total("timeouts"),
+        server_timeouts_lost_retransmit=server_total(
+            "timeouts_lost_retransmit"),
+        server_timeouts_no_feedback=server_total("timeouts_no_feedback"),
+        server_timeouts_below_dupthresh=server_total(
+            "timeouts_below_dupthresh"),
+        server_lost_retransmits=server_total("lost_retransmits"),
         avg_data_packet_size=avg_packet,
         data_packets_sent=forward.packets_offered,
         profile=(testbed.profiler.as_dict()

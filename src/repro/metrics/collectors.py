@@ -43,6 +43,14 @@ class TransferResult:
     seed: int = 0
     server_retransmissions: int = 0
     server_timeouts: int = 0
+    #: Why ``server_timeouts`` fired (TCPStats' RTO ledger; handshake
+    #: timeouts are in the total only) and how many lost retransmissions
+    #: SACK caught before the timer had to.  Defaulted so result-cache
+    #: files written before the ledger existed still load.
+    server_timeouts_lost_retransmit: int = 0
+    server_timeouts_no_feedback: int = 0
+    server_timeouts_below_dupthresh: int = 0
+    server_lost_retransmits: int = 0
     avg_data_packet_size: float = 0.0
     data_packets_sent: int = 0
     #: Stage timing breakdown (see repro.metrics.profiling), populated

@@ -9,6 +9,11 @@ Implements the pieces of TCP that the paper's phenomena depend on:
   congestion avoidance / fast retransmit / fast recovery with an
   RFC 6675-style scoreboard and pipe algorithm) — :mod:`.congestion`
   and :mod:`.sack`;
+* lost-retransmission detection: a resent range that is still a hole
+  once data sent after the resend has been SACKed is presumed lost and
+  resent within the same recovery episode (Linux 2.6.24-4.3
+  ``tcp_mark_lost_retrans``, RACK since 4.4) — RFC 6675 alone leaves
+  that case to the 200 ms RTO, ~23 round trips on the Fig. 3 path;
 * limited transmit (RFC 3042) to keep the ACK clock alive at small
   windows;
 * Jacobson/Karels RTO with Karn's rule and exponential backoff —
@@ -69,6 +74,15 @@ class TCPStats:
     bytes_delivered: int = 0       # in-order bytes handed to the app
     retransmissions: int = 0
     timeouts: int = 0
+    # Why the timer fired with data outstanding (handshake timeouts are
+    # in ``timeouts`` only): the front hole's retransmission is marked
+    # in flight and was lost; nothing at all is SACKed (tail loss, or
+    # the whole window gone); or something is SACKed but too little to
+    # reach the dup-ACK threshold, so recovery never started.
+    timeouts_lost_retransmit: int = 0
+    timeouts_no_feedback: int = 0
+    timeouts_below_dupthresh: int = 0
+    lost_retransmits: int = 0      # retransmissions detected lost by SACK
     fast_retransmits: int = 0
     dup_acks_received: int = 0
     dup_acks_sent: int = 0
@@ -151,6 +165,10 @@ class TCPConnection:
         self._timing: Optional[tuple] = None
         self._sacked = RangeSet()               # receiver-reported holes filled
         self._retx_marked = RangeSet()          # retransmitted this recovery
+        # (start, end, snd_nxt when resent) for each range marked above,
+        # in send order: what _detect_lost_retransmits needs to tell a
+        # retransmission still in flight from one that was lost as well.
+        self._retx_sent: list = []
         self._recovery_point: Optional[int] = None
         self._rto_mode = False                  # recovery entered via RTO
         self.rto = RtoEstimator(min_rto=self.config.min_rto,
@@ -447,6 +465,8 @@ class TCPConnection:
             return  # acks data we never sent; ignore
 
         sack_advanced = self._absorb_sack(segment)
+        if sack_advanced and self._retx_sent:
+            self._detect_lost_retransmits(ack)
 
         if ack > self.snd_una:
             self._handle_new_ack(ack)
@@ -510,6 +530,31 @@ class TCPConnection:
                                  min(end, self.snd_nxt))
         return self._sacked.coverage(self.snd_una, self.snd_nxt) > before
 
+    def _detect_lost_retransmits(self, ack: int) -> None:
+        """Un-mark retransmissions that were themselves lost.
+
+        A resent range that is still a hole once data sent *after* the
+        resend has been SACKed did not arrive (Linux 2.6.24-4.3
+        ``tcp_mark_lost_retrans``; RACK since 4.4).  Taking it out of
+        ``_retx_marked`` makes it a presumed-lost hole again, so
+        ``_pipe`` stops counting it in flight and ``_next_hole`` resends
+        it inside this episode instead of leaving it to the RTO.  The
+        window is not reduced a second time (Linux made no change).
+        """
+        floor = max(ack, self.snd_una)
+        highest_sacked = self._sacked.max_end()
+        retx_sent = self._retx_sent
+        settled = 0
+        for start, end, sent_at in retx_sent:
+            if sent_at >= highest_sacked:
+                break  # in send order: everything after is later still
+            settled += 1
+            if end > floor and not self._sacked.covers(max(start, floor),
+                                                       end):
+                self.stats.lost_retransmits += 1
+                self._retx_marked.remove(start, end)
+        del retx_sent[:settled]
+
     def _should_enter_recovery(self) -> bool:
         """RFC 6675 trigger: enough SACKed bytes imply a loss."""
         if not self.config.sack_enabled:
@@ -520,7 +565,7 @@ class TCPConnection:
     def _enter_recovery(self) -> None:
         self.stats.fast_retransmits += 1
         self._recovery_point = self.snd_nxt
-        self._retx_marked.clear()
+        self._clear_retx_marks()
         self.cc.on_fast_retransmit(self.flight_size, self.snd_nxt)
         if self.config.sack_enabled:
             self._sack_transmit(force_front=True)
@@ -531,7 +576,7 @@ class TCPConnection:
     def _exit_recovery(self) -> None:
         self._recovery_point = None
         self._rto_mode = False
-        self._retx_marked.clear()
+        self._clear_retx_marks()
         if self.cc.in_fast_recovery:
             self.cc.on_new_ack(0, self.snd_una)  # full-ACK deflation
 
@@ -609,6 +654,11 @@ class TCPConnection:
         self.stats.sack_retransmissions += 1
         self._send_from_buffer(start, end - start, fresh=False)
         self._retx_marked.add(start, end)
+        self._retx_sent.append((start, end, self.snd_nxt))
+
+    def _clear_retx_marks(self) -> None:
+        self._retx_marked.clear()
+        self._retx_sent.clear()
 
     def _retransmit_front(self) -> None:
         """Retransmit the earliest unacknowledged segment."""
@@ -659,13 +709,14 @@ class TCPConnection:
         self._retx_timer.start(self.rto.rto)
 
     def _on_rto(self) -> None:
-        if self.flight_size == 0 and self.state not in (
-                TCPState.SYN_SENT, TCPState.SYN_RCVD):
+        handshake = self.state in (TCPState.SYN_SENT, TCPState.SYN_RCVD)
+        if self.flight_size == 0 and not handshake:
             return
         self._retx_count += 1
         self.stats.timeouts += 1
-        max_retries = (self.config.syn_retries
-                       if self.state in (TCPState.SYN_SENT, TCPState.SYN_RCVD)
+        if not handshake:
+            self._classify_timeout()
+        max_retries = (self.config.syn_retries if handshake
                        else self.config.max_retries)
         if self._retx_count > max_retries:
             self._finish(TCPState.ABORTED, "stalled")
@@ -677,12 +728,23 @@ class TCPConnection:
         # outstanding and unsacked is presumed lost and will be resent
         # as the (collapsed, slow-starting) window allows.  The SACK
         # scoreboard itself stays valid — SACKed data is not resent.
-        if self.state not in (TCPState.SYN_SENT, TCPState.SYN_RCVD):
+        if not handshake:
             self._recovery_point = self.snd_nxt
             self._rto_mode = True
-        self._retx_marked.clear()
+        self._clear_retx_marks()
         self._retransmit_front()
         self._arm_retx_timer()
+
+    def _classify_timeout(self) -> None:
+        """Book a data-state RTO under the reason recovery missed it."""
+        stats = self.stats
+        if self._recovery_point is not None \
+                and self._retx_marked.contains_point(self.snd_una):
+            stats.timeouts_lost_retransmit += 1
+        elif not self._sacked:
+            stats.timeouts_no_feedback += 1
+        else:
+            stats.timeouts_below_dupthresh += 1
 
     # ------------------------------------------------------------------
     # receiver internals

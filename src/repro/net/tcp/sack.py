@@ -71,6 +71,29 @@ class RangeSet:
         if self._starts and self._starts[0] < bound:
             self._starts[0] = bound
 
+    def remove(self, start: int, end: int) -> None:
+        """Take ``[start, end)`` out, splitting any range it cuts."""
+        if end <= start:
+            return
+        starts = self._starts
+        ends = self._ends
+        # The ranges overlapping [start, end): the first that ends after
+        # ``start`` up to the first that starts at or after ``end``.
+        left = bisect_right(ends, start)
+        right = bisect_left(starts, end)
+        if left >= right:
+            return
+        keep_starts: List[int] = []
+        keep_ends: List[int] = []
+        if starts[left] < start:
+            keep_starts.append(starts[left])
+            keep_ends.append(start)
+        if ends[right - 1] > end:
+            keep_starts.append(end)
+            keep_ends.append(ends[right - 1])
+        starts[left:right] = keep_starts
+        ends[left:right] = keep_ends
+
     def clear(self) -> None:
         self._starts.clear()
         self._ends.clear()
@@ -109,7 +132,7 @@ class RangeSet:
     def first_gap(self, start: int, end: int) -> Optional[Range]:
         """Lowest uncovered sub-range of ``[start, end)``, or None."""
         cursor = start
-        for range_start, range_end in self:
+        for range_start, range_end in zip(self._starts, self._ends):
             if range_end <= cursor:
                 continue
             if range_start > cursor:
@@ -125,7 +148,7 @@ class RangeSet:
         """All uncovered sub-ranges of ``[start, end)``."""
         out: List[Range] = []
         cursor = start
-        for range_start, range_end in self:
+        for range_start, range_end in zip(self._starts, self._ends):
             if range_end <= cursor:
                 continue
             if range_start >= end:

@@ -12,6 +12,9 @@ Three layers of machine-checked correctness (see DESIGN.md §10):
   scripted faults, oracles armed) with shrinking to a minimal
   replayable JSON case (``repro fuzz`` / ``repro fuzz --replay``).
 
+Beside them, :mod:`repro.verify.tcp_model` is the closed-form download
+time the no-DRE baseline is held to.
+
 Only the oracles are imported eagerly: the differential runner and the
 fuzzer import the experiment runner, which itself imports this package,
 so they load lazily (``import repro.verify.fuzz``) to keep the import

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Optional
 
 from repro.net.packet import IPPacket
@@ -45,15 +46,15 @@ def drop_indices(*indices: int) -> Callable[[IPPacket, int], bool]:
     return lambda pkt, index: index in wanted
 
 
-def drop_data_segments(*offsets: int, once: bool = True):
+def drop_data_segments(*offsets: int, once: bool = True, copies: int = 1):
     """Drop TCP data segments at the given *stream offsets*.
 
     Offsets are relative to the first data byte of the flow (i.e.
-    independent of the connection's ISS); the first copy only is
-    dropped when ``once``.
+    independent of the connection's ISS); the first ``copies`` copies
+    of each are dropped when ``once``, every copy otherwise.
     """
     wanted = set(offsets)
-    seen = set()
+    dropped: Counter = Counter()
     base: dict = {}
 
     def predicate(pkt: IPPacket, index: int) -> bool:
@@ -64,8 +65,9 @@ def drop_data_segments(*offsets: int, once: bool = True):
         if flow not in base or segment.seq < base[flow]:
             base[flow] = segment.seq
         offset = segment.seq - base[flow]
-        if offset in wanted and (not once or (flow, offset) not in seen):
-            seen.add((flow, offset))
+        if offset in wanted and (not once
+                                 or dropped[flow, offset] < copies):
+            dropped[flow, offset] += 1
             return True
         return False
 

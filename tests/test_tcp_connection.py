@@ -174,6 +174,85 @@ class TestLossRecovery:
         assert bytes(received) == data
 
 
+class TestLostRetransmission:
+    """A retransmission that is lost too is found from the SACKs of the
+    data sent after it, not left to the 200 ms RTO."""
+
+    HOLE = 5 * 1460
+
+    def run(self, testbed):
+        data = payload_bytes(40 * 1460)
+        testbed.serve_bytes(data)
+        _conn, received, events = testbed.fetch()
+        testbed.sim.run(until=60)
+        assert bytes(received) == data
+        return testbed.server_stack.connections()[0], events["eof"]
+
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_resent_within_the_episode(self, copies):
+        testbed = TcpTestbed(
+            drop_s2c=drop_data_segments(self.HOLE, copies=copies))
+        server_conn, eof = self.run(testbed)
+        assert server_conn.stats.timeouts == 0
+        assert server_conn.stats.lost_retransmits == copies - 1
+        assert server_conn.stats.retransmissions == copies
+        assert eof < server_conn.config.min_rto
+
+    def test_without_sack_still_needs_rto(self):
+        testbed = TcpTestbed(
+            drop_s2c=drop_data_segments(self.HOLE, copies=2),
+            config=TCPConfig(sack_enabled=False))
+        server_conn, eof = self.run(testbed)
+        assert server_conn.stats.lost_retransmits == 0
+        assert server_conn.stats.timeouts == 1
+        assert server_conn.stats.timeouts_lost_retransmit == 1
+        assert eof > server_conn.config.min_rto
+
+    def test_lost_tail_retransmission_still_needs_rto(self):
+        # Nothing is sent after the last segment, so nothing can be
+        # SACKed behind its lost retransmission.
+        testbed = TcpTestbed(
+            drop_s2c=drop_data_segments(39 * 1460, copies=2))
+        server_conn, _eof = self.run(testbed)
+        stats = server_conn.stats
+        assert stats.lost_retransmits == 0
+        assert stats.timeouts == 2
+        assert (stats.timeouts_no_feedback,
+                stats.timeouts_lost_retransmit) == (1, 1)
+
+    def test_held_retransmission_costs_one_spurious_resend(self):
+        """A retransmission overtaken by the data behind it looks lost:
+        it is resent once, and the late copy is an ordinary duplicate."""
+        testbed = TcpTestbed(drop_s2c=drop_data_segments(self.HOLE))
+        original_send = testbed.s2c.send
+        base = []
+        held = []
+        copies = {"hole": 0}
+
+        def hold_first_retransmission(pkt):
+            segment = pkt.tcp
+            if segment and segment.data:
+                if not base:
+                    base.append(segment.seq)
+                if segment.seq - base[0] == self.HOLE:
+                    copies["hole"] += 1
+                    if copies["hole"] == 2:
+                        held.append(pkt)
+                        return
+            original_send(pkt)
+            if held and copies["hole"] == 3:
+                original_send(held.pop())
+
+        testbed.s2c.send = hold_first_retransmission
+        server_conn, eof = self.run(testbed)
+        assert copies["hole"] == 3 and not held
+        assert server_conn.stats.lost_retransmits == 1
+        assert server_conn.stats.retransmissions == 2
+        assert server_conn.stats.timeouts == 0
+        assert server_conn.state is not TCPState.ABORTED
+        assert eof < server_conn.config.min_rto
+
+
 class TestStall:
     def test_persistent_loss_aborts_connection(self):
         """Every copy of one segment dropped — the §IV stall surface."""

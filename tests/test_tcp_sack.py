@@ -1,5 +1,8 @@
 """Unit tests for the SACK range set and block selection."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.net.tcp.sack import RangeSet, select_sack_blocks
 
 
@@ -62,6 +65,20 @@ class TestRangeSet:
         ranges.remove_below(25)
         assert list(ranges) == [(30, 40)]
 
+    @pytest.mark.parametrize("cut, left", [
+        ((12, 18), [(10, 12), (18, 20), (30, 40), (50, 60)]),   # inside
+        ((15, 35), [(10, 15), (35, 40), (50, 60)]),             # straddling
+        ((5, 55), [(55, 60)]),                                  # several
+        ((10, 20), [(30, 40), (50, 60)]),                       # exact
+        ((25, 25), [(10, 20), (30, 40), (50, 60)]),             # empty
+        ((20, 30), [(10, 20), (30, 40), (50, 60)]),             # no overlap
+        ((60, 90), [(10, 20), (30, 40), (50, 60)]),             # above all
+    ])
+    def test_remove(self, cut, left):
+        ranges = RangeSet([(10, 20), (30, 40), (50, 60)])
+        ranges.remove(*cut)
+        assert list(ranges) == left
+
     def test_first_gap(self):
         ranges = RangeSet([(10, 20), (30, 40)])
         assert ranges.first_gap(0, 50) == (0, 10)
@@ -83,6 +100,38 @@ class TestRangeSet:
         ranges = RangeSet([(1, 2)])
         ranges.clear()
         assert not ranges
+
+
+_SPAN = 64
+_bounds = st.tuples(st.integers(0, _SPAN), st.integers(0, _SPAN))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["add", "remove", "remove_below"]), _bounds),
+    max_size=30), _bounds)
+def test_range_set_matches_set_of_ints(operations, query):
+    ranges = RangeSet()
+    model = set()
+    for name, (start, end) in operations:
+        if name == "add":
+            ranges.add(start, end)
+            model.update(range(start, end))
+        elif name == "remove":
+            ranges.remove(start, end)
+            model.difference_update(range(start, end))
+        else:
+            ranges.remove_below(start)
+            model = {value for value in model if value >= start}
+        spans = list(ranges)
+        assert all(lo < hi for lo, hi in spans)
+        assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+        assert {v for lo, hi in spans for v in range(lo, hi)} == model
+    start, end = query
+    inside = set(range(start, end))
+    assert ranges.coverage(start, end) == len(model & inside)
+    gaps = ranges.gaps(start, end)
+    assert {v for lo, hi in gaps for v in range(lo, hi)} == inside - model
 
 
 class TestSelectSackBlocks:
