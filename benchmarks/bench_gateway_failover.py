@@ -16,9 +16,9 @@ Run with::
 
 from conftest import print_report
 
-from repro.app.transfer import FileClient, FileServer
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import FILE_NAME, SERVER_ADDR, build_testbed
+from repro.experiments.runner import (FILE_NAME, Fetch, build_testbed,
+                                      collect_result, run_fetches)
 from repro.metrics.collectors import TransferResult
 from repro.metrics.report import format_recovery, format_table
 from repro.workload.redundancy import (DependencyFileSpec,
@@ -48,10 +48,6 @@ def run_one(resilience: bool, period=None):
         time_limit=TIME_LIMIT, resilience=resilience,
         resilience_kwargs=RESILIENCE_KWARGS if resilience else {})
     testbed = build_testbed(config)
-    FileServer(testbed.server_stack, {FILE_NAME: DATA})
-    client = FileClient(testbed.client_stack, testbed.sim)
-    outcome = client.fetch(SERVER_ADDR, FILE_NAME, expected_size=len(DATA),
-                           on_done=lambda _o: testbed.sim.stop())
     restarts = {"n": 0}
     if period is not None:
         gateway = testbed.gateways.decoder
@@ -67,20 +63,8 @@ def run_one(resilience: bool, period=None):
             sim.after(max(period - DOWNTIME, 0.01), crash)
 
         sim.at(0.12, crash)
-    testbed.sim.run(until=TIME_LIMIT)
-    gateways = testbed.gateways
-    result = TransferResult(
-        outcome=outcome,
-        bottleneck_forward=testbed.bottleneck_forward.stats,
-        bottleneck_reverse=testbed.bottleneck_reverse.stats,
-        encoder_stats=gateways.encoder.stats,
-        decoder_stats=gateways.decoder.stats,
-        encoder_resilience=(gateways.encoder.resilience.stats
-                            if gateways.encoder.resilience else None),
-        decoder_resilience=(gateways.decoder.resilience.stats
-                            if gateways.decoder.resilience else None),
-        sim_time=testbed.sim.now,
-        policy=config.policy, seed=config.seed, dre_enabled=True)
+    run = run_fetches(testbed, config, {FILE_NAME: DATA}, [Fetch()])
+    result = collect_result(testbed, run.outcomes[0], config)
     return result, restarts["n"]
 
 

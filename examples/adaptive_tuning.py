@@ -15,9 +15,9 @@ loss-rate change.
 Run:  python examples/adaptive_tuning.py
 """
 
-from repro.app.transfer import FileClient, FileServer
 from repro.experiments import ExperimentConfig, run_transfer
-from repro.experiments.runner import FILE_NAME, SERVER_ADDR, build_testbed
+from repro.experiments.runner import (FILE_NAME, Fetch, build_testbed,
+                                      run_fetches)
 from repro.metrics import format_table
 from repro.workload.corpus import corpus_object
 
@@ -50,13 +50,9 @@ def track_changing_channel() -> None:
     """Flip the channel from clean to 10 % loss mid-transfer and watch
     the adaptive policy shrink k."""
     config = ExperimentConfig(corpus="file1", policy="adaptive_k",
-                              seed=11, time_limit=300.0)
+                              seed=11, time_limit=60.0)
     testbed = build_testbed(config)
     data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
-    FileServer(testbed.server_stack, {FILE_NAME: data})
-    client = FileClient(testbed.client_stack, testbed.sim)
-    client.fetch(SERVER_ADDR, FILE_NAME, expected_size=len(data),
-                 on_done=lambda _o: testbed.sim.stop())
 
     def degrade():
         testbed.bottleneck_forward.loss_rate = 0.10
@@ -71,7 +67,7 @@ def track_changing_channel() -> None:
 
     testbed.sim.after(0.20, degrade)
     testbed.sim.after(0.05, sample)
-    testbed.sim.run(until=60.0)
+    run_fetches(testbed, config, {FILE_NAME: data}, [Fetch()])
 
     print("\n   time    loss estimate    chosen k")
     for when, estimate, k in samples[:24]:

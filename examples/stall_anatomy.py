@@ -10,9 +10,9 @@ exponentially, and the connection finally aborts.
 Run:  python examples/stall_anatomy.py
 """
 
-from repro.app.transfer import FileClient, FileServer
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import FILE_NAME, SERVER_ADDR, build_testbed
+from repro.experiments.runner import (FILE_NAME, Fetch, build_testbed,
+                                      run_fetches)
 from repro.workload.corpus import corpus_object
 
 
@@ -23,9 +23,6 @@ def main() -> None:
         tcp_min_rto=0.05, tcp_max_rto=1.0, time_limit=60.0)
     testbed = build_testbed(config)
     data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
-    FileServer(testbed.server_stack, {FILE_NAME: data})
-    client = FileClient(testbed.client_stack, testbed.sim)
-    outcome = client.fetch(SERVER_ADDR, FILE_NAME, expected_size=len(data))
 
     link = testbed.bottleneck_forward
     original_send = link.send
@@ -53,7 +50,8 @@ def main() -> None:
     link.send = tampering_send
     print("packets offered to the 1 MB/s wireless segment "
           "(sizes are DRE-encoded):\n")
-    testbed.sim.run(until=config.time_limit)
+    outcome = run_fetches(testbed, config, {FILE_NAME: data},
+                          [Fetch()]).outcomes[0]
 
     print()
     decoder_stats = testbed.gateways.decoder.stats

@@ -20,7 +20,7 @@ class FileServer:
 
     def __init__(self, stack: TCPStack, files: Dict[str, bytes], port: int = 80):
         self.stack = stack
-        self.files = dict(files)
+        self.files = files      # anything with .get (a lazy catalog view too)
         self.port = port
         self.requests_served = 0
         self.requests_failed = 0

@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..app.transfer import FileClient, FileServer
-from ..experiments.runner import (FILE_NAME, SERVER_ADDR, Testbed,
-                                  build_testbed, collect_result)
+from ..experiments.runner import (FILE_NAME, Fetch, Testbed, build_testbed,
+                                  collect_result, run_fetches)
 from ..experiments.sweep import parallel_map
 from ..metrics.collectors import TransferResult
 from ..metrics.report import format_table
@@ -31,7 +30,6 @@ from ..sim.faults import (FaultInjector, GatewayFaultLog, all_of,
                           schedule_link_flap, schedule_memory_pressure,
                           schedule_partition)
 from ..sim.rng import RngRegistry
-from ..verify.oracles import InvariantViolation
 from ..workload.corpus import corpus_object
 from .campaign import CHAOS_POLICIES, CHAOS_SCHEMA, GATEWAY_KINDS, Campaign
 from .slo import ORACLES, _round, evaluate_slos, phase_recovery_times
@@ -214,34 +212,19 @@ def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
     armed = arm_campaign(campaign, testbed, payload["seed"])
 
     data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
-    FileServer(testbed.server_stack, {FILE_NAME: data})
-    client = FileClient(testbed.client_stack, testbed.sim)
-    on_data = None
-    if testbed.verifier is not None:
-        testbed.verifier.arm_integrity(data)
-        on_data = testbed.verifier.on_deliver
-
+    run = run_fetches(testbed, config, {FILE_NAME: data}, [Fetch()],
+                      capture_violation=True)
     violation: Optional[Dict[str, Any]] = None
-    outcome = client.fetch(
-        SERVER_ADDR, FILE_NAME, expected_size=len(data),
-        expected_content=(data if config.verify_content or config.verify
-                          else None),
-        on_data=on_data,
-        on_done=lambda _outcome: testbed.sim.stop())
-    try:
-        testbed.sim.run(until=config.time_limit)
-        if testbed.verifier is not None:
-            testbed.verifier.finalize(outcome)
-    except InvariantViolation as exc:
+    if run.violation is not None:
         # The run is over at the first violated invariant; the partial
         # result still carries stats and telemetry for the scorecard.
-        summary = exc.summary()
+        summary = run.violation.summary()
         violation = {"oracle": summary["oracle"],
                      "message": summary["message"],
                      "trace": summary["context"].get("trace_id"),
                      "span": summary["context"].get("span_id")}
 
-    result = collect_result(testbed, outcome, config)
+    result = collect_result(testbed, run.outcomes[0], config)
     return {"result": result.to_dict(), "violation": violation,
             "faults": armed.digest()}
 

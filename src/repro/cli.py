@@ -536,8 +536,8 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from .app.transfer import FileClient, FileServer
-    from .experiments.runner import (FILE_NAME, SERVER_ADDR, build_testbed)
+    from .experiments.runner import (FILE_NAME, Fetch, build_testbed,
+                                     run_fetches)
     from .metrics.depgraph import format_dependency_trace, graph_from_spans
     from .workload import corpus_object as load_object
 
@@ -553,11 +553,8 @@ def cmd_trace(args) -> int:
                                   "max_spans": sys.maxsize})
     testbed = build_testbed(config)
     data = load_object(config.corpus, config.file_size, config.corpus_seed)
-    FileServer(testbed.server_stack, {FILE_NAME: data})
-    client = FileClient(testbed.client_stack, testbed.sim)
-    outcome = client.fetch(SERVER_ADDR, FILE_NAME, expected_size=len(data),
-                           on_done=lambda _o: testbed.sim.stop())
-    testbed.sim.run(until=config.time_limit)
+    outcome = run_fetches(testbed, config, {FILE_NAME: data},
+                          [Fetch()]).outcomes[0]
 
     graph, lost = graph_from_spans(testbed.spans.export())
     dead = graph.undecodable_closure(lost) | lost

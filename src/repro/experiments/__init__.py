@@ -4,7 +4,8 @@ from .config import ExperimentConfig
 from .mobility import MobilityConfig, MobilityResult, run_mobility
 from .multiflow import (MultiFlowResult, run_concurrent_fetches,
                         run_sequential_fetches)
-from .runner import Testbed, build_testbed, run_paired, run_transfer
+from .runner import (Fetch, Testbed, build_testbed, run_fetches, run_paired,
+                     run_transfer)
 from .sweep import (CellResult, SweepResult, SweepSpec, config_hash,
                     parallel_map, run_sweep, write_bench_json)
 
@@ -23,8 +24,10 @@ __all__ = [
     "MultiFlowResult",
     "run_concurrent_fetches",
     "run_sequential_fetches",
+    "Fetch",
     "Testbed",
     "build_testbed",
+    "run_fetches",
     "run_paired",
     "run_transfer",
 ]

@@ -13,6 +13,14 @@ from typing import Any, Dict, Optional
 
 from ..net.tcp import TCPConfig
 
+#: The LAN hops between hosts and gateways: 1 Gb/s, never the bottleneck.
+LAN_BANDWIDTH = 125_000_000.0
+#: Receive window of both endpoints — not TCPConfig's 262,144 default.
+#: 32 KB (~22 segments) keeps the in-flight window — and therefore the
+#: span of packets a single loss can take down via encoding
+#: dependencies (Fig. 8) — at the scale of the paper's testbed.
+TCP_RWND = 32 * 1024
+
 
 @dataclass
 class ExperimentConfig:
@@ -26,8 +34,6 @@ class ExperimentConfig:
     # -- byte caching
     policy: Optional[str] = "cache_flush"   # None disables DRE entirely
     policy_kwargs: Dict[str, Any] = field(default_factory=dict)
-    fingerprint_window: int = 16            # w of §III-B
-    fingerprint_zero_bits: int = 4          # k of §III-B
     fingerprint_kind: str = "poly"
     fingerprint_selection: str = "value"    # "value" (§III-A) | "winnowing"
     cache_bytes: int = 16 * 1024 * 1024
@@ -55,10 +61,8 @@ class ExperimentConfig:
     loss_rate: float = 0.0                  # swept 0–20 % in the paper
     corrupt_rate: float = 0.0
     reorder_rate: float = 0.0
-    reverse_loss_rate: float = 0.0          # ACK-path loss (off by default)
 
-    # -- LAN hops between hosts and gateways
-    lan_bandwidth: float = 125_000_000.0    # 1 Gb/s
+    # -- LAN hops between hosts and gateways (LAN_BANDWIDTH each)
     lan_delay: float = 0.0005
 
     # -- TCP endpoint tunables
@@ -70,10 +74,6 @@ class ExperimentConfig:
     # attempts per chain, §V-C) ride out; only a genuine livelock (the
     # naive policy's circular dependency) exhausts it.
     tcp_max_retries: int = 20
-    # 32 KB (~22 segments) keeps the in-flight window — and therefore
-    # the span of packets a single loss can take down via encoding
-    # dependencies (Fig. 8) — at the scale of the paper's testbed.
-    tcp_rwnd: int = 32 * 1024
     tcp_congestion: str = "reno"          # "reno" | "cubic" (Linux-2012 era)
 
     # -- run control
@@ -110,11 +110,9 @@ class ExperimentConfig:
     #: broken.  When False every hook site pays exactly one None-check
     #: (the bench_hotpath budget, like profile/telemetry).
     verify: bool = False
-    #: VerificationHarness overrides (coherence_interval).
-    verify_kwargs: Dict[str, Any] = field(default_factory=dict)
 
     def tcp_config(self) -> TCPConfig:
-        return TCPConfig(mss=self.tcp_mss, rwnd=self.tcp_rwnd,
+        return TCPConfig(mss=self.tcp_mss, rwnd=TCP_RWND,
                          min_rto=self.tcp_min_rto, max_rto=self.tcp_max_rto,
                          max_retries=self.tcp_max_retries,
                          congestion=self.tcp_congestion)

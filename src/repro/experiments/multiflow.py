@@ -16,12 +16,16 @@ Two claims of the paper live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List, Sequence
 
-from ..app.transfer import FileClient, FileServer, TransferOutcome
+from ..app.transfer import TransferOutcome
 from ..workload.corpus import corpus_object
 from .config import ExperimentConfig
-from .runner import FILE_NAME, SERVER_ADDR, build_testbed
+from .runner import FILE_NAME, Fetch, build_testbed, run_fetches
+
+#: Pause between one connection's end and the next one's start, as a
+#: user would pause.
+USER_GAP = 0.05
 
 
 @dataclass
@@ -37,6 +41,18 @@ class MultiFlowResult:
         return all(outcome.completed for outcome in self.outcomes)
 
 
+def _run(config: ExperimentConfig, files: Dict[str, bytes],
+         fetches: Sequence[Fetch]) -> MultiFlowResult:
+    """Every fetch here is content-checked, whatever ``config`` says."""
+    config = config.with_updates(verify_content=True)
+    testbed = build_testbed(config)
+    run = run_fetches(testbed, config, files, fetches)
+    return MultiFlowResult(
+        outcomes=run.outcomes,
+        bytes_on_link=testbed.bottleneck_forward.stats.bytes_offered,
+        per_fetch_link_bytes=run.link_bytes)
+
+
 def run_sequential_fetches(config: ExperimentConfig, n_fetches: int = 2,
                            same_object: bool = True,
                            fetch_timeout: float = 60.0) -> MultiFlowResult:
@@ -45,51 +61,18 @@ def run_sequential_fetches(config: ExperimentConfig, n_fetches: int = 2,
     With ``same_object`` the later fetches are fully redundant against
     the gateway caches (inter-flow redundancy in its purest form).  A
     fetch that neither completes nor dies within ``fetch_timeout``
-    seconds is abandoned and the next one starts — the §IV-C user who
-    gives up and retries.
+    seconds is aborted — the §IV-C user who gives up closes the
+    connection — and the next one starts.
     """
-    testbed = build_testbed(config)
-    sim = testbed.sim
-    objects = {}
-    for index in range(n_fetches):
-        name = FILE_NAME if same_object else f"{FILE_NAME}-{index}"
-        objects[name] = corpus_object(config.corpus, config.file_size,
-                                      config.corpus_seed
-                                      + (0 if same_object else index))
-    FileServer(testbed.server_stack, objects)
-    client_app = FileClient(testbed.client_stack, sim)
-
-    outcomes: List[TransferOutcome] = []
-    per_fetch_bytes: List[int] = []
-
-    def fetch(index: int) -> None:
-        name = FILE_NAME if same_object else f"{FILE_NAME}-{index}"
-        before = testbed.bottleneck_forward.stats.bytes_offered
-        advanced = []
-
-        def advance() -> None:
-            if advanced:
-                return
-            advanced.append(True)
-            per_fetch_bytes.append(
-                testbed.bottleneck_forward.stats.bytes_offered - before)
-            if index + 1 < n_fetches:
-                # Small gap between connections, as a user would pause.
-                sim.after(0.05, fetch, index + 1)
-            else:
-                sim.stop()
-
-        outcomes.append(client_app.fetch(
-            SERVER_ADDR, name, expected_size=len(objects[name]),
-            expected_content=objects[name],
-            on_done=lambda _outcome: advance()))
-        sim.after(fetch_timeout, advance)
-
-    fetch(0)
-    sim.run(until=config.time_limit)
-    return MultiFlowResult(outcomes=outcomes,
-                           bytes_on_link=testbed.bottleneck_forward.stats.bytes_offered,
-                           per_fetch_link_bytes=per_fetch_bytes)
+    names = [FILE_NAME if same_object else f"{FILE_NAME}-{index}"
+             for index in range(n_fetches)]
+    files = {name: corpus_object(config.corpus, config.file_size,
+                                 config.corpus_seed
+                                 + (0 if same_object else index))
+             for index, name in enumerate(names)}
+    return _run(config, files,
+                [Fetch(name, gap=USER_GAP, timeout=fetch_timeout)
+                 for name in names])
 
 
 def run_version_update(config: ExperimentConfig, size: int = 120 * 1460,
@@ -99,37 +82,11 @@ def run_version_update(config: ExperimentConfig, size: int = 120 * 1460,
     fraction plus encoding overhead."""
     from ..workload.objects import generate_software_versions
 
-    testbed = build_testbed(config)
-    sim = testbed.sim
     v1, v2 = generate_software_versions(size, n_versions=2,
                                         change_fraction=change_fraction,
                                         seed=config.corpus_seed)
-    FileServer(testbed.server_stack, {"v1": v1, "v2": v2})
-    client_app = FileClient(testbed.client_stack, sim)
-
-    outcomes: List[TransferOutcome] = []
-    per_fetch_bytes: List[int] = []
-
-    def fetch(name: str, blob: bytes, then=None) -> None:
-        before = testbed.bottleneck_forward.stats.bytes_offered
-
-        def done(_outcome: TransferOutcome) -> None:
-            per_fetch_bytes.append(
-                testbed.bottleneck_forward.stats.bytes_offered - before)
-            if then is not None:
-                sim.after(0.05, then)
-            else:
-                sim.stop()
-
-        outcomes.append(client_app.fetch(
-            SERVER_ADDR, name, expected_size=len(blob),
-            expected_content=blob, on_done=done))
-
-    fetch("v1", v1, then=lambda: fetch("v2", v2))
-    sim.run(until=config.time_limit)
-    return MultiFlowResult(outcomes=outcomes,
-                           bytes_on_link=testbed.bottleneck_forward.stats.bytes_offered,
-                           per_fetch_link_bytes=per_fetch_bytes)
+    return _run(config, {"v1": v1, "v2": v2},
+                [Fetch("v1"), Fetch("v2", gap=USER_GAP)])
 
 
 def run_concurrent_fetches(config: ExperimentConfig,
@@ -140,26 +97,6 @@ def run_concurrent_fetches(config: ExperimentConfig,
     in the caches — the inter-flow setting of §I (and the cross-flow
     eligibility question for the TCP-seq policy).
     """
-    testbed = build_testbed(config)
-    sim = testbed.sim
     data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
-    FileServer(testbed.server_stack, {FILE_NAME: data})
-    client_app = FileClient(testbed.client_stack, sim)
-
-    outcomes: List[TransferOutcome] = []
-    finished = []
-
-    def done(outcome: TransferOutcome) -> None:
-        finished.append(outcome)
-        if len(finished) == n_clients:
-            sim.stop()
-
-    for index in range(n_clients):
-        sim.after(0.002 * index, lambda: outcomes.append(client_app.fetch(
-            SERVER_ADDR, FILE_NAME, expected_size=len(data),
-            expected_content=data, on_done=done)))
-
-    sim.run(until=config.time_limit)
-    return MultiFlowResult(
-        outcomes=outcomes,
-        bytes_on_link=testbed.bottleneck_forward.stats.bytes_offered)
+    return _run(config, {FILE_NAME: data},
+                [Fetch(at=0.002 * index) for index in range(n_clients)])

@@ -4,7 +4,9 @@ Builds the Fig. 3 topology::
 
     server ──LAN── encoder-gw ══1 MB/s lossy══ decoder-gw ──LAN── client
 
-runs one file retrieval over it, and returns a
+and drives a list of file retrievals over it (:func:`run_fetches`, the
+one run sequence every experiment, campaign and checker calls);
+:func:`run_transfer` is the one-fetch case and returns a
 :class:`~repro.metrics.collectors.TransferResult`.  With
 ``config.policy is None`` the gateways are replaced by plain forwarding
 nodes, producing the no-DRE baseline every ratio in Figs. 10–12 is
@@ -13,10 +15,10 @@ normalised against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Sequence
 
-from ..app.transfer import FileClient, FileServer
+from ..app.transfer import FileClient, FileServer, TransferOutcome
 from ..core.fingerprint import FingerprintScheme
 from ..gateway.pair import GatewayPair
 from ..gateway.resilience import ResilienceConfig
@@ -30,8 +32,9 @@ from ..sim.link import Link
 from ..sim.node import Host, Node
 from ..sim.rng import RngRegistry
 from ..sim.trace import Tracer
+from ..verify.oracles import InvariantViolation, VerificationHarness
 from ..workload.corpus import corpus_object
-from .config import ExperimentConfig
+from .config import LAN_BANDWIDTH, ExperimentConfig
 
 CLIENT_ADDR = "10.0.1.1"
 SERVER_ADDR = "10.0.2.1"
@@ -80,12 +83,6 @@ def build_testbed(config: ExperimentConfig,
 
     verifier = None
     if config.verify and config.dre_enabled:
-        # Imported here (not at module top): repro.verify.oracles is
-        # import-independent of this module, but keeping the runner free
-        # of an eager verify import lets repro.verify.{differential,
-        # fuzz} import the runner without a cycle.
-        from ..verify.oracles import VerificationHarness
-
         if telemetry is not None:
             recorder = telemetry.recorder
         else:
@@ -94,8 +91,7 @@ def build_testbed(config: ExperimentConfig,
             recorder = FlightRecorder()
             tracer.sink = recorder.record
         recorder.spans = span_recorder
-        verifier = VerificationHarness(sim, recorder=recorder,
-                                       **config.verify_kwargs)
+        verifier = VerificationHarness(sim, recorder=recorder)
         verifier.spans = span_recorder
         if telemetry is not None:
             telemetry.register_verifier(verifier)
@@ -108,9 +104,7 @@ def build_testbed(config: ExperimentConfig,
     server = Host(sim, "server", SERVER_ADDR, tracer)
 
     if config.dre_enabled:
-        scheme = FingerprintScheme(window=config.fingerprint_window,
-                                   zero_bits=config.fingerprint_zero_bits,
-                                   kind=config.fingerprint_kind,
+        scheme = FingerprintScheme(kind=config.fingerprint_kind,
                                    selection=config.fingerprint_selection)
         gateways: Optional[GatewayPair] = GatewayPair.create(
             sim, policy=config.policy, scheme=scheme,
@@ -139,9 +133,9 @@ def build_testbed(config: ExperimentConfig,
         dec_node = Node(sim, "fwd-node-2", tracer)
 
     # server <-> encoder LAN
-    lan_s_fwd = Link(sim, config.lan_bandwidth, config.lan_delay,
+    lan_s_fwd = Link(sim, LAN_BANDWIDTH, config.lan_delay,
                      rng=rng.stream("lan_s_fwd"), name="lan-server-fwd")
-    lan_s_rev = Link(sim, config.lan_bandwidth, config.lan_delay,
+    lan_s_rev = Link(sim, LAN_BANDWIDTH, config.lan_delay,
                      rng=rng.stream("lan_s_rev"), name="lan-server-rev")
     # encoder <-> decoder: the constrained wireless segment
     bott_fwd = Link(sim, config.bandwidth, config.bottleneck_delay,
@@ -151,13 +145,12 @@ def build_testbed(config: ExperimentConfig,
                     rng=rng.stream("bottleneck_fwd"), name="bottleneck-fwd",
                     telemetry=telemetry, spans=span_recorder)
     bott_rev = Link(sim, config.bandwidth, config.bottleneck_delay,
-                    loss_rate=config.reverse_loss_rate,
                     rng=rng.stream("bottleneck_rev"), name="bottleneck-rev",
                     telemetry=telemetry, spans=span_recorder)
     # decoder <-> client LAN
-    lan_c_fwd = Link(sim, config.lan_bandwidth, config.lan_delay,
+    lan_c_fwd = Link(sim, LAN_BANDWIDTH, config.lan_delay,
                      rng=rng.stream("lan_c_fwd"), name="lan-client-fwd")
-    lan_c_rev = Link(sim, config.lan_bandwidth, config.lan_delay,
+    lan_c_rev = Link(sim, LAN_BANDWIDTH, config.lan_delay,
                      rng=rng.stream("lan_c_rev"), name="lan-client-rev")
 
     lan_s_fwd.connect(enc_node.receive)
@@ -195,44 +188,140 @@ def build_testbed(config: ExperimentConfig,
                    verifier=verifier)
 
 
+@dataclass(frozen=True)
+class Fetch:
+    """One retrieval of a run: which object, and when it starts."""
+
+    name: str = FILE_NAME
+    #: Absolute start time; a time that is not in the future starts the
+    #: fetch inline, before the event loop runs.
+    at: float = 0.0
+    #: When set, start this long after the previous fetch of the list
+    #: ended instead (the pause between a user's connections).
+    gap: Optional[float] = None
+    #: Abort the connection if the fetch is still running this long
+    #: after it started — the user who gives up closes the tab.
+    timeout: Optional[float] = None
+
+
+@dataclass
+class FetchRun:
+    """What :func:`run_fetches` hands back."""
+
+    #: Outcomes of the fetches that started, in start order.
+    outcomes: List[TransferOutcome] = field(default_factory=list)
+    #: Per fetch of the list: bytes offered to the forward bottleneck
+    #: between its start and its end (0 for one that never ended).
+    link_bytes: List[int] = field(default_factory=list)
+    timeouts: int = 0
+    #: Set only under ``capture_violation``; the rest is the partial run.
+    violation: Optional[InvariantViolation] = None
+
+
+def run_fetches(testbed: Testbed, config: ExperimentConfig, files,
+                fetches: Sequence[Fetch],
+                on_data: Optional[Callable[[int, bytes], None]] = None,
+                on_done: Optional[Callable[[int, TransferOutcome],
+                                           None]] = None,
+                capture_violation: bool = False) -> FetchRun:
+    """Serve ``files`` and run ``fetches`` over ``testbed`` to the end.
+
+    The one run sequence: install the server on ``files`` (anything
+    with ``.get``), start each fetch at its time, arm byte integrity
+    per fetch when the testbed carries a verifier, abort a fetch at its
+    timeout, stop the simulator when the last fetch ends, run to
+    ``config.time_limit`` and finalize the verifier over every outcome.
+    The caller builds the testbed, so whatever it arms on it (faults, a
+    flow pool, a patched policy) is in place before the first packet.
+    ``on_data(index, chunk)`` / ``on_done(index, outcome)`` observe the
+    fetch at that index of the list.  An :class:`InvariantViolation`
+    propagates unless ``capture_violation``, which returns it with the
+    partial run instead.
+    """
+    sim = testbed.sim
+    verifier = testbed.verifier
+    forward = testbed.bottleneck_forward.stats
+    check_content = config.verify_content or config.verify
+    FileServer(testbed.server_stack, files)
+    client = FileClient(testbed.client_stack, sim)
+    total = len(fetches)
+    run = FetchRun(link_bytes=[0] * total)
+    outcomes = run.outcomes
+    ended = 0
+
+    def expire(outcome: TransferOutcome, conns: list) -> None:
+        if outcome.finished_at is None:
+            run.timeouts += 1
+            conns[0].abort("fetch_timeout")
+
+    def start(index: int) -> None:
+        fetch = fetches[index]
+        data = files.get(fetch.name)
+        before = forward.bytes_offered
+        check = verifier.integrity_sink(data) if verifier is not None else None
+        sink = check            # None when nobody watches: no per-chunk call
+        if on_data is not None:
+            def sink(chunk: bytes) -> None:
+                if check is not None:
+                    check(chunk)
+                on_data(index, chunk)
+
+        def done(outcome: TransferOutcome) -> None:
+            nonlocal ended
+            run.link_bytes[index] = forward.bytes_offered - before
+            if on_done is not None:
+                on_done(index, outcome)
+            ended += 1
+            if ended == total:
+                sim.stop()
+            elif index + 1 < total and fetches[index + 1].gap is not None:
+                sim.post_after(fetches[index + 1].gap, start, index + 1)
+
+        if fetch.timeout is None:
+            conn_sink = None
+        else:
+            conns: list = []
+            conn_sink = conns.append
+        outcome = client.fetch(
+            SERVER_ADDR, fetch.name, expected_size=len(data),
+            expected_content=data if check_content else None,
+            on_data=sink, on_done=done, conn_sink=conn_sink)
+        outcomes.append(outcome)
+        if conn_sink is not None:
+            sim.post_after(fetch.timeout, expire, outcome, conns)
+
+    for index, fetch in enumerate(fetches):
+        if fetch.gap is not None and index:
+            continue            # started by the previous fetch's end
+        if fetch.at > sim.now:
+            sim.post(fetch.at, start, index)
+        else:
+            start(index)
+    try:
+        sim.run(until=config.time_limit)
+        if verifier is not None:
+            verifier.finalize(outcomes)
+    except InvariantViolation as violation:
+        if not capture_violation:
+            raise
+        run.violation = violation
+    return run
+
+
 def run_transfer(config: ExperimentConfig,
                  tracer: Optional[Tracer] = None) -> TransferResult:
     """Run one complete retrieval described by ``config``."""
     testbed = build_testbed(config, tracer)
-    sim = testbed.sim
-
     data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
-    FileServer(testbed.server_stack, {FILE_NAME: data})
-    client_app = FileClient(testbed.client_stack, sim)
-
-    on_data = None
-    if testbed.verifier is not None:
-        # Arm the byte-integrity oracle: every in-order chunk the client
-        # receives is checked against the source object immediately.
-        testbed.verifier.arm_integrity(data)
-        on_data = testbed.verifier.on_deliver
-    outcome = client_app.fetch(
-        SERVER_ADDR, FILE_NAME, expected_size=len(data),
-        expected_content=(data if config.verify_content or config.verify
-                          else None),
-        on_data=on_data,
-        on_done=lambda _outcome: sim.stop())
-    sim.run(until=config.time_limit)
-    if testbed.verifier is not None:
-        testbed.verifier.finalize(outcome)
-    return collect_result(testbed, outcome, config)
+    run = run_fetches(testbed, config, {FILE_NAME: data}, [Fetch()])
+    return collect_result(testbed, run.outcomes[0], config)
 
 
 def collect_result(testbed: Testbed, outcome,
                    config: ExperimentConfig) -> TransferResult:
-    """Assemble the :class:`TransferResult` for a finished run.
-
-    Split out of :func:`run_transfer` so drivers that must own the
-    event loop themselves — the fuzz harness, the chaos campaign
-    runner — can still produce the same result object (including the
-    telemetry export with its post-mortem reason) after their custom
-    run/fault/verify sequence.
-    """
+    """Assemble the :class:`TransferResult` of a run from its testbed
+    and the outcome of its (first) fetch — also from a partial run that
+    ended at a captured violation."""
     sim = testbed.sim
     server_stats = [conn.stats
                     for conn in testbed.server_stack.connections()]

@@ -36,13 +36,13 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..app.transfer import FileClient, FileServer, TransferOutcome
+from ..app.transfer import TransferOutcome
 from ..experiments.config import ExperimentConfig
-from ..experiments.runner import SERVER_ADDR, Testbed, build_testbed
-from ..net.tcp import TCPConnection, TCPStack
+from ..experiments.runner import Fetch, Testbed, build_testbed, run_fetches
+from ..net.tcp import TCPStack
 from ..sim.rng import derive_seed
 from ..workload.catalog import CatalogSpec, ContentCatalog
-from .sessions import Request, SessionSpec, generate_sessions
+from .sessions import SessionSpec, generate_sessions
 
 SERVING_SCHEMA = "serving/v1"
 
@@ -130,16 +130,6 @@ class _CatalogFiles:
         except (KeyError, ValueError):
             return None
         return self.catalog.object_bytes(cid)
-
-
-class CatalogFileServer(FileServer):
-    """A :class:`FileServer` whose corpus is a lazy content catalog."""
-
-    def __init__(self, stack: TCPStack, catalog: ContentCatalog,
-                 port: int = 80):
-        super().__init__(stack, {}, port)
-        self.catalog = catalog
-        self.files = _CatalogFiles(catalog)  # type: ignore[assignment]
 
 
 class FlowPool:
@@ -281,11 +271,10 @@ def run_serving(spec: ServingSpec) -> Dict[str, Any]:
     if not schedule:
         raise ValueError("empty session schedule")
 
-    testbed = build_testbed(spec.experiment_config())
+    config = spec.experiment_config()
+    testbed = build_testbed(config)
     sim = testbed.sim
 
-    CatalogFileServer(testbed.server_stack, catalog)
-    client_app = FileClient(testbed.client_stack, sim)
     pool = FlowPool(sim, [testbed.client_stack, testbed.server_stack],
                     linger=spec.linger)
     pool.start()
@@ -303,7 +292,6 @@ def run_serving(spec: ServingSpec) -> Dict[str, Any]:
     state = {
         "done": 0,
         "completed": 0,
-        "timeouts": 0,
         "stalled": 0,
         "content_bad": 0,
         "snapshot": None,            # set at the warm-up boundary
@@ -312,7 +300,7 @@ def run_serving(spec: ServingSpec) -> Dict[str, Any]:
     durations_all: List[float] = []
     durations_steady: List[float] = []  # requests scheduled post-warm-up
 
-    def finish_one(outcome: TransferOutcome, order: int) -> None:
+    def finish_one(order: int, outcome: TransferOutcome) -> None:
         state["done"] += 1
         if outcome.completed:
             state["completed"] += 1
@@ -328,30 +316,12 @@ def run_serving(spec: ServingSpec) -> Dict[str, Any]:
         if state["done"] == warmup_n and state["snapshot"] is None:
             state["snapshot"] = _snapshot(testbed)
             state["snapshot_time"] = sim.now
-        if state["done"] >= total:
-            sim.stop()
 
-    def start_fetch(req: Request, order: int) -> None:
-        body = catalog.object_bytes(req.content_id)
-        conn_box: List[TCPConnection] = []
-        outcome = client_app.fetch(
-            SERVER_ADDR, catalog.name_of(req.content_id),
-            expected_size=len(body),
-            expected_content=(body if spec.verify else None),
-            conn_sink=conn_box.append,
-            on_done=lambda o, order=order: finish_one(o, order))
-
-        def timeout_check() -> None:
-            if outcome.finished_at is None and conn_box:
-                state["timeouts"] += 1
-                conn_box[0].abort("serve_timeout")
-
-        sim.after(spec.fetch_timeout, timeout_check)
-
-    for order, req in enumerate(schedule):
-        sim.after(req.time, start_fetch, req, order)
-
-    sim.run(until=spec.time_limit)
+    run = run_fetches(
+        testbed, config, _CatalogFiles(catalog),
+        [Fetch(catalog.name_of(req.content_id), at=req.time,
+               timeout=spec.fetch_timeout) for req in schedule],
+        on_done=finish_one)
 
     # Requests still pending at the time limit count as unfinished.
     unfinished = total - state["done"]
@@ -377,7 +347,7 @@ def run_serving(spec: ServingSpec) -> Dict[str, Any]:
             "total": total,
             "warmup": warmup_n,
             "completed": state["completed"],
-            "timeouts": state["timeouts"],
+            "timeouts": run.timeouts,
             "stalled": state["stalled"],
             "unfinished": unfinished,
             "content_mismatches": state["content_bad"],

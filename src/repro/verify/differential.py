@@ -32,11 +32,11 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from ..app.transfer import FileClient, FileServer, TransferOutcome
+from ..app.transfer import TransferOutcome
 from ..core.cache import ByteCache
 from ..core.shardcache import ShardedByteCache
 from ..experiments.config import ExperimentConfig
-from ..experiments.runner import FILE_NAME, SERVER_ADDR, build_testbed
+from ..experiments.runner import FILE_NAME, Fetch, build_testbed, run_fetches
 from ..workload.corpus import corpus_object
 
 
@@ -61,16 +61,12 @@ def _digest(blob: bytes) -> str:
 
 def run_captured(config: ExperimentConfig) -> Tuple[TransferOutcome, bytes]:
     """One transfer, capturing the delivered application stream."""
-    testbed = build_testbed(config)
     data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
-    FileServer(testbed.server_stack, {FILE_NAME: data})
-    client = FileClient(testbed.client_stack, testbed.sim)
     chunks: List[bytes] = []
-    outcome = client.fetch(SERVER_ADDR, FILE_NAME, expected_size=len(data),
-                           on_data=chunks.append,
-                           on_done=lambda _o: testbed.sim.stop())
-    testbed.sim.run(until=config.time_limit)
-    return outcome, b"".join(chunks)
+    run = run_fetches(build_testbed(config), config, {FILE_NAME: data},
+                      [Fetch()],
+                      on_data=lambda _index, chunk: chunks.append(chunk))
+    return run.outcomes[0], b"".join(chunks)
 
 
 def compare_fingerprinters(file_size: int = 40 * 1460,

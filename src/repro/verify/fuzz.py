@@ -23,15 +23,13 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
-from ..app.transfer import FileClient, FileServer
 from ..experiments.config import ExperimentConfig
-from ..experiments.runner import FILE_NAME, SERVER_ADDR, build_testbed
+from ..experiments.runner import FILE_NAME, Fetch, build_testbed, run_fetches
 from ..sim.faults import (FaultInjector, GatewayFaultLog, match_nth_control,
                           match_nth_data, schedule_asymmetric_eviction,
                           schedule_gateway_restart)
 from ..sim.rng import RngRegistry
 from ..workload.corpus import corpus_object
-from .oracles import InvariantViolation
 
 FUZZ_SCHEMA = "repro.fuzzcase/v1"
 
@@ -247,24 +245,15 @@ def run_case(case: FuzzCase) -> FuzzOutcome:
         _inject_bug(testbed, case.inject_bug)
 
     data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
-    FileServer(testbed.server_stack, {FILE_NAME: data})
-    client = FileClient(testbed.client_stack, testbed.sim)
-    testbed.verifier.arm_integrity(data)
-    outcome = client.fetch(SERVER_ADDR, FILE_NAME, expected_size=len(data),
-                           expected_content=data,
-                           on_data=testbed.verifier.on_deliver,
-                           on_done=lambda _o: testbed.sim.stop())
-    try:
-        testbed.sim.run(until=config.time_limit)
-        testbed.verifier.finalize(outcome)
-    except InvariantViolation as violation:
-        return FuzzOutcome(completed=False, stalled=outcome.stalled,
-                           sim_time=testbed.sim.now,
-                           faults_applied=faults_applied,
-                           violation=violation.summary())
-    return FuzzOutcome(completed=outcome.completed, stalled=outcome.stalled,
-                       sim_time=testbed.sim.now,
-                       faults_applied=faults_applied)
+    run = run_fetches(testbed, config, {FILE_NAME: data}, [Fetch()],
+                      capture_violation=True)
+    outcome = run.outcomes[0]
+    violated = run.violation is not None
+    return FuzzOutcome(completed=outcome.completed and not violated,
+                       stalled=outcome.stalled, sim_time=testbed.sim.now,
+                       faults_applied=faults_applied,
+                       violation=(run.violation.summary() if violated
+                                  else None))
 
 
 # -- shrinking --------------------------------------------------------------

@@ -41,7 +41,7 @@ run is diagnosable from the exception alone.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 Verdict = Optional[Tuple[str, Dict[str, Any]]]
 
@@ -298,8 +298,6 @@ class VerificationHarness:
         self._enc_core = None
         self._dec_core = None
         self._links: Tuple = ()
-        self._expected: Optional[bytes] = None
-        self._delivered = 0
 
     # -- wiring -----------------------------------------------------------
 
@@ -324,11 +322,6 @@ class VerificationHarness:
     def watch_links(self, *links) -> None:
         """Links whose in-flight accounting gates the coherence checks."""
         self._links = tuple(links)
-
-    def arm_integrity(self, expected: bytes) -> None:
-        """Arm the end-to-end byte-integrity oracle for one object."""
-        self._expected = expected
-        self._delivered = 0
 
     def start(self) -> None:
         """Begin the periodic quiescent-point coherence ticks."""
@@ -360,23 +353,30 @@ class VerificationHarness:
         self._note("stale_decode", packet_id=meta.packet_id,
                    suspects=len(suspects))
 
-    def on_deliver(self, chunk: bytes) -> None:
-        """Byte-integrity oracle: one in-order chunk reached the client."""
-        if self._expected is None:
-            return
-        offset = self._delivered
-        expected = self._expected[offset:offset + len(chunk)]
-        if chunk != expected:
-            first_diff = offset + next(
-                (i for i, (a, b) in enumerate(zip(chunk, expected))
-                 if a != b), min(len(chunk), len(expected)))
-            self.fail("byte_integrity",
-                      f"delivered stream diverges from the source object "
-                      f"at byte {first_diff} (chunk at offset {offset}, "
-                      f"length {len(chunk)})",
-                      offset=offset, first_diff=first_diff,
-                      chunk_length=len(chunk))
-        self._delivered = offset + len(chunk)
+    def integrity_sink(self, expected: bytes) -> Callable[[bytes], None]:
+        """Byte-integrity oracle for one fetch of ``expected``: the
+        returned sink takes that fetch's in-order chunks as they reach
+        the client.  It keeps its own offset, so overlapping fetches
+        are each held to their own object."""
+        delivered = 0
+
+        def sink(chunk: bytes) -> None:
+            nonlocal delivered
+            offset = delivered
+            want = expected[offset:offset + len(chunk)]
+            if chunk != want:
+                first_diff = offset + next(
+                    (i for i, (a, b) in enumerate(zip(chunk, want))
+                     if a != b), min(len(chunk), len(want)))
+                self.fail("byte_integrity",
+                          f"delivered stream diverges from the source "
+                          f"object at byte {first_diff} (chunk at offset "
+                          f"{offset}, length {len(chunk)})",
+                          offset=offset, first_diff=first_diff,
+                          chunk_length=len(chunk))
+            delivered = offset + len(chunk)
+
+        return sink
 
     # -- coherence oracle --------------------------------------------------
 
@@ -455,8 +455,9 @@ class VerificationHarness:
                     decoder_window=dec_window.hex())
         return True
 
-    def finalize(self, outcome=None) -> None:
-        """End-of-run checks (the runner calls this after ``sim.run``).
+    def finalize(self, outcomes=()) -> None:
+        """End-of-run checks over every fetch's outcome (the runner
+        calls this after ``sim.run``).
 
         A stall is a *performance* outcome, not an integrity violation —
         the §IV livelock is caught earlier, at the region that creates
@@ -464,11 +465,13 @@ class VerificationHarness:
         delivered was correct, and take one last coherence look if the
         run ended quiescent.
         """
-        if (outcome is not None and outcome.content_ok is False):
-            self.fail("byte_integrity",
-                      "delivered object differs from the source object",
-                      bytes_received=outcome.bytes_received,
-                      expected_size=outcome.expected_size)
+        for outcome in outcomes:
+            if outcome.content_ok is False:
+                self.fail("byte_integrity",
+                          "delivered object differs from the source object",
+                          name=outcome.name,
+                          bytes_received=outcome.bytes_received,
+                          expected_size=outcome.expected_size)
         self.check_coherence()
 
     # -- violation plumbing -----------------------------------------------

@@ -68,14 +68,14 @@ def test_transfer_with_dre_and_delayed_acks():
     from repro.experiments import ExperimentConfig
 
     config = ExperimentConfig(policy="cache_flush", file_size=60 * 1460,
-                              seed=5, loss_rate=0.02, verify_content=True)
+                              seed=5, loss_rate=0.02, verify_content=True,
+                              time_limit=120.0)
     config = config.with_updates()
     # Wire delayed acks through a custom TCP config.
     tcp = config.tcp_config()
     tcp.delayed_ack = True
-    from repro.experiments.runner import (FILE_NAME, SERVER_ADDR,
-                                          build_testbed)
-    from repro.app.transfer import FileClient, FileServer
+    from repro.experiments.runner import (FILE_NAME, Fetch, build_testbed,
+                                          run_fetches)
     from repro.workload.corpus import corpus_object
 
     testbed = build_testbed(config)
@@ -83,12 +83,8 @@ def test_transfer_with_dre_and_delayed_acks():
     testbed.client_stack.config.delayed_ack = True
     testbed.server_stack.config.delayed_ack = True
     data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
-    FileServer(testbed.server_stack, {FILE_NAME: data})
-    client = FileClient(testbed.client_stack, testbed.sim)
-    outcome = client.fetch(SERVER_ADDR, FILE_NAME, expected_size=len(data),
-                           expected_content=data,
-                           on_done=lambda _o: testbed.sim.stop())
-    testbed.sim.run(until=120)
+    outcome = run_fetches(testbed, config, {FILE_NAME: data},
+                          [Fetch()]).outcomes[0]
     assert outcome.completed
     assert outcome.content_ok is True
 

@@ -1,8 +1,8 @@
 """Tests for the deterministic fault-injection module."""
 
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import FILE_NAME, SERVER_ADDR, build_testbed
-from repro.app.transfer import FileClient, FileServer
+from repro.experiments.runner import (FILE_NAME, Fetch, build_testbed,
+                                      run_fetches)
 from repro.net.packet import (ControlMessage, IPPacket, PROTO_DRE_CONTROL,
                               PROTO_TCP, TCPSegment)
 from repro.sim.faults import (FaultInjector, drop_indices, match_control,
@@ -152,12 +152,8 @@ class TestInjectorOnFullTestbed:
         injector.drop_when(match_nth_data(5))
         data = corpus_object(config.corpus, config.file_size,
                              config.corpus_seed)
-        FileServer(testbed.server_stack, {FILE_NAME: data})
-        client = FileClient(testbed.client_stack, testbed.sim)
-        outcome = client.fetch(SERVER_ADDR, FILE_NAME,
-                               expected_size=len(data),
-                               on_done=lambda _o: testbed.sim.stop())
-        testbed.sim.run(until=120)
+        outcome = run_fetches(testbed, config, {FILE_NAME: data},
+                              [Fetch()]).outcomes[0]
         assert not outcome.completed
         assert injector.log.events == 1
 
@@ -185,12 +181,8 @@ class TestNackRecoveryUnderControlLoss:
         control_injector.drop_when(match_nth_control(kind, 1))
         data = corpus_object(config.corpus, config.file_size,
                              config.corpus_seed)
-        FileServer(testbed.server_stack, {FILE_NAME: data})
-        client = FileClient(testbed.client_stack, testbed.sim)
-        outcome = client.fetch(SERVER_ADDR, FILE_NAME,
-                               expected_size=len(data),
-                               on_done=lambda _o: testbed.sim.stop())
-        testbed.sim.run(until=60)
+        outcome = run_fetches(testbed, config, {FILE_NAME: data},
+                              [Fetch()]).outcomes[0]
         assert control_injector.log.dropped
         return testbed, outcome
 

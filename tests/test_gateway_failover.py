@@ -15,9 +15,9 @@ cold decoder cache cannot be rebuilt by the data stream itself — the
 divergence is persistent unless explicitly repaired.
 """
 
-from repro.app.transfer import FileClient, FileServer
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import FILE_NAME, SERVER_ADDR, build_testbed
+from repro.experiments.runner import (FILE_NAME, Fetch, build_testbed,
+                                      run_fetches)
 from repro.sim.faults import (FaultInjector, GatewayFaultLog,
                               match_nth_control,
                               schedule_asymmetric_eviction,
@@ -44,22 +44,24 @@ def build(policy="tcp_seq", resilience=True, time_limit=30.0, seed=5):
         time_limit=time_limit, resilience=resilience,
         resilience_kwargs=RESILIENCE_KWARGS if resilience else {})
     testbed = build_testbed(config)
-    FileServer(testbed.server_stack, {FILE_NAME: DATA})
-    client = FileClient(testbed.client_stack, testbed.sim)
-    outcome = client.fetch(SERVER_ADDR, FILE_NAME, expected_size=len(DATA),
-                           on_done=lambda _o: testbed.sim.stop())
-    return testbed, outcome
+
+    def fetch():
+        """Run the transfer (after the test armed its faults)."""
+        return run_fetches(testbed, config, {FILE_NAME: DATA},
+                           [Fetch()]).outcomes[0]
+
+    return testbed, fetch
 
 
 class TestDecoderRestartWithResilience:
     def test_transfer_completes_and_compression_recovers(self):
         """The acceptance scenario: restart mid-transfer, connection
         completes, and the post-resync bytes-sent ratio is back < 1."""
-        testbed, outcome = build(policy="tcp_seq", resilience=True)
+        testbed, fetch = build(policy="tcp_seq", resilience=True)
         log = GatewayFaultLog()
         schedule_gateway_restart(testbed.sim, testbed.gateways.decoder,
                                  at=0.12, downtime=0.1, log=log)
-        testbed.sim.run(until=30)
+        outcome = fetch()
 
         assert outcome.completed
         assert log.crashes == [0.12]
@@ -87,10 +89,10 @@ class TestDecoderRestartWithResilience:
         """The 0.1 s outage exceeds the heartbeat timeout: the encoder
         must fall back to pass-through rather than feed a dead peer,
         then recover when heartbeat acks resume."""
-        testbed, outcome = build(policy="tcp_seq", resilience=True)
+        testbed, fetch = build(policy="tcp_seq", resilience=True)
         schedule_gateway_restart(testbed.sim, testbed.gateways.decoder,
                                  at=0.12, downtime=0.1)
-        testbed.sim.run(until=30)
+        outcome = fetch()
         assert outcome.completed
         enc = testbed.gateways.encoder
         assert enc.resilience.stats.degraded_entries >= 1
@@ -101,10 +103,10 @@ class TestDecoderRestartWithResilience:
         """A restart faster than the heartbeat timeout restores epoch 0
         on both sides — the epoch stamp cannot flag it.  The
         undecodable-rate watchdog must trip instead."""
-        testbed, outcome = build(policy="tcp_seq", resilience=True)
+        testbed, fetch = build(policy="tcp_seq", resilience=True)
         schedule_gateway_restart(testbed.sim, testbed.gateways.decoder,
                                  at=0.12, downtime=0.01)
-        testbed.sim.run(until=30)
+        outcome = fetch()
         assert outcome.completed
         dec = testbed.gateways.decoder
         assert dec.resilience.stats.watchdog_trips >= 1
@@ -116,12 +118,12 @@ class TestDecoderRestartWithResilience:
         retry, not the recovery."""
         for kind, attr in (("cache_resync", "bottleneck_reverse"),
                            ("cache_resync_ack", "bottleneck_forward")):
-            testbed, outcome = build(policy="tcp_seq", resilience=True)
+            testbed, fetch = build(policy="tcp_seq", resilience=True)
             schedule_gateway_restart(testbed.sim, testbed.gateways.decoder,
                                      at=0.12, downtime=0.01)
             injector = FaultInjector(getattr(testbed, attr))
             injector.drop_when(match_nth_control(kind, 1))
-            testbed.sim.run(until=30)
+            outcome = fetch()
             assert outcome.completed, kind
             stats = testbed.gateways.decoder.resilience.stats
             assert stats.resyncs_completed >= 1, kind
@@ -131,11 +133,11 @@ class TestDecoderRestartWithResilience:
     def test_asymmetric_eviction_repaired(self):
         """One-sided eviction at the decoder: no packet is ever lost and
         no epoch changes, yet references start missing.  Watchdog path."""
-        testbed, outcome = build(policy="tcp_seq", resilience=True)
+        testbed, fetch = build(policy="tcp_seq", resilience=True)
         log = GatewayFaultLog()
         schedule_asymmetric_eviction(testbed.sim, testbed.gateways.decoder,
                                      at=0.15, fraction=0.9, log=log)
-        testbed.sim.run(until=30)
+        outcome = fetch()
         assert outcome.completed
         assert log.evictions and log.evictions[0][1] > 0
         dec = testbed.gateways.decoder
@@ -147,10 +149,10 @@ class TestDecoderRestartWithoutResilience:
     def test_tcp_seq_suffers_persistent_undecodable_drops(self):
         """Without the layer the decoder silently decodes against a cold
         cache: every long-range reference misses, persistently."""
-        testbed, outcome = build(policy="tcp_seq", resilience=False)
+        testbed, fetch = build(policy="tcp_seq", resilience=False)
         schedule_gateway_restart(testbed.sim, testbed.gateways.decoder,
                                  at=0.12, downtime=0.1)
-        testbed.sim.run(until=30)
+        fetch()
         dec = testbed.gateways.decoder
         assert dec.stats.undecodable_dropped > 30
         assert dec.stats.desync_dropped == 0     # no layer, no gating
@@ -159,38 +161,38 @@ class TestDecoderRestartWithoutResilience:
         """With circular-dependency-prone encoding the cold cache is
         fatal: TCP exhausts its retries.  The identical scenario with
         the layer enabled completes."""
-        testbed, outcome = build(policy="naive", resilience=False)
+        testbed, fetch = build(policy="naive", resilience=False)
         schedule_gateway_restart(testbed.sim, testbed.gateways.decoder,
                                  at=0.12, downtime=0.1)
-        testbed.sim.run(until=30)
+        outcome = fetch()
         assert not outcome.completed
 
-        testbed, outcome = build(policy="naive", resilience=True)
+        testbed, fetch = build(policy="naive", resilience=True)
         schedule_gateway_restart(testbed.sim, testbed.gateways.decoder,
                                  at=0.12, downtime=0.1)
-        testbed.sim.run(until=30)
+        outcome = fetch()
         assert outcome.completed
         assert testbed.gateways.decoder.resilience.stats.resyncs_completed >= 1
 
     def test_resilience_restores_near_baseline_download_time(self):
         """Headline number: the restart costs ~5x download time without
         the layer and well under 2x with it."""
-        baseline, outcome = build(policy="tcp_seq", resilience=False)
-        baseline.sim.run(until=30)
+        baseline, fetch = build(policy="tcp_seq", resilience=False)
+        outcome = fetch()
         assert outcome.completed
         fault_free = outcome.duration
 
-        with_layer, outcome = build(policy="tcp_seq", resilience=True)
+        with_layer, fetch = build(policy="tcp_seq", resilience=True)
         schedule_gateway_restart(with_layer.sim, with_layer.gateways.decoder,
                                  at=0.12, downtime=0.1)
-        with_layer.sim.run(until=30)
+        outcome = fetch()
         assert outcome.completed
         repaired = outcome.duration
 
-        without, outcome = build(policy="tcp_seq", resilience=False)
+        without, fetch = build(policy="tcp_seq", resilience=False)
         schedule_gateway_restart(without.sim, without.gateways.decoder,
                                  at=0.12, downtime=0.1)
-        without.sim.run(until=30)
+        outcome = fetch()
         assert outcome.completed
         unrepaired = outcome.duration
 

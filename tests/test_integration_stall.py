@@ -13,8 +13,8 @@ corruption or re-ordering) and check that:
 import pytest
 
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import FILE_NAME, SERVER_ADDR, build_testbed
-from repro.app.transfer import FileClient, FileServer
+from repro.experiments.runner import (FILE_NAME, Fetch, build_testbed,
+                                      run_fetches)
 from repro.workload.corpus import corpus_object
 
 FILE_SIZE = 40 * 1460
@@ -31,11 +31,6 @@ def run_with_event(policy, policy_kwargs=None, drop_nth_data=5,
         verify_content=True, spans=spans)
     testbed = build_testbed(config)
     data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
-    FileServer(testbed.server_stack, {FILE_NAME: data})
-    client = FileClient(testbed.client_stack, testbed.sim)
-    outcome = client.fetch(SERVER_ADDR, FILE_NAME, expected_size=len(data),
-                           expected_content=data,
-                           on_done=lambda _o: testbed.sim.stop())
 
     # Interpose on the bottleneck link: affect exactly one data packet.
     link = testbed.bottleneck_forward
@@ -57,7 +52,8 @@ def run_with_event(policy, policy_kwargs=None, drop_nth_data=5,
         original(pkt)
 
     link.send = tampering_send
-    testbed.sim.run(until=time_limit)
+    outcome = run_fetches(testbed, config, {FILE_NAME: data},
+                          [Fetch()]).outcomes[0]
     return testbed, outcome, state
 
 

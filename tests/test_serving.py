@@ -184,6 +184,63 @@ def test_cache_pressure_unit_completes_every_request(policy):
     assert requests["content_mismatches"] == 0
 
 
+def test_verified_run_checks_every_request(monkeypatch):
+    """``verify=True`` arms the whole verifier, not just the shard
+    oracle: one byte-integrity sink per request, and the end-of-run
+    finalize over every outcome."""
+    from repro.verify.oracles import VerificationHarness
+
+    armed, finalized = [], []
+    real_sink = VerificationHarness.integrity_sink
+    real_finalize = VerificationHarness.finalize
+
+    def counting_sink(self, expected):
+        armed.append(len(expected))
+        return real_sink(self, expected)
+
+    def counting_finalize(self, outcomes=()):
+        finalized.append(len(outcomes))
+        return real_finalize(self, outcomes)
+
+    monkeypatch.setattr(VerificationHarness, "integrity_sink", counting_sink)
+    monkeypatch.setattr(VerificationHarness, "finalize", counting_finalize)
+    report = run_serving(ServingSpec(users=20, n_contents=50, seed=13,
+                                     verify=True))
+    requests = report["requests"]
+    assert requests["completed"] == requests["total"] > 0
+    assert requests["content_mismatches"] == 0
+    assert report["oracle_checks"] > 0
+    assert len(armed) == requests["total"]
+    assert finalized == [requests["total"]]
+
+
+def test_verified_run_raises_on_one_wrong_byte(monkeypatch):
+    """The server answers the first request with a body one byte off
+    what the driver expects: the run ends there, naming the offset."""
+    from repro.serving import engine
+    from repro.verify.oracles import InvariantViolation
+
+    real_get = engine._CatalogFiles.get
+    reads = []
+
+    def get(self, name):
+        body = real_get(self, name)
+        reads.append(name)
+        if name == reads[0] and reads.count(name) == 2:
+            # The second read of the first request's object is the
+            # server's; the first was the driver's.
+            return body[:100] + bytes([body[100] ^ 0xFF]) + body[101:]
+        return body
+
+    monkeypatch.setattr(engine._CatalogFiles, "get", get)
+    with pytest.raises(InvariantViolation) as raised:
+        run_serving(ServingSpec(users=20, n_contents=50, seed=13,
+                                verify=True))
+    assert raised.value.oracle == "byte_integrity"
+    assert raised.value.context["first_diff"] == 100
+    assert "at byte 100" in str(raised.value)
+
+
 def test_serving_report_is_deterministic():
     spec = ServingSpec(users=20, n_contents=50, seed=13)
     first = json.dumps(deterministic_report(run_serving(spec)),

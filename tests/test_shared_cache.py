@@ -9,11 +9,11 @@ this per retransmission), and epoch bumps (resync) leaving the shared
 state coherent for every flow, not just the one that triggered them.
 """
 
-from repro.app.transfer import FileClient, FileServer
 from repro.core.shardcache import ShardedByteCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.multiflow import run_concurrent_fetches
-from repro.experiments.runner import FILE_NAME, SERVER_ADDR, build_testbed
+from repro.experiments.runner import (FILE_NAME, Fetch, build_testbed,
+                                      run_fetches)
 from repro.workload.corpus import corpus_object
 from tests.reference_cache import DictByteCache
 
@@ -58,12 +58,10 @@ def _run_two_flows(flush_times=(), bump_times=()):
     """Two concurrent fetches with flushes/epoch bumps injected mid-run."""
     config = ExperimentConfig(file_size=60_000, cache_shards=4,
                               cache_eviction="lru", seed=9,
-                              time_limit=120.0)
+                              time_limit=120.0, verify_content=True)
     testbed = build_testbed(config)
     sim = testbed.sim
     data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
-    FileServer(testbed.server_stack, {FILE_NAME: data})
-    client_app = FileClient(testbed.client_stack, sim)
     encoder = testbed.gateways.encoder
     decoder = testbed.gateways.decoder
 
@@ -82,21 +80,9 @@ def _run_two_flows(flush_times=(), bump_times=()):
     for when in bump_times:
         sim.after(when, bump_both)
 
-    outcomes = []
-    finished = []
-
-    def done(outcome) -> None:
-        finished.append(outcome)
-        if len(finished) == 2:
-            sim.stop()
-
-    for index in range(2):
-        sim.after(0.002 * index, lambda: outcomes.append(client_app.fetch(
-            SERVER_ADDR, FILE_NAME, expected_size=len(data),
-            expected_content=data, on_done=done)))
-
-    sim.run(until=config.time_limit)
-    return testbed, outcomes
+    run = run_fetches(testbed, config, {FILE_NAME: data},
+                      [Fetch(at=0.002 * index) for index in range(2)])
+    return testbed, run.outcomes
 
 
 def test_interleaved_flush_mid_transfer_resyncs_both_flows():

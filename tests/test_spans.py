@@ -427,9 +427,8 @@ class TestEndToEnd:
         assert all("outcome" in span["tags"] for span in resyncs)
 
     def test_gateway_crash_window_tags_spans(self):
-        from repro.app.transfer import FileClient, FileServer
-        from repro.experiments.runner import (FILE_NAME, SERVER_ADDR,
-                                              build_testbed)
+        from repro.experiments.runner import (FILE_NAME, Fetch,
+                                              build_testbed, run_fetches)
         from repro.sim.faults import schedule_gateway_restart
         from repro.workload.corpus import corpus_object
 
@@ -441,13 +440,9 @@ class TestEndToEnd:
         testbed = build_testbed(config)
         data = corpus_object(config.corpus, config.file_size,
                              config.corpus_seed)
-        FileServer(testbed.server_stack, {FILE_NAME: data})
-        client = FileClient(testbed.client_stack, testbed.sim)
         schedule_gateway_restart(testbed.sim, testbed.gateways.decoder,
                                  at=0.01, downtime=0.02)
-        client.fetch(SERVER_ADDR, FILE_NAME, expected_size=len(data),
-                     on_done=lambda _o: testbed.sim.stop())
-        testbed.sim.run(until=config.time_limit)
+        run_fetches(testbed, config, {FILE_NAME: data}, [Fetch()])
         doc = testbed.spans.export()
         validate_spans(doc)
         tagged = [span for span in doc["spans"]

@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from repro import ExperimentConfig
+from repro import ExperimentConfig, corpus_object
 from repro.experiments import runner
 
 
@@ -29,20 +29,13 @@ def _config(policy, **extra):
 
 
 def _run(config):
-    """``run_transfer`` plus the testbed it built (for the event count)."""
-    built = []
-    real_build = runner.build_testbed
-
-    def recording_build(*args, **kwargs):
-        built.append(real_build(*args, **kwargs))
-        return built[-1]
-
-    runner.build_testbed = recording_build
-    try:
-        result = runner.run_transfer(config)
-    finally:
-        runner.build_testbed = real_build
-    return built[0], result
+    """``run_transfer``'s three pieces, keeping the testbed (for the
+    event count)."""
+    testbed = runner.build_testbed(config)
+    data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
+    run = runner.run_fetches(testbed, config, {runner.FILE_NAME: data},
+                             [runner.Fetch()])
+    return testbed, runner.collect_result(testbed, run.outcomes[0], config)
 
 
 def _undecodable(decoder_stats):

@@ -151,17 +151,17 @@ class TestCoherenceOracle:
 class TestByteIntegrityOracle:
     def test_correct_prefix_accepted(self):
         harness = VerificationHarness()
-        harness.arm_integrity(b"the quick brown fox")
-        harness.on_deliver(b"the quick")
-        harness.on_deliver(b" brown fox")
+        sink = harness.integrity_sink(b"the quick brown fox")
+        sink(b"the quick")
+        sink(b" brown fox")
         assert harness.violations == 0
 
     def test_wrong_chunk_raises_with_first_diff(self):
         harness = VerificationHarness()
-        harness.arm_integrity(b"the quick brown fox")
-        harness.on_deliver(b"the quick")
+        sink = harness.integrity_sink(b"the quick brown fox")
+        sink(b"the quick")
         with pytest.raises(InvariantViolation) as excinfo:
-            harness.on_deliver(b" brawn fox")
+            sink(b" brawn fox")
         assert excinfo.value.oracle == "byte_integrity"
         assert excinfo.value.context["first_diff"] == 12
 
