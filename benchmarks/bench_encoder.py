@@ -8,7 +8,8 @@ w=16, k=4 (§III-B).
 import pytest
 
 from repro.core import (ByteCache, ByteCachingEncoder, FingerprintScheme,
-                        PolyFingerprinter, RabinFingerprinter)
+                        PolyFingerprinter, RabinFingerprinter,
+                        anchor_memo_clear)
 from repro.core.policies import NaivePolicy, PacketMeta
 from repro.workload.corpus import corpus_object
 
@@ -34,6 +35,7 @@ def test_encode_pass_throughput(benchmark, zero_bits):
     scheme = FingerprintScheme(zero_bits=zero_bits)
 
     def run():
+        anchor_memo_clear()     # every timed pass fingerprints afresh
         encoder = ByteCachingEncoder(scheme, ByteCache(), NaivePolicy())
         out = 0
         for index in range(0, len(BULK), 1460):
@@ -53,6 +55,7 @@ def test_window_size_match_recall(benchmark, window):
     scheme = FingerprintScheme(window=window)
 
     def run():
+        anchor_memo_clear()
         encoder = ByteCachingEncoder(scheme, ByteCache(), NaivePolicy())
         saved = 0
         for index in range(0, len(BULK), 1460):

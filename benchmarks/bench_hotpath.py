@@ -33,7 +33,7 @@ from conftest import print_report
 
 from repro.core.cache import ByteCache
 from repro.core.encoder import ByteCachingEncoder
-from repro.core.fingerprint import FingerprintScheme
+from repro.core.fingerprint import FingerprintScheme, anchor_memo_clear
 from repro.core.policies import PacketMeta, make_policy_pair
 from repro.experiments.sweep import append_bench_history
 from repro.metrics.profiling import StageProfiler
@@ -52,6 +52,9 @@ WIRE_BYTES = 299_142
 def _encode_pass(scheme: FingerprintScheme, packets: List[bytes],
                  profiler: Optional[StageProfiler] = None,
                  out: Optional[List[bytes]] = None) -> int:
+    # Every pass starts cold: the memo is process-wide, and an earlier
+    # pass (or bench) would otherwise have fingerprinted these packets.
+    anchor_memo_clear()
     cache = ByteCache(16 * 1024 * 1024)
     policy, _ = make_policy_pair("naive")
     encoder = ByteCachingEncoder(scheme, cache, policy)

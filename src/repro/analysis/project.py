@@ -11,7 +11,8 @@ walks:
   maps (including relative imports), ``self.method()`` resolution
   through declared base classes, method resolution on attributes and
   locals whose class is inferable from an annotation or a constructor
-  call, and constructor calls landing on ``__init__``.  Calls on
+  call, and constructor calls landing on ``__init__`` (or, for a
+  dataclass, the ``__post_init__`` its generated one runs).  Calls on
   duck-typed receivers stay *opaque* (recorded with a ``None`` callee)
   — the analysis is deliberately conservative rather than complete;
 * per-function **effect records** — module-global mutations — the
@@ -449,7 +450,9 @@ class ProjectModel:
         if dotted in self.functions:
             return dotted, None
         if dotted in self.classes:
-            init = self.lookup_method(dotted, "__init__")
+            # A dataclass's generated __init__ runs __post_init__.
+            init = (self.lookup_method(dotted, "__init__")
+                    or self.lookup_method(dotted, "__post_init__"))
             return (init, None) if init is not None else (None, dotted)
         # repro-internal but unresolved (re-exports) or external dotted.
         return None, dotted

@@ -92,6 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--seed", type=int, default=11)
     run_cmd.add_argument("--baseline", action="store_true",
                          help="also run the no-DRE baseline and print ratios")
+    run_cmd.add_argument("--profile", action="store_true",
+                         help="also print the codec stage timings and "
+                              "the anchor-memo counters of the run")
 
     sweep_cmd = sub.add_parser("sweep", help="loss sweep over policies")
     sweep_cmd.add_argument("--policies", default="cache_flush,tcp_seq",
@@ -406,7 +409,8 @@ def cmd_run(args) -> int:
         corpus=args.corpus, file_size=args.size, policy=policy,
         policy_kwargs=kwargs, loss_rate=_percent(args.loss),
         corrupt_rate=_percent(args.corrupt),
-        reorder_rate=_percent(args.reorder), seed=args.seed)
+        reorder_rate=_percent(args.reorder), seed=args.seed,
+        profile=args.profile)
     result = run_transfer(config)
     rows = [
         ["completed", result.completed],
@@ -436,6 +440,19 @@ def cmd_run(args) -> int:
     print(format_table(
         f"{args.corpus} @ {args.loss:.3g}% loss, policy={args.policy}",
         ["metric", "value"], rows))
+    if result.profile is not None:
+        memo = result.profile["anchor_memo"]
+        print(format_table(
+            "codec stages", ["stage", "seconds", "calls", "us/call"],
+            [[stage, f"{entry['seconds']:.4f}", int(entry["calls"]),
+              f"{entry['seconds'] / entry['calls'] * 1e6:.2f}"]
+             for stage, entry in result.profile.items()
+             if stage != "anchor_memo"]))
+        print(format_table(
+            "anchor memo (this run)",
+            ["hits", "misses", "evictions", "bytes held"],
+            [[memo["hits"], memo["misses"], memo["evictions"],
+              f"{memo['bytes']:,}"]]))
     return 0
 
 

@@ -4,7 +4,7 @@ from .cache import ByteCache, PacketStore
 from .decoder import ByteCachingDecoder, DecodeResult, DecodeStatus, DecoderStats
 from .encoder import ByteCachingEncoder, EncodeResult, EncoderStats
 from .fingerprint import (DEFAULT_WINDOW, DEFAULT_ZERO_BITS, FingerprintScheme,
-                          Fingerprinter)
+                          Fingerprinter, anchor_memo_clear, anchor_memo_stats)
 from .polyhash import AnchorSet, PolyFingerprinter
 from .rabin import RabinFingerprinter
 from .region import Region, expand_match
@@ -27,6 +27,8 @@ __all__ = [
     "DEFAULT_ZERO_BITS",
     "FingerprintScheme",
     "Fingerprinter",
+    "anchor_memo_clear",
+    "anchor_memo_stats",
     "AnchorSet",
     "PolyFingerprinter",
     "RabinFingerprinter",

@@ -7,7 +7,9 @@ bits are zero, i.e. roughly one anchor per 16 byte positions.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from typing import Dict, Iterable, Protocol, Tuple, Union
 
 import numpy as np
@@ -17,8 +19,20 @@ from .rabin import RabinFingerprinter
 
 DEFAULT_WINDOW = 16
 DEFAULT_ZERO_BITS = 4
-#: Payloads whose anchors :meth:`FingerprintScheme.anchors` remembers.
-ANCHOR_MEMO_SIZE = 128
+#: Bytes one anchor memo may hold (stored anchors plus
+#: :data:`_ENTRY_OVERHEAD` per payload) before it drops its oldest:
+#: about 1,700 MTU payloads, 2.5 MB of traffic.  What it holds it adds
+#: to the process's peak RSS, byte for byte.
+ANCHOR_MEMO_BYTES = 2 * 1024 * 1024
+#: What an entry costs beyond its anchors: the 16-byte key, the array
+#: object, its ``OrderedDict`` slot and node at the table's usual fill,
+#: and the allocator's chunk headers.
+_ENTRY_OVERHEAD = 320
+#: Longest payload memoised: offsets are stored as ``uint16``.
+_MEMO_MAX_PAYLOAD = 0xFFFF
+#: One stored anchor, 10 bytes: a hit hands the two fields to an
+#: :class:`AnchorSet` as they lie.
+_PACKED = np.dtype([("fingerprint", "<u8"), ("offset", "<u2")])
 
 
 class Fingerprinter(Protocol):
@@ -39,6 +53,69 @@ class Fingerprinter(Protocol):
     def window_fingerprints(self, data: bytes) -> Iterable[Tuple[int, int]]:
         """All ``(offset, fingerprint)`` pairs."""
         ...
+
+
+class _AnchorMemo:
+    """The anchors one set of scheme parameters selected, by content.
+
+    Keyed by the payload's blake2b-128 digest, so nothing keeps the
+    payload alive; the value is one :data:`_PACKED` array (about 0.9 KB
+    for an MTU payload).  Oldest entry first out once
+    :data:`ANCHOR_MEMO_BYTES` are held.  Selection is a pure function of
+    the bytes and of the parameters the memo is registered under, so an
+    entry cannot go stale and a miss differs from a hit in host time
+    only.  :meth:`FingerprintScheme.anchors` reads ``entries`` and
+    counts hits and misses itself (the per-packet path).
+    """
+
+    __slots__ = ("entries", "held", "hits", "misses", "evictions")
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.entries: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
+        self.held = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def add(self, key: bytes, selected: AnchorSet) -> None:
+        packed = np.empty(selected.offsets.size, _PACKED)
+        packed["fingerprint"] = selected.fingerprints
+        packed["offset"] = selected.offsets
+        packed.flags.writeable = False      # every hit is a view of it
+        self.entries[key] = packed
+        self.held += packed.nbytes + _ENTRY_OVERHEAD
+        while self.held > ANCHOR_MEMO_BYTES:
+            _, dropped = self.entries.popitem(last=False)
+            self.held -= dropped.nbytes + _ENTRY_OVERHEAD
+            self.evictions += 1
+
+
+#: (kind, window, zero_bits, selection) -> the memo every scheme of
+#: those parameters in this process shares.
+_MEMOS: Dict[Tuple[str, int, int, str], _AnchorMemo] = {}
+
+
+def anchor_memo_stats() -> Dict[str, int]:
+    """Hits, misses, evictions and bytes held, over every memo."""
+    memos = _MEMOS.values()
+    return {"hits": sum(memo.hits for memo in memos),
+            "misses": sum(memo.misses for memo in memos),
+            "evictions": sum(memo.evictions for memo in memos),
+            "bytes": sum(memo.held for memo in memos)}
+
+
+def anchor_memo_clear() -> None:
+    """Empty every anchor memo and zero its counters.
+
+    In place: live schemes keep pointing at the memo of their
+    parameters.  Benchmarks that time fingerprinting call this first;
+    tests call it so none depends on what ran before.
+    """
+    for memo in _MEMOS.values():
+        memo.clear()
 
 
 @dataclass
@@ -62,10 +139,8 @@ class FingerprintScheme:
     kind: str = "poly"
     selection: str = "value"
     _impl: Fingerprinter = field(init=False, repr=False, compare=False)
-    # payload -> its AnchorSet, oldest first (see anchors()).
-    _memo: Dict[bytes, AnchorSet] = field(init=False, repr=False,
-                                          compare=False,
-                                          default_factory=dict)
+    # The process-wide memo of these four parameters (see anchors()).
+    _memo: _AnchorMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.zero_bits < 0 or self.zero_bits > 32:
@@ -78,6 +153,12 @@ class FingerprintScheme:
             self._impl = RabinFingerprinter(self.window)
         else:
             raise ValueError(f"unknown fingerprinter kind: {self.kind!r}")
+        params = (self.kind, self.window, self.zero_bits, self.selection)
+        memo = _MEMOS.get(params)
+        if memo is None:
+            # lint: disable=purity-global-mutation(pure memoisation: anchors are a deterministic function of the payload bytes and the parameters in the key, so a worker-local memo returns the parent's anchors)
+            memo = _MEMOS[params] = _AnchorMemo()
+        self._memo = memo
 
     @property
     def mask(self) -> int:
@@ -89,22 +170,25 @@ class FingerprintScheme:
         Always an :class:`AnchorSet`, regardless of the underlying
         fingerprinter, so the encoder/decoder hot paths see one type.
 
-        A gateway pair shares one scheme, and the same payload bytes
-        come through it again within a few packets: the decoder mirrors
-        the encoder's cache update, and TCP retransmits.  The last
-        :data:`ANCHOR_MEMO_SIZE` distinct payloads keep their anchor
-        set; selection is a pure function of the bytes and of
-        parameters fixed at construction, so an entry cannot go stale.
+        The same payload bytes come through again and again: the
+        decoder mirrors the encoder's cache update, TCP retransmits,
+        and every cell of a sweep pushes the same file through a fresh
+        gateway pair.  All schemes of equal parameters in the process
+        share one byte-bounded memo (:class:`_AnchorMemo`), so a payload
+        is fingerprinted once while it is held.
         """
         if type(data) is not bytes:     # mutable buffers cannot be keys
             return self._select(data)
         memo = self._memo
-        selected = memo.get(data)
-        if selected is None:
-            selected = self._select(data)
-            if len(memo) >= ANCHOR_MEMO_SIZE:
-                del memo[next(iter(memo))]
-            memo[data] = selected
+        key = blake2b(data, digest_size=16).digest()
+        packed = memo.entries.get(key)
+        if packed is not None:
+            memo.hits += 1
+            return AnchorSet(packed["offset"], packed["fingerprint"])
+        memo.misses += 1
+        selected = self._select(data)
+        if len(data) <= _MEMO_MAX_PAYLOAD:
+            memo.add(key, selected)
         return selected
 
     def _select(self, data: bytes) -> AnchorSet:

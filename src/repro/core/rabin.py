@@ -62,6 +62,7 @@ class RabinFingerprinter:
         tables = _TABLE_CACHE.get(window)
         if tables is None:
             tables = _build_tables(window)
+            # lint: disable=purity-global-mutation(pure memoisation: the tables are a deterministic function of the window, so a worker-local copy is identical to the parent's)
             _TABLE_CACHE[window] = tables
         self._append, self._expire = tables
 

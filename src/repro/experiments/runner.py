@@ -16,10 +16,10 @@ normalised against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..app.transfer import FileClient, FileServer, TransferOutcome
-from ..core.fingerprint import FingerprintScheme
+from ..core.fingerprint import FingerprintScheme, anchor_memo_stats
 from ..gateway.pair import GatewayPair
 from ..gateway.resilience import ResilienceConfig
 from ..metrics.collectors import TransferResult
@@ -57,6 +57,9 @@ class Testbed:
     gateways: Optional[GatewayPair]
     tracer: Tracer
     profiler: Optional[StageProfiler] = None
+    #: anchor_memo_stats() at build time, when profiling: the memo is
+    #: process-wide, the profile reports what this run added to it.
+    anchor_memo_before: Optional[Dict[str, int]] = None
     telemetry: Optional[Telemetry] = None
     #: repro.metrics.spans.SpanRecorder when config.spans.
     spans: Optional[SpanRecorder] = None
@@ -68,7 +71,7 @@ def build_testbed(config: ExperimentConfig,
                   tracer: Optional[Tracer] = None) -> Testbed:
     """Construct the simulator, hosts, links and (optionally) gateways."""
     profiler = profiler_if(config.profile)
-    sim = Simulator(profiler=profiler)
+    sim = Simulator()
     rng = RngRegistry(config.seed)
     if tracer is None:
         tracer = Tracer(enabled=config.trace)
@@ -184,6 +187,8 @@ def build_testbed(config: ExperimentConfig,
                    client_stack=client_stack, server_stack=server_stack,
                    bottleneck_forward=bott_fwd, bottleneck_reverse=bott_rev,
                    gateways=gateways, tracer=tracer, profiler=profiler,
+                   anchor_memo_before=(anchor_memo_stats()
+                                       if profiler is not None else None),
                    telemetry=telemetry, spans=span_recorder,
                    verifier=verifier)
 
@@ -333,6 +338,16 @@ def collect_result(testbed: Testbed, outcome,
     avg_packet = (forward.bytes_offered / forward.packets_offered
                   if forward.packets_offered else 0.0)
 
+    profile = None
+    if testbed.profiler is not None:
+        profile = testbed.profiler.as_dict()
+        before, after = testbed.anchor_memo_before, anchor_memo_stats()
+        profile["anchor_memo"] = {
+            "hits": after["hits"] - before["hits"],
+            "misses": after["misses"] - before["misses"],
+            "evictions": after["evictions"] - before["evictions"],
+            "bytes": after["bytes"]}
+
     telemetry_export = None
     if testbed.telemetry is not None:
         if outcome.stalled:
@@ -380,8 +395,7 @@ def collect_result(testbed: Testbed, outcome,
         server_lost_retransmits=server_total("lost_retransmits"),
         avg_data_packet_size=avg_packet,
         data_packets_sent=forward.packets_offered,
-        profile=(testbed.profiler.as_dict()
-                 if testbed.profiler is not None else None),
+        profile=profile,
         telemetry=telemetry_export,
         spans=(testbed.spans.export()
                if testbed.spans is not None else None),

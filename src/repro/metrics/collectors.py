@@ -53,8 +53,10 @@ class TransferResult:
     server_lost_retransmits: int = 0
     avg_data_packet_size: float = 0.0
     data_packets_sent: int = 0
-    #: Stage timing breakdown (see repro.metrics.profiling), populated
-    #: when the run was configured with ``profile=True``.
+    #: Stage timing breakdown (see repro.metrics.profiling) plus, under
+    #: ``"anchor_memo"``, the run's anchor-memo hits / misses /
+    #: evictions and the bytes held at its end; populated when the run
+    #: was configured with ``profile=True``.
     profile: Optional[Dict[str, Dict[str, float]]] = None
     #: telemetry/v1 export (see repro.metrics.telemetry), populated when
     #: the run was configured with ``telemetry=True``.  Kept as a plain

@@ -5,8 +5,7 @@ named stage.  The instrumented code — the encoder (``fingerprint``,
 ``table_probe``, ``region_expand``, ``wire_pack``, ``cache_ops``), the
 decoder's cache update (``decode_fingerprint``, ``decode_cache_ops``:
 one profiler serves both cores of a pair, so the decoder books under
-its own names) and the simulator run loop (``event_dispatch``) — holds
-an optional profiler reference:
+its own names) — holds an optional profiler reference:
 when it is ``None`` (the default) each hook costs one attribute load
 and an identity check, so profiling is effectively free when off.
 
@@ -23,8 +22,7 @@ from typing import Dict, Iterator, Optional, Tuple
 #: Canonical stage names, in pipeline order (unknown stages are allowed;
 #: these are the ones the built-in instrumentation emits).
 STAGES = ("fingerprint", "table_probe", "region_expand", "wire_pack",
-          "cache_ops", "decode_fingerprint", "decode_cache_ops",
-          "event_dispatch")
+          "cache_ops", "decode_fingerprint", "decode_cache_ops")
 
 
 class StageProfiler:

@@ -13,7 +13,6 @@ or real threads involved, which keeps runs reproducible and fast.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from time import perf_counter
 from typing import Any, Callable, Optional
 
 
@@ -54,7 +53,7 @@ class Event:
 class Simulator:
     """Deterministic discrete-event scheduler with a simulated clock."""
 
-    def __init__(self, profiler=None) -> None:
+    def __init__(self) -> None:
         # Heap of (time, seq, fn, args, handle).  ``seq`` is unique, so
         # ordering is settled by C-level comparison of the first two
         # fields; ``handle`` is the Event of at()/after() and None for
@@ -70,9 +69,6 @@ class Simulator:
         #: Live (scheduled, neither cancelled nor executed) event count;
         #: maintained incrementally so :meth:`pending` is O(1).
         self._live = 0
-        #: Optional :class:`repro.metrics.profiling.StageProfiler`
-        #: accumulating an "event_dispatch" stage.
-        self.profiler = profiler
 
     # post() and post_after() each push their own entry instead of one
     # calling the other: links post twice per packet, so a hop there is
@@ -141,7 +137,6 @@ class Simulator:
         self._stopped = False
         processed = 0
         heap = self._heap
-        profiler = self.profiler
         try:
             while heap and not self._stopped:
                 if until is not None and heap[0][0] > until:
@@ -154,12 +149,7 @@ class Simulator:
                     handle.done = True
                 self._live -= 1
                 self.now = time
-                if profiler is not None:
-                    started = perf_counter()
-                    fn(*args)
-                    profiler.add("event_dispatch", perf_counter() - started)
-                else:
-                    fn(*args)
+                fn(*args)
                 self.events_processed += 1
                 processed += 1
                 if max_events is not None and processed >= max_events:

@@ -26,6 +26,19 @@ def test_run_with_baseline_ratios(capsys):
     assert "bytes ratio vs no-DRE" in out
 
 
+def test_run_profile_prints_stages_and_memo_counters(capsys):
+    code, out = run_cli(capsys, "run", "--policy", "cache_flush",
+                        "--size", "87600", "--profile")
+    assert code == 0
+    assert "decode_fingerprint" in out
+    assert "anchor memo (this run)" in out and "bytes held" in out
+    assert "anchor_memo" not in out         # counters, not a stage row
+    # Without DRE there are no stages, and the run still prints.
+    code, out = run_cli(capsys, "run", "--policy", "none",
+                        "--size", "87600", "--profile")
+    assert code == 0 and "anchor memo (this run)" in out
+
+
 def test_run_no_dre(capsys):
     code, out = run_cli(capsys, "run", "--policy", "none",
                         "--size", "87600")

@@ -140,9 +140,9 @@ class TestStageProfiler:
         profiler.add("custom_stage", 0.5)
         assert profiler.total("custom_stage") == 0.5
         # Unknown stages sort after the canonical ones.
-        profiler.add("event_dispatch", 0.1)
+        profiler.add("decode_cache_ops", 0.1)
         order = [stage for stage, _, _ in profiler.stages()]
-        assert order == ["event_dispatch", "custom_stage"]
+        assert order == ["decode_cache_ops", "custom_stage"]
         assert "custom_stage" in profiler.report()
 
     def test_unmeasured_stage_reads_zero(self):

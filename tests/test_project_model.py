@@ -128,6 +128,23 @@ class TestCallResolution:
                    for site in project.calls["repro.core.d.Gateway.process"]}
         assert "repro.core.d.Cache.insert" in callees
 
+    def test_dataclass_constructor_lands_on_post_init(self, tmp_path):
+        project = build(tmp_path, {
+            "src/repro/core/d2.py": (
+                "from dataclasses import dataclass\n"
+                "@dataclass\n"
+                "class Scheme:\n"
+                "    window: int = 16\n"
+                "    def __post_init__(self):\n"
+                "        self.window += 0\n"
+                "def build():\n"
+                "    return Scheme()\n"
+            ),
+        })
+        callees = {site.callee
+                   for site in project.calls["repro.core.d2.build"]}
+        assert callees == {"repro.core.d2.Scheme.__post_init__"}
+
     def test_annotated_local_resolves(self, tmp_path):
         project = build(tmp_path, {
             "src/repro/core/e.py": (

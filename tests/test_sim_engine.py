@@ -236,18 +236,6 @@ def test_cancel_after_fire_does_not_corrupt_pending():
     assert sim.pending() == 1
 
 
-def test_dispatch_profiling_counts_every_event():
-    from repro.metrics.profiling import StageProfiler
-
-    profiler = StageProfiler()
-    sim = Simulator(profiler=profiler)
-    for t in (1.0, 2.0, 3.0):
-        sim.at(t, lambda: None)
-    sim.run()
-    assert profiler.count("event_dispatch") == 3
-    assert profiler.total("event_dispatch") >= 0.0
-
-
 class TestPooledEvents:
     """post/post_after: fire-and-forget events that are nothing but
     their heap entry (the class keeps its name from the free-list days

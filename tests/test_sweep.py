@@ -146,9 +146,16 @@ class TestProfileCollection:
                                   policy="cache_flush", profile=True)
         result = run_transfer(config)
         assert result.profile is not None
-        for stage in ("fingerprint", "cache_ops", "event_dispatch"):
+        for stage in ("fingerprint", "cache_ops"):
             assert result.profile[stage]["calls"] > 0
             assert result.profile[stage]["seconds"] >= 0.0
+        # Every anchors() call of the run is a memo hit or a miss.
+        memo = result.profile["anchor_memo"]
+        assert set(memo) == {"hits", "misses", "evictions", "bytes"}
+        assert memo["hits"] + memo["misses"] == (
+            result.profile["fingerprint"]["calls"]
+            + result.profile["decode_fingerprint"]["calls"])
+        assert memo["bytes"] > 0
 
     def test_decoder_books_under_its_own_stage_names(self):
         """One profiler serves both cores of a pair; every encoder stage
@@ -157,7 +164,8 @@ class TestProfileCollection:
             policy="cache_flush", loss_rate=0.05, seed=0, corpus_seed=0,
             profile=True))
         calls = {stage: entry["calls"]
-                 for stage, entry in result.profile.items()}
+                 for stage, entry in result.profile.items()
+                 if stage != "anchor_memo"}
         encoded = result.encoder_stats.data_packets
         assert encoded > result.decoder_stats.decoded_ok > 0  # 5 % loss
         for stage in ("fingerprint", "table_probe", "region_expand",
