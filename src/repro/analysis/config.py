@@ -63,9 +63,7 @@ DEFAULT_HOT_FUNCTIONS = [
     "repro.core.decoder.ByteCachingDecoder._accept",
     "repro.core.cache.ByteCache.insert_packet",
     "repro.core.cache.ByteCache.lookup",
-    "repro.core.region.expand_match",
-    "repro.core.region.common_prefix_length",
-    "repro.core.region.common_suffix_length",
+    "repro.core.region.expand_bounds",
     "repro.sim.engine.Simulator.run",
 ]
 

@@ -23,6 +23,13 @@ encoder/decoder/cache/region/simulator hot path — the ones
   sit inside an inner loop: one span per packet is the contract, a
   span per byte/region would dominate the run being measured.
 
+A second rule, ``hotpath-scalar-boxing``, holds the same functions to
+reading array slots as plain ints: ``int(arr[i])`` first boxes a numpy
+scalar and then converts it, where ``arr.item(i)`` returns the int
+directly at about half the cost.  A subscript that holds a
+string to parse is a real conversion; none sits on the hot path, and
+one that ever does takes a pragma with its reason.
+
 The roster itself is checked too: an entry that names no function in
 the linted tree is a finding (``hotpath-unknown-function``), because
 the checks above silently skip it — a renamed or deleted hot function
@@ -39,7 +46,7 @@ from ...metrics.spans import SPAN_CREATION_METHODS
 from ..astutil import ParsedFile
 from ..config import LintConfig
 from ..findings import Finding
-from ..project import ProjectModel
+from ..project import ProjectModel, _walk_scope
 from ..registry import rule
 
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -264,6 +271,34 @@ def check_hotpath(parsed: ParsedFile, config: LintConfig,
         for statement in fn_node.body:
             scan.visit(statement, guards=set(), loops=0, raising=False)
         findings.extend(scan.findings)
+    return findings
+
+
+@rule("hotpath-scalar-boxing")
+def check_scalar_boxing(parsed: ParsedFile, config: LintConfig,
+                        project: ProjectModel) -> List[Finding]:
+    """Registered hot functions read array slots with ``.item()``."""
+    findings: List[Finding] = []
+    for qualname, fn_node in _hot_functions_in(parsed, config, project):
+        assert isinstance(fn_node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in _walk_scope(fn_node.body):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "int"
+                    and len(node.args) == 1 and not node.keywords
+                    and isinstance(node.args[0], ast.Subscript)):
+                continue
+            subscript = node.args[0]
+            item = (f"{ast.unparse(subscript.value)}"
+                    f".item({ast.unparse(subscript.slice)})")
+            findings.append(Finding(
+                rule="hotpath-scalar-boxing", path=parsed.relpath,
+                line=node.lineno, col=node.col_offset, scope=qualname,
+                message=f"{ast.unparse(node)} boxes a numpy scalar on the "
+                        f"hot path before converting it; {item} returns "
+                        "the plain int directly",
+                fixable=True,
+                fix=f"read the slot with {item}"))
     return findings
 
 

@@ -7,7 +7,7 @@ from .fingerprint import (DEFAULT_WINDOW, DEFAULT_ZERO_BITS, FingerprintScheme,
                           Fingerprinter, anchor_memo_clear, anchor_memo_stats)
 from .polyhash import AnchorSet, PolyFingerprinter
 from .rabin import RabinFingerprinter
-from .region import Region, expand_match
+from .region import Region
 from .shardcache import ShardedByteCache, ShardedPacketStore, shard_of
 from .wire import (FIELD_SIZE, MIN_REGION_LENGTH, MissingFingerprintError,
                    WireFormatError, encode_payload, encoded_size, parse_payload,
@@ -33,7 +33,6 @@ __all__ = [
     "PolyFingerprinter",
     "RabinFingerprinter",
     "Region",
-    "expand_match",
     "ShardedByteCache",
     "ShardedPacketStore",
     "shard_of",

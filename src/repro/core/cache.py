@@ -272,7 +272,7 @@ class ByteCache:
         entry_id = ring._index.get(fingerprint)
         if entry_id is None:
             return None
-        store_id = int(ring._pkt[entry_id])
+        store_id = ring._pkt.item(entry_id)
         if store_id in self._unusable_store_ids:
             return None
         payload = self.store.get(store_id)
@@ -294,7 +294,7 @@ class ByteCache:
         entry_id = ring._index.get(fingerprint)
         if entry_id is None:
             return None
-        store_id = int(ring._pkt[entry_id])
+        store_id = ring._pkt.item(entry_id)
         if store_id in self._unusable_store_ids:
             return None
         view = self.store.view(store_id)

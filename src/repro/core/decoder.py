@@ -205,26 +205,40 @@ class ByteCachingDecoder:
         fingerprints = 15 extra attempts) and returns the first
         reconstruction matching the end-to-end checksum.
         """
-        fingerprints = []
-        for region in parsed.regions:
-            if region.fingerprint not in fingerprints:
-                fingerprints.append(region.fingerprint)
-        swappable = [fp for fp in fingerprints
-                     if self.cache.lookup_previous(fp) is not None]
-        if not swappable or len(swappable) > 4:
+        # Each referenced source's store id, current and displaced, is
+        # resolved once.  decode() reached here through a successful
+        # lookup_view of every region, and nothing has touched the
+        # cache since, so every current id is usable and stored.  Each
+        # attempt still reads the store once per region in splice
+        # order, as a lookup per region would: an LRU store sees the
+        # same touches in the same order.
+        cache = self.cache
+        current: Dict[int, int] = {}
+        previous: Dict[int, int] = {}
+        for fingerprint, _, _, _ in parsed.regions:
+            if fingerprint in current:
+                continue
+            entry = cache.table.get(fingerprint)
+            if entry is None:
+                return None
+            current[fingerprint] = entry.store_id
+            hit = cache.lookup_previous(fingerprint)
+            if hit is not None:
+                previous[fingerprint] = hit[0].store_id
+        if not previous or len(previous) > 4:
             return None
 
+        swappable = list(previous.items())
+        store_get = cache.store.get
+        sources = dict(current)
+
+        def resolve(fingerprint: int) -> Optional[bytes]:
+            return store_get(sources[fingerprint])
+
         for mask in range(1, 1 << len(swappable)):
-            use_previous = {fp for index, fp in enumerate(swappable)
-                            if mask >> index & 1}
-
-            def resolve(fingerprint: int) -> Optional[bytes]:
-                if fingerprint in use_previous:
-                    hit = self.cache.lookup_previous(fingerprint)
-                else:
-                    hit = self.cache.lookup(fingerprint)
-                return hit[1] if hit is not None else None
-
+            for index, (fingerprint, store_id) in enumerate(swappable):
+                sources[fingerprint] = (store_id if mask >> index & 1
+                                        else current[fingerprint])
             try:
                 payload = reconstruct(parsed, resolve)
             except (WireFormatError, MissingFingerprintError):

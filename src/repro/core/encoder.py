@@ -255,8 +255,10 @@ class ByteCachingEncoder:
         min_length = self.min_region_length
         payload_len = len(payload)
         ring = cache.table
-        pkt_arr = ring._pkt
-        off_arr = ring._offsets
+        # ndarray.item(i) hands back a plain int; int(ndarray[i]) boxes
+        # a numpy scalar first and costs about twice as much.
+        pkt_at = ring._pkt.item
+        off_at = ring._offsets.item
         store_get = cache.store.get
         records = cache.store.records
         unusable_sids = cache._unusable_store_ids
@@ -265,6 +267,12 @@ class ByteCachingEncoder:
         # serves every other anchor of that packet in this one: a
         # retransmitted segment hits its own cached copy ~90 times.
         verdicts: Dict[int, bool] = {}
+        # The source packet of the last hit, when that hit was refused
+        # and nothing has read the store since.  Another hit on it
+        # skips the store read and the verdict: the store still holds
+        # it, its verdict is cached, and touching the most recently
+        # used key of an LRU store again changes nothing.
+        refused: Optional[int] = None
         n = len(offs_l)
         i = 0
         while i < n:
@@ -286,7 +294,10 @@ class ByteCachingEncoder:
             i += 1
             if eid is None:
                 continue
-            sid = int(pkt_arr[eid])
+            sid = pkt_at(eid)
+            if sid == refused:
+                stats.ineligible_hits += 1
+                continue
             if sid in unusable_sids:
                 continue
             stored = store_get(sid)
@@ -299,15 +310,17 @@ class ByteCachingEncoder:
                     RingEntry(ring, eid), meta)
             if not eligible:
                 stats.ineligible_hits += 1
+                refused = sid
                 continue
-            entry_offset = int(off_arr[eid])
+            refused = None
+            entry_offset = off_at(eid)
             if (offset == entry_offset and payload_len == len(stored)
                     and payload == stored):
                 # Identical payloads (the repeated-transfer case): the
                 # match trivially spans everything past ``pos``, which
                 # is exactly what expand_bounds returns for two equal
-                # buffers with equal anchor offsets — skip its four
-                # slice allocations and two compares.
+                # buffers with equal anchor offsets — skip its slice
+                # allocations and compares.
                 bounds = (pos, pos, payload_len - pos)
             else:
                 bounds = expand_bounds(payload, offset, stored, entry_offset,
@@ -321,12 +334,7 @@ class ByteCachingEncoder:
             if not policy.region_acceptable(length, payload_len, meta):
                 stats.ineligible_hits += 1
                 continue
-            region = Region(
-                fingerprint=fingerprint,
-                offset_new=offset_new,
-                offset_stored=offset_stored,
-                length=length,
-            )
+            region = Region(fingerprint, offset_new, offset_stored, length)
             if verifier is not None:
                 # The only consumer of a per-anchor entry view.
                 verifier.on_region(meta, RingEntry(ring, eid), region)

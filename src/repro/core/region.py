@@ -17,7 +17,9 @@ class Region(NamedTuple):
 
     ``offset_new``/``offset_stored`` are the region start offsets in the
     incoming and cached payloads; ``length`` is the match length;
-    ``fingerprint`` identifies the cached payload at the decoder.
+    ``fingerprint`` identifies the cached payload at the decoder.  The
+    field order is the wire order of §III-B's encoding field, so a
+    region packs and unpacks as one tuple.
 
     A ``NamedTuple`` rather than a frozen dataclass: same immutability
     and equality, but tuple construction skips the per-field
@@ -30,59 +32,6 @@ class Region(NamedTuple):
     offset_stored: int
     length: int
 
-    @property
-    def end_new(self) -> int:
-        return self.offset_new + self.length
-
-    @property
-    def end_stored(self) -> int:
-        return self.offset_stored + self.length
-
-
-def _first_diff(a: bytes, a_start: int, b: bytes, b_start: int,
-                length: int) -> int:
-    """Index of the first differing byte in two ranges known to differ.
-
-    Both ranges are read as big-endian integers and XORed: the number
-    of leading zero *bytes* of the XOR is exactly the common prefix
-    length.  ``int.from_bytes``, ``^`` and ``bit_length`` all run at C
-    speed, so this is one pass over the data with no Python loop — it
-    replaced an O(log n) slice-compare halving that cost ~10 slice
-    allocations per call.
-    """
-    x = (int.from_bytes(a[a_start: a_start + length], "big")
-         ^ int.from_bytes(b[b_start: b_start + length], "big"))
-    return length - ((x.bit_length() + 7) >> 3)
-
-
-def common_prefix_length(a: bytes, a_start: int, b: bytes, b_start: int,
-                         limit: int) -> int:
-    """Length of the common run of ``a[a_start:]`` and ``b[b_start:]``.
-
-    One slice compare settles the (common) fully-matching case; a
-    mismatch is then located by binary halving — both avoid a per-byte
-    Python loop.
-    """
-    if limit <= 0:
-        return 0
-    if a[a_start: a_start + limit] == b[b_start: b_start + limit]:
-        return limit
-    return _first_diff(a, a_start, b, b_start, limit)
-
-
-def common_suffix_length(a: bytes, a_end: int, b: bytes, b_end: int,
-                         limit: int) -> int:
-    """Length of the common run ending at ``a[:a_end]`` / ``b[:b_end]``."""
-    if limit <= 0:
-        return 0
-    if a[a_end - limit: a_end] == b[b_end - limit: b_end]:
-        return limit
-    # Mirror of _first_diff: the number of trailing zero bytes of the
-    # big-endian XOR is the common suffix length.
-    x = (int.from_bytes(a[a_end - limit: a_end], "big")
-         ^ int.from_bytes(b[b_end - limit: b_end], "big"))
-    return ((x & -x).bit_length() - 1) >> 3
-
 
 def expand_bounds(new: bytes, new_anchor: int, stored: bytes,
                   stored_anchor: int, window: int,
@@ -92,25 +41,34 @@ def expand_bounds(new: bytes, new_anchor: int, stored: bytes,
     Returns ``(offset_new, offset_stored, length)`` of the maximal
     match, or ``None`` when the anchor windows do not actually match (a
     fingerprint collision).  The encoder hot loop uses this tuple form
-    directly — a frozen :class:`Region` costs a per-field
-    ``object.__setattr__`` to construct, and the loop only builds one
-    once a match passes the length and policy gates.
+    directly and builds a :class:`Region` only once a match passes the
+    length and policy gates.
 
     ``left_limit`` prevents the region from growing into bytes of the
     incoming packet that an earlier region already consumed.
     """
     if new_anchor < left_limit:
         return None
-    new_len = len(new)
-    stored_len = len(stored)
-    if new_anchor + window > new_len or stored_anchor + window > stored_len:
+    # Each direction is one slice compare (memcmp) that settles the
+    # common fully-matching case; only a mismatch pays for the
+    # big-endian XOR whose leading (trailing) zero bytes count the
+    # common prefix (suffix) at C speed.  The anchor window is the
+    # head of the right-hand run: a first difference inside it is a
+    # fingerprint collision, so verification costs no compare of its
+    # own.
+    room = min(len(new) - new_anchor, len(stored) - stored_anchor)
+    if room < window:
         return None
-    if new[new_anchor: new_anchor + window] != stored[stored_anchor: stored_anchor + window]:
-        return None
+    a = new[new_anchor: new_anchor + room]
+    b = stored[stored_anchor: stored_anchor + room]
+    if a == b:
+        run = room
+    else:
+        x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+        run = room - ((x.bit_length() + 7) >> 3)
+        if run < window:
+            return None
 
-    # Each direction: one slice compare (memcmp) settles the common
-    # fully-matching case; only a mismatch pays for the big-endian XOR
-    # that locates the exact divergence point (see _first_diff).
     left_room = min(new_anchor - left_limit, stored_anchor)
     if left_room > 0:
         a = new[new_anchor - left_room: new_anchor]
@@ -123,38 +81,4 @@ def expand_bounds(new: bytes, new_anchor: int, stored: bytes,
     else:
         left = 0
 
-    right_room = min(new_len - new_anchor, stored_len - stored_anchor) - window
-    if right_room > 0:
-        a0 = new_anchor + window
-        b0 = stored_anchor + window
-        a = new[a0: a0 + right_room]
-        b = stored[b0: b0 + right_room]
-        if a == b:
-            right = right_room
-        else:
-            x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-            right = right_room - ((x.bit_length() + 7) >> 3)
-    else:
-        right = 0
-
-    return new_anchor - left, stored_anchor - left, left + window + right
-
-
-def expand_match(new: bytes, new_anchor: int, stored: bytes, stored_anchor: int,
-                 window: int, left_limit: int = 0) -> "Region | None":
-    """:func:`expand_bounds` packaged as a :class:`Region`.
-
-    The returned region carries a placeholder fingerprint of 0 — the
-    caller fills it in.
-    """
-    bounds = expand_bounds(new, new_anchor, stored, stored_anchor,
-                           window, left_limit)
-    if bounds is None:
-        return None
-    offset_new, offset_stored, length = bounds
-    return Region(
-        fingerprint=0,
-        offset_new=offset_new,
-        offset_stored=offset_stored,
-        length=length,
-    )
+    return new_anchor - left, stored_anchor - left, left + run

@@ -70,17 +70,17 @@ class RingEntry:
     def __init__(self, table: "RingFingerprintTable", entry_id: int) -> None:
         self._table = table
         self._id = entry_id
-        self.store_id = store_id = int(table._pkt[entry_id])
+        self.store_id = store_id = table._pkt.item(entry_id)
         self.tcp_seq, self.flow, self.packet_counter, _ = table.records.get(
             store_id, NO_RECORD)
 
     @property
     def fingerprint(self) -> int:
-        return int(self._table._fps[self._id])
+        return self._table._fps.item(self._id)
 
     @property
     def offset(self) -> int:
-        return int(self._table._offsets[self._id])
+        return self._table._offsets.item(self._id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RingEntry(fingerprint={self.fingerprint}, "
@@ -223,7 +223,7 @@ class RingFingerprintTable:
             ref_id = matches[-1]
         older = matches[matches < ref_id]
         older = older[self._pkt[older] != self._pkt[ref_id]]
-        return int(older[-1]) if len(older) else -1
+        return older.item(-1) if len(older) else -1
 
     # -- room making: compact, grow ---------------------------------------
 

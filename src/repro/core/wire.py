@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, List, Optional, Union
 
 #: Region reads may be served zero-copy (see PacketStore.view); both
@@ -50,9 +51,16 @@ ENCODED_HEADER_SIZE = 6          # shim + nfields(2) + orig_len(2)
 FIELD_SIZE = 14                  # fp(8) + off_new(2) + off_stored(2) + len(2)
 MIN_REGION_LENGTH = FIELD_SIZE + 1   # §III-B line B.8: encode only if len > 14
 
-_FIELD_STRUCT = struct.Struct(">QHHH")
-_HEADER_STRUCT = struct.Struct(">BBHH")
+_HEADER_FORMAT = ">BBHH"
+_FIELD_FORMAT = "QHHH"
+_HEADER_STRUCT = struct.Struct(_HEADER_FORMAT)
+_FIELD_STRUCT = struct.Struct(">" + _FIELD_FORMAT)
+#: Header + ``n`` fields packers, compiled once for the common counts; a
+#: payload with more regions packs through ``struct``'s format cache.
+_PACKERS = tuple(struct.Struct(_HEADER_FORMAT + _FIELD_FORMAT * n).pack
+                 for n in range(17))
 _RAW_SHIM = bytes((MAGIC, FLAG_RAW))
+_OFFSET_NEW = itemgetter(1)      # Region.offset_new, read in C
 
 
 class WireFormatError(Exception):
@@ -78,27 +86,29 @@ def encode_payload(payload: bytes, regions: List[Region]) -> bytes:
     if len(payload) > 0xFFFF:
         raise WireFormatError("payload too large for 2-byte offsets")
     payload_len = len(payload)
-    parts = [_HEADER_STRUCT.pack(MAGIC, FLAG_ENCODED, len(regions), payload_len)]
+    nfields = len(regions)
+    # A region is its encoding field in wire order, so the header and
+    # every field go out in one pack call.
+    fields = [MAGIC, FLAG_ENCODED, nfields, payload_len]
+    literals = [b""]        # slot 0 takes the packed header + fields
     pos = 0
-    literal_parts = []
-    pack_field = _FIELD_STRUCT.pack
-    append_field = parts.append
-    append_literal = literal_parts.append
     for region in regions:
-        offset_new = region.offset_new
+        _, offset_new, _, length = region
         if offset_new < pos:
             raise WireFormatError("overlapping or unsorted regions")
-        length = region.length
         end_new = offset_new + length
         if end_new > payload_len:
             raise WireFormatError("region exceeds payload")
-        append_field(pack_field(region.fingerprint, offset_new,
-                                region.offset_stored, length))
-        append_literal(payload[pos:offset_new])
+        fields += region
+        literals.append(payload[pos:offset_new])
         pos = end_new
-    literal_parts.append(payload[pos:])
-    parts.extend(literal_parts)
-    return b"".join(parts)
+    literals.append(payload[pos:])
+    if nfields < len(_PACKERS):
+        literals[0] = _PACKERS[nfields](*fields)
+    else:
+        literals[0] = struct.pack(_HEADER_FORMAT + _FIELD_FORMAT * nfields,
+                                  *fields)
+    return b"".join(literals)
 
 
 def wrap_raw(payload: bytes) -> bytes:
@@ -136,14 +146,9 @@ def parse_payload(data: bytes) -> "EncodedPayload | bytes":
     fields_end = ENCODED_HEADER_SIZE + nfields * FIELD_SIZE
     if len(data) < fields_end:
         raise WireFormatError("truncated field table")
-    regions = []
-    for i in range(nfields):
-        fp, off_new, off_stored, length = _FIELD_STRUCT.unpack_from(
-            data, ENCODED_HEADER_SIZE + i * FIELD_SIZE)
-        regions.append(Region(fingerprint=fp, offset_new=off_new,
-                              offset_stored=off_stored, length=length))
-    return EncodedPayload(orig_len=orig_len, regions=regions,
-                          literals=data[fields_end:])
+    regions = list(map(Region._make, _FIELD_STRUCT.iter_unpack(
+        data[ENCODED_HEADER_SIZE:fields_end])))
+    return EncodedPayload(orig_len, regions, data[fields_end:])
 
 
 class MissingFingerprintError(Exception):
@@ -166,23 +171,26 @@ def reconstruct(parsed: EncodedPayload,
     """
     out = bytearray()
     literals = parsed.literals
+    n_literals = len(literals)
     lit_pos = 0
     pos = 0
-    for region in sorted(parsed.regions, key=lambda r: r.offset_new):
-        if region.offset_new < pos:
+    for fingerprint, offset_new, offset_stored, length in sorted(
+            parsed.regions, key=_OFFSET_NEW):
+        if offset_new < pos:
             raise WireFormatError("overlapping regions in encoded payload")
-        gap = region.offset_new - pos
-        if lit_pos + gap > len(literals):
+        gap = offset_new - pos
+        if lit_pos + gap > n_literals:
             raise WireFormatError("literal underrun")
         out += literals[lit_pos: lit_pos + gap]
         lit_pos += gap
-        source = resolve(region.fingerprint)
+        source = resolve(fingerprint)
         if source is None:
-            raise MissingFingerprintError(region.fingerprint)
-        if region.end_stored > len(source):
+            raise MissingFingerprintError(fingerprint)
+        end_stored = offset_stored + length
+        if end_stored > len(source):
             raise WireFormatError("region exceeds cached payload")
-        out += source[region.offset_stored: region.end_stored]
-        pos = region.end_new
+        out += source[offset_stored: end_stored]
+        pos = offset_new + length
     out += literals[lit_pos:]
     if len(out) != parsed.orig_len:
         raise WireFormatError(

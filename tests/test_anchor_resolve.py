@@ -155,6 +155,26 @@ def test_dangling_entry_is_removed_even_when_the_insert_is_deferred():
         assert not fps & set(encoder.cache.table._index)
 
 
+def test_refused_source_is_read_again_once_another_source_was_read():
+    # tcp_seq refuses a retransmission's own cached copy.  Hits on it
+    # straight after a refusal skip the store; once a hit on another
+    # source has read the store, the next hit on the refused copy reads
+    # it again, so an LRU store ends in the per-anchor recency order.
+    encoders = _pair("tcp_seq", eviction="lru")
+    rnd = random.Random(51)
+    a, b, c = (rnd.randbytes(SEGMENT) for _ in range(3))
+    for counter, payload in enumerate((a, b, c)):
+        _encode_both(encoders, payload, _meta(counter))
+    third = SEGMENT // 3
+    retransmission = b[:third] + a[:third] + b[2 * third:]
+    result = _encode_both(encoders, retransmission, _meta(3, seq=SEGMENT))
+    assert result.dependencies == {0}
+    _assert_same_state(encoders)
+    assert encoders[0].stats.ineligible_hits > 2
+    # Store ids 1, 2, 3 are a, b, c; b was read last, then 4 cached.
+    assert list(encoders[0].cache.store.ids()) == [3, 1, 2, 4]
+
+
 def _ack(flow, ack):
     """The reverse-path ACK segment ``AckGatedPolicy`` listens for."""
     src, src_port, dst, dst_port = flow

@@ -1,11 +1,16 @@
 """Unit/integration tests for the encoder/decoder pair."""
 
 import random
+import struct
 
 from repro.core import (ByteCache, ByteCachingDecoder, ByteCachingEncoder,
                         DecodeStatus, FingerprintScheme)
+from repro.core.checksum import payload_checksum, verify_payload
 from repro.core.policies import DecoderPolicy, NaivePolicy, PacketMeta
-from repro.core.checksum import payload_checksum
+from repro.core.region import Region
+from repro.core.wire import (ENCODED_HEADER_SIZE, FIELD_SIZE,
+                             MissingFingerprintError, WireFormatError,
+                             encode_payload, reconstruct)
 
 FLOW = ("10.0.2.1", 80, "10.0.1.1", 5000)
 
@@ -193,6 +198,122 @@ class TestLossBehaviour:
         decoded = decoder.decode(bytes(damaged), meta(1),
                                  checksum=payload_checksum(payload))
         assert decoded.status is DecodeStatus.CHECKSUM_MISMATCH
+
+
+def closure_history_fallback(decoder, parsed, checksum):
+    """The decoder's history fallback as it was written before each
+    source's store id was resolved once: one closure and one set per
+    attempt, and a full cache lookup per region."""
+    cache = decoder.cache
+    fingerprints = []
+    for region in parsed.regions:
+        if region.fingerprint not in fingerprints:
+            fingerprints.append(region.fingerprint)
+    swappable = [fp for fp in fingerprints
+                 if cache.lookup_previous(fp) is not None]
+    if not swappable or len(swappable) > 4:
+        return None
+    for mask in range(1, 1 << len(swappable)):
+        use_previous = {fp for index, fp in enumerate(swappable)
+                        if mask >> index & 1}
+
+        def resolve(fingerprint, use_previous=use_previous):
+            if fingerprint in use_previous:
+                hit = cache.lookup_previous(fingerprint)
+            else:
+                hit = cache.lookup(fingerprint)
+            return hit[1] if hit is not None else None
+
+        try:
+            payload = reconstruct(parsed, resolve)
+        except (WireFormatError, MissingFingerprintError):
+            continue
+        if verify_payload(payload, checksum):
+            return payload
+    return None
+
+
+class TestHistoryFallbackOrder:
+    """Under an LRU store every read is a recency move, so the fallback
+    must read the store exactly as a cache lookup per region did."""
+
+    SCHEME = FingerprintScheme()
+
+    def decoder_with_history(self):
+        """An LRU decoder whose chunks ``a`` and ``b`` were each cached
+        twice (``p1`` then ``p2``/``p3``), so their fingerprints have a
+        current and a displaced entry; plus the regions of a stale
+        packet: three sources, one of them twice, unsorted."""
+        rng = random.Random(30)
+        a, b = random_payload(rng, 600), random_payload(rng, 600)
+        p1 = a + b
+        p2 = random_payload(rng, 50) + a + random_payload(rng, 100)
+        p3 = random_payload(rng, 70) + b + random_payload(rng, 60)
+        decoder = ByteCachingDecoder(self.SCHEME, ByteCache(eviction="lru"),
+                                     DecoderPolicy())
+        for counter, payload in enumerate((p1, p2, p3)):
+            decoder.insert_raw_payload(payload, meta(counter))
+        fa = self.SCHEME.anchors(a).fps_list()
+        fb = self.SCHEME.anchors(b).fps_list()
+        regions = [Region(fb[0], 200, 300, 60), Region(fa[0], 0, 10, 80),
+                   Region(fa[1], 100, 400, 50), Region(fa[0], 300, 500, 40)]
+        for fp in (fa[0], fa[1], fb[0]):
+            assert decoder.cache.lookup_previous(fp) is not None
+        return decoder, regions
+
+    def decode(self, reference, previous_regions, corrupt_checksum=False):
+        """Decode the stale packet whose ``previous_regions`` (indices)
+        were encoded against the displaced entries; returns the outcome,
+        the store ids read with ``store.get`` and the final LRU order."""
+        decoder, regions = self.decoder_with_history()
+        cache = decoder.cache
+        use_previous = {regions[i].fingerprint for i in previous_regions}
+        target = bytearray(400)
+        for fp, offset_new, offset_stored, length in regions:
+            entry = (cache.table.previous_entry(fp) if fp in use_previous
+                     else cache.table.get(fp))
+            source = cache.store._data[entry.store_id]
+            target[offset_new: offset_new + length] = \
+                source[offset_stored: offset_stored + length]
+        target = bytes(target)
+        wire = encode_payload(target, sorted(regions,
+                                             key=lambda r: r.offset_new))
+        table_end = ENCODED_HEADER_SIZE + FIELD_SIZE * len(regions)
+        wire = (wire[:ENCODED_HEADER_SIZE]
+                + b"".join(struct.pack(">QHHH", *r) for r in regions)
+                + wire[table_end:])
+        if reference:
+            decoder._reconstruct_with_history = (
+                lambda parsed, checksum:
+                closure_history_fallback(decoder, parsed, checksum))
+        reads = []
+        read = cache.store.get
+
+        def recording_get(store_id):
+            reads.append(store_id)
+            return read(store_id)
+
+        cache.store.get = recording_get
+        checksum = payload_checksum(target) ^ corrupt_checksum
+        outcome = decoder.decode(wire, meta(9), checksum=checksum)
+        return outcome, target, reads, list(cache.store.ids())
+
+    def test_rescue_reads_the_store_in_the_same_order(self):
+        new, target, new_reads, new_lru = self.decode(False, [2])
+        ref, _, ref_reads, ref_lru = self.decode(True, [2])
+        assert new.status is DecodeStatus.OK_DECODED
+        assert new.payload == ref.payload == target
+        # Three lookup_previous reads, then four attempts of four regions.
+        assert new_reads == ref_reads and len(new_reads) == 3 + 4 * 4
+        assert new_lru == ref_lru
+
+    def test_failed_fallback_reads_the_store_in_the_same_order(self):
+        new, _, new_reads, new_lru = self.decode(False, [], True)
+        ref, _, ref_reads, ref_lru = self.decode(True, [], True)
+        assert new.status is ref.status is DecodeStatus.CHECKSUM_MISMATCH
+        # Every attempt over three swappable sources: 7 x 4 region reads.
+        assert new_reads == ref_reads and len(new_reads) == 3 + 7 * 4
+        assert new_lru == ref_lru
 
 
 class TestCacheSynchronisation:

@@ -265,6 +265,27 @@ class TestHotpath:
             "return data"])
         assert "hotpath-telemetry-guard" in rules_of(report)
 
+    def test_int_of_subscript_flagged_with_item_fix(self, tmp_path):
+        report = self.write(tmp_path, [
+            "slots = self.table._pkt",
+            "for i in data:",
+            "    sid = int(slots[i])",
+            "return int(self.table._offsets[data[0]])"])
+        boxed = {f.line: f for f in report.findings
+                 if f.rule == "hotpath-scalar-boxing" and f.active}
+        assert sorted(boxed) == [5, 6]
+        assert "slots.item(i)" in boxed[5].message
+        assert "self.table._offsets.item(data[0])" in boxed[6].fix
+        assert report.exit_code == 1
+
+    def test_item_read_and_nested_def_clean(self, tmp_path):
+        report = self.write(tmp_path, [
+            "sid = self.table._pkt.item(data[0])",
+            "def cold(values):",
+            "    return int(values[0])",
+            "return int(sid) + cold(data)"])
+        assert "hotpath-scalar-boxing" not in rules_of(report)
+
     def test_cold_function_unconstrained(self, tmp_path):
         make_tree(tmp_path, {
             "src/repro/core/encoder.py": (

@@ -8,11 +8,12 @@ from repro.core import (ByteCache, ByteCachingDecoder, ByteCachingEncoder,
                         FingerprintScheme)
 from repro.core.policies import (DecoderPolicy, NaivePolicy, PacketMeta,
                                  make_policy_pair)
-from repro.core.region import common_prefix_length, common_suffix_length
 from repro.core.wire import encode_payload, parse_payload, wrap_raw
 from repro.core.checksum import payload_checksum
 from repro.net.tcp.sack import RangeSet
 from repro.net.tcp.timer import RtoEstimator
+from tests.reference_region import (common_prefix_length,
+                                    common_suffix_length)
 
 FLOW = ("s", 80, "c", 5000)
 

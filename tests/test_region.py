@@ -2,8 +2,11 @@
 
 import random
 
-from repro.core.region import (Region, common_prefix_length,
-                               common_suffix_length, expand_match)
+from hypothesis import given, settings, strategies as st
+
+from repro.core.region import Region, expand_bounds
+from tests.reference_region import (common_prefix_length,
+                                    common_suffix_length, expand_match)
 
 
 class TestCommonRuns:
@@ -96,8 +99,80 @@ class TestExpandMatch:
         assert match.offset_new == 0
         assert match.length == 1460
 
-    def test_region_properties(self):
-        region = Region(fingerprint=1, offset_new=10, offset_stored=20,
-                        length=30)
-        assert region.end_new == 40
-        assert region.end_stored == 50
+
+# ---------------------------------------------------------------------------
+# expand_bounds (anchor window folded into the right-hand run) against the
+# three-step reference in tests/reference_region.py
+# ---------------------------------------------------------------------------
+
+def assert_matches_reference(new, new_anchor, stored, stored_anchor, window,
+                             left_limit):
+    expected = expand_match(new, new_anchor, stored, stored_anchor, window,
+                            left_limit)
+    got = expand_bounds(new, new_anchor, stored, stored_anchor, window,
+                        left_limit)
+    assert got == (None if expected is None else tuple(expected)[1:])
+    return got
+
+
+@st.composite
+def shared_pairs(draw):
+    """Two payloads around a common run, anchored anywhere in either
+    (inside the run, across its edges, or past the end of a payload)."""
+    shared = draw(st.binary(min_size=0, max_size=200))
+    new = draw(st.binary(max_size=40)) + shared + draw(st.binary(max_size=40))
+    stored = (draw(st.binary(max_size=40)) + shared
+              + draw(st.binary(max_size=40)))
+    window = draw(st.integers(1, 32))
+    new_anchor = draw(st.integers(0, len(new) + 4))
+    stored_anchor = draw(st.integers(0, len(stored) + 4))
+    return new, new_anchor, stored, stored_anchor, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_pairs(), st.integers(0, 80))
+def test_expand_bounds_matches_reference(pair, left_limit):
+    new, new_anchor, stored, stored_anchor, window = pair
+    assert_matches_reference(new, new_anchor, stored, stored_anchor, window,
+                             left_limit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(min_size=1, max_size=300), st.data())
+def test_expand_bounds_aligned_copies_match_reference(payload, data):
+    """Anchors on the same bytes of one payload and a copy — the case
+    that expands — with any left limit, including past the anchor."""
+    window = data.draw(st.integers(1, 32))
+    anchor = data.draw(st.integers(0, len(payload)))
+    prefix = data.draw(st.binary(max_size=30))
+    left_limit = data.draw(st.integers(0, anchor + 2))
+    assert_matches_reference(payload, anchor, prefix + payload,
+                             anchor + len(prefix), window, left_limit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(min_size=32, max_size=300), st.data())
+def test_difference_inside_window_is_a_collision(payload, data):
+    """A first difference inside the anchor window rejects the match
+    (None), however long the common run past it or before it."""
+    window = data.draw(st.integers(1, 32))
+    anchor = data.draw(st.integers(0, len(payload) - window))
+    flip = anchor + data.draw(st.integers(0, window - 1))
+    stored = bytearray(payload)
+    stored[flip] ^= data.draw(st.integers(1, 255))
+    stored = bytes(stored)
+    assert assert_matches_reference(payload, anchor, stored, anchor, window,
+                                    0) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=40), st.integers(1, 32), st.data())
+def test_room_shorter_than_window_rejected(payload, window, data):
+    """An anchor whose window would run past either payload's end is
+    no match, even when every byte that is there agrees."""
+    anchor = data.draw(st.integers(max(0, len(payload) - window + 1),
+                                   len(payload) + 2))
+    assert assert_matches_reference(payload, anchor, payload, anchor, window,
+                                    0) is None
+    assert assert_matches_reference(payload + bytes(64), 0, payload, anchor,
+                                    window, 0) is None

@@ -116,10 +116,15 @@ class TestErrors:
 
     def test_truncated_field_table(self):
         stored = bytes(range(100))
-        payload = stored[:50]
-        wire = encode_payload(payload, [region(length=50)])
-        with pytest.raises(WireFormatError):
-            parse_payload(wire[: ENCODED_HEADER_SIZE + 5])
+        payload = stored[:30] + stored[40:70]
+        wire = encode_payload(payload, [region(length=30),
+                                        region(fp=2, off_new=30,
+                                               off_stored=40, length=30)])
+        for cut in (ENCODED_HEADER_SIZE + 5,
+                    ENCODED_HEADER_SIZE + FIELD_SIZE + 1,
+                    ENCODED_HEADER_SIZE + 2 * FIELD_SIZE - 1):
+            with pytest.raises(WireFormatError, match="truncated field table"):
+                parse_payload(wire[:cut])
 
     def test_missing_fingerprint_raises(self):
         stored = bytes(range(100))
@@ -131,10 +136,37 @@ class TestErrors:
 
     def test_region_exceeding_cached_payload(self):
         stored = bytes(range(100))
-        payload = stored[:50]
-        parsed = parse_payload(encode_payload(payload, [region(length=50)]))
-        with pytest.raises(WireFormatError):
-            reconstruct(parsed, lambda fp: stored[:10])
+        parsed = parse_payload(encode_payload(
+            stored[60:100], [region(off_stored=60, length=40)]))
+        assert reconstruct(parsed, lambda fp: stored) == stored[60:100]
+        for short in (stored[:10], stored[:99]):
+            with pytest.raises(WireFormatError,
+                               match="region exceeds cached payload"):
+                reconstruct(parsed, lambda fp, short=short: short)
+
+    def test_overlapping_regions_rejected_on_reconstruct(self):
+        stored = bytes(range(100))
+        parsed = EncodedPayload(60, [region(length=40),
+                                     region(fp=2, off_new=30, length=30)], b"")
+        with pytest.raises(WireFormatError, match="overlapping regions"):
+            reconstruct(parsed, lambda fp: stored)
+
+    def test_unsorted_field_table_reconstructs(self):
+        """The decoder splices in offset order whatever order the
+        fields arrive in."""
+        stored = bytes(range(256))
+        payload = (b"A" * 10 + stored[0:30] + b"B" * 5
+                   + stored[100:140] + b"C" * 7)
+        wire = encode_payload(payload, [
+            Region(1, 10, 0, 30), Region(2, 45, 100, 40)])
+        first = ENCODED_HEADER_SIZE
+        second = first + FIELD_SIZE
+        end = second + FIELD_SIZE
+        swapped = (wire[:first] + wire[second:end] + wire[first:second]
+                   + wire[end:])
+        parsed = parse_payload(swapped)
+        assert [r.fingerprint for r in parsed.regions] == [2, 1]
+        assert reconstruct(parsed, lambda fp: stored) == payload
 
     def test_length_mismatch_detected(self):
         stored = bytes(range(100))
