@@ -14,8 +14,10 @@ Two cooperating structures, as in Spring & Wetherall:
   the fingerprint inside the payload is stored alongside so match
   expansion starts instantly.
 
-:class:`ByteCache` joins the two.  Entries whose packet has been
-evicted from the store are invalidated lazily on lookup.
+:class:`ByteCache` joins the two.  An entry whose packet has been
+evicted from the store dangles: it leaves the table at the next lookup
+of its fingerprint or at the table's next compaction, whichever comes
+first.
 """
 
 from __future__ import annotations
@@ -243,8 +245,8 @@ class ByteCache:
             return 0
         # Anchors stay numpy end-to-end; one packet record plus
         # vectorised array fills, no per-anchor objects.  Displaced
-        # generations stay in the ring, so the history fallback needs
-        # no per-insert tracking either.
+        # generations stay in the log while their packet is stored, so
+        # the history fallback needs no per-insert tracking either.
         if type(anchors) is AnchorSet:
             offsets = anchors.offsets
             fps = anchors.fingerprints
@@ -303,10 +305,11 @@ class ByteCache:
         return view
 
     def lookup_previous(self, fingerprint: int) -> Optional[Tuple[RingEntry, bytes]]:
-        """The displaced (one-generation-older) entry for a fingerprint.
+        """The newest displaced entry for a fingerprint whose packet is
+        still stored (:meth:`RingFingerprintTable.previous_entry`).
 
         Used by decoders to resolve references encoded against a cache
-        state from just before the latest replacement.
+        state from before a replacement.
         """
         entry = self.table.previous_entry(fingerprint)
         if entry is None or entry.store_id in self._unusable_store_ids:
@@ -339,16 +342,16 @@ class ByteCache:
         The memory-pressure half of the chaos faults (and the first
         brick of serving many users from one box: per-tenant budgets
         squeezed at runtime).  Fingerprint-table entries left dangling
-        by the storm are invalidated lazily on lookup, exactly as for
-        ordinary budget-driven eviction.
+        by the storm leave at the next lookup or the next compaction,
+        exactly as for ordinary budget-driven eviction.
         """
         return self.store.set_byte_budget(byte_budget)
 
     def evict_fraction(self, fraction: float) -> int:
         """Evict the oldest ``fraction`` of stored payloads; returns count.
 
-        Dangling fingerprint-table entries are invalidated lazily on
-        lookup, exactly as for budget-driven eviction.
+        Dangling fingerprint-table entries leave at the next lookup or
+        the next compaction, exactly as for budget-driven eviction.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")

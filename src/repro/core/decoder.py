@@ -60,7 +60,7 @@ class DecoderStats:
     missing: int = 0
     buffered: int = 0
     checksum_mismatch: int = 0
-    history_decodes: int = 0     # saved by one-generation-older entries
+    history_decodes: int = 0     # saved by displaced, still-stored entries
     malformed: int = 0
     bytes_in: int = 0
     bytes_out: int = 0

@@ -26,20 +26,23 @@ whole packet's anchors against it with one ``map(index.get, ...)`` (a
 C loop), and nothing sits in front of it — a vectorised prefilter
 measured dearer than the misses it saved (DESIGN.md §13).
 
-The table never invalidates a reachable entry: when full it either
-compacts (keeping, per fingerprint, the newest entry plus the newest
-older entry referencing a different stored packet — exactly the
-entries reachable through ``get`` and ``previous_entry``) or doubles
-capacity.
+An entry whose packet the store no longer holds can never resolve
+again.  Such a dangling entry leaves the index at the next lookup of
+its fingerprint (lazy removal in ``ByteCache``) or at the next
+compaction, whichever comes first: when full, the log keeps exactly the
+entries whose packet is stored, and doubles only if they would still
+fill more than half of it.
 
 Newest-wins, insert/replacement counting, ``len`` and lazy removal
 match the dict-of-entries table kept as the test oracle
 (``tests/reference_cache.py``), which the property tests hold this one
-to observable for observable.
+to observable for observable; the one exception is compaction, which
+drops dangling entries the dict table keeps until a lookup.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -111,10 +114,6 @@ class RingFingerprintTable:
         self.replacements = 0
         self.compactions = 0
         self.grows = 0
-        # fingerprint -> previous_entry's answer (an entry id, -1 for
-        # none); dropped by every mutation that could change it.  Room
-        # making renumbers ids but only ever runs inside insert_batch.
-        self._history_memo: Dict[int, int] = {}
 
     # -- size and capacity -------------------------------------------------
 
@@ -145,8 +144,6 @@ class RingFingerprintTable:
         n = len(fps)
         if n == 0:
             return
-        if self._history_memo:
-            self._history_memo.clear()
         if self._next + n > self._capacity:
             self._make_room(n)
         base = self._next
@@ -172,12 +169,9 @@ class RingFingerprintTable:
 
     def remove(self, fingerprint: int) -> None:
         self._index.pop(fingerprint, None)
-        if self._history_memo:
-            self._history_memo.clear()
 
     def clear(self) -> None:
         self._index.clear()
-        self._history_memo.clear()
         self._next = 0
 
     def entries(self) -> Iterator[RingEntry]:
@@ -186,119 +180,71 @@ class RingFingerprintTable:
             yield RingEntry(self, entry_id)
 
     def previous_entry(self, fingerprint: int) -> Optional[RingEntry]:
-        """The newest older entry referencing a *different* packet.
+        """The newest entry for ``fingerprint`` whose packet is stored
+        and is not the packet of the current entry.
 
-        The decoder's one-generation history fallback: when a reference
-        raced a cache update, the displaced entry (same fingerprint,
-        previous stored packet) may still resolve it.  The log keeps
-        displaced generations in place until compaction, so no
-        per-insert displacement tracking is needed — this scans the
-        log on demand (the fallback path is rare and checksum-gated).
-
-        One failed fallback asks about the same handful of fingerprints
-        a dozen times with no table mutation in between, so the answer
-        is remembered until the next :meth:`insert_batch`,
-        :meth:`remove` or :meth:`clear`.
+        The decoder's history fallback: when a reference raced a cache
+        update, a displaced generation (same fingerprint, another
+        stored packet) may still resolve it.  The log keeps displaced
+        generations in place while their packet is stored, so no
+        per-insert displacement tracking is needed: one scan of the
+        live prefix, newest first, on demand (the fallback path is rare
+        and checksum-gated).
         """
-        memo = self._history_memo
-        entry_id = memo.get(fingerprint)
-        if entry_id is None:
-            entry_id = memo[fingerprint] = self._scan_previous(fingerprint)
-        if entry_id < 0:
-            return None
-        return RingEntry(self, entry_id)
-
-    def _scan_previous(self, fingerprint: int) -> int:
-        """Entry id :meth:`previous_entry` resolves to, or -1."""
-        # Compare the live prefix in place: one slice of ``_fps``.
+        pkt = self._pkt
+        records = self.records
+        current = self._index.get(fingerprint)
+        current_store = -1 if current is None else pkt.item(current)
         matches = (self._fps[:self._next] == _U64(fingerprint)).nonzero()[0]
-        if len(matches) == 0:
-            return -1
-        ref_id = self._index.get(fingerprint)
-        if ref_id is None:
-            # Lazily removed (dangling store): the newest log entry
-            # plays the reference role, exactly as a dict-of-entries
-            # table keeps its displaced entry after removing the
-            # current one.
-            ref_id = matches[-1]
-        older = matches[matches < ref_id]
-        older = older[self._pkt[older] != self._pkt[ref_id]]
-        return older.item(-1) if len(older) else -1
+        for entry_id in reversed(matches.tolist()):
+            store_id = pkt.item(entry_id)
+            if store_id != current_store and store_id in records:
+                return RingEntry(self, entry_id)
+        return None
 
-    # -- room making: compact, grow ---------------------------------------
+    # -- room making: compact to what is stored, else grow ---------------
 
     def _make_room(self, n: int) -> None:
-        # Reachable entries are bounded by 2 per indexed fingerprint
-        # (current + history candidate); compact when that fits in half
-        # the log, otherwise double.  Compaction must strictly shrink
-        # the live prefix to count as progress — a compact log that
-        # still cannot absorb the batch (e.g. a batch wider than the
-        # whole capacity) has to fall through to growth or the loop
-        # would never terminate.
-        while self._next + n > self._capacity:
-            compacted = False
-            if 4 * len(self._index) <= self._capacity:
-                window = self._next
-                compacted = self._compact() and self._next < window
-            if not compacted:
-                self._grow()
+        """Compact when the entries whose packet is stored, plus the
+        batch, fill at most half the log; otherwise double it.
 
-    def _reachable_ids(self) -> np.ndarray:
-        """Sorted ids of every entry reachable through the public API:
-        per fingerprint, the newest entry plus the newest older entry
-        with a different stored packet (see :meth:`previous_entry`)."""
-        window = self._next
-        if window == 0:
-            return np.empty(0, dtype=np.int64)
-        ids = np.arange(window, dtype=np.int64)
-        fps = self._fps[:window]
-        order = np.lexsort((ids, fps))
-        fps_s = fps[order]
-        stores_s = self._pkt[:window][order]
-        ids_s = ids[order]
-        breaks = np.nonzero(fps_s[1:] != fps_s[:-1])[0]
-        group_starts = np.concatenate(
-            [np.zeros(1, dtype=np.int64), breaks + 1])
-        group_ends = np.concatenate(
-            [breaks, np.array([window - 1], dtype=np.int64)])
-        # Reference (newest) entry per group, broadcast to positions.
-        group_of = np.zeros(window, dtype=np.int64)
-        group_of[group_starts[1:]] = 1
-        group_of = np.cumsum(group_of)
-        ref_store = stores_s[group_ends][group_of]
-        positions = np.arange(window, dtype=np.int64)
-        candidate = np.where(stores_s != ref_store, positions, -1)
-        cand_pos = np.maximum.reduceat(candidate, group_starts)
-        cand_pos = cand_pos[cand_pos >= 0]
-        keep = np.concatenate([ids_s[group_ends], ids_s[cand_pos]])
-        return np.unique(keep)
-
-    def _compact(self) -> bool:
-        """Rewrite reachable entries contiguously; False when too full."""
-        kept = self._reachable_ids()
-        n = len(kept)
-        if 2 * n > self._capacity:
-            return False
-        remap: Dict[int, int] = dict(zip(kept.tolist(), range(n)))
-        # The fancy-indexed right-hand sides are copies, so the
-        # overlapping prefix writes are safe.
-        self._fps[:n] = self._fps[kept]
-        self._offsets[:n] = self._offsets[kept]
-        self._pkt[:n] = self._pkt[kept]
-        self._index = {fp: remap[entry_id]
-                       for fp, entry_id in self._index.items()}
-        self._next = n
-        self.compactions += 1
-        return True
-
-    def _grow(self) -> None:
-        live = self._next
-        self._capacity *= 2
+        An entry whose packet has left the store can never resolve
+        again, so compaction keeps exactly the others, as a prefix, and
+        drops the index entries whose slot did not survive.  Either way
+        at least half the log is free afterwards, so each slot is
+        rewritten O(1) times amortised.
+        """
+        records = self.records
+        stored = np.fromiter(records, dtype=np.int64, count=len(records))
+        kept = np.isin(self._pkt[:self._next], stored).nonzero()[0]
+        k = len(kept)
+        if 2 * (k + n) <= self._capacity:
+            # The fancy-indexed right-hand sides are copies, so the
+            # overlapping prefix writes are safe.
+            self._fps[:k] = self._fps[kept]
+            self._offsets[:k] = self._offsets[kept]
+            self._pkt[:k] = self._pkt[kept]
+            # Old id -> new id (-1: dropped), applied to the index values
+            # in one gather; the index keeps its key order.
+            remap = np.full(self._next, -1, dtype=np.int64)
+            remap[kept] = np.arange(k)
+            index = self._index
+            ids = remap[np.fromiter(index.values(), dtype=np.int64,
+                                    count=len(index))]
+            survives = ids >= 0
+            self._index = dict(zip(compress(index, survives.tolist()),
+                                   ids[survives].tolist()))
+            self._next = k
+            self.compactions += 1
+            return
+        used = self._next
+        while used + n > self._capacity:
+            self._capacity *= 2
+            self.grows += 1
         fps = np.empty(self._capacity, dtype=np.uint64)
         offsets = np.empty(self._capacity, dtype=np.int64)
         pkt = np.empty(self._capacity, dtype=np.int64)
-        fps[:live] = self._fps[:live]
-        offsets[:live] = self._offsets[:live]
-        pkt[:live] = self._pkt[:live]
+        fps[:used] = self._fps[:used]
+        offsets[:used] = self._offsets[:used]
+        pkt[:used] = self._pkt[:used]
         self._fps, self._offsets, self._pkt = fps, offsets, pkt
-        self.grows += 1

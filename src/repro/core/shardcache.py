@@ -13,8 +13,8 @@ leaves the fingerprint side alone:
   ``n_shards`` :class:`~repro.core.cache.PacketStore` homes, the shard
   of its first anchor, under a store id drawn from one shared counter
   and with its packet record in one shared ``records`` dict.
-  Table entries left dangling by a home's eviction are invalidated
-  lazily on lookup, like the unsharded cache's.
+  Table entries left dangling by a home's eviction leave at the next
+  lookup or the table's next compaction, like the unsharded cache's.
 * **Per-shard byte budgets** — the total budget splits evenly across
   homes, each enforcing its own bound (LRU by default here: a shared
   cache keeps hot content alive instead of sliding a window).
@@ -197,8 +197,9 @@ class ShardedByteCache(ByteCache):
     def shard_entries(self) -> List[int]:
         """Table entries per owning shard, routed on demand.
 
-        The table only changes by an insert (bumps ``inserts``), a lazy
-        removal or a flush (both shrink it), so ``(inserts, size)``
+        The table only changes by an insert (bumps ``inserts``; a
+        compaction runs only inside one), a lazy removal or a flush
+        (both shrink it), so ``(inserts, size)``
         names its key set exactly and memoises the routing: the N
         per-shard gauges of one telemetry sample share one pass.
         """

@@ -129,21 +129,6 @@ class RangeSet:
                 total += hi - lo
         return total
 
-    def first_gap(self, start: int, end: int) -> Optional[Range]:
-        """Lowest uncovered sub-range of ``[start, end)``, or None."""
-        cursor = start
-        for range_start, range_end in zip(self._starts, self._ends):
-            if range_end <= cursor:
-                continue
-            if range_start > cursor:
-                return (cursor, min(range_start, end))
-            cursor = range_end
-            if cursor >= end:
-                return None
-        if cursor < end:
-            return (cursor, end)
-        return None
-
     def gaps(self, start: int, end: int) -> List[Range]:
         """All uncovered sub-ranges of ``[start, end)``."""
         out: List[Range] = []

@@ -387,6 +387,7 @@ def run_serving(spec: ServingSpec) -> Dict[str, Any]:
             "byte_budget": getattr(enc_cache, "byte_budget",
                                    enc_cache.store.byte_budget),
             "entries": len(enc_cache.store),
+            "log_slots": enc_cache.table.capacity,
             "evictions": (enc_cache.store.evictions
                           + dec_cache.store.evictions),
             "admission_rejected": getattr(enc_cache, "admission_rejected", 0),

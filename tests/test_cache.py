@@ -160,6 +160,15 @@ class TestByteCache:
         assert cache.lookup_previous(9) is None or \
             cache.lookup_previous(9)[1] == b"b" * 100
 
+    def test_lookup_previous_skips_an_evicted_generation(self):
+        cache = ByteCache(byte_budget=250, eviction="lru")
+        a_id = cache.insert_packet(b"a" * 100, [(0, 9)])
+        cache.insert_packet(b"b" * 100, [(0, 9)])   # displaces a
+        cache.store.get(a_id)                       # b is now the LRU
+        cache.insert_packet(b"c" * 100, [(0, 9)])   # evicts b, not a
+        previous = cache.lookup_previous(9)
+        assert previous is not None and previous[1] == b"a" * 100
+
     def test_flush_clears_history(self):
         cache = ByteCache()
         cache.insert_packet(b"a" * 50, [(0, 9)])

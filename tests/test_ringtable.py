@@ -3,9 +3,10 @@
 The contiguous table (repro.core.ringtable) must match the reference
 dict table of ``tests/reference_cache.py`` observable-for-observable;
 these tests pin the corners a whole-pipeline comparison can miss:
-compaction and growth, the one-generation history scan, the capacity
-ByteCache derives from its budget, and a property-level parity sweep
-against the dict table through the ByteCache front door.
+compaction and growth (the log keeps exactly the entries whose packet
+is stored), the history scan, the capacity ByteCache derives from its
+budget, and a property-level parity sweep against the dict table
+through the ByteCache front door.
 """
 
 import numpy as np
@@ -13,24 +14,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import ByteCache
+from repro.core.fingerprint import FingerprintScheme
 from repro.core.ringtable import RingFingerprintTable
 from tests.reference_cache import CacheEntry, DictByteCache, FingerprintTable
 
 
-def _insert(table, fingerprints, store_id=0, counter=0):
+def _insert(table, fingerprints, store_id=0, counter=0, stored=None):
+    """Cache one packet's anchors; with ``stored``, the records of all
+    but the newest ``stored`` packets go first, as a FIFO store's
+    ``add`` evicts before the table is updated."""
     fps = np.array(fingerprints, dtype=np.uint64)
     offsets = np.arange(len(fingerprints), dtype=np.int64)
     table.records[store_id] = (None, None, counter, None)
+    if stored is not None:
+        for old in sorted(table.records)[:-stored]:
+            del table.records[old]
     table.insert_batch(offsets, fps, store_id)
 
 
 class TestAutogrow:
     def test_compaction_preserves_current_and_previous(self):
         table = RingFingerprintTable(capacity=8)
-        # Two indexed fingerprints replaced over and over: room-making
-        # picks compaction (4 * index size <= capacity) over growth.
+        # Two fingerprints replaced over and over under a store of two
+        # packets: the stored entries plus the batch fit in half the
+        # log, so room making compacts instead of growing.
         for store_id in range(5):
-            _insert(table, [1, 2], store_id=store_id)
+            _insert(table, [1, 2], store_id=store_id, stored=2)
         assert table.compactions >= 1
         assert table.grows == 0
         assert table.get(1).store_id == 4
@@ -93,42 +102,65 @@ class TestCapacityFromBudget:
         hot = list(range(1, 41))
         for store_id in range(120):             # 40 hot fps: compaction
             batch = rnd.choice(hot, size=30, replace=False).tolist()
-            _insert(ring, batch, store_id=store_id // 2)
+            _insert(ring, batch, store_id=store_id // 2, stored=3)
             if store_id % 10 == 0:
                 _assert_history_matches_brute_force(ring, hot)
         assert ring.compactions >= 1 and ring.grows == 0
-        _insert(ring, list(range(1000, 3000)), store_id=500)   # too wide
+        _insert(ring, list(range(1000, 3000)), store_id=500,  # too wide
+                stored=3)
         assert ring.grows >= 1 and ring.capacity > 1024
         _assert_history_matches_brute_force(ring, hot + [1000, 2999])
+        assert ring.get(2999).store_id == 500
         for fingerprint in hot:
-            assert ring.get(fingerprint) is not None
+            entry = ring.get(fingerprint)
+            assert entry is None or entry.store_id in ring.records
+
+    @pytest.mark.parametrize("eviction", ["fifo", "lru"])
+    def test_log_is_bounded_by_the_packets_stored(self, eviction):
+        # 20,000 overlapping MTU payloads through a 64 KiB cache: the
+        # index keeps meeting new fingerprints while the store holds
+        # ~45 packets, so only dropping what the store evicted keeps
+        # the log near its starting size.
+        scheme = FingerprintScheme()
+        rnd = np.random.default_rng(26)
+        data = rnd.integers(0, 256, 300_000, dtype=np.uint8).tobytes()
+        cache = ByteCache(64 * 1024, eviction=eviction)
+        ring = cache.table
+        start = ring.capacity
+        compactions = 0
+        for offset in (rnd.integers(0, 2_980, 20_000) * 100).tolist():
+            payload = data[offset: offset + 1460]
+            anchors = scheme.anchors(payload)
+            for fingerprint in anchors.fps_list()[:4]:
+                cache.lookup(fingerprint)       # LRU touches, lazy removal
+            cache.insert_packet(payload, anchors)
+            if ring.compactions != compactions:
+                compactions = ring.compactions
+                stored = cache.store.records
+                assert all(ring._pkt.item(entry_id) in stored
+                           for entry_id in ring._index.values())
+        assert ring.compactions >= 10
+        assert ring.capacity <= 4 * start
 
 
 def _brute_previous(table, fingerprint):
-    """previous_entry by walking every live id, newest first."""
-    ids = [i for i in range(table._next)
-           if int(table._fps[i]) == fingerprint]
-    if not ids:
-        return None
-    ref = table._index.get(fingerprint)
-    if ref is None:
-        ref = ids[-1]
-
-    def store_of(entry_id):
-        return int(table._pkt[entry_id])
-
-    for entry_id in reversed(ids):
-        if entry_id < ref and store_of(entry_id) != store_of(ref):
+    """previous_entry by walking every live id, newest first: the
+    newest entry whose packet is stored and is not the current one's."""
+    current = table._index.get(fingerprint)
+    current_store = None if current is None else int(table._pkt[current])
+    for entry_id in reversed(range(table._next)):
+        store_id = int(table._pkt[entry_id])
+        if (int(table._fps[entry_id]) == fingerprint
+                and store_id != current_store and store_id in table.records):
             return entry_id
     return None
 
 
 def _assert_history_matches_brute_force(table, fingerprints):
     for fingerprint in fingerprints:
-        for _ in range(2):              # second ask is served by the memo
-            got = table.previous_entry(fingerprint)
-            want = _brute_previous(table, fingerprint)
-            assert (got._id if got is not None else None) == want
+        got = table.previous_entry(fingerprint)
+        want = _brute_previous(table, fingerprint)
+        assert (got._id if got is not None else None) == want
 
 
 class TestPreviousEntry:
@@ -141,7 +173,7 @@ class TestPreviousEntry:
         rnd = np.random.default_rng(14)
         for store_id in range(40):
             batch = rnd.choice(self.FPS, size=3, replace=False).tolist()
-            _insert(table, batch, store_id=store_id // 2)
+            _insert(table, batch, store_id=store_id // 2, stored=3)
             _assert_history_matches_brute_force(table, self.FPS)
         assert table.compactions >= 1 and table.grows >= 1
 
@@ -161,11 +193,13 @@ class TestPreviousEntry:
         assert table.previous_entry(1).store_id == 0        # insert
         _insert(table, [1], store_id=2)
         assert table.previous_entry(1).store_id == 1
+        del table.records[1]                                # eviction
+        assert table.previous_entry(1).store_id == 0
+        del table.records[2]
         table.remove(1)
-        # Lazily removed: the newest ring entry (store 2) is the
-        # reference, so the answer stays store 1 — by a fresh scan.
-        assert not table._history_memo
-        assert table.previous_entry(1).store_id == 1
+        # Lazily removed with its packet: no current entry, so the
+        # newest stored generation answers.
+        assert table.previous_entry(1).store_id == 0
         _assert_history_matches_brute_force(table, [1, 2])
         table.clear()
         assert table.previous_entry(1) is None              # clear

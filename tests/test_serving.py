@@ -170,18 +170,23 @@ def test_cache_pressure_unit_completes_every_request(policy):
 
     Under ``tcp_seq`` two flows end up encoded against each other's lost
     packets and back off to abort (112 of 115 completed, 3 timeouts);
-    the policy fix lands by deleting the xfail marker.
+    the policy fix lands by deleting the xfail marker.  The encoder's
+    fingerprint log keeps only entries whose packet is stored, so it
+    ends at most one doubling above the 16,384 slots a 256 KiB cache
+    starts with.
     """
-    requests = run_serving(ServingSpec(
+    report = run_serving(ServingSpec(
         users=60, n_contents=1000, alpha=0.8, mean_object_bytes=8192,
         policy=policy, cache_bytes=256 * 1024, cache_shards=8,
         cache_eviction="lru", loss_rate=0.01, fetch_timeout=30.0,
-        seed=0))["requests"]
+        seed=0))
+    requests = report["requests"]
     assert requests["total"] == 115
     assert requests["completed"] == 115
     assert requests["timeouts"] == 0
     assert requests["stalled"] == 0
     assert requests["content_mismatches"] == 0
+    assert report["cache"]["log_slots"] <= 32_768
 
 
 def test_verified_run_checks_every_request(monkeypatch):

@@ -79,13 +79,6 @@ class TestRangeSet:
         ranges.remove(*cut)
         assert list(ranges) == left
 
-    def test_first_gap(self):
-        ranges = RangeSet([(10, 20), (30, 40)])
-        assert ranges.first_gap(0, 50) == (0, 10)
-        assert ranges.first_gap(10, 50) == (20, 30)
-        assert ranges.first_gap(30, 40) is None
-        assert ranges.first_gap(40, 50) == (40, 50)
-
     def test_gaps(self):
         ranges = RangeSet([(10, 20), (30, 40)])
         assert ranges.gaps(0, 50) == [(0, 10), (20, 30), (40, 50)]
