@@ -150,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("--rows", type=int, default=25,
                            help="how many packets of the trace to print")
     trace_cmd.add_argument("--out", default=None,
-                           help="also archive the full event trace as "
-                                "JSON Lines to this file")
+                           help="also write the run's spans/v1 export to "
+                                "this file (read by spans/flame --from)")
 
     timeline_cmd = sub.add_parser(
         "timeline", help="run one telemetry-instrumented transfer and "
@@ -553,34 +553,27 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from .experiments.runner import (FILE_NAME, Fetch, build_testbed,
-                                     run_fetches)
     from .metrics.depgraph import format_dependency_trace, graph_from_spans
-    from .workload import corpus_object as load_object
 
     config = ExperimentConfig(
         corpus=args.corpus, file_size=args.size, policy=args.policy,
         policy_kwargs={}, loss_rate=_percent(args.loss), seed=args.seed,
         time_limit=120.0, tcp_max_retries=8, tcp_max_rto=2.0,
-        trace=bool(args.out),
         # The dependency graph is read off the span export, so every
         # flow is traced and no span may be dropped (the 120 s time
         # limit bounds the log).
         spans=True, spans_kwargs={"trace_sample": 1,
                                   "max_spans": sys.maxsize})
-    testbed = build_testbed(config)
-    data = load_object(config.corpus, config.file_size, config.corpus_seed)
-    outcome = run_fetches(testbed, config, {FILE_NAME: data},
-                          [Fetch()]).outcomes[0]
-
-    graph, lost = graph_from_spans(testbed.spans.export())
+    result = run_transfer(config)
+    doc = result.spans
+    graph, lost = graph_from_spans(doc)
     dead = graph.undecodable_closure(lost) | lost
     print(format_dependency_trace(graph, dead, max_rows=args.rows))
     cycles = graph.segment_cycles()
     print()
     print(format_table(
         "dependency analysis", ["metric", "value"],
-        [["transfer completed", outcome.completed],
+        [["transfer completed", result.completed],
          ["encoded packets", len(graph.sent)],
          ["average dependency degree", f"{graph.average_degree():.2f}"],
          ["lost/undelivered packets", len(lost)],
@@ -589,10 +582,8 @@ def cmd_trace(args) -> int:
          ["segment-level cycles (§IV-B)", len(cycles)],
          ["self-dependency livelock", graph.has_self_dependency()]]))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(testbed.tracer.to_jsonl())
-        print(f"\nwrote {len(testbed.tracer.records)} trace records "
-              f"to {args.out}")
+        print()
+        _write_spans(doc, args.out)
     return 0
 
 
@@ -824,6 +815,14 @@ def cmd_lint(args) -> int:
     return report.exit_code
 
 
+def _write_spans(doc: dict, path: str) -> None:
+    """Write a spans/v1 export in the form ``--from FILE`` reads."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote spans/v1 export to {path}")
+
+
 def _spans_doc(args) -> dict:
     """A spans/v1 export: from ``--from FILE`` or by running a transfer."""
     if args.from_file:
@@ -858,10 +857,7 @@ def cmd_flame(args) -> int:
     doc = _spans_doc(args)
     validate_spans(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote spans/v1 export to {args.out}")
+        _write_spans(doc, args.out)
     root = build_flame(doc, weight=args.weight)
     print()
     print("\n".join(format_flame(root, weight=args.weight,
@@ -897,10 +893,7 @@ def cmd_spans(args) -> int:
     doc = _spans_doc(args)
     validate_spans(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote spans/v1 export to {args.out}")
+        _write_spans(doc, args.out)
     by_trace = spans_by_trace(doc)
     if not by_trace:
         print("export contains no spans (was tracing sampled away? "

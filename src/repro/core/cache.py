@@ -96,6 +96,11 @@ class PacketStore:
             self._data.move_to_end(store_id)
         return payload
 
+    def peek(self, store_id: int) -> Optional[bytes]:
+        """A stored payload without the LRU side effect of :meth:`get`
+        (for checkers, which must not perturb eviction order)."""
+        return self._data.get(store_id)
+
     def view(self, store_id: int) -> Optional[memoryview]:
         """Zero-copy view of a stored payload.
 
@@ -192,16 +197,17 @@ class ByteCache:
     ``table`` is the fingerprint index, ``store`` the payload side: one
     :class:`PacketStore` here, N routed ones under
     :class:`~repro.core.shardcache.ShardedByteCache`, which inherits
-    every method below unchanged.
+    every method below unchanged.  ``admission`` is the fraction of
+    payloads admitted, decided by a content-keyed coin (:meth:`_admit`).
     """
-
-    #: Fraction of payloads admitted (content-keyed coin); only the
-    #: sharded serving cache exposes it as a constructor argument.
-    admission: float = 1.0
 
     def __init__(self, byte_budget: int = 4 * 1024 * 1024,
                  max_packets: Optional[int] = None,
-                 eviction: str = "fifo") -> None:
+                 eviction: str = "fifo",
+                 admission: float = 1.0) -> None:
+        if not 0.0 < admission <= 1.0:
+            raise ValueError(f"admission must be in (0, 1], got {admission}")
+        self.admission = admission
         self.store: "Union[PacketStore, ShardedPacketStore]" = PacketStore(
             byte_budget, max_packets, eviction)
         self.table = RingFingerprintTable(

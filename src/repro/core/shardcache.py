@@ -19,7 +19,8 @@ leaves the fingerprint side alone:
   homes, each enforcing its own bound (LRU by default here: a shared
   cache keeps hot content alive instead of sliding a window).
 * **Probabilistic admission** — ``admission < 1.0`` skips caching a
-  payload entirely on a content-keyed coin (:meth:`ByteCache._admit`).
+  payload entirely on a content-keyed coin; the argument and the coin
+  (:meth:`ByteCache._admit`) are the unsharded cache's.
 
 Which shard *owns a fingerprint* is bookkeeping only: per-shard entry
 counts route the table's keys with ``shard_of`` when a report or a
@@ -54,17 +55,6 @@ def shard_of(fingerprint: int, n_shards: int) -> int:
     return (((fingerprint * _MIX) & _MASK64) >> 17) % n_shards
 
 
-class _MergedPayloads:
-    """``store._data``-shaped view: ``get`` without LRU side effects."""
-
-    def __init__(self, store: "ShardedPacketStore") -> None:
-        self._store = store
-
-    def get(self, store_id: int) -> Optional[bytes]:
-        home = self._store._home.get(store_id)
-        return None if home is None else home._data.get(store_id)
-
-
 class ShardedPacketStore:
     """N byte-budgeted :class:`PacketStore` homes behind one store surface.
 
@@ -90,7 +80,6 @@ class ShardedPacketStore:
             shard.records = self.records
         self._home: Dict[int, PacketStore] = {}
         self._prune_at = 64
-        self._data = _MergedPayloads(self)
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
@@ -128,6 +117,10 @@ class ShardedPacketStore:
         home = self._home.get(store_id)
         return None if home is None else home.view(store_id)
 
+    def peek(self, store_id: int) -> Optional[bytes]:
+        home = self._home.get(store_id)
+        return None if home is None else home.peek(store_id)
+
     def ids(self) -> Iterator[int]:
         for shard in self.shards:
             yield from shard.ids()
@@ -163,8 +156,8 @@ class ShardedByteCache(ByteCache):
     Every cache operation is the inherited :class:`ByteCache` code over
     a :class:`ShardedPacketStore` (swapped in for the single store the
     base constructor builds) and the one inherited ring table.  This
-    class adds the shard bookkeeping: the split budget, the admission
-    argument, per-shard occupancy and the invariant check.
+    class adds the shard bookkeeping: the split budget, per-shard
+    occupancy and the invariant check.
     """
 
     store: ShardedPacketStore
@@ -176,15 +169,12 @@ class ShardedByteCache(ByteCache):
                  admission: float = 1.0) -> None:
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
-        if not 0.0 < admission <= 1.0:
-            raise ValueError(f"admission must be in (0, 1], got {admission}")
-        super().__init__(byte_budget, max_packets, eviction)
+        super().__init__(byte_budget, max_packets, eviction, admission)
         self.store = ShardedPacketStore(
             byte_budget, n_shards, max_packets, eviction)
         self.table.records = self.store.records
         self.byte_budget = byte_budget
         self.n_shards = n_shards
-        self.admission = admission
         # shard_entries() memo: (table inserts, table size) -> counts.
         self._entries_key: Optional[Tuple[int, int]] = None
         self._entries: List[int] = []
@@ -231,7 +221,7 @@ class ShardedByteCache(ByteCache):
     def check_invariants(self) -> List[str]:
         """Machine-checked shard invariants; returns violation strings.
 
-        The serving oracle calls this during a run: per-shard bytes
+        The verification harness calls this on every tick of a run: per-shard bytes
         within budget and equal to the payloads stored, store ids
         unique across shards, every payload homed where it is held, one
         packet record per stored payload and none beside.

@@ -44,9 +44,9 @@ class ExperimentConfig:
     #: serving mode's population cache.  0 keeps the paper's single
     #: per-transfer ByteCache.
     cache_shards: int = 0
-    #: Probabilistic admission for the sharded cache: fraction of
-    #: payloads admitted, decided by a content-keyed coin so the
-    #: encoder and decoder always agree.  1.0 = admit everything.
+    #: Probabilistic admission (sharded or not): fraction of payloads
+    #: admitted, decided by a content-keyed coin so the encoder and
+    #: decoder always agree.  1.0 = admit everything.
     cache_admission: float = 1.0
 
     # -- gateway resilience layer (epochs / resync / heartbeats; see
@@ -80,7 +80,6 @@ class ExperimentConfig:
     seed: int = 0
     time_limit: float = 600.0
     verify_content: bool = False
-    trace: bool = False
     #: Collect per-stage hot-path timings (repro.metrics.profiling)
     #: into TransferResult.profile.  Near-zero cost when False.
     profile: bool = False
@@ -104,8 +103,9 @@ class ExperimentConfig:
     #: SpanRecorder overrides (trace_sample=1/N flows, max_spans).
     spans_kwargs: Dict[str, Any] = field(default_factory=dict)
     #: Arm the verification oracles (repro.verify.oracles): end-to-end
-    #: byte integrity, quiescent-point cache coherence, and the
-    #: policy's declared safety properties, each raising a structured
+    #: byte integrity, quiescent-point cache coherence, the sharded
+    #: cache's own invariants, and the policy's declared safety
+    #: properties, each raising a structured
     #: InvariantViolation (with flight-recorder dump) the moment it is
     #: broken.  When False every hook site pays exactly one None-check
     #: (the bench_hotpath budget, like profile/telemetry).

@@ -31,7 +31,6 @@ from ..sim.engine import Simulator
 from ..sim.link import Link
 from ..sim.node import Host, Node
 from ..sim.rng import RngRegistry
-from ..sim.trace import Tracer
 from ..verify.oracles import InvariantViolation, VerificationHarness
 from ..workload.corpus import corpus_object
 from .config import LAN_BANDWIDTH, ExperimentConfig
@@ -55,7 +54,6 @@ class Testbed:
     bottleneck_forward: Link
     bottleneck_reverse: Link
     gateways: Optional[GatewayPair]
-    tracer: Tracer
     profiler: Optional[StageProfiler] = None
     #: anchor_memo_stats() at build time, when profiling: the memo is
     #: process-wide, the profile reports what this run added to it.
@@ -67,44 +65,35 @@ class Testbed:
     verifier: object = None
 
 
-def build_testbed(config: ExperimentConfig,
-                  tracer: Optional[Tracer] = None) -> Testbed:
+def build_testbed(config: ExperimentConfig) -> Testbed:
     """Construct the simulator, hosts, links and (optionally) gateways."""
     profiler = profiler_if(config.profile)
     sim = Simulator()
     rng = RngRegistry(config.seed)
-    if tracer is None:
-        tracer = Tracer(enabled=config.trace)
-    tracer.bind_clock(lambda: sim.now)
     telemetry = telemetry_if(config.telemetry, sim,
                              **config.telemetry_kwargs)
     span_recorder = spans_if(config.spans, sim, **config.spans_kwargs)
-    if telemetry is not None:
-        # Existing tracer.emit call sites feed the flight recorder even
-        # while full tracing stays off.
-        tracer.sink = telemetry.trace_sink()
+    # The run's one event log: the nodes' and gateways' event sites
+    # write to it, and a violation dumps it.
+    recorder = telemetry.recorder if telemetry is not None else None
 
     verifier = None
     if config.verify and config.dre_enabled:
-        if telemetry is not None:
-            recorder = telemetry.recorder
-        else:
+        if recorder is None:
             # Standalone flight recorder so a violation still carries
             # the recent event history even with telemetry off.
             recorder = FlightRecorder()
-            tracer.sink = recorder.record
-        recorder.spans = span_recorder
         verifier = VerificationHarness(sim, recorder=recorder)
         verifier.spans = span_recorder
         if telemetry is not None:
             telemetry.register_verifier(verifier)
-    if telemetry is not None and span_recorder is not None:
+    if recorder is not None:
         # Flight-recorder rows resolve packet ids back to trace/span
         # ids, so a post-mortem dump points into the span export.
-        telemetry.recorder.spans = span_recorder
+        recorder.spans = span_recorder
 
-    client = Host(sim, "client", CLIENT_ADDR, tracer)
-    server = Host(sim, "server", SERVER_ADDR, tracer)
+    client = Host(sim, "client", CLIENT_ADDR)
+    server = Host(sim, "server", SERVER_ADDR)
 
     if config.dre_enabled:
         scheme = FingerprintScheme(kind=config.fingerprint_kind,
@@ -118,7 +107,6 @@ def build_testbed(config: ExperimentConfig,
             cache_shards=config.cache_shards,
             cache_admission=config.cache_admission,
             encoder_address=ENCODER_ADDR, decoder_address=DECODER_ADDR,
-            tracer=tracer,
             resilience=(ResilienceConfig(**config.resilience_kwargs)
                         if config.resilience else None),
             telemetry=telemetry,
@@ -132,8 +120,10 @@ def build_testbed(config: ExperimentConfig,
             gateways.decoder.decoder.profiler = profiler
     else:
         gateways = None
-        enc_node = Node(sim, "fwd-node-1", tracer)
-        dec_node = Node(sim, "fwd-node-2", tracer)
+        enc_node = Node(sim, "fwd-node-1")
+        dec_node = Node(sim, "fwd-node-2")
+    for node in (client, server, enc_node, dec_node):
+        node.recorder = recorder
 
     # server <-> encoder LAN
     lan_s_fwd = Link(sim, LAN_BANDWIDTH, config.lan_delay,
@@ -186,7 +176,7 @@ def build_testbed(config: ExperimentConfig,
     return Testbed(sim=sim, client=client, server=server,
                    client_stack=client_stack, server_stack=server_stack,
                    bottleneck_forward=bott_fwd, bottleneck_reverse=bott_rev,
-                   gateways=gateways, tracer=tracer, profiler=profiler,
+                   gateways=gateways, profiler=profiler,
                    anchor_memo_before=(anchor_memo_stats()
                                        if profiler is not None else None),
                    telemetry=telemetry, spans=span_recorder,
@@ -313,10 +303,9 @@ def run_fetches(testbed: Testbed, config: ExperimentConfig, files,
     return run
 
 
-def run_transfer(config: ExperimentConfig,
-                 tracer: Optional[Tracer] = None) -> TransferResult:
+def run_transfer(config: ExperimentConfig) -> TransferResult:
     """Run one complete retrieval described by ``config``."""
-    testbed = build_testbed(config, tracer)
+    testbed = build_testbed(config)
     data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
     run = run_fetches(testbed, config, {FILE_NAME: data}, [Fetch()])
     return collect_result(testbed, run.outcomes[0], config)

@@ -33,7 +33,6 @@ from ..net.packet import (ControlMessage, IPPacket, PROTO_DRE_CONTROL,
                           PROTO_TCP, PROTO_UDP)
 from ..sim.engine import Simulator
 from ..sim.node import Middlebox
-from ..sim.trace import NULL_TRACER, Tracer
 from .resilience import (MODE_BYPASS, MODE_RAW, RESILIENCE_CONTROL_KINDS,
                          DecoderResilience, EncoderResilience,
                          ResilienceConfig)
@@ -94,9 +93,8 @@ class _GatewayBase(Middlebox):
     def __init__(self, sim: Simulator, name: str, address: str,
                  scheme: FingerprintScheme, cache: ByteCache,
                  data_dst: Optional[str] = None,
-                 forward_pred: Optional[Callable[[IPPacket], bool]] = None,
-                 tracer: Tracer = NULL_TRACER):
-        super().__init__(sim, name, tracer)
+                 forward_pred: Optional[Callable[[IPPacket], bool]] = None):
+        super().__init__(sim, name)
         self.address = address
         self.scheme = scheme
         self.cache = cache
@@ -132,8 +130,7 @@ class _GatewayBase(Middlebox):
     def handle(self, pkt: IPPacket) -> None:
         if self.down:
             self.stats.dropped_while_down += 1
-            self.tracer.emit(self.name, "drop_gateway_down",
-                             packet_id=pkt.packet_id)
+            self.note("drop_gateway_down", packet_id=pkt.packet_id)
             spans = self.spans
             if spans is not None:
                 spans.packet_event("drop_gateway_down", self.name,
@@ -179,10 +176,9 @@ class EncoderGateway(_GatewayBase):
                  policy: EncoderPolicy,
                  data_dst: Optional[str] = None,
                  forward_pred: Optional[Callable[[IPPacket], bool]] = None,
-                 tracer: Tracer = NULL_TRACER,
                  resilience: Optional[ResilienceConfig] = None):
         super().__init__(sim, name, address, scheme, cache,
-                         data_dst, forward_pred, tracer)
+                         data_dst, forward_pred)
         self.policy = policy
         policy.attach_services(self._services())
         # Savings accounting nets out the per-packet wire overhead: the
@@ -261,12 +257,11 @@ class EncoderGateway(_GatewayBase):
                 payload.options_size += EPOCH_STAMP_SIZE
         if result.encoded:
             self.stats.encoded_packets += 1
-            tracer = self.tracer
-            if tracer.enabled or tracer.sink is not None:
+            if self.recorder is not None:
                 # Guarded so the disabled path skips the sorted() copy.
-                tracer.emit(self.name, "encode", packet_id=pkt.packet_id,
-                            deps=sorted(result.dependencies),
-                            saved=result.bytes_in - result.bytes_out)
+                self.note("encode", packet_id=pkt.packet_id,
+                          deps=sorted(result.dependencies),
+                          saved=result.bytes_in - result.bytes_out)
             if spans is not None:
                 # The paper's causal arrow: this packet now depends on
                 # the traces of the cache entries it was encoded against
@@ -290,10 +285,9 @@ class DecoderGateway(_GatewayBase):
                  policy: Optional[DecoderPolicy] = None,
                  data_dst: Optional[str] = None,
                  forward_pred: Optional[Callable[[IPPacket], bool]] = None,
-                 tracer: Tracer = NULL_TRACER,
                  resilience: Optional[ResilienceConfig] = None):
         super().__init__(sim, name, address, scheme, cache,
-                         data_dst, forward_pred, tracer)
+                         data_dst, forward_pred)
         self.policy = policy if policy is not None else DecoderPolicy()
         self.policy.attach_services(self._services())
         if resilience is not None:
@@ -370,8 +364,7 @@ class DecoderGateway(_GatewayBase):
                     # references cannot be trusted, drop and let TCP
                     # retransmit into the resynced cache.
                     self.stats.desync_dropped += 1
-                    self.tracer.emit(self.name, "drop_desync",
-                                     packet_id=pkt.packet_id)
+                    self.note("drop_desync", packet_id=pkt.packet_id)
                     status = "desync_drop"
                     return None
             tag = getattr(payload, "dre_wire_tag", None)
@@ -389,35 +382,31 @@ class DecoderGateway(_GatewayBase):
                 status = "ok"
                 return pkt
             # Failure paths only from here; one flag decides whether
-            # they build trace records (kwargs dict, len() of missing).
-            tracer = self.tracer
-            tracing = tracer.enabled or tracer.sink is not None
+            # they build event records (kwargs dict, len() of missing).
+            recording = self.recorder is not None
             if result.status is DecodeStatus.BUFFERED:
                 self.stats.buffered += 1
-                if tracing:
-                    tracer.emit(self.name, "buffer", packet_id=pkt.packet_id,
-                                missing=len(result.missing))
+                if recording:
+                    self.note("buffer", packet_id=pkt.packet_id,
+                              missing=len(result.missing))
                 status = "buffered"
                 missing = result.missing
             elif result.status is DecodeStatus.MISSING:
                 self.stats.undecodable_dropped += 1
-                if tracing:
-                    tracer.emit(self.name, "drop_undecodable",
-                                packet_id=pkt.packet_id,
-                                missing=len(result.missing))
+                if recording:
+                    self.note("drop_undecodable", packet_id=pkt.packet_id,
+                              missing=len(result.missing))
                 status = "missing"
                 missing = result.missing
             elif result.status is DecodeStatus.CHECKSUM_MISMATCH:
                 self.stats.checksum_dropped += 1
-                if tracing:
-                    tracer.emit(self.name, "drop_checksum",
-                                packet_id=pkt.packet_id)
+                if recording:
+                    self.note("drop_checksum", packet_id=pkt.packet_id)
                 status = "checksum_mismatch"
             else:
                 self.stats.malformed_dropped += 1
-                if tracing:
-                    tracer.emit(self.name, "drop_malformed",
-                                packet_id=pkt.packet_id)
+                if recording:
+                    self.note("drop_malformed", packet_id=pkt.packet_id)
                 status = "malformed"
             return None
         finally:

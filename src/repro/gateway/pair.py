@@ -10,7 +10,6 @@ from ..core.fingerprint import FingerprintScheme
 from ..core.shardcache import ShardedByteCache
 from ..core.policies import make_policy_pair
 from ..sim.engine import Simulator
-from ..sim.trace import NULL_TRACER, Tracer
 from .middlebox import DecoderGateway, EncoderGateway
 from .resilience import ResilienceConfig
 
@@ -33,7 +32,6 @@ class GatewayPair:
                cache_admission: float = 1.0,
                encoder_address: str = "10.255.0.1",
                decoder_address: str = "10.255.0.2",
-               tracer: Tracer = NULL_TRACER,
                resilience: Optional[ResilienceConfig] = None,
                telemetry=None,
                verifier=None,
@@ -64,8 +62,8 @@ class GatewayPair:
         def build_cache():
             # ``cache_shards > 0`` selects the shared-cache serving
             # configuration: one memory-bounded sharded cache per
-            # direction, LRU by default, optional probabilistic
-            # admission.  Both gateways get structurally identical
+            # direction, LRU by default.  Probabilistic admission applies
+            # on either branch.  Both gateways get structurally identical
             # caches either way — cache symmetry is what DRE relies on.
             if cache_shards > 0:
                 return ShardedByteCache(
@@ -73,18 +71,15 @@ class GatewayPair:
                     max_packets=cache_max_packets,
                     eviction=cache_eviction,
                     admission=cache_admission)
-            return ByteCache(cache_bytes, cache_max_packets, cache_eviction)
+            return ByteCache(cache_bytes, cache_max_packets, cache_eviction,
+                             admission=cache_admission)
 
         encoder = EncoderGateway(
-            sim, "encoder-gw", encoder_address, scheme,
-            build_cache(),
-            encoder_policy, data_dst=data_dst, tracer=tracer,
-            resilience=resilience)
+            sim, "encoder-gw", encoder_address, scheme, build_cache(),
+            encoder_policy, data_dst=data_dst, resilience=resilience)
         decoder = DecoderGateway(
-            sim, "decoder-gw", decoder_address, scheme,
-            build_cache(),
-            decoder_policy, data_dst=data_dst, tracer=tracer,
-            resilience=resilience)
+            sim, "decoder-gw", decoder_address, scheme, build_cache(),
+            decoder_policy, data_dst=data_dst, resilience=resilience)
         encoder.set_peer(decoder_address)
         decoder.set_peer(encoder_address)
         if telemetry is not None:

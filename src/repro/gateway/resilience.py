@@ -216,8 +216,7 @@ class EncoderResilience:
             self.stats.degraded_time += now - self._degraded_since
             self._degraded_since = None
         self._flush_and_bump()
-        self.gateway.tracer.emit(self.gateway.name, "degraded_recover",
-                                 epoch=self.epoch)
+        self.gateway.note("degraded_recover", epoch=self.epoch)
         spans = self.gateway.spans
         if spans is not None:
             spans.event("degraded_recover", self.gateway.name, self.epoch)
@@ -237,9 +236,8 @@ class EncoderResilience:
             self.stats.degraded = True
             self.stats.degraded_entries += 1
             self._degraded_since = gateway.sim.now
-            gateway.tracer.emit(gateway.name, "degraded_enter",
-                                last_ack_age=gateway.sim.now
-                                - self._last_ack_time)
+            gateway.note("degraded_enter",
+                         last_ack_age=gateway.sim.now - self._last_ack_time)
             spans = gateway.spans
             if spans is not None:
                 spans.event("degraded_enter", gateway.name,
@@ -285,8 +283,8 @@ class DecoderResilience:
             self.stats.resync_times.append(
                 self.gateway.sim.now - self._resync_started)
             self._window.clear()
-            self.gateway.tracer.emit(
-                self.gateway.name, "resync_complete", epoch=epoch,
+            self.gateway.note(
+                "resync_complete", epoch=epoch,
                 elapsed=self.gateway.sim.now - self._resync_started)
             spans = self.gateway.spans
             if spans is not None:
@@ -325,9 +323,8 @@ class DecoderResilience:
                 and sum(self._window)
                 >= config.watchdog_threshold * config.watchdog_window):
             self.stats.watchdog_trips += 1
-            self.gateway.tracer.emit(
-                self.gateway.name, "watchdog_trip",
-                undecodable=sum(self._window),
+            self.gateway.note(
+                "watchdog_trip", undecodable=sum(self._window),
                 window=config.watchdog_window)
             spans = self.gateway.spans
             if spans is not None:
@@ -347,8 +344,7 @@ class DecoderResilience:
         self.gateway.cache.flush()
         self._window.clear()
         self.stats.resyncs_initiated += 1
-        self.gateway.tracer.emit(self.gateway.name, "resync_start",
-                                 resync_id=self._resync_id)
+        self.gateway.note("resync_start", resync_id=self._resync_id)
         spans = self.gateway.spans
         if spans is not None:
             self._resync_span = spans.open("resync", self.gateway.name,
@@ -383,9 +379,8 @@ class DecoderResilience:
             # starts a fresh attempt (with a fresh id).
             self.resyncing = False
             self.stats.resync_failures += 1
-            self.gateway.tracer.emit(self.gateway.name, "resync_give_up",
-                                     resync_id=self._resync_id,
-                                     retries=self._retries)
+            self.gateway.note("resync_give_up", resync_id=self._resync_id,
+                              retries=self._retries)
             spans = self.gateway.spans
             if spans is not None:
                 spans.end(self._resync_span, "gave_up", None,

@@ -544,17 +544,6 @@ class SpanRecorder:
             "spans": spans,
         }
 
-    def to_jsonl(self, path: str) -> None:
-        """One span per line; first line is the schema header."""
-        doc = self.export()
-        with open(path, "w") as fh:
-            header = {"schema": doc["schema"],
-                      "trace_sample": doc["trace_sample"],
-                      "summary": doc["summary"]}
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for span in doc["spans"]:
-                fh.write(json.dumps(span, sort_keys=True) + "\n")
-
 
 def spans_if(enabled: bool, sim: Any = None,
              **kwargs: Any) -> Optional[SpanRecorder]:

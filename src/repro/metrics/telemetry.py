@@ -21,12 +21,13 @@ would ship with:
   is bounded: when ``max_samples`` is reached the sampler halves its
   history and doubles its interval, keeping full-run coverage at
   degrading resolution instead of truncating the tail.
-* :class:`FlightRecorder` — a bounded ring of recent trace/telemetry
-  events per flow (falling back to per-source), fed from the existing
-  :meth:`repro.sim.trace.Tracer.emit` call sites without enabling full
-  tracing.  It is dumped automatically on stall, watchdog trip or
-  time-limit expiry so a failed run is post-mortem-debuggable from its
-  result object alone.
+* :class:`FlightRecorder` — the run's one event log: a bounded ring of
+  recent events per flow (falling back to per-source).  Nodes and
+  gateways write to it through :meth:`repro.sim.node.Node.note` (drops,
+  encodes, resyncs, watchdog trips) and the verification harness notes
+  its own findings beside them.  It is dumped automatically on stall,
+  watchdog trip or time-limit expiry so a failed run is
+  post-mortem-debuggable from its result object alone.
 
 Everything is wired per run by :mod:`repro.experiments.runner` when
 ``ExperimentConfig(telemetry=True)``; the export (schema
@@ -359,14 +360,14 @@ class TelemetrySampler:
 class FlightRecorder:
     """Bounded ring of recent events, grouped per flow.
 
-    Events arrive from :meth:`repro.sim.trace.Tracer.emit` call sites
-    (the tracer feeds an attached recorder even while full tracing is
-    disabled) and from explicit :meth:`note` calls.  Grouping key: the
-    event detail's ``flow`` if present, else the emitting source — so a
-    chatty component cannot evict another flow's history.  Both the
-    ring length and the number of distinct groups are bounded; when a
-    new group would exceed the bound it spills into a shared overflow
-    ring rather than growing without limit.
+    Events arrive through :meth:`record` from the nodes and gateways
+    the runner attached it to (:meth:`repro.sim.node.Node.note`) and
+    from explicit :meth:`note` calls (the verification harness).
+    Grouping key: the event detail's ``flow`` if present, else the
+    emitting source — so a chatty component cannot evict another flow's
+    history.  Both the ring length and the number of distinct groups
+    are bounded; when a new group would exceed the bound it spills into
+    a shared overflow ring rather than growing without limit.
     """
 
     def __init__(self, ring_size: int = 128, max_flows: int = 16):
@@ -391,9 +392,9 @@ class FlightRecorder:
                detail: Optional[Dict[str, Any]] = None) -> None:
         """Append one event to its flow's ring.
 
-        ``detail`` belongs to the caller (the tracer stores the same
-        dict in its own record), so the trace/span ids ride beside it
-        in the ring and are merged only into :meth:`dump`'s copy.
+        ``detail`` belongs to the caller, so the trace/span ids ride
+        beside it in the ring and are merged only into :meth:`dump`'s
+        copy.
         """
         detail = detail if detail is not None else {}
         trace_id = span_id = None
@@ -417,7 +418,7 @@ class FlightRecorder:
 
     def note(self, time: float, source: str, event: str,
              **detail: Any) -> None:
-        """Record a telemetry-originated (non-tracer) event."""
+        """Record an event given as keyword details."""
         self.record(time, source, event, detail)
 
     def dump(self, max_events: Optional[int] = None) -> List[Dict[str, Any]]:
@@ -599,7 +600,7 @@ class Telemetry:
 
         Registered by the runner when a run arms both ``telemetry`` and
         ``verify``: the two layers already share the flight recorder
-        (oracle notes land next to the trace events they explain), and
+        (oracle notes land next to the node events they explain), and
         this makes the oracle activity — regions judged, coherence scans
         performed, drops observed — visible in the sampled series and
         the telemetry/v1 export.
@@ -629,10 +630,6 @@ class Telemetry:
 
     def start(self) -> None:
         self.sampler.start()
-
-    def trace_sink(self) -> Callable[[float, str, str, Dict[str, Any]], None]:
-        """The callback a :class:`~repro.sim.trace.Tracer` feeds."""
-        return self.recorder.record
 
     def export(self, reason: str = "completed",
                dump_flight_recorder: bool = True) -> Dict[str, Any]:

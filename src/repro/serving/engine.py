@@ -185,48 +185,6 @@ class FlowPool:
         return sum(stack.connection_count() for stack in self.stacks)
 
 
-class ServingOracle:
-    """Periodic machine check of the sharded-cache invariants.
-
-    Armed when ``spec.verify``: every ``interval`` simulated seconds
-    both directions' caches run
-    :meth:`~repro.core.shardcache.ShardedByteCache.check_invariants`;
-    any violation raises a structured
-    :class:`~repro.verify.oracles.InvariantViolation` immediately, with
-    the shard snapshot as context.
-    """
-
-    def __init__(self, sim, caches: Dict[str, Any], interval: float = 1.0):
-        self.sim = sim
-        self.caches = caches
-        self.interval = interval
-        self.checks = 0
-
-    def start(self) -> None:
-        self.sim.after(self.interval, self._tick)
-
-    def check_now(self) -> None:
-        from ..verify.oracles import InvariantViolation
-
-        for role, cache in self.caches.items():
-            check = getattr(cache, "check_invariants", None)
-            if check is None:
-                continue
-            problems = check()
-            self.checks += 1
-            if problems:
-                raise InvariantViolation(
-                    "serving_shards",
-                    f"{role} cache violates shard invariants: "
-                    f"{problems[0]}",
-                    context={"role": role, "problems": problems,
-                             "occupancy": cache.shard_occupancy()})
-
-    def _tick(self) -> None:
-        self.check_now()
-        self.sim.after(self.interval, self._tick)
-
-
 @dataclass
 class _CounterSnapshot:
     """Gateway/link counters at the warm-up boundary."""
@@ -278,14 +236,6 @@ def run_serving(spec: ServingSpec) -> Dict[str, Any]:
     pool = FlowPool(sim, [testbed.client_stack, testbed.server_stack],
                     linger=spec.linger)
     pool.start()
-
-    oracle: Optional[ServingOracle] = None
-    if spec.verify and testbed.gateways is not None:
-        oracle = ServingOracle(sim, {
-            "encoder": testbed.gateways.encoder.cache,
-            "decoder": testbed.gateways.decoder.cache,
-        })
-        oracle.start()
 
     total = len(schedule)
     warmup_n = min(total - 1, int(total * spec.warmup_fraction))
@@ -397,9 +347,10 @@ def run_serving(spec: ServingSpec) -> Dict[str, Any]:
         occupancy = getattr(enc_cache, "shard_occupancy", None)
         if occupancy is not None:
             report["cache"]["shards"] = occupancy()
-    if oracle is not None:
-        oracle.check_now()
-        report["oracle_checks"] = oracle.checks
+    if testbed.verifier is not None:
+        # The harness checked both shared caches every tick and once
+        # more at the end of the run.
+        report["oracle_checks"] = testbed.verifier.invariant_checks
     if testbed.telemetry is not None:
         report["telemetry"] = testbed.telemetry.export(
             reason="completed", dump_flight_recorder=False)

@@ -6,7 +6,6 @@ from .faults import (FaultInjector, drop_indices, match_nth_data,
 from .link import DuplexLink, Link, LinkStats
 from .node import Host, Middlebox, Node
 from .rng import RngRegistry, derive_seed
-from .trace import NULL_TRACER, TraceRecord, Tracer
 
 __all__ = [
     "Event",
@@ -25,7 +24,4 @@ __all__ = [
     "Node",
     "RngRegistry",
     "derive_seed",
-    "NULL_TRACER",
-    "TraceRecord",
-    "Tracer",
 ]

@@ -15,10 +15,9 @@ testbed (Fig. 3) where a single path connects client and server.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from .engine import Simulator
-from .trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # type-only: the sim layer stays import-free of repro.net
     from ..net.packet import IPPacket
@@ -27,14 +26,23 @@ if TYPE_CHECKING:  # type-only: the sim layer stays import-free of repro.net
 class Node:
     """A forwarding node with a static route table."""
 
-    def __init__(self, sim: Simulator, name: str, tracer: Tracer = NULL_TRACER):
+    def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
-        self.tracer = tracer
+        #: Duck-typed flight recorder (repro.metrics.telemetry): the run's
+        #: one event log, attached by the runner when telemetry or verify
+        #: is armed.  None costs each event site one attribute check.
+        self.recorder = None
         self.routes: Dict[str, object] = {}
         self.default_route: Optional[object] = None
         self.packets_forwarded = 0
         self.packets_dropped = 0
+
+    def note(self, event: str, **detail: Any) -> None:
+        """Log one event to the attached recorder, if any."""
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.record(self.sim.now, self.name, event, detail)
 
     def add_route(self, dst: str, link: object) -> None:
         """Send packets destined for ``dst`` out of ``link``."""
@@ -48,7 +56,7 @@ class Node:
         if pkt.header_corrupt:
             # A corrupted IP header fails its checksum at the next hop.
             self.packets_dropped += 1
-            self.tracer.emit(self.name, "drop_header_corrupt", packet_id=pkt.packet_id)
+            self.note("drop_header_corrupt", packet_id=pkt.packet_id)
             return
         self.handle(pkt)
 
@@ -60,13 +68,12 @@ class Node:
         pkt.ttl -= 1
         if pkt.ttl <= 0:
             self.packets_dropped += 1
-            self.tracer.emit(self.name, "drop_ttl", packet_id=pkt.packet_id)
+            self.note("drop_ttl", packet_id=pkt.packet_id)
             return
         link = self.routes.get(pkt.dst, self.default_route)
         if link is None:
             self.packets_dropped += 1
-            self.tracer.emit(self.name, "drop_no_route", packet_id=pkt.packet_id,
-                             dst=pkt.dst)
+            self.note("drop_no_route", packet_id=pkt.packet_id, dst=pkt.dst)
             return
         self.packets_forwarded += 1
         link.send(pkt)
@@ -75,9 +82,8 @@ class Node:
 class Host(Node):
     """An endpoint: owns an address and per-protocol receive handlers."""
 
-    def __init__(self, sim: Simulator, name: str, address: str,
-                 tracer: Tracer = NULL_TRACER):
-        super().__init__(sim, name, tracer)
+    def __init__(self, sim: Simulator, name: str, address: str):
+        super().__init__(sim, name)
         self.address = address
         self._protocol_handlers: Dict[int, Callable[[IPPacket], None]] = {}
 
@@ -103,7 +109,7 @@ class Host(Node):
         handler = self._protocol_handlers.get(pkt.proto)
         if handler is None:
             self.packets_dropped += 1
-            self.tracer.emit(self.name, "drop_no_handler", proto=pkt.proto)
+            self.note("drop_no_handler", proto=pkt.proto)
             return
         handler(pkt)
 

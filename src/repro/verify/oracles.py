@@ -14,7 +14,7 @@ disabled cost is one attribute load + ``is None`` check per packet and
 per emitted region (the same contract as the profiler and telemetry
 hooks; ``benchmarks/bench_hotpath.py`` holds the budget).
 
-Four oracle families:
+Five oracle families:
 
 * **byte integrity** — the delivered application stream must be a
   byte-exact prefix of the source object (checked incrementally as TCP
@@ -26,6 +26,9 @@ Four oracle families:
   window bytes.  Since a fingerprint is computed over its window, a
   mismatch means a poisoned store (or a 64-bit collision) — decoder-side
   *gaps* are legal, they are exactly the modelled perceived loss;
+* **shard invariants** — on every tick, a cache that declares
+  ``check_invariants()`` (the sharded serving cache) must report none
+  broken: bytes within each shard's budget, one home per store id;
 * **per-policy safety** — tcp_seq / k_distance / cache_flush emission
   rules, re-checked independently on every emitted region;
 * **circular dependency** — the policy-independent §IV property: no
@@ -269,8 +272,10 @@ class VerificationHarness:
     * it becomes the encoder's and decoder's ``verifier`` (hot-path
       hooks: ``on_packet`` / ``on_region`` / drop notifications);
     * it observes the delivered client stream (byte-integrity oracle);
-    * it ticks on sim time and, at quiescent points, cross-checks the
-      two caches (coherence oracle);
+    * it ticks on sim time: every tick runs each cache's own invariant
+      check where the cache declares one (the sharded serving cache),
+      and at quiescent points it cross-checks the two caches (coherence
+      oracle);
     * violations raise :class:`InvariantViolation` carrying the flight
       recorder (shared with telemetry when both are armed).
     """
@@ -290,6 +295,7 @@ class VerificationHarness:
         self.oracles: List[EncoderOracle] = []
         self.violations = 0
         self.coherence_checks = 0
+        self.invariant_checks = 0
         self.regions_checked = 0
         self.undecodable_seen = 0
         self.stale_seen = 0
@@ -324,7 +330,7 @@ class VerificationHarness:
         self._links = tuple(links)
 
     def start(self) -> None:
-        """Begin the periodic quiescent-point coherence ticks."""
+        """Begin the periodic invariant and coherence ticks."""
         if self.sim is not None:
             self.sim.after(self.coherence_interval, self._tick)
 
@@ -403,6 +409,29 @@ class VerificationHarness:
             return False
         return self._enc_core.cache.epoch == self._dec_core.cache.epoch
 
+    def check_invariants(self) -> None:
+        """Run ``check_invariants()`` on each side whose cache declares it.
+
+        The sharded serving cache does: per-shard byte budgets, store
+        ids unique and homed, one packet record per stored payload.  The
+        first problem fails as ``serving_shards`` with the cache's
+        occupancy in the context.
+        """
+        for role, core in (("encoder", self._enc_core),
+                           ("decoder", self._dec_core)):
+            check = (None if core is None
+                     else getattr(core.cache, "check_invariants", None))
+            if check is None:
+                continue
+            self.invariant_checks += 1
+            problems = check()
+            if problems:
+                self.fail("serving_shards",
+                          f"{role} cache violates shard invariants: "
+                          f"{problems[0]}",
+                          role=role, problems=problems,
+                          occupancy=core.cache.shard_occupancy())
+
     def check_coherence(self, force: bool = False) -> bool:
         """Cross-check the caches; returns True if a check was performed.
 
@@ -410,8 +439,8 @@ class VerificationHarness:
         byte-identical window bytes.  Decoder-side absences are legal
         (lost carrier packets are the modelled perceived loss); a byte
         mismatch means a poisoned store.  The scan is side-effect-free:
-        it reads the stores directly so it cannot perturb LRU order or
-        trigger the caches' lazy invalidation.
+        it reads the stores with ``peek`` so it cannot perturb LRU order
+        or trigger the caches' lazy invalidation.
         """
         if not force and not self.quiescent():
             return False
@@ -425,7 +454,7 @@ class VerificationHarness:
         for entry in list(enc_cache.table.entries()):
             if entry.store_id in enc_cache._unusable_store_ids:
                 continue
-            enc_payload = enc_cache.store._data.get(entry.store_id)
+            enc_payload = enc_cache.store.peek(entry.store_id)
             if enc_payload is None:
                 continue
             dec_entry = dec_lookup(entry.fingerprint)
@@ -433,7 +462,7 @@ class VerificationHarness:
                 continue
             if dec_entry.store_id in dec_cache._unusable_store_ids:
                 continue
-            dec_payload = dec_cache.store._data.get(dec_entry.store_id)
+            dec_payload = dec_cache.store.peek(dec_entry.store_id)
             if dec_payload is None:
                 continue
             enc_window = enc_payload[entry.offset:entry.offset + window]
@@ -462,8 +491,8 @@ class VerificationHarness:
         A stall is a *performance* outcome, not an integrity violation —
         the §IV livelock is caught earlier, at the region that creates
         the circular dependency.  Here we assert only that whatever was
-        delivered was correct, and take one last coherence look if the
-        run ended quiescent.
+        delivered was correct, check the caches' invariants once more
+        and take one last coherence look if the run ended quiescent.
         """
         for outcome in outcomes:
             if outcome.content_ok is False:
@@ -472,6 +501,7 @@ class VerificationHarness:
                           name=outcome.name,
                           bytes_received=outcome.bytes_received,
                           expected_size=outcome.expected_size)
+        self.check_invariants()
         self.check_coherence()
 
     # -- violation plumbing -----------------------------------------------
@@ -500,6 +530,7 @@ class VerificationHarness:
     # -- internal ----------------------------------------------------------
 
     def _tick(self) -> None:
+        self.check_invariants()
         self.check_coherence()
         self.sim.after(self.coherence_interval, self._tick)
 

@@ -49,6 +49,23 @@ class TestPacketStore:
         with pytest.raises(ValueError):
             PacketStore(**kwargs)
 
+    @pytest.mark.parametrize("make", [
+        lambda: PacketStore(byte_budget=100, eviction="lru"),
+        lambda: ShardedByteCache(100, n_shards=1, eviction="lru").store,
+    ], ids=["single", "sharded"])
+    @pytest.mark.parametrize("read", ["get", "peek"])
+    def test_peek_leaves_lru_order_unchanged(self, make, read):
+        # get() makes the oldest payload the most recent, so the next
+        # insert evicts the other one; peek() reads it without that.
+        store = make()
+        first, second = store.add(b"a" * 40), store.add(b"b" * 40)
+        assert getattr(store, read)(first) == b"a" * 40
+        assert store.peek(999) is None
+        store.add(b"c" * 40)
+        evicted = second if read == "get" else first
+        assert store.peek(evicted) is None
+        assert store.peek(first ^ second ^ evicted) is not None
+
 
 class TestFingerprintTable:
     """The dict-table oracle (``tests/reference_cache.py``) itself."""
@@ -91,6 +108,22 @@ class TestByteCache:
 
     def test_lookup_miss_returns_none(self):
         assert ByteCache().lookup(123) is None
+
+    def test_admission_coin_is_the_sharded_caches(self):
+        plain = ByteCache(1 << 30, admission=0.5)
+        sharded = ShardedByteCache(1 << 30, n_shards=4, admission=0.5)
+        for i in range(64):
+            payload = bytes([i]) * 40
+            assert ((plain.insert_packet(payload, [(0, 16 * i + 16)]) == 0)
+                    == (sharded.insert_packet(payload,
+                                              [(0, 16 * i + 16)]) == 0))
+        assert plain.admission_rejected == sharded.admission_rejected > 0
+        assert len(plain.store) == len(sharded.store) < 64
+
+    @pytest.mark.parametrize("admission", [0.0, -0.5, 1.5])
+    def test_admission_outside_unit_interval_rejected(self, admission):
+        with pytest.raises(ValueError):
+            ByteCache(1024, admission=admission)
 
     def test_lazy_invalidation_after_eviction(self):
         cache = ByteCache(byte_budget=100)

@@ -99,6 +99,31 @@ def test_trace_command(capsys):
     assert "self-dependency livelock" in out
 
 
+def test_trace_export_round_trips_through_spans_and_flame(capsys, tmp_path):
+    """``trace --out`` writes the spans/v1 export the other two commands
+    read back with ``--from``, and the graph rebuilt from the file is the
+    one the trace command printed."""
+    import json
+    import re
+
+    from repro.metrics.depgraph import graph_from_spans
+
+    path = str(tmp_path / "trace_run.json")
+    code, out = run_cli(capsys, "trace", "--policy", "naive", "--loss", "2",
+                        "--size", str(40 * 1460), "--seed", "2",
+                        "--out", path)
+    assert code == 0
+    assert f"wrote spans/v1 export to {path}" in out
+    printed = int(re.search(r"encoded packets\s+(\d+)", out).group(1))
+    with open(path, encoding="utf-8") as handle:
+        graph, _lost = graph_from_spans(json.load(handle))
+    assert len(graph.sent) == printed > 0
+    code, out = run_cli(capsys, "spans", "--from", path, "--list")
+    assert code == 0 and "traces" in out
+    code, out = run_cli(capsys, "flame", "--from", path)
+    assert code == 0
+
+
 def test_artifact_headline(capsys):
     code, out = run_cli(capsys, "artifact", "headline")
     assert code == 0

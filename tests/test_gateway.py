@@ -127,10 +127,14 @@ class TestEncodeDecodePath:
 
 
 class TestTraceRecords:
-    """The encode / drop records cost nothing unless someone listens."""
+    """The encode / drop records cost nothing unless a recorder listens."""
 
-    def _run(self, tracer):
-        sim, pair, enc_out, dec_out = make_pair(tracer=tracer)
+    def _run(self, recorder=None, note=None):
+        sim, pair, enc_out, dec_out = make_pair()
+        for gateway in (pair.encoder, pair.decoder):
+            gateway.recorder = recorder
+            if note is not None:
+                gateway.note = note
         payload = random_bytes(6)
         for seq in (0, 1460, 2920):
             pair.encoder.receive(data_packet(payload, seq=seq))
@@ -141,37 +145,35 @@ class TestTraceRecords:
         return enc_out.packets
 
     def test_disabled_tracer_without_sink_is_never_called(self):
-        from repro.sim.trace import Tracer
+        # No recorder: the guarded sites never build a record at all.
+        def note(*args, **kwargs):
+            raise AssertionError("note() reached on the disabled path")
 
-        tracer = Tracer(enabled=False)
-
-        def emit(*args, **kwargs):
-            raise AssertionError("emit() reached on the disabled path")
-
-        tracer.emit = emit
-        self._run(tracer)
+        self._run(note=note)
 
     def test_sink_alone_still_receives_every_record(self):
-        from repro.sim.trace import Tracer
-
-        tracer = Tracer(enabled=False)
         seen = []
-        tracer.sink = lambda time, source, event, detail: seen.append(
-            (event, detail))
-        sent = self._run(tracer)
+
+        class Recorder:
+            def record(self, time, source, event, detail):
+                seen.append((event, detail))
+
+        sent = self._run(Recorder())
         assert [event for event, _ in seen] == \
             ["encode", "encode", "drop_undecodable", "drop_undecodable"]
         assert seen[1][1]["deps"] == [sent[1].packet_id]
         assert seen[2][1]["missing"] == 1
-        assert tracer.records == []
 
     def test_enabled_tracer_records_as_before(self):
-        from repro.sim.trace import Tracer
+        from repro.metrics.telemetry import FlightRecorder
 
-        tracer = Tracer(enabled=True)
-        self._run(tracer)
-        assert tracer.count(event="encode") == 2
-        assert tracer.count(event="drop_undecodable") == 2
+        recorder = FlightRecorder()
+        self._run(recorder)
+        rows = recorder.dump()
+        assert [(row["source"], row["event"]) for row in rows] == [
+            ("encoder-gw", "encode"), ("encoder-gw", "encode"),
+            ("decoder-gw", "drop_undecodable"),
+            ("decoder-gw", "drop_undecodable")]
 
 
 class TestControlChannel:

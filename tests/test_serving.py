@@ -189,9 +189,58 @@ def test_cache_pressure_unit_completes_every_request(policy):
     assert report["cache"]["log_slots"] <= 32_768
 
 
+def test_admission_applies_without_shards():
+    """``cache_admission`` reaches the unsharded cache as well: the
+    content-keyed coin rejects the same payloads, so the run saves the
+    same bytes as the 8-shard one."""
+    spec = dict(users=20, n_contents=60, cache_bytes=256 * 1024,
+                cache_admission=0.5, seed=3, max_requests=40)
+    sharded = run_serving(ServingSpec(**spec))
+    unsharded = run_serving(ServingSpec(cache_shards=0, **spec))
+    admit_all = run_serving(ServingSpec(
+        cache_shards=0, **{**spec, "cache_admission": 1.0}))
+    assert sharded["cache"]["admission_rejected"] == 75
+    assert unsharded["cache"]["admission_rejected"] == 75
+    assert admit_all["cache"]["admission_rejected"] == 0
+    saved = [report["overall"]["bytes_saved_ratio"]
+             for report in (sharded, unsharded, admit_all)]
+    assert saved[0] == saved[1] < saved[2]
+
+
+def test_verified_run_fails_on_a_broken_shard(monkeypatch):
+    """One shard's byte accounting is inflated mid-run: the harness's
+    next tick fails the run as ``serving_shards``, with the occupancy in
+    the context and the flight recorder attached."""
+    from repro.serving import engine
+    from repro.verify.oracles import InvariantViolation
+
+    real_build = engine.build_testbed
+
+    def build(config):
+        testbed = real_build(config)
+
+        def inflate():
+            testbed.gateways.decoder.cache.store.shards[3]._bytes += 1
+
+        testbed.sim.after(0.7, inflate)
+        return testbed
+
+    monkeypatch.setattr(engine, "build_testbed", build)
+    with pytest.raises(InvariantViolation) as raised:
+        run_serving(ServingSpec(users=20, n_contents=50, seed=13,
+                                verify=True))
+    violation = raised.value
+    assert violation.oracle == "serving_shards"
+    assert violation.context["role"] == "decoder"
+    assert violation.context["sim_time"] == 1.0     # the next 0.5 s tick
+    assert "shard 3: accounted" in violation.context["problems"][0]
+    assert len(violation.context["occupancy"]) == 8
+    assert violation.flight_recorder[-1]["event"] == "violation"
+
+
 def test_verified_run_checks_every_request(monkeypatch):
     """``verify=True`` arms the whole verifier, not just the shard
-    oracle: one byte-integrity sink per request, and the end-of-run
+    checks: one byte-integrity sink per request, and the end-of-run
     finalize over every outcome."""
     from repro.verify.oracles import VerificationHarness
 
@@ -300,9 +349,9 @@ def test_bench_serving_validation_rejects_garbage():
 def test_serving_soak_10k_requests_with_invariants():
     """10k requests of churning users through a tight sharded cache.
 
-    ``verify=True`` arms per-flow content checks and the serving
-    oracle (per-shard budgets respected, fingerprints in exactly one
-    shard, global count consistent) every simulated second — any
+    ``verify=True`` arms per-flow content checks and the harness's
+    shard checks (per-shard budgets respected, store ids in exactly one
+    shard, one record per payload) every half simulated second — any
     violation raises InvariantViolation and fails the run.  The pool
     bound is the leak check: without connection release the stacks
     would peak at exactly 2 table entries per request (20k); staying
@@ -318,7 +367,7 @@ def test_serving_soak_10k_requests_with_invariants():
     assert requests["completed"] == 10_000
     assert requests["unfinished"] == 0
     assert requests["content_mismatches"] == 0
-    # The oracle actually ran, repeatedly, and never raised.
+    # The shard checks actually ran, repeatedly, and never raised.
     assert report["oracle_checks"] > 10
     # Memory bound held under real eviction pressure.
     assert report["cache"]["evictions"] > 1_000

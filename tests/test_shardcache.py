@@ -306,9 +306,9 @@ def test_store_and_table_views_for_telemetry_and_oracles():
     assert cache.store.bytes_used == 40
     assert cache.store.evictions == 0
     assert cache.epoch == 0
-    # Coherence-oracle surface: side-effect-free merged _data.get.
-    assert cache.store._data.get(sid) == b"y" * 40
-    assert cache.store._data.get(sid + 999) is None
+    # Coherence-oracle surface: side-effect-free peek.
+    assert cache.store.peek(sid) == b"y" * 40
+    assert cache.store.peek(sid + 999) is None
     entries = list(cache.table.entries())
     assert {e.fingerprint for e in entries} == {FPS[0], FPS[1]}
     occupancy = cache.shard_occupancy()

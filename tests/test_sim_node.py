@@ -3,8 +3,8 @@
 import pytest
 
 from repro.net.packet import IPPacket, PROTO_TCP, PROTO_UDP, TCPSegment
+from repro.metrics.telemetry import FlightRecorder
 from repro.sim import Host, Link, Middlebox, Node, Simulator
-from repro.sim.trace import Tracer
 
 
 def make_packet(dst="10.0.0.2", proto=PROTO_TCP, ttl=64):
@@ -73,14 +73,16 @@ def test_ttl_expiry_drops():
 
 def test_header_corrupt_packet_dropped_with_trace():
     sim = Simulator()
-    tracer = Tracer()
-    node = Node(sim, "n1", tracer)
+    node = Node(sim, "n1")
+    node.recorder = FlightRecorder()
     node.set_default_route(SinkLink())
     pkt = make_packet()
     pkt.header_corrupt = True
     node.receive(pkt)
     assert node.packets_dropped == 1
-    assert tracer.count(event="drop_header_corrupt") == 1
+    assert node.recorder.dump() == [
+        {"time": 0.0, "source": "n1", "event": "drop_header_corrupt",
+         "detail": {"packet_id": pkt.packet_id}}]
 
 
 def test_host_dispatches_to_protocol_handler():

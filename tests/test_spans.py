@@ -286,18 +286,6 @@ class TestExport:
         assert "wall" not in json.dumps(rollup)
         assert rollup["by_name"]["encode"]["count"] == 1
 
-    def test_jsonl_roundtrip(self, tmp_path):
-        rec = SpanRecorder()
-        span = rec.begin("s", "x")
-        rec.end(span)
-        path = tmp_path / "spans.jsonl"
-        rec.to_jsonl(str(path))
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        assert header["schema"] == SPANS_SCHEMA
-        assert len(lines) == 1 + header["summary"]["spans"]
-        assert json.loads(lines[1])["name"] == "s"
-
     def test_spans_if_contract(self):
         assert spans_if(False) is None
         rec = spans_if(True, trace_sample=4)

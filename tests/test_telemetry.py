@@ -13,7 +13,7 @@ from repro.metrics.telemetry import (FlightRecorder, Histogram,
                                      TelemetrySampler, metric_key,
                                      telemetry_if, validate_telemetry)
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
+from repro.sim.node import Node
 
 
 class TestMetricsRegistry:
@@ -312,47 +312,35 @@ class TestTelemetryFacade:
         assert isinstance(telemetry, Telemetry)
         assert telemetry.config.sample_interval == 0.2
 
-    def test_tracer_sink_feeds_recorder_while_tracing_disabled(self):
+    def test_node_note_feeds_recorder(self):
         sim = Simulator()
         telemetry = Telemetry(sim)
-        tracer = Tracer(enabled=False)
-        tracer.bind_clock(lambda: sim.now)
-        tracer.sink = telemetry.trace_sink()
-        tracer.emit("encoder-gw", "encode", packet_id=3)
-        assert tracer.records == []  # full tracing stayed off
+        node = Node(sim, "encoder-gw")
+        node.note("encode", packet_id=3)        # no recorder: dropped
+        node.recorder = telemetry.recorder
+        sim.at(1.5, lambda: node.note("encode", packet_id=4))
+        sim.run()
         assert telemetry.recorder.events_seen == 1
-        assert telemetry.recorder.dump()[0]["detail"]["packet_id"] == 3
+        assert telemetry.recorder.dump() == [
+            {"time": 1.5, "source": "encoder-gw", "event": "encode",
+             "detail": {"packet_id": 4}}]
 
 
 class TestObserversDoNotCrossTalk:
-    """The flight recorder rides the tracer's call sites; what the
-    tracer itself records must not depend on whether it is there."""
+    """Spans annotate the flight recorder's rows with trace/span ids."""
 
-    def emit_under_open_span(self, with_sink):
+    def test_flight_recorder_dump_still_carries_the_span_ids(self):
         from repro.metrics.spans import SpanRecorder
 
         sim = Simulator()
-        tracer = Tracer(enabled=True)
-        tracer.bind_clock(lambda: sim.now)
-        telemetry = Telemetry(sim)
-        spans = SpanRecorder(sim=sim)
-        telemetry.recorder.spans = spans
-        if with_sink:
-            tracer.sink = telemetry.trace_sink()
-        span = spans.packet_begin("encode", "gw", 7)
-        tracer.emit("gw", "encode", packet_id=7)
-        spans.end(span)
-        tracer.emit("gw", "idle")
-        return tracer, telemetry.recorder
-
-    def test_tracer_records_identical_with_and_without_a_sink(self):
-        plain, _ = self.emit_under_open_span(with_sink=False)
-        tapped, _ = self.emit_under_open_span(with_sink=True)
-        assert tapped.to_jsonl() == plain.to_jsonl()
-        assert tapped.records[0].detail == {"packet_id": 7}
-
-    def test_flight_recorder_dump_still_carries_the_span_ids(self):
-        _, recorder = self.emit_under_open_span(with_sink=True)
+        recorder = Telemetry(sim).recorder
+        recorder.spans = SpanRecorder(sim=sim)
+        node = Node(sim, "gw")
+        node.recorder = recorder
+        span = recorder.spans.packet_begin("encode", "gw", 7)
+        node.note("encode", packet_id=7)
+        recorder.spans.end(span)
+        node.note("idle")
         assert recorder.dump() == [
             {"time": 0.0, "source": "gw", "event": "encode",
              "detail": {"packet_id": 7, "trace": 1, "span": 1}},
@@ -367,24 +355,6 @@ class TestObserversDoNotCrossTalk:
         recorder.spans.begin("encode", "gw")
         recorder.record(0.0, "verify", "violation", {"trace": 9, "span": 4})
         assert recorder.dump()[0]["detail"] == {"trace": 9, "span": 4}
-
-
-class TestTracerJsonl:
-    def test_to_jsonl_round_trips(self):
-        tracer = Tracer(enabled=True)
-        tracer.emit("gw", "encode", packet_id=1, deps=[0],
-                    raw=b"\x01", nested={"k": ("a", 2)})
-        tracer.emit("gw", "drop", packet_id=2)
-        lines = tracer.to_jsonl().splitlines()
-        assert len(lines) == 2
-        first = json.loads(lines[0])
-        assert first["source"] == "gw"
-        assert first["detail"]["deps"] == [0]
-        assert first["detail"]["raw"] == "01"  # bytes -> hex
-        assert first["detail"]["nested"] == {"k": ["a", 2]}
-
-    def test_to_jsonl_empty(self):
-        assert Tracer(enabled=True).to_jsonl() == ""
 
 
 class TestEndToEnd:
