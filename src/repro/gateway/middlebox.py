@@ -255,6 +255,7 @@ class EncoderGateway(_GatewayBase):
             payload.dre_epoch = self.cache.epoch
             if hasattr(payload, "options_size"):
                 payload.options_size += EPOCH_STAMP_SIZE
+        pkt.reread_size()
         if result.encoded:
             self.stats.encoded_packets += 1
             if self.recorder is not None:
@@ -378,6 +379,7 @@ class DecoderGateway(_GatewayBase):
             if result.ok:
                 payload.data = result.payload
                 payload.dre_encoded = False
+                pkt.reread_size()
                 self.stats.decoded_ok += 1
                 status = "ok"
                 return pkt

@@ -11,7 +11,7 @@ via :attr:`IPPacket.wire_size`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 IP_HEADER_SIZE = 20
@@ -22,10 +22,9 @@ PROTO_TCP = 6
 PROTO_UDP = 17
 PROTO_DRE_CONTROL = 253  # gateway-to-gateway control channel (informed marking / NACK)
 
-_packet_ids = itertools.count(1)
+_next_packet_id = itertools.count(1).__next__
 
 
-@dataclass
 class TCPSegment:
     """A TCP segment.
 
@@ -36,19 +35,33 @@ class TCPSegment:
     the *original* payload; the receiving endpoint verifies it after any
     DRE reconstruction, which is how mis-reconstructed payloads get
     dropped (mirroring the role of the real TCP checksum).
+
+    Slotted: ``dre_wire_tag`` and ``dre_epoch`` are what the encoder
+    gateway puts in the shim besides the regions (a policy's wire tag
+    and, with resilience armed, the cache epoch).
     """
 
-    src_port: int
-    dst_port: int
-    seq: int
-    ack: int
-    flags: int
-    window: int
-    data: bytes = b""
-    checksum: int = 0
-    options_size: int = 0
-    dre_encoded: bool = False
-    sack_blocks: tuple = ()
+    __slots__ = ("src_port", "dst_port", "seq", "ack", "flags", "window",
+                 "data", "checksum", "options_size", "dre_encoded",
+                 "sack_blocks", "dre_wire_tag", "dre_epoch")
+
+    def __init__(self, src_port: int, dst_port: int, seq: int, ack: int,
+                 flags: int, window: int, data: bytes = b"",
+                 checksum: int = 0, options_size: int = 0,
+                 dre_encoded: bool = False, sack_blocks: tuple = ()) -> None:
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.seq = seq
+        self.ack = ack
+        self.flags = flags
+        self.window = window
+        self.data = data
+        self.checksum = checksum
+        self.options_size = options_size
+        self.dre_encoded = dre_encoded
+        self.sack_blocks = sack_blocks
+        self.dre_wire_tag: object = None
+        self.dre_epoch: Optional[int] = None
 
     # flag bits
     FIN = 0x01
@@ -144,23 +157,37 @@ class ControlMessage:
         return total
 
 
-@dataclass
 class IPPacket:
-    """An IP packet wrapping one of the transport payloads above."""
+    """An IP packet wrapping one of the transport payloads above.
 
-    src: str
-    dst: str
-    proto: int
-    payload: object
-    ttl: int = 64
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    header_corrupt: bool = False
-    created_at: float = 0.0
+    ``wire_size`` -- the bytes the packet occupies on a link, IP header
+    plus payload -- is read from the payload once, here, and stored:
+    every link crossing and gateway byte counter reads the slot.  Code
+    that rewrites the payload in place (the gateways' encode and
+    decode, corruption) calls :meth:`reread_size` afterwards.
+    """
 
-    @property
-    def wire_size(self) -> int:
-        """Bytes this packet occupies on a link (IP header + payload)."""
-        return IP_HEADER_SIZE + self.payload.size
+    __slots__ = ("src", "dst", "proto", "payload", "ttl", "packet_id",
+                 "header_corrupt", "created_at", "wire_size")
+
+    def __init__(self, src: str, dst: str, proto: int, payload: object,
+                 ttl: int = 64, packet_id: Optional[int] = None,
+                 header_corrupt: bool = False,
+                 created_at: float = 0.0) -> None:
+        self.src = src
+        self.dst = dst
+        self.proto = proto
+        self.payload = payload
+        self.ttl = ttl
+        self.packet_id = (_next_packet_id() if packet_id is None
+                          else packet_id)
+        self.header_corrupt = header_corrupt
+        self.created_at = created_at
+        self.wire_size: int = IP_HEADER_SIZE + payload.size  # type: ignore[attr-defined]
+
+    def reread_size(self) -> None:
+        """Re-read ``wire_size`` after the payload was rewritten in place."""
+        self.wire_size = IP_HEADER_SIZE + self.payload.size  # type: ignore[attr-defined]
 
     @property
     def tcp(self) -> Optional[TCPSegment]:

@@ -301,7 +301,14 @@ class TCPConnection:
             return
 
         if flags & _ACK:
-            self._process_ack(segment)
+            window = segment.window
+            mss = self.config.mss
+            self._peer_rwnd = window if window > mss else mss
+            # With nothing in flight and no SACK blocks, an ACK can change
+            # only the window -- the case for every data segment the
+            # receiving end of a transfer takes.
+            if self.snd_nxt != self.snd_una or segment.sack_blocks:
+                self._process_ack(segment)
 
         if segment.data or flags & _FIN:
             self._process_payload(segment)
@@ -338,16 +345,15 @@ class TCPConnection:
     # ------------------------------------------------------------------
 
     def _effective_window(self) -> int:
-        window = min(self.cc.window(), self._peer_rwnd)
+        window = self.cc.window()
+        if self._peer_rwnd < window:
+            window = self._peer_rwnd
         if 0 < self._dup_ack_count < self.config.dup_ack_threshold:
             # RFC 3042 limited transmit: the first two duplicate ACKs
             # each allow one new segment, keeping the ACK clock alive
             # when the window is too small for fast retransmit.
             window += self._dup_ack_count * self.config.mss
         return window
-
-    def _buffer_end_seq(self) -> int:
-        return self._buffer_seq + len(self._buffer)
 
     def _try_send(self) -> None:
         """Transmit as much new data as the windows allow."""
@@ -378,9 +384,11 @@ class TCPConnection:
 
     def _send_new_data_once(self) -> bool:
         """Send one new segment if data is available (recovery rule b)."""
-        if self.snd_nxt >= self._buffer_end_seq():
+        chunk_len = self._buffer_seq + len(self._buffer) - self.snd_nxt
+        if chunk_len <= 0:
             return False
-        chunk_len = min(self.config.mss, self._buffer_end_seq() - self.snd_nxt)
+        if chunk_len > self.config.mss:
+            chunk_len = self.config.mss
         self._send_from_buffer(self.snd_nxt, chunk_len, fresh=True)
         self.snd_nxt += chunk_len
         return True
@@ -393,9 +401,10 @@ class TCPConnection:
     def _maybe_send_fin(self) -> None:
         if not self._fin_queued or self._fin_seq is not None:
             return  # no close requested, or FIN already sent
-        if self.snd_nxt < self._buffer_end_seq():
+        buffer_end = self._buffer_seq + len(self._buffer)
+        if self.snd_nxt < buffer_end:
             return  # data still unsent; FIN goes after it
-        self._fin_seq = self._buffer_end_seq()
+        self._fin_seq = buffer_end
         self._send_segment(TCPSegment.FIN | TCPSegment.ACK, seq=self._fin_seq)
         self.snd_nxt = self._fin_seq + 1
         self.state = TCPState.FIN_SENT
@@ -409,9 +418,10 @@ class TCPConnection:
             flags=flags, window=self._advertised_window,
             data=data, checksum=payload_checksum(data))
         if fresh:
-            self.stats.bytes_sent += len(data)
+            length = len(data)
+            self.stats.bytes_sent += length
             if self._timing is None:
-                self._timing = (seq + len(data), self.sim.now)
+                self._timing = (seq + length, self.sim.now)
         else:
             self.stats.retransmissions += 1
             self._timing = None  # Karn: a retransmission spoils the sample
@@ -434,14 +444,15 @@ class TCPConnection:
             seq=seq,
             ack=self.rcv_nxt if self.rcv_nxt is not None else 0,
             flags=flags, window=self._advertised_window,
-            options_size=options_size)
-        segment.sack_blocks = sack_blocks
+            options_size=options_size, sack_blocks=sack_blocks)
         self.stats.segments_sent += 1
         self._transmit(segment)
 
     def _send_ack(self) -> None:
-        self._delack_pending = 0
-        self._delack_timer.stop()
+        if self._delack_pending:
+            # The delayed-ACK timer is armed only while ACKs are owed.
+            self._delack_pending = 0
+            self._delack_timer.stop()
         blocks: tuple = ()
         if self.config.sack_enabled and self._ooo_ranges:
             blocks = select_sack_blocks(self._ooo_ranges,
@@ -458,13 +469,14 @@ class TCPConnection:
     # ------------------------------------------------------------------
 
     def _process_ack(self, segment: TCPSegment) -> None:
+        """Sender side of an ACK (``segment_arrived`` took its window)."""
         ack = segment.ack
-        self._peer_rwnd = max(segment.window, self.config.mss)
-
         if ack > self.snd_nxt:
             return  # acks data we never sent; ignore
 
-        sack_advanced = self._absorb_sack(segment)
+        # The common ACK carries no blocks and leaves the scoreboard be.
+        sack_advanced = (self._absorb_sack(segment) if segment.sack_blocks
+                         else False)
         if sack_advanced and self._retx_sent:
             self._detect_lost_retransmits(ack)
 
@@ -520,9 +532,10 @@ class TCPConnection:
         self._try_send()
 
     def _absorb_sack(self, segment: TCPSegment) -> bool:
+        """Fold a segment's (non-empty) SACK blocks into the scoreboard."""
+        if not self.config.sack_enabled:
+            return False
         blocks = segment.sack_blocks
-        if not blocks or not self.config.sack_enabled:
-            return False  # the common ACK: scoreboard untouched
         before = self._sacked.coverage(self.snd_una, self.snd_nxt)
         for start, end in blocks:
             if end > self.snd_una:
@@ -610,7 +623,8 @@ class TCPConnection:
 
     def _next_hole(self) -> Optional[tuple]:
         """Lowest unsacked, un-retransmitted hole in the loss domain."""
-        data_end = min(self._loss_domain_end(), self._buffer_end_seq())
+        data_end = min(self._loss_domain_end(),
+                       self._buffer_seq + len(self._buffer))
         for gap_start, gap_end in self._sacked.gaps(self.snd_una, data_end):
             for sub_start, sub_end in self._retx_marked.gaps(gap_start, gap_end):
                 if sub_end > sub_start:
@@ -624,7 +638,7 @@ class TCPConnection:
                 and not self._sacked.contains_point(self.snd_una):
             self._retransmit_range(self.snd_una,
                                    min(self.snd_una + mss,
-                                       self._buffer_end_seq()))
+                                       self._buffer_seq + len(self._buffer)))
         budget = 200  # hard bound on work per ACK
         while budget > 0:
             budget -= 1
@@ -645,7 +659,7 @@ class TCPConnection:
     def _retransmit_range(self, start: int, end: int) -> None:
         if end <= start:
             return
-        if start >= self._buffer_end_seq():
+        if start >= self._buffer_seq + len(self._buffer):
             # The hole is the FIN.
             if self._fin_seq is not None and start == self._fin_seq:
                 self._send_segment(TCPSegment.FIN | TCPSegment.ACK,
@@ -672,7 +686,8 @@ class TCPConnection:
             self._send_segment(TCPSegment.FIN | TCPSegment.ACK, seq=self._fin_seq)
             return
         seq = self.snd_una
-        end = min(seq + self.config.mss, self._buffer_end_seq())
+        end = min(seq + self.config.mss,
+                  self._buffer_seq + len(self._buffer))
         if end <= seq:
             return
         # Goes through _retransmit_range so the recovery scoreboard
@@ -689,7 +704,9 @@ class TCPConnection:
 
     def _trim_buffer(self, ack: int) -> None:
         """Release acknowledged bytes from the send buffer."""
-        end = min(ack, self._buffer_end_seq())
+        end = self._buffer_seq + len(self._buffer)
+        if ack < end:
+            end = ack
         if end > self._buffer_seq:
             del self._buffer[: end - self._buffer_seq]
             self._buffer_seq = end

@@ -140,7 +140,7 @@ class RangeSet:
                 break
             if range_start > cursor:
                 out.append((cursor, range_start))
-            cursor = max(cursor, range_end)
+            cursor = range_end  # past the ``continue``: range_end > cursor
         if cursor < end:
             out.append((cursor, end))
         return out

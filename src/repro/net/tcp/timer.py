@@ -33,8 +33,12 @@ class RtoEstimator:
     @property
     def rto(self) -> float:
         """Current RTO including any backoff, clamped to [min, max]."""
-        backed_off = self._rto * (1 << self._backoff)
-        return min(self.max_rto, max(self.min_rto, backed_off))
+        # min(max_rto, max(min_rto, backed_off)), without the two calls:
+        # the timer is re-armed on nearly every ACK.
+        rto = self._rto * (1 << self._backoff)
+        if not rto > self.min_rto:
+            rto = self.min_rto
+        return rto if rto < self.max_rto else self.max_rto
 
     @property
     def backoff_exponent(self) -> int:

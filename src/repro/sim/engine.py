@@ -42,7 +42,7 @@ class Event:
         if self.cancelled or self.done:
             return
         self.cancelled = True
-        self._sim._live -= 1
+        self._sim._cancelled += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("cancelled" if self.cancelled
@@ -65,10 +65,12 @@ class Simulator:
         self.now = 0.0
         self._running = False
         self._stopped = False
+        #: Callbacks dispatched by past :meth:`run` calls; settled when a
+        #: run returns or raises, not per event.
         self.events_processed = 0
-        #: Live (scheduled, neither cancelled nor executed) event count;
-        #: maintained incrementally so :meth:`pending` is O(1).
-        self._live = 0
+        #: Heap entries whose handle was cancelled before dispatch; the
+        #: run loop drops them as it pops them.
+        self._cancelled = 0
 
     # post() and post_after() each push their own entry instead of one
     # calling the other: links post twice per packet, so a hop there is
@@ -86,7 +88,6 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (time, seq, fn, args, event))
-        self._live += 1
         return event
 
     def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -110,7 +111,6 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (time, seq, fn, args, None))
-        self._live += 1
 
     def post_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """:meth:`post` at ``delay`` seconds from now."""
@@ -119,7 +119,6 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (self.now + delay, seq, fn, args, None))
-        self._live += 1
 
     def stop(self) -> None:
         """Stop the run loop after the current event returns."""
@@ -135,22 +134,24 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         self._stopped = False
+        # Counted in a local and settled into ``events_processed`` once,
+        # on the way out: the loop writes no counter attribute per event.
         processed = 0
         heap = self._heap
+        pop = heappop
         try:
             while heap and not self._stopped:
                 if until is not None and heap[0][0] > until:
                     self.now = until
                     break
-                time, _seq, fn, args, handle = heappop(heap)
+                time, _seq, fn, args, handle = pop(heap)
                 if handle is not None:
                     if handle.cancelled:
+                        self._cancelled -= 1
                         continue
                     handle.done = True
-                self._live -= 1
                 self.now = time
                 fn(*args)
-                self.events_processed += 1
                 processed += 1
                 if max_events is not None and processed >= max_events:
                     break
@@ -158,17 +159,19 @@ class Simulator:
                 if until is not None and not self._stopped:
                     self.now = max(self.now, until)
         finally:
+            self.events_processed += processed
             self._running = False
         return self.now
 
     def pending(self) -> int:
         """Number of scheduled (non-cancelled) events still queued.
 
-        O(1): a live-event counter is maintained by ``at``/``cancel``
-        and the run loop, so the resilience watchdog (and tests) can
-        poll this without scanning the heap.
+        O(1): the heap's length less the cancelled entries still in it,
+        a count kept by ``cancel()`` and the run loop that drops them,
+        so the resilience watchdog (and tests) can poll this without
+        scanning the heap.
         """
-        return self._live
+        return len(self._heap) - self._cancelled
 
 
 class Timer:

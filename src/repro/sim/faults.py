@@ -325,6 +325,7 @@ class FaultInjector:
                     for position in range(span):
                         damaged[position] ^= 0xFF
                     pkt.payload.data = bytes(damaged)
+                    pkt.reread_size()
                 break
         self._original_send(pkt)
 

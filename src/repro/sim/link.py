@@ -199,10 +199,8 @@ class Link:
         """Offer ``pkt`` to the link for transmission."""
         if self.receiver is None:
             raise RuntimeError(f"link {self.name!r} has no receiver connected")
-        # The one size read of the crossing: ``wire_size`` walks the
-        # payload, and nothing resizes a packet while the link holds it
-        # (``_corrupt`` flips bytes in place), so the value rides in the
-        # event args to ``_deliver``.
+        # A stored slot (IPPacket reads its payload's size once, at
+        # construction, and again only after a rewrite in place).
         size = pkt.wire_size
         stats = self.stats
         stats.packets_offered += 1
@@ -224,11 +222,11 @@ class Link:
         self._busy_until = done = start + size / self.bandwidth
         self._queued += 1
         # Fire-and-forget: links never cancel a transmission.
-        sim.post(done, self._transmitted, pkt, size)
+        sim.post(done, self._transmitted, pkt)
 
     # -- internal ---------------------------------------------------------
 
-    def _transmitted(self, pkt: IPPacket, size: int) -> None:
+    def _transmitted(self, pkt: IPPacket) -> None:
         """Packet finished serialising; apply impairments and propagate.
 
         Loss, ``down`` and ``loss_model`` are sampled here, at the end
@@ -272,12 +270,12 @@ class Link:
             if spans is not None:
                 spans.link_annotate(pkt.packet_id, "reordered")
 
-        self.sim.post_after(delay, self._deliver, pkt, size)
+        self.sim.post_after(delay, self._deliver, pkt)
 
-    def _deliver(self, pkt: IPPacket, size: int) -> None:
+    def _deliver(self, pkt: IPPacket) -> None:
         stats = self.stats
         stats.packets_delivered += 1
-        stats.bytes_delivered += size
+        stats.bytes_delivered += pkt.wire_size
         spans = self.spans
         if spans is not None:
             spans.link_end(pkt.packet_id, "delivered")
@@ -300,6 +298,7 @@ class Link:
             pos = self.rng.randrange(len(data))
             data[pos] ^= self.rng.randint(1, 255)
         pkt.payload.data = bytes(data)
+        pkt.reread_size()
         return pkt
 
 

@@ -60,10 +60,6 @@ class Node:
             return
         self.handle(pkt)
 
-    def handle(self, pkt: IPPacket) -> None:
-        """Default behaviour: forward towards the destination."""
-        self.forward(pkt)
-
     def forward(self, pkt: IPPacket) -> None:
         pkt.ttl -= 1
         if pkt.ttl <= 0:
@@ -77,6 +73,20 @@ class Node:
             return
         self.packets_forwarded += 1
         link.send(pkt)
+
+    #: What :meth:`receive` does with a sound packet; subclasses override
+    #: it.  A plain node forwards, and binding the method itself (not a
+    #: wrapper calling it) makes a forwarding hop two frames, not three.
+    handle = forward
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # ``handle = forward`` bound a function, not a call of
+        # ``self.forward``: a subclass that inherits that binding gets
+        # it re-bound to its own ``forward``, overridden or not.
+        parent = super(cls, cls)
+        if "handle" not in vars(cls) and parent.handle is parent.forward:
+            cls.handle = cls.forward
 
 
 class Host(Node):

@@ -334,3 +334,101 @@ class TestPooledEvents:
         sim.post(0.0, tick)
         sim.run()
         assert ticks == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+class TestAccounting:
+    """``pending()`` and ``events_processed`` stay exact however events
+    are cancelled and however a run ends.  Three handle events at 1-3 s
+    and a posted one at 4 s, each appending its time to ``fired``."""
+
+    @staticmethod
+    def _schedule():
+        sim = Simulator()
+        fired = []
+        handles = [sim.at(float(t), fired.append, t) for t in (1, 2, 3)]
+        sim.post(4.0, fired.append, 4)
+        return sim, fired, handles
+
+    def test_cancel_before_dispatch(self):
+        sim, fired, handles = self._schedule()
+        handles[1].cancel()
+        assert sim.pending() == 3
+        sim.run()
+        assert fired == [1, 3, 4]
+        assert sim.pending() == 0
+        assert sim.events_processed == 3
+
+    def test_cancel_after_dispatch(self):
+        sim, fired, handles = self._schedule()
+        sim.run(until=1.5)
+        handles[0].cancel()             # already fired: nothing to undo
+        assert sim.pending() == 3
+        assert sim.events_processed == 1
+        sim.run()
+        assert fired == [1, 2, 3, 4]
+        assert sim.pending() == 0
+        assert sim.events_processed == 4
+
+    def test_double_cancel(self):
+        sim, fired, handles = self._schedule()
+        handles[2].cancel()
+        handles[2].cancel()
+        assert sim.pending() == 3
+        sim.run()
+        assert fired == [1, 2, 4]
+        assert sim.events_processed == 3
+        # The dropped entry leaves no residue in the count.
+        assert sim.pending() == 0
+        sim.post(5.0, fired.append, 5)
+        assert sim.pending() == 1
+
+    def test_cancelled_entry_left_behind_a_bounded_run(self):
+        sim, fired, handles = self._schedule()
+        handles[2].cancel()
+        sim.run(until=2.5)
+        assert sim.pending() == 1       # the post; the cancel is not live
+        assert sim.events_processed == 2
+        sim.run()
+        assert fired == [1, 2, 4]
+        assert sim.pending() == 0
+        assert sim.events_processed == 3
+
+    @pytest.mark.parametrize("stop", ["max_events", "until", "stop"])
+    def test_bounded_run(self, stop):
+        sim, fired, handles = self._schedule()
+        if stop == "max_events":
+            sim.run(max_events=2)
+        elif stop == "until":
+            sim.run(until=2.5)
+        else:
+            sim.at(2.0, sim.stop)       # dispatched after the 2 s event
+            sim.run()
+        dispatched = 3 if stop == "stop" else 2
+        assert fired == [1, 2]
+        assert sim.pending() == 2
+        assert sim.events_processed == dispatched
+        sim.run()
+        assert fired == [1, 2, 3, 4]
+        assert sim.pending() == 0
+        assert sim.events_processed == dispatched + 2
+
+    def test_callback_that_raises(self):
+        sim, fired, handles = self._schedule()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.at(2.0, boom)               # dispatched after the 2 s event
+        with pytest.raises(RuntimeError):
+            sim.run()
+        # The raising callback was popped but does not count as processed.
+        assert fired == [1, 2]
+        assert sim.now == 2.0
+        assert sim.events_processed == 2
+        assert sim.pending() == 2
+        handles[2].cancel()
+        assert sim.pending() == 1
+        sim.run()                       # the loop is usable again
+        assert fired == [1, 2, 4]
+        assert sim.pending() == 0
+        assert sim.events_processed == 3

@@ -71,6 +71,36 @@ def test_ttl_expiry_drops():
     assert sink.sent == []
 
 
+def test_subclass_forward_override_is_what_receive_calls():
+    class Counting(Node):
+        def forward(self, pkt):
+            self.seen = getattr(self, "seen", 0) + 1
+            super().forward(pkt)
+
+    class Deeper(Counting):
+        def forward(self, pkt):
+            pkt.ttl += 1
+            super().forward(pkt)
+
+    class RoutedHost(Host):
+        def forward(self, pkt):
+            raise AssertionError("a host delivers its own packets")
+
+    sim = Simulator()
+    for cls in (Counting, Deeper):
+        node = cls(sim, "n1")
+        sink = SinkLink()
+        node.set_default_route(sink)
+        node.receive(make_packet(ttl=1))
+        assert node.seen == 1
+        assert len(sink.sent) == (cls is Deeper)
+    host = RoutedHost(sim, "h", "10.0.0.2")
+    seen = []
+    host.register_protocol(PROTO_TCP, seen.append)
+    host.receive(make_packet())
+    assert len(seen) == 1
+
+
 def test_header_corrupt_packet_dropped_with_trace():
     sim = Simulator()
     node = Node(sim, "n1")

@@ -101,6 +101,82 @@ def test_transfer_matches_golden(policy):
     assert _observed(policy) == GOLDEN[policy]
 
 
+def _dispatch_order(policy):
+    """``(count, sha256)`` of every callback the run loop dispatches, as
+    ``(simulated time, callback __qualname__)`` in dispatch order.
+
+    A profile hook sees each call whose caller is ``Simulator.run``
+    itself, so the digest depends on the engine only through what it
+    dispatches and when, not on how its loop is written.  A frame's
+    qualname is its function's (``code.co_qualname`` needs Python 3.11).
+    """
+    import gc
+    import sys
+    import types
+    from heapq import heappop
+
+    from repro.sim.engine import Simulator
+
+    config = _config(policy)
+    testbed = runner.build_testbed(config)
+    data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
+    run_code = Simulator.run.__code__
+    engine_builtins = (heappop, max)   # the loop's own bookkeeping calls
+    sim = testbed.sim
+    digest = hashlib.sha256()
+    count = [0]
+    qualnames = {}
+
+    def qualname(code):
+        name = qualnames.get(code)
+        if name is None:
+            name = qualnames[code] = next(
+                ref.__qualname__ for ref in gc.get_referrers(code)
+                if isinstance(ref, types.FunctionType))
+        return name
+
+    def on_event(frame, event, arg):
+        if event == "call":
+            if frame.f_back is not None and frame.f_back.f_code is run_code:
+                name = qualname(frame.f_code)
+            else:
+                return
+        elif (event == "c_call" and frame.f_code is run_code
+                and arg not in engine_builtins):
+            name = arg.__qualname__
+        else:
+            return
+        count[0] += 1
+        digest.update(f"{sim.now!r} {name}\n".encode("ascii"))
+
+    sys.setprofile(on_event)
+    try:
+        runner.run_fetches(testbed, config, {runner.FILE_NAME: data},
+                           [runner.Fetch()])
+    finally:
+        sys.setprofile(None)
+    return count[0], digest.hexdigest()
+
+
+#: Read at the commit before the engine stopped counting per event and
+#: packets began storing their size.  The event counts in
+#: ``GOLDEN`` only catch a tie-order change that happens to move a
+#: counted digit; this catches any.
+GOLDEN_DISPATCH = {
+    None: (
+        4924,
+        "0a3214bd11ba90b3675073835243280ec5412192c599eaac6c571dacd6eef295"),
+    "tcp_seq": (
+        5414,
+        "4f41262066a1bc9ae17f12f972b69e7836c2c53e14b12dd068bc7e024c4fd77c"),
+}
+
+
+@pytest.mark.parametrize("policy", list(GOLDEN_DISPATCH), ids=str)
+def test_dispatch_order_matches_golden(policy):
+    assert _dispatch_order(policy) == GOLDEN_DISPATCH[policy]
+
+
 def _strip_spans(doc):
     # Wall times are host noise and packet ids come from a
     # process-global counter; everything else must replay exactly.
@@ -186,4 +262,6 @@ if __name__ == "__main__":  # pragma: no cover - golden regeneration
 
     pprint.pprint({policy: _observed(policy) for policy in GOLDEN},
                   sort_dicts=False)
+    pprint.pprint({policy: _dispatch_order(policy)
+                   for policy in GOLDEN_DISPATCH}, sort_dicts=False)
     pprint.pprint({run: _exports_of(run) for run in GOLDEN_EXPORTS})
