@@ -40,7 +40,7 @@ from ...core.checksum import payload_checksum, verify_payload
 from ...sim.engine import Simulator, Timer
 from ..packet import TCPSegment
 from .congestion import make_congestion_control
-from .sack import RangeSet, select_sack_blocks
+from .sack import RangeSet, select_sack_blocks, walk_scoreboard
 from .timer import RtoEstimator
 
 
@@ -382,17 +382,6 @@ class TCPConnection:
         if self.snd_nxt > self.snd_una:
             self._arm_retx_timer(only_if_unarmed=True)
 
-    def _send_new_data_once(self) -> bool:
-        """Send one new segment if data is available (recovery rule b)."""
-        chunk_len = self._buffer_seq + len(self._buffer) - self.snd_nxt
-        if chunk_len <= 0:
-            return False
-        if chunk_len > self.config.mss:
-            chunk_len = self.config.mss
-        self._send_from_buffer(self.snd_nxt, chunk_len, fresh=True)
-        self.snd_nxt += chunk_len
-        return True
-
     def _send_from_buffer(self, seq: int, length: int, fresh: bool) -> None:
         start = seq - self._buffer_seq
         data = bytes(self._buffer[start: start + length])
@@ -454,7 +443,9 @@ class TCPConnection:
             self._delack_pending = 0
             self._delack_timer.stop()
         blocks: tuple = ()
-        if self.config.sack_enabled and self._ooo_ranges:
+        # The dict is empty exactly when ``_ooo_ranges`` is, and tests
+        # without a call.
+        if self.config.sack_enabled and self._ooo_data:
             blocks = select_sack_blocks(self._ooo_ranges,
                                         self._recent_ooo_seqs)
         self._send_segment(TCPSegment.ACK, seq=self.snd_nxt,
@@ -532,16 +523,19 @@ class TCPConnection:
         self._try_send()
 
     def _absorb_sack(self, segment: TCPSegment) -> bool:
-        """Fold a segment's (non-empty) SACK blocks into the scoreboard."""
+        """Fold a segment's (non-empty) SACK blocks into the scoreboard;
+        True if they covered anything new."""
         if not self.config.sack_enabled:
             return False
-        blocks = segment.sack_blocks
-        before = self._sacked.coverage(self.snd_una, self.snd_nxt)
-        for start, end in blocks:
-            if end > self.snd_una:
-                self._sacked.add(max(start, self.snd_una),
-                                 min(end, self.snd_nxt))
-        return self._sacked.coverage(self.snd_una, self.snd_nxt) > before
+        una = self.snd_una
+        nxt = self.snd_nxt
+        sacked = self._sacked
+        added = 0
+        for start, end in segment.sack_blocks:
+            if end > una:
+                added += sacked.add(start if start > una else una,
+                                    end if end < nxt else nxt)
+        return added > 0
 
     def _detect_lost_retransmits(self, ack: int) -> None:
         """Un-mark retransmissions that were themselves lost.
@@ -549,10 +543,11 @@ class TCPConnection:
         A resent range that is still a hole once data sent *after* the
         resend has been SACKed did not arrive (Linux 2.6.24-4.3
         ``tcp_mark_lost_retrans``; RACK since 4.4).  Taking it out of
-        ``_retx_marked`` makes it a presumed-lost hole again, so
-        ``_pipe`` stops counting it in flight and ``_next_hole`` resends
-        it inside this episode instead of leaving it to the RTO.  The
-        window is not reduced a second time (Linux made no change).
+        ``_retx_marked`` makes it a presumed-lost hole again, so the
+        next scoreboard walk stops counting it in flight and
+        ``_sack_transmit`` resends it inside this episode instead of
+        leaving it to the RTO.  The window is not reduced a second time
+        (Linux made no change).
         """
         floor = max(ack, self.snd_una)
         highest_sacked = self._sacked.max_end()
@@ -595,75 +590,70 @@ class TCPConnection:
 
     # -- SACK-based recovery transmission ---------------------------------
 
-    def _loss_domain_end(self) -> int:
-        """Highest sequence presumed lost when unsacked.
-
-        After an RTO everything outstanding is presumed lost (go-back-N
-        over the scoreboard); in SACK fast recovery only holes below the
-        highest SACKed byte are known-lost (RFC 6675).
-        """
-        if self._rto_mode and self._recovery_point is not None:
-            return min(self._recovery_point, self.snd_nxt)
-        return min(self._sacked.max_end(), self.snd_nxt)
-
-    def _pipe(self) -> int:
-        """RFC 6675 pipe: bytes considered in flight.
-
-        flight minus SACKed minus presumed-lost-and-not-yet-
-        retransmitted holes in the loss domain.
-        """
-        flight = self.flight_size
-        sacked = self._sacked.coverage(self.snd_una, self.snd_nxt)
-        lost = 0
-        domain_end = self._loss_domain_end()
-        for gap_start, gap_end in self._sacked.gaps(self.snd_una, domain_end):
-            lost += (gap_end - gap_start) - self._retx_marked.coverage(
-                gap_start, gap_end)
-        return flight - sacked - lost
-
-    def _next_hole(self) -> Optional[tuple]:
-        """Lowest unsacked, un-retransmitted hole in the loss domain."""
-        data_end = min(self._loss_domain_end(),
-                       self._buffer_seq + len(self._buffer))
-        for gap_start, gap_end in self._sacked.gaps(self.snd_una, data_end):
-            for sub_start, sub_end in self._retx_marked.gaps(gap_start, gap_end):
-                if sub_end > sub_start:
-                    return (sub_start, min(sub_end, sub_start + self.config.mss))
-        return None
-
     def _sack_transmit(self, force_front: bool = False) -> None:
-        """Fill holes / send new data while the pipe has room."""
+        """Fill holes / send new data while the pipe has room.
+
+        The scoreboard is walked once per call, after any forced resend
+        of the front segment.  Nothing sent below changes what is
+        SACKed, the loss domain or the buffer (links and fault
+        injectors only post events), so a resend adds its length to the
+        pipe and moves past its hole, and a new segment adds its length
+        to the pipe and the flight.
+        """
         mss = self.config.mss
-        if force_front and not self._retx_marked.contains_point(self.snd_una) \
-                and not self._sacked.contains_point(self.snd_una):
-            self._retransmit_range(self.snd_una,
-                                   min(self.snd_una + mss,
-                                       self._buffer_seq + len(self._buffer)))
+        buffer_end = self._buffer_seq + len(self._buffer)
+        una = self.snd_una
+        if force_front and not self._retx_marked.contains_point(una) \
+                and not self._sacked.contains_point(una):
+            self._retransmit_range(una, min(una + mss, buffer_end))
+        nxt = self.snd_nxt
+        # Unsacked bytes presumed lost: after an RTO everything
+        # outstanding (go-back-N over the scoreboard); in SACK fast
+        # recovery only those below the highest SACKed byte (RFC 6675).
+        if self._rto_mode and self._recovery_point is not None:
+            lost_end = self._recovery_point
+        else:
+            lost_end = self._sacked.max_end()
+        pipe, holes = walk_scoreboard(self._sacked, self._retx_marked,
+                                      una, nxt, lost_end, buffer_end)
+        hole = 0
+        hole_count = len(holes)
+        cwnd = self.cc.window()
+        rwnd = self._peer_rwnd
+        flight = nxt - una
         budget = 200  # hard bound on work per ACK
         while budget > 0:
             budget -= 1
-            if self._pipe() + mss > self.cc.window():
+            if pipe + mss > cwnd:
                 break
-            hole = self._next_hole()
-            if hole is not None:
-                self._retransmit_range(hole[0], hole[1])
+            if hole < hole_count:
+                start, end = holes[hole]
+                if end - start > mss:
+                    holes[hole] = (start + mss, end)
+                    end = start + mss
+                else:
+                    hole += 1
+                self._retransmit_range(start, end)
+                pipe += end - start
                 continue
             # New data is additionally bounded by the peer's window:
             # outstanding (unacked) bytes must never exceed it.
-            if self.flight_size + mss > self._peer_rwnd:
+            if flight + mss > rwnd:
                 break
-            if not self._send_new_data_once():
+            length = buffer_end - nxt
+            if length <= 0:
                 break
+            if length > mss:
+                length = mss
+            self._send_from_buffer(nxt, length, fresh=True)
+            nxt += length
+            self.snd_nxt = nxt
+            pipe += length
+            flight += length
         self._maybe_send_fin()
 
     def _retransmit_range(self, start: int, end: int) -> None:
         if end <= start:
-            return
-        if start >= self._buffer_seq + len(self._buffer):
-            # The hole is the FIN.
-            if self._fin_seq is not None and start == self._fin_seq:
-                self._send_segment(TCPSegment.FIN | TCPSegment.ACK,
-                                   seq=self._fin_seq)
             return
         self.stats.sack_retransmissions += 1
         self._send_from_buffer(start, end - start, fresh=False)
@@ -801,7 +791,7 @@ class TCPConnection:
                 # exempts these from delaying).
                 self.stats.dup_acks_sent += 1
                 self._send_ack()
-            elif self.config.delayed_ack and not self._ooo_ranges:
+            elif self.config.delayed_ack and not self._ooo_data:
                 self._delack_pending += 1
                 if self._delack_pending >= 2:
                     self._send_ack()
@@ -829,8 +819,9 @@ class TCPConnection:
             return False
         # Overlapping or exactly in order: deliver the new part.
         self._deliver(data[self.rcv_nxt - seq:])
-        self._drain_ooo()
-        self._ooo_ranges.remove_below(self.rcv_nxt)
+        if self._ooo_data:  # no out-of-order data: no ranges either
+            self._drain_ooo()
+            self._ooo_ranges.remove_below(self.rcv_nxt)
         return True
 
     def _drain_ooo(self) -> None:

@@ -49,18 +49,30 @@ class RangeSet:
         spans = ", ".join(f"[{s},{e})" for s, e in self)
         return f"RangeSet({spans})"
 
-    def add(self, start: int, end: int) -> None:
-        """Insert ``[start, end)``, merging any overlapping ranges."""
+    def add(self, start: int, end: int) -> int:
+        """Insert ``[start, end)``, merging any overlapping ranges.
+
+        Returns how many values it newly covered.
+        """
         if end <= start:
-            return
+            return 0
+        starts = self._starts
+        ends = self._ends
         # Find all existing ranges overlapping or adjacent to [start, end).
-        left = bisect_left(self._ends, start)
-        right = bisect_right(self._starts, end)
+        left = bisect_left(ends, start)
+        right = bisect_right(starts, end)
+        covered = 0
+        for index in range(left, right):
+            covered += ends[index] - starts[index]
         if left < right:
-            start = min(start, self._starts[left])
-            end = max(end, self._ends[right - 1])
-        self._starts[left:right] = [start]
-        self._ends[left:right] = [end]
+            if starts[left] < start:
+                start = starts[left]
+            if ends[right - 1] > end:
+                end = ends[right - 1]
+        starts[left:right] = [start]
+        ends[left:right] = [end]
+        # The merged range holds the ranges it absorbed and the new values.
+        return end - start - covered
 
     def remove_below(self, bound: int) -> None:
         """Drop everything strictly below ``bound``."""
@@ -131,16 +143,19 @@ class RangeSet:
 
     def gaps(self, start: int, end: int) -> List[Range]:
         """All uncovered sub-ranges of ``[start, end)``."""
+        starts = self._starts
+        ends = self._ends
         out: List[Range] = []
         cursor = start
-        for range_start, range_end in zip(self._starts, self._ends):
-            if range_end <= cursor:
-                continue
+        # As in ``coverage``: bisect past the ranges ending at or before
+        # ``start`` instead of walking them.
+        for index in range(bisect_right(ends, start), len(starts)):
+            range_start = starts[index]
             if range_start >= end:
                 break
             if range_start > cursor:
                 out.append((cursor, range_start))
-            cursor = range_end  # past the ``continue``: range_end > cursor
+            cursor = ends[index]
         if cursor < end:
             out.append((cursor, end))
         return out
@@ -148,6 +163,69 @@ class RangeSet:
     def max_end(self) -> int:
         """Highest covered value (0 when empty)."""
         return self._ends[-1] if self._ends else 0
+
+
+def walk_scoreboard(sacked: RangeSet, marked: RangeSet, una: int, nxt: int,
+                    lost_end: int, data_end: int) -> Tuple[int, List[Range]]:
+    """One pass over a SACK sender's scoreboard (RFC 6675).
+
+    ``[una, nxt)`` is outstanding; ``sacked`` holds what the receiver
+    reported and ``marked`` what this recovery episode resent.  An
+    unsacked byte below ``lost_end`` is presumed lost unless marked.
+    Returns ``(pipe, holes)``: the bytes considered in flight (flight
+    less SACKed less presumed lost and not resent), and the presumed-
+    lost sub-ranges below ``data_end`` -- what recovery may resend --
+    in ascending order.
+    """
+    if lost_end > nxt:
+        lost_end = nxt
+    if data_end > lost_end:
+        data_end = lost_end
+    starts = sacked._starts
+    ends = sacked._ends
+    count = len(starts)
+    mark_starts = marked._starts
+    mark_ends = marked._ends
+    mark_count = len(mark_starts)
+    mark = bisect_right(mark_ends, una)
+    pipe = nxt - una
+    holes: List[Range] = []
+    cursor = una  # every byte below it is classified
+    for index in range(bisect_right(ends, una), count + 1):
+        # The next SACKed range, clipped to [una, nxt); past the last
+        # one, an empty range at ``nxt`` closes the final gap.
+        if index < count and starts[index] < nxt:
+            sack_start = starts[index]
+            sack_end = ends[index]
+            if sack_start < una:
+                sack_start = una
+            if sack_end > nxt:
+                sack_end = nxt
+        else:
+            sack_start = sack_end = nxt
+        pipe -= sack_end - sack_start
+        # [cursor, sack_start) is unsacked: each byte of it below
+        # ``lost_end`` that no mark covers is out of the pipe, a hole.
+        gap_end = sack_start if sack_start < lost_end else lost_end
+        while cursor < gap_end:
+            while mark < mark_count and mark_ends[mark] <= cursor:
+                mark += 1
+            if mark < mark_count and mark_starts[mark] < gap_end:
+                lost_to = mark_starts[mark]
+                resume = mark_ends[mark]
+            else:
+                lost_to = resume = gap_end
+            if lost_to > cursor:
+                pipe -= lost_to - cursor
+                if cursor < data_end:
+                    holes.append((cursor, lost_to if lost_to < data_end
+                                  else data_end))
+            cursor = resume
+        if sack_start == nxt:
+            break
+        if cursor < sack_end:
+            cursor = sack_end
+    return pipe, holes
 
 
 def select_sack_blocks(ooo: RangeSet, recent_seqs: Iterable[int] = (),

@@ -200,9 +200,13 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """(Re)arm the timer ``delay`` seconds from now."""
-        if self._event is not None:
-            self._event.cancel()
-        self._event = self._sim.after(delay, self._fire)
+        sim = self._sim
+        event = self._event
+        if event is not None and not (event.cancelled or event.done):
+            # ``event.cancel()`` inline: a sender re-arms on most ACKs.
+            event.cancelled = True
+            sim._cancelled += 1
+        self._event = sim.at(sim.now + delay, self._fire)
 
     def stop(self) -> None:
         """Disarm the timer.  Idempotent."""

@@ -108,8 +108,10 @@ def test_range_set_matches_set_of_ints(operations, query):
     model = set()
     for name, (start, end) in operations:
         if name == "add":
-            ranges.add(start, end)
+            grown = len(model)
+            added = ranges.add(start, end)
             model.update(range(start, end))
+            assert added == len(model) - grown
         elif name == "remove":
             ranges.remove(start, end)
             model.difference_update(range(start, end))

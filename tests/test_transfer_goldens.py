@@ -5,8 +5,11 @@ run, and only the serving mode has committed goldens, so a substrate
 change (event engine, link, TCP) that shifted one tie-break would pass
 both.  These pin one headline transfer per policy — file1, 5 % loss,
 ``seed=0``, ``corpus_seed=0``, 16 MB cache — down to the event count and
-the last digit of the duration.  A differing digit means the substrate
-drew its sequence numbers or its random stream in a different order.
+the last digit of the duration, and the no-DRE transfer at 20 % loss
+(``"none@20"``), whose RTOs send the baseline through go-back-N
+recovery that the 5 % row never enters.  A differing digit means the
+substrate drew its sequence numbers or its random stream in a different
+order.
 
 To regenerate after an *intended* behaviour change, run this file as a
 script (``PYTHONPATH=src python tests/test_transfer_goldens.py``) and
@@ -22,9 +25,16 @@ from repro import ExperimentConfig, corpus_object
 from repro.experiments import runner
 
 
-def _config(policy, **extra):
+def _config(run, **extra):
+    """``run`` is a policy (``None``: no DRE) at 5 % loss, or
+    ``"<policy>@<loss %>"`` with ``none`` for no DRE."""
+    policy, loss_rate = run, 0.05
+    if run is not None and "@" in run:
+        name, _, percent = run.partition("@")
+        policy = None if name == "none" else name
+        loss_rate = int(percent) / 100
     return ExperimentConfig(corpus="file1", corpus_seed=0, policy=policy,
-                            loss_rate=0.05, seed=0,
+                            loss_rate=loss_rate, seed=0,
                             cache_bytes=16 * 1024 * 1024, **extra)
 
 
@@ -46,8 +56,8 @@ def _undecodable(decoder_stats):
     return decoder_stats.undecodable_dropped + decoder_stats.checksum_dropped
 
 
-def _observed(policy):
-    testbed, result = _run(_config(policy))
+def _observed(run):
+    testbed, result = _run(_config(run))
     forward, reverse = result.bottleneck_forward, result.bottleneck_reverse
     return {
         "events": testbed.sim.events_processed,
@@ -91,6 +101,13 @@ GOLDEN = {
         "fwd_packets": 479, "fwd_bytes_offered": 556409, "fwd_lost": 22,
         "fwd_bytes_delivered": 529801, "rev_bytes_offered": 18911,
         "retransmissions": 73, "timeouts": 5, "undecodable": 51,
+        "completed": True,
+    },
+    "none@20": {
+        "events": 5208, "duration": 2.04754093599999,
+        "fwd_packets": 508, "fwd_bytes_offered": 757016, "fwd_lost": 98,
+        "fwd_bytes_delivered": 610016, "rev_bytes_offered": 22407,
+        "retransmissions": 102, "timeouts": 5, "undecodable": 0,
         "completed": True,
     },
 }
@@ -161,7 +178,9 @@ def _dispatch_order(policy):
 #: Read at the commit before the engine stopped counting per event and
 #: packets began storing their size.  The event counts in
 #: ``GOLDEN`` only catch a tie-order change that happens to move a
-#: counted digit; this catches any.
+#: counted digit; this catches any.  The ``none@20`` row (and its
+#: ``GOLDEN`` row) was read at the commit before SACK recovery walked its
+#: scoreboard once per call.
 GOLDEN_DISPATCH = {
     None: (
         4924,
@@ -169,6 +188,9 @@ GOLDEN_DISPATCH = {
     "tcp_seq": (
         5414,
         "4f41262066a1bc9ae17f12f972b69e7836c2c53e14b12dd068bc7e024c4fd77c"),
+    "none@20": (
+        5208,
+        "1ec39b21195eab9ed1bf55632d33f0efc1f26b0120d6b7c390e2bf07d3ff61a4"),
 }
 
 
