@@ -136,7 +136,13 @@ class _GatewayBase(Middlebox):
                 spans.packet_event("drop_gateway_down", self.name,
                                    pkt.packet_id)
             return
-        super().handle(pkt)
+        # ``Middlebox.handle`` inline: every packet crosses two gateways
+        # on the DRE and serving paths, so the pass-through frame is paid
+        # twice per packet.  ``process`` is still reached through the
+        # object, where a class-level wrapper sees it.
+        out = self.process(pkt)
+        if out is not None:
+            self.forward(out)
 
     def _handle_control(self, pkt: IPPacket) -> Optional[IPPacket]:
         """Consume a control packet addressed to us; forward otherwise."""

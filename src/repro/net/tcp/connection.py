@@ -219,7 +219,7 @@ class TCPConnection:
         self.state = TCPState.SYN_SENT
         self.snd_nxt = self.iss + 1   # SYN consumes one sequence number
         self._send_segment(TCPSegment.SYN, seq=self.iss)
-        self._arm_retx_timer()
+        self._retx_timer.start(self.rto.rto)
 
     def send(self, data: bytes) -> None:
         """Queue application data for transmission."""
@@ -265,7 +265,7 @@ class TCPConnection:
         self.rcv_nxt = segment.seq + 1
         self.snd_nxt = self.iss + 1
         self._send_segment(TCPSegment.SYN | TCPSegment.ACK, seq=self.iss)
-        self._arm_retx_timer()
+        self._retx_timer.start(self.rto.rto)
 
     # ------------------------------------------------------------------
     # segment arrival
@@ -376,30 +376,33 @@ class TCPConnection:
                 # boundary-shifted copy would poison the byte caches
                 # with same-fingerprint-different-payload entries.
                 break
-            self._send_from_buffer(self.snd_nxt, chunk_len, fresh=True)
+            self._send_data_segment(self.snd_nxt, chunk_len, fresh=True)
             self.snd_nxt += chunk_len
-        self._maybe_send_fin()
-        if self.snd_nxt > self.snd_una:
-            self._arm_retx_timer(only_if_unarmed=True)
+        # The guards are tested here, not in the callees: nearly every
+        # ACK finds no FIN to send and the timer already armed.
+        if self._fin_queued and self._fin_seq is None \
+                and self.snd_nxt >= buffer_end:
+            self._send_fin(buffer_end)
+        if self.snd_nxt > self.snd_una and not self._retx_timer.armed:
+            self._retx_timer.start(self.rto.rto)
 
-    def _send_from_buffer(self, seq: int, length: int, fresh: bool) -> None:
+    def _send_fin(self, fin_seq: int) -> None:
+        """Send the FIN at ``fin_seq``, the end of the send buffer.
+
+        The caller has checked that a close was requested, the FIN is
+        not yet sent and every queued byte is on the wire.
+        """
+        self._fin_seq = fin_seq
+        self._send_segment(TCPSegment.FIN | TCPSegment.ACK, seq=fin_seq)
+        self.snd_nxt = fin_seq + 1
+        self.state = TCPState.FIN_SENT
+        if not self._retx_timer.armed:
+            self._retx_timer.start(self.rto.rto)
+
+    def _send_data_segment(self, seq: int, length: int, fresh: bool) -> None:
+        """Send ``length`` buffered bytes from ``seq``."""
         start = seq - self._buffer_seq
         data = bytes(self._buffer[start: start + length])
-        self._send_data_segment(seq, data, fresh=fresh)
-
-    def _maybe_send_fin(self) -> None:
-        if not self._fin_queued or self._fin_seq is not None:
-            return  # no close requested, or FIN already sent
-        buffer_end = self._buffer_seq + len(self._buffer)
-        if self.snd_nxt < buffer_end:
-            return  # data still unsent; FIN goes after it
-        self._fin_seq = buffer_end
-        self._send_segment(TCPSegment.FIN | TCPSegment.ACK, seq=self._fin_seq)
-        self.snd_nxt = self._fin_seq + 1
-        self.state = TCPState.FIN_SENT
-        self._arm_retx_timer(only_if_unarmed=True)
-
-    def _send_data_segment(self, seq: int, data: bytes, fresh: bool) -> None:
         flags = TCPSegment.ACK | TCPSegment.PSH
         segment = TCPSegment(
             src_port=self.local_port, dst_port=self.remote_port,
@@ -407,7 +410,6 @@ class TCPConnection:
             flags=flags, window=self._advertised_window,
             data=data, checksum=payload_checksum(data))
         if fresh:
-            length = len(data)
             self.stats.bytes_sent += length
             if self._timing is None:
                 self._timing = (seq + length, self.sim.now)
@@ -420,7 +422,7 @@ class TCPConnection:
                     f"tcp:{self.local_addr}:{self.local_port}",
                     (self.local_addr, self.local_port,
                      self.remote_addr, self.remote_port),
-                    seq, len(data))
+                    seq, length)
         self.stats.segments_sent += 1
         self._transmit(segment)
 
@@ -510,13 +512,13 @@ class TCPConnection:
                 # NewReno/RFC 6675 partial ACK: keep filling holes.
                 self.cc.on_new_ack(acked, self.snd_una)
                 self._sack_transmit(force_front=True)
-                self._arm_retx_timer()
+                self._retx_timer.start(self.rto.rto)
                 return
         else:
             self.cc.on_new_ack(acked, self.snd_una)
 
         if self.snd_nxt > ack:
-            self._arm_retx_timer()
+            self._retx_timer.start(self.rto.rto)
         else:
             self._retx_timer.stop()
         self._check_send_complete()
@@ -579,7 +581,7 @@ class TCPConnection:
             self._sack_transmit(force_front=True)
         else:
             self._retransmit_front()
-        self._arm_retx_timer()
+        self._retx_timer.start(self.rto.rto)
 
     def _exit_recovery(self) -> None:
         self._recovery_point = None
@@ -645,18 +647,19 @@ class TCPConnection:
                 break
             if length > mss:
                 length = mss
-            self._send_from_buffer(nxt, length, fresh=True)
+            self._send_data_segment(nxt, length, fresh=True)
             nxt += length
             self.snd_nxt = nxt
             pipe += length
             flight += length
-        self._maybe_send_fin()
+        if self._fin_queued and self._fin_seq is None and nxt >= buffer_end:
+            self._send_fin(buffer_end)
 
     def _retransmit_range(self, start: int, end: int) -> None:
         if end <= start:
             return
         self.stats.sack_retransmissions += 1
-        self._send_from_buffer(start, end - start, fresh=False)
+        self._send_data_segment(start, end - start, fresh=False)
         self._retx_marked.add(start, end)
         self._retx_sent.append((start, end, self.snd_nxt))
 
@@ -710,11 +713,6 @@ class TCPConnection:
     # retransmission timeout
     # ------------------------------------------------------------------
 
-    def _arm_retx_timer(self, only_if_unarmed: bool = False) -> None:
-        if only_if_unarmed and self._retx_timer.armed:
-            return
-        self._retx_timer.start(self.rto.rto)
-
     def _on_rto(self) -> None:
         handshake = self.state in (TCPState.SYN_SENT, TCPState.SYN_RCVD)
         if self.flight_size == 0 and not handshake:
@@ -740,7 +738,7 @@ class TCPConnection:
             self._rto_mode = True
         self._clear_retx_marks()
         self._retransmit_front()
-        self._arm_retx_timer()
+        self._retx_timer.start(self.rto.rto)
 
     def _classify_timeout(self) -> None:
         """Book a data-state RTO under the reason recovery missed it."""
@@ -840,9 +838,10 @@ class TCPConnection:
 
     def _deliver(self, data: bytes) -> None:
         assert self.rcv_nxt is not None
-        self.rcv_nxt += len(data)
-        self.stats.bytes_delivered += len(data)
-        if self.on_receive is not None and data:
+        length = len(data)
+        self.rcv_nxt += length
+        self.stats.bytes_delivered += length
+        if self.on_receive is not None and length:
             self.on_receive(data)
 
     def _on_remote_fin(self) -> None:

@@ -141,25 +141,6 @@ class RangeSet:
                 total += hi - lo
         return total
 
-    def gaps(self, start: int, end: int) -> List[Range]:
-        """All uncovered sub-ranges of ``[start, end)``."""
-        starts = self._starts
-        ends = self._ends
-        out: List[Range] = []
-        cursor = start
-        # As in ``coverage``: bisect past the ranges ending at or before
-        # ``start`` instead of walking them.
-        for index in range(bisect_right(ends, start), len(starts)):
-            range_start = starts[index]
-            if range_start >= end:
-                break
-            if range_start > cursor:
-                out.append((cursor, range_start))
-            cursor = ends[index]
-        if cursor < end:
-            out.append((cursor, end))
-        return out
-
     def max_end(self) -> int:
         """Highest covered value (0 when empty)."""
         return self._ends[-1] if self._ends else 0
@@ -236,18 +217,23 @@ def select_sack_blocks(ooo: RangeSet, recent_seqs: Iterable[int] = (),
     numbers, most recent first; the blocks containing them are reported
     first (RFC 2018 §4), then any remaining ranges lowest-first.
     """
-    ranges = list(ooo)
+    # The lists themselves: ``list(ooo)`` would call ``__len__`` and
+    # ``__iter__`` on every out-of-order arrival.
+    ranges = list(zip(ooo._starts, ooo._ends))
     chosen: List[Range] = []
+    count = 0  # len(chosen), kept without a call per test
     for seq in recent_seqs:
-        if len(chosen) >= limit:
+        if count >= limit:
             break
         for block in ranges:
             if block[0] <= seq < block[1] and block not in chosen:
                 chosen.append(block)
+                count += 1
                 break
     for block in ranges:
-        if len(chosen) >= limit:
+        if count >= limit:
             break
         if block not in chosen:
             chosen.append(block)
+            count += 1
     return tuple(chosen)

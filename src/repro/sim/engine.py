@@ -53,12 +53,19 @@ class Event:
 class Simulator:
     """Deterministic discrete-event scheduler with a simulated clock."""
 
+    # The heap-entry contract.  ``_heap`` holds ``(time, seq, fn, args,
+    # handle)`` tuples: ``seq`` is drawn from ``_seq``, which the writer
+    # advances, so it is unique and ordering is settled by C-level
+    # comparison of the first two fields; ``handle`` is the Event of
+    # at()/after() (and of Timer) and None for a fire-and-forget entry,
+    # which allocates nothing but the tuple.  Only at(), post(),
+    # post_after(), Link and Timer write entries: the per-packet and
+    # per-ACK schedulers push their own instead of paying a frame to
+    # reach post().  Every writer guards inline, ``not time >= now`` or
+    # ``not delay >= 0``, so NaN, which compares false either way, is
+    # refused instead of poisoning the heap order and the clock.
+
     def __init__(self) -> None:
-        # Heap of (time, seq, fn, args, handle).  ``seq`` is unique, so
-        # ordering is settled by C-level comparison of the first two
-        # fields; ``handle`` is the Event of at()/after() and None for
-        # post()/post_after(), which therefore allocate nothing but
-        # the entry itself.
         self._heap: list = []
         self._seq = 0
         #: Current simulated time in seconds.
@@ -71,12 +78,6 @@ class Simulator:
         #: Heap entries whose handle was cancelled before dispatch; the
         #: run loop drops them as it pops them.
         self._cancelled = 0
-
-    # post() and post_after() each push their own entry instead of one
-    # calling the other: links post twice per packet, so a hop there is
-    # a Python call per event.  The guards are written ``not x >= y`` so
-    # that NaN, which compares false either way, is refused instead of
-    # poisoning the heap order and the clock.
 
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
@@ -100,9 +101,8 @@ class Simulator:
         """Schedule ``fn(*args)`` at ``time``, fire-and-forget.
 
         Like :meth:`at` but returns no handle, so the event cannot be
-        cancelled.  Links and other components that never cancel their
-        callbacks use this to keep a per-packet Event allocation out of
-        the hot loop.
+        cancelled.  Components that never cancel their callbacks use
+        this to keep an Event allocation out of the hot loop.
         """
         if not time >= self.now:
             raise SimulationError(
@@ -186,10 +186,9 @@ class Timer:
         self._sim = sim
         self._callback = callback
         self._event: Optional[Event] = None
-
-    @property
-    def armed(self) -> bool:
-        return self._event is not None and not self._event.cancelled
+        #: True from :meth:`start` until the timer fires or is stopped;
+        #: a plain attribute, so a sender tests it without a call.
+        self.armed = False
 
     @property
     def expires_at(self) -> Optional[float]:
@@ -206,14 +205,29 @@ class Timer:
             # ``event.cancel()`` inline: a sender re-arms on most ACKs.
             event.cancelled = True
             sim._cancelled += 1
-        self._event = sim.at(sim.now + delay, self._fire)
+        # ``sim.at(now + delay, self._fire)`` inline, its guard included
+        # (the heap-entry contract above ``Simulator.__init__``).
+        now = sim.now
+        time = now + delay
+        if not time >= now:
+            self.armed = False  # the old expiry is cancelled either way
+            raise SimulationError(
+                f"cannot schedule event in the past: {time} < now {now}"
+            )
+        self._event = event = Event(time, sim)
+        seq = sim._seq
+        sim._seq = seq + 1
+        heappush(sim._heap, (time, seq, self._fire, (), event))
+        self.armed = True
 
     def stop(self) -> None:
         """Disarm the timer.  Idempotent."""
         if self._event is not None:
             self._event.cancel()
             self._event = None
+        self.armed = False
 
     def _fire(self) -> None:
         self._event = None
+        self.armed = False
         self._callback()

@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .engine import Simulator
+from .engine import SimulationError, Simulator
 
 if TYPE_CHECKING:  # type-only: the sim layer stays import-free of repro.net
     from ..net.packet import IPPacket
@@ -157,10 +158,16 @@ class Link:
         telemetry=None,
         spans=None,
     ):
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if prop_delay < 0:
-            raise ValueError("prop_delay must be non-negative")
+        # Written ``not x > y`` so that NaN, which compares false either
+        # way, is refused here and not at the first send of a run.
+        if not bandwidth > 0:
+            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        if not prop_delay >= 0:
+            raise ValueError(
+                f"prop_delay must be non-negative, got {prop_delay}")
+        if not reorder_extra_delay >= 0:
+            raise ValueError("reorder_extra_delay must be non-negative, "
+                             f"got {reorder_extra_delay}")
         for rate_name, rate in (("loss_rate", loss_rate),
                                 ("corrupt_rate", corrupt_rate),
                                 ("reorder_rate", reorder_rate)):
@@ -216,13 +223,20 @@ class Link:
         if spans is not None:
             spans.link_begin(self.name, pkt.packet_id, size)
         sim = self.sim
-        start = sim.now
+        start = now = sim.now
         if self._busy_until > start:
             start = self._busy_until
         self._busy_until = done = start + size / self.bandwidth
         self._queued += 1
-        # Fire-and-forget: links never cancel a transmission.
-        sim.post(done, self._transmitted, pkt)
+        # ``sim.post(done, self._transmitted, pkt)`` inline, guard and
+        # all (the heap-entry contract above ``Simulator.__init__``):
+        # links never cancel a transmission, so the entry has no handle.
+        if not done >= now:
+            raise SimulationError(
+                f"cannot schedule event in the past: {done} < now {now}")
+        seq = sim._seq
+        sim._seq = seq + 1
+        heappush(sim._heap, (done, seq, self._transmitted, (pkt,), None))
 
     # -- internal ---------------------------------------------------------
 
@@ -270,7 +284,14 @@ class Link:
             if spans is not None:
                 spans.link_annotate(pkt.packet_id, "reordered")
 
-        self.sim.post_after(delay, self._deliver, pkt)
+        # ``sim.post_after(delay, self._deliver, pkt)`` inline.
+        if not delay >= 0:
+            raise SimulationError(f"negative delay: {delay}")
+        sim = self.sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        heappush(sim._heap, (sim.now + delay, seq, self._deliver, (pkt,),
+                             None))
 
     def _deliver(self, pkt: IPPacket) -> None:
         stats = self.stats

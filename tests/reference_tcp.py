@@ -7,17 +7,39 @@ the scoreboard's ``RangeSet``s for gaps and coverage.  Production now
 walks the scoreboard once per call and updates the pipe by arithmetic.
 This module keeps the old loop, line for line, as a pure function over
 a :class:`Snapshot` of the sender, so a differential test can hold the
-new loop to it decision by decision.
+new loop to it decision by decision.  :func:`gaps`, which was
+``RangeSet.gaps`` until the old loop was its last caller, lives here
+with it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from repro.net.tcp.sack import RangeSet
 
 Range = Tuple[int, int]
+
+
+def gaps(ranges: RangeSet, start: int, end: int) -> List[Range]:
+    """All sub-ranges of ``[start, end)`` that ``ranges`` leaves uncovered."""
+    starts = ranges._starts
+    ends = ranges._ends
+    out: List[Range] = []
+    cursor = start
+    # Bisect past the ranges ending at or before ``start``.
+    for index in range(bisect_right(ends, start), len(starts)):
+        range_start = starts[index]
+        if range_start >= end:
+            break
+        if range_start > cursor:
+            out.append((cursor, range_start))
+        cursor = ends[index]
+    if cursor < end:
+        out.append((cursor, end))
+    return out
 
 
 @dataclass(frozen=True)
@@ -66,16 +88,16 @@ class _Sender:
         sacked = self._sacked.coverage(self.snd_una, self.snd_nxt)
         lost = 0
         domain_end = self._loss_domain_end()
-        for gap_start, gap_end in self._sacked.gaps(self.snd_una, domain_end):
+        for gap_start, gap_end in gaps(self._sacked, self.snd_una, domain_end):
             lost += (gap_end - gap_start) - self._retx_marked.coverage(
                 gap_start, gap_end)
         return flight - sacked - lost
 
     def _next_hole(self) -> Optional[Range]:
         data_end = min(self._loss_domain_end(), self.snap.buffer_end)
-        for gap_start, gap_end in self._sacked.gaps(self.snd_una, data_end):
-            for sub_start, sub_end in self._retx_marked.gaps(gap_start,
-                                                             gap_end):
+        for gap_start, gap_end in gaps(self._sacked, self.snd_una, data_end):
+            for sub_start, sub_end in gaps(self._retx_marked, gap_start,
+                                           gap_end):
                 if sub_end > sub_start:
                     return (sub_start,
                             min(sub_end, sub_start + self.snap.mss))

@@ -9,10 +9,13 @@ invariants and the no-per-flow-leak bound under 10k requests of churn.
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import ExperimentConfig
+from repro.experiments.runner import Fetch, build_testbed, run_fetches
 from repro.experiments.sweep import parallel_map
 from repro.serving import (ServingSpec, generate_sessions, run_serving,
                            run_serving_grid)
@@ -21,6 +24,7 @@ from repro.serving.sessions import SessionSpec, session_digest
 from repro.serving.sweep import (serving_bench_payload,
                                  validate_bench_serving,
                                  write_serving_bench)
+from repro.sim.faults import FaultInjector, match_nth_data
 from repro.workload.catalog import (CatalogSpec, ContentCatalog,
                                     zipf_sample_counts)
 
@@ -187,6 +191,41 @@ def test_cache_pressure_unit_completes_every_request(policy):
     assert requests["stalled"] == 0
     assert requests["content_mismatches"] == 0
     assert report["cache"]["log_slots"] <= 32_768
+
+
+@pytest.mark.parametrize("policy", [
+    "k_distance",
+    "cache_flush",
+    pytest.param("tcp_seq", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1")),
+])
+def test_two_flows_survive_one_scripted_loss(policy):
+    """ROADMAP item 1 shrunk to two flows and one loss.
+
+    Two fetches start together on objects that share 24 KiB (the second
+    has a 100-byte prefix), and the 9th data segment offered to the
+    forward bottleneck -- a first transmission -- is dropped.  Under
+    ``tcp_seq`` both flows stop at 7,300 bytes: each side's resends are
+    encoded against the other flow's undecodable packets, and the
+    server gives up.  A search over every single first-transmission
+    drop of the 34 finds 11 that stall ``tcp_seq`` and none that stall
+    ``k_distance`` or ``cache_flush``; ``strict_cross_flow=True``
+    completes this case.
+    """
+    base = random.Random(1).randbytes(24 * 1024)
+    files = {"a": base, "b": b"B" * 100 + base}
+    config = ExperimentConfig(policy=policy, seed=0, time_limit=30.0,
+                              tcp_min_rto=0.05, tcp_max_rto=0.5,
+                              tcp_max_retries=8)
+    testbed = build_testbed(config)
+    FaultInjector(testbed.bottleneck_forward).drop_when(match_nth_data(9))
+    received = [bytearray(), bytearray()]
+    run = run_fetches(testbed, config, files,
+                      [Fetch(name="a"), Fetch(name="b")],
+                      on_data=lambda index, chunk: received[index].extend(
+                          chunk))
+    assert [outcome.completed for outcome in run.outcomes] == [True, True]
+    assert received == [files["a"], files["b"]]
 
 
 def test_admission_applies_without_shards():

@@ -133,6 +133,10 @@ def test_send_without_receiver_raises():
 
 @pytest.mark.parametrize("field,value", [
     ("bandwidth", 0), ("bandwidth", -5), ("prop_delay", -0.1),
+    # Refused where they are written, not at the first send (a NaN
+    # bandwidth) or the first re-ordered packet deep inside a run.
+    ("bandwidth", float("nan")), ("prop_delay", float("nan")),
+    ("reorder_extra_delay", -0.01), ("reorder_extra_delay", float("nan")),
 ])
 def test_invalid_link_parameters(field, value):
     sim = Simulator()
