@@ -93,13 +93,15 @@ class EncoderPolicy:
     def entry_eligible(self, entry: "RingEntry", meta: PacketMeta) -> bool:
         """Whether a cache hit may be used as the encoding source.
 
-        Per-record contract: the verdict may depend only on ``meta``
-        and on the cached *packet's* record, which ``entry`` carries as
-        plain attributes — ``entry.flow``, ``entry.tcp_seq``,
-        ``entry.packet_counter`` (Fig. 7 line C.6), ``entry.store_id``
-        — never on the anchor (``fingerprint``, ``offset``).  The
-        encoder asks once per source packet per encoded packet and
-        applies the answer to every other anchor of that source.
+        Per-record contract: the verdict may depend only on ``meta``,
+        on policy state fixed before region finding (``before_packet``,
+        ``may_encode``) and on the cached *packet's* record, which
+        ``entry`` carries as plain attributes — ``entry.flow``,
+        ``entry.tcp_seq``, ``entry.packet_counter`` (Fig. 7 line C.6),
+        ``entry.store_id`` — never on the anchor (``fingerprint``,
+        ``offset``).  The encoder asks once per source packet per
+        encoded packet and applies the answer to every other anchor of
+        that source.
         """
         return True
 

@@ -10,19 +10,25 @@ data — which breaks the circular dependencies without flushing.
 Sequence numbers in the simulator are absolute byte offsets and never
 wrap, so plain integer comparison implements line B.7 faithfully.
 
-Cross-flow encodings are permitted by default (sequence numbers from
-different connections are incomparable, and inter-flow redundancy is a
-selling point of byte caching, §I); ``strict_cross_flow=True`` forbids
-them.
+Line B.7 orders segments of one connection only; across connections
+sequence numbers are incomparable, and the paper's §IV-C warning that
+"all subsequent connections … may get affected" survives it.  A first
+transmission may still source another flow (the inter-flow redundancy
+§I sells), but a retransmission — a segment whose ``tcp_seq`` is not
+above the highest already sent on its flow — takes no cross-flow
+region.  The lowest missing segment of any flow is thereby resent
+against its own flow's strictly earlier segments only — all of which
+have already crossed the decoder — and decodes (DESIGN.md §6).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict
 
 from .base import EncoderPolicy, PacketMeta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cache import ByteCache
     from ..ringtable import RingEntry
 
 
@@ -32,9 +38,21 @@ class TcpSeqPolicy(EncoderPolicy):
     name = "tcp_seq"
     verify_oracles = ("circular_dependency", "tcp_seq")
 
-    def __init__(self, strict_cross_flow: bool = False) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.strict_cross_flow = strict_cross_flow
+        self._high_seq: Dict[tuple, int] = {}
+        self._resending = False
+
+    def before_packet(self, meta: PacketMeta, cache: "ByteCache") -> None:
+        seq = meta.tcp_seq
+        if seq is None:
+            return
+        high = self._high_seq.get(meta.flow)
+        # Equality counts: a repeat of the flow's last segment is a
+        # retransmission too.
+        self._resending = high is not None and seq <= high
+        if not self._resending:
+            self._high_seq[meta.flow] = seq
 
     def entry_eligible(self, entry: "RingEntry",
                        meta: PacketMeta) -> bool:
@@ -43,7 +61,7 @@ class TcpSeqPolicy(EncoderPolicy):
             # paper's Fig. 7 guard cannot be evaluated, so do not encode.
             return False
         if entry.flow != meta.flow:
-            return not self.strict_cross_flow
+            return not self._resending
         if entry.tcp_seq is None:
             return False
         return entry.tcp_seq < meta.tcp_seq

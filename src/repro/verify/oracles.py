@@ -132,13 +132,27 @@ class CircularDependencyOracle(EncoderOracle):
 
 
 class TcpSeqOracle(EncoderOracle):
-    """§V-B: every emitted region satisfies ``seq_stored < seq_new``."""
+    """§V-B: every emitted region satisfies ``seq_stored < seq_new``,
+    and a retransmission sources no other flow.
+
+    A retransmission is a segment whose ``tcp_seq`` is not above the
+    highest already sent on its flow — checked against the oracle's own
+    per-flow high-water mark, not the policy's.
+    """
 
     name = "tcp_seq"
 
-    def __init__(self, policy) -> None:
-        self.strict_cross_flow = bool(getattr(policy, "strict_cross_flow",
-                                              False))
+    def __init__(self, policy=None) -> None:
+        self._high_seq: Dict[Any, int] = {}
+        self._resending = False
+
+    def on_packet(self, meta) -> None:
+        if meta.tcp_seq is None:
+            return
+        high = self._high_seq.get(meta.flow)
+        self._resending = high is not None and meta.tcp_seq <= high
+        if not self._resending:
+            self._high_seq[meta.flow] = meta.tcp_seq
 
     def on_region(self, meta, entry, region) -> Verdict:
         context = {"packet_id": meta.packet_id, "seq_new": meta.tcp_seq,
@@ -149,9 +163,12 @@ class TcpSeqOracle(EncoderOracle):
                     "sequence number (the Fig. 7 guard is unevaluable)",
                     context)
         if entry.flow != meta.flow:
-            if self.strict_cross_flow:
-                return ("tcp_seq(strict_cross_flow) emitted a cross-flow "
-                        "region", context)
+            if self._resending:
+                context["high_seq"] = self._high_seq.get(meta.flow)
+                return (f"tcp_seq cross-flow safety broken: retransmission "
+                        f"seq_new={meta.tcp_seq} sources another flow's "
+                        f"segment (§IV-C: a lost source there leaves "
+                        f"this copy undecodable too)", context)
             return None
         if entry.tcp_seq is None or entry.tcp_seq >= meta.tcp_seq:
             return (f"tcp_seq safety broken: region sources seq_stored="

@@ -25,7 +25,6 @@ FLOWS = (("s", 80, "c", 5000), ("s", 80, "c", 5001))
 
 POLICIES = [
     ("tcp_seq", {}),
-    ("tcp_seq", {"strict_cross_flow": True}),
     ("k_distance", {"k": 3, "mss": SEGMENT}),
     ("adaptive_k", {"k_min": 2, "k_max": 6, "mss": SEGMENT}),
 ]

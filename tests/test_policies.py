@@ -137,10 +137,22 @@ class TestTcpSeq:
         other = entry(seq=999999, flow=("x", 1, "y", 2))
         assert policy.entry_eligible(other, meta(1, seq=0))
 
-    def test_strict_cross_flow_disallows(self):
-        policy = TcpSeqPolicy(strict_cross_flow=True)
+    def test_retransmission_takes_no_cross_flow_source(self):
+        """A first transmission may source another flow; a segment not
+        above its flow's highest ``tcp_seq`` (a repeat included) may not,
+        while its strictly earlier same-flow segments stay eligible."""
+        policy = TcpSeqPolicy()
+        cache = ByteCache()
         other = entry(seq=0, flow=("x", 1, "y", 2))
-        assert not policy.entry_eligible(other, meta(1, seq=1460))
+        for i, seq in enumerate((0, 1460, 2920)):
+            policy.before_packet(meta(i, seq=seq), cache)
+            assert policy.entry_eligible(other, meta(i, seq=seq))
+        for i, seq in ((3, 2920), (4, 1460)):     # repeat, then a hole
+            policy.before_packet(meta(i, seq=seq), cache)
+            assert not policy.entry_eligible(other, meta(i, seq=seq))
+            assert policy.entry_eligible(entry(seq=0), meta(i, seq=seq))
+        policy.before_packet(meta(5, seq=4380), cache)
+        assert policy.entry_eligible(other, meta(5, seq=4380))
 
     def test_non_tcp_never_encodes(self):
         policy = TcpSeqPolicy()
@@ -228,7 +240,7 @@ class TestKDistanceStreamMode:
     def test_large_k_matches_tcp_seq_eligibility(self):
         """§VII: as k grows the behaviour must converge to TCP-seq."""
         kdist = KDistancePolicy(k=10_000, mss=self.MSS)
-        tcp_seq_policy = TcpSeqPolicy(strict_cross_flow=True)
+        tcp_seq_policy = TcpSeqPolicy()
         kdist.may_encode(self.seq_meta(0))  # learn the flow's stream base
         current = self.seq_meta(500)
         for segment_index in range(500):

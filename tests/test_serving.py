@@ -163,69 +163,96 @@ def test_serving_golden_run_under_memory_pressure():
         assert shard["bytes"] <= shard["byte_budget"]
 
 
-@pytest.mark.parametrize("policy", [
-    "k_distance",
-    pytest.param("tcp_seq", marks=pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: cross-flow circular dependency")),
+@pytest.mark.parametrize("policy, seed, total", [
+    pytest.param("k_distance", 0, 115, id="k_distance"),
+    pytest.param("tcp_seq", 0, 115, id="tcp_seq"),
+    pytest.param("tcp_seq", 10, 133, id="tcp_seq-seed10"),
+    pytest.param("tcp_seq", 13, 113, id="tcp_seq-seed13"),
 ])
-def test_cache_pressure_unit_completes_every_request(policy):
-    """The e2e bench's ``serve_cache_pressure`` unit, seed 0, spelled out.
+def test_cache_pressure_unit_completes_every_request(policy, seed, total):
+    """The e2e bench's ``serve_cache_pressure`` unit, spelled out.
 
-    Under ``tcp_seq`` two flows end up encoded against each other's lost
-    packets and back off to abort (112 of 115 completed, 3 timeouts);
-    the policy fix lands by deleting the xfail marker.  The encoder's
-    fingerprint log keeps only entries whose packet is stored, so it
-    ends at most one doubling above the 16,384 slots a 256 KiB cache
-    starts with.
+    Under ``tcp_seq`` a retransmission takes no cross-flow region: when
+    a retransmission could source another flow's packet, seeds 0, 10
+    and 13 left 3, 3 and 7 requests unfinished (two flows encoded
+    against each other's lost packets and backed off to abort).  The
+    encoder's fingerprint log keeps only entries whose packet is
+    stored, so it ends at most one doubling above the 16,384 slots a
+    256 KiB cache starts with.
     """
     report = run_serving(ServingSpec(
         users=60, n_contents=1000, alpha=0.8, mean_object_bytes=8192,
         policy=policy, cache_bytes=256 * 1024, cache_shards=8,
         cache_eviction="lru", loss_rate=0.01, fetch_timeout=30.0,
-        seed=0))
+        seed=seed))
     requests = report["requests"]
-    assert requests["total"] == 115
-    assert requests["completed"] == 115
+    assert requests["total"] == total
+    assert requests["completed"] == total
     assert requests["timeouts"] == 0
     assert requests["stalled"] == 0
     assert requests["content_mismatches"] == 0
     assert report["cache"]["log_slots"] <= 32_768
 
 
-@pytest.mark.parametrize("policy", [
-    "k_distance",
-    "cache_flush",
-    pytest.param("tcp_seq", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1")),
-])
-def test_two_flows_survive_one_scripted_loss(policy):
-    """ROADMAP item 1 shrunk to two flows and one loss.
-
-    Two fetches start together on objects that share 24 KiB (the second
-    has a 100-byte prefix), and the 9th data segment offered to the
-    forward bottleneck -- a first transmission -- is dropped.  Under
-    ``tcp_seq`` both flows stop at 7,300 bytes: each side's resends are
-    encoded against the other flow's undecodable packets, and the
-    server gives up.  A search over every single first-transmission
-    drop of the 34 finds 11 that stall ``tcp_seq`` and none that stall
-    ``k_distance`` or ``cache_flush``; ``strict_cross_flow=True``
-    completes this case.
-    """
+def _two_flows_one_loss(policy, verify=False, patch=None):
+    """Two fetches at t = 0 on objects sharing 24 KiB (the second has a
+    100-byte prefix); the 9th data segment offered to the forward
+    bottleneck -- a first transmission -- is dropped."""
     base = random.Random(1).randbytes(24 * 1024)
     files = {"a": base, "b": b"B" * 100 + base}
     config = ExperimentConfig(policy=policy, seed=0, time_limit=30.0,
                               tcp_min_rto=0.05, tcp_max_rto=0.5,
-                              tcp_max_retries=8)
+                              tcp_max_retries=8, verify=verify)
     testbed = build_testbed(config)
+    if patch is not None:
+        patch(testbed.gateways.encoder.encoder.policy)
     FaultInjector(testbed.bottleneck_forward).drop_when(match_nth_data(9))
     received = [bytearray(), bytearray()]
     run = run_fetches(testbed, config, files,
                       [Fetch(name="a"), Fetch(name="b")],
                       on_data=lambda index, chunk: received[index].extend(
                           chunk))
+    return files, run, received
+
+
+@pytest.mark.parametrize("policy", ["k_distance", "cache_flush", "tcp_seq"])
+def test_two_flows_survive_one_scripted_loss(policy):
+    """ROADMAP item 1 shrunk to two flows and one loss.
+
+    When a ``tcp_seq`` retransmission could source another flow's
+    packet, both flows stopped at 7,300 bytes here: each side's resends
+    were encoded against the other flow's undecodable packets, and the
+    server gave up.  With a retransmission confined to its own flow's
+    strictly earlier segments, every single drop of the search in
+    EXPERIMENTS.md completes under all three policies.
+    """
+    files, run, received = _two_flows_one_loss(policy)
     assert [outcome.completed for outcome in run.outcomes] == [True, True]
     assert received == [files["a"], files["b"]]
+
+
+def test_tcp_seq_oracle_catches_cross_flow_retransmission():
+    """Put back the old eligibility -- a cross-flow source is always
+    eligible -- on the encoder's policy instance: the verified two-flow
+    case fails on the ``tcp_seq`` oracle's own retransmission detector,
+    at a retransmission that sources the other flow."""
+    from repro.verify.oracles import InvariantViolation
+
+    def cross_flow_always_eligible(policy):
+        def eligible(entry, meta):
+            if meta.tcp_seq is None:
+                return False
+            if entry.flow != meta.flow:
+                return True
+            return entry.tcp_seq is not None and entry.tcp_seq < meta.tcp_seq
+        policy.entry_eligible = eligible
+
+    with pytest.raises(InvariantViolation) as caught:
+        _two_flows_one_loss("tcp_seq", verify=True,
+                            patch=cross_flow_always_eligible)
+    assert caught.value.oracle == "tcp_seq"
+    assert caught.value.context["seq_new"] <= \
+        caught.value.context["high_seq"]
 
 
 def test_admission_applies_without_shards():
