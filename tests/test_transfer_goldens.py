@@ -103,6 +103,29 @@ GOLDEN = {
         "retransmissions": 73, "timeouts": 5, "undecodable": 51,
         "completed": True,
     },
+    "ack_gated": {
+        "events": 4924, "duration": 0.575914087999999,
+        "fwd_packets": 427, "fwd_bytes_offered": 497470, "fwd_lost": 21,
+        "fwd_bytes_delivered": 473847, "rev_bytes_offered": 19171,
+        "retransmissions": 21, "timeouts": 0, "undecodable": 0,
+        "completed": True,
+    },
+    "adaptive_k": {
+        "events": 5250, "duration": 2.0109996959999763,
+        "fwd_packets": 501, "fwd_bytes_offered": 647290, "fwd_lost": 24,
+        "fwd_bytes_delivered": 616091, "rev_bytes_offered": 19027,
+        "retransmissions": 95, "timeouts": 6, "undecodable": 69,
+        "completed": True,
+    },
+    # The §IV livelock: the naive encoder references a lost packet in
+    # its own retransmission and the transfer never completes.
+    "naive": {
+        "events": 448, "duration": None,
+        "fwd_packets": 62, "fwd_bytes_offered": 35495, "fwd_lost": 3,
+        "fwd_bytes_delivered": 33811, "rev_bytes_offered": 975,
+        "retransmissions": 20, "timeouts": 21, "undecodable": 37,
+        "completed": False,
+    },
     "none@20": {
         "events": 5208, "duration": 2.04754093599999,
         "fwd_packets": 508, "fwd_bytes_offered": 757016, "fwd_lost": 98,
