@@ -1,13 +1,12 @@
 """Extensions — the schemes §VIII/§IX discuss but the paper never built.
 
-* informed marking (Lumezanu et al. IMC'10) — decoder reports missing
-  fingerprints; encoder stops referencing them;
 * ACK-gated caching — cache a segment only once it is cumulatively
   acknowledged;
-* NACK recovery — decoder buffers undecodable packets and requests the
-  missing content out of band;
 * adaptive k-distance (§IX "tune-able" scheme) — reference spacing
   tracks the estimated loss rate.
+
+EXPERIMENTS.md "Extensions" keeps the last numbers of the two recovery
+schemes this repo no longer carries (informed marking, NACK recovery).
 """
 
 from conftest import print_report

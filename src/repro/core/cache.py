@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import zlib
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -222,8 +222,6 @@ class ByteCache:
         self.epoch = 0
         #: Payloads the admission coin declined to cache.
         self.admission_rejected = 0
-        #: Store ids of cached packets informed marking has vetoed.
-        self._unusable_store_ids: Set[int] = set()
 
     def _admit(self, payload: bytes) -> bool:
         # Content-keyed coin: both gateways flip identically for the
@@ -274,15 +272,13 @@ class ByteCache:
 
         Entries pointing at evicted payloads are removed lazily.  The
         checks run against the table arrays so the (common) miss and
-        filtered cases never materialise a :class:`RingEntry` view.
+        evicted cases never materialise a :class:`RingEntry` view.
         """
         ring = self.table
         entry_id = ring._index.get(fingerprint)
         if entry_id is None:
             return None
         store_id = ring._pkt.item(entry_id)
-        if store_id in self._unusable_store_ids:
-            return None
         payload = self.store.get(store_id)
         if payload is None:
             ring.remove(fingerprint)
@@ -302,10 +298,7 @@ class ByteCache:
         entry_id = ring._index.get(fingerprint)
         if entry_id is None:
             return None
-        store_id = ring._pkt.item(entry_id)
-        if store_id in self._unusable_store_ids:
-            return None
-        view = self.store.view(store_id)
+        view = self.store.view(ring._pkt.item(entry_id))
         if view is None:
             ring.remove(fingerprint)
         return view
@@ -318,7 +311,7 @@ class ByteCache:
         state from before a replacement.
         """
         entry = self.table.previous_entry(fingerprint)
-        if entry is None or entry.store_id in self._unusable_store_ids:
+        if entry is None:
             return None
         payload = self.store.get(entry.store_id)
         if payload is None:
@@ -334,7 +327,6 @@ class ByteCache:
         """Drop everything (the Cache Flush policy's reset, §V-A)."""
         self.store.clear()
         self.table.clear()
-        self._unusable_store_ids.clear()
         self.flushes += 1
 
     def bump_epoch(self) -> int:
@@ -362,21 +354,3 @@ class ByteCache:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
         return self.store.evict_oldest(int(len(self.store) * fraction))
-
-    def mark_unusable(self, fingerprint: int) -> bool:
-        """Informed marking: forbid encodings against the packet this
-        fingerprint currently resolves to.
-
-        The unit of marking is the *cached packet* (Lumezanu et al.
-        mark lost packets), so every other fingerprint resolving to the
-        same payload is disabled too — otherwise the encoder would just
-        re-reference the lost packet through one of its other anchors.
-        Marks die with their packet: the set is cut back to the stored
-        ids here, on the rare (NACK-driven) path that grows it.
-        """
-        entry = self.table.get(fingerprint)
-        if entry is None:
-            return False
-        self._unusable_store_ids.add(entry.store_id)
-        self._unusable_store_ids &= self.store.records.keys()
-        return True

@@ -36,7 +36,6 @@ class DecodeStatus(enum.Enum):
     OK_RAW = "ok_raw"                 # pass-through payload
     OK_DECODED = "ok_decoded"         # regions reconstructed successfully
     MISSING = "missing"               # referenced fingerprint not cached
-    BUFFERED = "buffered"             # policy held the packet for repair
     CHECKSUM_MISMATCH = "checksum"    # reconstruction produced wrong bytes
     MALFORMED = "malformed"           # wire format damaged (corruption)
 
@@ -58,7 +57,6 @@ class DecoderStats:
     raw: int = 0
     decoded: int = 0
     missing: int = 0
-    buffered: int = 0
     checksum_mismatch: int = 0
     history_decodes: int = 0     # saved by displaced, still-stored entries
     malformed: int = 0
@@ -94,8 +92,7 @@ class ByteCachingDecoder:
         self.policy.attach_decoder(self)
 
     def decode(self, data: bytes, meta: PacketMeta,
-               checksum: Optional[int] = None,
-               pkt: Optional[Any] = None) -> DecodeResult:
+               checksum: Optional[int] = None) -> DecodeResult:
         """Decode one wire payload.
 
         ``checksum`` is the sender's end-to-end payload checksum (the
@@ -137,10 +134,6 @@ class ByteCachingDecoder:
                 sources[region.fingerprint] = view
         if missing:
             self.stats.missing += 1
-            took_ownership = self.policy.on_undecodable(missing, pkt, self.cache)
-            if took_ownership:
-                self.stats.buffered += 1
-                return DecodeResult(DecodeStatus.BUFFERED, missing=missing)
             if self.verifier is not None:
                 self.verifier.on_undecodable(meta, missing)
             return DecodeResult(DecodeStatus.MISSING, missing=missing)
@@ -175,14 +168,9 @@ class ByteCachingDecoder:
                 self.stats.bytes_out += len(fallback)
                 return DecodeResult(DecodeStatus.OK_DECODED, fallback)
             self.stats.checksum_mismatch += 1
-            suspects = [region.fingerprint for region in parsed.regions]
-            took_ownership = self.policy.on_checksum_mismatch(
-                suspects, pkt, self.cache)
-            if took_ownership:
-                self.stats.buffered += 1
-                return DecodeResult(DecodeStatus.BUFFERED, missing=suspects)
             if self.verifier is not None:
-                self.verifier.on_stale(meta, suspects)
+                self.verifier.on_stale(
+                    meta, [region.fingerprint for region in parsed.regions])
             return DecodeResult(DecodeStatus.CHECKSUM_MISMATCH)
 
         self._accept(payload, meta)
@@ -191,7 +179,7 @@ class ByteCachingDecoder:
         return DecodeResult(DecodeStatus.OK_DECODED, payload)
 
     def insert_raw_payload(self, payload: bytes, meta: PacketMeta) -> None:
-        """Cache a payload that arrived out of band (NACK repairs)."""
+        """Cache a payload that arrived outside :meth:`decode`."""
         self._accept(payload, meta)
 
     # -- internal ---------------------------------------------------------

@@ -261,7 +261,6 @@ class ByteCachingEncoder:
         off_at = ring._offsets.item
         store_get = cache.store.get
         records = cache.store.records
-        unusable_sids = cache._unusable_store_ids
         # entry_eligible reads per-packet-record facts only (see the
         # hook's contract), so one verdict per distinct source packet
         # serves every other anchor of that packet in this one: a
@@ -297,8 +296,6 @@ class ByteCachingEncoder:
             sid = pkt_at(eid)
             if sid == refused:
                 stats.ineligible_hits += 1
-                continue
-            if sid in unusable_sids:
                 continue
             stored = store_get(sid)
             if stored is None:

@@ -1,18 +1,15 @@
 """Encoding/decoding policies: the paper's three algorithms (§V), the
-naive baseline (§III), and the extension schemes discussed in §VIII/IX.
+naive baseline (§III), adaptive k-distance, and the ACK-gated caching
+§VIII proposes.
 """
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from .ack_gated import AckGatedDecoderPolicy, AckGatedPolicy
-from .base import DecoderPolicy, EncoderPolicy, PacketMeta, PolicyServices
+from .base import DecoderPolicy, EncoderPolicy, PacketMeta
 from .cache_flush import CacheFlushPolicy
-from .informed_marking import (InformedMarkingDecoderPolicy,
-                               InformedMarkingEncoderPolicy)
 from .k_distance import AdaptiveKDistancePolicy, KDistancePolicy
 from .naive import NaivePolicy
-from .nack_recovery import (NackRecoveryDecoderPolicy,
-                            NackRecoveryEncoderPolicy)
 from .tcp_seq import TcpSeqPolicy
 
 #: Registry of encoder policies by name.  ``make_policy_pair`` builds a
@@ -24,9 +21,7 @@ ENCODER_POLICIES: Dict[str, Callable[..., EncoderPolicy]] = {
     "tcp_seq": TcpSeqPolicy,
     "k_distance": KDistancePolicy,
     "adaptive_k": AdaptiveKDistancePolicy,
-    "informed_marking": InformedMarkingEncoderPolicy,
     "ack_gated": AckGatedPolicy,
-    "nack_recovery": NackRecoveryEncoderPolicy,
 }
 
 
@@ -47,12 +42,8 @@ def make_policy_pair(name: str,
     encoder_kwargs = {key: value for key, value in kwargs.items()
                       if not key.startswith("decoder_")}
     encoder_policy = ENCODER_POLICIES[name](**encoder_kwargs)
-    if name == "informed_marking":
-        decoder_policy: DecoderPolicy = InformedMarkingDecoderPolicy(**decoder_kwargs)
-    elif name == "nack_recovery":
-        decoder_policy = NackRecoveryDecoderPolicy(**decoder_kwargs)
-    elif name == "ack_gated":
-        decoder_policy = AckGatedDecoderPolicy(**decoder_kwargs)
+    if name == "ack_gated":
+        decoder_policy: DecoderPolicy = AckGatedDecoderPolicy(**decoder_kwargs)
     else:
         decoder_policy = DecoderPolicy(**decoder_kwargs)
     return encoder_policy, decoder_policy
@@ -66,14 +57,9 @@ __all__ = [
     "DecoderPolicy",
     "EncoderPolicy",
     "ENCODER_POLICIES",
-    "InformedMarkingDecoderPolicy",
-    "InformedMarkingEncoderPolicy",
     "KDistancePolicy",
     "NaivePolicy",
-    "NackRecoveryDecoderPolicy",
-    "NackRecoveryEncoderPolicy",
     "PacketMeta",
-    "PolicyServices",
     "TcpSeqPolicy",
     "make_policy_pair",
 ]

@@ -9,7 +9,7 @@ the evaluation swap algorithms by swapping policies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache import ByteCache
@@ -35,23 +35,6 @@ class PacketMeta:
     counter: int = 0
 
 
-class PolicyServices:
-    """Gateway services a policy may use (control channel, clock)."""
-
-    def __init__(self,
-                 send_control: Optional[Callable[[str, object], None]] = None,
-                 clock: Optional[Callable[[], float]] = None) -> None:
-        self._send_control = send_control
-        self._clock = clock
-
-    def send_control(self, kind: str, payload: object) -> None:
-        if self._send_control is not None:
-            self._send_control(kind, payload)
-
-    def now(self) -> float:
-        return self._clock() if self._clock is not None else 0.0
-
-
 class EncoderPolicy:
     """Base (naive) encoder policy: the unmodified Fig. 2 algorithm.
 
@@ -65,21 +48,15 @@ class EncoderPolicy:
     #: a run sets ``ExperimentConfig(verify=True)``.  The default is the
     #: policy-independent §IV circular-dependency property — which the
     #: naive base policy *violates* under loss; that is exactly how the
-    #: verification layer pinpoints the livelock.  Policies whose
-    #: robustness comes from *recovery* rather than emission-time safety
-    #: (informed marking, NACK repair) override this to ``()`` because
-    #: they legally emit self-referencing regions and repair them later.
+    #: verification layer pinpoints the livelock.  Subclasses add their
+    #: own scheme's oracle and keep this one.
     verify_oracles: Tuple[str, ...] = ("circular_dependency",)
 
     def __init__(self) -> None:
-        self.services = PolicyServices()
         self.encoder: "Optional[ByteCachingEncoder]" = None
 
     def attach_encoder(self, encoder: "ByteCachingEncoder") -> None:
         self.encoder = encoder
-
-    def attach_services(self, services: PolicyServices) -> None:
-        self.services = services
 
     # -- hooks, in the order the encoder calls them ------------------------
 
@@ -139,47 +116,22 @@ class EncoderPolicy:
     def on_reverse_packet(self, pkt: Any, cache: "ByteCache") -> None:
         """Observe a packet flowing in the reverse direction (ACKs)."""
 
-    def on_control(self, kind: str, payload: object, cache: "ByteCache") -> None:
-        """Handle a control message from the peer gateway."""
 
 class DecoderPolicy:
-    """Base decoder policy: drop undecodable packets silently.
+    """Base decoder policy: cache every decoded payload at once.
 
-    That is precisely the behaviour of §IV-A step t3 and what the
-    paper's three algorithms assume; the informed-marking and NACK
-    extensions override the hooks.
+    A packet the decoder cannot rebuild is dropped whatever the policy
+    — §IV-A step t3, which every scheme here assumes.  Only the
+    ACK-gated mirror overrides the hooks, to defer its cache updates.
     """
 
     name = "drop"
 
     def __init__(self) -> None:
-        self.services = PolicyServices()
         self.decoder: "Optional[ByteCachingDecoder]" = None
 
     def attach_decoder(self, decoder: "ByteCachingDecoder") -> None:
         self.decoder = decoder
-
-    def attach_services(self, services: PolicyServices) -> None:
-        self.services = services
-
-    def on_undecodable(self, missing_fingerprints: List[int], pkt: Any,
-                       cache: "ByteCache") -> bool:
-        """Called when a packet references unknown fingerprints.
-
-        Return True if the policy took ownership of the packet (e.g.
-        buffered it awaiting repair); False to drop it.
-        """
-        return False
-
-    def on_checksum_mismatch(self, suspect_fingerprints: List[int],
-                             pkt: Any, cache: "ByteCache") -> bool:
-        """Called when reconstruction succeeded but produced wrong bytes.
-
-        The referenced fingerprints resolved to *stale* entries (the
-        replacing packet never reached this side).  Return True to take
-        ownership of the packet, False to drop it.
-        """
-        return False
 
     def should_cache_now(self, meta: PacketMeta) -> bool:
         """False to defer caching a decoded payload (ACK-gated mirror)."""
@@ -189,13 +141,7 @@ class DecoderPolicy:
                     meta: PacketMeta) -> None:
         """Stash a deferred decoder-cache update."""
 
-    def on_reverse_packet(self, pkt: Any, cache: "ByteCache") -> None:
-        """Observe a packet flowing in the reverse direction (ACKs)."""
-
     def on_wire_tag(self, tag: int, meta: PacketMeta,
                     cache: "ByteCache") -> None:
         """React to the encoder's wire tag before this packet is decoded
         (see :meth:`EncoderPolicy.wire_tag`)."""
-
-    def on_control(self, kind: str, payload: object, cache: "ByteCache") -> None:
-        """Handle a control message from the peer gateway."""

@@ -5,7 +5,7 @@ all of them.  This module shards the *payload* side of that cache and
 leaves the fingerprint side alone:
 
 * **One fingerprint table** — :class:`ShardedByteCache` inherits
-  ``insert_packet`` / ``lookup*`` / ``mark_unusable`` / ``flush`` and
+  ``insert_packet`` / ``lookup*`` / ``flush`` and
   the ring table from :class:`~repro.core.cache.ByteCache`, so the
   encoder's one-pass anchor resolve and inlined ring probe serve the
   population path too.

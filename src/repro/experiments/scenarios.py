@@ -614,10 +614,7 @@ class ExtensionsResult:
 def extensions(losses: Sequence[float] = (0.0, 0.01, 0.05, 0.10),
                corpus: str = "file1",
                seeds: Sequence[int] = DEFAULT_SEEDS) -> ExtensionsResult:
-    schemes = [("informed_marking", {}),
-               ("ack_gated", {}),
-               ("nack_recovery", {}),
-               ("adaptive_k", {})]
+    schemes = [("ack_gated", {}), ("adaptive_k", {})]
     baselines: Dict[tuple, TransferResult] = {}
     bytes_series, delay_series = [], []
     stall_counts: Dict[str, int] = {}

@@ -25,8 +25,7 @@ from ..core.cache import ByteCache
 from ..core.decoder import ByteCachingDecoder, DecodeStatus
 from ..core.encoder import ByteCachingEncoder
 from ..core.fingerprint import FingerprintScheme
-from ..core.policies.base import (DecoderPolicy, EncoderPolicy, PacketMeta,
-                                  PolicyServices)
+from ..core.policies.base import DecoderPolicy, EncoderPolicy, PacketMeta
 from ..core.wire import (EPOCH_STAMP_SIZE, SHIM_SIZE, WireFormatError,
                          parse_payload)
 from ..net.packet import (ControlMessage, IPPacket, PROTO_DRE_CONTROL,
@@ -78,8 +77,6 @@ class GatewayStats:
     malformed_dropped: int = 0
     desync_dropped: int = 0        # epoch mismatch / mid-resync drops
     dropped_while_down: int = 0    # packets offered during a crash window
-    buffered: int = 0
-    reinjected: int = 0
 
     @property
     def dropped_total(self) -> int:
@@ -145,7 +142,12 @@ class _GatewayBase(Middlebox):
             self.forward(out)
 
     def _handle_control(self, pkt: IPPacket) -> Optional[IPPacket]:
-        """Consume a control packet addressed to us; forward otherwise."""
+        """Consume a control packet addressed to us; forward otherwise.
+
+        Every consumed message is counted.  A resilience kind goes to
+        the resilience endpoint when one is armed; anything else is
+        dropped.
+        """
         if pkt.dst != self.address:
             return pkt
         message: ControlMessage = pkt.payload  # type: ignore[assignment]
@@ -154,8 +156,6 @@ class _GatewayBase(Middlebox):
         if (self.resilience is not None
                 and message.kind in RESILIENCE_CONTROL_KINDS):
             self.resilience.on_control(message.kind, message.payload)
-        else:
-            self.policy.on_control(message.kind, message.payload, self.cache)
         return None
 
     def send_control(self, kind: str, payload: object) -> None:
@@ -168,10 +168,6 @@ class _GatewayBase(Middlebox):
         self.stats.control_messages_sent += 1
         self.stats.control_bytes_sent += pkt.wire_size
         self.forward(pkt)
-
-    def _services(self) -> PolicyServices:
-        return PolicyServices(send_control=self.send_control,
-                              clock=lambda: self.sim.now)
 
 
 class EncoderGateway(_GatewayBase):
@@ -186,7 +182,6 @@ class EncoderGateway(_GatewayBase):
         super().__init__(sim, name, address, scheme, cache,
                          data_dst, forward_pred)
         self.policy = policy
-        policy.attach_services(self._services())
         # Savings accounting nets out the per-packet wire overhead: the
         # 2-byte shim, plus the epoch stamp when resilience is armed.
         shim_overhead = SHIM_SIZE + (EPOCH_STAMP_SIZE
@@ -296,12 +291,8 @@ class DecoderGateway(_GatewayBase):
         super().__init__(sim, name, address, scheme, cache,
                          data_dst, forward_pred)
         self.policy = policy if policy is not None else DecoderPolicy()
-        self.policy.attach_services(self._services())
         if resilience is not None:
             self.resilience = DecoderResilience(self, resilience)
-        # The NACK policy re-injects buffered packets once repaired.
-        if hasattr(self.policy, "retry") and getattr(self.policy, "retry") is None:
-            self.policy.retry = self.reinject  # type: ignore[attr-defined]
         self.decoder = ByteCachingDecoder(scheme, cache, self.policy)
         self._data_counter = 0
 
@@ -310,36 +301,13 @@ class DecoderGateway(_GatewayBase):
             return self._handle_control(pkt)
 
         payload = _payload_of(pkt)
-        if payload is None:
+        if payload is None or not payload.dre_encoded:
             return pkt
         if not self.forward_pred(pkt):
-            # Reverse direction: show ACKs to the policy (the ACK-gated
-            # mirror commits its deferred cache updates here).
-            self.policy.on_reverse_packet(pkt, self.cache)
-            return pkt
-        if not payload.dre_encoded:
-            return pkt
+            return pkt  # reverse direction: nothing to decode
 
         self.stats.data_packets += 1
         self.stats.bytes_before += pkt.wire_size
-        outcome = self._decode_in_place(pkt)
-        if outcome is None:
-            return None
-        self.stats.bytes_after += outcome.wire_size
-        return outcome
-
-    def reinject(self, pkt: IPPacket) -> None:
-        """Re-process a packet the policy buffered (NACK repairs)."""
-        self.stats.reinjected += 1
-        outcome = self._decode_in_place(pkt)
-        if outcome is not None:
-            self.stats.bytes_after += outcome.wire_size
-            self.forward(outcome)
-
-    # ------------------------------------------------------------------
-
-    def _decode_in_place(self, pkt: IPPacket) -> Optional[IPPacket]:
-        payload = pkt.payload
         meta = PacketMeta(
             packet_id=pkt.packet_id,
             flow=_flow_of(pkt),
@@ -378,28 +346,21 @@ class DecoderGateway(_GatewayBase):
             if tag is not None:
                 self.policy.on_wire_tag(tag, meta, self.cache)
             result = self.decoder.decode(payload.data, meta,
-                                         checksum=payload.checksum, pkt=pkt)
+                                         checksum=payload.checksum)
             if self.resilience is not None and carries_regions:
-                self.resilience.record_outcome(
-                    result.ok or result.status is DecodeStatus.BUFFERED)
+                self.resilience.record_outcome(result.ok)
             if result.ok:
                 payload.data = result.payload
                 payload.dre_encoded = False
                 pkt.reread_size()
                 self.stats.decoded_ok += 1
+                self.stats.bytes_after += pkt.wire_size
                 status = "ok"
                 return pkt
             # Failure paths only from here; one flag decides whether
             # they build event records (kwargs dict, len() of missing).
             recording = self.recorder is not None
-            if result.status is DecodeStatus.BUFFERED:
-                self.stats.buffered += 1
-                if recording:
-                    self.note("buffer", packet_id=pkt.packet_id,
-                              missing=len(result.missing))
-                status = "buffered"
-                missing = result.missing
-            elif result.status is DecodeStatus.MISSING:
+            if result.status is DecodeStatus.MISSING:
                 self.stats.undecodable_dropped += 1
                 if recording:
                     self.note("drop_undecodable", packet_id=pkt.packet_id,

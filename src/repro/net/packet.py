@@ -20,7 +20,7 @@ UDP_HEADER_SIZE = 8
 
 PROTO_TCP = 6
 PROTO_UDP = 17
-PROTO_DRE_CONTROL = 253  # gateway-to-gateway control channel (informed marking / NACK)
+PROTO_DRE_CONTROL = 253  # gateway-to-gateway control channel (resilience layer)
 
 _next_packet_id = itertools.count(1).__next__
 
@@ -130,8 +130,9 @@ class UDPDatagram:
 class ControlMessage:
     """Gateway-to-gateway control payload (proto 253).
 
-    Used by the informed-marking and NACK-recovery extension policies.
-    ``kind`` is a short string tag; ``payload`` is policy-defined.
+    Carries the resilience layer's heartbeats and resync handshake
+    (:mod:`repro.gateway.resilience`).  ``kind`` is a short string tag;
+    ``payload`` is a scalar or a tuple of scalars.
     """
 
     kind: str
@@ -144,17 +145,9 @@ class ControlMessage:
     @property
     def size(self) -> int:
         # Approximate a compact binary encoding: 4-byte header plus
-        # 8 bytes per fingerprint / id, plus any raw payload bytes the
-        # message carries (NACK repairs ship whole packet payloads).
+        # 8 bytes per scalar.
         items = self.payload if isinstance(self.payload, (list, tuple)) else [self.payload]
-        total = self.header_size
-        for item in items:
-            total += 8
-            if isinstance(item, (tuple, list)):
-                for part in item:
-                    if isinstance(part, (bytes, bytearray)):
-                        total += len(part)
-        return total
+        return self.header_size + 8 * len(items)
 
 
 class IPPacket:

@@ -9,7 +9,7 @@ loss)".  This module scripts exact faults:
   applies drop/corrupt/delay actions chosen by predicates;
 * predicate builders select packets by offer index, by TCP stream
   offset (ISS-independent), by data-packet ordinal, or by control
-  message kind (so control-plane loss — a NACK or resync request
+  message kind (so control-plane loss — a heartbeat or resync request
   vanishing — is scriptable too);
 * gateway-level fault actions (:func:`schedule_gateway_restart`,
   :func:`schedule_asymmetric_eviction`, :func:`schedule_memory_pressure`,
@@ -108,7 +108,7 @@ def match_control(*kinds: str) -> Predicate:
     """Match gateway control messages (proto 253), optionally by kind.
 
     With no arguments every control message matches; with arguments
-    only messages whose ``kind`` tag is listed (e.g. ``"nack"``,
+    only messages whose ``kind`` tag is listed (e.g. ``"heartbeat"``,
     ``"cache_resync"``).
     """
     wanted = set(kinds)

@@ -337,10 +337,8 @@ class VerificationHarness:
         encoder.verifier = self
         if decoder is not None:
             decoder.verifier = self
-        names = getattr(encoder.policy, "verify_oracles",
-                        ("circular_dependency",))
         self.oracles = [ORACLE_FACTORIES[name](encoder.policy)
-                        for name in names]
+                        for name in encoder.policy.verify_oracles]
 
     def watch_links(self, *links) -> None:
         """Links whose in-flight accounting gates the coherence checks."""
@@ -469,15 +467,11 @@ class VerificationHarness:
         dec_lookup = dec_cache.table.get  # side-effect-free on both table kinds
         self.coherence_checks += 1
         for entry in list(enc_cache.table.entries()):
-            if entry.store_id in enc_cache._unusable_store_ids:
-                continue
             enc_payload = enc_cache.store.peek(entry.store_id)
             if enc_payload is None:
                 continue
             dec_entry = dec_lookup(entry.fingerprint)
             if dec_entry is None:
-                continue
-            if dec_entry.store_id in dec_cache._unusable_store_ids:
                 continue
             dec_payload = dec_cache.store.peek(dec_entry.store_id)
             if dec_payload is None:

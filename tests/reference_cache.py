@@ -24,26 +24,24 @@ class CacheEntry:
     """One fingerprint-table entry."""
 
     __slots__ = ("fingerprint", "store_id", "offset", "tcp_seq", "flow",
-                 "packet_counter", "usable")
+                 "packet_counter")
 
     def __init__(self, fingerprint: int, store_id: int, offset: int,
                  tcp_seq: Optional[int] = None,
                  flow: Optional[tuple] = None,
-                 packet_counter: int = 0,
-                 usable: bool = True) -> None:
+                 packet_counter: int = 0) -> None:
         self.fingerprint = fingerprint
         self.store_id = store_id          # key into the PacketStore
         self.offset = offset              # fingerprint window offset in payload
         self.tcp_seq = tcp_seq            # §V-B: seq of the cached segment
         self.flow = flow                  # flow identity of the cached segment
         self.packet_counter = packet_counter  # §V-C: monotone packet index
-        self.usable = usable              # informed marking can veto an entry
 
     def __repr__(self) -> str:
         return (f"CacheEntry(fingerprint={self.fingerprint}, "
                 f"store_id={self.store_id}, offset={self.offset}, "
                 f"tcp_seq={self.tcp_seq}, flow={self.flow}, "
-                f"packet_counter={self.packet_counter}, usable={self.usable})")
+                f"packet_counter={self.packet_counter})")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CacheEntry):
@@ -53,8 +51,7 @@ class CacheEntry:
                 and self.offset == other.offset
                 and self.tcp_seq == other.tcp_seq
                 and self.flow == other.flow
-                and self.packet_counter == other.packet_counter
-                and self.usable == other.usable)
+                and self.packet_counter == other.packet_counter)
 
 
 class FingerprintTable:
@@ -131,12 +128,9 @@ class DictByteCache(ByteCache):
 
     def lookup(self, fingerprint: int) -> Optional[Tuple[CacheEntry, bytes]]:
         entry = self.table.get(fingerprint)
-        if entry is None or not entry.usable:
+        if entry is None:
             return None
-        store_id = entry.store_id
-        if store_id in self._unusable_store_ids:
-            return None
-        payload = self.store.get(store_id)
+        payload = self.store.get(entry.store_id)
         if payload is None:
             self.table.remove(fingerprint)
             return None
@@ -151,23 +145,13 @@ class DictByteCache(ByteCache):
     def lookup_previous(self, fingerprint: int
                         ) -> Optional[Tuple[CacheEntry, bytes]]:
         entry = self._previous_entries.get(fingerprint)
-        if entry is None or not entry.usable:
-            return None
-        if entry.store_id in self._unusable_store_ids:
+        if entry is None:
             return None
         payload = self.store.get(entry.store_id)
         if payload is None:
             self._previous_entries.pop(fingerprint, None)
             return None
         return entry, payload
-
-    def mark_unusable(self, fingerprint: int) -> bool:
-        entry = self.table.get(fingerprint)
-        if entry is None:
-            return False
-        entry.usable = False
-        self._unusable_store_ids.add(entry.store_id)
-        return True
 
     def flush(self) -> None:
         super().flush()

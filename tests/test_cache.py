@@ -153,23 +153,6 @@ class TestByteCache:
         assert cache.flushes == 1
         assert cache.external_id_for(1) is None
 
-    def test_mark_unusable_blocks_lookup(self):
-        cache = ByteCache()
-        cache.insert_packet(b"data" * 10, [(0, 9)])
-        assert cache.mark_unusable(9) is True
-        assert cache.lookup(9) is None
-
-    def test_mark_unusable_missing_fingerprint(self):
-        assert ByteCache().mark_unusable(9) is False
-
-    def test_unusable_entry_revives_on_replacement(self):
-        cache = ByteCache()
-        cache.insert_packet(b"one" * 20, [(0, 9)])
-        cache.mark_unusable(9)
-        cache.insert_packet(b"two" * 20, [(3, 9)])
-        entry, payload = cache.lookup(9)
-        assert payload == b"two" * 20
-
     def test_lookup_previous_returns_displaced_entry(self):
         cache = ByteCache()
         cache.insert_packet(b"old-payload" * 10, [(2, 9)])
@@ -226,21 +209,6 @@ class TestByteCache:
         assert entry.store_id == 1 and entry.offset == 3
         assert entry.tcp_seq is None and entry.flow is None
         assert entry.packet_counter == 0
-
-    def test_marks_die_with_their_packets(self):
-        cache = ByteCache(byte_budget=1000)
-        for i in range(10):
-            cache.insert_packet(bytes([i]) * 100, [(0, i)])
-        for i in range(10):
-            assert cache.mark_unusable(i)
-        assert cache._unusable_store_ids == set(cache.store.ids())
-        cache.evict_fraction(0.7)                 # the eviction storm
-        cache.insert_packet(b"z" * 100, [(0, 99)])
-        cache.mark_unusable(99)
-        assert cache._unusable_store_ids <= set(cache.store.ids())
-        assert len(cache._unusable_store_ids) == 4
-        assert cache.mark_unusable(0)             # dangling: mark dropped at once
-        assert cache._unusable_store_ids <= set(cache.store.ids())
 
 
 @pytest.mark.parametrize("make", [

@@ -88,7 +88,7 @@ def test_policies_listing(capsys):
     code, out = run_cli(capsys, "policies")
     assert code == 0
     assert "cache_flush" in out
-    assert "NackRecoveryEncoderPolicy" in out
+    assert "AckGatedDecoderPolicy" in out
 
 
 def test_trace_command(capsys):

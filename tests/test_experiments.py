@@ -66,9 +66,9 @@ class TestDreTransfers:
         ("cache_flush", {}),
         ("tcp_seq", {}),
         ("k_distance", {"k": 8}),
-        ("informed_marking", {}),
+        ("k_distance", {"k": 2}),
         ("ack_gated", {}),
-        ("nack_recovery", {}),
+        ("k_distance", {"k": 50}),
         ("adaptive_k", {}),
     ])
     def test_robust_policies_survive_loss(self, policy, kwargs):

@@ -46,10 +46,10 @@ class TestPredicates:
         assert predicate(data2, 2)
 
     def test_match_control_filters_by_kind(self):
-        predicate = match_control("nack", "cache_resync")
-        assert predicate(control_packet("nack"), 0)
+        predicate = match_control("heartbeat", "cache_resync")
+        assert predicate(control_packet("heartbeat"), 0)
         assert predicate(control_packet("cache_resync"), 1)
-        assert not predicate(control_packet("repair"), 2)
+        assert not predicate(control_packet("heartbeat_ack"), 2)
         data = IPPacket(src="a", dst="b", proto=PROTO_TCP,
                         payload=TCPSegment(src_port=1, dst_port=2, seq=0,
                                            ack=0, flags=TCPSegment.ACK,
@@ -59,14 +59,14 @@ class TestPredicates:
     def test_match_control_without_kinds_matches_all_control(self):
         predicate = match_control()
         assert predicate(control_packet("heartbeat"), 0)
-        assert predicate(control_packet("repair"), 1)
+        assert predicate(control_packet("cache_resync_ack"), 1)
 
     def test_match_nth_control_counts_per_kind(self):
-        predicate = match_nth_control("nack", 2)
-        assert not predicate(control_packet("nack"), 0)      # 1st nack
-        assert not predicate(control_packet("repair"), 1)    # not counted
-        assert predicate(control_packet("nack"), 2)          # 2nd nack
-        assert not predicate(control_packet("nack"), 3)
+        predicate = match_nth_control("heartbeat", 2)
+        assert not predicate(control_packet("heartbeat"), 0)      # 1st
+        assert not predicate(control_packet("heartbeat_ack"), 1)  # not counted
+        assert predicate(control_packet("heartbeat"), 2)          # 2nd
+        assert not predicate(control_packet("heartbeat"), 3)
 
 
 class TestInjectorOnTestbed:
@@ -156,48 +156,3 @@ class TestInjectorOnFullTestbed:
                               [Fetch()]).outcomes[0]
         assert not outcome.completed
         assert injector.log.events == 1
-
-
-class TestNackRecoveryUnderControlLoss:
-    """§VIII NACK recovery when the *control channel itself* is lossy.
-
-    A lost NACK (or a lost repair) must not wedge the decoder's buffer:
-    the buffered-packet timeout expires the stale pending entries, a
-    fresh NACK goes out for their fingerprints, and the transfer
-    completes.
-    """
-
-    def _run(self, kind: str, link_attr: str):
-        config = ExperimentConfig(
-            corpus="file1", file_size=40 * 1460, policy="nack_recovery",
-            policy_kwargs={"decoder_timeout": 0.02}, seed=2,
-            tcp_max_retries=8, tcp_min_rto=0.05, tcp_max_rto=0.5,
-            time_limit=60.0)
-        testbed = build_testbed(config)
-        # The triggering data loss: later packets reference the lost
-        # carrier and become undecodable -> buffered + NACKed.
-        FaultInjector(testbed.bottleneck_forward).drop_when(match_nth_data(5))
-        control_injector = FaultInjector(getattr(testbed, link_attr))
-        control_injector.drop_when(match_nth_control(kind, 1))
-        data = corpus_object(config.corpus, config.file_size,
-                             config.corpus_seed)
-        outcome = run_fetches(testbed, config, {FILE_NAME: data},
-                              [Fetch()]).outcomes[0]
-        assert control_injector.log.dropped
-        return testbed, outcome
-
-    def test_lost_nack_expires_buffer_and_completes(self):
-        testbed, outcome = self._run("nack", "bottleneck_reverse")
-        assert outcome.completed
-        policy = testbed.gateways.decoder.policy
-        assert policy.timeouts >= 1           # buffered packets expired
-        assert policy.nacks_sent >= 2         # and were re-requested
-        assert policy.repairs_received >= 1
-
-    def test_lost_repair_expires_buffer_and_completes(self):
-        testbed, outcome = self._run("repair", "bottleneck_forward")
-        assert outcome.completed
-        policy = testbed.gateways.decoder.policy
-        assert policy.timeouts >= 1
-        assert policy.repairs_received >= 1
-        assert testbed.gateways.decoder.stats.reinjected >= 1

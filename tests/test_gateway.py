@@ -3,6 +3,7 @@
 import random
 
 from repro.gateway import GatewayPair
+from repro.gateway.resilience import ResilienceConfig
 from repro.core.checksum import payload_checksum
 from repro.net.packet import (ControlMessage, IPPacket, PROTO_DRE_CONTROL,
                               PROTO_TCP, TCPSegment)
@@ -177,62 +178,62 @@ class TestTraceRecords:
 
 
 class TestControlChannel:
+    def _control(self, pair, kind, payload, dst=None):
+        return IPPacket(src=pair.decoder.address,
+                        dst=pair.encoder.address if dst is None else dst,
+                        proto=PROTO_DRE_CONTROL,
+                        payload=ControlMessage(kind=kind, payload=payload))
+
     def test_control_message_consumed_by_addressee(self):
-        sim, pair, enc_out, dec_out = make_pair(policy="informed_marking")
-        message = ControlMessage(kind="mark", payload=[123])
-        pkt = IPPacket(src=pair.decoder.address, dst=pair.encoder.address,
-                       proto=PROTO_DRE_CONTROL, payload=message)
-        pair.encoder.receive(pkt)
+        sim, pair, enc_out, dec_out = make_pair(policy="cache_flush")
+        pair.encoder.receive(self._control(pair, "cache_resync", 1))
         assert enc_out.packets == []  # consumed, not forwarded
+        assert pair.encoder.stats.control_messages_received == 1
 
     def test_control_message_forwarded_when_not_addressee(self):
-        sim, pair, enc_out, dec_out = make_pair(policy="informed_marking")
-        message = ControlMessage(kind="mark", payload=[123])
-        pkt = IPPacket(src=pair.decoder.address, dst="somewhere-else",
-                       proto=PROTO_DRE_CONTROL, payload=message)
-        pair.encoder.receive(pkt)
+        sim, pair, enc_out, dec_out = make_pair(policy="cache_flush")
+        pair.encoder.receive(self._control(pair, "cache_resync", 1,
+                                           dst="somewhere-else"))
         assert len(enc_out.packets) == 1
+        assert pair.encoder.stats.control_messages_received == 0
 
-    def test_informed_marking_end_to_end(self):
-        sim, pair, enc_out, dec_out = make_pair(policy="informed_marking")
-        payload = random_bytes(6)
-        pair.encoder.receive(data_packet(payload, seq=0))       # lost
-        pair.encoder.receive(data_packet(payload, seq=1460))
-        dependent = enc_out.packets[1]
-        pair.decoder.receive(dependent)                         # drops+marks
-        assert pair.decoder.stats.control_messages_sent == 1
-        mark = dec_out.packets[-1] if dec_out.packets else None
-        # The control message goes towards the encoder (reverse route).
-        control = [p for p in dec_out.packets
-                   if p.proto == PROTO_DRE_CONTROL]
-        assert control
-        pair.encoder.receive(control[0])
-        # Marked entries are unusable: the same content goes raw now.
-        pair.encoder.receive(data_packet(payload, seq=2920))
-        third = enc_out.packets[-1]
-        decoded_before = pair.decoder.stats.decoded_ok
-        pair.decoder.receive(third)
-        assert pair.decoder.stats.decoded_ok == decoded_before + 1
+    def test_unknown_kind_counted_and_dropped_without_resilience(self):
+        sim, pair, enc_out, dec_out = make_pair(policy="cache_flush")
+        pair.encoder.receive(data_packet(random_bytes(5)))
+        cached = len(pair.encoder.cache.store)
+        pair.encoder.receive(self._control(pair, "mark", [123]))
+        assert pair.encoder.stats.control_messages_received == 1
+        assert pair.encoder.stats.control_messages_sent == 0
+        assert len(enc_out.packets) == 1          # the data packet only
+        assert len(pair.encoder.cache.store) == cached
 
-    def test_nack_recovery_end_to_end(self):
-        sim, pair, enc_out, dec_out = make_pair(policy="nack_recovery")
+    def test_unknown_kind_counted_and_dropped_with_resilience(self):
+        sim, pair, enc_out, dec_out = make_pair(
+            policy="cache_flush", resilience=ResilienceConfig())
+        decoder = pair.decoder
+        control = self._control(pair, "mark", [123], dst=decoder.address)
+        decoder.receive(control)
+        assert decoder.stats.control_messages_received == 1
+        assert decoder.stats.control_messages_sent == 0
+        assert dec_out.packets == []
+        # A resilience kind on the same path reaches the endpoint,
+        # which answers it.
+        decoder.receive(self._control(pair, "heartbeat", 1,
+                                      dst=decoder.address))
+        assert decoder.stats.control_messages_received == 2
+        assert [p.payload.kind for p in dec_out.packets] == ["heartbeat_ack"]
+
+    def test_decoder_miss_is_dropped_and_reported_nowhere(self):
+        """An undecodable packet has one outcome: it is dropped (§IV-A
+        t3); nothing is buffered and no message goes back."""
+        sim, pair, enc_out, dec_out = make_pair(policy="naive")
         payload = random_bytes(7)
         pair.encoder.receive(data_packet(payload, seq=0))       # lost
         pair.encoder.receive(data_packet(payload, seq=1460))
-        dependent = enc_out.packets[1]
-        pair.decoder.receive(dependent)
-        # Buffered, not dropped; a NACK went out the reverse path.
-        assert pair.decoder.stats.buffered == 1
-        nacks = [p for p in dec_out.packets if p.proto == PROTO_DRE_CONTROL]
-        assert nacks
-        pair.encoder.receive(nacks[0])
-        repairs = [p for p in enc_out.packets
-                   if p.proto == PROTO_DRE_CONTROL]
-        assert repairs
-        pair.decoder.receive(repairs[0])
-        # The buffered packet was re-decoded and forwarded to the client.
-        delivered = [p for p in dec_out.packets if p.proto == PROTO_TCP]
-        assert delivered and delivered[-1].tcp.data == payload
+        pair.decoder.receive(enc_out.packets[1])
+        assert pair.decoder.stats.undecodable_dropped == 1
+        assert pair.decoder.stats.control_messages_sent == 0
+        assert dec_out.packets == []
 
 
 class TestPolicyIntegration:

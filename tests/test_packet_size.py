@@ -30,10 +30,9 @@ from repro.sim.link import Link
 #: Every place that rewrites a payload in place, as the re-read's caller.
 FAULT_SITES = {FaultInjector._send.__code__, Link._corrupt.__code__}
 REWRITE_SITES = FAULT_SITES | {EncoderGateway.process.__code__,
-                               DecoderGateway._decode_in_place.__code__}
+                               DecoderGateway.process.__code__}
 
-POLICIES = [None, "cache_flush", "tcp_seq", "k_distance", "nack_recovery",
-            "ack_gated"]
+POLICIES = [None, "cache_flush", "tcp_seq", "k_distance", "ack_gated"]
 
 
 class SizeWatch:

@@ -4,18 +4,12 @@ import random
 
 import pytest
 
-from repro.core import (ByteCache, ByteCachingDecoder, ByteCachingEncoder,
-                        FingerprintScheme)
-from repro.core.policies import (AckGatedPolicy, AdaptiveKDistancePolicy,
-                                 CacheFlushPolicy, DecoderPolicy,
-                                 ENCODER_POLICIES,
-                                 InformedMarkingDecoderPolicy,
-                                 InformedMarkingEncoderPolicy,
-                                 KDistancePolicy, NaivePolicy,
-                                 NackRecoveryDecoderPolicy,
-                                 NackRecoveryEncoderPolicy, PacketMeta,
-                                 PolicyServices, TcpSeqPolicy,
-                                 make_policy_pair)
+from repro.core import ByteCache, ByteCachingEncoder, FingerprintScheme
+from repro.core.policies import (AckGatedDecoderPolicy, AckGatedPolicy,
+                                 AdaptiveKDistancePolicy, CacheFlushPolicy,
+                                 DecoderPolicy, ENCODER_POLICIES,
+                                 KDistancePolicy, NaivePolicy, PacketMeta,
+                                 TcpSeqPolicy, make_policy_pair)
 from tests.reference_cache import CacheEntry
 
 FLOW = ("10.0.2.1", 80, "10.0.1.1", 5000)
@@ -47,17 +41,19 @@ class TestRegistry:
         assert policy.k == 5
 
     def test_decoder_kwargs_forwarded(self):
-        _, decoder_policy = make_policy_pair("nack_recovery",
-                                             decoder_timeout=2.5)
-        assert decoder_policy.timeout == 2.5
+        encoder_policy, decoder_policy = make_policy_pair(
+            "ack_gated", decoder_max_pending=7)
+        assert decoder_policy.max_pending == 7
+        assert encoder_policy.max_pending == 4096
 
     def test_paired_decoder_policies(self):
-        _, im = make_policy_pair("informed_marking")
-        assert isinstance(im, InformedMarkingDecoderPolicy)
-        _, nack = make_policy_pair("nack_recovery")
-        assert isinstance(nack, NackRecoveryDecoderPolicy)
-        _, plain = make_policy_pair("cache_flush")
-        assert type(plain) is DecoderPolicy
+        """Only the ACK-gated scheme has a decoder half of its own."""
+        for name in ENCODER_POLICIES:
+            _, decoder_policy = make_policy_pair(name)
+            if name == "ack_gated":
+                assert isinstance(decoder_policy, AckGatedDecoderPolicy)
+            else:
+                assert type(decoder_policy) is DecoderPolicy
 
 
 class TestNaive:
@@ -285,38 +281,6 @@ class TestAdaptiveKDistance:
         assert policy.k == policy.k_max
 
 
-class TestInformedMarking:
-    def test_decoder_reports_and_encoder_marks(self):
-        sent = []
-        encoder_policy = InformedMarkingEncoderPolicy()
-        decoder_policy = InformedMarkingDecoderPolicy()
-        decoder_policy.attach_services(PolicyServices(
-            send_control=lambda kind, payload: sent.append((kind, payload))))
-        cache = ByteCache()
-        cache.insert_packet(b"x" * 50, [(0, 77)])
-        owned = decoder_policy.on_undecodable([77], None, ByteCache())
-        assert owned is False          # packet still dropped
-        assert sent == [("mark", [77])]
-        encoder_policy.on_control("mark", [77], cache)
-        assert cache.lookup(77) is None
-        assert encoder_policy.marks_received == 1
-
-    def test_report_batch_limited(self):
-        sent = []
-        decoder_policy = InformedMarkingDecoderPolicy(max_report_batch=2)
-        decoder_policy.attach_services(PolicyServices(
-            send_control=lambda kind, payload: sent.append(payload)))
-        decoder_policy.on_undecodable([1, 2, 3, 4], None, ByteCache())
-        assert sent == [[1, 2]]
-
-    def test_unrelated_control_ignored(self):
-        policy = InformedMarkingEncoderPolicy()
-        cache = ByteCache()
-        cache.insert_packet(b"x" * 50, [(0, 77)])
-        policy.on_control("nack", [77], cache)
-        assert cache.lookup(77) is not None
-
-
 class TestAckGated:
     def make(self):
         scheme = FingerprintScheme()
@@ -384,71 +348,3 @@ class TestAckGated:
     def test_non_tcp_caches_immediately(self):
         policy = AckGatedPolicy()
         assert policy.should_cache_now(PacketMeta(packet_id=1))
-
-
-class TestNackRecovery:
-    def test_nack_and_repair_flow(self):
-        control = []
-        services = PolicyServices(
-            send_control=lambda kind, payload: control.append((kind, payload)),
-            clock=lambda: 0.0)
-
-        scheme = FingerprintScheme()
-        rng = random.Random(99)
-        payload = bytes(rng.randrange(256) for _ in range(800))
-        # Use a real content anchor so the repair insertion (which
-        # fingerprints the payload) actually restores this entry.
-        anchor_offset, anchor_fp = scheme.anchors(payload)[0]
-
-        encoder_policy = NackRecoveryEncoderPolicy()
-        encoder_policy.attach_services(services)
-        encoder_cache = ByteCache()
-        encoder_cache.insert_packet(payload, [(anchor_offset, anchor_fp)])
-
-        retried = []
-        decoder_policy = NackRecoveryDecoderPolicy(retry=retried.append)
-        decoder_policy.attach_services(services)
-        decoder = ByteCachingDecoder(scheme, ByteCache(), decoder_policy)
-
-        # The decoder buffers an undecodable packet and NACKs.
-        owned = decoder_policy.on_undecodable([anchor_fp], object(),
-                                              decoder.cache)
-        assert owned is True
-        assert control[-1][0] == "nack"
-
-        # Encoder answers with the raw payload.
-        encoder_policy.on_control("nack", [anchor_fp], encoder_cache)
-        kind, repairs = control[-1]
-        assert kind == "repair"
-        assert repairs[0][0] == anchor_fp
-
-        # Decoder installs the repair and retries the buffered packet.
-        decoder_policy.on_control("repair", repairs, decoder.cache)
-        assert decoder_policy.repairs_received == 1
-        assert len(retried) == 1
-        assert decoder.cache.lookup(anchor_fp)
-
-    def test_unavailable_repair_counted(self):
-        services = PolicyServices(send_control=lambda *a: None)
-        policy = NackRecoveryEncoderPolicy()
-        policy.attach_services(services)
-        policy.on_control("nack", [999], ByteCache())
-        assert policy.repairs_unavailable == 1
-
-    def test_buffer_limit(self):
-        policy = NackRecoveryDecoderPolicy(buffer_limit=1)
-        policy.attach_services(PolicyServices(send_control=lambda *a: None,
-                                              clock=lambda: 0.0))
-        assert policy.on_undecodable([1], object(), ByteCache()) is True
-        assert policy.on_undecodable([2], object(), ByteCache()) is False
-
-    def test_timeout_expires_buffered(self):
-        now = [0.0]
-        policy = NackRecoveryDecoderPolicy(timeout=1.0)
-        policy.attach_services(PolicyServices(send_control=lambda *a: None,
-                                              clock=lambda: now[0]))
-        policy.on_undecodable([1], object(), ByteCache())
-        now[0] = 5.0
-        policy._expire()
-        assert policy.timeouts == 1
-        assert policy._buffer == []

@@ -13,8 +13,8 @@ from repro.gateway.resilience import (CONTROL_KIND_HEARTBEAT,
                                       CONTROL_KIND_RESYNC_ACK,
                                       MODE_BYPASS, MODE_ENCODE, MODE_RAW)
 from repro.core.checksum import payload_checksum
-from repro.net.packet import (ControlMessage, IPPacket, PROTO_DRE_CONTROL,
-                              PROTO_TCP, TCPSegment)
+from repro.net.packet import (ControlMessage, IP_HEADER_SIZE, IPPacket,
+                              PROTO_DRE_CONTROL, PROTO_TCP, TCPSegment)
 from repro.sim import Simulator
 
 CLIENT = "10.0.1.1"
@@ -246,6 +246,25 @@ class TestResyncHandshake:
         delivered = [p for p in dec_out.packets if p.proto == PROTO_TCP]
         assert delivered[-1].tcp.data == payload
         assert pair.encoder.resilience.stats.grace_packets == 1
+
+
+    def test_control_messages_weigh_header_plus_eight_per_scalar(self):
+        """The four messages the layer sends, as sent, weigh what they
+        always have: a 4-byte header plus 8 bytes per scalar."""
+        sim, pair, enc_out, dec_out, payload = self._diverged_pair()
+        pair.encoder.receive(data_packet(payload, seq=2920))
+        pair.decoder.receive(enc_out.packets[0])
+        pair.encoder.receive(dec_out.controls(CONTROL_KIND_RESYNC)[0])
+        sim.run(until=pair.encoder.resilience.config.heartbeat_interval)
+        pair.decoder.receive(enc_out.controls(CONTROL_KIND_HEARTBEAT)[0])
+        sent = {pkt.payload.kind: pkt.payload.size
+                for pkt in enc_out.controls() + dec_out.controls()}
+        assert sent == {CONTROL_KIND_HEARTBEAT: 12,
+                        CONTROL_KIND_HEARTBEAT_ACK: 12,
+                        CONTROL_KIND_RESYNC: 12,
+                        CONTROL_KIND_RESYNC_ACK: 20}
+        assert all(pkt.wire_size == IP_HEADER_SIZE + pkt.payload.size
+                   for pkt in enc_out.controls() + dec_out.controls())
 
 
 class TestWatchdog:

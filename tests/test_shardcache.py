@@ -68,7 +68,6 @@ op_st = st.one_of(
               st.lists(st.tuples(st.integers(0, 48), fp_st), max_size=4)),
     st.tuples(st.just("lookup"), fp_st),
     st.tuples(st.just("previous"), fp_st),
-    st.tuples(st.just("mark"), fp_st),
     st.tuples(st.just("flush")),
 )
 
@@ -101,8 +100,6 @@ def _apply(caches, op, counter):
     elif op[0] == "previous":
         seen = [_entry_view(cache.lookup_previous(op[1]))
                 for cache in caches]
-    elif op[0] == "mark":
-        seen = [cache.mark_unusable(op[1]) for cache in caches]
     else:
         for cache in caches:
             cache.flush()

@@ -177,8 +177,8 @@ STEPS = st.one_of(
               st.lists(packet_ids, max_size=4, unique=True),
               st.integers(40, 1500), st.booleans()),
     st.tuples(st.just("decode"), packet_ids, flows, seqs,
-              st.sampled_from(["ok", "missing", "buffered", "malformed",
-                               "desync_drop"]),
+              st.sampled_from(["ok", "missing", "checksum_mismatch",
+                               "malformed", "desync_drop"]),
               st.one_of(st.none(), st.integers(0, 3)), st.integers(0, 3),
               st.booleans()),
     st.tuples(st.just("link_begin"), packet_ids, st.integers(40, 1500)),

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core import (ByteCache, ByteCachingDecoder, ByteCachingEncoder,
                         FingerprintScheme)
-from repro.core.policies import PacketMeta, make_policy_pair
+from repro.core.policies import ENCODER_POLICIES, PacketMeta, make_policy_pair
 from repro.experiments import ExperimentConfig, run_transfer
 from repro.core.checksum import payload_checksum
 from repro.sim.rng import RngRegistry
@@ -93,9 +93,17 @@ class TestOnlineOracles:
         encoder, _decoder, harness = _core_pair("k_distance", k=4)
         assert sorted(oracle.name for oracle in harness.oracles) == \
             ["circular_dependency", "k_distance"]
-        # Recovery-based schemes legally self-reference: no oracles.
-        encoder, _decoder, harness = _core_pair("informed_marking")
-        assert harness.oracles == []
+        # A scheme with no oracle of its own arms the §IV one alone.
+        encoder, _decoder, harness = _core_pair("ack_gated")
+        assert [oracle.name for oracle in harness.oracles] == \
+            ["circular_dependency"]
+
+    @pytest.mark.parametrize("policy", sorted(ENCODER_POLICIES))
+    def test_every_policy_faces_the_circular_dependency_oracle(self, policy):
+        """No registered scheme may opt out of the §IV property."""
+        _encoder, _decoder, harness = _core_pair(policy)
+        assert "circular_dependency" in [oracle.name
+                                         for oracle in harness.oracles]
 
 
 class TestCoherenceOracle:
