@@ -19,6 +19,7 @@ from repro.experiments import ExperimentConfig, run_transfer
 from repro.experiments.runner import (FILE_NAME, Fetch, build_testbed,
                                       run_fetches)
 from repro.metrics import format_table
+from repro.sim.faults import schedule_loss_window
 from repro.workload.corpus import corpus_object
 
 
@@ -55,7 +56,6 @@ def track_changing_channel() -> None:
     data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
 
     def degrade():
-        testbed.bottleneck_forward.loss_rate = 0.10
         print(f"t={testbed.sim.now:6.3f}s  channel degrades to 10% loss")
 
     policy = testbed.gateways.encoder.policy
@@ -65,6 +65,10 @@ def track_changing_channel() -> None:
         samples.append((testbed.sim.now, policy.loss_estimate, policy.k))
         testbed.sim.after(0.25, sample)
 
+    # A mid-run change to a link's loss rate goes through a fault
+    # helper, which arms the link so the new rate meets every packet
+    # that has not finished serialising.
+    schedule_loss_window(testbed.sim, testbed.bottleneck_forward, 0.20, 0.10)
     testbed.sim.after(0.20, degrade)
     testbed.sim.after(0.05, sample)
     run_fetches(testbed, config, {FILE_NAME: data}, [Fetch()])

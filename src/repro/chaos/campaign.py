@@ -24,8 +24,9 @@ to the phase start, windows default to the whole phase):
     Drop every gateway control message (optionally only ``kinds``)
     in both directions for the phase window.
 ``loss``
-    Uniform extra loss: set ``link.loss_rate`` to ``rate`` for the
-    phase window, restoring the scenario rate afterwards.
+    Uniform extra loss: set ``link.loss_rate`` to ``rate`` (a number in
+    [0, 1], checked when the phase is built) for the phase window,
+    restoring the scenario rate afterwards.
 ``reorder_data`` / ``dup_data``
     Re-order (by ``extra_delay``) / duplicate every ``every``-th data
     segment offered during the phase window.
@@ -97,6 +98,16 @@ class Phase:
             if kind not in _INJECTION_KINDS:
                 raise ValueError(
                     f"phase {self.name!r}: unknown injection kind {kind!r}")
+            if kind == "loss":
+                # Refused the way Link refuses its constructor rates:
+                # a NaN or out-of-range rate would otherwise run as
+                # 0 % or 100 % extra loss.
+                rate = injection.get("rate")
+                if (not isinstance(rate, (int, float))
+                        or not 0.0 <= rate <= 1.0):
+                    raise ValueError(
+                        f"phase {self.name!r}: loss rate must be a number "
+                        f"in [0, 1], got {rate!r}")
 
     @property
     def end(self) -> float:

@@ -27,8 +27,8 @@ from ..sim.faults import (FaultInjector, GatewayFaultLog, all_of,
                           control_blackout, match_time_window,
                           schedule_asymmetric_eviction, schedule_bursty_loss,
                           schedule_clock_skew, schedule_gateway_restart,
-                          schedule_link_flap, schedule_memory_pressure,
-                          schedule_partition)
+                          schedule_link_flap, schedule_loss_window,
+                          schedule_memory_pressure, schedule_partition)
 from ..sim.rng import RngRegistry
 from ..workload.corpus import corpus_object
 from .campaign import CHAOS_POLICIES, CHAOS_SCHEMA, GATEWAY_KINDS, Campaign
@@ -157,10 +157,9 @@ def _arm_one(testbed: Testbed, phase, injection: Dict[str, Any],
         control_blackout(both, window[0], window[1],
                          *injection.get("kinds", ()))
     elif kind == "loss":
-        link = _link(testbed, injection.get("link", "forward"))
-        original = link.loss_rate
-        sim.at(window[0], setattr, link, "loss_rate", injection["rate"])
-        sim.at(window[1], setattr, link, "loss_rate", original)
+        schedule_loss_window(
+            sim, _link(testbed, injection.get("link", "forward")),
+            window[0], injection["rate"], until=window[1])
     elif kind == "reorder_data":
         _injector(testbed, armed.injectors, "forward").reorder_when(
             all_of(match_time_window(lambda s=sim: s.now, *window),

@@ -19,9 +19,13 @@ loss)".  This module scripts exact faults:
   budget, or a drifting heartbeat clock;
 * link-window actions (:func:`schedule_link_flap`,
   :func:`schedule_partition`, :func:`schedule_bursty_loss`,
-  :func:`control_blackout`) script the sustained adverse regimes the
-  chaos campaigns compose — handover flaps, Gilbert-Elliott loss
-  bursts, a blacked-out control plane.
+  :func:`schedule_loss_window`, :func:`control_blackout`) script the
+  sustained adverse regimes the chaos campaigns compose — handover
+  flaps, Gilbert-Elliott loss bursts, a window of extra uniform loss,
+  a blacked-out control plane.  Each arms the link it faults
+  (:meth:`~repro.sim.link.Link.arm`) when it is called, so the link
+  samples its impairments at the end of serialisation for the rest of
+  the run and the fault catches a packet that is already queued.
 
 Used by the integration tests, the stall-anatomy example, the chaos
 campaign engine (:mod:`repro.chaos`), and available to library users
@@ -502,6 +506,7 @@ def schedule_link_flap(sim: Simulator, link: Link, at: float,
         raise ValueError(f"flaps must be >= 1, got {flaps}")
     if flaps > 1 and (period is None or period <= down_for):
         raise ValueError("flaps > 1 needs period > down_for")
+    link.arm()
 
     def down() -> None:
         link.down = True
@@ -544,6 +549,7 @@ def schedule_bursty_loss(sim: Simulator, link: Link, at: float, until: float,
     if until <= at:
         raise ValueError(f"window ends before it starts: [{at}, {until})")
     model = GilbertElliottLoss(rng, **gilbert_kwargs)
+    link.arm()
 
     def attach() -> None:
         link.loss_model = model
@@ -561,6 +567,28 @@ def schedule_bursty_loss(sim: Simulator, link: Link, at: float, until: float,
     sim.at(at, attach)
     sim.at(until, detach)
     return model
+
+
+def schedule_loss_window(sim: Simulator, link: Link, at: float,
+                         rate: float,
+                         until: Optional[float] = None) -> List[Event]:
+    """Set ``link``'s uniform loss rate to ``rate`` from ``at``, and
+    restore the rate it has now at ``until`` when given.
+
+    ``rate`` is checked the way :class:`~repro.sim.link.Link` checks
+    its constructor rates, so a NaN or out-of-range rate is refused
+    here rather than read as 0 % or 100 % loss at run time.
+    """
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"loss rate must be in [0, 1], got {rate}")
+    if until is not None and not until >= at:
+        raise ValueError(f"window ends before it starts: [{at}, {until})")
+    original = link.loss_rate
+    link.arm()
+    events = [sim.at(at, setattr, link, "loss_rate", rate)]
+    if until is not None:
+        events.append(sim.at(until, setattr, link, "loss_rate", original))
+    return events
 
 
 def control_blackout(injectors: List[FaultInjector], start: float,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Optional
@@ -105,8 +106,59 @@ class GilbertElliottLoss:
         return False
 
 
+class _DrawnParameter:
+    """A link parameter that a packet's fate is drawn from.
+
+    The value lives in the instance slot ``_<name>``, which the send
+    path reads directly.  A write re-picks the link's crossing (see
+    :class:`Link`) and raises :class:`SimulationError` while a packet
+    accepted on the one-event crossing is still serialising: that
+    packet's loss and re-order were drawn when it was offered, under
+    the old value, where the two-event crossing would draw them under
+    the new one.  Arm the link first (:meth:`Link.arm`, which every
+    fault helper of :mod:`repro.sim.faults` does) to change it mid-run.
+    """
+
+    __slots__ = ("name", "slot")
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+        self.slot = "_" + name
+
+    def __get__(self, link: Optional["Link"], owner: type = None):
+        if link is None:
+            return self
+        return link.__dict__[self.slot]
+
+    def __set__(self, link: "Link", value) -> None:
+        now = link.sim.now
+        if link._drawn_until >= now:
+            raise SimulationError(
+                f"link {link.name!r}: {self.name} written at t={now} while "
+                f"a packet whose fate was drawn when it was offered "
+                f"serialises until t={link._drawn_until}; arm the link "
+                f"before the run to change it mid-run")
+        link.__dict__[self.slot] = value
+        link._pick_path()
+
+
 class Link:
     """One direction of a point-to-point link.
+
+    A crossing takes one of two paths, picked per packet from what the
+    link can observe.  The **two-event** crossing pushes ``_transmitted``
+    at the end of serialisation, which draws loss, corruption and
+    re-ordering then and pushes ``_deliver``.  The **one-event**
+    crossing makes those draws in :meth:`send`, from the same ``rng`` in
+    the same FIFO order, and pushes ``_deliver`` alone (nothing for a
+    lost packet).  The one-event crossing is taken unless the link has
+    spans, telemetry gauges or a verifier watching it (:meth:`watch`),
+    ``corrupt_rate > 0`` (corruption rewrites the payload at the end of
+    serialisation), an armed fault (:meth:`arm`), or ``down`` /
+    ``loss_model`` set; and never while a two-event packet is still
+    serialising, so the draws keep their FIFO order across a switch.
+    Writes to the parameters a fate is drawn from are guarded (see
+    ``_DrawnParameter``).
 
     Parameters
     ----------
@@ -132,7 +184,7 @@ class Link:
         ``repro.metrics.telemetry``).  When given, the link registers
         pull gauges for its queue depth and loss counters — sampled on
         the telemetry tick, so the send path itself carries no extra
-        per-packet work.
+        per-packet work — and keeps the two-event crossing.
     spans:
         Optional causal span recorder (duck-typed, see
         ``repro.metrics.spans``).  When given, traced packets get a
@@ -141,6 +193,14 @@ class Link:
         that carries a trace id across the gateway boundary.  Costs a
         single ``is not None`` check per packet when absent.
     """
+
+    down = _DrawnParameter()
+    loss_rate = _DrawnParameter()
+    corrupt_rate = _DrawnParameter()
+    reorder_rate = _DrawnParameter()
+    loss_model = _DrawnParameter()
+    prop_delay = _DrawnParameter()
+    reorder_extra_delay = _DrawnParameter()
 
     def __init__(
         self,
@@ -175,11 +235,12 @@ class Link:
                 raise ValueError(f"{rate_name} must be in [0, 1], got {rate}")
         self.sim = sim
         self.bandwidth = float(bandwidth)
-        self.prop_delay = float(prop_delay)
-        self.loss_rate = float(loss_rate)
-        self.corrupt_rate = float(corrupt_rate)
-        self.reorder_rate = float(reorder_rate)
-        self.reorder_extra_delay = float(reorder_extra_delay)
+        # The slots behind the ``_DrawnParameter`` descriptors.
+        self._prop_delay = float(prop_delay)
+        self._loss_rate = float(loss_rate)
+        self._corrupt_rate = float(corrupt_rate)
+        self._reorder_rate = float(reorder_rate)
+        self._reorder_extra_delay = float(reorder_extra_delay)
         self.queue_limit = queue_limit
         self.rng = rng if rng is not None else random.Random(0)
         self.name = name
@@ -188,19 +249,54 @@ class Link:
         #: Administratively down (link flap / partition window): every
         #: packet reaching the transmitter is lost.  Toggled by
         #: :func:`repro.sim.faults.schedule_link_flap`.
-        self.down = False
+        self._down = False
         #: Optional stateful loss process (:class:`GilbertElliottLoss`).
         #: While attached it replaces the uniform ``loss_rate``.
-        self.loss_model: Optional[GilbertElliottLoss] = None
+        self._loss_model: Optional[GilbertElliottLoss] = None
         self._busy_until = 0.0
+        #: Two-event packets accepted and not yet transmitted.
         self._queued = 0
+        #: End-of-serialisation times of one-event packets, oldest
+        #: first; dropped from the front once past, and only when the
+        #: queue looks full (``_queue_full``).
+        self._serialising: deque = deque()
+        #: End of serialisation of the last one-event packet: until
+        #: then a write to a drawn parameter raises.
+        self._drawn_until = -math.inf
         self.spans = spans
+        #: Set by a fault helper that scheduled a fault here.
+        self.armed = False
+        #: Set when telemetry gauges or a verifier read the link.
+        self.watched = telemetry is not None
+        self._pick_path()
         if telemetry is not None:
             telemetry.register_link(self)
 
     def connect(self, receiver: Callable[[IPPacket], None]) -> None:
         """Attach the callback invoked for each delivered packet."""
         self.receiver = receiver
+
+    def arm(self) -> None:
+        """Keep the two-event crossing for the rest of the run.
+
+        The fault helpers of :mod:`repro.sim.faults` call this when they
+        schedule a fault on the link, so a flap or a burst that starts
+        while a packet queues still catches it.
+        """
+        self.armed = True
+        self._pick_path()
+
+    def watch(self) -> None:
+        """Keep the two-event crossing for an observer that reads the
+        link at the end of serialisation (the verifier's quiescence
+        check reads the transmitter queue)."""
+        self.watched = True
+        self._pick_path()
+
+    def _pick_path(self) -> None:
+        self._one_event = not (
+            self.armed or self.watched or self._corrupt_rate
+            or self._down or self._loss_model is not None)
 
     def send(self, pkt: IPPacket) -> None:
         """Offer ``pkt`` to the link for transmission."""
@@ -213,8 +309,48 @@ class Link:
         stats.packets_offered += 1
         stats.bytes_offered += size
         spans = self.spans
+        sim = self.sim
+        now = sim.now
+        limit = self.queue_limit
 
-        if self.queue_limit is not None and self._queued >= self.queue_limit:
+        if spans is None and self._one_event and not self._queued:
+            # The one-event crossing: ``_transmitted``'s draws, made now.
+            if limit is not None:
+                serialising = self._serialising
+                if len(serialising) >= limit and self._queue_full(now):
+                    stats.packets_queue_dropped += 1
+                    return
+            start = self._busy_until
+            if start < now:
+                start = now
+            done = start + size / self.bandwidth
+            if not done >= now:
+                raise SimulationError(
+                    f"cannot schedule event in the past: {done} < now {now}")
+            self._busy_until = self._drawn_until = done
+            if limit is not None:
+                serialising.append(done)
+            rng = self.rng
+            if rng.random() < self._loss_rate:
+                stats.packets_lost += 1
+                return
+            delay = self._prop_delay
+            if self._reorder_rate and rng.random() < self._reorder_rate:
+                stats.packets_reordered += 1
+                delay += rng.uniform(0.0, self._reorder_extra_delay)
+            # ``sim.post(done + delay, self._deliver, pkt)`` inline, with
+            # ``_transmitted``'s delay guard.
+            if not delay >= 0:
+                raise SimulationError(f"negative delay: {delay}")
+            seq = sim._seq
+            sim._seq = seq + 1
+            heappush(sim._heap, (done + delay, seq, self._deliver, (pkt,),
+                                 None))
+            return
+
+        if (limit is not None
+                and self._queued + len(self._serialising) >= limit
+                and self._queue_full(now)):
             stats.packets_queue_dropped += 1
             if spans is not None:
                 spans.packet_event("queue_drop", self.name, pkt.packet_id)
@@ -222,8 +358,7 @@ class Link:
 
         if spans is not None:
             spans.link_begin(self.name, pkt.packet_id, size)
-        sim = self.sim
-        start = now = sim.now
+        start = now
         if self._busy_until > start:
             start = self._busy_until
         self._busy_until = done = start + size / self.bandwidth
@@ -240,6 +375,19 @@ class Link:
 
     # -- internal ---------------------------------------------------------
 
+    def _queue_full(self, now: float) -> bool:
+        """True when ``queue_limit`` packets still wait or serialise.
+
+        Drops the one-event packets whose serialisation ended by
+        ``now`` from the count first: one that ends exactly at ``now``
+        has left, where a two-event packet leaves when its
+        ``_transmitted`` entry dispatches.
+        """
+        serialising = self._serialising
+        while serialising and serialising[0] <= now:
+            serialising.popleft()
+        return self._queued + len(serialising) >= self.queue_limit
+
     def _transmitted(self, pkt: IPPacket) -> None:
         """Packet finished serialising; apply impairments and propagate.
 
@@ -247,40 +395,41 @@ class Link:
         of serialisation and not in :meth:`send`: a flap or a burst that
         starts while the packet queues must still catch it, and span
         ``link_end`` times and the telemetry gauges show the difference.
-        That is why a crossing is two events and not one.
+        That is why a watched, corrupting or armed link crosses in two
+        events.
         """
         self._queued -= 1
         spans = self.spans
 
-        if self.down:
+        if self._down:
             self.stats.packets_lost += 1
             if spans is not None:
                 spans.link_end(pkt.packet_id, "lost", "link_down")
             return
 
-        loss_model = self.loss_model
+        loss_model = self._loss_model
         if loss_model is not None:
             if loss_model.lost():
                 self.stats.packets_lost += 1
                 if spans is not None:
                     spans.link_end(pkt.packet_id, "lost", "bursty_loss")
                 return
-        elif self.rng.random() < self.loss_rate:
+        elif self.rng.random() < self._loss_rate:
             self.stats.packets_lost += 1
             if spans is not None:
                 spans.link_end(pkt.packet_id, "lost", "loss")
             return
 
-        if self.corrupt_rate and self.rng.random() < self.corrupt_rate:
+        if self._corrupt_rate and self.rng.random() < self._corrupt_rate:
             self.stats.packets_corrupted += 1
             pkt = self._corrupt(pkt)
             if spans is not None:
                 spans.link_annotate(pkt.packet_id, "corrupted")
 
-        delay = self.prop_delay
-        if self.reorder_rate and self.rng.random() < self.reorder_rate:
+        delay = self._prop_delay
+        if self._reorder_rate and self.rng.random() < self._reorder_rate:
             self.stats.packets_reordered += 1
-            delay += self.rng.uniform(0.0, self.reorder_extra_delay)
+            delay += self.rng.uniform(0.0, self._reorder_extra_delay)
             if spans is not None:
                 spans.link_annotate(pkt.packet_id, "reordered")
 

@@ -341,8 +341,14 @@ class VerificationHarness:
                         for name in encoder.policy.verify_oracles]
 
     def watch_links(self, *links) -> None:
-        """Links whose in-flight accounting gates the coherence checks."""
+        """Links whose in-flight accounting gates the coherence checks.
+
+        Each keeps the two-event crossing (``Link.watch``): the check
+        reads the transmitter queue, which only that crossing counts.
+        """
         self._links = tuple(links)
+        for link in links:
+            link.watch()
 
     def start(self) -> None:
         """Begin the periodic invariant and coherence ticks."""

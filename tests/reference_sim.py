@@ -4,10 +4,13 @@
 ``Simulator.post`` and ``Link._transmitted`` the delivery through
 ``Simulator.post_after``; ``Timer.start`` armed through
 ``Simulator.at``.  Production now builds those heap entries inline
-(the heap-entry contract above ``Simulator.__init__``).  This module
-keeps the old scheduling, line for line, under the same class names so
-a differential test can run both on twin simulators and compare what
-each dispatches, callback qualname included.
+(the heap-entry contract above ``Simulator.__init__``), and an
+unwatched link crosses in one event.  This module keeps the old
+scheduling, line for line, under the same class names so a
+differential test can run both on twin simulators and compare what
+each dispatches, callback qualname included: :class:`Link` always
+crosses in two events, and :class:`PathLink` picks the crossing by the
+production rule and writes it in plain ``sim.post`` form.
 """
 
 from __future__ import annotations
@@ -85,6 +88,64 @@ class Link(_link.Link):
                 spans.link_annotate(pkt.packet_id, "reordered")
 
         self.sim.post_after(delay, self._deliver, pkt)
+
+
+class PathLink(Link):
+    """The two crossings in plain ``sim.post`` form, picked per packet.
+
+    A packet crosses in one event when the link has no spans, no
+    verifier or telemetry watching (``watched``), no armed fault
+    (``armed``), ``corrupt_rate == 0``, is up with no loss model, and
+    no two-event packet is still serialising.  Then loss and re-order
+    are drawn at offer time and only ``_deliver`` is posted.  The
+    one-event packets count in the transmitter queue until the end of
+    their serialisation; one that ends exactly now has left.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: End of serialisation of every one-event packet still queued.
+        self.one_event_done = []
+
+    def send(self, pkt) -> None:
+        if self.receiver is None:
+            raise RuntimeError(f"link {self.name!r} has no receiver connected")
+        size = pkt.wire_size
+        stats = self.stats
+        stats.packets_offered += 1
+        stats.bytes_offered += size
+        spans = self.spans
+        sim = self.sim
+        self.one_event_done = [done for done in self.one_event_done
+                               if done > sim.now]
+        queued = self._queued + len(self.one_event_done)
+        if self.queue_limit is not None and queued >= self.queue_limit:
+            stats.packets_queue_dropped += 1
+            if spans is not None:
+                spans.packet_event("queue_drop", self.name, pkt.packet_id)
+            return
+
+        one_event = (spans is None and self._queued == 0
+                     and not (self.armed or self.watched or self.corrupt_rate
+                              or self.down or self.loss_model is not None))
+        if spans is not None:
+            spans.link_begin(self.name, pkt.packet_id, size)
+        start = max(sim.now, self._busy_until)
+        self._busy_until = done = start + size / self.bandwidth
+        if not one_event:
+            self._queued += 1
+            sim.post(done, self._transmitted, pkt)
+            return
+
+        self.one_event_done.append(done)
+        if self.rng.random() < self.loss_rate:
+            stats.packets_lost += 1
+            return
+        delay = self.prop_delay
+        if self.reorder_rate and self.rng.random() < self.reorder_rate:
+            stats.packets_reordered += 1
+            delay += self.rng.uniform(0.0, self.reorder_extra_delay)
+        sim.post(done + delay, self._deliver, pkt)
 
 
 class Timer:

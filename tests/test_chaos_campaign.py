@@ -64,6 +64,20 @@ class TestCampaignSpec:
         with pytest.raises(ValueError):
             Phase("p", 0.0, 1.0, [{"kind": "meteor-strike"}])
 
+    @pytest.mark.parametrize("rate", [1.5, -0.1, math.nan, None, "0.1"])
+    def test_loss_rate_checked_at_load(self, rate):
+        """A campaign file's extra loss rate is refused when the phase is
+        built, not read as 0 % or 100 % loss at run time."""
+        injection = {"kind": "loss", "link": "forward", "rate": rate}
+        if rate is None:
+            del injection["rate"]
+        payload = {"name": "p", "start": 0.0, "duration": 1.0,
+                   "injections": [injection]}
+        with pytest.raises(ValueError, match="loss rate"):
+            Phase.from_dict(payload)
+        injection["rate"] = 0.25
+        assert Phase.from_dict(payload).injections == [injection]
+
     def test_campaign_validation(self):
         with pytest.raises(ValueError):
             Campaign(name="c", description="", phases=[])

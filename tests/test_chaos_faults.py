@@ -21,7 +21,8 @@ from repro.sim.faults import (FaultInjector, GatewayFaultLog, all_of,
                               match_nth_data, match_time_window,
                               schedule_bursty_loss, schedule_clock_skew,
                               schedule_gateway_restart, schedule_link_flap,
-                              schedule_memory_pressure, schedule_partition)
+                              schedule_loss_window, schedule_memory_pressure,
+                              schedule_partition)
 from repro.sim.link import GilbertElliottLoss, Link, LinkStats
 
 from tests.tcp_helpers import TcpTestbed
@@ -163,6 +164,28 @@ class TestLinkWindows:
         sim.at(0.3, lambda: state.update(model=link.loss_model))
         sim.run(until=1.0)
         assert state["model"] is newer
+
+    def test_loss_window_sets_and_restores_the_rate(self):
+        sim = Simulator()
+        link, delivered = wired_link(sim, loss_rate=0.0)
+        schedule_loss_window(sim, link, 0.1, 1.0, until=0.2)
+        assert link.armed
+        for t in (0.05, 0.15, 0.25):        # before, during, after
+            sim.at(t, link.send, Pkt())
+        sim.run(until=1.0)
+        assert len(delivered) == 2
+        assert link.stats.packets_lost == 1
+        assert link.loss_rate == 0.0
+
+    @pytest.mark.parametrize("rate", [1.5, -0.1, math.nan])
+    def test_loss_window_refuses_a_rate_link_would(self, rate):
+        sim = Simulator()
+        link, _ = wired_link(sim)
+        with pytest.raises(ValueError, match="loss rate"):
+            schedule_loss_window(sim, link, 0.1, rate, until=0.2)
+        with pytest.raises(ValueError, match="loss_rate"):
+            Link(sim, 1e6, 0.001, loss_rate=rate)
+        assert not link.armed and sim.pending() == 0
 
     def test_bursty_loss_rejects_empty_window(self):
         sim = Simulator()

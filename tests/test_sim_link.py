@@ -165,3 +165,147 @@ def test_duplex_link_has_independent_directions():
     sim.run()
     assert len(fwd) == 1
     assert len(rev) == 2
+
+
+# -- one-event and two-event crossings ---------------------------------------
+
+def _transmitted_entries(sim):
+    return sum(1 for entry in sim._heap if entry[2].__name__ == "_transmitted")
+
+
+def _plain(sim, link):
+    pass
+
+
+def _spans(sim, link):
+    from repro.metrics.spans import SpanRecorder
+    return Link(sim, 1000.0, 0.01, spans=SpanRecorder(sim=sim))
+
+
+def _telemetry(sim, link):
+    from repro.metrics.telemetry import Telemetry
+    return Link(sim, 1000.0, 0.01, telemetry=Telemetry(sim))
+
+
+def _verifier(sim, link):
+    from repro.verify.oracles import VerificationHarness
+    VerificationHarness(sim).watch_links(link)
+
+
+def _corrupting(sim, link):
+    return Link(sim, 1000.0, 0.01, corrupt_rate=0.1)
+
+
+def _flap(sim, link):
+    from repro.sim.faults import schedule_link_flap
+    schedule_link_flap(sim, link, at=5.0, down_for=1.0)
+
+
+def _burst(sim, link):
+    from repro.sim.faults import schedule_bursty_loss
+    schedule_bursty_loss(sim, link, 5.0, 6.0, random.Random(0))
+
+
+def _loss_window(sim, link):
+    from repro.sim.faults import schedule_loss_window
+    schedule_loss_window(sim, link, 5.0, 0.5, until=6.0)
+
+
+@pytest.mark.parametrize("setup", [
+    _plain, _spans, _telemetry, _verifier, _corrupting, _flap, _burst,
+    _loss_window,
+], ids=lambda setup: setup.__name__[1:])
+def test_crossing_keeps_two_events_only_where_it_is_observed(setup):
+    """An observed, corrupting or armed link dispatches ``_transmitted``;
+    an unwatched one pushes only the delivery."""
+    sim = Simulator()
+    link = Link(sim, 1000.0, 0.01)
+    link = setup(sim, link) or link
+    delivered = []
+    link.connect(delivered.append)
+    link.send(make_packet(100))
+    assert _transmitted_entries(sim) == (0 if setup is _plain else 1)
+    sim.run(until=1.0)
+    assert len(delivered) == 1
+    assert link.stats.packets_delivered == 1
+
+
+@pytest.mark.parametrize("name, value", [
+    ("down", True), ("loss_rate", 0.5), ("reorder_rate", 0.5),
+    ("corrupt_rate", 0.5), ("loss_model", object()), ("prop_delay", 0.2),
+    ("reorder_extra_delay", 0.2),
+])
+def test_drawn_parameter_write_refused_while_a_drawn_packet_serialises(
+        name, value):
+    """A one-event packet's fate is drawn when it is offered, so a write
+    that would have reached it at the end of serialisation raises; it
+    lands once the packet has left the transmitter, and on an armed
+    link at any time."""
+    from repro.sim import SimulationError
+    from repro.sim.faults import schedule_link_flap
+
+    sim = Simulator()
+    link = Link(sim, 1000.0, 0.01)
+    link.connect(lambda pkt: None)
+    link.send(make_packet(100))             # serialises until t=0.14
+    with pytest.raises(SimulationError, match=name):
+        setattr(link, name, value)
+    sim.run(until=0.14)                     # still serialising at its end
+    with pytest.raises(SimulationError, match=name):
+        setattr(link, name, value)
+    sim.run(until=0.15)
+    setattr(link, name, value)
+    assert getattr(link, name) is value
+
+    armed = Link(sim, 1000.0, 0.01)
+    armed.connect(lambda pkt: None)
+    schedule_link_flap(sim, armed, at=10.0, down_for=1.0)
+    armed.send(make_packet(100))
+    setattr(armed, name, value)
+    assert getattr(armed, name) is value
+
+
+def test_one_event_queue_limit_counts_packets_until_they_serialise():
+    sim = Simulator()
+    link = Link(sim, 1000.0, 0.0, queue_limit=2)
+    delivered = []
+    link.connect(delivered.append)
+    for _ in range(3):
+        link.send(make_packet(60))          # 0.1 s each
+    assert link.stats.packets_queue_dropped == 1
+    sim.run(until=0.1)                      # the first has left
+    link.send(make_packet(60))
+    link.send(make_packet(60))
+    assert link.stats.packets_queue_dropped == 2
+    sim.run()
+    assert len(delivered) == 3
+    # Packets that crossed in one event still fill the queue after the
+    # link is armed and the next one takes two.
+    link.send(make_packet(60))
+    link.send(make_packet(60))
+    link.arm()
+    link.send(make_packet(60))
+    assert link.stats.packets_queue_dropped == 3
+    assert _transmitted_entries(sim) == 0
+    sim.run(until=sim.now + 0.1)
+    link.send(make_packet(60))
+    assert _transmitted_entries(sim) == 1
+
+
+def test_link_unwatched_again_waits_for_two_event_packets():
+    """Clearing ``down`` puts the link back on one event only once the
+    packets that took two have left, so the draws stay in FIFO order.
+    ``down`` is read at the end of serialisation, so the packet offered
+    while the link was down is delivered."""
+    sim = Simulator()
+    link = Link(sim, 1000.0, 0.0)
+    link.connect(lambda pkt: None)
+    link.down = True
+    link.send(make_packet(60))
+    link.down = False
+    link.send(make_packet(60))
+    assert _transmitted_entries(sim) == 2
+    sim.run()
+    assert link.stats.packets_delivered == 2
+    link.send(make_packet(60))
+    assert _transmitted_entries(sim) == 0

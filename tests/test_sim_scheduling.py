@@ -2,12 +2,22 @@
 
 ``tests/reference_sim.py`` keeps the link that scheduled through
 ``Simulator.post``/``post_after`` and the timer that armed through
-``Simulator.at``.  A random script -- packet sizes and send times,
-loss/corruption/re-ordering rates, a flap window, RTO re-arms and stops
--- drives the production pair and the reference pair on twin
-simulators.  After every step both must have dispatched the same
-``(now, seq, callback qualname)`` sequence, delivered the same packets,
-and hold the same link counters and the same number of pending events.
+``Simulator.at``.  Two differential tests drive production and
+reference on twin simulators:
+
+* A random script -- packet sizes and send times, loss/corruption/
+  re-ordering rates, a flap window, RTO re-arms and stops -- drives the
+  production pair and ``PathLink`` (the same choice of crossing, in
+  ``sim.post`` form) with the reference timer.  After every step both
+  must have dispatched the same ``(now, seq, callback qualname)``
+  sequence, delivered the same packets, and hold the same link
+  counters and the same number of pending events.
+* Sends and waits on an unwatched link -- random loss and re-order
+  rates, a small queue limit -- drive the production link, which
+  crosses in one event, and the reference ``Link``, which always
+  crosses in two.  The deliveries and the dispatch order, times
+  included, must match once the reference's ``Link._transmitted``
+  entries are dropped, and the counters must match once both drained.
 """
 
 import random
@@ -118,7 +128,7 @@ _params = st.fixed_dictionaries({
 @given(_params, st.lists(_op, min_size=1, max_size=40))
 def test_inline_scheduling_matches_reference(params, script):
     change = _Twin(Link, Timer, params)
-    reference = _Twin(reference_sim.Link, reference_sim.Timer, params)
+    reference = _Twin(reference_sim.PathLink, reference_sim.Timer, params)
     for op in script + [("wait", 1.0)]:
         change.step(op)
         reference.step(op)
@@ -127,21 +137,74 @@ def test_inline_scheduling_matches_reference(params, script):
     assert change.link._queued == 0
 
 
+_one_event_params = st.fixed_dictionaries({
+    "bandwidth": st.sampled_from([2e4, 1e5, 1e6]),
+    "prop_delay": st.sampled_from([0.0, 0.001, 0.004, 0.02]),
+    "loss_rate": _rate,
+    "reorder_rate": _rate,
+    "reorder_extra_delay": st.sampled_from([0.0, 0.005, 0.05]),
+    "queue_limit": st.sampled_from([None, 1, 2, 3, 6]),
+    "seed": st.integers(0, 2**16),
+})
+_send_or_wait = st.one_of(
+    st.tuples(st.just("send"), st.integers(1, 1460)),
+    st.tuples(st.just("wait"),
+              st.floats(0.0, 0.05, allow_nan=False, allow_infinity=False)),
+)
+
+
+def _without_transmitted(log):
+    return [(time, name) for time, _seq, name in log
+            if name != "Link._transmitted"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_event_params, st.lists(_send_or_wait, min_size=1, max_size=50))
+def test_one_event_crossing_matches_two_event_reference(link, script):
+    params = {"link": link, "rto_size": 1, "flap": None}
+    change = _Twin(Link, Timer, params)
+    reference = _Twin(reference_sim.Link, reference_sim.Timer, params)
+    assert change.link._one_event
+    for op in script + [("wait", 1.0)]:
+        change.step(op)
+        reference.step(op)
+        assert change.delivered == reference.delivered, op
+        assert (_without_transmitted(change.log)
+                == _without_transmitted(reference.log)), op
+        for counter in ("packets_offered", "packets_queue_dropped",
+                        "bytes_offered"):
+            assert (getattr(change.link.stats, counter)
+                    == getattr(reference.link.stats, counter)), op
+    assert change.link.stats == reference.link.stats
+    assert change.sim.pending() == reference.sim.pending() == 0
+    assert not any(name == "Link._transmitted" for _, _, name in change.log)
+
+
 def test_inline_guards_still_refuse_a_bad_entry():
     """A link written to after construction still cannot poison the
-    heap: the per-packet guards raise as post/post_after did."""
-    sim = Simulator()
-    link = Link(sim, 1000.0, 0.0, reorder_rate=1.0)
-    link.connect(lambda pkt: None)
-    link.bandwidth = float("nan")
-    with pytest.raises(SimulationError, match="past"):
-        link.send(_packet(10))
-    link = Link(sim, 1000.0, 0.0, reorder_rate=1.0)
-    link.connect(lambda pkt: None)
-    link.prop_delay = -1.0
-    link.send(_packet(10))
-    with pytest.raises(SimulationError, match="negative delay"):
-        sim.run()
+    heap: the per-packet guards raise as post/post_after did, on both
+    crossings.  A one-event link draws a packet's delay when it is
+    offered, so its delay guard trips in ``send``."""
+    for corrupt_rate in (0.0, 0.5):     # one event, then two
+        sim = Simulator()
+        link = Link(sim, 1000.0, 0.0, reorder_rate=1.0,
+                    corrupt_rate=corrupt_rate)
+        link.connect(lambda pkt: None)
+        link.bandwidth = float("nan")
+        with pytest.raises(SimulationError, match="past"):
+            link.send(_packet(10))
+        link = Link(sim, 1000.0, 0.0, reorder_rate=1.0,
+                    corrupt_rate=corrupt_rate)
+        link.connect(lambda pkt: None)
+        link.prop_delay = -1.0
+        if corrupt_rate:
+            link.send(_packet(10))
+            with pytest.raises(SimulationError, match="negative delay"):
+                sim.run()
+        else:
+            with pytest.raises(SimulationError, match="negative delay"):
+                link.send(_packet(10))
+            assert sim.pending() == 0
     timer = Timer(Simulator(), lambda: None)
     timer.start(1.0)
     with pytest.raises(SimulationError, match="past"):

@@ -76,42 +76,42 @@ def _observed(run):
 
 GOLDEN = {
     None: {
-        "events": 4924, "duration": 0.6718473199999946,
+        "events": 2450, "duration": 0.6718473199999946,
         "fwd_packets": 427, "fwd_bytes_offered": 635516, "fwd_lost": 21,
         "fwd_bytes_delivered": 604016, "rev_bytes_offered": 19171,
         "retransmissions": 21, "timeouts": 0, "undecodable": 0,
         "completed": True,
     },
     "cache_flush": {
-        "events": 5388, "duration": 4.300100415999985,
+        "events": 2690, "duration": 4.300100415999985,
         "fwd_packets": 537, "fwd_bytes_offered": 505602, "fwd_lost": 25,
         "fwd_bytes_delivered": 482382, "rev_bytes_offered": 17607,
         "retransmissions": 131, "timeouts": 17, "undecodable": 106,
         "completed": True,
     },
     "tcp_seq": {
-        "events": 5414, "duration": 4.8002274479999745,
+        "events": 2703, "duration": 4.8002274479999745,
         "fwd_packets": 545, "fwd_bytes_offered": 497506, "fwd_lost": 25,
         "fwd_bytes_delivered": 475138, "rev_bytes_offered": 17405,
         "retransmissions": 139, "timeouts": 19, "undecodable": 114,
         "completed": True,
     },
     "k_distance": {
-        "events": 5136, "duration": 1.7957401759999756,
+        "events": 2558, "duration": 1.7957401759999756,
         "fwd_packets": 479, "fwd_bytes_offered": 556409, "fwd_lost": 22,
         "fwd_bytes_delivered": 529801, "rev_bytes_offered": 18911,
         "retransmissions": 73, "timeouts": 5, "undecodable": 51,
         "completed": True,
     },
     "ack_gated": {
-        "events": 4924, "duration": 0.575914087999999,
+        "events": 2450, "duration": 0.575914087999999,
         "fwd_packets": 427, "fwd_bytes_offered": 497470, "fwd_lost": 21,
         "fwd_bytes_delivered": 473847, "rev_bytes_offered": 19171,
         "retransmissions": 21, "timeouts": 0, "undecodable": 0,
         "completed": True,
     },
     "adaptive_k": {
-        "events": 5250, "duration": 2.0109996959999763,
+        "events": 2616, "duration": 2.0109996959999763,
         "fwd_packets": 501, "fwd_bytes_offered": 647290, "fwd_lost": 24,
         "fwd_bytes_delivered": 616091, "rev_bytes_offered": 19027,
         "retransmissions": 95, "timeouts": 6, "undecodable": 69,
@@ -120,14 +120,14 @@ GOLDEN = {
     # The §IV livelock: the naive encoder references a lost packet in
     # its own retransmission and the transfer never completes.
     "naive": {
-        "events": 448, "duration": None,
+        "events": 233, "duration": None,
         "fwd_packets": 62, "fwd_bytes_offered": 35495, "fwd_lost": 3,
         "fwd_bytes_delivered": 33811, "rev_bytes_offered": 975,
         "retransmissions": 20, "timeouts": 21, "undecodable": 37,
         "completed": False,
     },
     "none@20": {
-        "events": 5208, "duration": 2.04754093599999,
+        "events": 2556, "duration": 2.04754093599999,
         "fwd_packets": 508, "fwd_bytes_offered": 757016, "fwd_lost": 98,
         "fwd_bytes_delivered": 610016, "rev_bytes_offered": 22407,
         "retransmissions": 102, "timeouts": 5, "undecodable": 0,
@@ -141,12 +141,12 @@ def test_transfer_matches_golden(policy):
     assert _observed(policy) == GOLDEN[policy]
 
 
-def _dispatch_order(policy):
-    """``(count, sha256)`` of every callback the run loop dispatches, as
-    ``(simulated time, callback __qualname__)`` in dispatch order.
+def _dispatch_log(policy):
+    """Every callback the run loop dispatches, as ``(simulated time,
+    callback __qualname__)`` in dispatch order.
 
     A profile hook sees each call whose caller is ``Simulator.run``
-    itself, so the digest depends on the engine only through what it
+    itself, so the log depends on the engine only through what it
     dispatches and when, not on how its loop is written.  A frame's
     qualname is its function's (``code.co_qualname`` needs Python 3.11).
     """
@@ -163,8 +163,7 @@ def _dispatch_order(policy):
     run_code = Simulator.run.__code__
     engine_builtins = (heappop, max)   # the loop's own bookkeeping calls
     sim = testbed.sim
-    digest = hashlib.sha256()
-    count = [0]
+    log = []
     qualnames = {}
 
     def qualname(code):
@@ -186,8 +185,7 @@ def _dispatch_order(policy):
             name = arg.__qualname__
         else:
             return
-        count[0] += 1
-        digest.update(f"{sim.now!r} {name}\n".encode("ascii"))
+        log.append((sim.now, name))
 
     sys.setprofile(on_event)
     try:
@@ -195,16 +193,44 @@ def _dispatch_order(policy):
                            [runner.Fetch()])
     finally:
         sys.setprofile(None)
-    return count[0], digest.hexdigest()
+    return log
 
 
-#: Read at the commit before the engine stopped counting per event and
-#: packets began storing their size.  The event counts in
+def _count_and_digest(log):
+    digest = hashlib.sha256()
+    for time, name in log:
+        digest.update(f"{time!r} {name}\n".encode("ascii"))
+    return len(log), digest.hexdigest()
+
+
+def _dispatch_order(policy):
+    """``(count, sha256)`` of :func:`_dispatch_log`."""
+    return _count_and_digest(_dispatch_log(policy))
+
+
+#: Read with every link crossing in one event (none of these runs has
+#: an observer, a corrupting link or an armed fault), and held by
+#: ``test_one_event_dispatch_is_the_two_event_one_less_transmitted`` to
+#: the run in which every crossing takes two.  The event counts in
 #: ``GOLDEN`` only catch a tie-order change that happens to move a
-#: counted digit; this catches any.  The ``none@20`` row (and its
-#: ``GOLDEN`` row) was read at the commit before SACK recovery walked its
-#: scoreboard once per call.
+#: counted digit; this catches any.
 GOLDEN_DISPATCH = {
+    None: (
+        2450,
+        "ad7fb33f7a69a93f166530caea9a1c0c471df57532a547f8f717a63fc610a9a0"),
+    "tcp_seq": (
+        2703,
+        "d64a6913e9b446c5637aaf380ed6d74130dcb020c4b50d9b514e84cff6b13c8c"),
+    "none@20": (
+        2556,
+        "40957a87603b7f72bd2e7f16b3cbf1f5e81d0f47d57141ffd66f2962d3bdb9b6"),
+}
+
+#: The same runs with every crossing in two events, as read at the
+#: commit before the engine stopped counting per event and packets
+#: began storing their size (the ``none@20`` row at the commit before
+#: SACK recovery walked its scoreboard once per call).
+GOLDEN_DISPATCH_TWO_EVENT = {
     None: (
         4924,
         "0a3214bd11ba90b3675073835243280ec5412192c599eaac6c571dacd6eef295"),
@@ -220,6 +246,30 @@ GOLDEN_DISPATCH = {
 @pytest.mark.parametrize("policy", list(GOLDEN_DISPATCH), ids=str)
 def test_dispatch_order_matches_golden(policy):
     assert _dispatch_order(policy) == GOLDEN_DISPATCH[policy]
+
+
+@pytest.mark.parametrize("policy", list(GOLDEN_DISPATCH), ids=str)
+def test_one_event_dispatch_is_the_two_event_one_less_transmitted(
+        policy, monkeypatch):
+    """Crossing an unwatched link in one event drops its
+    ``Link._transmitted`` entries and moves nothing else.
+
+    The one-event ``_deliver`` takes its heap ``seq`` when the packet
+    is offered, not when it finishes serialising, so at an exactly
+    equal timestamp it could dispatch before an entry pushed while the
+    packet serialised.  Equal logs here are the evidence that none of
+    these runs contains such a tie.  The two-event run is the testbed
+    built on ``tests/reference_sim.Link``, and it still reads the digest
+    pinned before any crossing took one event.
+    """
+    from tests import reference_sim
+
+    one_event = _dispatch_log(policy)
+    monkeypatch.setattr(runner, "Link", reference_sim.Link)
+    two_event = _dispatch_log(policy)
+    assert [entry for entry in two_event
+            if entry[1] != "Link._transmitted"] == one_event
+    assert _count_and_digest(two_event) == GOLDEN_DISPATCH_TWO_EVENT[policy]
 
 
 def _strip_spans(doc):
