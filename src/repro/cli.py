@@ -79,11 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="encoding policy, or 'none' to disable DRE")
     run_cmd.add_argument("--k", type=int, default=None,
                          help="k for the k_distance policy")
-    run_cmd.add_argument("--loss", type=float, default=0.0,
+    run_cmd.add_argument("--loss", type=_percent, default="0",
                          help="packet loss rate in percent (e.g. 5)")
-    run_cmd.add_argument("--corrupt", type=float, default=0.0,
+    run_cmd.add_argument("--corrupt", type=_percent, default="0",
                          help="corruption rate in percent")
-    run_cmd.add_argument("--reorder", type=float, default=0.0,
+    run_cmd.add_argument("--reorder", type=_percent, default="0",
                          help="re-ordering rate in percent")
     run_cmd.add_argument("--corpus", default="file1",
                          choices=corpus_names())
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd = sub.add_parser("sweep", help="loss sweep over policies")
     sweep_cmd.add_argument("--policies", default="cache_flush,tcp_seq",
                            help="comma-separated policy names")
-    sweep_cmd.add_argument("--losses", default="0,1,2,5,10",
+    sweep_cmd.add_argument("--losses", type=_percents, default="0,1,2,5,10",
                            help="comma-separated loss rates in percent")
     sweep_cmd.add_argument("--corpus", default="file1",
                            choices=corpus_names())
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["none", "ip-dre", "tcp-proxy"])
     mob_cmd.add_argument("--handoff", type=float, default=0.25,
                          help="handoff time in seconds")
-    mob_cmd.add_argument("--loss", type=float, default=1.0,
+    mob_cmd.add_argument("--loss", type=_percent, default="1",
                          help="path-A loss rate in percent")
     mob_cmd.add_argument("--seed", type=int, default=11)
 
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "(Fig. 14-style analysis)")
     trace_cmd.add_argument("--policy", default="naive",
                            choices=sorted(ENCODER_POLICIES))
-    trace_cmd.add_argument("--loss", type=float, default=1.0,
+    trace_cmd.add_argument("--loss", type=_percent, default="1",
                            help="loss rate in percent")
     trace_cmd.add_argument("--corpus", default="file1",
                            choices=corpus_names())
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(ENCODER_POLICIES) + ["classic", "none"],
         help="encoding policy ('classic' = the paper's §IV naive "
              "scheme, 'none' disables DRE)")
-    timeline_cmd.add_argument("--loss", type=float, default=5.0,
+    timeline_cmd.add_argument("--loss", type=_percent, default="5",
                               help="loss rate in percent")
     timeline_cmd.add_argument("--corpus", default="file1",
                               choices=corpus_names())
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=sorted(ENCODER_POLICIES) + ["classic", "none"],
             help="encoding policy ('classic' = the paper's §IV naive "
                  "scheme, 'none' disables DRE)")
-        cmd.add_argument("--loss", type=float, default=1.0,
+        cmd.add_argument("--loss", type=_percent, default="1",
                          help="loss rate in percent")
         cmd.add_argument("--corpus", default="file1",
                          choices=corpus_names())
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="probabilistic admission fraction (0,1]")
     serve_cmd.add_argument("--policy", default="cache_flush",
                            help="encoding policy for the gateway pair")
-    serve_cmd.add_argument("--loss", type=float, default=1.0,
+    serve_cmd.add_argument("--loss", type=_percent, default="1",
                            help="bottleneck loss rate in percent")
     serve_cmd.add_argument("--arrival-rate", type=float, default=25.0,
                            help="user arrivals per second (Poisson)")
@@ -394,8 +394,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _percent(value: float) -> float:
+def _percent(text: str) -> float:
+    """argparse type: a percentage in [0, 100], returned as a rate."""
+    value = float(text)
+    if not 0.0 <= value <= 100.0:  # NaN fails the test too
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a percentage in [0, 100]")
     return value / 100.0
+
+
+def _percents(text: str) -> List[float]:
+    """argparse type: comma-separated percentages, returned as rates."""
+    return [_percent(item) for item in text.split(",") if item.strip()]
 
 
 def cmd_run(args) -> int:
@@ -407,9 +417,9 @@ def cmd_run(args) -> int:
     kwargs = {"k": args.k} if args.k is not None else {}
     config = ExperimentConfig(
         corpus=args.corpus, file_size=args.size, policy=policy,
-        policy_kwargs=kwargs, loss_rate=_percent(args.loss),
-        corrupt_rate=_percent(args.corrupt),
-        reorder_rate=_percent(args.reorder), seed=args.seed,
+        policy_kwargs=kwargs, loss_rate=args.loss,
+        corrupt_rate=args.corrupt,
+        reorder_rate=args.reorder, seed=args.seed,
         profile=args.profile)
     result = run_transfer(config)
     rows = [
@@ -438,7 +448,7 @@ def cmd_run(args) -> int:
             rows.append(["delay ratio vs no-DRE",
                          f"{result.download_time / baseline.download_time:.3f}"])
     print(format_table(
-        f"{args.corpus} @ {args.loss:.3g}% loss, policy={args.policy}",
+        f"{args.corpus} @ {args.loss * 100:.3g}% loss, policy={args.policy}",
         ["metric", "value"], rows))
     if result.profile is not None:
         memo = result.profile["anchor_memo"]
@@ -461,7 +471,7 @@ def cmd_sweep(args) -> int:
                                     write_telemetry_export)
 
     policies = [name.strip() for name in args.policies.split(",") if name.strip()]
-    losses = [float(x) / 100 for x in args.losses.split(",") if x.strip()]
+    losses = args.losses
     seeds = ([int(x) for x in args.seeds.split(",") if x.strip()]
              if args.seeds else [args.seed])
     pairs = [(policy, {"k": 8} if policy == "k_distance" else {})
@@ -512,7 +522,7 @@ def cmd_sweep(args) -> int:
 def cmd_mobility(args) -> int:
     result = run_mobility(MobilityConfig(
         mode=args.mode, handoff_at=args.handoff,
-        loss_rate_a=_percent(args.loss), seed=args.seed))
+        loss_rate_a=args.loss, seed=args.seed))
     print(format_table(
         f"mobility handoff at t={args.handoff}s, mode={args.mode}",
         ["metric", "value"],
@@ -557,7 +567,7 @@ def cmd_trace(args) -> int:
 
     config = ExperimentConfig(
         corpus=args.corpus, file_size=args.size, policy=args.policy,
-        policy_kwargs={}, loss_rate=_percent(args.loss), seed=args.seed,
+        policy_kwargs={}, loss_rate=args.loss, seed=args.seed,
         time_limit=120.0, tcp_max_retries=8, tcp_max_rto=2.0,
         # The dependency graph is read off the span export, so every
         # flow is traced and no span may be dropped (the 120 s time
@@ -603,7 +613,7 @@ def cmd_timeline(args) -> int:
     policy = {"classic": "naive", "none": None}.get(args.policy, args.policy)
     config = ExperimentConfig(
         corpus=args.corpus, file_size=args.size, policy=policy,
-        policy_kwargs={}, loss_rate=_percent(args.loss), seed=args.seed,
+        policy_kwargs={}, loss_rate=args.loss, seed=args.seed,
         resilience=args.resilience, telemetry=True,
         # Bounded stall settings (as in `repro trace`): a naive-policy
         # livelock exhausts 8 retries at <= 2 s RTO in well under the
@@ -614,7 +624,7 @@ def cmd_timeline(args) -> int:
     sampler = telemetry["sampler"]
 
     print(format_table(
-        f"timeline: {args.corpus} @ {args.loss:.3g}% loss, "
+        f"timeline: {args.corpus} @ {args.loss * 100:.3g}% loss, "
         f"policy={args.policy}",
         ["metric", "value"],
         [["run ended", telemetry["reason"]],
@@ -831,7 +841,7 @@ def _spans_doc(args) -> dict:
     policy = {"classic": "naive", "none": None}.get(args.policy, args.policy)
     config = ExperimentConfig(
         corpus=args.corpus, file_size=args.size, policy=policy,
-        policy_kwargs={}, loss_rate=_percent(args.loss), seed=args.seed,
+        policy_kwargs={}, loss_rate=args.loss, seed=args.seed,
         resilience=args.resilience,
         spans=True, spans_kwargs={"trace_sample": args.sample},
         # Bounded stall settings (as in `repro timeline`): a naive
@@ -842,7 +852,7 @@ def _spans_doc(args) -> dict:
     doc = result.spans
     assert doc is not None  # spans=True guarantees an export
     if not args.from_file:
-        print(f"ran {args.corpus} @ {args.loss:.3g}% loss, "
+        print(f"ran {args.corpus} @ {args.loss * 100:.3g}% loss, "
               f"policy={args.policy}: completed={result.completed} "
               f"sim_time={result.sim_time:.3f}s "
               f"spans={doc['summary']['spans']} "
@@ -967,7 +977,7 @@ def cmd_serve_sim(args) -> int:
         mean_object_bytes=args.mean_object,
         cache_bytes=int(args.cache_mb * 1024 * 1024),
         cache_shards=args.shards, cache_admission=args.admission,
-        policy=args.policy, loss_rate=_percent(args.loss),
+        policy=args.policy, loss_rate=args.loss,
         arrival_rate=args.arrival_rate,
         requests_per_user=args.requests_per_user,
         max_requests=args.max_requests,

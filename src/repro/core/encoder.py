@@ -96,12 +96,10 @@ class ByteCachingEncoder:
 
     def __init__(self, scheme: FingerprintScheme, cache: ByteCache,
                  policy: EncoderPolicy,
-                 min_region_length: int = MIN_REGION_LENGTH,
                  shim_overhead: int = SHIM_SIZE) -> None:
         self.scheme = scheme
         self.cache = cache
         self.policy = policy
-        self.min_region_length = min_region_length
         self.shim_overhead = shim_overhead
         self.stats = EncoderStats()
         #: Optional :class:`repro.metrics.profiling.StageProfiler`;
@@ -252,7 +250,7 @@ class ByteCachingEncoder:
         stats = self.stats
         verifier = self.verifier
         window = self.scheme.window
-        min_length = self.min_region_length
+        min_length = MIN_REGION_LENGTH
         payload_len = len(payload)
         ring = cache.table
         # ndarray.item(i) hands back a plain int; int(ndarray[i]) boxes

@@ -15,6 +15,10 @@ from ..net.tcp import TCPConfig
 
 #: The LAN hops between hosts and gateways: 1 Gb/s, never the bottleneck.
 LAN_BANDWIDTH = 125_000_000.0
+#: One-way propagation delay of each LAN hop (s).
+LAN_DELAY = 0.0005
+#: Segment size of both endpoints (Ethernet MTU less 40 header bytes).
+TCP_MSS = 1460
 #: Receive window of both endpoints — not TCPConfig's 262,144 default.
 #: 32 KB (~22 segments) keeps the in-flight window — and therefore the
 #: span of packets a single loss can take down via encoding
@@ -35,7 +39,6 @@ class ExperimentConfig:
     policy: Optional[str] = "cache_flush"   # None disables DRE entirely
     policy_kwargs: Dict[str, Any] = field(default_factory=dict)
     fingerprint_kind: str = "poly"
-    fingerprint_selection: str = "value"    # "value" (§III-A) | "winnowing"
     cache_bytes: int = 16 * 1024 * 1024
     cache_max_packets: Optional[int] = None
     cache_eviction: str = "fifo"            # "fifo" (paper) | "lru"
@@ -62,11 +65,7 @@ class ExperimentConfig:
     corrupt_rate: float = 0.0
     reorder_rate: float = 0.0
 
-    # -- LAN hops between hosts and gateways (LAN_BANDWIDTH each)
-    lan_delay: float = 0.0005
-
     # -- TCP endpoint tunables
-    tcp_mss: int = 1460
     tcp_min_rto: float = 0.2
     tcp_max_rto: float = 8.0
     # Linux's tcp_retries2-style give-up threshold.  High enough that
@@ -90,8 +89,7 @@ class ExperimentConfig:
     #: TransferResult.telemetry.  When False every instrumented layer
     #: pays exactly one None-check (bench_hotpath budget).
     telemetry: bool = False
-    #: TelemetryConfig field overrides (sample_interval, max_samples,
-    #: flight_ring, flight_flows, dump_events).
+    #: TelemetryConfig field overrides (per_connection).
     telemetry_kwargs: Dict[str, Any] = field(default_factory=dict)
     #: Record causal span traces (repro.metrics.spans): one trace per
     #: sampled data packet, spans across encode -> link transit ->
@@ -112,7 +110,7 @@ class ExperimentConfig:
     verify: bool = False
 
     def tcp_config(self) -> TCPConfig:
-        return TCPConfig(mss=self.tcp_mss, rwnd=TCP_RWND,
+        return TCPConfig(mss=TCP_MSS, rwnd=TCP_RWND,
                          min_rto=self.tcp_min_rto, max_rto=self.tcp_max_rto,
                          max_retries=self.tcp_max_retries,
                          congestion=self.tcp_congestion)

@@ -75,10 +75,6 @@ class MobilityResult:
     def completed(self) -> bool:
         return self.outcome.completed
 
-    @property
-    def survived_handoff(self) -> bool:
-        return self.completed and self.outcome.finished_at >= self.handoff_at
-
 
 def run_mobility(config: MobilityConfig) -> MobilityResult:
     """Run one transfer with a mid-stream path A → path B handoff."""

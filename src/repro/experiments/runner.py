@@ -33,7 +33,7 @@ from ..sim.node import Host, Node
 from ..sim.rng import RngRegistry
 from ..verify.oracles import InvariantViolation, VerificationHarness
 from ..workload.corpus import corpus_object
-from .config import LAN_BANDWIDTH, ExperimentConfig
+from .config import LAN_BANDWIDTH, LAN_DELAY, ExperimentConfig
 
 CLIENT_ADDR = "10.0.1.1"
 SERVER_ADDR = "10.0.2.1"
@@ -96,8 +96,7 @@ def build_testbed(config: ExperimentConfig) -> Testbed:
     server = Host(sim, "server", SERVER_ADDR)
 
     if config.dre_enabled:
-        scheme = FingerprintScheme(kind=config.fingerprint_kind,
-                                   selection=config.fingerprint_selection)
+        scheme = FingerprintScheme(kind=config.fingerprint_kind)
         gateways: Optional[GatewayPair] = GatewayPair.create(
             sim, policy=config.policy, scheme=scheme,
             data_dst=CLIENT_ADDR,
@@ -126,9 +125,9 @@ def build_testbed(config: ExperimentConfig) -> Testbed:
         node.recorder = recorder
 
     # server <-> encoder LAN
-    lan_s_fwd = Link(sim, LAN_BANDWIDTH, config.lan_delay,
+    lan_s_fwd = Link(sim, LAN_BANDWIDTH, LAN_DELAY,
                      rng=rng.stream("lan_s_fwd"), name="lan-server-fwd")
-    lan_s_rev = Link(sim, LAN_BANDWIDTH, config.lan_delay,
+    lan_s_rev = Link(sim, LAN_BANDWIDTH, LAN_DELAY,
                      rng=rng.stream("lan_s_rev"), name="lan-server-rev")
     # encoder <-> decoder: the constrained wireless segment
     bott_fwd = Link(sim, config.bandwidth, config.bottleneck_delay,
@@ -141,9 +140,9 @@ def build_testbed(config: ExperimentConfig) -> Testbed:
                     rng=rng.stream("bottleneck_rev"), name="bottleneck-rev",
                     telemetry=telemetry, spans=span_recorder)
     # decoder <-> client LAN
-    lan_c_fwd = Link(sim, LAN_BANDWIDTH, config.lan_delay,
+    lan_c_fwd = Link(sim, LAN_BANDWIDTH, LAN_DELAY,
                      rng=rng.stream("lan_c_fwd"), name="lan-client-fwd")
-    lan_c_rev = Link(sim, LAN_BANDWIDTH, config.lan_delay,
+    lan_c_rev = Link(sim, LAN_BANDWIDTH, LAN_DELAY,
                      rng=rng.stream("lan_c_rev"), name="lan-client-rev")
 
     lan_s_fwd.connect(enc_node.receive)

@@ -58,10 +58,6 @@ class StreamingResult:
             return 1.0
         return self.frames_delivered / self.frames_sent
 
-    @property
-    def goodput_fraction(self) -> float:
-        return self.delivery_fraction
-
 
 def make_frames(config: StreamingConfig) -> List[bytes]:
     """Media-like frames: container header + inter-frame redundancy.

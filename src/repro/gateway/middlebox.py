@@ -19,7 +19,7 @@ end-to-end and endpoints never learn the gateways exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core.cache import ByteCache
 from ..core.decoder import ByteCachingDecoder, DecodeStatus
@@ -35,15 +35,6 @@ from ..sim.node import Middlebox
 from .resilience import (MODE_BYPASS, MODE_RAW, RESILIENCE_CONTROL_KINDS,
                          DecoderResilience, EncoderResilience,
                          ResilienceConfig)
-
-
-def _default_forward_pred(data_dst: Optional[str]) -> Callable[[IPPacket], bool]:
-    """Forward direction = data packets heading to ``data_dst`` (if set)."""
-    def pred(pkt: IPPacket) -> bool:
-        if data_dst is not None and pkt.dst != data_dst:
-            return False
-        return pkt.proto in (PROTO_TCP, PROTO_UDP)
-    return pred
 
 
 def _payload_of(pkt: IPPacket):
@@ -89,15 +80,15 @@ class _GatewayBase(Middlebox):
 
     def __init__(self, sim: Simulator, name: str, address: str,
                  scheme: FingerprintScheme, cache: ByteCache,
-                 data_dst: Optional[str] = None,
-                 forward_pred: Optional[Callable[[IPPacket], bool]] = None):
+                 data_dst: Optional[str] = None):
         super().__init__(sim, name)
         self.address = address
         self.scheme = scheme
         self.cache = cache
         self.peer_address: Optional[str] = None
-        self.forward_pred = (forward_pred if forward_pred is not None
-                             else _default_forward_pred(data_dst))
+        #: Forward direction = transport packets heading here (any
+        #: destination when None); the rest is the reverse stream.
+        self.data_dst = data_dst
         self.stats = GatewayStats()
         #: True while the gateway is crashed: every offered packet is
         #: dropped (see repro.sim.faults.schedule_gateway_restart).
@@ -177,10 +168,8 @@ class EncoderGateway(_GatewayBase):
                  scheme: FingerprintScheme, cache: ByteCache,
                  policy: EncoderPolicy,
                  data_dst: Optional[str] = None,
-                 forward_pred: Optional[Callable[[IPPacket], bool]] = None,
                  resilience: Optional[ResilienceConfig] = None):
-        super().__init__(sim, name, address, scheme, cache,
-                         data_dst, forward_pred)
+        super().__init__(sim, name, address, scheme, cache, data_dst)
         self.policy = policy
         # Savings accounting nets out the per-packet wire overhead: the
         # 2-byte shim, plus the epoch stamp when resilience is armed.
@@ -200,7 +189,8 @@ class EncoderGateway(_GatewayBase):
         if payload is None:
             return pkt
 
-        if not self.forward_pred(pkt):
+        data_dst = self.data_dst
+        if data_dst is not None and pkt.dst != data_dst:
             self.policy.on_reverse_packet(pkt, self.cache)
             return pkt
 
@@ -286,10 +276,8 @@ class DecoderGateway(_GatewayBase):
                  scheme: FingerprintScheme, cache: ByteCache,
                  policy: Optional[DecoderPolicy] = None,
                  data_dst: Optional[str] = None,
-                 forward_pred: Optional[Callable[[IPPacket], bool]] = None,
                  resilience: Optional[ResilienceConfig] = None):
-        super().__init__(sim, name, address, scheme, cache,
-                         data_dst, forward_pred)
+        super().__init__(sim, name, address, scheme, cache, data_dst)
         self.policy = policy if policy is not None else DecoderPolicy()
         if resilience is not None:
             self.resilience = DecoderResilience(self, resilience)
@@ -303,7 +291,8 @@ class DecoderGateway(_GatewayBase):
         payload = _payload_of(pkt)
         if payload is None or not payload.dre_encoded:
             return pkt
-        if not self.forward_pred(pkt):
+        data_dst = self.data_dst
+        if data_dst is not None and pkt.dst != data_dst:
             return pkt  # reverse direction: nothing to decode
 
         self.stats.data_packets += 1

@@ -9,12 +9,12 @@ end state; this module records how a run got there.
 Three cooperating pieces, modelled on what a production DRE middlebox
 would ship with:
 
-* :class:`MetricsRegistry` — label-aware counters, gauges and bounded
-  histograms.  Gauges are *pull-based*: they hold a callable read at
-  sample time, so instrumented hot paths pay nothing while the sampler
-  is idle.  Components accept an optional registry/telemetry reference
-  and guard every use with one ``is not None`` check — the disabled
-  path stays within the ``bench_hotpath`` overhead budget.
+* :class:`MetricsRegistry` — label-aware gauges.  Gauges are
+  *pull-based*: they hold a callable read at sample time, so
+  instrumented hot paths pay nothing while the sampler is idle.
+  Components accept an optional registry/telemetry reference and guard
+  every use with one ``is not None`` check — the disabled path stays
+  within the ``bench_hotpath`` overhead budget.
 * :class:`TelemetrySampler` — snapshots every registered gauge on a
   simulated-time tick into *aligned* time series (one shared time axis;
   gauges registered mid-run are nan-padded back to the start).  Memory
@@ -38,18 +38,15 @@ ASCII time series via ``repro timeline``.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 TELEMETRY_SCHEMA = "telemetry/v1"
 
-#: Default histogram bucket upper bounds (seconds-ish scale; callers
-#: pass their own for byte- or count-valued observations).
-DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
+#: Flight-recorder rows carried by a post-mortem export.
+DUMP_EVENTS = 64
 
 
 def metric_key(name: str, labels: Dict[str, Any]) -> str:
@@ -58,24 +55,6 @@ def metric_key(name: str, labels: Dict[str, Any]) -> str:
         return name
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
-
-
-class Counter:
-    """A monotonically increasing labelled counter."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: Dict[str, Any]):
-        self.name = name
-        self.labels = labels
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    @property
-    def key(self) -> str:
-        return metric_key(self.name, self.labels)
 
 
 class Gauge:
@@ -110,87 +89,18 @@ class Gauge:
         return self._value
 
 
-class Histogram:
-    """A bounded labelled histogram (fixed bucket upper bounds).
-
-    ``observe`` is O(#buckets) with no allocation, and the memory
-    footprint is fixed at construction — safe to leave attached to
-    per-packet paths.
-    """
-
-    __slots__ = ("name", "labels", "bounds", "counts", "count", "total",
-                 "min", "max")
-
-    def __init__(self, name: str, labels: Dict[str, Any],
-                 bounds: Sequence[float] = DEFAULT_BUCKETS):
-        self.name = name
-        self.labels = labels
-        self.bounds = tuple(sorted(bounds))
-        self.counts = [0] * (len(self.bounds) + 1)   # +1 overflow bucket
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            return math.nan
-        return self.total / self.count
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "buckets": {
-                **{str(bound): self.counts[i]
-                   for i, bound in enumerate(self.bounds)},
-                "+inf": self.counts[-1],
-            },
-        }
-
-    @property
-    def key(self) -> str:
-        return metric_key(self.name, self.labels)
-
-
 class MetricsRegistry:
-    """Label-aware registry of counters, gauges and histograms.
+    """Label-aware registry of gauges.
 
-    Metrics are memoised by ``(name, labels)``: asking twice for the
+    Gauges are memoised by ``(name, labels)``: asking twice for the
     same identity returns the same object, so independent components
-    can share a counter without coordination.
+    can share a gauge without coordination.
     """
 
     def __init__(self) -> None:
-        self._counters: "OrderedDict[str, Counter]" = OrderedDict()
         self._gauges: "OrderedDict[str, Gauge]" = OrderedDict()
-        self._histograms: "OrderedDict[str, Histogram]" = OrderedDict()
 
     # -- registration ------------------------------------------------------
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        key = metric_key(name, labels)
-        counter = self._counters.get(key)
-        if counter is None:
-            counter = Counter(name, labels)
-            self._counters[key] = counter
-        return counter
 
     def gauge(self, name: str, fn: Optional[Callable[[], float]] = None,
               **labels: Any) -> Gauge:
@@ -203,40 +113,18 @@ class MetricsRegistry:
             gauge.fn = fn
         return gauge
 
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = DEFAULT_BUCKETS,
-                  **labels: Any) -> Histogram:
-        key = metric_key(name, labels)
-        histogram = self._histograms.get(key)
-        if histogram is None:
-            histogram = Histogram(name, labels, bounds)
-            self._histograms[key] = histogram
-        return histogram
-
     # -- introspection -----------------------------------------------------
 
     def gauges(self) -> Iterator[Gauge]:
         return iter(self._gauges.values())
 
-    def counters(self) -> Iterator[Counter]:
-        return iter(self._counters.values())
-
-    def histograms(self) -> Iterator[Histogram]:
-        return iter(self._histograms.values())
-
     def __len__(self) -> int:
-        return (len(self._counters) + len(self._gauges)
-                + len(self._histograms))
+        return len(self._gauges)
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Instantaneous JSON-friendly view of every metric."""
-        return {
-            "counters": {c.key: c.value for c in self._counters.values()},
-            "gauges": {g.key: _json_number(g.read())
-                       for g in self._gauges.values()},
-            "histograms": {h.key: h.summary()
-                           for h in self._histograms.values()},
-        }
+    def snapshot(self) -> Dict[str, Optional[float]]:
+        """Instantaneous JSON-friendly reading of every gauge."""
+        return {g.key: _json_number(g.read())
+                for g in self._gauges.values()}
 
 
 def _json_number(value: float) -> Optional[float]:
@@ -456,18 +344,11 @@ class FlightRecorder:
 class TelemetryConfig:
     """Tunables accepted via ``ExperimentConfig(telemetry_kwargs=...)``."""
 
-    sample_interval: float = 0.05    # simulated seconds between samples
-    max_samples: int = 2048          # decimation threshold (see sampler)
-    flight_ring: int = 128           # events retained per flow
-    flight_flows: int = 16           # distinct flow rings
-    dump_events: int = 64            # flight-recorder rows in the export
     #: Register the 4 per-connection TCP gauges.  A single-transfer run
     #: has a handful of connections and wants them all; a serving run
     #: churns thousands of short flows through one stack and must turn
     #: this off (the aggregate stack/gateway gauges remain).
     per_connection: bool = True
-    #: Register per-shard occupancy/eviction gauges for sharded caches.
-    per_shard: bool = True
 
 
 class Telemetry:
@@ -483,13 +364,8 @@ class Telemetry:
         self.sim = sim
         self.config = config if config is not None else TelemetryConfig()
         self.registry = MetricsRegistry()
-        self.sampler = TelemetrySampler(
-            sim, self.registry,
-            interval=self.config.sample_interval,
-            max_samples=self.config.max_samples)
-        self.recorder = FlightRecorder(
-            ring_size=self.config.flight_ring,
-            max_flows=self.config.flight_flows)
+        self.sampler = TelemetrySampler(sim, self.registry)
+        self.recorder = FlightRecorder()
         # Gauges registered per connection, so a pruned connection's
         # callbacks can be detached (the registry itself never drops
         # entries — the sampler's alignment depends on that).
@@ -550,7 +426,7 @@ class Telemetry:
         self.registry.gauge("cache.epoch",
                             fn=lambda c=cache: c.epoch, gw=role)
         shard_entries = getattr(cache, "shard_entries", None)
-        if shard_entries is not None and self.config.per_shard:
+        if shard_entries is not None:
             # Sharded serving cache: per-shard occupancy and eviction
             # gauges (duck-typed — only repro.core.shardcache has them).
             # Entries are routed from the one fingerprint table at
@@ -642,16 +518,17 @@ class Telemetry:
         """
         # One final sample so the series reach the end of the run.
         self.sampler.sample_once()
-        snapshot = self.registry.snapshot()
+        # The registry holds gauges only; the schema keeps its empty
+        # counters and histograms sections (validate_telemetry).
         return {
             "schema": TELEMETRY_SCHEMA,
             "reason": reason,
             "sampler": self.sampler.export(),
-            "counters": snapshot["counters"],
-            "final_gauges": snapshot["gauges"],
-            "histograms": snapshot["histograms"],
+            "counters": {},
+            "final_gauges": self.registry.snapshot(),
+            "histograms": {},
             "flight_recorder": (
-                self.recorder.dump(self.config.dump_events)
+                self.recorder.dump(DUMP_EVENTS)
                 if dump_flight_recorder else []),
             "flight_recorder_events_seen": self.recorder.events_seen,
         }
@@ -695,8 +572,3 @@ def validate_telemetry(doc: Dict[str, Any]) -> None:
             raise ValueError(f"missing section {section!r}")
     if not isinstance(doc.get("flight_recorder"), list):
         raise ValueError("missing flight_recorder list")
-
-
-def dumps_export(doc: Dict[str, Any]) -> str:
-    """Canonical one-line JSON form of an export (JSONL row)."""
-    return json.dumps(doc, separators=(",", ":"), sort_keys=False)

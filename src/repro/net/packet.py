@@ -79,10 +79,6 @@ class TCPSegment:
         return bool(self.flags & self.FIN)
 
     @property
-    def rst(self) -> bool:
-        return bool(self.flags & self.RST)
-
-    @property
     def has_ack(self) -> bool:
         return bool(self.flags & self.ACK)
 

@@ -14,6 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+#: Congestion window at the start of a connection, in segments (RFC
+#: 2581's two-segment initial window, the paper's Linux-2012 default).
+INITIAL_CWND_SEGMENTS = 2
+
 
 @dataclass
 class RenoStats:
@@ -26,12 +30,11 @@ class RenoStats:
 class RenoCongestionControl:
     """Byte-based Reno congestion control."""
 
-    def __init__(self, mss: int, initial_cwnd_segments: int = 2,
-                 initial_ssthresh: int = 1 << 30):
+    def __init__(self, mss: int, initial_ssthresh: int = 1 << 30):
         if mss <= 0:
             raise ValueError("mss must be positive")
         self.mss = mss
-        self.cwnd = initial_cwnd_segments * mss
+        self.cwnd = INITIAL_CWND_SEGMENTS * mss
         self.ssthresh = initial_ssthresh
         self.in_fast_recovery = False
         self._recovery_point = 0
@@ -102,10 +105,9 @@ class CubicCongestionControl(RenoCongestionControl):
     C = 0.4          # scaling constant (segments/second³)
     BETA = 0.7       # multiplicative decrease factor
 
-    def __init__(self, mss: int, initial_cwnd_segments: int = 2,
-                 initial_ssthresh: int = 1 << 30,
+    def __init__(self, mss: int, initial_ssthresh: int = 1 << 30,
                  clock: Optional[Callable[[], float]] = None):
-        super().__init__(mss, initial_cwnd_segments, initial_ssthresh)
+        super().__init__(mss, initial_ssthresh)
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._w_max = 0.0          # segments
         self._epoch_start: Optional[float] = None
@@ -181,13 +183,11 @@ class CubicCongestionControl(RenoCongestionControl):
 
 
 def make_congestion_control(kind: str, mss: int,
-                            initial_cwnd_segments: int = 2,
                             clock: Optional[Callable[[], float]] = None
                             ) -> RenoCongestionControl:
     """Factory used by the connection: ``"reno"`` or ``"cubic"``."""
     if kind == "reno":
-        return RenoCongestionControl(mss, initial_cwnd_segments)
+        return RenoCongestionControl(mss)
     if kind == "cubic":
-        return CubicCongestionControl(mss, initial_cwnd_segments,
-                                      clock=clock)
+        return CubicCongestionControl(mss, clock=clock)
     raise ValueError(f"unknown congestion control: {kind!r}")

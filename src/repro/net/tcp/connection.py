@@ -43,6 +43,13 @@ from .congestion import make_congestion_control
 from .sack import RangeSet, select_sack_blocks, walk_scoreboard
 from .timer import RtoEstimator
 
+#: Handshake retransmissions before a connection aborts (Linux
+#: ``tcp_syn_retries``): 7 SYNs in all, backing off from the 1 s
+#: initial RTO.
+SYN_RETRIES = 6
+#: Duplicate ACKs (or SACKed segments) that signal a loss (RFC 5681).
+DUP_ACK_THRESHOLD = 3
+
 
 @dataclass
 class TCPConfig:
@@ -52,16 +59,8 @@ class TCPConfig:
     rwnd: int = 262144
     min_rto: float = 0.2
     max_rto: float = 8.0
-    initial_rto: float = 1.0
     max_retries: int = 12
-    syn_retries: int = 6
-    initial_cwnd_segments: int = 2
-    dup_ack_threshold: int = 3
-    sack_enabled: bool = True
     congestion: str = "reno"        # "reno" | "cubic"
-    delayed_ack: bool = False       # RFC 1122 delayed ACKs (40 ms / 2 seg)
-    delayed_ack_timeout: float = 0.04
-    verify_checksums: bool = True
 
 
 @dataclass
@@ -172,11 +171,9 @@ class TCPConnection:
         self._recovery_point: Optional[int] = None
         self._rto_mode = False                  # recovery entered via RTO
         self.rto = RtoEstimator(min_rto=self.config.min_rto,
-                                max_rto=self.config.max_rto,
-                                initial_rto=self.config.initial_rto)
+                                max_rto=self.config.max_rto)
         self.cc = make_congestion_control(
-            self.config.congestion, self.config.mss,
-            self.config.initial_cwnd_segments, clock=lambda: sim.now)
+            self.config.congestion, self.config.mss, clock=lambda: sim.now)
         self._retx_timer = Timer(sim, self._on_rto)
 
         # ---- receiver state
@@ -185,8 +182,6 @@ class TCPConnection:
         self._ooo_data: Dict[int, bytes] = {}
         self._ooo_ranges = RangeSet()
         self._recent_ooo_seqs: list = []   # most recent first, for SACK
-        self._delack_timer = Timer(sim, self._delack_fire)
-        self._delack_pending = 0
         self._remote_fin_seq: Optional[int] = None
         self._remote_fin_delivered = False
 
@@ -249,10 +244,6 @@ class TCPConnection:
     @property
     def flight_size(self) -> int:
         return self.snd_nxt - self.snd_una
-
-    @property
-    def in_recovery(self) -> bool:
-        return self._recovery_point is not None
 
     # ------------------------------------------------------------------
     # passive open (used by the stack's listener)
@@ -348,7 +339,7 @@ class TCPConnection:
         window = self.cc.window()
         if self._peer_rwnd < window:
             window = self._peer_rwnd
-        if 0 < self._dup_ack_count < self.config.dup_ack_threshold:
+        if 0 < self._dup_ack_count < DUP_ACK_THRESHOLD:
             # RFC 3042 limited transmit: the first two duplicate ACKs
             # each allow one new segment, keeping the ACK clock alive
             # when the window is too small for fast retransmit.
@@ -359,7 +350,7 @@ class TCPConnection:
         """Transmit as much new data as the windows allow."""
         if self.state not in _DATA_STATES:
             return
-        if self._recovery_point is not None and self.config.sack_enabled:
+        if self._recovery_point is not None:
             self._sack_transmit()
             return
         mss = self.config.mss
@@ -440,22 +431,14 @@ class TCPConnection:
         self._transmit(segment)
 
     def _send_ack(self) -> None:
-        if self._delack_pending:
-            # The delayed-ACK timer is armed only while ACKs are owed.
-            self._delack_pending = 0
-            self._delack_timer.stop()
         blocks: tuple = ()
         # The dict is empty exactly when ``_ooo_ranges`` is, and tests
         # without a call.
-        if self.config.sack_enabled and self._ooo_data:
+        if self._ooo_data:
             blocks = select_sack_blocks(self._ooo_ranges,
                                         self._recent_ooo_seqs)
         self._send_segment(TCPSegment.ACK, seq=self.snd_nxt,
                            sack_blocks=blocks)
-
-    def _delack_fire(self) -> None:
-        if self._delack_pending > 0:
-            self._send_ack()
 
     # ------------------------------------------------------------------
     # ACK processing (sender side)
@@ -480,7 +463,7 @@ class TCPConnection:
         if ack == self.snd_una and self.snd_nxt > ack and not segment.data:
             self.stats.dup_acks_received += 1
             self._dup_ack_count += 1
-            if self._dup_ack_count < self.config.dup_ack_threshold \
+            if self._dup_ack_count < DUP_ACK_THRESHOLD \
                     and not self._should_enter_recovery():
                 self._try_send()  # limited transmit
             elif self._recovery_point is None:
@@ -527,8 +510,6 @@ class TCPConnection:
     def _absorb_sack(self, segment: TCPSegment) -> bool:
         """Fold a segment's (non-empty) SACK blocks into the scoreboard;
         True if they covered anything new."""
-        if not self.config.sack_enabled:
-            return False
         una = self.snd_una
         nxt = self.snd_nxt
         sacked = self._sacked
@@ -567,20 +548,15 @@ class TCPConnection:
 
     def _should_enter_recovery(self) -> bool:
         """RFC 6675 trigger: enough SACKed bytes imply a loss."""
-        if not self.config.sack_enabled:
-            return False
         sacked = self._sacked.coverage(self.snd_una, self.snd_nxt)
-        return sacked > (self.config.dup_ack_threshold - 1) * self.config.mss
+        return sacked > (DUP_ACK_THRESHOLD - 1) * self.config.mss
 
     def _enter_recovery(self) -> None:
         self.stats.fast_retransmits += 1
         self._recovery_point = self.snd_nxt
         self._clear_retx_marks()
         self.cc.on_fast_retransmit(self.flight_size, self.snd_nxt)
-        if self.config.sack_enabled:
-            self._sack_transmit(force_front=True)
-        else:
-            self._retransmit_front()
+        self._sack_transmit(force_front=True)
         self._retx_timer.start(self.rto.rto)
 
     def _exit_recovery(self) -> None:
@@ -721,7 +697,7 @@ class TCPConnection:
         self.stats.timeouts += 1
         if not handshake:
             self._classify_timeout()
-        max_retries = (self.config.syn_retries if handshake
+        max_retries = (SYN_RETRIES if handshake
                        else self.config.max_retries)
         if self._retx_count > max_retries:
             self._finish(TCPState.ABORTED, "stalled")
@@ -759,10 +735,9 @@ class TCPConnection:
         assert self.rcv_nxt is not None
 
         data = segment.data
-        if data and self.config.verify_checksums:
-            if not verify_payload(data, segment.checksum):
-                self.stats.checksum_drops += 1
-                return  # corrupted payload: no ACK, as if never received
+        if data and not verify_payload(data, segment.checksum):
+            self.stats.checksum_drops += 1
+            return  # corrupted payload: no ACK, as if never received
 
         fin = segment.flags & _FIN
         if fin:
@@ -784,19 +759,10 @@ class TCPConnection:
 
         if data or fin:
             if not advanced:
-                # Out-of-order or duplicate: ACK immediately so the
-                # sender's dup-ack machinery keeps working (RFC 1122
-                # exempts these from delaying).
+                # Out-of-order or duplicate: the sender's dup-ack
+                # machinery counts these.
                 self.stats.dup_acks_sent += 1
-                self._send_ack()
-            elif self.config.delayed_ack and not self._ooo_data:
-                self._delack_pending += 1
-                if self._delack_pending >= 2:
-                    self._send_ack()
-                else:
-                    self._delack_timer.start(self.config.delayed_ack_timeout)
-            else:
-                self._send_ack()
+            self._send_ack()
 
     def _ingest_data(self, seq: int, data: bytes) -> bool:
         """Insert a data segment; returns True if rcv_nxt advanced."""
@@ -858,11 +824,8 @@ class TCPConnection:
         self.state = state
         self.close_reason = reason
         self.closed_at = self.sim.now
-        # A closed connection puts nothing more on the wire: neither a
-        # retransmission nor the bare ACK a delayed-ACK timer still owes.
+        # A closed connection puts no retransmission on the wire.
         self._retx_timer.stop()
-        self._delack_timer.stop()
-        self._delack_pending = 0
         if self.on_close is not None:
             self.on_close(reason)
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: RTO before the first RTT sample (RFC 6298 §2.1).
+INITIAL_RTO = 1.0
+
 
 @dataclass
 class RtoEstimator:
@@ -18,7 +21,6 @@ class RtoEstimator:
 
     min_rto: float = 0.2
     max_rto: float = 60.0
-    initial_rto: float = 1.0
     alpha: float = 1.0 / 8.0
     beta: float = 1.0 / 4.0
     k: float = 4.0
@@ -26,7 +28,7 @@ class RtoEstimator:
     def __post_init__(self) -> None:
         self.srtt: float | None = None
         self.rttvar: float = 0.0
-        self._rto: float = self.initial_rto
+        self._rto: float = INITIAL_RTO
         self._backoff: int = 0
         self.samples: int = 0
 

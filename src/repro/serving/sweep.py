@@ -120,11 +120,3 @@ def validate_bench_serving(doc: Any) -> None:
             raise ValueError(f"summary missing {key!r}")
     if not isinstance(doc.get("history", []), list):
         raise ValueError("history must be a list")
-
-
-def load_bench_serving(path: str) -> Dict[str, Any]:
-    """Read and validate a ``BENCH_serving.json`` file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    validate_bench_serving(doc)
-    return doc

@@ -3,7 +3,7 @@
 from .engine import Event, SimulationError, Simulator, Timer
 from .faults import (FaultInjector, drop_indices, match_nth_data,
                      match_stream_offsets)
-from .link import DuplexLink, Link, LinkStats
+from .link import Link, LinkStats
 from .node import Host, Middlebox, Node
 from .rng import RngRegistry, derive_seed
 
@@ -16,7 +16,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timer",
-    "DuplexLink",
     "Link",
     "LinkStats",
     "Host",

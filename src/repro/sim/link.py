@@ -471,28 +471,3 @@ class Link:
         pkt.reread_size()
         return pkt
 
-
-@dataclass
-class DuplexLink:
-    """A symmetric pair of :class:`Link` objects (forward / reverse)."""
-
-    forward: Link
-    reverse: Link
-
-    @classmethod
-    def create(
-        cls,
-        sim: Simulator,
-        bandwidth: float,
-        prop_delay: float,
-        *,
-        rng_forward: Optional[random.Random] = None,
-        rng_reverse: Optional[random.Random] = None,
-        name: str = "link",
-        **impairments,
-    ) -> "DuplexLink":
-        fwd = Link(sim, bandwidth, prop_delay, rng=rng_forward,
-                   name=f"{name}.fwd", **impairments)
-        rev = Link(sim, bandwidth, prop_delay, rng=rng_reverse,
-                   name=f"{name}.rev", **impairments)
-        return cls(forward=fwd, reverse=rev)

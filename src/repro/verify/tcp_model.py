@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import inf, sqrt
 
-from ..experiments.config import ExperimentConfig
+from ..experiments.config import LAN_DELAY, TCP_MSS, ExperimentConfig
 from ..net.packet import IP_HEADER_SIZE, TCP_HEADER_SIZE
 
 _HEADERS = IP_HEADER_SIZE + TCP_HEADER_SIZE
@@ -28,15 +28,15 @@ def loss_limited_rate(mss: int, rtt: float, p: float) -> float:
 
 def round_trip_s(config: ExperimentConfig) -> float:
     """Propagation both ways plus one full segment through the shaper."""
-    propagation = 2 * (config.bottleneck_delay + 2 * config.lan_delay)
-    return propagation + (config.tcp_mss + _HEADERS) / config.bandwidth
+    propagation = 2 * (config.bottleneck_delay + 2 * LAN_DELAY)
+    return propagation + (TCP_MSS + _HEADERS) / config.bandwidth
 
 
 def expected_download_s(config: ExperimentConfig, size: int,
                         timeouts: float = 0.0) -> float:
     """Seconds to fetch ``size`` bytes with DRE off, ``timeouts`` RTOs."""
     rtt = round_trip_s(config)
-    mss = config.tcp_mss
+    mss = TCP_MSS
     shaper_goodput = (config.bandwidth * (1 - config.loss_rate)
                       * mss / (mss + _HEADERS))
     rate = min(shaper_goodput, loss_limited_rate(mss, rtt, config.loss_rate))

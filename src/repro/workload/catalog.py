@@ -24,7 +24,7 @@ caller's RNG so the session generator owns the request stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -121,13 +121,6 @@ class ContentCatalog:
         self._objects[content_id] = body
         self.materialised += 1
         return body
-
-    def materialised_bytes(self) -> int:
-        return sum(len(body) for body in self._objects.values())
-
-    def top_contents(self, k: int) -> List[int]:
-        """The ``k`` most popular content ids (they are rank-ordered)."""
-        return list(range(min(k, self.spec.n_contents)))
 
     def describe(self) -> Dict[str, object]:
         return {

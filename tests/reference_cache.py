@@ -18,6 +18,7 @@ from typing import Dict, Iterator, Optional, Tuple
 from repro.core.cache import ByteCache
 from repro.core.encoder import ByteCachingEncoder
 from repro.core.region import Region, expand_bounds
+from repro.core.wire import MIN_REGION_LENGTH
 
 
 class CacheEntry:
@@ -190,7 +191,7 @@ class PerAnchorEncoder(ByteCachingEncoder):
                 self.stats.collisions += 1
                 continue
             offset_new, offset_stored, length = bounds
-            if length <= self.min_region_length:
+            if length <= MIN_REGION_LENGTH:
                 continue
             if not self.policy.region_acceptable(length, len(payload), meta):
                 self.stats.ineligible_hits += 1

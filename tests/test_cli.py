@@ -135,6 +135,37 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--loss", "150"],
+    ["run", "--loss", "-5"],
+    ["run", "--corrupt", "nan"],
+    ["run", "--reorder", "101"],
+    ["sweep", "--losses", "0,150"],
+    ["mobility", "--loss", "-5"],
+    ["trace", "--loss", "nan"],
+    ["timeline", "--loss", "150"],
+    ["flame", "--loss", "inf"],
+    ["spans", "--loss", "-0.5"],
+    ["serve-sim", "--loss", "150"],
+])
+def test_percentages_outside_0_100_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        build_parser().parse_args(argv)
+    assert exited.value.code == 2
+    assert "is not a percentage in [0, 100]" in capsys.readouterr().err
+
+
+def test_percentages_parse_to_rates():
+    parser = build_parser()
+    run = parser.parse_args(["run", "--loss", "5", "--reorder", "100"])
+    assert (run.loss, run.corrupt, run.reorder) == (0.05, 0.0, 1.0)
+    assert parser.parse_args(["sweep", "--losses", "0, 2.5"]).losses \
+        == [0.0, 0.025]
+    assert parser.parse_args(["sweep"]).losses == [0.0, 0.01, 0.02, 0.05, 0.1]
+    assert parser.parse_args(["timeline"]).loss == 0.05
+    assert parser.parse_args(["serve-sim"]).loss == 0.01
+
+
 def test_parser_rejects_bad_artifact():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["artifact", "figure99"])

@@ -17,8 +17,7 @@ class FakeClock:
 
 
 def make(clock=None):
-    return CubicCongestionControl(MSS, initial_cwnd_segments=2,
-                                  clock=clock or FakeClock())
+    return CubicCongestionControl(MSS, clock=clock or FakeClock())
 
 
 class TestFactory:

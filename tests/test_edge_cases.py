@@ -212,35 +212,3 @@ class TestGatewayAccounting:
         out = sink.packets[0]
         assert out.tcp.dre_wire_tag is not None
         assert out.tcp.header_size == before_header + 4
-
-    def test_custom_forward_predicate(self):
-        from repro.core.cache import ByteCache as Cache
-        from repro.gateway.middlebox import EncoderGateway
-        from repro.net.packet import IPPacket, PROTO_TCP, TCPSegment
-        from repro.sim import Simulator
-
-        sim = Simulator()
-        gateway = EncoderGateway(
-            sim, "enc", "10.255.9.1", FingerprintScheme(), Cache(),
-            NaivePolicy(), forward_pred=lambda pkt: pkt.dst == "10.9.9.9")
-
-        class Sink:
-            def __init__(self):
-                self.packets = []
-
-            def send(self, pkt):
-                self.packets.append(pkt)
-
-        sink = Sink()
-        gateway.set_default_route(sink)
-        data = b"z" * 500
-        segment = TCPSegment(src_port=80, dst_port=5000, seq=0, ack=0,
-                             flags=TCPSegment.ACK, window=100, data=data)
-        gateway.receive(IPPacket(src="a", dst="10.1.1.1", proto=PROTO_TCP,
-                                 payload=segment))
-        assert not sink.packets[0].tcp.dre_encoded  # predicate said no
-        segment2 = TCPSegment(src_port=80, dst_port=5000, seq=0, ack=0,
-                              flags=TCPSegment.ACK, window=100, data=data)
-        gateway.receive(IPPacket(src="a", dst="10.9.9.9", proto=PROTO_TCP,
-                                 payload=segment2))
-        assert sink.packets[1].tcp.dre_encoded

@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.packet import IPPacket, PROTO_TCP, TCPSegment
 from repro.core.checksum import payload_checksum
-from repro.sim import DuplexLink, Link, Simulator
+from repro.sim import Link, Simulator
 
 
 def make_packet(size_payload: int = 1000) -> IPPacket:
@@ -151,20 +151,6 @@ def test_invalid_rates(rate):
     sim = Simulator()
     with pytest.raises(ValueError):
         Link(sim, 1000.0, 0.0, loss_rate=rate)
-
-
-def test_duplex_link_has_independent_directions():
-    sim = Simulator()
-    duplex = DuplexLink.create(sim, 1000.0, 0.0, name="pair")
-    fwd, rev = [], []
-    duplex.forward.connect(fwd.append)
-    duplex.reverse.connect(rev.append)
-    duplex.forward.send(make_packet(100))
-    duplex.reverse.send(make_packet(100))
-    duplex.reverse.send(make_packet(100))
-    sim.run()
-    assert len(fwd) == 1
-    assert len(rev) == 2
 
 
 # -- one-event and two-event crossings ---------------------------------------

@@ -6,7 +6,7 @@ MSS = 1460
 
 
 def make():
-    return RenoCongestionControl(MSS, initial_cwnd_segments=2)
+    return RenoCongestionControl(MSS)
 
 
 def test_initial_window():

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+from repro.net.packet import TCPSegment
 from repro.net.tcp import TCPConfig, TCPState
+from repro.net.tcp.connection import SYN_RETRIES
+from repro.net.tcp.timer import INITIAL_RTO
 
 from tests.tcp_helpers import TcpTestbed, drop_data_segments, drop_indices
 
@@ -198,16 +201,6 @@ class TestLostRetransmission:
         assert server_conn.stats.retransmissions == copies
         assert eof < server_conn.config.min_rto
 
-    def test_without_sack_still_needs_rto(self):
-        testbed = TcpTestbed(
-            drop_s2c=drop_data_segments(self.HOLE, copies=2),
-            config=TCPConfig(sack_enabled=False))
-        server_conn, eof = self.run(testbed)
-        assert server_conn.stats.lost_retransmits == 0
-        assert server_conn.stats.timeouts == 1
-        assert server_conn.stats.timeouts_lost_retransmit == 1
-        assert eof > server_conn.config.min_rto
-
     def test_lost_tail_retransmission_still_needs_rto(self):
         # Nothing is sent after the last segment, so nothing can be
         # SACKed behind its lost retransmission.
@@ -268,6 +261,21 @@ class TestStall:
         assert server_conn.state is TCPState.ABORTED
         assert server_conn.close_reason == "stalled"
         assert len(received) < len(data)
+
+    def test_handshake_to_a_silent_port_aborts_after_syn_retries(self):
+        """Nobody listens: 1 + SYN_RETRIES SYNs, each timeout doubling
+        the 1 s initial RTO up to max_rto (1+2+4+8+8+8+8 s)."""
+        testbed = TcpTestbed()
+        conn = testbed.client_stack.connect("10.0.0.2", 81)
+        testbed.sim.run(until=120)
+        syns = [pkt for pkt in testbed.c2s.delivered
+                if pkt.tcp.flags & TCPSegment.SYN]
+        assert (SYN_RETRIES, INITIAL_RTO, conn.config.max_rto) == (6, 1.0, 8.0)
+        assert len(syns) == 7
+        assert conn.stats.timeouts == 7
+        assert conn.state is TCPState.ABORTED
+        assert conn.close_reason == "stalled"
+        assert conn.closed_at == 39.0
 
     def test_retry_counter_resets_on_progress(self):
         rng = random.Random(9)

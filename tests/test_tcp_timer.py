@@ -6,7 +6,7 @@ from repro.net.tcp.timer import RtoEstimator
 
 
 def test_initial_rto():
-    estimator = RtoEstimator(initial_rto=1.0)
+    estimator = RtoEstimator()
     assert estimator.rto == 1.0
 
 
@@ -40,7 +40,7 @@ def test_max_rto_clamp():
 
 
 def test_backoff_doubles():
-    estimator = RtoEstimator(min_rto=0.2, max_rto=60.0, initial_rto=1.0)
+    estimator = RtoEstimator(min_rto=0.2, max_rto=60.0)
     estimator.sample(0.5)
     base = estimator.rto
     estimator.back_off()

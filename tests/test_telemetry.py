@@ -8,8 +8,8 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_transfer
 from repro.metrics.collectors import TransferResult
-from repro.metrics.telemetry import (FlightRecorder, Histogram,
-                                     MetricsRegistry, Telemetry,
+from repro.metrics.telemetry import (FlightRecorder, MetricsRegistry,
+                                     Telemetry,
                                      TelemetrySampler, metric_key,
                                      telemetry_if, validate_telemetry)
 from repro.sim.engine import Simulator
@@ -17,20 +17,13 @@ from repro.sim.node import Node
 
 
 class TestMetricsRegistry:
-    def test_counter_increments(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("drops", gw="decoder")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        assert counter.key == "drops{gw=decoder}"
-
     def test_same_identity_is_memoised(self):
         registry = MetricsRegistry()
-        a = registry.counter("c", gw="x")
-        b = registry.counter("c", gw="x")
+        a = registry.gauge("g", gw="x")
+        b = registry.gauge("g", gw="x")
         assert a is b
-        assert registry.counter("c", gw="y") is not a
+        assert a.key == "g{gw=x}"
+        assert registry.gauge("g", gw="y") is not a
 
     def test_label_order_does_not_matter(self):
         assert (metric_key("m", {"a": 1, "b": 2})
@@ -56,26 +49,13 @@ class TestMetricsRegistry:
         broken = registry.gauge("bad", fn=lambda: 1 / 0)
         assert math.isnan(broken.read())  # a gauge must not raise
 
-    def test_histogram_buckets_and_summary(self):
-        histogram = Histogram("h", {}, bounds=(1.0, 10.0))
-        for value in (0.5, 5.0, 50.0):
-            histogram.observe(value)
-        summary = histogram.summary()
-        assert summary["count"] == 3
-        assert summary["buckets"]["1.0"] == 1
-        assert summary["buckets"]["10.0"] == 1
-        assert summary["buckets"]["+inf"] == 1
-        assert summary["min"] == 0.5 and summary["max"] == 50.0
-        assert histogram.mean == pytest.approx(55.5 / 3)
-
     def test_snapshot_is_json_serialisable(self):
         registry = MetricsRegistry()
-        registry.counter("c").inc()
         registry.gauge("g", fn=lambda: float("inf"))
-        registry.histogram("h").observe(0.01)
+        registry.gauge("h", fn=lambda: 0.01)
         snapshot = registry.snapshot()
         json.dumps(snapshot)  # must not raise
-        assert snapshot["gauges"]["g"] is None  # inf -> null
+        assert snapshot == {"g": None, "h": 0.01}  # inf -> null
 
 
 class TestTelemetrySampler:
@@ -308,9 +288,9 @@ class TestTelemetryFacade:
     def test_telemetry_if(self):
         sim = Simulator()
         assert telemetry_if(False, sim) is None
-        telemetry = telemetry_if(True, sim, sample_interval=0.2)
+        telemetry = telemetry_if(True, sim, per_connection=False)
         assert isinstance(telemetry, Telemetry)
-        assert telemetry.config.sample_interval == 0.2
+        assert telemetry.config.per_connection is False
 
     def test_node_note_feeds_recorder(self):
         sim = Simulator()
@@ -364,8 +344,7 @@ class TestEndToEnd:
 
     def test_enabled_run_exports_expected_series(self):
         result = run_transfer(ExperimentConfig(
-            file_size=40 * 1460, loss_rate=0.01, telemetry=True,
-            telemetry_kwargs={"sample_interval": 0.02}))
+            file_size=40 * 1460, loss_rate=0.01, telemetry=True))
         export = result.telemetry
         validate_telemetry(export)
         assert export["reason"] == "completed"

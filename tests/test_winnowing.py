@@ -127,11 +127,38 @@ class TestEvictionPolicies:
             PacketStore(eviction="random")
 
     def test_experiment_runs_with_lru_and_winnowing(self):
-        from repro.experiments import ExperimentConfig, run_transfer
+        """file1 through a winnowing, LRU gateway pair: every payload is
+        encoded against the cache and restored byte for byte."""
+        from repro.core.checksum import payload_checksum
+        from repro.gateway import GatewayPair
+        from repro.net.packet import IPPacket, PROTO_TCP, TCPSegment
+        from repro.sim import Simulator
+        from repro.workload.corpus import corpus_object
 
-        result = run_transfer(ExperimentConfig(
-            policy="cache_flush", file_size=40 * 1460, seed=5,
-            cache_eviction="lru", fingerprint_selection="winnowing",
-            verify_content=True))
-        assert result.completed
-        assert result.outcome.content_ok is True
+        class Sink:
+            def __init__(self):
+                self.packets = []
+
+            def send(self, pkt):
+                self.packets.append(pkt)
+
+        sim = Simulator()
+        pair = GatewayPair.create(
+            sim, policy="cache_flush",
+            scheme=FingerprintScheme(selection="winnowing"),
+            cache_eviction="lru", data_dst="10.0.1.1")
+        enc_out, dec_out = Sink(), Sink()
+        pair.encoder.set_default_route(enc_out)
+        pair.decoder.set_default_route(dec_out)
+        data = corpus_object("file1", 40 * 1460, 3)
+        for seq in range(0, len(data), 1460):
+            chunk = data[seq: seq + 1460]
+            segment = TCPSegment(src_port=80, dst_port=5000, seq=seq, ack=0,
+                                 flags=TCPSegment.ACK, window=1000,
+                                 data=chunk, checksum=payload_checksum(chunk))
+            pair.encoder.receive(IPPacket(src="10.0.2.1", dst="10.0.1.1",
+                                          proto=PROTO_TCP, payload=segment))
+        for pkt in enc_out.packets:
+            pair.decoder.receive(pkt)
+        assert pair.encoder.stats.encoded_packets > 0
+        assert b"".join(pkt.tcp.data for pkt in dec_out.packets) == data
