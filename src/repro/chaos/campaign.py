@@ -2,47 +2,14 @@
 
 A :class:`Campaign` is a fully declarative chaos scenario: a base
 experiment configuration plus timed :class:`Phase` windows, each phase
-composing several concurrent *injections* (dicts with a ``kind`` tag,
-mirroring the fuzz-case fault-event vocabulary).  Campaigns are JSON
+composing several concurrent *injections*.  An injection is a dict
+with a ``kind`` tag from the one vocabulary :mod:`repro.sim.faults`
+implements (:func:`~repro.sim.faults.arm_injection` lists it), the
+same one fuzz cases are written in; it is checked when its phase is
+built and armed with the window set to the phase.  Campaigns are JSON
 round-trippable and all randomness flows through named
 :class:`~repro.sim.rng.RngRegistry` streams derived from the run seed,
 so a failed campaign replays byte-for-byte from its scorecard.
-
-Injection vocabulary (``kind`` → parameters; times are seconds relative
-to the phase start, windows default to the whole phase):
-
-``bursty_loss``
-    Gilbert-Elliott loss on ``link`` ("forward"/"reverse") for the
-    phase window: ``p_good_bad``, ``p_bad_good``, ``loss_good``,
-    ``loss_bad``.
-``link_flap``
-    ``link`` goes administratively down ``down_for`` seconds,
-    ``flaps`` times, ``period`` apart.
-``partition``
-    Both directions down for ``duration`` starting at ``offset``.
-``control_blackout``
-    Drop every gateway control message (optionally only ``kinds``)
-    in both directions for the phase window.
-``loss``
-    Uniform extra loss: set ``link.loss_rate`` to ``rate`` (a number in
-    [0, 1], checked when the phase is built) for the phase window,
-    restoring the scenario rate afterwards.
-``reorder_data`` / ``dup_data``
-    Re-order (by ``extra_delay``) / duplicate every ``every``-th data
-    segment offered during the phase window.
-``restart``
-    Crash the ``side`` gateway at ``offset``, restart ``downtime``
-    later.
-``evict``
-    Asymmetrically evict ``fraction`` of the ``side`` cache at
-    ``offset``.
-``memory_pressure``
-    Squeeze the ``side`` cache byte budget to ``fraction`` of its
-    in-use bytes at ``offset`` (eviction storm), restoring the budget
-    after ``duration`` when given.
-``clock_skew``
-    Stretch the encoder's heartbeat clock by ``factor`` at ``offset``,
-    restored at the phase end.
 
 Gateway-side injections are skipped automatically on the no-DRE
 baseline run (there are no gateways to fault); link-level injections
@@ -55,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
 from ..experiments.config import ExperimentConfig
+from ..sim.faults import check_injection
 
 CHAOS_SCHEMA = "repro.chaos/v1"
 
@@ -65,18 +33,6 @@ CHAOS_POLICIES = ("cache_flush", "tcp_seq", "k_distance")
 POLICY_KWARGS: Dict[str, Dict[str, Any]] = {"k_distance": {"k": 8}}
 
 MSS = 1460
-
-_INJECTION_KINDS = frozenset({
-    "bursty_loss", "link_flap", "partition", "control_blackout", "loss",
-    "reorder_data", "dup_data", "restart", "evict", "memory_pressure",
-    "clock_skew",
-})
-
-#: Injections that need gateways (skipped on the no-DRE baseline).
-GATEWAY_KINDS = frozenset({
-    "restart", "evict", "memory_pressure", "clock_skew",
-    "control_blackout",
-})
 
 
 @dataclass
@@ -94,20 +50,7 @@ class Phase:
         if self.start < 0:
             raise ValueError(f"phase {self.name!r}: negative start")
         for injection in self.injections:
-            kind = injection.get("kind")
-            if kind not in _INJECTION_KINDS:
-                raise ValueError(
-                    f"phase {self.name!r}: unknown injection kind {kind!r}")
-            if kind == "loss":
-                # Refused the way Link refuses its constructor rates:
-                # a NaN or out-of-range rate would otherwise run as
-                # 0 % or 100 % extra loss.
-                rate = injection.get("rate")
-                if (not isinstance(rate, (int, float))
-                        or not 0.0 <= rate <= 1.0):
-                    raise ValueError(
-                        f"phase {self.name!r}: loss rate must be a number "
-                        f"in [0, 1], got {rate!r}")
+            check_injection(injection, f"phase {self.name!r}")
 
     @property
     def end(self) -> float:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..experiments.runner import (FILE_NAME, Fetch, Testbed, build_testbed,
                                   collect_result, run_fetches)
@@ -23,15 +23,10 @@ from ..experiments.sweep import parallel_map
 from ..metrics.collectors import TransferResult
 from ..metrics.report import format_table
 from ..metrics.spans import spans_rollup
-from ..sim.faults import (FaultInjector, GatewayFaultLog, all_of,
-                          control_blackout, match_time_window,
-                          schedule_asymmetric_eviction, schedule_bursty_loss,
-                          schedule_clock_skew, schedule_gateway_restart,
-                          schedule_link_flap, schedule_loss_window,
-                          schedule_memory_pressure, schedule_partition)
+from ..sim.faults import ArmedFaults, arm_injection
 from ..sim.rng import RngRegistry
 from ..workload.corpus import corpus_object
-from .campaign import CHAOS_POLICIES, CHAOS_SCHEMA, GATEWAY_KINDS, Campaign
+from .campaign import CHAOS_POLICIES, CHAOS_SCHEMA, Campaign
 from .slo import ORACLES, _round, evaluate_slos, phase_recovery_times
 
 
@@ -39,157 +34,43 @@ from .slo import ORACLES, _round, evaluate_slos, phase_recovery_times
 # arming a campaign onto a testbed
 # ---------------------------------------------------------------------------
 
-def _match_every_nth_data(every: int) -> Callable:
-    """Match every ``every``-th TCP data segment *evaluated*.
-
-    Stateful like ``match_nth_data`` — compose after a window guard via
-    ``all_of`` so the counter only advances inside the phase window.
-    """
-    if every < 1:
-        raise ValueError(f"every must be >= 1, got {every}")
-    counter = {"seen": 0}
-
-    def predicate(pkt, index):
-        segment = pkt.tcp
-        if segment is None or not segment.data:
-            return False
-        counter["seen"] += 1
-        return counter["seen"] % every == 0
-
-    return predicate
-
-
-def _link(testbed: Testbed, name: str):
-    if name == "forward":
-        return testbed.bottleneck_forward
-    if name == "reverse":
-        return testbed.bottleneck_reverse
-    raise ValueError(f"unknown link {name!r} (forward|reverse)")
-
-
-def _gateway(testbed: Testbed, side: str):
-    if side not in ("encoder", "decoder"):
-        raise ValueError(f"unknown gateway side {side!r} (encoder|decoder)")
-    return getattr(testbed.gateways, side)
-
-
-def _injector(testbed: Testbed, injectors: Dict[str, FaultInjector],
-              direction: str) -> FaultInjector:
-    if direction not in injectors:
-        injectors[direction] = FaultInjector(_link(testbed, direction))
-    return injectors[direction]
-
-
-@dataclass
-class ArmedFaults:
-    """Handles onto everything a campaign armed (for the fault digest)."""
-
-    injectors: Dict[str, FaultInjector] = field(default_factory=dict)
-    gateway_log: GatewayFaultLog = field(default_factory=GatewayFaultLog)
-    bursty_models: List[Any] = field(default_factory=list)
-
-    def digest(self) -> Dict[str, Any]:
-        """JSON-safe summary of what actually fired (deterministic)."""
-        link = {"dropped": 0, "reordered": 0, "duplicated": 0}
-        for injector in self.injectors.values():
-            link["dropped"] += len(injector.log.dropped)
-            link["reordered"] += len(injector.log.reordered)
-            link["duplicated"] += len(injector.log.duplicated)
-        return {
-            "link": link,
-            "bursty_losses": sum(m.losses for m in self.bursty_models),
-            "crashes": [_round(t) for t in self.gateway_log.crashes],
-            "restarts": [_round(t) for t in self.gateway_log.restarts],
-            "evictions": sum(n for _, n in self.gateway_log.evictions),
-            "pressure_evictions": sum(
-                n for _, n in self.gateway_log.pressure),
-            "skew_changes": len(self.gateway_log.skews),
-        }
-
-
 def arm_campaign(campaign: Campaign, testbed: Testbed,
                  seed: int) -> ArmedFaults:
-    """Schedule every phase injection of ``campaign`` onto ``testbed``.
+    """Arm every phase injection of ``campaign`` onto ``testbed``.
 
-    Gateway-side injections are skipped when the testbed has no
-    gateways (the no-DRE baseline); all randomness flows through named
-    streams of a registry forked from ``seed``, so the fault pattern is
-    identical across the DRE run and its baseline and across replays.
+    Each injection goes through the :mod:`repro.sim.faults` table with
+    the window set to its phase; gateway-side injections are skipped
+    when the testbed has no gateways (the no-DRE baseline).  All
+    randomness flows through named streams of a registry forked from
+    ``seed``, so the fault pattern is identical across the DRE run and
+    its baseline and across replays.
     """
     rng = RngRegistry(seed).fork("chaos")
     armed = ArmedFaults()
-    has_gateways = testbed.gateways is not None
     for phase in campaign.phases:
         for index, injection in enumerate(phase.injections):
-            kind = injection["kind"]
-            if kind in GATEWAY_KINDS and not has_gateways:
-                continue
-            _arm_one(testbed, phase, injection, armed,
-                     rng.stream(f"ge:{phase.name}:{index}"))
+            arm_injection(testbed, injection, (phase.start, phase.end),
+                          rng.stream(f"ge:{phase.name}:{index}"), armed)
     return armed
 
 
-def _arm_one(testbed: Testbed, phase, injection: Dict[str, Any],
-             armed: ArmedFaults, stream) -> None:
-    sim = testbed.sim
-    kind = injection["kind"]
-    at = phase.start + injection.get("offset", 0.0)
-    window = (phase.start, phase.end)
-
-    if kind == "bursty_loss":
-        params = {k: v for k, v in injection.items()
-                  if k not in ("kind", "link")}
-        armed.bursty_models.append(schedule_bursty_loss(
-            sim, _link(testbed, injection.get("link", "forward")),
-            window[0], window[1], stream, **params))
-    elif kind == "link_flap":
-        schedule_link_flap(
-            sim, _link(testbed, injection.get("link", "forward")), at,
-            injection["down_for"], flaps=injection.get("flaps", 1),
-            period=injection.get("period"))
-    elif kind == "partition":
-        schedule_partition(sim, testbed.bottleneck_forward,
-                           testbed.bottleneck_reverse, at,
-                           injection["duration"])
-    elif kind == "control_blackout":
-        both = [_injector(testbed, armed.injectors, "forward"),
-                _injector(testbed, armed.injectors, "reverse")]
-        control_blackout(both, window[0], window[1],
-                         *injection.get("kinds", ()))
-    elif kind == "loss":
-        schedule_loss_window(
-            sim, _link(testbed, injection.get("link", "forward")),
-            window[0], injection["rate"], until=window[1])
-    elif kind == "reorder_data":
-        _injector(testbed, armed.injectors, "forward").reorder_when(
-            all_of(match_time_window(lambda s=sim: s.now, *window),
-                   _match_every_nth_data(injection["every"])),
-            extra_delay=injection.get("extra_delay", 0.05))
-    elif kind == "dup_data":
-        _injector(testbed, armed.injectors, "forward").duplicate_when(
-            all_of(match_time_window(lambda s=sim: s.now, *window),
-                   _match_every_nth_data(injection["every"])),
-            delay=injection.get("delay", 0.0))
-    elif kind == "restart":
-        schedule_gateway_restart(
-            sim, _gateway(testbed, injection["side"]), at,
-            downtime=injection.get("downtime", 0.0), log=armed.gateway_log)
-    elif kind == "evict":
-        schedule_asymmetric_eviction(
-            sim, _gateway(testbed, injection["side"]), at,
-            fraction=injection.get("fraction", 0.5), log=armed.gateway_log)
-    elif kind == "memory_pressure":
-        schedule_memory_pressure(
-            sim, _gateway(testbed, injection["side"]), at,
-            fraction=injection.get("fraction", 0.25),
-            duration=injection.get("duration"), log=armed.gateway_log)
-    elif kind == "clock_skew":
-        schedule_clock_skew(
-            sim, testbed.gateways.encoder, at, injection["factor"],
-            duration=injection.get("duration", phase.end - at),
-            log=armed.gateway_log)
-    else:  # pragma: no cover - Phase.__post_init__ rejects unknown kinds
-        raise ValueError(f"unknown injection kind {kind!r}")
+def _fault_digest(armed: ArmedFaults) -> Dict[str, Any]:
+    """JSON-safe summary of what actually fired (deterministic)."""
+    link = {"dropped": 0, "reordered": 0, "duplicated": 0}
+    for injector in armed.injectors.values():
+        link["dropped"] += len(injector.log.dropped)
+        link["reordered"] += len(injector.log.reordered)
+        link["duplicated"] += len(injector.log.duplicated)
+    log = armed.gateway_log
+    return {
+        "link": link,
+        "bursty_losses": sum(m.losses for m in armed.bursty_models),
+        "crashes": [_round(t) for t in log.crashes],
+        "restarts": [_round(t) for t in log.restarts],
+        "evictions": sum(n for _, n in log.evictions),
+        "pressure_evictions": sum(n for _, n in log.pressure),
+        "skew_changes": len(log.skews),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +106,7 @@ def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     result = collect_result(testbed, run.outcomes[0], config)
     return {"result": result.to_dict(), "violation": violation,
-            "faults": armed.digest()}
+            "faults": _fault_digest(armed)}
 
 
 # ---------------------------------------------------------------------------

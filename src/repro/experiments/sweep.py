@@ -232,9 +232,7 @@ def _cache_store(cache_dir: str, digest: str, result: TransferResult) -> None:
 
 def run_sweep(spec: SweepSpec, *,
               workers: Optional[int] = None,
-              cache_dir: Optional[str] = None,
-              progress: Optional[Callable[[int, int], None]] = None
-              ) -> SweepResult:
+              cache_dir: Optional[str] = None) -> SweepResult:
     """Execute every cell of ``spec`` (plus paired baselines).
 
     ``workers``: ``None``/``0``/``1`` runs serially in-process; larger
@@ -244,9 +242,6 @@ def run_sweep(spec: SweepSpec, *,
     ``cache_dir``: directory of ``<config-hash>.json`` files.  Configs
     whose hash is present are loaded instead of simulated, so re-running
     an unchanged sweep is free; newly executed configs are stored.
-
-    ``progress``: optional ``(done, total)`` callback, called after
-    each unique config resolves.
     """
     started = time.perf_counter()
     cells = list(spec.cells())
@@ -282,32 +277,13 @@ def run_sweep(spec: SweepSpec, *,
 
     todo = [(digest, config) for digest, config in jobs.items()
             if digest not in results]
-    total = len(jobs)
-    done = len(results)
-    if progress is not None and done:
-        progress(done, total)
-
-    if todo:
-        if workers is not None and workers > 1 and len(todo) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                resolved = pool.map(_execute_config, todo)
-                for digest, result, seconds in resolved:
-                    results[digest] = result
-                    elapsed[digest] = seconds
-                    done += 1
-                    if progress is not None:
-                        progress(done, total)
-        else:
-            for job in todo:
-                digest, result, seconds = _execute_config(job)
-                results[digest] = result
-                elapsed[digest] = seconds
-                done += 1
-                if progress is not None:
-                    progress(done, total)
-        if cache_dir is not None:
-            for digest, _config in todo:
-                _cache_store(cache_dir, digest, results[digest])
+    for digest, result, seconds in parallel_map(_execute_config, todo,
+                                                workers=workers):
+        results[digest] = result
+        elapsed[digest] = seconds
+    if cache_dir is not None:
+        for digest, _config in todo:
+            _cache_store(cache_dir, digest, results[digest])
 
     cell_results = []
     for cell, digest, twin_digest in zip(cells, cell_hashes, baseline_hashes):

@@ -10,7 +10,7 @@ from .regression import (BENCH_DIFF_SCHEMA, BenchDiff, BenchSpec,
                          format_bench_diff, load_bench_config,
                          run_bench_diff)
 from .report import format_series, format_table, format_timeseries
-from .series import Aggregate, Series, sweep
+from .series import Aggregate, Series
 from .spans import (SPANS_SCHEMA, SpanRecorder, find_livelock_trace,
                     format_chain, spans_by_trace, spans_if, spans_rollup,
                     validate_spans)
@@ -60,5 +60,4 @@ __all__ = [
     "format_table",
     "Aggregate",
     "Series",
-    "sweep",
 ]

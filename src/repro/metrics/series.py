@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import List, Optional
 
 
 @dataclass
@@ -74,21 +74,3 @@ class Series:
 
     def means(self) -> List[float]:
         return [p.mean for p in self.points]
-
-
-def sweep(xs: Sequence[float], seeds: Iterable[int],
-          run: Callable[[float, int], Optional[float]],
-          name: str = "series") -> Series:
-    """Run ``run(x, seed)`` over the cross product and aggregate.
-
-    ``run`` returning ``None`` (e.g. a stalled transfer with no delay)
-    is skipped in the aggregate but the attempt still counts nowhere —
-    callers that care about failure rates track them separately.
-    """
-    series = Series(name=name)
-    seed_list = list(seeds)
-    for x in xs:
-        aggregate = series.point(x)
-        for seed in seed_list:
-            aggregate.add(run(x, seed))
-    return series

@@ -9,15 +9,11 @@ requests overlap in content.  This package is that evaluation mode:
 * :mod:`repro.serving.engine` — drives the generated request stream as
   concurrent flows through one testbed whose gateways share a
   :class:`repro.core.shardcache.ShardedByteCache`, and reports
-  warm-up-excluded steady-state metrics;
-* :mod:`repro.serving.sweep` — users x catalog x cache-budget grids
-  through the sweep engine, emitting ``BENCH_serving.json``.
+  warm-up-excluded steady-state metrics.
 """
 
 from .engine import ServingSpec, run_serving
 from .sessions import Request, SessionSpec, generate_sessions
-from .sweep import (SERVING_BENCH_SCHEMA, run_serving_grid,
-                    serving_bench_payload, validate_bench_serving)
 
 __all__ = [
     "ServingSpec",
@@ -25,8 +21,4 @@ __all__ = [
     "Request",
     "SessionSpec",
     "generate_sessions",
-    "SERVING_BENCH_SCHEMA",
-    "run_serving_grid",
-    "serving_bench_payload",
-    "validate_bench_serving",
 ]

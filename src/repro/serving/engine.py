@@ -361,7 +361,7 @@ def deterministic_report(report: Dict[str, Any]) -> Dict[str, Any]:
     """The report minus its (sampler-timing-sensitive) telemetry block.
 
     Everything left is a pure function of the spec — the form the
-    bit-identity tests and the sweep's serial/parallel comparison use.
+    bit-identity tests compare.
     """
     return {key: value for key, value in report.items()
             if key != "telemetry"}

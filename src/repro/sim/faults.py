@@ -25,11 +25,16 @@ loss)".  This module scripts exact faults:
   a blacked-out control plane.  Each arms the link it faults
   (:meth:`~repro.sim.link.Link.arm`) when it is called, so the link
   samples its impairments at the end of serialisation for the rest of
-  the run and the fault catches a packet that is already queued.
+  the run and the fault catches a packet that is already queued;
+* the injection table (:data:`INJECTION_KINDS`,
+  :func:`check_injection`, :func:`arm_injection`) names every one of
+  these faults as a dict with a ``kind`` tag — the one vocabulary a
+  fuzz case's ``fault_events`` (:mod:`repro.verify.fuzz`) and a chaos
+  phase's ``injections`` (:mod:`repro.chaos`) are written in.
 
-Used by the integration tests, the stall-anatomy example, the chaos
-campaign engine (:mod:`repro.chaos`), and available to library users
-for their own what-if experiments.
+Used by the integration tests, the stall-anatomy example, the fuzzer,
+the chaos campaign engine, and available to library users for their
+own what-if experiments.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .engine import Event, Simulator
 from .link import GilbertElliottLoss, Link
@@ -104,6 +109,26 @@ def match_nth_data(*ordinals: int) -> Predicate:
             return False
         counter["data"] += 1
         return counter["data"] in wanted
+
+    return predicate
+
+
+def match_every_nth_data(every: int) -> Predicate:
+    """Match every ``every``-th TCP data segment *evaluated*.
+
+    Stateful like :func:`match_nth_data` — compose after a window guard
+    via :func:`all_of` so the counter only advances inside the window.
+    """
+    if every < 1:
+        raise ValueError(f"every must be >= 1, got {every}")
+    counter = {"seen": 0}
+
+    def predicate(pkt: "IPPacket", index: int) -> bool:
+        segment = pkt.tcp
+        if segment is None or not segment.data:
+            return False
+        counter["seen"] += 1
+        return counter["seen"] % every == 0
 
     return predicate
 
@@ -607,3 +632,225 @@ def control_blackout(injectors: List[FaultInjector], start: float,
         injector.drop_when(all_of(
             match_time_window(lambda s=sim: s.now, start, end),
             match_control(*kinds)))
+
+
+# -- the injection table ---------------------------------------------------
+
+#: Every injection kind -> (keys it must carry, keys it may carry).
+#: :func:`arm_injection` documents what each kind does.
+INJECTION_KINDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "drop_data": (("nth",), ()),
+    "corrupt_data": (("nth",), ()),
+    "delay_data": (("nth", "delay"), ()),
+    "drop_control": (("ctrl", "nth"), ()),
+    "reorder_data": (("every",), ("extra_delay",)),
+    "dup_data": (("every",), ("delay",)),
+    "loss": (("rate",), ("link",)),
+    "bursty_loss": ((), ("link", "p_good_bad", "p_bad_good", "loss_good",
+                         "loss_bad", "start_bad")),
+    "link_flap": (("down_for",), ("link", "offset", "flaps", "period")),
+    "partition": (("duration",), ("offset",)),
+    "control_blackout": ((), ("kinds",)),
+    "restart": (("side",), ("offset", "downtime")),
+    "evict": (("side",), ("offset", "fraction")),
+    "memory_pressure": (("side",), ("offset", "fraction", "duration")),
+    "clock_skew": (("factor",), ("offset", "duration")),
+}
+
+#: Kinds that fault a gateway or its control plane: skipped on a
+#: testbed without gateways (the no-DRE baseline).
+GATEWAY_KINDS = frozenset({
+    "drop_control", "control_blackout", "restart", "evict",
+    "memory_pressure", "clock_skew",
+})
+
+
+def check_injection(injection: Dict[str, Any], where: str) -> None:
+    """Refuse a malformed injection when it loads, not mid-run.
+
+    Raises ``ValueError`` prefixed with ``where`` for an unknown kind,
+    a missing required key, a key the kind does not take, a ``side``
+    other than encoder/decoder, a ``link`` other than forward/reverse,
+    or a ``loss`` rate that is not a number in [0, 1].
+    """
+    kind = injection.get("kind")
+    if kind not in INJECTION_KINDS:
+        raise ValueError(f"{where}: unknown injection kind {kind!r}")
+    if kind == "loss":
+        # Refused the way Link refuses its constructor rates: a NaN or
+        # out-of-range rate would otherwise run as 0 % or 100 % loss.
+        rate = injection.get("rate")
+        if not isinstance(rate, (int, float)) or not 0.0 <= rate <= 1.0:
+            raise ValueError(f"{where}: loss rate must be a number in "
+                             f"[0, 1], got {rate!r}")
+    required, optional = INJECTION_KINDS[kind]
+    for key in required:
+        if key not in injection:
+            raise ValueError(f"{where}: {kind} injection needs {key!r}")
+    for key in injection:
+        if key != "kind" and key not in required and key not in optional:
+            raise ValueError(f"{where}: {kind} injection takes no {key!r}")
+    if injection.get("side", "encoder") not in ("encoder", "decoder"):
+        raise ValueError(f"{where}: unknown gateway side "
+                         f"{injection['side']!r} (encoder|decoder)")
+    if injection.get("link", "forward") not in ("forward", "reverse"):
+        raise ValueError(f"{where}: unknown link {injection['link']!r} "
+                         f"(forward|reverse)")
+
+
+@dataclass
+class ArmedFaults:
+    """Handles onto everything the table armed on one testbed."""
+
+    #: One :class:`FaultInjector` per faulted direction, made on first use.
+    injectors: Dict[str, FaultInjector] = field(default_factory=dict)
+    gateway_log: GatewayFaultLog = field(default_factory=GatewayFaultLog)
+    bursty_models: List[GilbertElliottLoss] = field(default_factory=list)
+
+    def injector(self, testbed, direction: str) -> FaultInjector:
+        if direction not in self.injectors:
+            self.injectors[direction] = FaultInjector(
+                _bottleneck(testbed, direction))
+        return self.injectors[direction]
+
+
+def _bottleneck(testbed, direction: str) -> Link:
+    return (testbed.bottleneck_forward if direction == "forward"
+            else testbed.bottleneck_reverse)
+
+
+def arm_injection(testbed, injection: Dict[str, Any],
+                  window: Tuple[float, float], stream: random.Random,
+                  armed: ArmedFaults) -> bool:
+    """Arm one injection onto ``testbed`` inside ``window``.
+
+    ``testbed`` is duck-typed: ``sim``, ``bottleneck_forward``,
+    ``bottleneck_reverse`` and ``gateways`` (``None`` without DRE, when
+    a :data:`GATEWAY_KINDS` injection is skipped and ``False``
+    returned).  ``stream`` is the named rng stream a ``bursty_loss``
+    draws from.  A chaos phase arms its injections with the window set
+    to the phase; a fuzz case arms its events in one window starting at
+    0.  Times are seconds: ``offset`` is relative to the window start
+    (default 0), and windowed kinds act for the whole window.
+
+    ``drop_data`` / ``corrupt_data`` / ``delay_data``
+        Drop / corrupt / hold back by ``delay`` seconds the ``nth``
+        data segment offered forward in the window.
+    ``drop_control``
+        Drop the ``nth`` control message of kind ``ctrl`` in the
+        window, counted in each direction.
+    ``reorder_data`` / ``dup_data``
+        Re-order (by ``extra_delay``, default 0.05) / duplicate (a
+        ``delay`` later, default 0) every ``every``-th data segment
+        offered forward in the window.
+    ``loss``
+        Set ``link``'s uniform loss rate to ``rate`` (a number in
+        [0, 1]) for the window, restoring the scenario rate afterwards.
+    ``bursty_loss``
+        Gilbert-Elliott loss on ``link`` for the window; every other
+        key goes to :class:`~repro.sim.link.GilbertElliottLoss`.
+    ``link_flap``
+        ``link`` goes administratively down ``down_for`` seconds at
+        ``offset``, ``flaps`` times, ``period`` apart.
+    ``partition``
+        Both directions down for ``duration`` starting at ``offset``.
+    ``control_blackout``
+        Drop every gateway control message (optionally only ``kinds``)
+        in both directions for the window.
+    ``restart``
+        Crash the ``side`` gateway at ``offset``, restart it
+        ``downtime`` (default 0) later.
+    ``evict``
+        Evict ``fraction`` (default 0.5) of the ``side`` cache at
+        ``offset``.
+    ``memory_pressure``
+        Squeeze the ``side`` cache byte budget to ``fraction`` (default
+        0.25) of its in-use bytes at ``offset``, restoring the budget
+        after ``duration`` when given.
+    ``clock_skew``
+        Stretch the encoder's heartbeat clock by ``factor`` at
+        ``offset``, restored after ``duration`` (default: at the
+        window end).
+
+    ``link`` is "forward" (the default) or "reverse"; ``side`` is
+    "encoder" or "decoder".
+    """
+    kind = injection["kind"]
+    if kind in GATEWAY_KINDS and testbed.gateways is None:
+        return False
+    sim = testbed.sim
+    start, end = window
+    at = start + injection.get("offset", 0.0)
+    link = _bottleneck(testbed, injection.get("link", "forward"))
+
+    def in_window() -> Predicate:
+        return match_time_window(lambda: sim.now, start, end)
+
+    def gateway():
+        return getattr(testbed.gateways, injection["side"])
+
+    if kind == "drop_data":
+        armed.injector(testbed, "forward").drop_when(
+            all_of(in_window(), match_nth_data(injection["nth"])))
+    elif kind == "corrupt_data":
+        armed.injector(testbed, "forward").corrupt_when(
+            all_of(in_window(), match_nth_data(injection["nth"])))
+    elif kind == "delay_data":
+        armed.injector(testbed, "forward").delay_when(
+            all_of(in_window(), match_nth_data(injection["nth"])),
+            injection["delay"])
+    elif kind == "drop_control":
+        # Heartbeats ride forward and resync requests back: each
+        # direction counts its own ordinals.
+        for direction in ("forward", "reverse"):
+            armed.injector(testbed, direction).drop_when(all_of(
+                in_window(),
+                match_nth_control(injection["ctrl"], injection["nth"])))
+    elif kind == "reorder_data":
+        armed.injector(testbed, "forward").reorder_when(
+            all_of(in_window(), match_every_nth_data(injection["every"])),
+            extra_delay=injection.get("extra_delay", 0.05))
+    elif kind == "dup_data":
+        armed.injector(testbed, "forward").duplicate_when(
+            all_of(in_window(), match_every_nth_data(injection["every"])),
+            delay=injection.get("delay", 0.0))
+    elif kind == "loss":
+        schedule_loss_window(sim, link, start, injection["rate"], until=end)
+    elif kind == "bursty_loss":
+        params = {k: v for k, v in injection.items()
+                  if k not in ("kind", "link")}
+        armed.bursty_models.append(
+            schedule_bursty_loss(sim, link, start, end, stream, **params))
+    elif kind == "link_flap":
+        schedule_link_flap(sim, link, at, injection["down_for"],
+                           flaps=injection.get("flaps", 1),
+                           period=injection.get("period"))
+    elif kind == "partition":
+        schedule_partition(sim, testbed.bottleneck_forward,
+                           testbed.bottleneck_reverse, at,
+                           injection["duration"])
+    elif kind == "control_blackout":
+        control_blackout([armed.injector(testbed, "forward"),
+                          armed.injector(testbed, "reverse")],
+                         start, end, *injection.get("kinds", ()))
+    elif kind == "restart":
+        schedule_gateway_restart(sim, gateway(), at,
+                                 downtime=injection.get("downtime", 0.0),
+                                 log=armed.gateway_log)
+    elif kind == "evict":
+        schedule_asymmetric_eviction(sim, gateway(), at,
+                                     fraction=injection.get("fraction", 0.5),
+                                     log=armed.gateway_log)
+    elif kind == "memory_pressure":
+        schedule_memory_pressure(sim, gateway(), at,
+                                 fraction=injection.get("fraction", 0.25),
+                                 duration=injection.get("duration"),
+                                 log=armed.gateway_log)
+    elif kind == "clock_skew":
+        schedule_clock_skew(sim, testbed.gateways.encoder, at,
+                            injection["factor"],
+                            duration=injection.get("duration", end - at),
+                            log=armed.gateway_log)
+    else:  # pragma: no cover - check_injection refuses unknown kinds
+        raise ValueError(f"unknown injection kind {kind!r}")
+    return True

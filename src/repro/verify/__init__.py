@@ -21,6 +21,6 @@ so they load lazily (``import repro.verify.fuzz``) to keep the import
 graph acyclic.
 """
 
-from .oracles import (InvariantViolation, VerificationHarness, harness_if)
+from .oracles import InvariantViolation, VerificationHarness
 
-__all__ = ["InvariantViolation", "VerificationHarness", "harness_if"]
+__all__ = ["InvariantViolation", "VerificationHarness"]

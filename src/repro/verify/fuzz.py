@@ -25,9 +25,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..experiments.config import ExperimentConfig
 from ..experiments.runner import FILE_NAME, Fetch, build_testbed, run_fetches
-from ..sim.faults import (FaultInjector, GatewayFaultLog, match_nth_control,
-                          match_nth_data, schedule_asymmetric_eviction,
-                          schedule_gateway_restart)
+from ..sim.faults import ArmedFaults, arm_injection, check_injection
 from ..sim.rng import RngRegistry
 from ..workload.corpus import corpus_object
 
@@ -61,8 +59,8 @@ class FuzzCase:
     corrupt_rate: float = 0.0
     reorder_rate: float = 0.0
     resilience: bool = False
-    #: Scripted fault events, each a dict with a ``kind`` tag; see
-    #: :func:`_apply_faults` for the vocabulary.
+    #: Scripted fault events, each a dict with a ``kind`` tag from the
+    #: vocabulary :func:`repro.sim.faults.arm_injection` lists.
     fault_events: List[Dict[str, Any]] = field(default_factory=list)
     #: Name from :data:`BUG_INJECTIONS`, or None for a clean run.
     inject_bug: Optional[str] = None
@@ -165,56 +163,18 @@ def generate_case(root_seed: int, index: int,
             # recovery layer is a designed-in stall, not a bug.
             events.append({"kind": "restart",
                            "side": rng.choice(["encoder", "decoder"]),
-                           "at": round(rng.uniform(0.05, 2.0), 3),
+                           "offset": round(rng.uniform(0.05, 2.0), 3),
                            "downtime": rng.choice([0.0, 0.05, 0.2])})
         elif kind == "evict":
             events.append({"kind": "evict",
                            "side": rng.choice(["encoder", "decoder"]),
-                           "at": round(rng.uniform(0.05, 2.0), 3),
+                           "offset": round(rng.uniform(0.05, 2.0), 3),
                            "fraction": rng.choice([0.25, 0.5, 1.0])})
     case.fault_events = events
     return case
 
 
 # -- execution --------------------------------------------------------------
-
-
-def _apply_faults(testbed, events: List[Dict[str, Any]]) -> int:
-    """Script ``events`` onto the built testbed; returns events armed."""
-    forward = FaultInjector(testbed.bottleneck_forward)
-    reverse = FaultInjector(testbed.bottleneck_reverse)
-    gateway_log = GatewayFaultLog()
-    sides = {"encoder": testbed.gateways.encoder,
-             "decoder": testbed.gateways.decoder}
-    armed = 0
-    for event in events:
-        kind = event["kind"]
-        if kind == "drop_data":
-            forward.drop_when(match_nth_data(event["nth"]))
-        elif kind == "corrupt_data":
-            forward.corrupt_when(match_nth_data(event["nth"]))
-        elif kind == "delay_data":
-            forward.delay_when(match_nth_data(event["nth"]), event["delay"])
-        elif kind == "drop_control":
-            # Control messages ride both directions (heartbeats forward,
-            # resync requests back); arm the matcher on each link with
-            # its own ordinal counter.
-            forward.drop_when(match_nth_control(event["ctrl"], event["nth"]))
-            reverse.drop_when(match_nth_control(event["ctrl"], event["nth"]))
-        elif kind == "restart":
-            schedule_gateway_restart(testbed.sim, sides[event["side"]],
-                                     at=event["at"],
-                                     downtime=event.get("downtime", 0.0),
-                                     log=gateway_log)
-        elif kind == "evict":
-            schedule_asymmetric_eviction(testbed.sim, sides[event["side"]],
-                                         at=event["at"],
-                                         fraction=event.get("fraction", 0.5),
-                                         log=gateway_log)
-        else:
-            raise ValueError(f"unknown fault kind {kind!r}")
-        armed += 1
-    return armed
 
 
 def _inject_bug(testbed, name: str) -> None:
@@ -240,7 +200,12 @@ def run_case(case: FuzzCase) -> FuzzOutcome:
     """Execute one case with oracles armed; violations are captured."""
     config = case.to_config()
     testbed = build_testbed(config)
-    faults_applied = _apply_faults(testbed, case.fault_events)
+    rng = RngRegistry(case.seed).fork("faults")
+    armed = ArmedFaults()
+    faults_applied = sum(
+        arm_injection(testbed, event, (0.0, config.time_limit),
+                      rng.stream(f"event:{index}"), armed)
+        for index, event in enumerate(case.fault_events))
     if case.inject_bug is not None:
         _inject_bug(testbed, case.inject_bug)
 
@@ -330,7 +295,10 @@ def case_from_json(text: str) -> FuzzCase:
     if payload.get("schema") != FUZZ_SCHEMA:
         raise ValueError(f"not a {FUZZ_SCHEMA} file "
                          f"(schema={payload.get('schema')!r})")
-    return FuzzCase.from_dict(payload["case"])
+    case = FuzzCase.from_dict(payload["case"])
+    for index, event in enumerate(case.fault_events):
+        check_injection(event, f"fault_events[{index}]")
+    return case
 
 
 def replay(text: str) -> FuzzOutcome:

@@ -550,15 +550,3 @@ class VerificationHarness:
         self.check_invariants()
         self.check_coherence()
         self.sim.after(self.coherence_interval, self._tick)
-
-
-def harness_if(enabled: bool, sim, recorder=None,
-               **kwargs: Any) -> Optional[VerificationHarness]:
-    """A harness when enabled, else ``None`` (the fast path).
-
-    Mirrors ``profiler_if`` / ``telemetry_if``: every hook site guards
-    with one ``is not None`` check, so ``verify=False`` costs nothing.
-    """
-    if not enabled:
-        return None
-    return VerificationHarness(sim, recorder=recorder, **kwargs)

@@ -9,6 +9,7 @@ fails with it off, and the scorecard replays byte-for-byte.
 
 import json
 import math
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -20,8 +21,51 @@ from repro.chaos import (CAMPAIGNS, CHAOS_POLICIES, CHAOS_SCHEMA, Campaign,
 from repro.chaos.runner import _percentile, arm_campaign
 from repro.chaos.slo import ORACLES, phase_recovery_times
 from repro.experiments.runner import build_testbed
+from repro.sim.faults import (GATEWAY_KINDS, INJECTION_KINDS, ArmedFaults,
+                              arm_injection)
 
 WORKERS = 4
+
+#: One well-formed injection per kind, and the link directions it puts a
+#: FaultInjector on.
+SAMPLES = {
+    "drop_data": ({"kind": "drop_data", "nth": 3}, {"forward"}),
+    "corrupt_data": ({"kind": "corrupt_data", "nth": 3}, {"forward"}),
+    "delay_data": ({"kind": "delay_data", "nth": 3, "delay": 0.05},
+                   {"forward"}),
+    "drop_control": ({"kind": "drop_control", "ctrl": "heartbeat",
+                      "nth": 1}, {"forward", "reverse"}),
+    "reorder_data": ({"kind": "reorder_data", "every": 3}, {"forward"}),
+    "dup_data": ({"kind": "dup_data", "every": 3}, {"forward"}),
+    "loss": ({"kind": "loss", "link": "reverse", "rate": 0.1}, set()),
+    "bursty_loss": ({"kind": "bursty_loss", "loss_bad": 0.5}, set()),
+    "link_flap": ({"kind": "link_flap", "down_for": 0.1, "offset": 0.2},
+                  set()),
+    "partition": ({"kind": "partition", "duration": 0.1}, set()),
+    "control_blackout": ({"kind": "control_blackout"},
+                         {"forward", "reverse"}),
+    "restart": ({"kind": "restart", "side": "decoder", "offset": 0.1,
+                 "downtime": 0.1}, set()),
+    "evict": ({"kind": "evict", "side": "encoder", "offset": 0.1}, set()),
+    "memory_pressure": ({"kind": "memory_pressure", "side": "decoder",
+                         "offset": 0.1, "duration": 0.2}, set()),
+    "clock_skew": ({"kind": "clock_skew", "factor": 2.0, "offset": 0.1},
+                   set()),
+}
+
+#: Malformed injections, each refused at load with a message naming it.
+MALFORMED = [
+    ({"kind": "meteor-strike"}, "unknown injection kind 'meteor-strike'"),
+    ({"kind": "restart", "offset": 0.1}, "restart injection needs 'side'"),
+    ({"kind": "drop_data"}, "drop_data injection needs 'nth'"),
+    ({"kind": "dup_data"}, "dup_data injection needs 'every'"),
+    ({"kind": "link_flap"}, "link_flap injection needs 'down_for'"),
+    ({"kind": "clock_skew"}, "clock_skew injection needs 'factor'"),
+    ({"kind": "restart", "side": "encoder", "at": 0.1},
+     "restart injection takes no 'at'"),
+    ({"kind": "evict", "side": "middle"}, "unknown gateway side 'middle'"),
+    ({"kind": "bursty_loss", "link": "sideways"}, "unknown link 'sideways'"),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +107,13 @@ class TestCampaignSpec:
             Phase("p", -1.0, 1.0)
         with pytest.raises(ValueError):
             Phase("p", 0.0, 1.0, [{"kind": "meteor-strike"}])
+
+    @pytest.mark.parametrize("injection, message", MALFORMED)
+    def test_malformed_injection_refused_when_the_phase_loads(
+            self, injection, message):
+        """Refused by Phase, not by a worker halfway through a run."""
+        with pytest.raises(ValueError, match=f"phase 'p': {message}"):
+            Phase("p", 0.1, 0.5, [injection])
 
     @pytest.mark.parametrize("rate", [1.5, -0.1, math.nan, None, "0.1"])
     def test_loss_rate_checked_at_load(self, rate):
@@ -266,12 +317,36 @@ class TestArming:
         assert armed.injectors == {}
         testbed.sim.run(until=1.0)            # scheduled events are sane
 
-    def test_dre_testbed_arms_gateway_faults(self):
+    def test_samples_cover_every_kind(self):
+        assert set(SAMPLES) == set(INJECTION_KINDS)
+        assert GATEWAY_KINDS < set(INJECTION_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(INJECTION_KINDS))
+    def test_dre_testbed_arms_gateway_faults(self, kind):
+        """Every kind loads and arms on a DRE testbed, its scheduled
+        faults run, and a gateway kind is skipped without gateways."""
+        injection, directions = SAMPLES[kind]
+        Phase("p", 0.2, 0.5, [injection])
         campaign = canonical_campaign("split-brain-resync")
-        config = campaign.config("tcp_seq", 11)
-        testbed = build_testbed(config)
-        armed = arm_campaign(campaign, testbed, 11)
-        assert set(armed.injectors) == {"forward", "reverse"}
+        window = (0.2, 0.7)
+
+        testbed = build_testbed(campaign.config("tcp_seq", 11))
+        armed = ArmedFaults()
+        assert arm_injection(testbed, injection, window,
+                             random.Random(0), armed)
+        assert set(armed.injectors) == directions
+        testbed.sim.run(until=1.0)
+
+        baseline = build_testbed(campaign.config(None, 11))
+        pending = baseline.sim.pending()
+        armed = ArmedFaults()
+        skipped = not arm_injection(baseline, injection, window,
+                                    random.Random(0), armed)
+        assert skipped == (kind in GATEWAY_KINDS)
+        if skipped:
+            assert armed.injectors == {}
+            assert baseline.sim.pending() == pending
+        baseline.sim.run(until=1.0)
 
 
 # ---------------------------------------------------------------------------

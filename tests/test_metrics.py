@@ -7,7 +7,7 @@ import pytest
 from repro.app.transfer import TransferOutcome
 from repro.metrics import (Aggregate, RatioPoint, Series, StageProfiler,
                            TransferResult, format_series, format_table,
-                           format_timeseries, profiler_if, sweep)
+                           format_timeseries, profiler_if)
 from repro.metrics.report import format_flight_recorder
 from repro.sim.link import LinkStats
 
@@ -53,22 +53,6 @@ class TestSeries:
         assert a is b
         series.point(2.0)
         assert series.xs() == [1.0, 2.0]
-
-    def test_sweep_runs_cross_product(self):
-        calls = []
-
-        def run(x, seed):
-            calls.append((x, seed))
-            return x * 10 + seed
-
-        series = sweep([1.0, 2.0], [1, 2], run, name="demo")
-        assert len(calls) == 4
-        assert series.point(1.0).values == [11.0, 12.0]
-
-    def test_sweep_skips_none(self):
-        series = sweep([1.0], [1, 2],
-                       lambda x, seed: None if seed == 1 else 5.0)
-        assert series.point(1.0).values == [5.0]
 
 
 class TestReports:

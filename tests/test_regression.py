@@ -94,7 +94,7 @@ class TestConfig:
         """The committed config names real BENCH files and metrics."""
         config = load_bench_config(REPO)
         names = {b.name for b in config.benches}
-        assert {"hotpath", "serving"} <= names
+        assert names == {"hotpath"}
         for bench in config.benches:
             assert bench.threshold > 1.0
             assert bench.direction in ("lower", "higher")

@@ -17,13 +17,9 @@ from hypothesis import given, settings, strategies as st
 from repro import ExperimentConfig
 from repro.experiments.runner import Fetch, build_testbed, run_fetches
 from repro.experiments.sweep import parallel_map
-from repro.serving import (ServingSpec, generate_sessions, run_serving,
-                           run_serving_grid)
+from repro.serving import ServingSpec, generate_sessions, run_serving
 from repro.serving.engine import deterministic_report
 from repro.serving.sessions import SessionSpec, session_digest
-from repro.serving.sweep import (serving_bench_payload,
-                                 validate_bench_serving,
-                                 write_serving_bench)
 from repro.sim.faults import FaultInjector, match_nth_data
 from repro.workload.catalog import (CatalogSpec, ContentCatalog,
                                     zipf_sample_counts)
@@ -370,42 +366,14 @@ def test_serving_report_is_deterministic():
     assert first == second
 
 
-def test_serving_grid_serial_parallel_bit_identical(tmp_path):
-    base = ServingSpec(users=15, n_contents=40, mean_object_bytes=2048,
-                       seed=7)
-    specs = [base, ServingSpec(users=25, n_contents=40,
-                               mean_object_bytes=2048, seed=7)]
-    serial = run_serving_grid(specs)
-    pooled = run_serving_grid(specs, workers=2)
-    assert json.dumps(serial, sort_keys=True) == \
-        json.dumps(pooled, sort_keys=True)
-
-    path = tmp_path / "BENCH_serving.json"
-    doc = write_serving_bench(serial, str(path))
-    validate_bench_serving(doc)
-    validate_bench_serving(json.loads(path.read_text()))
-    # The sentinel's contract: summary carries the watched metric.
-    assert "steady_hit_ratio" in doc["summary"]
-    # Second write folds the first into history.
-    doc2 = write_serving_bench(serial, str(path))
-    assert len(doc2["history"]) == 1
-    assert doc2["history"][0]["steady_hit_ratio"] == \
-        doc["summary"]["steady_hit_ratio"]
-
-
-def test_bench_serving_validation_rejects_garbage():
-    with pytest.raises(ValueError):
-        validate_bench_serving({"schema": "nope"})
-    with pytest.raises(ValueError):
-        validate_bench_serving({"schema": "bench_serving/v1", "cells": []})
-    good = serving_bench_payload(
-        [deterministic_report(run_serving(
-            ServingSpec(users=5, n_contents=10, seed=2)))])
-    validate_bench_serving(good)
-    bad = dict(good)
-    bad["summary"] = {}
-    with pytest.raises(ValueError):
-        validate_bench_serving(bad)
+def test_serving_grid_serial_parallel_bit_identical():
+    specs = [ServingSpec(users=users, n_contents=40, mean_object_bytes=2048,
+                         seed=7) for users in (15, 25)]
+    serial = parallel_map(run_serving, specs)
+    pooled = parallel_map(run_serving, specs, workers=2)
+    assert json.dumps([deterministic_report(r) for r in serial],
+                      sort_keys=True) == \
+        json.dumps([deterministic_report(r) for r in pooled], sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ from repro.core.checksum import payload_checksum
 from repro.sim.rng import RngRegistry
 from repro.verify import InvariantViolation, VerificationHarness
 from repro.verify.differential import run_differential
-from repro.verify.fuzz import (FuzzCase, case_from_json, case_to_json,
+from repro.verify.fuzz import (MSS, FuzzCase, case_from_json, case_to_json,
                                generate_case, run_campaign, run_case, shrink)
+
+from tests.test_chaos_campaign import MALFORMED
 
 FLOW = ("s", 80, "c", 5000)
 
@@ -337,7 +339,7 @@ class TestFuzzer:
                         loss_rate=0.05,
                         fault_events=[{"kind": "drop_data", "nth": 3},
                                       {"kind": "evict", "side": "decoder",
-                                       "at": 0.5, "fraction": 0.5}])
+                                       "offset": 0.5, "fraction": 0.5}])
         minimal = shrink(case, reproduces=lambda c: True)
         assert minimal.fault_events == []
         assert minimal.file_size < case.file_size
@@ -346,6 +348,57 @@ class TestFuzzer:
     def test_bad_schema_rejected(self):
         with pytest.raises(ValueError):
             case_from_json(json.dumps({"schema": "other/v9", "case": {}}))
+
+    @pytest.mark.parametrize("event, message", MALFORMED)
+    def test_malformed_event_refused_when_the_case_loads(self, event,
+                                                        message):
+        """Refused by case_from_json, before any testbed is built."""
+        text = case_to_json(FuzzCase(seed=1, fault_events=[
+            {"kind": "drop_data", "nth": 2}, event]))
+        with pytest.raises(ValueError,
+                           match=f"fault_events\\[1\\]: {message}"):
+            case_from_json(text)
+
+    def test_restart_replays_with_the_campaign_key(self):
+        """The event a campaign would write loads and arms in a case."""
+        event = {"kind": "restart", "side": "encoder", "offset": 0.1}
+        case = case_from_json(case_to_json(FuzzCase(
+            seed=1, resilience=True, fault_events=[event])))
+        outcome = run_case(case)
+        assert outcome.faults_applied == 1
+        assert outcome.violation is None
+
+    # FuzzOutcome (completed, stalled, repr(sim_time), faults_applied)
+    # of one 200-segment tcp_seq case per fault kind, pinned from the
+    # two per-caller fault tables this vocabulary replaced.
+    @pytest.mark.parametrize("events, expected", [
+        ([], (True, False, "0.2796323039999997", 0)),
+        ([{"kind": "drop_data", "nth": 4}],
+         (True, False, "0.3700951359999991", 1)),
+        ([{"kind": "corrupt_data", "nth": 6}],
+         (True, False, "0.37352237599999893", 1)),
+        ([{"kind": "delay_data", "nth": 3, "delay": 0.05}],
+         (True, False, "0.4191570479999993", 1)),
+        ([{"kind": "restart", "side": "decoder", "offset": 0.03,
+           "downtime": 0.02},
+          {"kind": "drop_control", "ctrl": "cache_resync", "nth": 1}],
+         (True, False, "0.6838756080000004", 2)),
+        ([{"kind": "restart", "side": "decoder", "offset": 0.03,
+           "downtime": 0.02}],
+         (True, False, "0.48985754399999926", 1)),
+        ([{"kind": "evict", "side": "decoder", "offset": 0.03,
+           "fraction": 1.0}],
+         (True, False, "0.44816746399999907", 1)),
+    ], ids=["none", "drop_data", "corrupt_data", "delay_data",
+            "drop_control", "restart", "evict"])
+    def test_each_fault_kind_keeps_its_outcome(self, events, expected):
+        case = FuzzCase(seed=5, policy="tcp_seq", file_size=200 * MSS,
+                        loss_rate=0.01, resilience=True,
+                        fault_events=events)
+        outcome = run_case(case)
+        assert outcome.violation is None
+        assert (outcome.completed, outcome.stalled, repr(outcome.sim_time),
+                outcome.faults_applied) == expected
 
 
 # ---------------------------------------------------------------------------
