@@ -98,3 +98,21 @@ class TestMobility:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             run_mobility(config(mode="bogus"))
+
+
+#: Exact digits of ``config(mode=...)``: (completed, bytes received,
+#: bytes_path_a, bytes_path_b, sim_time).  A change to how the paths
+#: are wired must not move any of them.
+GOLDEN = {
+    "none": (True, 175_200, 57_080, 150_040, 0.20435850200000016),
+    "ip-dre": (True, 175_200, 47_761, 133_540, 0.18681550200000013),
+    "tcp-proxy": (False, 52_560, 100_937, 0, 60.0),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_handoff_digits_match_golden(mode):
+    result = run_mobility(config(mode=mode))
+    assert (result.completed, result.outcome.bytes_received,
+            result.bytes_path_a, result.bytes_path_b,
+            result.sim_time) == GOLDEN[mode]

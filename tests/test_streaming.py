@@ -1,5 +1,7 @@
 """Tests for the UDP streaming experiments (§V-C)."""
 
+import pytest
+
 from repro.experiments.streaming import (StreamingConfig, make_frames,
                                          run_streaming)
 
@@ -73,3 +75,22 @@ class TestLossyChannel:
         kdist = run_streaming(config(policy="k_distance", k=8,
                                      loss_rate=0.02))
         assert naive.undecodable >= kdist.undecodable
+
+
+#: Exact digits of ``config(policy=, k=, loss_rate=)``: (delivered,
+#: bytes on link, undecodable, channel lost).  A change to how the path
+#: is wired must not move any of them.
+GOLDEN = {
+    (None, 8, 0.05): (143, 184_200, 0, 7),
+    ("k_distance", 4, 0.05): (134, 116_964, 9, 7),
+    ("k_distance", 32, 0.05): (86, 97_065, 57, 7),
+    ("naive", 8, 0.02): (4, 94_653, 143, 3),
+}
+
+
+@pytest.mark.parametrize("policy,k,loss_rate", list(GOLDEN))
+def test_stream_digits_match_golden(policy, k, loss_rate):
+    result = run_streaming(config(policy=policy, k=k, loss_rate=loss_rate))
+    assert (result.frames_delivered, result.bytes_on_link,
+            result.undecodable, result.channel_lost) == GOLDEN[
+                policy, k, loss_rate]
