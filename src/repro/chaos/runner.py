@@ -13,15 +13,15 @@ simply re-running.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..experiments.runner import (FILE_NAME, Fetch, Testbed, build_testbed,
+from ..experiments.runner import (FILE_NAME, Fetch, Path, build_testbed,
                                   collect_result, run_fetches)
 from ..experiments.sweep import parallel_map
 from ..metrics.collectors import TransferResult
 from ..metrics.report import format_table
+from ..metrics.series import percentile
 from ..metrics.spans import spans_rollup
 from ..sim.faults import ArmedFaults, arm_injection
 from ..sim.rng import RngRegistry
@@ -34,7 +34,7 @@ from .slo import ORACLES, _round, evaluate_slos, phase_recovery_times
 # arming a campaign onto a testbed
 # ---------------------------------------------------------------------------
 
-def arm_campaign(campaign: Campaign, testbed: Testbed,
+def arm_campaign(campaign: Campaign, testbed: Path,
                  seed: int) -> ArmedFaults:
     """Arm every phase injection of ``campaign`` onto ``testbed``.
 
@@ -134,15 +134,6 @@ class CampaignReport:
                 "resilience": self.resilience,
                 "runs": self.runs,
                 "summary": self.summary}
-
-
-def _percentile(values: List[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    ordered = sorted(values)
-    if not ordered:
-        return None
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
 
 
 def run_campaign(campaign: Campaign,
@@ -266,8 +257,8 @@ def _summarise(runs: List[Dict[str, Any]]) -> Dict[str, Any]:
         "failed_runs": sum(1 for run in runs if not run["passed"]),
         "oracle_failures": failures,
         "mttr": {
-            "p50": _round(_percentile(mttr_values, 50)),
-            "p90": _round(_percentile(mttr_values, 90)),
+            "p50": _round(percentile(mttr_values, 0.5)),
+            "p90": _round(percentile(mttr_values, 0.9)),
             "max": _round(max(mttr_values) if mttr_values else None),
         },
     }

@@ -25,19 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..app.transfer import FileClient, FileServer, TransferOutcome
+from ..app.transfer import TransferOutcome
 from ..gateway.pair import GatewayPair
 from ..gateway.tcp_proxy import create_proxy_pair
 from ..net.tcp import TCPConfig, TCPStack
 from ..sim.engine import Simulator
-from ..sim.link import Link
 from ..sim.node import Host, Node
 from ..sim.rng import RngRegistry
 from ..workload.corpus import corpus_object
-
-CLIENT_ADDR = "10.0.1.1"
-SERVER_ADDR = "10.0.2.1"
-FILE_NAME = "object"
+from .config import LAN_DELAY, ExperimentConfig
+from .runner import (CLIENT_ADDR, FILE_NAME, SERVER_ADDR, Fetch, LinkSpec,
+                     Testbed, build_path, run_fetches)
 
 
 @dataclass
@@ -85,20 +83,8 @@ def run_mobility(config: MobilityConfig) -> MobilityResult:
 
     client = Host(sim, "client", CLIENT_ADDR)
     server = Host(sim, "server", SERVER_ADDR)
-    client_stack = TCPStack(sim, client, tcp_config)
-    server_stack = TCPStack(sim, server, tcp_config)
 
-    # ---- path A: client - G1 - bottleneck - G2 - server
-    lan_c_up = Link(sim, 1e9, 0.0005, rng=rng.stream("lan_c_up"))
-    lan_c_down = Link(sim, 1e9, 0.0005, rng=rng.stream("lan_c_down"))
-    bott_up = Link(sim, config.bandwidth, config.path_delay,
-                   rng=rng.stream("bott_up"))
-    bott_down = Link(sim, config.bandwidth, config.path_delay,
-                     loss_rate=config.loss_rate_a,
-                     rng=rng.stream("bott_down"))
-    lan_s_up = Link(sim, 1e9, 0.0005, rng=rng.stream("lan_s_up"))
-    lan_s_down = Link(sim, 1e9, 0.0005, rng=rng.stream("lan_s_down"))
-
+    gateways = None
     if config.mode == "ip-dre":
         gateways = GatewayPair.create(sim, policy=config.policy,
                                       data_dst=CLIENT_ADDR)
@@ -113,63 +99,49 @@ def run_mobility(config: MobilityConfig) -> MobilityResult:
     else:
         raise ValueError(f"unknown mode {config.mode!r}")
 
-    lan_c_up.connect(g1.receive)
-    bott_up.connect(g2.receive)
-    lan_s_up.connect(server.receive)
-    lan_s_down.connect(g2.receive)
-    bott_down.connect(g1.receive)
-    lan_c_down.connect(client.receive)
-
-    client.set_default_route(lan_c_up)
-    server.set_default_route(lan_s_down)
+    # ---- path B: client - direct segment - server (no gateways), wired
+    # first: path A's routes on the end hosts hold until the handoff.
+    path_b = build_path(sim, rng, server, [
+        (LinkSpec(config.bandwidth, config.path_delay, "path-b",
+                  ("path_b_down", "path_b_up"),
+                  forward={"loss_rate": config.loss_rate_b},
+                  reverse={"loss_rate": config.loss_rate_b}), client),
+    ], bottleneck=0)
+    # ---- path A: server - G2 - bottleneck - G1 - client
+    path_a = build_path(sim, rng, server, [
+        (LinkSpec(1e9, LAN_DELAY, "lan-server",
+                  ("lan_s_down", "lan_s_up")), g2),
+        (LinkSpec(config.bandwidth, config.path_delay, "bottleneck",
+                  ("bott_down", "bott_up"),
+                  forward={"loss_rate": config.loss_rate_a}), g1),
+        (LinkSpec(1e9, LAN_DELAY, "lan-client",
+                  ("lan_c_down", "lan_c_up")), client),
+    ], bottleneck=1, gateways=gateways)
     if config.mode == "tcp-proxy":
-        g1.attach_routes(toward_client=lan_c_down, toward_server=bott_up,
-                         peer_address=g2.address, peer_side="server")
-        g2.attach_routes(toward_client=bott_down, toward_server=lan_s_up,
-                         peer_address=g1.address, peer_side="client")
         g1.connect_relay(g2.address)
-    else:
-        g1.add_route(CLIENT_ADDR, lan_c_down)
-        g1.set_default_route(bott_up)
-        g2.add_route(CLIENT_ADDR, bott_down)
-        g2.set_default_route(lan_s_up)
-        if config.mode == "ip-dre":
-            g2.add_route(g1.address, bott_down)
-            g1.add_route(g2.address, bott_up)
-
-    # ---- path B: client - direct segment - server (no gateways)
-    path_b_up = Link(sim, config.bandwidth, config.path_delay,
-                     loss_rate=config.loss_rate_b,
-                     rng=rng.stream("path_b_up"))
-    path_b_down = Link(sim, config.bandwidth, config.path_delay,
-                       loss_rate=config.loss_rate_b,
-                       rng=rng.stream("path_b_down"))
-    path_b_up.connect(server.receive)
-    path_b_down.connect(client.receive)
-
-    # ---- application
-    data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
-    FileServer(server_stack, {FILE_NAME: data})
-    client_app = FileClient(client_stack, sim)
-    outcome = client_app.fetch(SERVER_ADDR, FILE_NAME,
-                               expected_size=len(data),
-                               expected_content=data,
-                               on_done=lambda _o: sim.stop())
 
     # ---- the handoff: both endpoints re-route (Mobile IP keeps the
     # client's address; the server's path to it follows the binding),
     # and the old access link goes dark — anything in flight on path A
     # towards the client is lost, as §II-B describes.
     def handoff() -> None:
-        client.set_default_route(path_b_up)
-        server.add_route(CLIENT_ADDR, path_b_down)
-        lan_c_down.connect(lambda pkt: None)   # radio detached
+        client.set_default_route(path_b.bottleneck_reverse)
+        server.add_route(CLIENT_ADDR, path_b.bottleneck_forward)
+        path_a.links[-1][0].connect(lambda pkt: None)   # radio detached
 
     sim.after(config.handoff_at, handoff)
-    sim.run(until=config.time_limit)
+
+    data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
+    run = run_fetches(
+        Testbed(**vars(path_a),
+                client_stack=TCPStack(sim, client, tcp_config),
+                server_stack=TCPStack(sim, server, tcp_config)),
+        ExperimentConfig(time_limit=config.time_limit, verify_content=True),
+        {FILE_NAME: data}, [Fetch()])
 
     return MobilityResult(
-        outcome=outcome, mode=config.mode, handoff_at=config.handoff_at,
-        bytes_path_a=bott_down.stats.bytes_offered,
-        bytes_path_b=path_b_down.stats.bytes_offered,
+        outcome=run.outcomes[0], mode=config.mode,
+        handoff_at=config.handoff_at,
+        bytes_path_a=path_a.bottleneck_forward.stats.bytes_offered,
+        bytes_path_b=path_b.bottleneck_forward.stats.bytes_offered,
         sim_time=sim.now)

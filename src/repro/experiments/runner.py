@@ -4,10 +4,10 @@ Builds the Fig. 3 topology::
 
     server ──LAN── encoder-gw ══1 MB/s lossy══ decoder-gw ──LAN── client
 
-and drives a list of file retrievals over it (:func:`run_fetches`, the
-one run sequence every experiment, campaign and checker calls);
-:func:`run_transfer` is the one-fetch case and returns a
-:class:`~repro.metrics.collectors.TransferResult`.  With
+with :func:`build_path` and drives a list of file retrievals over it
+(:func:`run_fetches`, the one run sequence every experiment, campaign
+and checker calls); :func:`run_transfer` is the one-fetch case and
+returns a :class:`~repro.metrics.collectors.TransferResult`.  With
 ``config.policy is None`` the gateways are replaced by plain forwarding
 nodes, producing the no-DRE baseline every ratio in Figs. 10–12 is
 normalised against.
@@ -16,7 +16,7 @@ normalised against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from ..app.transfer import FileClient, FileServer, TransferOutcome
 from ..core.fingerprint import FingerprintScheme, anchor_memo_stats
@@ -37,23 +37,85 @@ from .config import LAN_BANDWIDTH, LAN_DELAY, ExperimentConfig
 
 CLIENT_ADDR = "10.0.1.1"
 SERVER_ADDR = "10.0.2.1"
-ENCODER_ADDR = "10.255.0.1"
-DECODER_ADDR = "10.255.0.2"
 FILE_NAME = "object"
 
 
 @dataclass
-class Testbed:
-    """A fully wired topology, exposed for tests and examples."""
+class LinkSpec:
+    """One hop's two links, forward (server -> client) and reverse:
+    named ``{name}-fwd`` / ``{name}-rev``, drawing from the rng
+    ``streams`` in that order, each with its own
+    :class:`~repro.sim.link.Link` impairments (``loss_rate``, ...)."""
+
+    bandwidth: float
+    delay: float
+    name: str
+    streams: Tuple[str, str]
+    forward: Dict[str, Any] = field(default_factory=dict)
+    reverse: Dict[str, Any] = field(default_factory=dict)
+
+
+@dataclass
+class Path:
+    """A wired server-to-client path: what :func:`build_path` returns
+    and :func:`repro.sim.faults.arm_injection` arms faults on."""
 
     sim: Simulator
-    client: Host
     server: Host
-    client_stack: TCPStack
-    server_stack: TCPStack
+    client: Host
+    #: (forward, reverse) link of every hop, server end first.
+    links: List[Tuple[Link, Link]]
     bottleneck_forward: Link
     bottleneck_reverse: Link
+    #: The DRE pair among the path's nodes, or None.
     gateways: Optional[GatewayPair]
+
+
+def build_path(sim: Simulator, rng: RngRegistry, server: Host,
+               hops: Sequence[Tuple[LinkSpec, Node]], *, bottleneck: int,
+               gateways: Optional[GatewayPair] = None, telemetry=None,
+               spans=None) -> Path:
+    """Wire ``server`` to the client host that ends ``hops``.
+
+    ``hops`` runs from the server to the client: each is the
+    :class:`LinkSpec` of a hop and the node at its client end (a
+    forwarding node, a gateway, a TCP proxy or the client host).  Both
+    directions of every hop are made and connected.  Every node sends
+    towards the client by default and the client towards the server; a
+    node between them routes each addressed node on its server side
+    back that way.  ``hops[bottleneck]`` is the hop that ``telemetry``
+    and ``spans`` watch.
+    """
+    nodes = [server] + [node for _, node in hops]
+    links: List[Tuple[Link, Link]] = []
+    for index, (spec, node) in enumerate(hops):
+        observers = ({"telemetry": telemetry, "spans": spans}
+                     if index == bottleneck else {})
+        forward, reverse = [
+            Link(sim, spec.bandwidth, spec.delay, rng=rng.stream(stream),
+                 name=f"{spec.name}-{tag}", **impairments, **observers)
+            for stream, tag, impairments in zip(
+                spec.streams, ("fwd", "rev"), (spec.forward, spec.reverse))]
+        forward.connect(node.receive)
+        reverse.connect(nodes[index].receive)
+        links.append((forward, reverse))
+        nodes[index].set_default_route(forward)
+        if node is not nodes[-1]:
+            for upstream in nodes[:index + 1]:
+                address = getattr(upstream, "address", None)
+                if address is not None:
+                    node.add_route(address, reverse)
+    nodes[-1].set_default_route(links[-1][1])
+    return Path(sim, server, cast(Host, nodes[-1]), links, *links[bottleneck],
+                gateways)
+
+
+@dataclass
+class Testbed(Path):
+    """The Fig. 3 path with its TCP stacks and observers."""
+
+    client_stack: TCPStack
+    server_stack: TCPStack
     profiler: Optional[StageProfiler] = None
     #: anchor_memo_stats() at build time, when profiling: the memo is
     #: process-wide, the profile reports what this run added to it.
@@ -105,7 +167,6 @@ def build_testbed(config: ExperimentConfig) -> Testbed:
             cache_eviction=config.cache_eviction,
             cache_shards=config.cache_shards,
             cache_admission=config.cache_admission,
-            encoder_address=ENCODER_ADDR, decoder_address=DECODER_ADDR,
             resilience=(ResilienceConfig(**config.resilience_kwargs)
                         if config.resilience else None),
             telemetry=telemetry,
@@ -124,41 +185,19 @@ def build_testbed(config: ExperimentConfig) -> Testbed:
     for node in (client, server, enc_node, dec_node):
         node.recorder = recorder
 
-    # server <-> encoder LAN
-    lan_s_fwd = Link(sim, LAN_BANDWIDTH, LAN_DELAY,
-                     rng=rng.stream("lan_s_fwd"), name="lan-server-fwd")
-    lan_s_rev = Link(sim, LAN_BANDWIDTH, LAN_DELAY,
-                     rng=rng.stream("lan_s_rev"), name="lan-server-rev")
-    # encoder <-> decoder: the constrained wireless segment
-    bott_fwd = Link(sim, config.bandwidth, config.bottleneck_delay,
-                    loss_rate=config.loss_rate,
-                    corrupt_rate=config.corrupt_rate,
-                    reorder_rate=config.reorder_rate,
-                    rng=rng.stream("bottleneck_fwd"), name="bottleneck-fwd",
-                    telemetry=telemetry, spans=span_recorder)
-    bott_rev = Link(sim, config.bandwidth, config.bottleneck_delay,
-                    rng=rng.stream("bottleneck_rev"), name="bottleneck-rev",
-                    telemetry=telemetry, spans=span_recorder)
-    # decoder <-> client LAN
-    lan_c_fwd = Link(sim, LAN_BANDWIDTH, LAN_DELAY,
-                     rng=rng.stream("lan_c_fwd"), name="lan-client-fwd")
-    lan_c_rev = Link(sim, LAN_BANDWIDTH, LAN_DELAY,
-                     rng=rng.stream("lan_c_rev"), name="lan-client-rev")
-
-    lan_s_fwd.connect(enc_node.receive)
-    bott_fwd.connect(dec_node.receive)
-    lan_c_fwd.connect(client.receive)
-    lan_c_rev.connect(dec_node.receive)
-    bott_rev.connect(enc_node.receive)
-    lan_s_rev.connect(server.receive)
-
-    server.set_default_route(lan_s_fwd)
-    enc_node.add_route(SERVER_ADDR, lan_s_rev)
-    enc_node.set_default_route(bott_fwd)          # towards client / decoder
-    dec_node.add_route(SERVER_ADDR, bott_rev)
-    dec_node.add_route(ENCODER_ADDR, bott_rev)
-    dec_node.set_default_route(lan_c_fwd)
-    client.set_default_route(lan_c_rev)
+    path = build_path(sim, rng, server, [
+        (LinkSpec(LAN_BANDWIDTH, LAN_DELAY, "lan-server",
+                  ("lan_s_fwd", "lan_s_rev")), enc_node),
+        # encoder <-> decoder: the constrained wireless segment
+        (LinkSpec(config.bandwidth, config.bottleneck_delay, "bottleneck",
+                  ("bottleneck_fwd", "bottleneck_rev"),
+                  forward={"loss_rate": config.loss_rate,
+                           "corrupt_rate": config.corrupt_rate,
+                           "reorder_rate": config.reorder_rate}), dec_node),
+        (LinkSpec(LAN_BANDWIDTH, LAN_DELAY, "lan-client",
+                  ("lan_c_fwd", "lan_c_rev")), client),
+    ], bottleneck=1, gateways=gateways, telemetry=telemetry,
+        spans=span_recorder)
 
     tcp_config = config.tcp_config()
     client_stack = TCPStack(sim, client, tcp_config, telemetry=telemetry,
@@ -169,13 +208,12 @@ def build_testbed(config: ExperimentConfig) -> Testbed:
     if telemetry is not None:
         telemetry.start()
     if verifier is not None:
-        verifier.watch_links(bott_fwd, bott_rev)
+        verifier.watch_links(path.bottleneck_forward, path.bottleneck_reverse)
         verifier.start()
 
-    return Testbed(sim=sim, client=client, server=server,
+    return Testbed(**vars(path),
                    client_stack=client_stack, server_stack=server_stack,
-                   bottleneck_forward=bott_fwd, bottleneck_reverse=bott_rev,
-                   gateways=gateways, profiler=profiler,
+                   profiler=profiler,
                    anchor_memo_before=(anchor_memo_stats()
                                        if profiler is not None else None),
                    telemetry=telemetry, spans=span_recorder,

@@ -17,12 +17,10 @@ from ..core.fingerprint import FingerprintScheme
 from ..gateway.pair import GatewayPair
 from ..net.udp import UDPStack
 from ..sim.engine import Simulator
-from ..sim.link import Link
 from ..sim.node import Host, Node
 from ..sim.rng import RngRegistry
-
-CLIENT_ADDR = "10.0.1.1"
-SERVER_ADDR = "10.0.2.1"
+from .config import LAN_DELAY
+from .runner import CLIENT_ADDR, SERVER_ADDR, LinkSpec, Path, build_path
 
 
 @dataclass
@@ -47,10 +45,15 @@ class StreamingResult:
     """What a streaming run measured."""
 
     frames_sent: int
-    frames_delivered: int
+    #: The frames the client received, in arrival order.
+    delivered: List[bytes]
     bytes_on_link: int
     undecodable: int
     channel_lost: int
+
+    @property
+    def frames_delivered(self) -> int:
+        return len(self.delivered)
 
     @property
     def delivery_fraction(self) -> float:
@@ -80,8 +83,9 @@ def make_frames(config: StreamingConfig) -> List[bytes]:
     return frames
 
 
-def run_streaming(config: StreamingConfig) -> StreamingResult:
-    """Stream frames server→client across the lossy segment."""
+def build_streaming(config: StreamingConfig) -> Path:
+    """The streaming path: server, LAN, encoder, lossy segment, decoder,
+    LAN, client (plain forwarding nodes when ``config.policy`` is None)."""
     sim = Simulator()
     rng = RngRegistry(config.seed)
     server = Host(sim, "server", SERVER_ADDR)
@@ -98,20 +102,24 @@ def run_streaming(config: StreamingConfig) -> StreamingResult:
                                       data_dst=CLIENT_ADDR, **kwargs)
         enc_node, dec_node = gateways.encoder, gateways.decoder
 
-    up = Link(sim, 1e9, 0.0005, rng=rng.stream("up"))
-    bottleneck = Link(sim, config.bandwidth, config.delay,
-                      loss_rate=config.loss_rate,
-                      rng=rng.stream("bottleneck"))
-    down = Link(sim, 1e9, 0.0005, rng=rng.stream("down"))
-    up.connect(enc_node.receive)
-    bottleneck.connect(dec_node.receive)
-    down.connect(client.receive)
-    server.set_default_route(up)
-    enc_node.set_default_route(bottleneck)
-    dec_node.set_default_route(down)
+    return build_path(sim, rng, server, [
+        (LinkSpec(1e9, LAN_DELAY, "lan-server", ("up", "up_rev")), enc_node),
+        (LinkSpec(config.bandwidth, config.delay, "bottleneck",
+                  ("bottleneck", "bottleneck_rev"),
+                  forward={"loss_rate": config.loss_rate}), dec_node),
+        (LinkSpec(1e9, LAN_DELAY, "lan-client", ("down", "down_rev")),
+         client),
+    ], bottleneck=1, gateways=gateways)
 
-    server_udp = UDPStack(sim, server)
-    client_udp = UDPStack(sim, client)
+
+def run_streaming(config: StreamingConfig,
+                  path: Optional[Path] = None) -> StreamingResult:
+    """Stream frames server→client across the lossy segment of ``path``
+    (pass one to arm faults on it first; default: a fresh one)."""
+    path = path if path is not None else build_streaming(config)
+    sim = path.sim
+    server_udp = UDPStack(sim, path.server)
+    client_udp = UDPStack(sim, path.client)
     received: List[bytes] = []
     sock = client_udp.socket(9000)
     sock.on_receive = lambda src, port, data: received.append(data)
@@ -123,11 +131,12 @@ def run_streaming(config: StreamingConfig) -> StreamingResult:
                CLIENT_ADDR, 9000)
     sim.run(until=config.frame_count * config.frame_interval + 5.0)
 
+    bottleneck = path.bottleneck_forward.stats
     return StreamingResult(
         frames_sent=len(frames),
-        frames_delivered=len(received),
-        bytes_on_link=bottleneck.stats.bytes_offered,
-        undecodable=(gateways.decoder.stats.dropped_total
-                     if gateways else 0),
-        channel_lost=bottleneck.stats.packets_lost,
+        delivered=received,
+        bytes_on_link=bottleneck.bytes_offered,
+        undecodable=(path.gateways.decoder.stats.dropped_total
+                     if path.gateways else 0),
+        channel_lost=bottleneck.packets_lost,
     )

@@ -30,8 +30,6 @@ class GatewayPair:
                cache_eviction: str = "fifo",
                cache_shards: int = 0,
                cache_admission: float = 1.0,
-               encoder_address: str = "10.255.0.1",
-               decoder_address: str = "10.255.0.2",
                resilience: Optional[ResilienceConfig] = None,
                telemetry=None,
                verifier=None,
@@ -75,13 +73,13 @@ class GatewayPair:
                              admission=cache_admission)
 
         encoder = EncoderGateway(
-            sim, "encoder-gw", encoder_address, scheme, build_cache(),
+            sim, "encoder-gw", "10.255.0.1", scheme, build_cache(),
             encoder_policy, data_dst=data_dst, resilience=resilience)
         decoder = DecoderGateway(
-            sim, "decoder-gw", decoder_address, scheme, build_cache(),
+            sim, "decoder-gw", "10.255.0.2", scheme, build_cache(),
             decoder_policy, data_dst=data_dst, resilience=resilience)
-        encoder.set_peer(decoder_address)
-        decoder.set_peer(encoder_address)
+        encoder.set_peer(decoder.address)
+        decoder.set_peer(encoder.address)
         if telemetry is not None:
             telemetry.register_gateway(encoder, "encoder")
             telemetry.register_gateway(decoder, "decoder")

@@ -136,10 +136,8 @@ class TcpProxyGateway(Node):
             raise ValueError(f"bad role: {role}")
         self.role = role
         self.address = address
-        self.client_addr = client_addr
         self.server_addr = server_addr
         self.server_port = server_port
-        self.peer_address: Optional[str] = None
         self._tcp_config = tcp_config if tcp_config is not None else TCPConfig()
 
         spoofed = server_addr if role == "client-side" else client_addr
@@ -168,24 +166,19 @@ class TcpProxyGateway(Node):
     # wiring
     # ------------------------------------------------------------------
 
-    def attach_routes(self, toward_client, toward_server,
-                      peer_address: Optional[str] = None,
-                      peer_side: str = "server") -> None:
-        """Set the two outgoing links and mirror them into the inner
-        hosts' route tables.  ``peer_side`` says which way the other
-        gateway lies (the relay traffic must route towards it)."""
-        peer_link = toward_server if peer_side == "server" else toward_client
-        for node in (self._spoof_host, self._relay_host, self):
-            if toward_client is not None:
-                node.add_route(self.client_addr, toward_client)
-            if toward_server is not None:
-                node.set_default_route(toward_server)
-            if peer_address is not None and peer_link is not None:
-                node.add_route(peer_address, peer_link)
+    def add_route(self, dst: str, link: object) -> None:
+        """Route ``dst`` out of ``link``, for the inner hosts too."""
+        for node in (self._spoof_host, self._relay_host):
+            node.add_route(dst, link)
+        super().add_route(dst, link)
+
+    def set_default_route(self, link: object) -> None:
+        for node in (self._spoof_host, self._relay_host):
+            node.set_default_route(link)
+        super().set_default_route(link)
 
     def connect_relay(self, peer_address: str) -> None:
         """Client-side gateway dials the server-side relay listener."""
-        self.peer_address = peer_address
         self._relay_conn = self._relay_stack.connect(peer_address, 9000)
         self._relay_conn.on_receive = self._reader.feed
 
@@ -286,15 +279,13 @@ class TcpProxyGateway(Node):
 
 def create_proxy_pair(sim: Simulator, client_addr: str, server_addr: str,
                       policy: str = "tcp_seq",
-                      g1_address: str = "10.255.1.1",
-                      g2_address: str = "10.255.1.2",
                       tcp_config: Optional[TCPConfig] = None):
     """Build the G1 (client-side) / G2 (server-side) proxy pair."""
     scheme = FingerprintScheme()
-    g1 = TcpProxyGateway(sim, "proxy-g1", "client-side", g1_address,
+    g1 = TcpProxyGateway(sim, "proxy-g1", "client-side", "10.255.1.1",
                          client_addr, server_addr, policy=policy,
                          scheme=scheme, tcp_config=tcp_config)
-    g2 = TcpProxyGateway(sim, "proxy-g2", "server-side", g2_address,
+    g2 = TcpProxyGateway(sim, "proxy-g2", "server-side", "10.255.1.2",
                          client_addr, server_addr, policy=policy,
                          scheme=scheme, tcp_config=tcp_config)
     return g1, g2

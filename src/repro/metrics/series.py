@@ -4,7 +4,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
+
+
+def percentile(values: Sequence[float], fraction: float) -> Optional[float]:
+    """Nearest-rank percentile of ``values`` at ``fraction`` in (0, 1]
+    (deterministic, no interpolation); None when there are no values."""
+    ordered = sorted(values)
+    if not ordered:
+        return None
+    rank = max(1, math.ceil(fraction * len(ordered)))
+    return ordered[min(len(ordered), rank) - 1]
 
 
 @dataclass

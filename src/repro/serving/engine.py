@@ -32,13 +32,13 @@ Methodology notes baked in here (DESIGN.md §15 discusses why):
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..app.transfer import TransferOutcome
 from ..experiments.config import ExperimentConfig
 from ..experiments.runner import Fetch, Testbed, build_testbed, run_fetches
+from ..metrics.series import percentile
 from ..net.tcp import TCPStack
 from ..sim.rng import derive_seed
 from ..workload.catalog import CatalogSpec, ContentCatalog
@@ -214,14 +214,6 @@ def _snapshot(testbed: Testbed) -> _CounterSnapshot:
     return snap
 
 
-def _percentile(sorted_values: List[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not sorted_values:
-        return None
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[min(len(sorted_values), rank) - 1]
-
-
 def run_serving(spec: ServingSpec) -> Dict[str, Any]:
     """Run one serving simulation; returns the ``serving/v1`` report."""
     catalog = ContentCatalog(spec.catalog_spec())
@@ -286,8 +278,6 @@ def run_serving(spec: ServingSpec) -> Dict[str, Any]:
     steady_encoded = final.encoded_packets - snap.encoded_packets
     steady_before = final.bytes_before - snap.bytes_before
     steady_after = final.bytes_after - snap.bytes_after
-    durations_steady.sort()
-    durations_all.sort()
 
     report: Dict[str, Any] = {
         "schema": SERVING_SCHEMA,
@@ -309,8 +299,8 @@ def run_serving(spec: ServingSpec) -> Dict[str, Any]:
                           if steady_data else 0.0),
             "bytes_saved_ratio": (1.0 - steady_after / steady_before
                                   if steady_before else 0.0),
-            "p50_download_s": _percentile(durations_steady, 0.50),
-            "p99_download_s": _percentile(durations_steady, 0.99),
+            "p50_download_s": percentile(durations_steady, 0.50),
+            "p99_download_s": percentile(durations_steady, 0.99),
             "samples": len(durations_steady),
         },
         "overall": {
@@ -318,8 +308,8 @@ def run_serving(spec: ServingSpec) -> Dict[str, Any]:
                           if final.data_packets else 0.0),
             "bytes_saved_ratio": (1.0 - final.bytes_after / final.bytes_before
                                   if final.bytes_before else 0.0),
-            "p50_download_s": _percentile(durations_all, 0.50),
-            "p99_download_s": _percentile(durations_all, 0.99),
+            "p50_download_s": percentile(durations_all, 0.50),
+            "p99_download_s": percentile(durations_all, 0.99),
             "undecodable_dropped": final.undecodable_dropped,
         },
         "pool": {

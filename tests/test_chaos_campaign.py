@@ -18,9 +18,10 @@ from repro.chaos import (CAMPAIGNS, CHAOS_POLICIES, CHAOS_SCHEMA, Campaign,
                          Phase, canonical_campaign, evaluate_slos,
                          format_scorecard, replay_report, run_campaign,
                          validate_chaos_report)
-from repro.chaos.runner import _percentile, arm_campaign
+from repro.chaos.runner import arm_campaign
 from repro.chaos.slo import ORACLES, phase_recovery_times
 from repro.experiments.runner import build_testbed
+from repro.metrics.series import percentile
 from repro.sim.faults import (GATEWAY_KINDS, INJECTION_KINDS, ArmedFaults,
                               arm_injection)
 
@@ -295,10 +296,10 @@ class TestPhaseRecoveryTimes:
 class TestPercentile:
     def test_nearest_rank(self):
         values = [4.0, 1.0, 3.0, 2.0]
-        assert _percentile(values, 50) == 2.0
-        assert _percentile(values, 90) == 4.0
-        assert _percentile(values, 100) == 4.0
-        assert _percentile([], 50) is None
+        assert percentile(values, 0.5) == 2.0
+        assert percentile(values, 0.9) == 4.0
+        assert percentile(values, 1.0) == 4.0
+        assert percentile([], 0.5) is None
 
 
 # ---------------------------------------------------------------------------

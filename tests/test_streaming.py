@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.experiments.streaming import (StreamingConfig, make_frames,
-                                         run_streaming)
+from repro.chaos import canonical_campaign
+from repro.chaos.runner import arm_campaign
+from repro.experiments.streaming import (StreamingConfig, build_streaming,
+                                         make_frames, run_streaming)
 
 
 def config(**kwargs) -> StreamingConfig:
@@ -75,6 +77,32 @@ class TestLossyChannel:
         kdist = run_streaming(config(policy="k_distance", k=8,
                                      loss_rate=0.02))
         assert naive.undecodable >= kdist.undecodable
+
+
+class TestFlakyBackhaul:
+    """The ``flaky-backhaul`` campaign at smoke scale on the streaming
+    path: Gilbert-Elliott bursts on the lossy segment from 0.4 to 2.0 s,
+    inside the 2.4 s stream of 1600 frames."""
+
+    @staticmethod
+    def stream(k):
+        cfg = config(policy="k_distance", k=k, frame_count=1600)
+        path = build_streaming(cfg)
+        arm_campaign(canonical_campaign("flaky-backhaul"), path, cfg.seed)
+        return cfg, path, run_streaming(cfg, path)
+
+    def test_bursts_cost_at_most_k_frames_per_loss_and_never_a_wrong_one(self):
+        undecodable = {}
+        for k in (4, 8):
+            cfg, path, result = self.stream(k)
+            frames = make_frames(cfg)
+            for frame in result.delivered:
+                assert frame == frames[int.from_bytes(frame[32:36], "big")]
+            lost = path.bottleneck_forward.stats.packets_lost
+            assert lost > 0
+            assert result.undecodable <= k * lost
+            undecodable[k] = result.undecodable
+        assert undecodable[4] < undecodable[8]
 
 
 #: Exact digits of ``config(policy=, k=, loss_rate=)``: (delivered,

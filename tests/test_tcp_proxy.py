@@ -7,15 +7,15 @@ import pytest
 from repro.gateway.tcp_proxy import (TcpProxyGateway, _StreamCodec,
                                      create_proxy_pair)
 from repro.core.fingerprint import FingerprintScheme
+from repro.experiments.runner import LinkSpec, build_path
 from repro.net.tcp import TCPConfig, TCPStack
-from repro.sim import Host, Link, Simulator
+from repro.sim import Host, Simulator
+from repro.sim.rng import RngRegistry
 
 
 def build_proxy_path(policy="tcp_seq", loss=0.0, seed=7):
     """client — G1 — bottleneck — G2 — server, proxy mode."""
     sim = Simulator()
-    import random as _random
-
     client = Host(sim, "client", "10.0.1.1")
     server = Host(sim, "server", "10.0.2.1")
     tcp_config = TCPConfig()
@@ -23,30 +23,15 @@ def build_proxy_path(policy="tcp_seq", loss=0.0, seed=7):
     server_stack = TCPStack(sim, server, tcp_config)
     g1, g2 = create_proxy_pair(sim, "10.0.1.1", "10.0.2.1", policy=policy,
                                tcp_config=tcp_config)
-
-    lan_c_up = Link(sim, 1e9, 0.0005)
-    lan_c_down = Link(sim, 1e9, 0.0005)
-    bott_up = Link(sim, 1e6, 0.0025)
-    bott_down = Link(sim, 1e6, 0.0025, loss_rate=loss,
-                     rng=_random.Random(seed))
-    lan_s_up = Link(sim, 1e9, 0.0005)
-    lan_s_down = Link(sim, 1e9, 0.0005)
-
-    lan_c_up.connect(g1.receive)
-    bott_up.connect(g2.receive)
-    lan_s_up.connect(server.receive)
-    lan_s_down.connect(g2.receive)
-    bott_down.connect(g1.receive)
-    lan_c_down.connect(client.receive)
-
-    client.set_default_route(lan_c_up)
-    server.set_default_route(lan_s_down)
-    g1.attach_routes(toward_client=lan_c_down, toward_server=bott_up,
-                     peer_address=g2.address, peer_side="server")
-    g2.attach_routes(toward_client=bott_down, toward_server=lan_s_up,
-                     peer_address=g1.address, peer_side="client")
+    path = build_path(sim, RngRegistry(seed), server, [
+        (LinkSpec(1e9, 0.0005, "lan-server", ("lan_s_fwd", "lan_s_rev")), g2),
+        (LinkSpec(1e6, 0.0025, "bottleneck", ("bott_fwd", "bott_rev"),
+                  forward={"loss_rate": loss}), g1),
+        (LinkSpec(1e9, 0.0005, "lan-client", ("lan_c_fwd", "lan_c_rev")),
+         client),
+    ], bottleneck=1)
     g1.connect_relay(g2.address)
-    return sim, client_stack, server_stack, g1, g2, bott_down
+    return sim, client_stack, server_stack, g1, g2, path.bottleneck_forward
 
 
 def serve_and_fetch(sim, client_stack, server_stack, data, until=30.0):
