@@ -78,7 +78,11 @@ def _fault_digest(armed: ArmedFaults) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one (campaign, policy, seed) cell; everything JSON-safe."""
+    """Run one (campaign, policy, seed) cell.
+
+    Returns the cell's :class:`TransferResult`, its first invariant
+    violation (or ``None``) and the digest of the faults that fired.
+    """
     campaign = Campaign.from_dict(payload["campaign"])
     config = campaign.config(payload["policy"], payload["seed"],
                              resilience=payload["resilience"])
@@ -105,7 +109,7 @@ def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                      "span": summary["context"].get("span_id")}
 
     result = collect_result(testbed, run.outcomes[0], config)
-    return {"result": result.to_dict(), "violation": violation,
+    return {"result": result, "violation": violation,
             "faults": _fault_digest(armed)}
 
 
@@ -160,8 +164,7 @@ def run_campaign(campaign: Campaign,
     baselines: Dict[int, TransferResult] = {}
     for payload, output in zip(payloads, outputs):
         if payload["policy"] is None:
-            baselines[payload["seed"]] = TransferResult.from_dict(
-                output["result"])
+            baselines[payload["seed"]] = output["result"]
 
     fault_phase_ends = [phase.end for phase in campaign.phases
                        if phase.injections]
@@ -169,7 +172,7 @@ def run_campaign(campaign: Campaign,
     for payload, output in zip(payloads, outputs):
         if payload["policy"] is None:
             continue
-        result = TransferResult.from_dict(output["result"])
+        result = output["result"]
         mttrs: List[Optional[float]] = []
         if result.telemetry is not None:
             mttrs = phase_recovery_times(result.telemetry, fault_phase_ends)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from .core.policies import ENCODER_POLICIES
 from .experiments import ExperimentConfig, run_transfer
@@ -65,6 +65,19 @@ ARTIFACTS = {
     "impairments": lambda: scenarios.impairment_matrix(),
     "stall-scaling": lambda: scenarios.stall_scaling(),
 }
+
+
+#: "classic" is the paper's name for the first-generation byte caching
+#: scheme, which the repo implements as the "naive" policy; "none"
+#: disables DRE.
+POLICY_ALIASES = {"classic": "naive", "none": None}
+
+#: Bounded stall settings for the single-run diagnostics (trace,
+#: timeline, spans, flame): a naive-policy livelock exhausts 8 retries
+#: at <= 2 s RTO well inside the 120 s limit instead of grinding
+#: through the full defaults.
+BOUNDED_STALL: Dict[str, Any] = {"time_limit": 120.0, "tcp_max_retries": 8,
+                                 "tcp_max_rto": 2.0}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,9 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(overrides --seed)")
     sweep_cmd.add_argument("--workers", type=int, default=None,
                            help="process-pool size (default: serial)")
-    sweep_cmd.add_argument("--cache-dir", default=None,
-                           help="on-disk result cache; an unchanged "
-                                "sweep re-run is free")
     sweep_cmd.add_argument("--out", default=None,
                            help="write a BENCH_sweep.json file here")
     sweep_cmd.add_argument("--telemetry-out", default=None,
@@ -158,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "render its time series + flight recorder")
     timeline_cmd.add_argument(
         "--policy", default="classic",
-        choices=sorted(ENCODER_POLICIES) + ["classic", "none"],
+        choices=sorted(ENCODER_POLICIES) + list(POLICY_ALIASES),
         help="encoding policy ('classic' = the paper's §IV naive "
              "scheme, 'none' disables DRE)")
     timeline_cmd.add_argument("--loss", type=_percent, default="5",
@@ -283,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         """Shared args for commands that run one span-traced transfer."""
         cmd.add_argument(
             "--policy", default="classic",
-            choices=sorted(ENCODER_POLICIES) + ["classic", "none"],
+            choices=sorted(ENCODER_POLICIES) + list(POLICY_ALIASES),
             help="encoding policy ('classic' = the paper's §IV naive "
                  "scheme, 'none' disables DRE)")
         cmd.add_argument("--loss", type=_percent, default="1",
@@ -405,14 +415,31 @@ def _percent(text: str) -> float:
 
 def _percents(text: str) -> List[float]:
     """argparse type: comma-separated percentages, returned as rates."""
-    return [_percent(item) for item in text.split(",") if item.strip()]
+    rates = [_percent(item) for item in text.split(",") if item.strip()]
+    if not rates:
+        raise argparse.ArgumentTypeError("no loss rate given")
+    return rates
+
+
+def _known_policies(names: List[str]) -> bool:
+    """True when ``names`` is a non-empty list of encoder policies.
+
+    Otherwise prints why to stderr; the command then exits 2.
+    """
+    if not names:
+        print("no policy given", file=sys.stderr)
+        return False
+    for name in names:
+        if name not in ENCODER_POLICIES:
+            print(f"unknown policy {name!r}; try: "
+                  f"{', '.join(sorted(ENCODER_POLICIES))}", file=sys.stderr)
+            return False
+    return True
 
 
 def cmd_run(args) -> int:
     policy = None if args.policy in ("none", "") else args.policy
-    if policy is not None and policy not in ENCODER_POLICIES:
-        print(f"unknown policy {policy!r}; try: "
-              f"{', '.join(sorted(ENCODER_POLICIES))}", file=sys.stderr)
+    if policy is not None and not _known_policies([policy]):
         return 2
     kwargs = {"k": args.k} if args.k is not None else {}
     config = ExperimentConfig(
@@ -471,6 +498,8 @@ def cmd_sweep(args) -> int:
                                     write_telemetry_export)
 
     policies = [name.strip() for name in args.policies.split(",") if name.strip()]
+    if not _known_policies(policies):
+        return 2
     losses = args.losses
     seeds = ([int(x) for x in args.seeds.split(",") if x.strip()]
              if args.seeds else [args.seed])
@@ -481,7 +510,7 @@ def cmd_sweep(args) -> int:
                               telemetry=bool(args.telemetry_out)),
         grid={"policy,policy_kwargs": pairs, "loss_rate": losses},
         seeds=tuple(seeds), paired_baseline=True)
-    swept = run_sweep(spec, workers=args.workers, cache_dir=args.cache_dir)
+    swept = run_sweep(spec, workers=args.workers)
 
     def mean(values):
         return sum(values) / len(values) if values else None
@@ -507,7 +536,7 @@ def cmd_sweep(args) -> int:
         ["policy", "loss", "done", "bytes ratio", "delay ratio",
          "perceived"], rows))
     print(f"cells: {len(swept)}  simulated: {swept.executed}  "
-          f"from cache: {swept.cached}  wall-clock: {swept.wall_clock:.1f}s")
+          f"wall-clock: {swept.wall_clock:.1f}s")
     if args.out:
         write_bench_json(swept, args.out, name=f"sweep-{args.corpus}")
         print(f"wrote {args.out}")
@@ -568,7 +597,7 @@ def cmd_trace(args) -> int:
     config = ExperimentConfig(
         corpus=args.corpus, file_size=args.size, policy=args.policy,
         policy_kwargs={}, loss_rate=args.loss, seed=args.seed,
-        time_limit=120.0, tcp_max_retries=8, tcp_max_rto=2.0,
+        **BOUNDED_STALL,
         # The dependency graph is read off the span export, so every
         # flow is traced and no span may be dropped (the 120 s time
         # limit bounds the log).
@@ -608,17 +637,11 @@ _TIMELINE_DEFAULT_SERIES = ("tcp.cwnd", "tcp.rto", "tcp.inflight",
 def cmd_timeline(args) -> int:
     from .metrics.report import format_flight_recorder, format_timeseries
 
-    # "classic" is the paper's name for the first-generation byte
-    # caching scheme — the repo implements it as the "naive" policy.
-    policy = {"classic": "naive", "none": None}.get(args.policy, args.policy)
+    policy = POLICY_ALIASES.get(args.policy, args.policy)
     config = ExperimentConfig(
         corpus=args.corpus, file_size=args.size, policy=policy,
         policy_kwargs={}, loss_rate=args.loss, seed=args.seed,
-        resilience=args.resilience, telemetry=True,
-        # Bounded stall settings (as in `repro trace`): a naive-policy
-        # livelock exhausts 8 retries at <= 2 s RTO in well under the
-        # 120 s limit instead of grinding through the full defaults.
-        time_limit=120.0, tcp_max_retries=8, tcp_max_rto=2.0)
+        resilience=args.resilience, telemetry=True, **BOUNDED_STALL)
     result = run_transfer(config)
     telemetry = result.telemetry
     sampler = telemetry["sampler"]
@@ -838,16 +861,13 @@ def _spans_doc(args) -> dict:
     if args.from_file:
         with open(args.from_file, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    policy = {"classic": "naive", "none": None}.get(args.policy, args.policy)
+    policy = POLICY_ALIASES.get(args.policy, args.policy)
     config = ExperimentConfig(
         corpus=args.corpus, file_size=args.size, policy=policy,
         policy_kwargs={}, loss_rate=args.loss, seed=args.seed,
         resilience=args.resilience,
         spans=True, spans_kwargs={"trace_sample": args.sample},
-        # Bounded stall settings (as in `repro timeline`): a naive
-        # livelock exhausts 8 retries at <= 2 s RTO well inside the
-        # 120 s limit instead of grinding through the full defaults.
-        time_limit=120.0, tcp_max_retries=8, tcp_max_rto=2.0)
+        **BOUNDED_STALL)
     result = run_transfer(config)
     doc = result.spans
     assert doc is not None  # spans=True guarantees an export
@@ -968,9 +988,7 @@ def cmd_bench(args) -> int:
 def cmd_serve_sim(args) -> int:
     from .serving import ServingSpec, run_serving
 
-    if args.policy not in ENCODER_POLICIES:
-        print(f"unknown policy {args.policy!r}; try: "
-              f"{', '.join(sorted(ENCODER_POLICIES))}", file=sys.stderr)
+    if not _known_policies([args.policy]):
         return 2
     spec = ServingSpec(
         users=args.users, n_contents=args.contents, alpha=args.alpha,

@@ -208,14 +208,13 @@ def figure10_11(policies: Sequence[str] = ("cache_flush", "tcp_seq"),
                 files: Sequence[str] = ("file1", "file2"),
                 losses: Sequence[float] = DEFAULT_LOSS_SWEEP,
                 seeds: Sequence[int] = DEFAULT_SEEDS,
-                workers: Optional[int] = None,
-                cache_dir: Optional[str] = None) -> Figure10_11Result:
+                workers: Optional[int] = None) -> Figure10_11Result:
     spec = SweepSpec(
         base=ExperimentConfig(),
         grid={"policy": list(policies), "corpus": list(files),
               "loss_rate": list(losses)},
         seeds=tuple(seeds), paired_baseline=True)
-    swept = run_sweep(spec, workers=workers, cache_dir=cache_dir)
+    swept = run_sweep(spec, workers=workers)
     cells = iter(swept)
     bytes_series, delay_series = [], []
     stalls = 0

@@ -8,9 +8,7 @@ baseline.  This module turns that shape into data:
   fields, replicate seeds, and (optionally) paired no-DRE baselines.
 * :func:`run_sweep` — executes the spec's cells serially or on a
   :class:`~concurrent.futures.ProcessPoolExecutor`, deduplicating
-  identical configs (hash-keyed), memoising paired baselines, and
-  optionally caching every :class:`TransferResult` on disk so an
-  unchanged sweep re-run costs nothing.
+  identical configs (hash-keyed) and memoising paired baselines.
 * :func:`write_bench_json` — emits the ``BENCH_sweep.json``
   perf-trajectory file (schema ``bench_sweep/v1``).
 
@@ -45,7 +43,7 @@ TELEMETRY_BENCH_SCHEMA = "bench_telemetry/v1"
 # ---------------------------------------------------------------------------
 
 def config_hash(config: ExperimentConfig) -> str:
-    """Stable content hash of a config (the sweep cache key).
+    """Stable content hash of a config (the identity sweeps dedupe on).
 
     Canonical JSON over the dataclass fields: two configs hash equal
     iff every field is equal, independent of construction order or
@@ -158,8 +156,7 @@ class CellResult:
     result: TransferResult
     baseline: Optional[TransferResult] = None
     baseline_hash: Optional[str] = None
-    elapsed: float = 0.0            # seconds simulating (0 on a cache hit)
-    from_cache: bool = False
+    elapsed: float = 0.0            # seconds simulating
 
     @property
     def key(self) -> tuple:
@@ -180,8 +177,7 @@ class SweepResult:
     """All cells of a sweep, in spec (grid-product) order."""
 
     cells: List[CellResult]
-    executed: int                   # configs actually simulated
-    cached: int                     # configs served from the result cache
+    executed: int                   # unique configs simulated
     wall_clock: float
 
     def __iter__(self) -> Iterator[CellResult]:
@@ -208,40 +204,13 @@ def _execute_config(job: Tuple[str, ExperimentConfig]
     return digest, result, time.perf_counter() - started
 
 
-def _cache_path(cache_dir: str, digest: str) -> str:
-    return os.path.join(cache_dir, f"{digest}.json")
-
-
-def _cache_load(cache_dir: str, digest: str) -> Optional[TransferResult]:
-    path = _cache_path(cache_dir, digest)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return TransferResult.from_dict(json.load(handle))
-    except (OSError, ValueError, TypeError, KeyError):
-        return None
-
-
-def _cache_store(cache_dir: str, digest: str, result: TransferResult) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, digest)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(result.to_dict(), handle, separators=(",", ":"))
-    os.replace(tmp, path)
-
-
 def run_sweep(spec: SweepSpec, *,
-              workers: Optional[int] = None,
-              cache_dir: Optional[str] = None) -> SweepResult:
+              workers: Optional[int] = None) -> SweepResult:
     """Execute every cell of ``spec`` (plus paired baselines).
 
     ``workers``: ``None``/``0``/``1`` runs serially in-process; larger
     values fan the *unique* configs out over a process pool.  The
     result is bit-identical either way (see module docstring).
-
-    ``cache_dir``: directory of ``<config-hash>.json`` files.  Configs
-    whose hash is present are loaded instead of simulated, so re-running
-    an unchanged sweep is free; newly executed configs are stored.
     """
     started = time.perf_counter()
     cells = list(spec.cells())
@@ -266,24 +235,11 @@ def run_sweep(spec: SweepSpec, *,
 
     results: Dict[str, TransferResult] = {}
     elapsed: Dict[str, float] = {}
-    hits: set = set()
-    if cache_dir is not None:
-        for digest in jobs:
-            cached = _cache_load(cache_dir, digest)
-            if cached is not None:
-                results[digest] = cached
-                elapsed[digest] = 0.0
-                hits.add(digest)
-
-    todo = [(digest, config) for digest, config in jobs.items()
-            if digest not in results]
-    for digest, result, seconds in parallel_map(_execute_config, todo,
+    for digest, result, seconds in parallel_map(_execute_config,
+                                                list(jobs.items()),
                                                 workers=workers):
         results[digest] = result
         elapsed[digest] = seconds
-    if cache_dir is not None:
-        for digest, _config in todo:
-            _cache_store(cache_dir, digest, results[digest])
 
     cell_results = []
     for cell, digest, twin_digest in zip(cells, cell_hashes, baseline_hashes):
@@ -293,10 +249,8 @@ def run_sweep(spec: SweepSpec, *,
             baseline=(results[twin_digest] if twin_digest is not None
                       else None),
             baseline_hash=twin_digest,
-            elapsed=elapsed[digest],
-            from_cache=digest in hits))
-    return SweepResult(cells=cell_results, executed=len(todo),
-                       cached=len(hits),
+            elapsed=elapsed[digest]))
+    return SweepResult(cells=cell_results, executed=len(jobs),
                        wall_clock=time.perf_counter() - started)
 
 
@@ -329,7 +283,7 @@ def _cell_metrics(result: TransferResult) -> Dict[str, Any]:
     }
     if result.spans is not None:
         # Deterministic rollup only (counts + sim durations, no wall
-        # times) so cached and fresh cells stay byte-identical.
+        # times), so a cell's metrics are a pure function of its config.
         from ..metrics.spans import spans_rollup
         metrics["spans"] = spans_rollup(result.spans)
     return metrics
@@ -344,7 +298,6 @@ def bench_payload(sweep: SweepResult, name: str) -> Dict[str, Any]:
                        for key, value in cell.params.items()},
             "seed": cell.seed,
             "config_hash": cell.config_hash,
-            "from_cache": cell.from_cache,
             "elapsed": cell.elapsed,
             "metrics": _cell_metrics(cell.result),
         }
@@ -361,7 +314,6 @@ def bench_payload(sweep: SweepResult, name: str) -> Dict[str, Any]:
         "summary": {
             "cells": len(sweep.cells),
             "executed": sweep.executed,
-            "cached": sweep.cached,
             "wall_clock": sweep.wall_clock,
         },
     }

@@ -45,8 +45,7 @@ class TransferResult:
     server_timeouts: int = 0
     #: Why ``server_timeouts`` fired (TCPStats' RTO ledger; handshake
     #: timeouts are in the total only) and how many lost retransmissions
-    #: SACK caught before the timer had to.  Defaulted so result-cache
-    #: files written before the ledger existed still load.
+    #: SACK caught before the timer had to.
     server_timeouts_lost_retransmit: int = 0
     server_timeouts_no_feedback: int = 0
     server_timeouts_below_dupthresh: int = 0
@@ -59,13 +58,10 @@ class TransferResult:
     #: was configured with ``profile=True``.
     profile: Optional[Dict[str, Dict[str, float]]] = None
     #: telemetry/v1 export (see repro.metrics.telemetry), populated when
-    #: the run was configured with ``telemetry=True``.  Kept as a plain
-    #: JSON-shaped dict so to_dict/from_dict round-trip it untouched
-    #: through the sweep result cache.
+    #: the run was configured with ``telemetry=True``.
     telemetry: Optional[Dict[str, Any]] = None
     #: spans/v1 causal-trace export (see repro.metrics.spans), populated
-    #: when the run was configured with ``spans=True``.  Same plain-dict
-    #: round-trip contract as ``telemetry``.
+    #: when the run was configured with ``spans=True``.
     spans: Optional[Dict[str, Any]] = None
 
     # -- headline metrics --------------------------------------------------
@@ -175,34 +171,15 @@ class TransferResult:
             "heartbeats_sent": enc.heartbeats_sent,
         }
 
-    # -- serialisation (sweep result cache) --------------------------------
+    # -- serialisation ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """Lossless JSON-friendly form (all leaves are plain scalars).
+        """Every field as plain JSON-friendly data (nested ``asdict``).
 
-        The sweep engine's on-disk result cache stores exactly this;
-        :meth:`from_dict` reconstructs an equal ``TransferResult``, so a
-        cache hit is bit-identical to re-running the simulation.
+        The differential runner compares serial and parallel sweeps
+        cell by cell through this form.
         """
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TransferResult":
-        """Inverse of :meth:`to_dict`."""
-        def opt(klass, value):
-            return klass(**value) if value is not None else None
-
-        fields = dict(data)
-        fields["outcome"] = TransferOutcome(**fields["outcome"])
-        fields["bottleneck_forward"] = LinkStats(**fields["bottleneck_forward"])
-        fields["bottleneck_reverse"] = LinkStats(**fields["bottleneck_reverse"])
-        fields["encoder_stats"] = opt(GatewayStats, fields.get("encoder_stats"))
-        fields["decoder_stats"] = opt(GatewayStats, fields.get("decoder_stats"))
-        fields["encoder_resilience"] = opt(ResilienceStats,
-                                           fields.get("encoder_resilience"))
-        fields["decoder_resilience"] = opt(ResilienceStats,
-                                           fields.get("decoder_resilience"))
-        return cls(**fields)
 
 
 @dataclass

@@ -604,8 +604,8 @@ def validate_spans(doc: Dict[str, Any]) -> Dict[str, Any]:
 def spans_rollup(doc: Dict[str, Any]) -> Dict[str, Any]:
     """Compact, deterministic per-run rollup for sweep/chaos records.
 
-    Deliberately excludes wall-clock figures so cached sweep cells and
-    chaos replays stay bit-identical across hosts.
+    Deliberately excludes wall-clock figures so sweep cells and chaos
+    replays stay bit-identical across hosts.
     """
     by_name: Dict[str, Dict[str, Any]] = {}
     for span in doc["spans"]:

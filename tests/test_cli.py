@@ -65,6 +65,22 @@ def test_sweep(capsys):
     assert "cache_flush" in out
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["sweep", "--policies", "bogus"], "unknown policy 'bogus'"),
+    (["sweep", "--policies", ""], "no policy given"),
+    (["sweep", "--losses", ""], "no loss rate given"),
+])
+def test_sweep_usage_errors_exit_2(capsys, argv, error):
+    """A bad or empty policy/loss list is a usage error, not a
+    traceback or an empty sweep that exits 0."""
+    try:
+        code = main(argv)
+    except SystemExit as exited:        # argparse rejects the loss list
+        code = exited.code
+    assert code == 2
+    assert error in capsys.readouterr().err
+
+
 def test_mobility_command(capsys):
     code, out = run_cli(capsys, "mobility", "--mode", "tcp-proxy",
                         "--handoff", "0.25")

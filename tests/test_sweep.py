@@ -1,7 +1,8 @@
-"""The sweep engine: grids, hashing, parallel determinism, caching."""
+"""The sweep engine: grids, hashing, parallel determinism."""
 
 import json
 
+from repro.core.policies.cache_flush import CacheFlushPolicy
 from repro.experiments import ExperimentConfig, run_transfer
 from repro.experiments.sweep import (SweepSpec, config_hash, parallel_map,
                                      run_sweep, write_bench_json)
@@ -88,16 +89,22 @@ class TestRunSweep:
             assert cell.baseline.policy == "none"
             assert cell.ratio_point(cell.params["loss_rate"]).bytes_ratio > 0
 
-    def test_cache_hit_rerun_executes_nothing(self, tmp_path):
-        spec = small_spec()
-        first = run_sweep(spec, cache_dir=str(tmp_path))
-        assert first.executed == 8 and first.cached == 0
-        again = run_sweep(spec, cache_dir=str(tmp_path))
-        assert again.executed == 0 and again.cached == 8
-        for a, b in zip(first.cells, again.cells):
-            assert b.from_cache
-            assert a.result == b.result
-            assert a.baseline == b.baseline
+    def test_rerun_simulates_the_code_that_is_running(self, monkeypatch):
+        """A sweep re-run never serves an earlier run's result.
+
+        The same spec runs twice in one process.  Between the runs Cache
+        Flush loses its flush (the gate ``verify.fuzz``'s
+        ``cache_flush_gate`` removes), so the second run must show the
+        §IV livelock the first run's healthy cell would have hidden.
+        """
+        spec = SweepSpec(
+            base=ExperimentConfig(corpus="file1"),
+            grid={"policy": ["cache_flush"], "loss_rate": [0.02]},
+            seeds=(11,), paired_baseline=True)
+        assert run_sweep(spec).cells[0].result.completed
+        monkeypatch.setattr(CacheFlushPolicy, "before_packet",
+                            lambda self, meta, cache: None)
+        assert not run_sweep(spec).cells[0].result.completed
 
     def test_by_key_lookup(self):
         swept = run_sweep(small_spec(paired=False))
@@ -131,7 +138,7 @@ class TestBenchJson:
         assert payload["history"] == []
         for cell in payload["cells"]:
             assert set(cell) >= {"params", "seed", "config_hash",
-                                 "from_cache", "elapsed", "metrics"}
+                                 "elapsed", "metrics"}
             assert "bytes_on_link" in cell["metrics"]
         # A second write folds the first run's summary into history.
         write_bench_json(swept, str(path), name="unit")
