@@ -34,7 +34,8 @@ from .core import (ByteCache, ByteCachingDecoder, ByteCachingEncoder,
 from .core.policies.k_distance import (AdaptiveKDistancePolicy,
                                        LossRateEstimator)
 from .experiments import ExperimentConfig, run_paired, run_transfer
-from .gateway import DecoderGateway, EncoderGateway, GatewayPair
+from .experiments.runner import GatewayPair
+from .gateway import DecoderGateway, EncoderGateway
 from .sim import Simulator
 from .workload import corpus_names, corpus_object
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .core.policies import ENCODER_POLICIES
 from .experiments import ExperimentConfig, run_transfer
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_cmd.add_argument("--seed", type=int, default=7,
                           help="root seed; case i of seed s is identical "
                                "on every machine")
-    fuzz_cmd.add_argument("--iterations", type=int, default=100)
+    fuzz_cmd.add_argument("--iterations", type=_int_at_least(1), default=100)
     fuzz_cmd.add_argument("--out-dir", default=None,
                           help="write shrunk violation cases as JSON "
                                "files into this directory")
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="mean object size in bytes")
     serve_cmd.add_argument("--cache-mb", type=float, default=4.0,
                            help="shared cache budget per direction (MB)")
-    serve_cmd.add_argument("--shards", type=int, default=8,
+    serve_cmd.add_argument("--shards", type=_int_at_least(0), default=8,
                            help="cache shard count (0 = unsharded)")
     serve_cmd.add_argument("--admission", type=float, default=1.0,
                            help="probabilistic admission fraction (0,1]")
@@ -419,6 +419,20 @@ def _percents(text: str) -> List[float]:
     if not rates:
         raise argparse.ArgumentTypeError("no loss rate given")
     return rates
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type: a whole number >= ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a whole number >= {minimum}")
+        return value
+    return parse
 
 
 def _known_policies(names: List[str]) -> bool:
@@ -791,10 +805,17 @@ def cmd_chaos(args) -> int:
               else "replay DIVERGES from the recorded scorecard")
         return 0 if matches else 1
 
-    campaign = canonical_campaign(args.name, scale=args.scale)
+    # Usage errors exit 2: exit 1 means the SLOs failed.
+    if args.name not in CAMPAIGNS:
+        print(f"unknown campaign {args.name!r}; try: "
+              f"{', '.join(sorted(CAMPAIGNS))}", file=sys.stderr)
+        return 2
     policies = (tuple(p.strip() for p in args.policies.split(",")
                       if p.strip())
-                if args.policies else CHAOS_POLICIES)
+                if args.policies is not None else CHAOS_POLICIES)
+    if not _known_policies(list(policies)):
+        return 2
+    campaign = canonical_campaign(args.name, scale=args.scale)
     report = run_campaign(campaign, policies=policies,
                           resilience=not args.no_resilience,
                           workers=args.workers)

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..app.transfer import TransferOutcome
-from ..gateway.pair import GatewayPair
 from ..gateway.tcp_proxy import create_proxy_pair
 from ..net.tcp import TCPConfig, TCPStack
 from ..sim.engine import Simulator
@@ -35,7 +34,7 @@ from ..sim.rng import RngRegistry
 from ..workload.corpus import corpus_object
 from .config import LAN_DELAY, ExperimentConfig
 from .runner import (CLIENT_ADDR, FILE_NAME, SERVER_ADDR, Fetch, LinkSpec,
-                     Testbed, build_path, run_fetches)
+                     Testbed, build_gateways, build_path, run_fetches)
 
 
 @dataclass
@@ -80,14 +79,15 @@ def run_mobility(config: MobilityConfig) -> MobilityResult:
     rng = RngRegistry(config.seed)
     tcp_config = TCPConfig(max_retries=config.tcp_max_retries,
                            max_rto=config.tcp_max_rto)
+    experiment = ExperimentConfig(policy=config.policy,
+                                  time_limit=config.time_limit,
+                                  verify_content=True)
 
     client = Host(sim, "client", CLIENT_ADDR)
     server = Host(sim, "server", SERVER_ADDR)
 
-    gateways = None
     if config.mode == "ip-dre":
-        gateways = GatewayPair.create(sim, policy=config.policy,
-                                      data_dst=CLIENT_ADDR)
+        gateways = build_gateways(sim, experiment)
         g1: Node = gateways.decoder     # client side
         g2: Node = gateways.encoder     # server side
     elif config.mode == "tcp-proxy":
@@ -116,7 +116,7 @@ def run_mobility(config: MobilityConfig) -> MobilityResult:
                   forward={"loss_rate": config.loss_rate_a}), g1),
         (LinkSpec(1e9, LAN_DELAY, "lan-client",
                   ("lan_c_down", "lan_c_up")), client),
-    ], bottleneck=1, gateways=gateways)
+    ], bottleneck=1)
     if config.mode == "tcp-proxy":
         g1.connect_relay(g2.address)
 
@@ -136,7 +136,7 @@ def run_mobility(config: MobilityConfig) -> MobilityResult:
         Testbed(**vars(path_a),
                 client_stack=TCPStack(sim, client, tcp_config),
                 server_stack=TCPStack(sim, server, tcp_config)),
-        ExperimentConfig(time_limit=config.time_limit, verify_content=True),
+        experiment,
         {FILE_NAME: data}, [Fetch()])
 
     return MobilityResult(

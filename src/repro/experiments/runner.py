@@ -19,8 +19,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from ..app.transfer import FileClient, FileServer, TransferOutcome
+from ..core.cache import ByteCache
 from ..core.fingerprint import FingerprintScheme, anchor_memo_stats
-from ..gateway.pair import GatewayPair
+from ..core.policies import make_policy_pair
+from ..core.shardcache import ShardedByteCache
+from ..gateway.middlebox import DecoderGateway, EncoderGateway
 from ..gateway.resilience import ResilienceConfig
 from ..metrics.collectors import TransferResult
 from ..metrics.profiling import StageProfiler, profiler_if
@@ -56,6 +59,15 @@ class LinkSpec:
 
 
 @dataclass
+class GatewayPair:
+    """The encoder and decoder gateway that bracket a path's lossy
+    segment, built by :func:`build_gateways`."""
+
+    encoder: EncoderGateway
+    decoder: DecoderGateway
+
+
+@dataclass
 class Path:
     """A wired server-to-client path: what :func:`build_path` returns
     and :func:`repro.sim.faults.arm_injection` arms faults on."""
@@ -71,10 +83,49 @@ class Path:
     gateways: Optional[GatewayPair]
 
 
+def build_gateways(sim: Simulator, config: ExperimentConfig) -> GatewayPair:
+    """The DRE pair ``config`` describes, encoding towards the client.
+
+    Both gateways share one fingerprint scheme and one policy pair
+    (``config.policy`` with ``config.policy_kwargs``) and get
+    identically built caches: cache symmetry is what DRE relies on
+    (§III-B).  ``cache_shards > 0`` selects the shared-cache serving
+    configuration, one memory-bounded sharded cache per direction;
+    probabilistic admission applies either way.  ``config.resilience``
+    arms the failure-recovery layer (epochs, resync, heartbeats) on
+    both.
+    """
+    scheme = FingerprintScheme(kind=config.fingerprint_kind)
+    resilience = (ResilienceConfig(**config.resilience_kwargs)
+                  if config.resilience else None)
+    encoder_policy, decoder_policy = make_policy_pair(
+        config.policy, **config.policy_kwargs)
+
+    def build_cache():
+        if config.cache_shards > 0:
+            return ShardedByteCache(
+                config.cache_bytes, n_shards=config.cache_shards,
+                max_packets=config.cache_max_packets,
+                eviction=config.cache_eviction,
+                admission=config.cache_admission)
+        return ByteCache(config.cache_bytes, config.cache_max_packets,
+                         config.cache_eviction,
+                         admission=config.cache_admission)
+
+    encoder = EncoderGateway(
+        sim, "encoder-gw", "10.255.0.1", scheme, build_cache(),
+        encoder_policy, data_dst=CLIENT_ADDR, resilience=resilience)
+    decoder = DecoderGateway(
+        sim, "decoder-gw", "10.255.0.2", scheme, build_cache(),
+        decoder_policy, data_dst=CLIENT_ADDR, resilience=resilience)
+    encoder.set_peer(decoder.address)
+    decoder.set_peer(encoder.address)
+    return GatewayPair(encoder, decoder)
+
+
 def build_path(sim: Simulator, rng: RngRegistry, server: Host,
-               hops: Sequence[Tuple[LinkSpec, Node]], *, bottleneck: int,
-               gateways: Optional[GatewayPair] = None, telemetry=None,
-               spans=None) -> Path:
+               hops: Sequence[Tuple[LinkSpec, Node]], *,
+               bottleneck: int) -> Path:
     """Wire ``server`` to the client host that ends ``hops``.
 
     ``hops`` runs from the server to the client: each is the
@@ -83,17 +134,16 @@ def build_path(sim: Simulator, rng: RngRegistry, server: Host,
     directions of every hop are made and connected.  Every node sends
     towards the client by default and the client towards the server; a
     node between them routes each addressed node on its server side
-    back that way.  ``hops[bottleneck]`` is the hop that ``telemetry``
-    and ``spans`` watch.
+    back that way.  ``hops[bottleneck]`` is the hop the observers
+    watch.  The path's ``gateways`` are the encoder and decoder
+    gateway among the hop nodes, server side first.
     """
     nodes = [server] + [node for _, node in hops]
     links: List[Tuple[Link, Link]] = []
     for index, (spec, node) in enumerate(hops):
-        observers = ({"telemetry": telemetry, "spans": spans}
-                     if index == bottleneck else {})
         forward, reverse = [
             Link(sim, spec.bandwidth, spec.delay, rng=rng.stream(stream),
-                 name=f"{spec.name}-{tag}", **impairments, **observers)
+                 name=f"{spec.name}-{tag}", **impairments)
             for stream, tag, impairments in zip(
                 spec.streams, ("fwd", "rev"), (spec.forward, spec.reverse))]
         forward.connect(node.receive)
@@ -106,8 +156,10 @@ def build_path(sim: Simulator, rng: RngRegistry, server: Host,
                 if address is not None:
                     node.add_route(address, reverse)
     nodes[-1].set_default_route(links[-1][1])
+    dre = [node for node in nodes
+           if isinstance(node, (EncoderGateway, DecoderGateway))]
     return Path(sim, server, cast(Host, nodes[-1]), links, *links[bottleneck],
-                gateways)
+                GatewayPair(*dre) if dre else None)
 
 
 @dataclass
@@ -128,64 +180,20 @@ class Testbed(Path):
 
 
 def build_testbed(config: ExperimentConfig) -> Testbed:
-    """Construct the simulator, hosts, links and (optionally) gateways."""
-    profiler = profiler_if(config.profile)
+    """Construct the simulator, hosts, links and (optionally) gateways,
+    then attach the observers ``config`` arms (:func:`_observe`)."""
     sim = Simulator()
-    rng = RngRegistry(config.seed)
-    telemetry = telemetry_if(config.telemetry, sim,
-                             **config.telemetry_kwargs)
-    span_recorder = spans_if(config.spans, sim, **config.spans_kwargs)
-    # The run's one event log: the nodes' and gateways' event sites
-    # write to it, and a violation dumps it.
-    recorder = telemetry.recorder if telemetry is not None else None
-
-    verifier = None
-    if config.verify and config.dre_enabled:
-        if recorder is None:
-            # Standalone flight recorder so a violation still carries
-            # the recent event history even with telemetry off.
-            recorder = FlightRecorder()
-        verifier = VerificationHarness(sim, recorder=recorder)
-        verifier.spans = span_recorder
-        if telemetry is not None:
-            telemetry.register_verifier(verifier)
-    if recorder is not None:
-        # Flight-recorder rows resolve packet ids back to trace/span
-        # ids, so a post-mortem dump points into the span export.
-        recorder.spans = span_recorder
-
     client = Host(sim, "client", CLIENT_ADDR)
     server = Host(sim, "server", SERVER_ADDR)
-
     if config.dre_enabled:
-        scheme = FingerprintScheme(kind=config.fingerprint_kind)
-        gateways: Optional[GatewayPair] = GatewayPair.create(
-            sim, policy=config.policy, scheme=scheme,
-            data_dst=CLIENT_ADDR,
-            cache_bytes=config.cache_bytes,
-            cache_max_packets=config.cache_max_packets,
-            cache_eviction=config.cache_eviction,
-            cache_shards=config.cache_shards,
-            cache_admission=config.cache_admission,
-            resilience=(ResilienceConfig(**config.resilience_kwargs)
-                        if config.resilience else None),
-            telemetry=telemetry,
-            verifier=verifier,
-            spans=span_recorder,
-            **config.policy_kwargs)
+        gateways = build_gateways(sim, config)
         enc_node: Node = gateways.encoder
         dec_node: Node = gateways.decoder
-        if profiler is not None:
-            gateways.encoder.encoder.profiler = profiler
-            gateways.decoder.decoder.profiler = profiler
     else:
-        gateways = None
         enc_node = Node(sim, "fwd-node-1")
         dec_node = Node(sim, "fwd-node-2")
-    for node in (client, server, enc_node, dec_node):
-        node.recorder = recorder
 
-    path = build_path(sim, rng, server, [
+    path = build_path(sim, RngRegistry(config.seed), server, [
         (LinkSpec(LAN_BANDWIDTH, LAN_DELAY, "lan-server",
                   ("lan_s_fwd", "lan_s_rev")), enc_node),
         # encoder <-> decoder: the constrained wireless segment
@@ -196,28 +204,84 @@ def build_testbed(config: ExperimentConfig) -> Testbed:
                            "reorder_rate": config.reorder_rate}), dec_node),
         (LinkSpec(LAN_BANDWIDTH, LAN_DELAY, "lan-client",
                   ("lan_c_fwd", "lan_c_rev")), client),
-    ], bottleneck=1, gateways=gateways, telemetry=telemetry,
-        spans=span_recorder)
+    ], bottleneck=1)
 
     tcp_config = config.tcp_config()
-    client_stack = TCPStack(sim, client, tcp_config, telemetry=telemetry,
-                            spans=span_recorder)
-    server_stack = TCPStack(sim, server, tcp_config, telemetry=telemetry,
-                            spans=span_recorder)
+    testbed = Testbed(**vars(path),
+                      client_stack=TCPStack(sim, client, tcp_config),
+                      server_stack=TCPStack(sim, server, tcp_config))
+    _observe(testbed, config, (client, server, enc_node, dec_node))
+    return testbed
 
+
+def _observe(testbed: Testbed, config: ExperimentConfig,
+             nodes: Sequence[Node]) -> None:
+    """Attach every observer ``config`` arms to the built ``testbed``.
+
+    The one place telemetry, spans, the verifier, the profiler and the
+    flight recorder reach the components, whose hot paths keep a single
+    ``is not None`` check per hook.  Gauges register in the order of the
+    telemetry/v1 series: verifier, encoder, decoder, perceived loss,
+    bottleneck forward then reverse (connections follow as they open).
+    """
+    sim, gateways = testbed.sim, testbed.gateways
+    telemetry = telemetry_if(config.telemetry, sim,
+                             **config.telemetry_kwargs)
+    spans = spans_if(config.spans, sim, **config.spans_kwargs)
+    profiler = profiler_if(config.profile)
+    bottleneck = (testbed.bottleneck_forward, testbed.bottleneck_reverse)
+    # The run's one event log: the nodes' and gateways' event sites
+    # write to it, and a violation dumps it.
+    recorder = telemetry.recorder if telemetry is not None else None
+
+    verifier = None
+    if config.verify and gateways is not None:
+        if recorder is None:
+            # Standalone flight recorder so a violation still carries
+            # the recent event history even with telemetry off.
+            recorder = FlightRecorder()
+        verifier = VerificationHarness(sim, recorder=recorder)
+        verifier.spans = spans
+        verifier.attach_pair(gateways.encoder, gateways.decoder)
+        verifier.watch_links(*bottleneck)
+    if recorder is not None:
+        # Flight-recorder rows resolve packet ids back to trace/span
+        # ids, so a post-mortem dump points into the span export.
+        recorder.spans = spans
+    for node in nodes:
+        node.recorder = recorder
+
+    if telemetry is not None:
+        if verifier is not None:
+            telemetry.register_verifier(verifier)
+        if gateways is not None:
+            telemetry.register_gateway(gateways.encoder, "encoder")
+            telemetry.register_gateway(gateways.decoder, "decoder")
+            telemetry.register_dre_pair(gateways.encoder, gateways.decoder)
+        for link in bottleneck:
+            telemetry.register_link(link)
+    if spans is not None:
+        for link in bottleneck:
+            link.spans = spans
+        if gateways is not None:
+            gateways.encoder.spans = gateways.decoder.spans = spans
+            gateways.encoder.encoder.spans = spans
+            gateways.decoder.decoder.spans = spans
+    for stack in (testbed.client_stack, testbed.server_stack):
+        stack.telemetry = telemetry
+        stack.spans = spans
+    if profiler is not None:
+        if gateways is not None:
+            gateways.encoder.encoder.profiler = profiler
+            gateways.decoder.decoder.profiler = profiler
+        testbed.anchor_memo_before = anchor_memo_stats()
+
+    testbed.telemetry, testbed.spans = telemetry, spans
+    testbed.profiler, testbed.verifier = profiler, verifier
     if telemetry is not None:
         telemetry.start()
     if verifier is not None:
-        verifier.watch_links(path.bottleneck_forward, path.bottleneck_reverse)
         verifier.start()
-
-    return Testbed(**vars(path),
-                   client_stack=client_stack, server_stack=server_stack,
-                   profiler=profiler,
-                   anchor_memo_before=(anchor_memo_stats()
-                                       if profiler is not None else None),
-                   telemetry=telemetry, spans=span_recorder,
-                   verifier=verifier)
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,13 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..core.fingerprint import FingerprintScheme
-from ..gateway.pair import GatewayPair
 from ..net.udp import UDPStack
 from ..sim.engine import Simulator
 from ..sim.node import Host, Node
 from ..sim.rng import RngRegistry
-from .config import LAN_DELAY
-from .runner import CLIENT_ADDR, SERVER_ADDR, LinkSpec, Path, build_path
+from .config import LAN_DELAY, ExperimentConfig
+from .runner import (CLIENT_ADDR, SERVER_ADDR, LinkSpec, Path, build_gateways,
+                     build_path)
 
 
 @dataclass
@@ -94,12 +93,10 @@ def build_streaming(config: StreamingConfig) -> Path:
     if config.policy is None:
         enc_node: Node = Node(sim, "n1")
         dec_node: Node = Node(sim, "n2")
-        gateways = None
     else:
         kwargs = {"k": config.k} if config.policy == "k_distance" else {}
-        gateways = GatewayPair.create(sim, policy=config.policy,
-                                      scheme=FingerprintScheme(),
-                                      data_dst=CLIENT_ADDR, **kwargs)
+        gateways = build_gateways(sim, ExperimentConfig(
+            policy=config.policy, policy_kwargs=kwargs))
         enc_node, dec_node = gateways.encoder, gateways.decoder
 
     return build_path(sim, rng, server, [
@@ -109,7 +106,7 @@ def build_streaming(config: StreamingConfig) -> Path:
                   forward={"loss_rate": config.loss_rate}), dec_node),
         (LinkSpec(1e9, LAN_DELAY, "lan-client", ("down", "down_rev")),
          client),
-    ], bottleneck=1, gateways=gateways)
+    ], bottleneck=1)
 
 
 def run_streaming(config: StreamingConfig,

@@ -1,7 +1,6 @@
 """Byte-caching gateway appliances (IP-level and split-TCP)."""
 
 from .middlebox import DecoderGateway, EncoderGateway, GatewayStats
-from .pair import GatewayPair
 from .resilience import (DecoderResilience, EncoderResilience,
                          ResilienceConfig, ResilienceStats)
 from .tcp_proxy import TcpProxyGateway, create_proxy_pair
@@ -12,7 +11,6 @@ __all__ = [
     "EncoderGateway",
     "EncoderResilience",
     "GatewayStats",
-    "GatewayPair",
     "ResilienceConfig",
     "ResilienceStats",
     "TcpProxyGateway",

@@ -377,7 +377,9 @@ class Telemetry:
     # no per-packet cost beyond their existing `is not None` guard.
 
     def register_link(self, link) -> None:
-        """Queue depth and loss accounting of one simulated link."""
+        """Queue depth and loss accounting of one simulated link, which
+        keeps the two-event crossing the queue depth counts."""
+        link.watch()
         name = link.name
         self.registry.gauge("link.queue_depth",
                             fn=lambda l=link: l._queued, link=name)

@@ -18,20 +18,20 @@ class TCPStack:
     """Per-host TCP: owns connections and listeners, talks to IP."""
 
     def __init__(self, sim: Simulator, host: Host,
-                 config: Optional[TCPConfig] = None,
-                 telemetry=None, spans=None):
+                 config: Optional[TCPConfig] = None):
         self.sim = sim
         self.host = host
         self.config = config if config is not None else TCPConfig()
-        # Duck-typed telemetry facade (repro.metrics.telemetry); when
-        # set, every connection registers cwnd/ssthresh/RTO/in-flight
-        # pull gauges.  Reads happen on the sampler tick, never in the
-        # segment path, so the only stack-side cost is this None check
-        # at connection setup.
-        self.telemetry = telemetry
-        # Duck-typed causal span recorder (repro.metrics.spans),
-        # propagated to every connection the stack creates.
-        self.spans = spans
+        # Duck-typed telemetry facade (repro.metrics.telemetry), set by
+        # the runner; when set, every connection registers
+        # cwnd/ssthresh/RTO/in-flight pull gauges.  Reads happen on the
+        # sampler tick, never in the segment path, so the only
+        # stack-side cost is this None check at connection setup.
+        self.telemetry = None
+        # Duck-typed causal span recorder (repro.metrics.spans), set by
+        # the runner and propagated to every connection the stack
+        # creates.
+        self.spans = None
         self._connections: Dict[ConnKey, TCPConnection] = {}
         self._listeners: Dict[int, Callable[[TCPConnection], None]] = {}
         self._ephemeral = itertools.count(49152)

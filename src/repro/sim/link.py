@@ -179,19 +179,17 @@ class Link:
         drop beyond it.  ``None`` means unbounded.
     rng:
         Deterministic random stream for the impairments.
-    telemetry:
-        Optional telemetry facade (duck-typed, see
-        ``repro.metrics.telemetry``).  When given, the link registers
-        pull gauges for its queue depth and loss counters — sampled on
-        the telemetry tick, so the send path itself carries no extra
-        per-packet work — and keeps the two-event crossing.
-    spans:
-        Optional causal span recorder (duck-typed, see
-        ``repro.metrics.spans``).  When given, traced packets get a
-        ``link_transit`` span from transmitter to delivery, closed
-        with an outcome tag (delivered / lost / queue_drop) — the hop
-        that carries a trace id across the gateway boundary.  Costs a
-        single ``is not None`` check per packet when absent.
+
+    A link is built bare; the runner attaches its observers afterwards.
+    ``spans`` is an optional causal span recorder (duck-typed, see
+    ``repro.metrics.spans``): when set, traced packets get a
+    ``link_transit`` span from transmitter to delivery, closed with an
+    outcome tag (delivered / lost / queue_drop) — the hop that carries
+    a trace id across the gateway boundary — at the cost of one
+    ``is not None`` check per packet when absent.  Telemetry reads the
+    queue depth and loss counters as pull gauges on its own tick
+    (``Telemetry.register_link``), so the send path carries no extra
+    per-packet work for it.
     """
 
     down = _DrawnParameter()
@@ -215,8 +213,6 @@ class Link:
         queue_limit: Optional[int] = 1000,
         rng: Optional[random.Random] = None,
         name: str = "link",
-        telemetry=None,
-        spans=None,
     ):
         # Written ``not x > y`` so that NaN, which compares false either
         # way, is refused here and not at the first send of a run.
@@ -263,14 +259,12 @@ class Link:
         #: End of serialisation of the last one-event packet: until
         #: then a write to a drawn parameter raises.
         self._drawn_until = -math.inf
-        self.spans = spans
+        self.spans = None
         #: Set by a fault helper that scheduled a fault here.
         self.armed = False
         #: Set when telemetry gauges or a verifier read the link.
-        self.watched = telemetry is not None
+        self.watched = False
         self._pick_path()
-        if telemetry is not None:
-            telemetry.register_link(self)
 
     def connect(self, receiver: Callable[[IPPacket], None]) -> None:
         """Attach the callback invoked for each delivered packet."""
@@ -288,8 +282,9 @@ class Link:
 
     def watch(self) -> None:
         """Keep the two-event crossing for an observer that reads the
-        link at the end of serialisation (the verifier's quiescence
-        check reads the transmitter queue)."""
+        link at the end of serialisation (telemetry's queue-depth gauge
+        and the verifier's quiescence check read the transmitter
+        queue)."""
         self.watched = True
         self._pick_path()
 

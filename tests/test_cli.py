@@ -81,6 +81,41 @@ def test_sweep_usage_errors_exit_2(capsys, argv, error):
     assert error in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["chaos", "run", "no-such-storm"], "unknown campaign 'no-such-storm'"),
+    (["chaos", "run", "handover-storm", "--policies", "bogus"],
+     "unknown policy 'bogus'"),
+    (["chaos", "run", "handover-storm", "--policies", ","],
+     "no policy given"),
+])
+def test_chaos_run_usage_errors_exit_2(capsys, argv, error):
+    """A typo is a usage error on one stderr line, never exit 1: that
+    code means the campaign ran and its SLOs failed."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert error in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--iterations", "0"],
+    ["fuzz", "--iterations", "-3"],
+    ["fuzz", "--iterations", "many"],
+    ["serve-sim", "--shards", "-2"],
+])
+def test_out_of_range_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        build_parser().parse_args(argv)
+    assert exited.value.code == 2
+    assert "is not a whole number >=" in capsys.readouterr().err
+
+
+def test_counts_parse_at_their_lower_bound():
+    parser = build_parser()
+    assert parser.parse_args(["fuzz", "--iterations", "1"]).iterations == 1
+    assert parser.parse_args(["serve-sim", "--shards", "0"]).shards == 0
+
+
 def test_mobility_command(capsys):
     code, out = run_cli(capsys, "mobility", "--mode", "tcp-proxy",
                         "--handoff", "0.25")

@@ -183,14 +183,14 @@ class TestOracleArmedBoundaries:
 
 class TestGatewayAccounting:
     def test_wire_tag_charges_options_bytes(self):
-        from repro.gateway import GatewayPair
+        from repro import ExperimentConfig
         from repro.core.checksum import payload_checksum as cksum
+        from repro.experiments.runner import build_gateways
         from repro.net.packet import IPPacket, PROTO_TCP, TCPSegment
         from repro.sim import Simulator
 
         sim = Simulator()
-        gateways = GatewayPair.create(sim, policy="ack_gated",
-                                      data_dst="10.0.1.1")
+        gateways = build_gateways(sim, ExperimentConfig(policy="ack_gated"))
 
         class Sink:
             def __init__(self):

@@ -1,8 +1,10 @@
 """Tests for the byte-caching gateway middleboxes."""
 
+import dataclasses
 import random
 
-from repro.gateway import GatewayPair
+from repro import ExperimentConfig
+from repro.experiments.runner import build_gateways
 from repro.gateway.resilience import ResilienceConfig
 from repro.core.checksum import payload_checksum
 from repro.net.packet import (ControlMessage, IPPacket, PROTO_DRE_CONTROL,
@@ -34,9 +36,17 @@ def ack_packet(ack: int) -> IPPacket:
     return IPPacket(src=CLIENT, dst=SERVER, proto=PROTO_TCP, payload=segment)
 
 
-def make_pair(sim=None, policy="naive", **kwargs):
+def make_pair(sim=None, policy="naive", spans=None, resilience=None,
+              **policy_kwargs):
     sim = sim or Simulator()
-    pair = GatewayPair.create(sim, policy=policy, data_dst=CLIENT, **kwargs)
+    pair = build_gateways(sim, ExperimentConfig(
+        policy=policy, policy_kwargs=policy_kwargs,
+        resilience=resilience is not None,
+        resilience_kwargs=(dataclasses.asdict(resilience)
+                           if resilience is not None else {})))
+    if spans is not None:
+        pair.encoder.spans = pair.decoder.spans = spans
+        pair.encoder.encoder.spans = pair.decoder.decoder.spans = spans
     enc_out, dec_out = Sink(), Sink()
     pair.encoder.set_default_route(enc_out)
     pair.decoder.set_default_route(dec_out)

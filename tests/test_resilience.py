@@ -1,12 +1,15 @@
 """Unit tests for the gateway resilience layer (epochs / resync /
 heartbeats / watchdog) and the cache primitives behind it."""
 
+import dataclasses
 import random
 
 import pytest
 
+from repro import ExperimentConfig
 from repro.core.cache import ByteCache
-from repro.gateway import GatewayPair, ResilienceConfig
+from repro.experiments.runner import build_gateways
+from repro.gateway import ResilienceConfig
 from repro.gateway.resilience import (CONTROL_KIND_HEARTBEAT,
                                       CONTROL_KIND_HEARTBEAT_ACK,
                                       CONTROL_KIND_RESYNC,
@@ -47,12 +50,13 @@ def random_bytes(seed, n=1460):
     return bytes(rng.randrange(256) for _ in range(n))
 
 
-def make_pair(policy="naive", config=None, **kwargs):
+def make_pair(policy="naive", config=None):
     sim = Simulator()
     if config is None:
         config = ResilienceConfig()
-    pair = GatewayPair.create(sim, policy=policy, data_dst=CLIENT,
-                              resilience=config, **kwargs)
+    pair = build_gateways(sim, ExperimentConfig(
+        policy=policy, resilience=True,
+        resilience_kwargs=dataclasses.asdict(config)))
     enc_out, dec_out = Sink(), Sink()
     pair.encoder.set_default_route(enc_out)
     pair.decoder.set_default_route(dec_out)
@@ -121,7 +125,7 @@ class TestEpochStamping:
         with_layer = enc_out.packets[0].wire_size
 
         sim2 = Simulator()
-        bare = GatewayPair.create(sim2, policy="naive", data_dst=CLIENT)
+        bare = build_gateways(sim2, ExperimentConfig(policy="naive"))
         bare_out = Sink()
         bare.encoder.set_default_route(bare_out)
         bare.encoder.receive(data_packet(payload))
@@ -398,5 +402,5 @@ def test_gateway_shim_overhead_includes_epoch_stamp():
     assert pair.encoder.encoder.shim_overhead == SHIM_SIZE + EPOCH_STAMP_SIZE
 
     sim2 = Simulator()
-    bare = GatewayPair.create(sim2, policy="naive", data_dst=CLIENT)
+    bare = build_gateways(sim2, ExperimentConfig(policy="naive"))
     assert bare.encoder.encoder.shim_overhead == SHIM_SIZE

@@ -165,12 +165,12 @@ def _plain(sim, link):
 
 def _spans(sim, link):
     from repro.metrics.spans import SpanRecorder
-    return Link(sim, 1000.0, 0.01, spans=SpanRecorder(sim=sim))
+    link.spans = SpanRecorder(sim=sim)
 
 
 def _telemetry(sim, link):
     from repro.metrics.telemetry import Telemetry
-    return Link(sim, 1000.0, 0.01, telemetry=Telemetry(sim))
+    Telemetry(sim).register_link(link)
 
 
 def _verifier(sim, link):

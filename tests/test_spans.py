@@ -215,17 +215,12 @@ class TestContextStackUnwinds:
 
     @pytest.mark.parametrize("side", ["encoder", "decoder"])
     def test_gateway_closes_its_packet_span_when_the_codec_raises(self, side):
-        from repro.gateway import GatewayPair
         from repro.sim import Simulator
-        from tests.test_gateway import Sink, data_packet, random_bytes
+        from tests.test_gateway import data_packet, make_pair, random_bytes
 
         sim = Simulator()
         rec = SpanRecorder(sim=sim)
-        pair = GatewayPair.create(sim, policy="naive", data_dst="10.0.1.1",
-                                  spans=rec)
-        enc_out = Sink()
-        pair.encoder.set_default_route(enc_out)
-        pair.decoder.set_default_route(Sink())
+        _sim, pair, enc_out, _dec_out = make_pair(sim, spans=rec)
 
         def boom(*args, **kwargs):
             raise RuntimeError("armed oracle")

@@ -129,8 +129,10 @@ class TestEvictionPolicies:
     def test_experiment_runs_with_lru_and_winnowing(self):
         """file1 through a winnowing, LRU gateway pair: every payload is
         encoded against the cache and restored byte for byte."""
+        from repro.core.cache import ByteCache
         from repro.core.checksum import payload_checksum
-        from repro.gateway import GatewayPair
+        from repro.core.policies import make_policy_pair
+        from repro.gateway import DecoderGateway, EncoderGateway
         from repro.net.packet import IPPacket, PROTO_TCP, TCPSegment
         from repro.sim import Simulator
         from repro.workload.corpus import corpus_object
@@ -142,23 +144,31 @@ class TestEvictionPolicies:
             def send(self, pkt):
                 self.packets.append(pkt)
 
+        # Winnowing is a scheme option ExperimentConfig does not carry,
+        # so the pair is wired by hand as build_gateways would.
         sim = Simulator()
-        pair = GatewayPair.create(
-            sim, policy="cache_flush",
-            scheme=FingerprintScheme(selection="winnowing"),
-            cache_eviction="lru", data_dst="10.0.1.1")
+        scheme = FingerprintScheme(selection="winnowing")
+        enc_policy, dec_policy = make_policy_pair("cache_flush")
+        encoder = EncoderGateway(sim, "encoder-gw", "10.255.0.1", scheme,
+                                 ByteCache(eviction="lru"), enc_policy,
+                                 data_dst="10.0.1.1")
+        decoder = DecoderGateway(sim, "decoder-gw", "10.255.0.2", scheme,
+                                 ByteCache(eviction="lru"), dec_policy,
+                                 data_dst="10.0.1.1")
+        encoder.set_peer(decoder.address)
+        decoder.set_peer(encoder.address)
         enc_out, dec_out = Sink(), Sink()
-        pair.encoder.set_default_route(enc_out)
-        pair.decoder.set_default_route(dec_out)
+        encoder.set_default_route(enc_out)
+        decoder.set_default_route(dec_out)
         data = corpus_object("file1", 40 * 1460, 3)
         for seq in range(0, len(data), 1460):
             chunk = data[seq: seq + 1460]
             segment = TCPSegment(src_port=80, dst_port=5000, seq=seq, ack=0,
                                  flags=TCPSegment.ACK, window=1000,
                                  data=chunk, checksum=payload_checksum(chunk))
-            pair.encoder.receive(IPPacket(src="10.0.2.1", dst="10.0.1.1",
-                                          proto=PROTO_TCP, payload=segment))
+            encoder.receive(IPPacket(src="10.0.2.1", dst="10.0.1.1",
+                                     proto=PROTO_TCP, payload=segment))
         for pkt in enc_out.packets:
-            pair.decoder.receive(pkt)
-        assert pair.encoder.stats.encoded_packets > 0
+            decoder.receive(pkt)
+        assert encoder.stats.encoded_packets > 0
         assert b"".join(pkt.tcp.data for pkt in dec_out.packets) == data
