@@ -9,21 +9,22 @@ coincide.
 
 from conftest import print_report
 
-from repro.experiments import ExperimentConfig, run_transfer
+from repro.experiments import ExperimentConfig, SweepSpec, run_sweep
 from repro.metrics import format_table
 
 
 def measure():
-    rows = []
-    for corpus, cache_packets in (("file1", 12), ("webpages", 12)):
-        cells = [f"{corpus} (cache={cache_packets} pkts)"]
-        for eviction in ("fifo", "lru"):
-            result = run_transfer(ExperimentConfig(
-                corpus=corpus, policy="cache_flush", seed=11,
-                cache_max_packets=cache_packets, cache_eviction=eviction))
-            cells.append(result.forward_bytes_on_link)
-        rows.append(cells)
-    return rows
+    swept = run_sweep(SweepSpec(
+        base=ExperimentConfig(policy="cache_flush", seed=11),
+        grid={"corpus,cache_max_packets": [("file1", 12), ("webpages", 12)],
+              "cache_eviction": ["fifo", "lru"]}))
+    rows = {}
+    for cell in swept:
+        label = (f"{cell.params['corpus']} "
+                 f"(cache={cell.params['cache_max_packets']} pkts)")
+        rows.setdefault(label, [label]).append(
+            cell.result.forward_bytes_on_link)
+    return list(rows.values())
 
 
 def test_cache_eviction_ablation(benchmark):

@@ -20,8 +20,7 @@ import statistics
 
 from conftest import bench_workers, print_report
 
-from repro.experiments import (ExperimentConfig, parallel_map, run_paired,
-                               run_transfer)
+from repro.experiments import ExperimentConfig, SweepSpec, run_sweep
 from repro.metrics import format_table
 from repro.verify.tcp_model import expected_download_s, round_trip_s
 
@@ -34,21 +33,19 @@ RTT_POLICIES = ("cache_flush", "tcp_seq")
 
 
 def measure():
+    swept = run_sweep(SweepSpec(
+        base=ExperimentConfig(policy="cache_flush", seed=11),
+        grid={"tcp_congestion": ["reno", "cubic"],
+              "loss_rate": [0.0, 0.02, 0.05]},
+        paired_baseline=True))
     rows = []
-    for congestion in ("reno", "cubic"):
-        for loss in (0.0, 0.02, 0.05):
-            baseline = run_transfer(ExperimentConfig(
-                policy=None, loss_rate=loss, seed=11,
-                tcp_congestion=congestion))
-            dre = run_transfer(ExperimentConfig(
-                policy="cache_flush", loss_rate=loss, seed=11,
-                tcp_congestion=congestion))
-            rows.append([
-                congestion, f"{loss:.0%}",
-                f"{dre.forward_bytes_on_link / baseline.forward_bytes_on_link:.2f}",
-                (f"{dre.download_time / baseline.download_time:.2f}"
-                 if dre.download_time and baseline.download_time else "-"),
-            ])
+    for cell in swept:
+        loss = cell.params["loss_rate"]
+        point = cell.ratio_point(loss)
+        rows.append([cell.params["tcp_congestion"], f"{loss:.0%}",
+                     f"{point.bytes_ratio:.2f}",
+                     ("-" if point.delay_ratio is None
+                      else f"{point.delay_ratio:.2f}")])
     return rows
 
 
@@ -65,39 +62,42 @@ def test_congestion_ablation(benchmark):
         assert float(by_key[(congestion, "2%")][3]) > 1.0
 
 
-def baseline_cell(job):
-    """One (cc, loss) cell of the no-DRE grid over ``LINK_SEEDS``
-    (module-level so it pickles for parallel_map)."""
-    congestion, loss = job
-    config = ExperimentConfig(policy=None, loss_rate=loss,
-                              tcp_congestion=congestion)
-    runs = [run_transfer(config.with_updates(seed=seed))
-            for seed in LINK_SEEDS]
+def loss_grid():
+    """The no-DRE (cc, loss) grid over ``LINK_SEEDS``, one summary per
+    (cc, loss) point."""
+    base = ExperimentConfig(policy=None)
+    swept = run_sweep(SweepSpec(
+        base=base,
+        grid={"tcp_congestion": ["reno", "cubic"],
+              "loss_rate": list(GRID_LOSSES)},
+        seeds=LINK_SEEDS), workers=bench_workers())
+    cells = []
+    for (congestion, loss), group in swept.pooled("tcp_congestion",
+                                                  "loss_rate").items():
+        runs = [cell.result for cell in group]
 
-    def mean(counter):
-        return statistics.mean(getattr(run, counter) for run in runs)
+        def mean(counter):
+            return statistics.mean(getattr(run, counter) for run in runs)
 
-    size = runs[0].outcome.expected_size
-    return {
-        "cc": congestion, "loss": loss,
-        "median_s": statistics.median(run.download_time for run in runs),
-        "timeouts": mean("server_timeouts"),
-        "ledger": (mean("server_timeouts_lost_retransmit"),
-                   mean("server_timeouts_no_feedback"),
-                   mean("server_timeouts_below_dupthresh")),
-        "lost_retransmits": mean("server_lost_retransmits"),
-        "closed_form_s": expected_download_s(config, size),
-        "with_rto_s": expected_download_s(config, size,
-                                          mean("server_timeouts")),
-    }
+        config = base.with_updates(tcp_congestion=congestion, loss_rate=loss)
+        size = runs[0].outcome.expected_size
+        cells.append({
+            "cc": congestion, "loss": loss,
+            "median_s": statistics.median(run.download_time for run in runs),
+            "timeouts": mean("server_timeouts"),
+            "ledger": (mean("server_timeouts_lost_retransmit"),
+                       mean("server_timeouts_no_feedback"),
+                       mean("server_timeouts_below_dupthresh")),
+            "lost_retransmits": mean("server_lost_retransmits"),
+            "closed_form_s": expected_download_s(config, size),
+            "with_rto_s": expected_download_s(config, size,
+                                              mean("server_timeouts")),
+        })
+    return cells
 
 
 def test_no_dre_loss_grid(benchmark):
-    jobs = [(congestion, loss) for congestion in ("reno", "cubic")
-            for loss in GRID_LOSSES]
-    cells = benchmark.pedantic(
-        lambda: parallel_map(baseline_cell, jobs, workers=bench_workers()),
-        rounds=1, iterations=1)
+    cells = benchmark.pedantic(loss_grid, rounds=1, iterations=1)
     print_report("No-DRE loss grid vs closed form", format_table(
         f"file1, DRE off, link seeds {LINK_SEEDS[0]}-{LINK_SEEDS[-1]}: "
         "median download, RTOs per transfer and why they fired",
@@ -123,24 +123,24 @@ def test_no_dre_loss_grid(benchmark):
     assert by_key[("reno", 0.20)]["timeouts"] <= 9.1
 
 
-def rtt_cell(job):
-    """Median DRE / no-DRE delay ratio of one (delay, loss, policy) cell
+def rtt_ratios():
+    """Median DRE / no-DRE delay ratio per (delay, loss, policy) point
     over ``RTT_SEEDS``, each pair on one loss realisation."""
-    delay, loss, policy = job
-    ratios = []
-    for seed in RTT_SEEDS:
-        dre, baseline = run_paired(ExperimentConfig(
-            policy=policy, loss_rate=loss, seed=seed, bottleneck_delay=delay))
-        ratios.append(dre.download_time / baseline.download_time)
-    return statistics.median(ratios)
+    swept = run_sweep(SweepSpec(
+        base=ExperimentConfig(),
+        grid={"bottleneck_delay": list(RTT_DELAYS),
+              "loss_rate": list(RTT_LOSSES), "policy": list(RTT_POLICIES)},
+        seeds=RTT_SEEDS, paired_baseline=True), workers=bench_workers())
+    ratios = {}
+    for (delay, loss, policy), group in swept.pooled(
+            "bottleneck_delay", "loss_rate", "policy").items():
+        ratios[delay, loss, policy] = statistics.median(
+            cell.ratio_point(loss).delay_ratio for cell in group)
+    return ratios
 
 
 def test_delay_ratio_vs_rtt(benchmark):
-    jobs = [(delay, loss, policy) for delay in RTT_DELAYS
-            for loss in RTT_LOSSES for policy in RTT_POLICIES]
-    ratios = dict(zip(jobs, benchmark.pedantic(
-        lambda: parallel_map(rtt_cell, jobs, workers=bench_workers()),
-        rounds=1, iterations=1)))
+    ratios = benchmark.pedantic(rtt_ratios, rounds=1, iterations=1)
     min_rto = ExperimentConfig().tcp_min_rto
     rows = []
     for delay in RTT_DELAYS:

@@ -33,7 +33,7 @@ from .core import (ByteCache, ByteCachingDecoder, ByteCachingEncoder,
                    FingerprintScheme, PolyFingerprinter, RabinFingerprinter)
 from .core.policies.k_distance import (AdaptiveKDistancePolicy,
                                        LossRateEstimator)
-from .experiments import ExperimentConfig, run_paired, run_transfer
+from .experiments import ExperimentConfig, run_transfer
 from .experiments.runner import GatewayPair
 from .gateway import DecoderGateway, EncoderGateway
 from .sim import Simulator
@@ -54,7 +54,6 @@ __all__ = [
     "AdaptiveKDistancePolicy",
     "LossRateEstimator",
     "ExperimentConfig",
-    "run_paired",
     "run_transfer",
     "DecoderGateway",
     "EncoderGateway",

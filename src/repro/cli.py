@@ -48,6 +48,8 @@ from .core.policies import ENCODER_POLICIES
 from .experiments import ExperimentConfig, run_transfer
 from .experiments import scenarios
 from .experiments.mobility import MobilityConfig, run_mobility
+from .experiments.sweep import (SweepSpec, run_sweep, write_bench_json,
+                                write_telemetry_export)
 from .metrics import format_table
 from .workload import corpus_names, corpus_object
 
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd = sub.add_parser("run", help="run one transfer")
     run_cmd.add_argument("--policy", default="cache_flush",
                          help="encoding policy, or 'none' to disable DRE")
-    run_cmd.add_argument("--k", type=int, default=None,
+    run_cmd.add_argument("--k", type=_int_at_least(1), default=None,
                          help="k for the k_distance policy")
     run_cmd.add_argument("--loss", type=_percent, default="0",
                          help="packet loss rate in percent (e.g. 5)")
@@ -117,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--corpus", default="file1",
                            choices=corpus_names())
     sweep_cmd.add_argument("--seed", type=int, default=11)
-    sweep_cmd.add_argument("--seeds", default=None,
+    sweep_cmd.add_argument("--seeds", type=_seed_list, default=None,
                            help="comma-separated replicate seeds "
                                 "(overrides --seed)")
     sweep_cmd.add_argument("--workers", type=int, default=None,
@@ -421,6 +423,18 @@ def _percents(text: str) -> List[float]:
     return rates
 
 
+def _seed_list(text: str) -> List[int]:
+    """argparse type: comma-separated whole-number seeds."""
+    try:
+        seeds = [int(item) for item in text.split(",") if item.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of seeds") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError("no seed given")
+    return seeds
+
+
 def _int_at_least(minimum: int) -> Callable[[str], int]:
     """argparse type: a whole number >= ``minimum``."""
     def parse(text: str) -> int:
@@ -455,6 +469,10 @@ def cmd_run(args) -> int:
     policy = None if args.policy in ("none", "") else args.policy
     if policy is not None and not _known_policies([policy]):
         return 2
+    if args.k is not None and policy != "k_distance":
+        print(f"--k applies to k_distance only, not {args.policy!r}",
+              file=sys.stderr)
+        return 2
     kwargs = {"k": args.k} if args.k is not None else {}
     config = ExperimentConfig(
         corpus=args.corpus, file_size=args.size, policy=policy,
@@ -462,7 +480,9 @@ def cmd_run(args) -> int:
         corrupt_rate=args.corrupt,
         reorder_rate=args.reorder, seed=args.seed,
         profile=args.profile)
-    result = run_transfer(config)
+    (cell,) = run_sweep(SweepSpec(base=config,
+                                  paired_baseline=args.baseline))
+    result = cell.result
     rows = [
         ["completed", result.completed],
         ["bytes received", f"{result.outcome.bytes_received:,}"],
@@ -481,8 +501,8 @@ def cmd_run(args) -> int:
          f"{result.server_timeouts_below_dupthresh}"],
     ]
     if args.baseline:
-        baseline = run_transfer(config.with_updates(policy=None,
-                                                    policy_kwargs={}))
+        # A run without DRE is its own baseline.
+        baseline = cell.baseline or result
         rows.append(["bytes ratio vs no-DRE",
                      f"{result.forward_bytes_on_link / baseline.forward_bytes_on_link:.3f}"])
         if result.download_time and baseline.download_time:
@@ -508,42 +528,33 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .experiments.sweep import (SweepSpec, run_sweep, write_bench_json,
-                                    write_telemetry_export)
-
     policies = [name.strip() for name in args.policies.split(",") if name.strip()]
     if not _known_policies(policies):
         return 2
-    losses = args.losses
-    seeds = ([int(x) for x in args.seeds.split(",") if x.strip()]
-             if args.seeds else [args.seed])
+    seeds = args.seeds or [args.seed]
     pairs = [(policy, {"k": 8} if policy == "k_distance" else {})
              for policy in policies]
     spec = SweepSpec(
         base=ExperimentConfig(corpus=args.corpus,
                               telemetry=bool(args.telemetry_out)),
-        grid={"policy,policy_kwargs": pairs, "loss_rate": losses},
+        grid={"policy,policy_kwargs": pairs, "loss_rate": args.losses},
         seeds=tuple(seeds), paired_baseline=True)
     swept = run_sweep(spec, workers=args.workers)
 
     def mean(values):
         return sum(values) / len(values) if values else None
 
-    cells = iter(swept)
     rows = []
-    for policy, _kwargs in pairs:
-        for loss in losses:
-            group = [next(cells) for _ in seeds]
-            points = [cell.ratio_point(loss) for cell in group]
-            delays = [p.delay_ratio for p in points
-                      if p.delay_ratio is not None]
-            delay = mean(delays)
-            rows.append([
-                policy, f"{loss:.0%}",
-                "yes" if all(c.result.completed for c in group) else "STALL",
-                f"{mean([p.bytes_ratio for p in points]):.2f}",
-                "-" if delay is None else f"{delay:.2f}",
-                f"{mean([c.result.perceived_loss_rate for c in group]):.1%}"])
+    for (policy, loss), group in swept.pooled("policy", "loss_rate").items():
+        points = [cell.ratio_point(loss) for cell in group]
+        delays = [p.delay_ratio for p in points if p.delay_ratio is not None]
+        delay = mean(delays)
+        rows.append([
+            policy, f"{loss:.0%}",
+            "yes" if all(c.result.completed for c in group) else "STALL",
+            f"{mean([p.bytes_ratio for p in points]):.2f}",
+            "-" if delay is None else f"{delay:.2f}",
+            f"{mean([c.result.perceived_loss_rate for c in group]):.1%}"])
     print(format_table(
         f"loss sweep on {args.corpus} (ratios vs no-DRE baseline, "
         f"{len(seeds)} seed{'s' if len(seeds) > 1 else ''})",

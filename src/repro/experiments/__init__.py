@@ -4,8 +4,7 @@ from .config import ExperimentConfig
 from .mobility import MobilityConfig, MobilityResult, run_mobility
 from .multiflow import (MultiFlowResult, run_concurrent_fetches,
                         run_sequential_fetches)
-from .runner import (Fetch, Testbed, build_testbed, run_fetches, run_paired,
-                     run_transfer)
+from .runner import Fetch, Testbed, build_testbed, run_fetches, run_transfer
 from .sweep import (CellResult, SweepResult, SweepSpec, config_hash,
                     parallel_map, run_sweep, write_bench_json)
 
@@ -28,6 +27,5 @@ __all__ = [
     "Testbed",
     "build_testbed",
     "run_fetches",
-    "run_paired",
     "run_transfer",
 ]

@@ -491,13 +491,3 @@ def collect_result(testbed: Testbed, outcome,
                if testbed.spans is not None else None),
     )
 
-
-def run_paired(config: ExperimentConfig,
-               baseline_config: Optional[ExperimentConfig] = None
-               ) -> tuple:
-    """Run the DRE transfer and its no-DRE baseline (same seed)."""
-    if not config.dre_enabled:
-        raise ValueError("run_paired needs a DRE-enabled config")
-    if baseline_config is None:
-        baseline_config = config.with_updates(policy=None, policy_kwargs={})
-    return run_transfer(config), run_transfer(baseline_config)

@@ -8,7 +8,7 @@ the benchmark harness prints.  Loss rates are fractions (0.05 = 5 %).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cache import ByteCache
 from ..core.encoder import ByteCachingEncoder
@@ -20,8 +20,7 @@ from ..metrics.report import format_series, format_table
 from ..metrics.series import Series
 from ..workload.corpus import corpus_object
 from .config import ExperimentConfig
-from .runner import run_transfer
-from .sweep import SweepSpec, parallel_map, run_sweep
+from .sweep import SweepResult, SweepSpec, parallel_map, run_sweep
 
 DEFAULT_LOSS_SWEEP = (0.0, 0.01, 0.02, 0.05, 0.10, 0.15, 0.20)
 DEFAULT_SEEDS = (11, 23, 37)
@@ -54,17 +53,25 @@ def offline_compression_ratio(data: bytes, cache_packets: Optional[int] = None,
     return total_out / max(1, len(data))
 
 
+def _scheme(params: Dict[str, Any]) -> str:
+    """A cell's encoding scheme as the reports name it: the policy, with
+    its k when it takes one."""
+    kwargs = params.get("policy_kwargs")
+    if not kwargs:
+        return params["policy"]
+    return f"{params['policy']}(k={kwargs.get('k')})"
+
+
 @dataclass
 class _RatioRuns:
-    """Paired-sweep bookkeeping shared by Figures 10-12."""
+    """One line of a paired ratio-vs-loss figure (Figures 10-11, the
+    extensions)."""
 
     bytes_series: Series
     delay_series: Series
     stalls: int = 0
-    runs: int = 0
 
     def add(self, x: float, point: RatioPoint) -> None:
-        self.runs += 1
         self.bytes_series.point(x).add(point.bytes_ratio)
         if point.delay_ratio is None:
             self.stalls += 1
@@ -72,17 +79,19 @@ class _RatioRuns:
             self.delay_series.point(x).add(point.delay_ratio)
 
 
-def _paired_ratio(config: ExperimentConfig,
-                  baseline_cache: Dict[tuple, TransferResult]) -> RatioPoint:
-    """Run a DRE config and its (memoised) no-DRE baseline."""
-    key = (config.corpus, config.file_size, config.corpus_seed,
-           config.loss_rate, config.corrupt_rate, config.reorder_rate,
-           config.seed)
-    if key not in baseline_cache:
-        baseline_cache[key] = run_transfer(
-            config.with_updates(policy=None, policy_kwargs={}))
-    dre = run_transfer(config)
-    return RatioPoint.from_results(config.loss_rate, dre, baseline_cache[key])
+def _ratio_runs(swept: SweepResult,
+                label: Callable[[Dict[str, Any]], str]
+                ) -> Dict[str, _RatioRuns]:
+    """The paired cells of ``swept`` as lines named ``label(params)``,
+    each point a loss rate; lines in the order their first cell ran."""
+    runs: Dict[str, _RatioRuns] = {}
+    for cell in swept:
+        name = label(cell.params)
+        if name not in runs:
+            runs[name] = _RatioRuns(Series(name), Series(name))
+        loss = cell.params["loss_rate"]
+        runs[name].add(loss, cell.ratio_point(loss))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +223,13 @@ def figure10_11(policies: Sequence[str] = ("cache_flush", "tcp_seq"),
         grid={"policy": list(policies), "corpus": list(files),
               "loss_rate": list(losses)},
         seeds=tuple(seeds), paired_baseline=True)
-    swept = run_sweep(spec, workers=workers)
-    cells = iter(swept)
-    bytes_series, delay_series = [], []
-    stalls = 0
-    for policy in policies:
-        for corpus in files:
-            label = f"{policy}({corpus})"
-            runs = _RatioRuns(Series(label), Series(label))
-            for loss in losses:
-                for _seed in seeds:
-                    runs.add(loss, next(cells).ratio_point(loss))
-            bytes_series.append(runs.bytes_series)
-            delay_series.append(runs.delay_series)
-            stalls += runs.stalls
-    return Figure10_11Result(bytes_series=bytes_series,
-                             delay_series=delay_series, stalls=stalls)
+    runs = _ratio_runs(
+        run_sweep(spec, workers=workers),
+        lambda params: f"{params['policy']}({params['corpus']})")
+    return Figure10_11Result(
+        bytes_series=[line.bytes_series for line in runs.values()],
+        delay_series=[line.delay_series for line in runs.values()],
+        stalls=sum(line.stalls for line in runs.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -269,24 +269,22 @@ def figure12(ks: Sequence[int] = (2, 4, 8, 16, 32, 48, 64, 80),
         grid={"loss_rate": list(losses),
               "policy_kwargs": [{"k": k} for k in ks]},
         seeds=tuple(seeds)), workers=workers)
-    cells = iter(swept)
-    bytes_series, delay_series, stalls = [], [], 0
-    for loss in losses:
-        bseries = Series(f"bytes({loss:.0%})")
-        dseries = Series(f"delay({loss:.0%})")
-        for k in ks:
-            for seed in seeds:
-                result = next(cells).result
-                bseries.point(k).add(result.forward_bytes_on_link / file_size)
-                if result.download_time is not None and loss_free[seed]:
-                    dseries.point(k).add(
-                        result.download_time / loss_free[seed])
-                else:
-                    stalls += 1
-        bytes_series.append(bseries)
-        delay_series.append(dseries)
-    return Figure12Result(bytes_series=bytes_series,
-                          delay_series=delay_series, stalls=stalls)
+    lines = {loss: (Series(f"bytes({loss:.0%})"), Series(f"delay({loss:.0%})"))
+             for loss in losses}
+    stalls = 0
+    for cell in swept:
+        bseries, dseries = lines[cell.params["loss_rate"]]
+        k = cell.params["policy_kwargs"]["k"]
+        result, loss_free_s = cell.result, loss_free[cell.seed]
+        bseries.point(k).add(result.forward_bytes_on_link / file_size)
+        if result.download_time is not None and loss_free_s:
+            dseries.point(k).add(result.download_time / loss_free_s)
+        else:
+            stalls += 1
+    return Figure12Result(
+        bytes_series=[bseries for bseries, _ in lines.values()],
+        delay_series=[dseries for _, dseries in lines.values()],
+        stalls=stalls)
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +314,13 @@ def figure13(policies: Sequence[Tuple[str, dict]] = (
                                        for policy, kwargs in policies],
               "loss_rate": list(losses)},
         seeds=tuple(seeds)), workers=workers)
-    cells = iter(swept)
-    series_list = []
-    for policy, kwargs in policies:
-        label = policy if not kwargs else f"{policy}(k={kwargs.get('k')})"
-        series = Series(label)
-        for loss in losses:
-            for _seed in seeds:
-                result = next(cells).result
-                series.point(loss).add(result.perceived_loss_rate * 100)
-        series_list.append(series)
-    return Figure13Result(series=series_list)
+    series: Dict[str, Series] = {}
+    for cell in swept:
+        label = _scheme(cell.params)
+        line = series.setdefault(label, Series(label))
+        line.point(cell.params["loss_rate"]).add(
+            cell.result.perceived_loss_rate * 100)
+    return Figure13Result(series=list(series.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +331,12 @@ def figure13(policies: Sequence[Tuple[str, dict]] = (
 class Table2Result:
     cells: Dict[Tuple[str, str, float], float]  # (metric, policy, loss) -> v
     policies: Sequence[str]
+    losses: Sequence[float]
 
     def report(self) -> str:
         rows = []
         for metric in ("Bytes Sent", "Delay"):
-            for loss in (0.05, 0.10):
+            for loss in self.losses:
                 row: List[object] = [f"{metric} ({loss:.0%} loss)"]
                 for policy in self.policies:
                     value = self.cells.get((metric, policy, loss))
@@ -365,22 +360,18 @@ def table2(losses: Sequence[float] = (0.05, 0.10),
                                        for policy, kwargs in policies],
               "loss_rate": list(losses)},
         seeds=tuple(seeds), paired_baseline=True), workers=workers)
-    sweep_cells = iter(swept)
     cells: Dict[Tuple[str, str, float], float] = {}
-    for policy, _kwargs in policies:
-        for loss in losses:
-            byte_ratios, delay_ratios = [], []
-            for _seed in seeds:
-                point = next(sweep_cells).ratio_point(loss)
-                byte_ratios.append(point.bytes_ratio)
-                if point.delay_ratio is not None:
-                    delay_ratios.append(point.delay_ratio)
-            cells[("Bytes Sent", policy, loss)] = (
-                sum(byte_ratios) / len(byte_ratios))
-            if delay_ratios:
-                cells[("Delay", policy, loss)] = (
-                    sum(delay_ratios) / len(delay_ratios))
-    return Table2Result(cells=cells, policies=[p for p, _ in policies])
+    for (policy, loss), group in swept.pooled("policy", "loss_rate").items():
+        points = [cell.ratio_point(loss) for cell in group]
+        cells[("Bytes Sent", policy, loss)] = (
+            sum(point.bytes_ratio for point in points) / len(points))
+        delay_ratios = [point.delay_ratio for point in points
+                        if point.delay_ratio is not None]
+        if delay_ratios:
+            cells[("Delay", policy, loss)] = (
+                sum(delay_ratios) / len(delay_ratios))
+    return Table2Result(cells=cells, policies=[p for p, _ in policies],
+                        losses=list(losses))
 
 
 # ---------------------------------------------------------------------------
@@ -437,21 +428,23 @@ class AblationResult:
 
 def ablation_packet_size(loss: float = 0.09, corpus: str = "file1",
                          seeds: Sequence[int] = DEFAULT_SEEDS) -> AblationResult:
-    schemes = [("cache_flush", "cache_flush", {}),
-               ("k_distance(k=8)", "k_distance", {"k": 8}),
-               ("k_distance(k=50)", "k_distance", {"k": 50})]
+    swept = run_sweep(SweepSpec(
+        base=ExperimentConfig(corpus=corpus, loss_rate=loss),
+        grid={"policy,policy_kwargs": [("cache_flush", {}),
+                                       ("k_distance", {"k": 8}),
+                                       ("k_distance", {"k": 50})]},
+        seeds=tuple(seeds)))
+    sent: Dict[str, List[TransferResult]] = {}
+    for cell in swept:
+        runs = sent.setdefault(_scheme(cell.params), [])
+        if cell.result.data_packets_sent:
+            runs.append(cell.result)
     rows = []
-    for label, policy, kwargs in schemes:
-        sizes, counts = [], []
-        for seed in seeds:
-            result = run_transfer(ExperimentConfig(
-                corpus=corpus, policy=policy, policy_kwargs=dict(kwargs),
-                loss_rate=loss, seed=seed))
-            if result.data_packets_sent:
-                sizes.append(result.avg_data_packet_size)
-                counts.append(result.data_packets_sent)
-        rows.append((label, sum(sizes) / max(1, len(sizes)),
-                     int(sum(counts) / max(1, len(counts)))))
+    for label, runs in sent.items():
+        count = max(1, len(runs))
+        rows.append((label,
+                     sum(run.avg_data_packet_size for run in runs) / count,
+                     int(sum(run.data_packets_sent for run in runs) / count)))
     return AblationResult(rows=rows)
 
 
@@ -500,29 +493,21 @@ def stall_scaling(sizes: Sequence[int] = (40 * 1024, 160 * 1024,
     probability ≈ 1-(1-p)^(size/MSS).  And the average amount retrieved
     before the stall is the mean run to the first loss, ≈ MSS/p bytes.
     """
-    stall_by_size: Dict[int, float] = {}
-    for size in sizes:
-        stalls = 0
-        for seed in seeds:
-            result = run_transfer(ExperimentConfig(
-                corpus=corpus, file_size=size, policy="naive",
-                loss_rate=size_loss, seed=seed, time_limit=400.0))
-            if not result.completed:
-                stalls += 1
-        stall_by_size[size] = stalls / len(seeds)
-
-    retrieved_by_loss: Dict[float, float] = {}
-    for loss in losses:
-        retrieved = []
-        for seed in seeds:
-            result = run_transfer(ExperimentConfig(
-                corpus=corpus, policy="naive", loss_rate=loss, seed=seed,
-                time_limit=400.0))
-            retrieved.append(result.outcome.bytes_received)
-        retrieved_by_loss[loss] = sum(retrieved) / len(retrieved)
-    return StallScalingResult(stall_by_size=stall_by_size,
-                              retrieved_by_loss=retrieved_by_loss,
-                              loss_for_sizes=size_loss)
+    base = ExperimentConfig(corpus=corpus, policy="naive", time_limit=400.0)
+    by_size = run_sweep(SweepSpec(base=base.with_updates(loss_rate=size_loss),
+                                  grid={"file_size": list(sizes)},
+                                  seeds=tuple(seeds)))
+    by_loss = run_sweep(SweepSpec(base=base, grid={"loss_rate": list(losses)},
+                                  seeds=tuple(seeds)))
+    return StallScalingResult(
+        stall_by_size={
+            size: sum(not cell.result.completed for cell in group) / len(group)
+            for (size,), group in by_size.pooled("file_size").items()},
+        retrieved_by_loss={
+            loss: sum(cell.result.outcome.bytes_received for cell in group)
+            / len(group)
+            for (loss,), group in by_loss.pooled("loss_rate").items()},
+        loss_for_sizes=size_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -565,26 +550,23 @@ def impairment_matrix(policies: Sequence[str] = ("naive", "cache_flush"),
                       seeds: Sequence[int] = DEFAULT_SEEDS) -> ImpairmentResult:
     """§IV: a single loss, corruption *or* re-ordering can trigger the
     circular-dependency problem; the robust policies survive all three."""
-    field_by_kind = {"loss": "loss_rate", "corrupt": "corrupt_rate",
-                     "reorder": "reorder_rate"}
-    baselines: Dict[tuple, TransferResult] = {}
+    # One sweep per kind: at rate 0 the three kinds are one config, but
+    # each keeps its own row.
     cells: Dict[Tuple[str, str, float], Tuple[float, Optional[float]]] = {}
-    for policy in policies:
-        for kind in kinds:
-            for rate in rates:
-                impairments = {field_by_kind[kind]: rate}
-                completed, delays = 0, []
-                for seed in seeds:
-                    config = ExperimentConfig(corpus=corpus, policy=policy,
-                                              seed=seed, **impairments)
-                    point = _paired_ratio(config, baselines)
-                    if point.dre.completed:
-                        completed += 1
-                    if point.delay_ratio is not None:
-                        delays.append(point.delay_ratio)
-                cells[(policy, kind, rate)] = (
-                    completed / len(seeds),
-                    sum(delays) / len(delays) if delays else None)
+    for kind in kinds:
+        rate_field = f"{kind}_rate"
+        swept = run_sweep(SweepSpec(
+            base=ExperimentConfig(corpus=corpus),
+            grid={"policy": list(policies), rate_field: list(rates)},
+            seeds=tuple(seeds), paired_baseline=True))
+        for (policy, rate), group in swept.pooled("policy",
+                                                  rate_field).items():
+            points = [cell.ratio_point(rate) for cell in group]
+            delays = [point.delay_ratio for point in points
+                      if point.delay_ratio is not None]
+            cells[(policy, kind, rate)] = (
+                sum(cell.result.completed for cell in group) / len(group),
+                sum(delays) / len(delays) if delays else None)
     return ImpairmentResult(cells=cells, policies=list(policies),
                             kinds=list(kinds), rates=list(rates))
 
@@ -613,21 +595,12 @@ class ExtensionsResult:
 def extensions(losses: Sequence[float] = (0.0, 0.01, 0.05, 0.10),
                corpus: str = "file1",
                seeds: Sequence[int] = DEFAULT_SEEDS) -> ExtensionsResult:
-    schemes = [("ack_gated", {}), ("adaptive_k", {})]
-    baselines: Dict[tuple, TransferResult] = {}
-    bytes_series, delay_series = [], []
-    stall_counts: Dict[str, int] = {}
-    for policy, kwargs in schemes:
-        runs = _RatioRuns(Series(policy), Series(policy))
-        for loss in losses:
-            for seed in seeds:
-                config = ExperimentConfig(corpus=corpus, policy=policy,
-                                          policy_kwargs=dict(kwargs),
-                                          loss_rate=loss, seed=seed)
-                runs.add(loss, _paired_ratio(config, baselines))
-        bytes_series.append(runs.bytes_series)
-        delay_series.append(runs.delay_series)
-        stall_counts[policy] = runs.stalls
-    return ExtensionsResult(bytes_series=bytes_series,
-                            delay_series=delay_series,
-                            stall_counts=stall_counts)
+    runs = _ratio_runs(run_sweep(SweepSpec(
+        base=ExperimentConfig(corpus=corpus),
+        grid={"policy": ["ack_gated", "adaptive_k"],
+              "loss_rate": list(losses)},
+        seeds=tuple(seeds), paired_baseline=True)), _scheme)
+    return ExtensionsResult(
+        bytes_series=[line.bytes_series for line in runs.values()],
+        delay_series=[line.delay_series for line in runs.values()],
+        stall_counts={name: line.stalls for name, line in runs.items()})

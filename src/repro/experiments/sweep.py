@@ -8,14 +8,18 @@ baseline.  This module turns that shape into data:
   fields, replicate seeds, and (optionally) paired no-DRE baselines.
 * :func:`run_sweep` — executes the spec's cells serially or on a
   :class:`~concurrent.futures.ProcessPoolExecutor`, deduplicating
-  identical configs (hash-keyed) and memoising paired baselines.
+  identical configs (hash-keyed) and sharing paired baselines.  It is
+  the one place a DRE run's no-DRE twin is built.
 * :func:`write_bench_json` — emits the ``BENCH_sweep.json``
   perf-trajectory file (schema ``bench_sweep/v1``).
 
 Determinism: the simulation is fully seeded, so a cell's result is a
 pure function of its config.  Cells are enumerated in grid-product
-order and aggregated in that order regardless of worker completion
-order — a parallel run is bit-identical to a serial one.
+order and returned in that order regardless of worker completion
+order — a parallel run is bit-identical to a serial one.  Consumers
+read each cell's coordinates off ``cell.params`` and ``cell.seed``
+(:meth:`SweepResult.pooled` groups them); only :meth:`SweepSpec.cells`
+knows the order.
 """
 
 from __future__ import annotations
@@ -54,17 +58,6 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _freeze(value: Any) -> Any:
-    """Hashable, order-independent form of a grid parameter value."""
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    if isinstance(value, set):
-        return tuple(sorted(_freeze(v) for v in value))
-    return value
-
-
 # ---------------------------------------------------------------------------
 # spec and cells
 # ---------------------------------------------------------------------------
@@ -77,13 +70,6 @@ class SweepCell:
     params: Dict[str, Any]          # flattened field assignment for this cell
     seed: int
     config: ExperimentConfig
-
-    @property
-    def key(self) -> tuple:
-        """Hashable (params, seed) identity used for cell lookup."""
-        return (tuple(sorted((name, _freeze(value))
-                             for name, value in self.params.items())),
-                self.seed)
 
 
 @dataclass
@@ -110,7 +96,8 @@ class SweepSpec:
     paired_baseline: bool = False
 
     def cells(self) -> Iterator[SweepCell]:
-        """Enumerate cells in grid-product order (the aggregation order)."""
+        """Enumerate cells in grid-product order (the order
+        :func:`run_sweep` returns them in)."""
         keys = list(self.grid)
         seeds: Sequence[Optional[int]] = (tuple(self.seeds)
                                           if self.seeds is not None
@@ -137,13 +124,6 @@ class SweepSpec:
                                 seed=config.seed, config=config)
                 index += 1
 
-    def size(self) -> int:
-        lengths = [len(values) for values in self.grid.values()]
-        cells = 1
-        for length in lengths:
-            cells *= length
-        return cells * (len(self.seeds) if self.seeds is not None else 1)
-
 
 @dataclass
 class CellResult:
@@ -157,12 +137,6 @@ class CellResult:
     baseline: Optional[TransferResult] = None
     baseline_hash: Optional[str] = None
     elapsed: float = 0.0            # seconds simulating
-
-    @property
-    def key(self) -> tuple:
-        return (tuple(sorted((name, _freeze(value))
-                             for name, value in self.params.items())),
-                self.seed)
 
     def ratio_point(self, x: float) -> RatioPoint:
         """Paired DRE/no-DRE ratios at sweep coordinate ``x``."""
@@ -186,9 +160,14 @@ class SweepResult:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def by_key(self) -> Dict[tuple, CellResult]:
-        """Lookup table keyed by each cell's (params, seed) identity."""
-        return {cell.key: cell for cell in self.cells}
+    def pooled(self, *names: str) -> Dict[tuple, List[CellResult]]:
+        """The cells grouped by their values of the ``names`` params,
+        seeds pooled; groups and the cells in them keep grid order."""
+        groups: Dict[tuple, List[CellResult]] = {}
+        for cell in self.cells:
+            key = tuple(cell.params[name] for name in names)
+            groups.setdefault(key, []).append(cell)
+        return groups
 
 
 # ---------------------------------------------------------------------------

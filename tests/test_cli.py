@@ -69,13 +69,34 @@ def test_sweep(capsys):
     (["sweep", "--policies", "bogus"], "unknown policy 'bogus'"),
     (["sweep", "--policies", ""], "no policy given"),
     (["sweep", "--losses", ""], "no loss rate given"),
+    (["sweep", "--seeds", "abc"], "not a comma-separated list of seeds"),
+    (["sweep", "--seeds", ","], "no seed given"),
 ])
 def test_sweep_usage_errors_exit_2(capsys, argv, error):
-    """A bad or empty policy/loss list is a usage error, not a
+    """A bad or empty policy/loss/seed list is a usage error, not a
     traceback or an empty sweep that exits 0."""
     try:
         code = main(argv)
-    except SystemExit as exited:        # argparse rejects the loss list
+    except SystemExit as exited:        # argparse rejects the list
+        code = exited.code
+    assert code == 2
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["run", "--policy", "k_distance", "--k", "0"],
+     "not a whole number >= 1"),
+    (["run", "--k", "8"],
+     "--k applies to k_distance only, not 'cache_flush'"),
+    (["run", "--policy", "none", "--k", "8", "--baseline"],
+     "--k applies to k_distance only, not 'none'"),
+])
+def test_run_k_usage_errors_exit_2(capsys, argv, error):
+    """``--k`` below 1 or beside a policy that takes no k is a usage
+    error, not a traceback from the policy constructor."""
+    try:
+        code = main(argv)
+    except SystemExit as exited:        # argparse rejects the number
         code = exited.code
     assert code == 2
     assert error in capsys.readouterr().err

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_paired, run_transfer
+from repro.experiments import (ExperimentConfig, SweepSpec, run_sweep,
+                               run_transfer)
 
 
 def small_config(**kwargs):
@@ -39,7 +40,9 @@ class TestBaseline:
 
 class TestDreTransfers:
     def test_clean_dre_saves_bytes(self):
-        dre, baseline = run_paired(small_config(policy="cache_flush"))
+        (cell,) = run_sweep(SweepSpec(base=small_config(policy="cache_flush"),
+                                      paired_baseline=True))
+        dre, baseline = cell.result, cell.baseline
         assert dre.completed and baseline.completed
         assert dre.forward_bytes_on_link < 0.75 * baseline.forward_bytes_on_link
         assert dre.download_time < baseline.download_time
@@ -103,10 +106,6 @@ class TestHarness:
         assert updated.loss_rate == 0.07
         assert config.loss_rate == 0.0
         assert updated is not config
-
-    def test_run_paired_requires_dre(self):
-        with pytest.raises(ValueError):
-            run_paired(small_config(policy=None))
 
     def test_determinism_same_seed(self):
         a = run_transfer(small_config(policy="cache_flush", loss_rate=0.02))

@@ -64,6 +64,17 @@ class TestRatioScenarios:
         report = result.report()
         assert "cache_flush" in report and "k_distance" in report
 
+    def test_table2_reports_the_losses_it_ran(self):
+        result = scenarios.table2(losses=(0.02,), seeds=(11,))
+        assert result.losses == [0.02]
+        rows = [line for line in result.report().splitlines()
+                if line.startswith(("Bytes Sent", "Delay"))]
+        assert [row.split(")")[0] + ")" for row in rows] == [
+            "Bytes Sent (2% loss)", "Delay (2% loss)"]
+        for row in rows:                # a number for every policy
+            assert len(row.split(")")[1].split()) == 3
+            assert " - " not in row
+
     def test_figure10_11_small(self):
         result = scenarios.figure10_11(policies=("cache_flush",),
                                        files=("file1",),

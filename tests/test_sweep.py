@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.core.policies.cache_flush import CacheFlushPolicy
 from repro.experiments import ExperimentConfig, run_transfer
 from repro.experiments.sweep import (SweepSpec, config_hash, parallel_map,
@@ -26,7 +28,7 @@ class TestSpec:
             grid={"policy": ["a", "b"], "loss_rate": [0.0, 0.1]},
             seeds=(1, 2))
         cells = list(spec.cells())
-        assert len(cells) == 8 == spec.size()
+        assert len(cells) == 8
         assert [c.index for c in cells] == list(range(8))
         # policy is the outer axis, loss next, seeds innermost.
         assert [(c.params["policy"], c.params["loss_rate"], c.seed)
@@ -47,13 +49,14 @@ class TestSpec:
         # No seeds given: the base config's seed is kept.
         assert cells[0].seed == ExperimentConfig().seed
 
-    def test_cell_keys_are_hashable_and_distinct(self):
+    def test_cells_differing_in_kwargs_carry_distinct_params(self):
         spec = SweepSpec(
             base=ExperimentConfig(),
             grid={"policy,policy_kwargs": [("k_distance", {"k": 8}),
                                            ("k_distance", {"k": 16})]})
-        keys = [cell.key for cell in spec.cells()]
-        assert len(set(keys)) == 2
+        assert [cell.params for cell in spec.cells()] == [
+            {"policy": "k_distance", "policy_kwargs": {"k": 8}},
+            {"policy": "k_distance", "policy_kwargs": {"k": 16}}]
 
 
 class TestConfigHash:
@@ -106,12 +109,37 @@ class TestRunSweep:
                             lambda self, meta, cache: None)
         assert not run_sweep(spec).cells[0].result.completed
 
-    def test_by_key_lookup(self):
+    def test_cells_carry_their_coordinates(self):
+        spec = small_spec(paired=False)
+        swept = run_sweep(spec)
+        assert [(cell.params, cell.seed) for cell in swept] == [
+            (cell.params, cell.seed) for cell in spec.cells()]
+        for cell, planned in zip(swept, spec.cells()):
+            assert cell.config_hash == config_hash(planned.config)
+            assert cell.result.policy == planned.params["policy"]
+            assert cell.baseline is None
+
+    def test_pooled_groups_seeds_by_params(self):
         swept = run_sweep(small_spec(paired=False))
-        table = swept.by_key()
-        assert len(table) == 4
-        cell = swept.cells[0]
-        assert table[cell.key] is cell
+        groups = swept.pooled("loss_rate")
+        assert list(groups) == [(0.0,), (0.02,)]
+        for (loss,), group in groups.items():
+            assert [cell.seed for cell in group] == [11, 23]
+            assert {cell.params["loss_rate"] for cell in group} == {loss}
+        assert list(swept.pooled("policy", "loss_rate")) == [
+            ("cache_flush", 0.0), ("cache_flush", 0.02)]
+
+    def test_no_dre_cell_gets_no_twin(self):
+        """The twin of a run without DRE would be the run itself."""
+        swept = run_sweep(SweepSpec(
+            base=ExperimentConfig(corpus="file1", file_size=FILE_SIZE,
+                                  policy=None),
+            paired_baseline=True))
+        assert swept.executed == 1
+        (cell,) = swept
+        assert cell.baseline is None and cell.baseline_hash is None
+        with pytest.raises(ValueError):
+            cell.ratio_point(0.0)
 
 
 def _square(value):
