@@ -102,6 +102,8 @@ def format_timeseries(name: str, times: Sequence[float],
     Samples are bucketed into ``width`` columns (bucket mean), scaled
     into ``height`` rows, and plotted densest-glyph-at-the-value so the
     trajectory survives a plain-text terminal, a log file, and a diff.
+    The header's min, max and last are read off the samples; the axis
+    labels are the extreme bucket means the chart is scaled to.
     """
     points = [(t, float(v)) for t, v in zip(times, values)
               if v is not None and not math.isnan(float(v))]
@@ -134,9 +136,10 @@ def format_timeseries(name: str, times: Sequence[float],
         for below in range(row + 1, height):
             grid[below][x] = _CHART_GLYPHS[2]
 
-    last = points[-1][1]
-    lines = [f"{header}   [min {_axis_label(v_lo)}  max {_axis_label(v_hi)}"
-             f"  last {_axis_label(last)}]"]
+    samples = [v for _, v in points]
+    lines = [f"{header}   [min {_axis_label(min(samples))}"
+             f"  max {_axis_label(max(samples))}"
+             f"  last {_axis_label(samples[-1])}]"]
     for row_index, row in enumerate(grid):
         if row_index == 0:
             label = _axis_label(v_hi)

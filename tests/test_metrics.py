@@ -180,6 +180,15 @@ class TestTimeseriesRendering:
         assert "min 5" in text
         assert "max 7" in text
 
+    def test_header_reads_the_samples_not_the_bucket_means(self):
+        """Two samples share the last column: the axis tops out at their
+        mean, while the header's max and last are the raw samples."""
+        times = [float(i) for i in range(10)]
+        values = [float(i) for i in range(10)]
+        text = format_timeseries("g", times, values, width=8, height=4)
+        assert text.splitlines()[0] == "g   [min 0  max 9  last 9]"
+        assert text.splitlines()[1].startswith("  8.5 |")
+
     def test_all_missing_series(self):
         text = format_timeseries("g", [0.0, 1.0], [None, None])
         assert "(no samples)" in text
