@@ -162,6 +162,22 @@ class TestDeterminism:
         })
         assert "determinism-global-random" not in rules_of(lint(tmp_path))
 
+    def test_repo_config_covers_every_cli_command_module(self, tmp_path):
+        """The repo's ``repro.cli`` layer and determinism entries are
+        prefixes, so they cover each module of the ``cli/`` package."""
+        (tmp_path / "pyproject.toml").write_text(
+            (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"),
+            encoding="utf-8")
+        clock = "import time\ndef now():\n    return time.time()\n"
+        make_tree(tmp_path, {
+            "src/repro/cli/checks.py": "from repro.chaos import x\n" + clock,
+            "src/repro/metrics/report.py": clock,
+        })
+        report = lint(tmp_path, select=["determinism-wallclock",
+                                        "layering-import"])
+        assert {(f.rule, f.path) for f in report.findings if f.active} == {
+            ("determinism-wallclock", "src/repro/metrics/report.py")}
+
 
 HOT_HEADER = "class ByteCachingEncoder:\n"
 
