@@ -7,6 +7,7 @@ for the three §V policies with the resilience layer on, at least one
 fails with it off, and the scorecard replays byte-for-byte.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -465,3 +466,35 @@ class TestResilienceOffFailsSlos:
         # The cold decoder cache on the longhaul corpus shows up as lost
         # goodput and/or undecodable packets — not as corrupted bytes.
         assert "byte_integrity" not in failed
+
+
+#: sha256 of each canonical smoke campaign's scorecard (sorted-key JSON),
+#: recorded before the campaign cells moved onto ``run_sweep``.
+SCORECARD_DIGESTS = {
+    "handover-storm":
+        "74a4fd3ae1ec08c51ac797d31956eba0a19fedc14960c483bc14554285b69c0e",
+    "flaky-backhaul":
+        "e8afebc59535cc97af33a0ad2674f9c866e81c9cb95a600b0ab49aa8d11c9891",
+    "cache-thrash":
+        "8c3046fa445116a9a03e7f4861b64e274b946bc2016ce030a7a58e9f37d99bf0",
+    "split-brain-resync":
+        "151215d293a98a01e4284e1d4e4fca0012340b5518766f9e4854c84560b68a0d",
+    "degraded-brownout":
+        "d658c6c57852ac4e0003922e4e3fbe05a62e8a6624ace31c1b019cfbd756c6dc",
+    "clock-drift":
+        "efafb31cdc30046d005e42ff3ac52f80b9bcda5f0c7bc3639bc11e69078c0ae3",
+    "dup-reorder-storm":
+        "bb7ae2b421ee58ee3c1b05975b43913651c8c188178b7e8a536eb0a31a81d8ea",
+    "brownout-thrash":
+        "7814716457c21aed7e337f58ddce5cf552f76e5cbc38c48e682fce92c8d99938",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCORECARD_DIGESTS))
+def test_smoke_scorecard_digest_is_pinned(name):
+    """Every canonical smoke scorecard is byte-identical to its pinned
+    digest: the transfer target's numbers do not move."""
+    doc = run_campaign(canonical_campaign(name)).to_dict()
+    digest = hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == SCORECARD_DIGESTS[name]
