@@ -94,6 +94,15 @@ class KDistancePolicy(EncoderPolicy):
 
     # -- policy hooks -------------------------------------------------------
 
+    def before_packet(self, meta: PacketMeta, cache: "ByteCache") -> None:
+        # Learn the stream base from every packet, as the oracle does: a
+        # force_raw packet (post-resync grace) skips the other hooks.
+        seq = meta.tcp_seq
+        if seq is not None:
+            base = self._flow_base.get(meta.flow)
+            if base is None or seq < base:
+                self._flow_base[meta.flow] = seq
+
     def may_encode(self, meta: PacketMeta) -> bool:
         if self.is_reference(meta):
             if meta.tcp_seq is None:
@@ -204,6 +213,7 @@ class AdaptiveKDistancePolicy(KDistancePolicy):
         return self.estimator.estimate
 
     def before_packet(self, meta: PacketMeta, cache: "ByteCache") -> None:
+        super().before_packet(meta, cache)
         self.estimator.observe(meta.flow, meta.tcp_seq)
         self._retune()
 

@@ -249,6 +249,27 @@ class TestKDistanceStreamMode:
         other = entry(seq=1, flow=("x", 1, "y", 2))
         assert not policy.entry_eligible(other, self.seq_meta(2))
 
+    @pytest.mark.parametrize("cls", [KDistancePolicy, AdaptiveKDistancePolicy])
+    def test_flow_starting_raw_keeps_its_group_grid(self, cls):
+        """A flow whose first segments ship force_raw (a post-resync
+        grace window skips may_encode and entry_eligible) still learns
+        its stream base from them, so the policy's groups are the
+        oracle's: no group-bound violation with the harness armed."""
+        from repro.verify.oracles import VerificationHarness
+
+        policy = (KDistancePolicy(k=8, mss=self.MSS) if cls is KDistancePolicy
+                  else cls(k_min=8, k_max=8, mss=self.MSS))
+        encoder = ByteCachingEncoder(FingerprintScheme(), ByteCache(), policy)
+        VerificationHarness().attach_cores(encoder)
+        payload = random.Random(5).randbytes(self.MSS)
+        encoded = [encoder.encode(payload, self.seq_meta(i, packet_id=i),
+                                  force_raw=i < 3).encoded
+                   for i in range(20)]
+        # Segments 8 and 16 lead their groups; every other segment past
+        # the raw ones encodes against an earlier one of its group.
+        assert encoded == ([False] * 3 + [True] * 5 + [False] + [True] * 7
+                           + [False] + [True] * 3)
+
 
 class TestAdaptiveKDistance:
     def test_loss_estimate_rises_on_retransmissions(self):
