@@ -13,20 +13,20 @@ resilience scorecard.
 * :mod:`repro.chaos.slo` — the steady-state oracles: goodput floor vs
   the no-DRE baseline, bounded undecodable rate, MTTR ceiling after
   each phase, no permanent degradation, byte integrity always.
-* :mod:`repro.chaos.runner` — the campaign runner (rides the sweep
-  engine's ``parallel_map``), scorecard assembly/validation/replay and
-  the table renderer behind ``repro chaos``.
+* :mod:`repro.chaos.runner` — the campaign cell (a ``run_sweep`` spec
+  on a transfer or a serving target), scorecard assembly/validation/
+  replay and the table renderer behind ``repro chaos``.
 """
 
 from .campaign import (CAMPAIGNS, CHAOS_POLICIES, CHAOS_SCHEMA, Campaign,
                        Phase, canonical_campaign)
-from .runner import (CampaignReport, format_scorecard, replay_report,
-                     run_campaign, validate_chaos_report)
+from .runner import (CampaignCell, CampaignReport, format_scorecard,
+                     replay_report, run_campaign, validate_chaos_report)
 from .slo import SLOResult, evaluate_slos
 
 __all__ = [
     "CAMPAIGNS", "CHAOS_POLICIES", "CHAOS_SCHEMA", "Campaign", "Phase",
-    "canonical_campaign", "CampaignReport", "format_scorecard",
+    "canonical_campaign", "CampaignCell", "CampaignReport", "format_scorecard",
     "replay_report", "run_campaign", "validate_chaos_report",
     "SLOResult", "evaluate_slos",
 ]

@@ -12,8 +12,8 @@ round-trippable and all randomness flows through named
 so a failed campaign replays byte-for-byte from its scorecard.
 
 Gateway-side injections are skipped automatically on the no-DRE
-baseline run (there are no gateways to fault); link-level injections
-apply to both, so the goodput-floor oracle compares like with like.
+twin (there are no gateways to fault); link-level injections apply to
+both, so the goodput-floor oracle compares like with like.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
-from ..experiments.config import ExperimentConfig
 from ..sim.faults import check_injection
 
 CHAOS_SCHEMA = "repro.chaos/v1"
@@ -29,7 +28,7 @@ CHAOS_SCHEMA = "repro.chaos/v1"
 #: The paper's three robust §V policies — the default campaign matrix.
 CHAOS_POLICIES = ("cache_flush", "tcp_seq", "k_distance")
 
-#: Per-policy constructor kwargs used by campaign runs.
+#: Per-policy constructor kwargs of a campaign's cells.
 POLICY_KWARGS: Dict[str, Dict[str, Any]] = {"k_distance": {"k": 8}}
 
 MSS = 1460
@@ -108,23 +107,6 @@ class Campaign:
                    phases=[Phase.from_dict(p) for p in payload["phases"]],
                    slo=dict(payload.get("slo", {})),
                    seeds=tuple(payload.get("seeds", (11,))))
-
-    def config(self, policy, seed: int,
-               resilience: bool = True) -> ExperimentConfig:
-        """The experiment configuration for one campaign run.
-
-        ``policy=None`` builds the no-DRE baseline (gateway faults are
-        skipped at arming time).  Telemetry is always on — the SLO
-        oracles are layered on the sampled gauge series — and the
-        verification harness is armed whenever DRE is.
-        """
-        kwargs = dict(POLICY_KWARGS.get(policy or "", {}))
-        dre = policy is not None
-        return ExperimentConfig(
-            policy=policy, policy_kwargs=kwargs, seed=seed,
-            resilience=resilience and dre,
-            telemetry=True, verify=dre,
-            **self.scenario)
 
 
 # ---------------------------------------------------------------------------

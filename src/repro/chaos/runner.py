@@ -1,33 +1,35 @@
 """Campaign execution, scorecard assembly, validation and replay.
 
-One campaign *cell* = (campaign, policy, seed): a full simulated
-transfer with the campaign's phases armed as scheduled faults, plus a
-no-DRE baseline per seed under the same link-level faults.  Cells ride
-the sweep engine's :func:`~repro.experiments.sweep.parallel_map`, and
-every number in the resulting ``repro.chaos/v1`` scorecard is a pure
-function of the campaign spec — no wall clock, no process-global
-randomness — so ``replay_report`` can check byte-for-byte equality by
-simply re-running.
+One campaign *cell* (:class:`CampaignCell`) = (campaign, policy, seed)
+on a target: the campaign's own transfer, or a ``ServingSpec``'s
+shared-cache testbed, with the phases armed as scheduled faults.  A
+campaign is one :func:`~repro.experiments.sweep.run_sweep` whose
+paired no-DRE twins run under the same link-level faults.  Every
+number in the ``repro.chaos/v1`` scorecard is a pure function of the
+campaign spec and target — no wall clock, no process-global
+randomness — so ``replay_report`` checks byte-for-byte by re-running.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..experiments.config import ExperimentConfig
 from ..experiments.runner import (FILE_NAME, Fetch, Path, build_testbed,
                                   collect_result, run_fetches)
-from ..experiments.sweep import parallel_map
-from ..metrics.collectors import TransferResult
+from ..experiments.sweep import CellResult, SweepSpec, run_sweep
 from ..metrics.report import format_table
 from ..metrics.series import percentile
 from ..metrics.spans import spans_rollup
 from ..sim.faults import ArmedFaults, arm_injection
 from ..sim.rng import RngRegistry
+from ..verify.oracles import InvariantViolation
 from ..workload.corpus import corpus_object
-from .campaign import CHAOS_POLICIES, CHAOS_SCHEMA, Campaign
-from .slo import ORACLES, _round, evaluate_slos, phase_recovery_times
+from .campaign import CHAOS_POLICIES, CHAOS_SCHEMA, POLICY_KWARGS, Campaign
+from .slo import (ORACLES, SERVING_ORACLES, _round, evaluate_serving_slos,
+                  evaluate_slos, phase_recovery_times)
 
 
 # ---------------------------------------------------------------------------
@@ -74,43 +76,67 @@ def _fault_digest(armed: ArmedFaults) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# one campaign cell (module-level: must pickle for parallel_map)
+# one campaign cell (a run_sweep spec)
 # ---------------------------------------------------------------------------
 
-def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one (campaign, policy, seed) cell.
+@dataclass
+class CampaignCell:
+    """One (campaign, policy, seed) cell: a :class:`SweepSpec` base.
 
-    Returns the cell's :class:`TransferResult`, its first invariant
-    violation (or ``None``) and the digest of the faults that fired.
+    ``policy=None`` is the no-DRE twin ``run_sweep`` pairs each cell
+    with.  ``target=None`` runs the campaign's own transfer; a
+    ``ServingSpec`` target runs that population on its shared-cache
+    testbed instead (the spec brings its runner from the layer above).
     """
-    campaign = Campaign.from_dict(payload["campaign"])
-    config = campaign.config(payload["policy"], payload["seed"],
-                             resilience=payload["resilience"])
-    # Sampled causal tracing in every cell: a failed SLO record then
-    # carries trace ids that replay back to a concrete causal chain.
-    # The rollup folded into the scorecard excludes wall times, so
-    # replay_report's byte-for-byte comparison still holds.
-    config.spans = True
-    config.spans_kwargs = {"trace_sample": 16, "max_spans": 4000}
-    testbed = build_testbed(config)
-    armed = arm_campaign(campaign, testbed, payload["seed"])
 
-    data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
-    run = run_fetches(testbed, config, {FILE_NAME: data}, [Fetch()],
-                      capture_violation=True)
-    violation: Optional[Dict[str, Any]] = None
-    if run.violation is not None:
-        # The run is over at the first violated invariant; the partial
-        # result still carries stats and telemetry for the scorecard.
-        summary = run.violation.summary()
-        violation = {"oracle": summary["oracle"],
-                     "message": summary["message"],
-                     "trace": summary["context"].get("trace_id"),
-                     "span": summary["context"].get("span_id")}
+    campaign: Campaign
+    policy: Optional[str] = None
+    seed: int = 11
+    policy_kwargs: Dict[str, Any] = field(default_factory=dict)
+    resilience: bool = True
+    target: Any = None
 
-    result = collect_result(testbed, run.outcomes[0], config)
-    return {"result": result, "violation": violation,
-            "faults": _fault_digest(armed)}
+    def config(self) -> ExperimentConfig:
+        """The run's configuration, with resilience and the harness on
+        (both inert on the no-DRE twin: it has no gateways).  A transfer
+        runs the campaign's scenario with telemetry, which the SLO
+        oracles read, and sampled tracing, so a failed record carries
+        trace ids that replay to a causal chain."""
+        base = (self.target.experiment_config() if self.target is not None
+                else ExperimentConfig(telemetry=True, spans=True, spans_kwargs={
+                    "trace_sample": 16, "max_spans": 4000},
+                    **self.campaign.scenario))
+        return base.with_updates(
+            policy=self.policy, policy_kwargs=dict(self.policy_kwargs),
+            seed=self.seed, resilience=self.resilience, verify=True)
+
+    def run(self) -> Dict[str, Any]:
+        """Run the cell: its result (a :class:`TransferResult`, or the
+        target's ``serving/v1`` report, ``None`` past a violation), its
+        first invariant violation and the faults that fired."""
+        config = self.config()
+        testbed = build_testbed(config)
+        armed = arm_campaign(self.campaign, testbed, self.seed)
+        if self.target is None:
+            data = corpus_object(config.corpus, config.file_size,
+                                 config.corpus_seed)
+            run = run_fetches(testbed, config, {FILE_NAME: data}, [Fetch()],
+                              capture_violation=True)
+            # The partial result of a violated run still carries stats.
+            result = collect_result(testbed, run.outcomes[0], config)
+            violation = run.violation
+        else:
+            target = replace(self.target, seed=self.seed)
+            try:
+                result, violation = target.run(config, testbed), None
+            except InvariantViolation as caught:
+                result, violation = None, caught
+        record = None if violation is None else violation.summary()
+        return {"result": result, "faults": _fault_digest(armed),
+                "violation": record and {
+                    "oracle": record["oracle"], "message": record["message"],
+                    "trace": record["context"].get("trace_id"),
+                    "span": record["context"].get("span_id")}}
 
 
 # ---------------------------------------------------------------------------
@@ -126,65 +152,51 @@ class CampaignReport:
     resilience: bool
     runs: List[Dict[str, Any]]
     summary: Dict[str, Any]
+    #: The ServingSpec the cells ran at their own policy and seed (None:
+    #: the campaign's transfer).
+    target: Any = None
 
     @property
     def passed(self) -> bool:
         return bool(self.summary["passed"])
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"schema": CHAOS_SCHEMA,
-                "campaign": self.campaign.to_dict(),
-                "policies": list(self.policies),
-                "resilience": self.resilience,
-                "runs": self.runs,
-                "summary": self.summary}
+        doc = {"schema": CHAOS_SCHEMA,
+               "campaign": self.campaign.to_dict(),
+               "policies": list(self.policies),
+               "resilience": self.resilience,
+               "runs": self.runs,
+               "summary": self.summary}
+        if self.target is not None:
+            doc["target"] = asdict(self.target)
+        return doc
 
 
 def run_campaign(campaign: Campaign,
                  policies: Tuple[str, ...] = CHAOS_POLICIES,
                  resilience: bool = True,
-                 workers: Optional[int] = None) -> CampaignReport:
-    """Execute ``campaign`` for every (policy, seed) cell.
+                 workers: Optional[int] = None,
+                 target: Any = None) -> CampaignReport:
+    """Execute ``campaign`` for every (policy, seed) cell on ``target``.
 
-    Each seed also gets one no-DRE baseline cell under the same
-    link-level faults; the goodput-floor oracle compares against it.
-    A run passes when all five SLO oracles pass; the campaign passes
-    when every run does.
+    Each cell's no-DRE twin runs under the same link-level faults; the
+    goodput-floor oracle and the serving p99 compare against it.  A
+    run passes when all its SLO oracles pass (:data:`ORACLES` on a
+    transfer, :data:`SERVING_ORACLES` on a serving target); the
+    campaign passes when every run does.
     """
-    spec = campaign.to_dict()
-    payloads: List[Dict[str, Any]] = []
-    for seed in campaign.seeds:
-        payloads.append({"campaign": spec, "policy": None, "seed": seed,
-                         "resilience": False})
-        for policy in policies:
-            payloads.append({"campaign": spec, "policy": policy,
-                             "seed": seed, "resilience": resilience})
-    outputs = parallel_map(_run_cell, payloads, workers=workers)
-
-    baselines: Dict[int, TransferResult] = {}
-    for payload, output in zip(payloads, outputs):
-        if payload["policy"] is None:
-            baselines[payload["seed"]] = output["result"]
-
-    fault_phase_ends = [phase.end for phase in campaign.phases
-                       if phase.injections]
-    runs: List[Dict[str, Any]] = []
-    for payload, output in zip(payloads, outputs):
-        if payload["policy"] is None:
-            continue
-        result = output["result"]
-        mttrs: List[Optional[float]] = []
-        if result.telemetry is not None:
-            mttrs = phase_recovery_times(result.telemetry, fault_phase_ends)
-        baseline = baselines.get(payload["seed"])
-        slos = evaluate_slos(campaign, result, baseline, mttrs,
-                             output["violation"])
-        runs.append(_run_record(payload, result, baseline, slos, mttrs,
-                                output))
-
+    swept = run_sweep(SweepSpec(
+        base=CampaignCell(campaign, resilience=resilience, target=target),
+        grid={"seed": campaign.seeds,
+              "policy,policy_kwargs": [(policy, POLICY_KWARGS.get(policy, {}))
+                                       for policy in policies]},
+        paired_baseline=True), workers=workers)
+    serving = target is not None
+    runs = [_run_record(campaign, cell, serving) for cell in swept]
     return CampaignReport(campaign=campaign, policies=tuple(policies),
-                          resilience=resilience, runs=runs,
-                          summary=_summarise(runs))
+                          resilience=resilience, runs=runs, target=target,
+                          summary=_summarise(runs, SERVING_ORACLES if serving
+                                             else ORACLES))
 
 
 def _trace_hints(doc: Optional[Dict[str, Any]],
@@ -214,41 +226,56 @@ def _trace_hints(doc: Optional[Dict[str, Any]],
     return hints
 
 
-def _run_record(payload, result: TransferResult,
-                baseline: Optional[TransferResult], slos, mttrs,
-                output) -> Dict[str, Any]:
-    passed = all(s.passed for s in slos)
-    return {
-        "policy": payload["policy"],
-        "seed": payload["seed"],
-        "passed": passed,
-        "slos": [s.to_dict() for s in slos],
-        "mttrs": [_round(m) for m in mttrs],
-        "metrics": {
-            "completed": result.completed,
-            "download_time": _round(result.download_time),
-            "bytes_on_link": result.bytes_on_link,
-            "undecodable_drops": result.undecodable_drops,
-            "resyncs_completed": result.resyncs_completed,
-            "watchdog_trips": result.watchdog_trips,
-            "degraded_packets": result.degraded_packets,
-            "retransmissions": result.server_retransmissions,
-        },
-        "baseline": {
-            "completed": baseline.completed if baseline else None,
-            "download_time": (_round(baseline.download_time)
-                              if baseline else None),
-        },
-        "faults": output["faults"],
-        "violation": output["violation"],
-        "spans": (spans_rollup(result.spans)
-                  if result.spans is not None else None),
-        "trace_hints": ([] if passed else _trace_hints(result.spans)),
-    }
+def _run_record(campaign: Campaign, cell: CellResult,
+                serving: bool) -> Dict[str, Any]:
+    output = cell.result
+    result, baseline = output["result"], cell.baseline["result"]
+    violation = output["violation"]
+    record = {"policy": cell.params["policy"], "seed": cell.seed,
+              "faults": output["faults"], "violation": violation}
+    if serving:
+        # Steady p99 and hit ratio beside the twin's: reported, not gated.
+        slos = evaluate_serving_slos(result, violation)
+        record.update(mttrs=[], metrics=result and _steady(result),
+                      baseline=_steady(baseline))
+    else:
+        mttrs: List[Optional[float]] = []
+        if result.telemetry is not None:
+            mttrs = phase_recovery_times(
+                result.telemetry,
+                [phase.end for phase in campaign.phases if phase.injections])
+        slos = evaluate_slos(campaign, result, baseline, mttrs, violation)
+        record.update(
+            mttrs=[_round(m) for m in mttrs],
+            metrics={
+                "completed": result.completed,
+                "download_time": _round(result.download_time),
+                "bytes_on_link": result.bytes_on_link,
+                "undecodable_drops": result.undecodable_drops,
+                "resyncs_completed": result.resyncs_completed,
+                "watchdog_trips": result.watchdog_trips,
+                "degraded_packets": result.degraded_packets,
+                "retransmissions": result.server_retransmissions,
+            },
+            baseline={"completed": baseline.completed,
+                      "download_time": _round(baseline.download_time)},
+            spans=(spans_rollup(result.spans)
+                   if result.spans is not None else None),
+            trace_hints=([] if all(s.passed for s in slos)
+                         else _trace_hints(result.spans)))
+    record.update(passed=all(s.passed for s in slos),
+                  slos=[s.to_dict() for s in slos])
+    return record
 
 
-def _summarise(runs: List[Dict[str, Any]]) -> Dict[str, Any]:
-    failures = {oracle: 0 for oracle in ORACLES}
+def _steady(report: Dict[str, Any]) -> Dict[str, Any]:
+    return {key: report[key]
+            for key in ("requests", "steady", "overall", "sim_time")}
+
+
+def _summarise(runs: List[Dict[str, Any]],
+               oracles: Tuple[str, ...]) -> Dict[str, Any]:
+    failures = {oracle: 0 for oracle in oracles}
     for run in runs:
         for slo in run["slos"]:
             if not slo["passed"]:
@@ -294,8 +321,9 @@ def validate_chaos_report(doc: Dict[str, Any]) -> None:
             if key not in run:
                 raise ValueError(f"{where}: missing {key!r}")
         oracles = [slo.get("oracle") for slo in run["slos"]]
-        if oracles != list(ORACLES):
-            raise ValueError(f"{where}: oracle set {oracles} != {ORACLES}")
+        expected = SERVING_ORACLES if "target" in doc else ORACLES
+        if oracles != list(expected):
+            raise ValueError(f"{where}: oracle set {oracles} != {expected}")
         if run["passed"] != all(slo["passed"] for slo in run["slos"]):
             raise ValueError(f"{where}: passed flag disagrees with slos")
     summary = doc["summary"]
@@ -308,19 +336,22 @@ def validate_chaos_report(doc: Dict[str, Any]) -> None:
 
 
 def replay_report(doc: Dict[str, Any],
-                  workers: Optional[int] = None
-                  ) -> Tuple[CampaignReport, bool]:
+                  workers: Optional[int] = None,
+                  target: Any = None) -> Tuple[CampaignReport, bool]:
     """Re-run the campaign recorded in ``doc`` and compare scorecards.
 
     The spec is fully seeded and the report contains no wall-clock
     state, so a faithful replay reproduces the document byte-for-byte
-    (after JSON normalisation).  Returns ``(fresh_report, matches)``.
+    (after JSON normalisation).  ``target`` is the ``ServingSpec``
+    built from ``doc["target"]`` (this layer cannot build one); a
+    target that differs from the recorded one cannot match.  Returns
+    ``(fresh_report, matches)``.
     """
     validate_chaos_report(doc)
     campaign = Campaign.from_dict(doc["campaign"])
     report = run_campaign(campaign, policies=tuple(doc["policies"]),
                           resilience=bool(doc["resilience"]),
-                          workers=workers)
+                          workers=workers, target=target)
     fresh = json.loads(json.dumps(report.to_dict(), sort_keys=True))
     recorded = json.loads(json.dumps(doc, sort_keys=True))
     return report, fresh == recorded
@@ -336,6 +367,7 @@ _ORACLE_HEADERS = {
     "undecodable_rate": "undecodable",
     "mttr_ceiling": "mttr",
     "no_permanent_degradation": "end_state",
+    "completion": "completion",
 }
 
 
@@ -348,17 +380,24 @@ def _mark(slo: Dict[str, Any]) -> str:
 
 def format_scorecard(report: CampaignReport) -> str:
     """The resilience scorecard table for one campaign report."""
-    campaign = report.campaign
+    campaign, serving = report.campaign, report.target is not None
+    oracles = SERVING_ORACLES if serving else ORACLES
     headers = (["policy", "seed", "verdict"]
-               + [_ORACLE_HEADERS[oracle] for oracle in ORACLES])
+               + [_ORACLE_HEADERS[oracle] for oracle in oracles]
+               + (["p99 s", "twin p99 s", "hit"] if serving else []))
     rows = []
     for run in report.runs:
         by_name = {slo["oracle"]: slo for slo in run["slos"]}
         rows.append([run["policy"], run["seed"],
                      "PASS" if run["passed"] else "FAIL"]
-                    + [_mark(by_name[oracle]) for oracle in ORACLES])
-    title = (f"chaos campaign {campaign.name!r} ({campaign.scale}): "
-             f"{campaign.description}")
+                    + [_mark(by_name[oracle]) for oracle in oracles])
+        if serving:
+            steady = (run["metrics"] or {}).get("steady", {})
+            rows[-1] += [steady.get("p99_download_s"),
+                         run["baseline"]["steady"]["p99_download_s"],
+                         steady.get("hit_ratio")]
+    title = (f"chaos campaign {campaign.name!r} ({campaign.scale}"
+             f"{', serving' if serving else ''}): {campaign.description}")
     lines = [format_table(title, headers, rows)]
     summary = report.summary
     mttr = summary["mttr"]
@@ -366,7 +405,7 @@ def format_scorecard(report: CampaignReport) -> str:
         lines.append(
             f"MTTR p50={mttr['p50']:.2f}s p90={mttr['p90']:.2f}s "
             f"max={mttr['max']:.2f}s")
-    else:
+    elif not serving:
         lines.append("MTTR: no recovery windows measured")
     verdict = "PASS" if summary["passed"] else "FAIL"
     lines.append(f"campaign verdict: {verdict} "

@@ -12,6 +12,8 @@ Oracles
 ``byte_integrity``
     The client's bytes match the source object and no
     ``InvariantViolation`` fired.  Always armed; never waived.
+``completion`` (serving target only, beside byte integrity)
+    Every request of the population completed.
 ``goodput_floor``
     The transfer completes, and no slower than
     ``goodput_delay_ratio`` x the no-DRE baseline run under the *same*
@@ -42,6 +44,9 @@ from .campaign import Campaign
 #: Oracle names in report order.
 ORACLES = ("byte_integrity", "goodput_floor", "undecodable_rate",
            "mttr_ceiling", "no_permanent_degradation")
+
+#: Oracle names of a run on a serving target, in report order.
+SERVING_ORACLES = ("byte_integrity", "completion")
 
 
 @dataclass
@@ -156,7 +161,7 @@ def evaluate_slos(campaign: Campaign, result: TransferResult,
     """
     slo = campaign.slo
     results = [
-        _byte_integrity(result, violation),
+        _byte_integrity(violation),
         _goodput_floor(slo, result, baseline),
         _undecodable_rate(slo, result),
         _mttr_ceiling(slo, mttrs),
@@ -165,8 +170,7 @@ def evaluate_slos(campaign: Campaign, result: TransferResult,
     return results
 
 
-def _byte_integrity(result: TransferResult,
-                    violation: Optional[Dict[str, Any]]) -> SLOResult:
+def _byte_integrity(violation: Optional[Dict[str, Any]]) -> SLOResult:
     if violation is not None:
         return SLOResult(
             "byte_integrity", False, None, None,
@@ -174,6 +178,22 @@ def _byte_integrity(result: TransferResult,
             f"{str(violation.get('message'))[:120]}")
     return SLOResult("byte_integrity", True, None, None,
                      "no invariant violations")
+
+
+def evaluate_serving_slos(report: Optional[Dict[str, Any]],
+                          violation: Optional[Dict[str, Any]]
+                          ) -> List[SLOResult]:
+    """A serving run's oracles: byte integrity (no violation, no response
+    that differs from its content) and every request completed.
+    ``report`` is ``None`` when a violation stopped the run."""
+    requests = report["requests"] if report is not None else {}
+    bad = requests.get("content_mismatches")
+    done, total = requests.get("completed", 0), requests.get("total")
+    return [_byte_integrity(violation) if not bad else SLOResult(
+                "byte_integrity", False, bad, 0,
+                f"{bad} responses differ from their content"),
+            SLOResult("completion", done == total, None, None,
+                      f"{done}/{total} requests completed")]
 
 
 def _goodput_floor(slo: Dict[str, float], result: TransferResult,

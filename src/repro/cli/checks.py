@@ -14,6 +14,7 @@ from .. import chaos
 from ..metrics import format_table
 from ..metrics.regression import (bench_diff_report, format_bench_diff,
                                   run_bench_diff)
+from ..serving import ServingSpec
 from ..verify import fuzz
 from ..verify.differential import run_differential
 from .args import dir_path, json_file, number, policy_list, write_json
@@ -25,6 +26,12 @@ def _campaign_name(text: str) -> str:
         raise argparse.ArgumentTypeError(f"unknown campaign {text!r}; try: "
                                          f"{', '.join(sorted(chaos.CAMPAIGNS))}")
     return text
+
+
+def _chaos_target(doc) -> Optional[ServingSpec]:
+    """The serving spec a scorecard's campaign ran on (None: its own
+    transfer)."""
+    return None if doc.get("target") is None else ServingSpec(**doc["target"])
 
 
 def _lint_selectors(text: str) -> Optional[List[str]]:
@@ -97,8 +104,9 @@ def add_parsers(sub) -> None:
     cmd = family.add_parser("replay", help="re-run a saved scorecard and "
                            "check it reproduces byte-for-byte")
     cmd.add_argument("report", metavar="REPORT.json",
-                     type=json_file("repro.chaos/v1 report",
-                                    chaos.validate_chaos_report),
+                     type=json_file("repro.chaos/v1 report", lambda doc: (
+                         chaos.validate_chaos_report(doc),
+                         _chaos_target(doc))),
                      help="a repro.chaos/v1 file written by 'chaos run "
                           "--out'")
     cmd.add_argument("--workers", type=int)
@@ -218,7 +226,8 @@ def cmd_chaos_list(_args) -> int:
 
 
 def cmd_chaos_replay(args) -> int:
-    report, matches = chaos.replay_report(args.report, workers=args.workers)
+    report, matches = chaos.replay_report(args.report, workers=args.workers,
+                                          target=_chaos_target(args.report))
     print(chaos.format_scorecard(report))
     print("replay MATCHES the recorded scorecard" if matches
           else "replay DIVERGES from the recorded scorecard")

@@ -1,20 +1,21 @@
-"""Declarative parameter sweeps over :class:`ExperimentConfig`.
+"""Declarative parameter sweeps: the one engine that runs any grid.
 
 The paper's figures are all grids: policy x corpus x loss-rate x seed,
 each cell one simulated transfer, many cells sharing one no-DRE
 baseline.  This module turns that shape into data:
 
-* :class:`SweepSpec` — a base config, a parameter grid over config
-  fields, replicate seeds, and (optionally) paired no-DRE baselines.
+* :class:`SweepSpec` — a base spec (a transfer's config, a serving
+  run, a chaos cell), a grid over its fields, replicate seeds, and
+  (optionally) paired no-DRE baselines.
 * :func:`run_sweep` — executes the spec's cells serially or on a
   :class:`~concurrent.futures.ProcessPoolExecutor`, deduplicating
-  identical configs (hash-keyed) and sharing paired baselines.  It is
+  identical specs (hash-keyed) and sharing paired baselines.  It is
   the one place a DRE run's no-DRE twin is built.
 * :func:`write_bench_json` — emits the ``BENCH_sweep.json``
   perf-trajectory file (schema ``bench_sweep/v1``).
 
 Determinism: the simulation is fully seeded, so a cell's result is a
-pure function of its config.  Cells are enumerated in grid-product
+pure function of its spec.  Cells are enumerated in grid-product
 order and returned in that order regardless of worker completion
 order — a parallel run is bit-identical to a serial one.  Consumers
 read each cell's coordinates off ``cell.params`` and ``cell.seed``
@@ -30,11 +31,11 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from ..metrics.collectors import RatioPoint, TransferResult
+from ..metrics.collectors import RatioPoint
 from .config import ExperimentConfig
 from .runner import run_transfer
 
@@ -46,10 +47,10 @@ TELEMETRY_BENCH_SCHEMA = "bench_telemetry/v1"
 # config identity
 # ---------------------------------------------------------------------------
 
-def config_hash(config: ExperimentConfig) -> str:
-    """Stable content hash of a config (the identity sweeps dedupe on).
+def config_hash(config: Any) -> str:
+    """Stable content hash of a spec (the identity sweeps dedupe on).
 
-    Canonical JSON over the dataclass fields: two configs hash equal
+    Canonical JSON over the dataclass fields: two specs hash equal
     iff every field is equal, independent of construction order or
     process.
     """
@@ -64,19 +65,22 @@ def config_hash(config: ExperimentConfig) -> str:
 
 @dataclass
 class SweepCell:
-    """One coordinate of the grid: a concrete config plus its identity."""
+    """One coordinate of the grid: a concrete spec plus its identity."""
 
     index: int
     params: Dict[str, Any]          # flattened field assignment for this cell
     seed: int
-    config: ExperimentConfig
+    config: Any                     # the base spec with ``params`` assigned
 
 
 @dataclass
 class SweepSpec:
     """A declarative parameter sweep.
 
-    ``grid`` maps config field names to the values to sweep.  A key may
+    ``base`` is a dataclass with a ``seed``: an :class:`ExperimentConfig`
+    (a cell runs :func:`run_transfer`) or a spec that brings its own
+    ``run()`` from a layer above this one.  ``grid`` maps its field
+    names to the values to sweep.  A key may
     name several comma-joined fields (``"policy,policy_kwargs"``) whose
     values are tuples assigned together — that expresses paired axes
     like (policy, its kwargs) without taking their cross product.
@@ -90,7 +94,7 @@ class SweepSpec:
     hash equal across cells are executed once and shared.
     """
 
-    base: ExperimentConfig = field(default_factory=ExperimentConfig)
+    base: Any = field(default_factory=ExperimentConfig)
     grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
     seeds: Optional[Sequence[int]] = None
     paired_baseline: bool = False
@@ -119,7 +123,7 @@ class SweepSpec:
                 updates = dict(assignment)
                 if seed is not None:
                     updates["seed"] = seed
-                config = self.base.with_updates(**updates)
+                config = replace(self.base, **updates)
                 yield SweepCell(index=index, params=dict(assignment),
                                 seed=config.seed, config=config)
                 index += 1
@@ -127,14 +131,14 @@ class SweepSpec:
 
 @dataclass
 class CellResult:
-    """One executed cell: its result and (optionally) its baseline twin."""
+    """One executed cell: its runner's result and (optionally) its twin's."""
 
     index: int
     params: Dict[str, Any]
     seed: int
     config_hash: str
-    result: TransferResult
-    baseline: Optional[TransferResult] = None
+    result: Any
+    baseline: Any = None
     baseline_hash: Optional[str] = None
     elapsed: float = 0.0            # seconds simulating
 
@@ -174,12 +178,12 @@ class SweepResult:
 # execution
 # ---------------------------------------------------------------------------
 
-def _execute_config(job: Tuple[str, ExperimentConfig]
-                    ) -> Tuple[str, TransferResult, float]:
-    """Worker: run one transfer.  Module-level so it pickles."""
-    digest, config = job
+def _execute_cell(job: Tuple[str, Any]) -> Tuple[str, Any, float]:
+    """Worker: run one cell's spec.  Module-level so it pickles."""
+    digest, spec = job
     started = time.perf_counter()
-    result = run_transfer(config)
+    result = (run_transfer(spec) if isinstance(spec, ExperimentConfig)
+              else spec.run())
     return digest, result, time.perf_counter() - started
 
 
@@ -188,33 +192,33 @@ def run_sweep(spec: SweepSpec, *,
     """Execute every cell of ``spec`` (plus paired baselines).
 
     ``workers``: ``None``/``0``/``1`` runs serially in-process; larger
-    values fan the *unique* configs out over a process pool.  The
+    values fan the *unique* specs out over a process pool.  The
     result is bit-identical either way (see module docstring).
     """
     started = time.perf_counter()
     cells = list(spec.cells())
 
-    # Unique configs to resolve: every cell, plus each DRE cell's
+    # Unique specs to resolve: every cell, plus each DRE cell's
     # baseline twin.  Dict insertion order keeps job order (and thus
     # scheduling) deterministic.
-    jobs: Dict[str, ExperimentConfig] = {}
+    jobs: Dict[str, Any] = {}
     cell_hashes: List[str] = []
     baseline_hashes: List[Optional[str]] = []
     for cell in cells:
         digest = config_hash(cell.config)
         cell_hashes.append(digest)
         jobs.setdefault(digest, cell.config)
-        if spec.paired_baseline and cell.config.dre_enabled:
-            twin = cell.config.with_updates(policy=None, policy_kwargs={})
+        if spec.paired_baseline and cell.config.policy is not None:
+            twin = replace(cell.config, policy=None, policy_kwargs={})
             twin_digest = config_hash(twin)
             baseline_hashes.append(twin_digest)
             jobs.setdefault(twin_digest, twin)
         else:
             baseline_hashes.append(None)
 
-    results: Dict[str, TransferResult] = {}
+    results: Dict[str, Any] = {}
     elapsed: Dict[str, float] = {}
-    for digest, result, seconds in parallel_map(_execute_config,
+    for digest, result, seconds in parallel_map(_execute_cell,
                                                 list(jobs.items()),
                                                 workers=workers):
         results[digest] = result
@@ -252,7 +256,7 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any], *,
 # BENCH_sweep.json emission
 # ---------------------------------------------------------------------------
 
-def _cell_metrics(result: TransferResult) -> Dict[str, Any]:
+def _cell_metrics(result: Any) -> Dict[str, Any]:
     metrics = {
         "completed": result.completed,
         "bytes_on_link": result.forward_bytes_on_link,

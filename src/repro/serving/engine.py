@@ -98,6 +98,12 @@ class ServingSpec:
             seed=derive_seed(self.seed, "serving:sessions"),
             max_requests=self.max_requests)
 
+    def run(self, config: Optional[ExperimentConfig] = None,
+            testbed: Optional[Testbed] = None) -> Dict[str, Any]:
+        """:func:`run_serving`: a sweep's cell runner, or a chaos
+        target's on the testbed the campaign armed."""
+        return run_serving(self, config, testbed)
+
     def experiment_config(self) -> ExperimentConfig:
         telemetry_kwargs = {"per_connection": False}
         telemetry_kwargs.update(self.telemetry_kwargs)
@@ -214,15 +220,21 @@ def _snapshot(testbed: Testbed) -> _CounterSnapshot:
     return snap
 
 
-def run_serving(spec: ServingSpec) -> Dict[str, Any]:
-    """Run one serving simulation; returns the ``serving/v1`` report."""
+def run_serving(spec: ServingSpec, config: Optional[ExperimentConfig] = None,
+                testbed: Optional[Testbed] = None) -> Dict[str, Any]:
+    """Run one serving simulation; returns the ``serving/v1`` report.
+
+    A caller that arms faults first passes the ``testbed`` it built
+    from ``config``; by default both follow from ``spec``.
+    """
     catalog = ContentCatalog(spec.catalog_spec())
     schedule = generate_sessions(spec.session_spec(), catalog)
     if not schedule:
         raise ValueError("empty session schedule")
 
-    config = spec.experiment_config()
-    testbed = build_testbed(config)
+    if testbed is None:
+        config = spec.experiment_config()
+        testbed = build_testbed(config)
     sim = testbed.sim
 
     pool = FlowPool(sim, [testbed.client_stack, testbed.server_stack],

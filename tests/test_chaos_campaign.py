@@ -16,13 +16,16 @@ from types import SimpleNamespace
 import pytest
 
 from repro.chaos import (CAMPAIGNS, CHAOS_POLICIES, CHAOS_SCHEMA, Campaign,
-                         Phase, canonical_campaign, evaluate_slos,
-                         format_scorecard, replay_report, run_campaign,
-                         validate_chaos_report)
+                         CampaignCell, Phase, canonical_campaign,
+                         evaluate_slos, format_scorecard, replay_report,
+                         run_campaign, validate_chaos_report)
 from repro.chaos.runner import arm_campaign
-from repro.chaos.slo import ORACLES, phase_recovery_times
+from repro.chaos.slo import ORACLES, SERVING_ORACLES, phase_recovery_times
+from repro.cli import main
 from repro.experiments.runner import build_testbed
+from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.metrics.series import percentile
+from repro.serving import ServingSpec
 from repro.sim.faults import (GATEWAY_KINDS, INJECTION_KINDS, ArmedFaults,
                               arm_injection)
 
@@ -142,15 +145,27 @@ class TestCampaignSpec:
                      phases=[Phase("p", 0.0, 1.0)], seeds=())
 
     def test_config_baseline_has_no_dre_and_no_resilience(self):
+        """run_sweep's twin of a campaign cell runs no DRE.  It keeps the
+        cell's resilience and harness flags, but with no gateways
+        neither has anything to arm."""
         campaign = canonical_campaign("handover-storm")
-        baseline = campaign.config(None, 11)
-        assert baseline.policy is None and not baseline.resilience
-        assert not baseline.verify
-        dre = campaign.config("tcp_seq", 11)
+        dre = CampaignCell(campaign, "tcp_seq", 11).config()
         assert dre.policy == "tcp_seq" and dre.resilience and dre.verify
         assert dre.telemetry
-        unshielded = campaign.config("tcp_seq", 11, resilience=False)
+        unshielded = CampaignCell(campaign, "tcp_seq", 11,
+                                  resilience=False).config()
         assert unshielded.policy == "tcp_seq" and not unshielded.resilience
+
+        (cell,) = run_sweep(SweepSpec(
+            base=CampaignCell(campaign, "tcp_seq", 11), paired_baseline=True))
+        twin = cell.baseline["result"]
+        assert twin.policy == "none" and not twin.dre_enabled
+        assert twin.encoder_resilience is None
+        assert twin.decoder_resilience is None
+        assert cell.result["result"].encoder_resilience is not None
+        config = CampaignCell(campaign, None, 11).config()
+        testbed = build_testbed(config)
+        assert testbed.gateways is None and testbed.verifier is None
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +325,7 @@ class TestPercentile:
 class TestArming:
     def test_baseline_testbed_skips_gateway_faults(self):
         campaign = canonical_campaign("split-brain-resync")
-        config = campaign.config(None, 11)
-        testbed = build_testbed(config)
+        testbed = build_testbed(CampaignCell(campaign, None, 11).config())
         assert testbed.gateways is None
         armed = arm_campaign(campaign, testbed, 11)
         # restart/control_blackout injections were all skipped: nothing
@@ -332,14 +346,15 @@ class TestArming:
         campaign = canonical_campaign("split-brain-resync")
         window = (0.2, 0.7)
 
-        testbed = build_testbed(campaign.config("tcp_seq", 11))
+        testbed = build_testbed(CampaignCell(campaign, "tcp_seq",
+                                             11).config())
         armed = ArmedFaults()
         assert arm_injection(testbed, injection, window,
                              random.Random(0), armed)
         assert set(armed.injectors) == directions
         testbed.sim.run(until=1.0)
 
-        baseline = build_testbed(campaign.config(None, 11))
+        baseline = build_testbed(CampaignCell(campaign, None, 11).config())
         pending = baseline.sim.pending()
         armed = ArmedFaults()
         skipped = not arm_injection(baseline, injection, window,
@@ -404,6 +419,25 @@ class TestValidateReport:
         with pytest.raises(ValueError):
             validate_chaos_report(doc)
 
+    def test_serving_target_runs_carry_the_serving_oracles(self, tmp_path,
+                                                           capsys):
+        doc = minimal_report_doc()
+        doc["target"] = {"users": 60}
+        with pytest.raises(ValueError, match="oracle set"):
+            validate_chaos_report(doc)
+        doc["runs"][0]["slos"] = doc["runs"][0]["slos"][:1] + [
+            {"oracle": "completion", "passed": True, "value": None,
+             "threshold": None, "detail": ""}]
+        validate_chaos_report(doc)
+        # A target the CLI cannot rebuild as a ServingSpec is a usage
+        # error, refused before anything runs.
+        doc["target"]["no_such_field"] = 1
+        path = tmp_path / "bad-target.json"
+        path.write_text(json.dumps(doc))
+        assert main(["chaos", "replay", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "is not a repro.chaos/v1 report" in line
+
 
 # ---------------------------------------------------------------------------
 # end-to-end acceptance (one shared campaign execution per module)
@@ -466,6 +500,59 @@ class TestResilienceOffFailsSlos:
         # The cold decoder cache on the longhaul corpus shows up as lost
         # goodput and/or undecodable packets — not as corrupted bytes.
         assert "byte_integrity" not in failed
+
+
+# ---------------------------------------------------------------------------
+# the serving target: the shared-cache testbed under a campaign
+# ---------------------------------------------------------------------------
+
+SERVING_TARGET = ServingSpec(users=60)
+
+
+@pytest.fixture(scope="module")
+def serving_report():
+    # split-brain-resync starts flows inside the post-resync grace
+    # window, where k_distance once broke its group bound.
+    return run_campaign(canonical_campaign("split-brain-resync"),
+                        target=SERVING_TARGET)
+
+
+class TestServingTarget:
+    def test_every_request_completes_byte_exact(self, serving_report):
+        doc = serving_report.to_dict()
+        validate_chaos_report(json.loads(json.dumps(doc)))
+        assert doc["target"]["users"] == 60
+        assert [run["policy"] for run in doc["runs"]] == list(CHAOS_POLICIES)
+        for run in doc["runs"]:
+            assert [slo["oracle"] for slo in run["slos"]] == \
+                list(SERVING_ORACLES)
+            assert run["passed"] and run["violation"] is None, run
+            requests = run["metrics"]["requests"]
+            assert requests["completed"] == requests["total"] > 100
+            assert requests["content_mismatches"] == 0
+            assert run["metrics"]["steady"]["hit_ratio"] > 0.3
+            assert run["baseline"]["steady"]["hit_ratio"] == 0.0
+            assert run["faults"]["crashes"], "decoder restart never fired"
+        assert serving_report.passed
+        assert "twin p99 s" in format_scorecard(serving_report)
+
+    def test_parallel_is_bit_identical_to_serial(self, serving_report):
+        pooled = run_campaign(canonical_campaign("split-brain-resync"),
+                              target=SERVING_TARGET, workers=2)
+        assert json.dumps(pooled.to_dict(), sort_keys=True) == \
+            json.dumps(serving_report.to_dict(), sort_keys=True)
+
+    def test_cli_replay_is_byte_for_byte(self, serving_report, tmp_path,
+                                         capsys):
+        path = tmp_path / "serving.json"
+        path.write_text(json.dumps(serving_report.to_dict(), sort_keys=True))
+        assert main(["chaos", "replay", str(path)]) == 0
+        assert "replay MATCHES" in capsys.readouterr().out
+
+    def test_replay_on_another_target_diverges(self, serving_report):
+        doc = json.loads(json.dumps(serving_report.to_dict()))
+        _, matches = replay_report(doc, target=ServingSpec(users=40))
+        assert not matches
 
 
 #: sha256 of each canonical smoke campaign's scorecard (sorted-key JSON),

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ExperimentConfig
 from repro.experiments.runner import Fetch, build_testbed, run_fetches
-from repro.experiments.sweep import parallel_map
+from repro.experiments.sweep import SweepSpec, parallel_map, run_sweep
 from repro.serving import ServingSpec, generate_sessions, run_serving
 from repro.serving.engine import deterministic_report
 from repro.serving.sessions import SessionSpec, session_digest
@@ -367,13 +367,17 @@ def test_serving_report_is_deterministic():
 
 
 def test_serving_grid_serial_parallel_bit_identical():
-    specs = [ServingSpec(users=users, n_contents=40, mean_object_bytes=2048,
-                         seed=7) for users in (15, 25)]
-    serial = parallel_map(run_serving, specs)
-    pooled = parallel_map(run_serving, specs, workers=2)
-    assert json.dumps([deterministic_report(r) for r in serial],
+    spec = SweepSpec(base=ServingSpec(n_contents=40, mean_object_bytes=2048,
+                                      seed=7),
+                     grid={"users": [15, 25]})
+    serial = run_sweep(spec)
+    pooled = run_sweep(spec, workers=2)
+    assert [cell.params for cell in serial] == [{"users": 15}, {"users": 25}]
+    assert [cell.result["spec"]["users"] for cell in serial] == [15, 25]
+    assert json.dumps([deterministic_report(c.result) for c in serial],
                       sort_keys=True) == \
-        json.dumps([deterministic_report(r) for r in pooled], sort_keys=True)
+        json.dumps([deterministic_report(c.result) for c in pooled],
+                   sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
