@@ -112,9 +112,10 @@ class ByteCachingEncoder:
         self.verifier = None
         #: Optional causal span recorder (duck-typed,
         #: :class:`repro.metrics.spans.SpanRecorder`).  When set, the
-        #: per-packet pass emits table_probe / region_expand /
-        #: wire_pack stage spans under the gateway's encode span; when
-        #: None (and no profiler) a stage boundary costs one flag test.
+        #: per-packet pass emits its table_probe / region_expand /
+        #: wire_pack stage spans under the gateway's encode span, in one
+        #: ``encode_stages`` call; when None (and no profiler) a stage
+        #: boundary costs one flag test.
         self.spans: Optional[Any] = None
         policy.attach_encoder(self)
 
@@ -143,21 +144,30 @@ class ByteCachingEncoder:
 
         self.policy.before_packet(meta, self.cache)
 
-        # One stage mark serves both observers: each boundary reads the
-        # clock once, and the end of a stage is the start of the next.
-        timed = profiler is not None or self.spans is not None
+        # One clock read per stage boundary serves both observers (the
+        # end of a stage is the start of the next); the stage times go
+        # out after wire packing, to the profiler and in one span call.
+        spans = self.spans
+        timed = profiler is not None or spans is not None
         if timed:
             mark = perf_counter()
+        probe = expand = None
+        n_regions = n_dependencies = 0
         regions: List[Region] = []
         dependencies: Set[int] = set()
         if not force_raw and self.policy.may_encode(meta):
             pairs = self._candidate_pairs(anchors)
             if timed:
-                mark = self._stage_mark("table_probe", mark)
+                now = perf_counter()
+                probe = now - mark
+                mark = now
             regions, dependencies = self._find_regions(payload, pairs, meta)
             if timed:
-                mark = self._stage_mark("region_expand", mark, len(regions),
-                                        len(dependencies))
+                now = perf_counter()
+                expand = now - mark
+                mark = now
+                # Counted before a net loss below empties them.
+                n_regions, n_dependencies = len(regions), len(dependencies)
 
         if regions:
             data = encode_payload(payload, regions)
@@ -169,7 +179,17 @@ class ByteCachingEncoder:
         else:
             data = wrap_raw(payload)
         if timed:
-            mark = self._stage_mark("wire_pack", mark, len(data))
+            now = perf_counter()
+            pack = now - mark
+            mark = now
+            if profiler is not None:
+                if probe is not None:
+                    profiler.add("table_probe", probe)
+                    profiler.add("region_expand", expand)
+                profiler.add("wire_pack", pack)
+            if spans is not None:
+                spans.encode_stages("encoder-core", probe, expand, pack,
+                                    n_regions, n_dependencies, len(data))
 
         cached = False
         if self.policy.should_cache_now(meta):
@@ -190,18 +210,6 @@ class ByteCachingEncoder:
         # than twice the cost, once per packet.
         return EncodeResult(data, bool(regions), len(payload), len(data),
                             regions, dependencies, cached, self.shim_overhead)
-
-    def _stage_mark(self, stage: str, mark: float, a: Optional[int] = None,
-                    b: Optional[int] = None) -> float:
-        """Close the stage that began at ``mark`` for whichever of the
-        profiler and the span recorder is on (``a``, ``b``: the stage
-        span's tag values); returns the next mark."""
-        now = perf_counter()
-        if self.profiler is not None:
-            self.profiler.add(stage, now - mark)
-        if self.spans is not None:
-            self.spans.stage(stage, "encoder-core", now - mark, a, b)
-        return now
 
     def insert_into_cache(self, payload: bytes, anchors: AnchorSet,
                           meta: PacketMeta) -> None:

@@ -249,11 +249,14 @@ class EncoderGateway(_GatewayBase):
         pkt.reread_size()
         if result.encoded:
             self.stats.encoded_packets += 1
-            if self.recorder is not None:
-                # Guarded so the disabled path skips the sorted() copy.
-                self.note("encode", packet_id=pkt.packet_id,
-                          deps=sorted(result.dependencies),
-                          saved=result.bytes_in - result.bytes_out)
+            recorder = self.recorder
+            if recorder is not None:
+                # Node.note's record, without its frame; the recorder
+                # keeps the dependency set and sorts it only in a dump.
+                recorder.record(self.sim.now, self.name, "encode",
+                                {"packet_id": pkt.packet_id,
+                                 "deps": result.dependencies,
+                                 "saved": result.bytes_in - result.bytes_out})
             if spans is not None:
                 # The paper's causal arrow: this packet now depends on
                 # the traces of the cache entries it was encoded against
@@ -346,24 +349,27 @@ class DecoderGateway(_GatewayBase):
                 self.stats.bytes_after += pkt.wire_size
                 status = "ok"
                 return pkt
-            # Failure paths only from here; one flag decides whether
-            # they build event records (kwargs dict, len() of missing).
-            recording = self.recorder is not None
+            # Failure paths only from here; one None-check decides
+            # whether they build event records (detail dict, len() of
+            # missing).
+            recorder = self.recorder
             if result.status is DecodeStatus.MISSING:
                 self.stats.undecodable_dropped += 1
-                if recording:
-                    self.note("drop_undecodable", packet_id=pkt.packet_id,
-                              missing=len(result.missing))
+                if recorder is not None:
+                    recorder.record(self.sim.now, self.name,
+                                    "drop_undecodable",
+                                    {"packet_id": pkt.packet_id,
+                                     "missing": len(result.missing)})
                 status = "missing"
                 missing = result.missing
             elif result.status is DecodeStatus.CHECKSUM_MISMATCH:
                 self.stats.checksum_dropped += 1
-                if recording:
+                if recorder is not None:
                     self.note("drop_checksum", packet_id=pkt.packet_id)
                 status = "checksum_mismatch"
             else:
                 self.stats.malformed_dropped += 1
-                if recording:
+                if recorder is not None:
                     self.note("drop_malformed", packet_id=pkt.packet_id)
                 status = "malformed"
             return None

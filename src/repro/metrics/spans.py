@@ -52,7 +52,7 @@ SPANS_SCHEMA = "spans/v1"
 #: hotpath family forbids calling any of these inside an inner batch
 #: loop of a registered hot function (see analysis/rules/hotpath.py).
 SPAN_CREATION_METHODS = frozenset([
-    "begin", "open", "event", "child_event", "stage",
+    "begin", "open", "event", "child_event", "stage", "encode_stages",
     "packet_begin", "packet_event", "link_begin", "note_retransmit",
 ])
 
@@ -71,7 +71,8 @@ SPAN_KINDS: Dict[str, Tuple[Optional[str], ...]] = {
     "decode": ("packet", "flow", "seq", "status", "missing"),
     "link_transit": ("packet", "bytes", None, "outcome", "reason"),
     "resync": ("resync_id", None, None, "outcome", "epoch", "retries"),
-    # One-shot codec stages, emitted after the work (SpanRecorder.stage).
+    # One-shot codec stages, emitted after the work (SpanRecorder.stage;
+    # the encoder's three through SpanRecorder.encode_stages).
     "table_probe": (),
     "region_expand": ("regions", "dependencies"),
     "wire_pack": ("bytes_out",),
@@ -103,10 +104,14 @@ SPAN_KINDS: Dict[str, Tuple[Optional[str], ...]] = {
 _CLOSE = _TAG0 + 3
 _STRIDE = _TAG0 + 6
 
-# SPAN_KINDS padded to one name (or None) per tag slot, for the export.
+# The export's per-kind tag layout, resolved once here instead of per
+# row: one name (or None) per tag slot, and whether a ``flow`` tag is
+# listed.  A kind outside the table names no slot.
 _UNNAMED: Tuple[Optional[str], ...] = (None,) * (_STRIDE - _TAG0)
-_SLOT_NAMES = {kind: (names + _UNNAMED)[:len(_UNNAMED)]
-               for kind, names in SPAN_KINDS.items()}
+_LAYOUTS: Dict[str, Tuple[Tuple[Optional[str], ...], bool]] = {
+    kind: ((names + _UNNAMED)[:len(_UNNAMED)], "flow" in names)
+    for kind, names in SPAN_KINDS.items()}
+_NO_LAYOUT = (_UNNAMED, False)
 
 
 class _Epoch:
@@ -141,14 +146,15 @@ class SpanRecorder:
         self._cause: Dict[int, int] = {}
         self._deps: Dict[int, List[Optional[int]]] = {}
         self._notes: Dict[int, List[str]] = {}
-        # Synchronous context stack: packet_begin/begin push, end pops.
-        # Stage sub-spans attach to the top, so the core codec never
-        # needs to know trace ids.
-        self._stack: List[int] = []
-        # packet_id -> most recent span in that packet's trace; how a
-        # trace id crosses the gateway -> link -> gateway boundary
-        # without touching the packet objects.
-        self._pkt: Dict[int, int] = {}
+        #: Synchronous context stack: packet_begin/begin push, end
+        #: pops.  Stage sub-spans attach to the top, so the core codec
+        #: never needs to know trace ids.
+        self.context: List[int] = []
+        #: packet_id -> row of the most recent span in that packet's
+        #: trace; how a trace id crosses the gateway -> link -> gateway
+        #: boundary without touching the packet objects.  The flight
+        #: recorder reads this table and :attr:`context` directly.
+        self.packet_rows: Dict[int, int] = {}
         self._open_links: Dict[int, int] = {}
         self._flow_sampled: Dict[Any, bool] = {}
         self._flow_seen = 0
@@ -206,7 +212,7 @@ class SpanRecorder:
         of a fresh (always-sampled) trace.  Must be closed with
         :meth:`end` within the same simulator event.
         """
-        stack = self._stack
+        stack = self.context
         row = self._append(stack[-1] if stack else None, kind, source,
                            False, a, b, c)
         if row is not None:
@@ -227,7 +233,7 @@ class SpanRecorder:
         log[row + _END] = self._clock.now
         log[row + _WALL] = perf_counter() - log[row + _WALL]
         log[row + _CLOSE:row + _STRIDE] = (a, b, c)
-        stack = self._stack
+        stack = self.context
         if stack:
             if stack[-1] == row:
                 stack.pop()
@@ -246,7 +252,7 @@ class SpanRecorder:
         directly by a benchmark) it records nothing rather than minting
         orphan traces per packet.
         """
-        stack = self._stack
+        stack = self.context
         if not stack:
             return
         row = self._next
@@ -259,6 +265,49 @@ class SpanRecorder:
         now = self._clock.now
         log += (log[parent], parent, kind, source, now, now, wall,
                 self._fault_tags, a, b, c, None, None, None)
+
+    def encode_stages(self, source: str, probe: Optional[float],
+                      expand: Optional[float], pack: float, regions: int,
+                      dependencies: int, bytes_out: int) -> None:
+        """The encoder's three stage spans in one call, emitted after
+        wire packing: ``table_probe`` and ``region_expand`` (with its
+        ``regions`` / ``dependencies`` counts) when ``probe`` is a wall
+        time, then ``wire_pack`` (``bytes_out``).
+
+        Rows, ids and the ``max_spans`` bound come out as three
+        :meth:`stage` calls would leave them: nothing else allocates a
+        span while the encoder runs.
+        """
+        stack = self.context
+        if not stack:
+            return
+        parent = stack[-1]
+        log = self._log
+        trace = log[parent]
+        now = self._clock.now
+        faults = self._fault_tags
+        if probe is None:
+            rows: Tuple[Any, ...] = (
+                trace, parent, "wire_pack", source, now, now, pack, faults,
+                bytes_out, None, None, None, None, None)
+            size = _STRIDE
+        else:
+            rows = (trace, parent, "table_probe", source, now, now, probe,
+                    faults, None, None, None, None, None, None,
+                    trace, parent, "region_expand", source, now, now, expand,
+                    faults, regions, dependencies, None, None, None, None,
+                    trace, parent, "wire_pack", source, now, now, pack, faults,
+                    bytes_out, None, None, None, None, None)
+            size = 3 * _STRIDE
+        row = self._next
+        if row + size > self._limit:
+            # The bound falls inside the batch: keep the stages that fit.
+            fit = self._limit - row
+            self.dropped += (size - fit) // _STRIDE
+            rows = rows[:fit]
+            size = fit
+        self._next = row + size
+        log += rows
 
     # -- asynchronous scopes (multi-event units, e.g. a resync) ------------
 
@@ -273,7 +322,7 @@ class SpanRecorder:
     def event(self, kind: str, source: str, a: Any = None,
               b: Any = None) -> Optional[int]:
         """Zero-duration span: child of the active context, else a root."""
-        stack = self._stack
+        stack = self.context
         return self._append(stack[-1] if stack else None, kind, source,
                             True, a, b)
 
@@ -297,7 +346,7 @@ class SpanRecorder:
         decision for (flow, seq) as a ``caused_by_retransmit`` link.
         Closed with :meth:`end`.
         """
-        parent = self._pkt.get(packet_id)
+        parent = self.packet_rows.get(packet_id)
         if parent is None and not self.sampled(flow):
             return None
         row = self._next
@@ -322,14 +371,14 @@ class SpanRecorder:
                 retx = self._retx.pop(key, None)
                 if retx is not None:
                     self._cause[row] = retx
-        self._pkt[packet_id] = row
-        self._stack.append(row)
+        self.packet_rows[packet_id] = row
+        self.context.append(row)
         return row
 
     def packet_event(self, kind: str, source: str, packet_id: int,
                      a: Any = None) -> Optional[int]:
         """Zero-duration span appended to a packet's trace (if traced)."""
-        parent = self._pkt.get(packet_id)
+        parent = self.packet_rows.get(packet_id)
         if parent is None:
             return None
         return self._append(parent, kind, source, True, packet_id, a)
@@ -343,14 +392,14 @@ class SpanRecorder:
         """
         if row is not None:
             self._deps.setdefault(row, []).extend(
-                map(self._pkt.get, dep_packet_ids))
+                map(self.packet_rows.get, dep_packet_ids))
 
     # -- link transit ------------------------------------------------------
 
     def link_begin(self, source: str, packet_id: int,
                    size: int) -> Optional[int]:
         """Open a transit span when a traced packet enters a link."""
-        parent = self._pkt.get(packet_id)
+        parent = self.packet_rows.get(packet_id)
         if parent is None:
             return None
         row = self._next
@@ -363,7 +412,7 @@ class SpanRecorder:
                 None, perf_counter(), self._fault_tags, packet_id, size,
                 None, None, None, None)
         self._open_links[packet_id] = row
-        self._pkt[packet_id] = row
+        self.packet_rows[packet_id] = row
         return row
 
     def link_annotate(self, packet_id: int, tag: str) -> None:
@@ -423,7 +472,7 @@ class SpanRecorder:
 
     def current_ids(self) -> Tuple[Optional[int], Optional[int]]:
         """(trace_id, span_id) of the active context, or (None, None)."""
-        stack = self._stack
+        stack = self.context
         if not stack:
             return (None, None)
         row = stack[-1]
@@ -431,9 +480,13 @@ class SpanRecorder:
 
     def ids_for_packet(self, packet_id: int
                        ) -> Tuple[Optional[int], Optional[int]]:
-        row = self._pkt.get(packet_id)
+        row = self.packet_rows.get(packet_id)
         if row is None:
             return (None, None)
+        return (self._log[row], row // _STRIDE + 1)
+
+    def span_ids(self, row: int) -> Tuple[int, int]:
+        """(trace_id, span_id) of the span at ``row`` (a handle)."""
         return (self._log[row], row // _STRIDE + 1)
 
     # -- export ------------------------------------------------------------
@@ -446,21 +499,24 @@ class SpanRecorder:
         """Rows ``first`` (a handle) up to ``stop`` as ``spans/v1`` dicts.
 
         The one place tag names, ``list(flow)`` and link dicts are
-        built; a tight loop because it runs over every row of the log.
+        built.  It runs over every row of the log, so the loop makes no
+        call per row: tags follow the kind's precomputed layout, and a
+        span's links are built inline (sorted only when it has more
+        than one dependency).
         """
         log = self._log
-        slot_names = _SLOT_NAMES
+        layouts = _LAYOUTS
         cause = self._cause
         deps = self._deps
         notes = self._notes
-        out: List[Dict[str, Any]] = []
+        out: List[Dict[str, Any]] = [{}] * ((stop - first) // _STRIDE)
+        index = 0
         for row in range(first, stop, _STRIDE):
             (trace, parent, kind, source, start, end, wall, faults,
              a, b, c, d, e, f) = log[row:row + _STRIDE]
-            tags: Dict[Any, Any] = {}
-            if faults:
-                tags["faults"] = list(faults)
-            names = slot_names[kind] if kind in slot_names else _UNNAMED
+            tags: Dict[Any, Any] = {"faults": list(faults)} if faults else {}
+            names, has_flow = (layouts[kind] if kind in layouts
+                               else _NO_LAYOUT)
             if a is not None:
                 tags[names[0]] = a
             if b is not None:
@@ -476,7 +532,7 @@ class SpanRecorder:
             if None in tags:
                 raise ValueError(f"span kind {kind!r} names no tag for "
                                  f"one of {(a, b, c, d, e, f)}: {names}")
-            if "flow" in tags:
+            if has_flow and "flow" in tags:
                 tags["flow"] = list(tags["flow"])
             if row in notes:
                 for flag in notes[row]:
@@ -493,32 +549,35 @@ class SpanRecorder:
                 "tags": tags,
             }
             if row in cause or row in deps:
-                links = self._render_links(row, kind)
+                links: List[Dict[str, Any]] = []
+                if row in cause:
+                    target = cause[row]
+                    links += ({"ref": ("retransmission_of"
+                                       if kind == "tcp_retransmit"
+                                       else "caused_by_retransmit"),
+                               "trace": log[target],
+                               "span": target // _STRIDE + 1},)
+                if row in deps:
+                    # Dependencies arrive as a set of process-global
+                    # packet ids; order by trace so the export replays
+                    # bit-identically.  The first tag of a packet's span
+                    # is always its packet id.
+                    targets: List[Tuple[int, int]] = []
+                    for dep in deps[row]:
+                        if dep is not None:   # untraced dependency
+                            targets += ((log[dep], dep),)
+                    if targets[1:]:
+                        targets.sort()
+                    for dep_trace, dep in targets:
+                        links += ({"ref": "encoded_against",
+                                   "trace": dep_trace,
+                                   "span": dep // _STRIDE + 1,
+                                   "packet": log[dep + _TAG0]},)
                 if links:  # every dependency may have been untraced
                     doc["links"] = links
-            out.append(doc)
+            out[index] = doc
+            index += 1
         return out
-
-    def _render_links(self, row: int, kind: str) -> List[Dict[str, Any]]:
-        log = self._log
-        links: List[Dict[str, Any]] = []
-        if row in self._cause:
-            target = self._cause[row]
-            links.append({"ref": ("retransmission_of"
-                                  if kind == "tcp_retransmit"
-                                  else "caused_by_retransmit"),
-                          "trace": log[target],
-                          "span": target // _STRIDE + 1})
-        if row in self._deps:
-            # Dependencies arrive as a set of process-global packet ids;
-            # order by trace so the export replays bit-identically.  The
-            # first tag of a packet's span is always its packet id.
-            targets = sorted([(log[dep], dep) for dep in self._deps[row]
-                              if dep is not None])
-            links += [{"ref": "encoded_against", "trace": trace,
-                       "span": dep // _STRIDE + 1, "packet": log[dep + _TAG0]}
-                      for trace, dep in targets]
-        return links
 
     def export(self) -> Dict[str, Any]:
         """The full spans/v1 document (JSON-shaped, schema-stamped)."""

@@ -41,19 +41,26 @@ from __future__ import annotations
 import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 TELEMETRY_SCHEMA = "telemetry/v1"
 
 #: Flight-recorder rows carried by a post-mortem export.
 DUMP_EVENTS = 64
 
+#: The detail of an event recorded without one (never written to).
+_NO_DETAIL: Dict[str, Any] = {}
+
+#: ``tcp.ssthresh`` reads an unset (infinite) threshold as this.
+_SSTHRESH_CAP = 1 << 30
+
 
 def metric_key(name: str, labels: Dict[str, Any]) -> str:
     """Canonical ``name{k=v,...}`` identity of one labelled metric."""
     if not labels:
         return name
-    inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
+    inner = ",".join([f"{k}={labels[k]}" for k in sorted(labels)])
     return f"{name}{{{inner}}}"
 
 
@@ -62,19 +69,24 @@ class Gauge:
 
     Either *pull-based* (constructed with ``fn``, read at sample time —
     the form every built-in instrumentation site uses, because it costs
-    the instrumented code nothing) or *push-based* via :meth:`set`.
+    the instrumented code nothing) or *push-based* via :meth:`set`.  A
+    gauge registered through :meth:`MetricsRegistry.source` belongs to
+    that source (``source``), which the sampler reads in one call; its
+    own ``fn`` reads the one value back for :meth:`read`.
     """
 
-    __slots__ = ("name", "labels", "key", "fn", "_value")
+    __slots__ = ("name", "labels", "key", "fn", "_value", "source")
 
     def __init__(self, name: str, labels: Dict[str, Any],
-                 fn: Optional[Callable[[], float]] = None):
+                 fn: Optional[Callable[[], float]] = None,
+                 source: Optional["Source"] = None):
         self.name = name
         self.labels = labels
         #: ``name{k=v,...}``, fixed for life, so built once.
         self.key = metric_key(name, labels)
         self.fn = fn
         self._value = math.nan
+        self.source = source
 
     def set(self, value: float) -> None:
         self._value = float(value)
@@ -88,17 +100,48 @@ class Gauge:
                 return math.nan
         return self._value
 
+    def _row(self) -> Tuple[float]:
+        """The sampler's read of a lone gauge: its value as a 1-tuple
+        (a raising ``fn`` is the sampler's to catch)."""
+        fn = self.fn
+        if fn is None:
+            return (self._value,)
+        return (float(fn()),)
+
+
+class Source:
+    """Gauges the sampler reads with one call per tick.
+
+    ``fn`` returns one number per gauge, in ``keys`` order; ``None``
+    (a torn-down component) reads nan for all of them, and so does a
+    raising ``fn``.
+    """
+
+    __slots__ = ("fn", "keys", "nans")
+
+    def __init__(self, fn: Optional[Callable[[], Sequence[float]]],
+                 keys: Tuple[str, ...]):
+        self.fn = fn
+        self.keys = keys
+        self.nans = (math.nan,) * len(keys)
+
 
 class MetricsRegistry:
     """Label-aware registry of gauges.
 
     Gauges are memoised by ``(name, labels)``: asking twice for the
     same identity returns the same object, so independent components
-    can share a gauge without coordination.
+    can share a gauge without coordination.  Every gauge is read
+    through one :class:`Source` of :attr:`sources` — a lone gauge
+    through its own, the gauges of :meth:`source` through a shared one
+    — and a source's gauges sit next to each other in registration
+    order, so one sample is one row in that order.
     """
 
     def __init__(self) -> None:
         self._gauges: "OrderedDict[str, Gauge]" = OrderedDict()
+        #: What the sampler calls each tick, in registration order.
+        self.sources: List[Source] = []
 
     # -- registration ------------------------------------------------------
 
@@ -109,9 +152,39 @@ class MetricsRegistry:
         if gauge is None:
             gauge = Gauge(name, labels, fn)
             self._gauges[key] = gauge
+            self.sources.append(Source(gauge._row, (key,)))
         elif fn is not None:
+            if gauge.source is not None:
+                raise ValueError(f"gauge {key} is read by a source; "
+                                 "re-register the source instead")
             gauge.fn = fn
         return gauge
+
+    def source(self, fn: Callable[[], Sequence[float]],
+               gauges: Sequence[Tuple[str, Dict[str, Any]]]) -> Source:
+        """Register ``gauges`` (``(name, labels)`` pairs) read together:
+        ``fn()`` returns one number per gauge, in that order.
+
+        Registering the same gauges again hands the source the new
+        ``fn`` (a reopened connection under the same label); a source
+        may not take over gauges registered any other way.
+        """
+        keys = tuple(metric_key(name, labels) for name, labels in gauges)
+        known = self._gauges.get(keys[0])
+        if known is not None and known.source is not None \
+                and known.source.keys == keys:
+            known.source.fn = fn
+            return known.source
+        taken = [key for key in keys if key in self._gauges]
+        if taken:
+            raise ValueError(f"gauges already registered: {taken}")
+        source = Source(fn, keys)
+        for index, (name, labels) in enumerate(gauges):
+            gauge = Gauge(name, labels,
+                          lambda s=source, i=index: s.fn()[i], source)
+            self._gauges[gauge.key] = gauge
+        self.sources.append(source)
+        return source
 
     # -- introspection -----------------------------------------------------
 
@@ -147,6 +220,10 @@ class TelemetrySampler:
     *decimates*: it drops every other stored sample and doubles the
     tick interval, so an arbitrarily long (e.g. stalled-until-limit)
     run stays bounded while keeping whole-run coverage.
+
+    A tick calls each registry source once and stores one row — the
+    time, then every value in registration order; :meth:`series` and
+    :meth:`export` turn the rows into columns.
     """
 
     def __init__(self, sim, registry: MetricsRegistry,
@@ -160,13 +237,17 @@ class TelemetrySampler:
         self.interval = float(interval)
         self.initial_interval = float(interval)
         self.max_samples = int(max_samples)
-        self.times: List[float] = []
-        self._series: "OrderedDict[str, List[float]]" = OrderedDict()
-        # (series.append, gauge) per gauge, bound the first tick that
-        # sees it; registry order, which never changes.
-        self._bound: List[Tuple[Callable[[float], None], Gauge]] = []
+        self._rows: List[List[Any]] = []
+        # The newest row, kept through decimation: its width is the
+        # number of gauges the series carry.
+        self._last: Optional[List[Any]] = None
         self.decimations = 0
         self._started = False
+
+    @property
+    def times(self) -> List[float]:
+        """The shared time axis of every stored sample."""
+        return [row[0] for row in self._rows]
 
     def start(self) -> None:
         """Take the t=0 sample and begin ticking."""
@@ -177,67 +258,77 @@ class TelemetrySampler:
 
     def sample_once(self) -> None:
         """Record one aligned sample of every gauge right now."""
-        times = self.times
-        bound = self._bound
-        if len(bound) != len(self.registry._gauges):
-            self._bind_new_gauges(len(times))
-        times.append(self.sim.now)
-        for append, gauge in bound:
+        row: List[Any] = [self.sim.now]
+        # The registry's live list: a source registered since the last
+        # tick is read from this one on.
+        for source in self.registry.sources:
             # ``fn`` is read per tick: unregister_connection clears it
             # and re-registration replaces it.
-            fn = gauge.fn
+            fn = source.fn
             if fn is None:
-                append(gauge._value)
+                row += source.nans
                 continue
             try:
-                append(float(fn()))
+                row += fn()
             # lint: disable=hygiene-swallowed-violation(gauge callbacks read counters and call no oracle; torn-down state must read nan)
             except Exception:
-                append(math.nan)
-        if len(times) >= self.max_samples:
+                row += source.nans
+        rows = self._rows
+        rows.append(row)
+        self._last = row
+        if len(rows) >= self.max_samples:
             self._decimate()
-
-    def _bind_new_gauges(self, n_before: int) -> None:
-        """Late registration: nan-pad back along the shared time axis.
-
-        A registry never drops entries, so the gauges past the bound
-        ones are exactly the new ones.
-        """
-        bound = self._bound
-        for gauge in list(self.registry.gauges())[len(bound):]:
-            values = [math.nan] * n_before
-            self._series[gauge.key] = values
-            bound.append((values.append, gauge))
 
     def series(self) -> Dict[str, List[float]]:
         """key -> aligned value list (same length as :attr:`times`)."""
-        return dict(self._series)
+        return {key: list(map(float, column))
+                for key, column in self._columns().items()}
+
+    def latest(self) -> Dict[str, Optional[float]]:
+        """The newest sample of every gauge, nan/inf as null."""
+        last = self._last
+        if last is None:
+            return {}
+        inf = math.inf
+        return {key: v if -inf < v < inf else None
+                for key, v in zip(self.registry._gauges,
+                                  map(float, last[1:]))}
 
     # -- internal ----------------------------------------------------------
 
+    def _columns(self) -> Dict[str, Tuple[Any, ...]]:
+        """key -> the raw stored values; rows taken before a gauge was
+        registered are nan-padded up to the newest row's width."""
+        last = self._last
+        if last is None:
+            return {}
+        width = len(last)
+        pad = [math.nan] * width
+        rows = [row if len(row) == width else row + pad[len(row):]
+                for row in self._rows]
+        columns = list(zip(*rows))[1:]
+        return dict(zip(self.registry._gauges, columns))
+
     def _tick(self) -> None:
         self.sample_once()
-        self.sim.after(self.interval, self._tick)
+        self.sim.post_after(self.interval, self._tick)
 
     def _decimate(self) -> None:
         self.decimations += 1
         self.interval *= 2.0
-        # In place: the bound ``append`` of every series must survive.
-        del self.times[1::2]
-        for values in self._series.values():
-            del values[1::2]
+        del self._rows[1::2]
 
     def export(self) -> Dict[str, Any]:
         return {
             "interval": self.interval,
             "initial_interval": self.initial_interval,
             "decimations": self.decimations,
-            "times": list(self.times),
-            # Every stored sample is a float; nan and +-inf fail the
-            # range test and export as null (see _json_number).
+            "times": self.times,
+            # Stored values are numbers; nan and +-inf fail the range
+            # test and export as null (see _json_number).
             "series": {key: [v if -math.inf < v < math.inf else None
-                             for v in values]
-                       for key, values in self._series.items()},
+                             for v in map(float, column)]
+                       for key, column in self._columns().items()},
         }
 
 
@@ -274,35 +365,45 @@ class FlightRecorder:
         # the packet they concern (falling back to the active span
         # context), so a flight-recorder dump attached to an
         # InvariantViolation points back at a replayable causal chain.
+        # An event keeps the span's row; :meth:`dump` turns it into ids.
         self.spans = None
 
     def record(self, time: float, source: str, event: str,
                detail: Optional[Dict[str, Any]] = None) -> None:
         """Append one event to its flow's ring.
 
-        ``detail`` belongs to the caller, so the trace/span ids ride
-        beside it in the ring and are merged only into :meth:`dump`'s
-        copy.
+        ``detail`` belongs to the caller and is stored as given, so a
+        set value (an encode's dependencies) is sorted only by
+        :meth:`dump`, and the trace/span ids ride beside it in the ring
+        and are merged only into :meth:`dump`'s copy.
         """
-        detail = detail if detail is not None else {}
-        trace_id = span_id = None
+        if detail is None:
+            detail = _NO_DETAIL
         spans = self.spans
+        row = None
         if spans is not None and "trace" not in detail:
-            trace_id, span_id = spans.ids_for_packet(detail.get("packet_id"))
-            if trace_id is None:
-                trace_id, span_id = spans.current_ids()
-        key = detail.get("flow", source)
-        ring = self._rings.get(key)
-        if ring is None:
-            if len(self._rings) >= self.max_flows:
-                ring = self._overflow
-            else:
-                ring = deque(maxlen=self.ring_size)
-                self._rings[key] = ring
+            # The packet's latest span, else the active context: what
+            # spans.ids_for_packet / current_ids would name, read from
+            # the recorder's own tables without two method calls.
+            packet_rows = spans.packet_rows
+            packet_id = detail["packet_id"] if "packet_id" in detail else None
+            if packet_id in packet_rows:
+                row = packet_rows[packet_id]
+            elif spans.context:
+                row = spans.context[-1]
+        key = detail["flow"] if "flow" in detail else source
+        rings = self._rings
+        ring = rings[key] if key in rings else self._new_ring(key)
         self.events_seen += 1
         self._seq += 1
-        ring.append((time, self._seq, source, event, detail, trace_id,
-                     span_id))
+        ring.append((time, self._seq, source, event, detail, spans, row))
+
+    def _new_ring(self, key: Any) -> deque:
+        if len(self._rings) >= self.max_flows:
+            return self._overflow
+        ring: deque = deque(maxlen=self.ring_size)
+        self._rings[key] = ring
+        return ring
 
     def note(self, time: float, source: str, event: str,
              **detail: Any) -> None:
@@ -322,11 +423,11 @@ class FlightRecorder:
         if max_events is not None:
             merged = merged[-max_events:]
         rows = []
-        for time, _seq, source, event, detail, trace_id, span_id in merged:
-            detail = dict(detail)
-            if trace_id is not None:
-                detail["trace"] = trace_id
-                detail["span"] = span_id
+        for time, _seq, source, event, detail, spans, row in merged:
+            detail = {key: sorted(value) if isinstance(value, set) else value
+                      for key, value in detail.items()}
+            if row is not None:
+                detail["trace"], detail["span"] = spans.span_ids(row)
             rows.append({"time": time, "source": source, "event": event,
                          "detail": detail})
         return rows
@@ -366,112 +467,111 @@ class Telemetry:
         self.registry = MetricsRegistry()
         self.sampler = TelemetrySampler(sim, self.registry)
         self.recorder = FlightRecorder()
-        # Gauges registered per connection, so a pruned connection's
-        # callbacks can be detached (the registry itself never drops
-        # entries — the sampler's alignment depends on that).
-        self._conn_gauges: Dict[int, List[Gauge]] = {}
+        # The source registered per connection, so a pruned
+        # connection's callback can be detached (the registry itself
+        # never drops entries — the sampler's alignment depends on it).
+        self._conn_sources: Dict[int, Source] = {}
 
     # -- component registration hooks -------------------------------------
-    # Called by the runner and by instrumented components; each
-    # registers pull gauges only, so the instrumented hot paths carry
-    # no per-packet cost beyond their existing `is not None` guard.
+    # Called by the runner and by instrumented components.  Each
+    # registers one source, which the sampler reads in one call per
+    # tick.  Nothing here adds per-packet work, except that
+    # register_link keeps a link on its two-event crossing (one more
+    # dispatched `_transmitted` event per packet it carries).
 
     def register_link(self, link) -> None:
         """Queue depth and loss accounting of one simulated link, which
         keeps the two-event crossing the queue depth counts."""
         link.watch()
-        name = link.name
-        self.registry.gauge("link.queue_depth",
-                            fn=lambda l=link: l._queued, link=name)
+        name = {"link": link.name}
         stats = link.stats
-        self.registry.gauge("link.packets_lost",
-                            fn=lambda s=stats: s.packets_lost, link=name)
-        self.registry.gauge("link.packets_offered",
-                            fn=lambda s=stats: s.packets_offered, link=name)
+        self.registry.source(
+            lambda l=link, s=stats: (l._queued, s.packets_lost,
+                                     s.packets_offered),
+            [("link.queue_depth", name), ("link.packets_lost", name),
+             ("link.packets_offered", name)])
 
     def register_connection(self, conn, label: str) -> None:
         """cwnd / ssthresh / RTO / in-flight of one TCP connection."""
         if not self.config.per_connection:
             return
-        gauges = [
-            self.registry.gauge("tcp.cwnd",
-                                fn=lambda c=conn: c.cc.cwnd, conn=label),
-            self.registry.gauge("tcp.ssthresh",
-                                fn=lambda c=conn: min(c.cc.ssthresh, 1 << 30),
-                                conn=label),
-            self.registry.gauge("tcp.rto",
-                                fn=lambda c=conn: c.rto.rto, conn=label),
-            self.registry.gauge("tcp.inflight",
-                                fn=lambda c=conn: c.flight_size, conn=label),
-        ]
-        self._conn_gauges[id(conn)] = gauges
+        conn_label = {"conn": label}
+
+        def read(c=conn) -> Tuple[Any, ...]:
+            cc = c.cc
+            ssthresh = cc.ssthresh
+            # min(ssthresh, _SSTHRESH_CAP) without the call.
+            return (cc.cwnd,
+                    _SSTHRESH_CAP if _SSTHRESH_CAP < ssthresh else ssthresh,
+                    c.rto.rto, c.flight_size)
+
+        self._conn_sources[id(conn)] = self.registry.source(
+            read, [("tcp.cwnd", conn_label), ("tcp.ssthresh", conn_label),
+                   ("tcp.rto", conn_label), ("tcp.inflight", conn_label)])
 
     def unregister_connection(self, conn) -> None:
-        """Detach a pruned connection's gauge callbacks.
+        """Detach a pruned connection's gauge callback.
 
-        The gauge objects stay registered (series alignment), but stop
+        The gauges stay registered (series alignment), but stop
         holding the connection: they read nan from here on and the
         connection object becomes collectable.
         """
-        for gauge in self._conn_gauges.pop(id(conn), ()):
-            gauge.fn = None
+        source = self._conn_sources.pop(id(conn), None)
+        if source is not None:
+            source.fn = None
 
     def register_gateway(self, gateway, role: str) -> None:
-        """Cache occupancy/evictions and drop accounting of a gateway."""
+        """Cache occupancy/evictions and drop accounting of a gateway,
+        and its resilience state when it runs the resilience layer."""
         cache = gateway.cache
-        self.registry.gauge("cache.entries",
-                            fn=lambda c=cache: len(c.store), gw=role)
-        self.registry.gauge("cache.bytes",
-                            fn=lambda c=cache: c.store.bytes_used, gw=role)
-        self.registry.gauge("cache.evictions",
-                            fn=lambda c=cache: c.store.evictions, gw=role)
-        self.registry.gauge("cache.epoch",
-                            fn=lambda c=cache: c.epoch, gw=role)
+        stats = gateway.stats
+        gw = {"gw": role}
+        gauges = [("cache.entries", gw), ("cache.bytes", gw),
+                  ("cache.evictions", gw), ("cache.epoch", gw)]
         shard_entries = getattr(cache, "shard_entries", None)
+        shards: List[Any] = []
         if shard_entries is not None:
             # Sharded serving cache: per-shard occupancy and eviction
             # gauges (duck-typed — only repro.core.shardcache has them).
-            # Entries are routed from the one fingerprint table at
-            # sample time; the N gauges of a sample share one routing.
-            for index, shard in enumerate(cache.store.shards):
-                self.registry.gauge(
-                    "cache.shard_bytes",
-                    fn=lambda s=shard: s.bytes_used,
-                    gw=role, shard=index)
-                self.registry.gauge(
-                    "cache.shard_entries",
-                    fn=lambda f=shard_entries, i=index: f()[i],
-                    gw=role, shard=index)
-                self.registry.gauge(
-                    "cache.shard_evictions",
-                    fn=lambda s=shard: s.evictions,
-                    gw=role, shard=index)
-        stats = gateway.stats
-        self.registry.gauge("gw.undecodable_dropped",
-                            fn=lambda s=stats: s.undecodable_dropped, gw=role)
-        self.registry.gauge("gw.decoded_ok",
-                            fn=lambda s=stats: s.decoded_ok, gw=role)
-        self.registry.gauge("gw.data_packets",
-                            fn=lambda s=stats: s.data_packets, gw=role)
-        if gateway.resilience is not None:
-            self._register_resilience(gateway, role)
-
-    def _register_resilience(self, gateway, role: str) -> None:
+            # Entries are routed from the one fingerprint table once
+            # per sample.
+            shards = list(cache.store.shards)
+            for index in range(len(shards)):
+                shard = {"gw": role, "shard": index}
+                gauges += [("cache.shard_bytes", shard),
+                           ("cache.shard_entries", shard),
+                           ("cache.shard_evictions", shard)]
+        gauges += [("gw.undecodable_dropped", gw), ("gw.decoded_ok", gw),
+                   ("gw.data_packets", gw)]
         resilience = gateway.resilience
-        stats = resilience.stats
-        self.registry.gauge(
-            "resilience.resyncing",
-            fn=lambda r=resilience: float(getattr(r, "resyncing", False)),
-            gw=role)
-        self.registry.gauge(
-            "resilience.degraded",
-            fn=lambda s=stats: float(s.degraded), gw=role)
-        self.registry.gauge(
-            "resilience.watchdog_trips",
-            fn=lambda s=stats: s.watchdog_trips, gw=role)
-        self.registry.gauge(
-            "resilience.resyncs_completed",
-            fn=lambda s=stats: s.resyncs_completed, gw=role)
+        if resilience is not None:
+            gauges += [("resilience.resyncing", gw),
+                       ("resilience.degraded", gw),
+                       ("resilience.watchdog_trips", gw),
+                       ("resilience.resyncs_completed", gw)]
+
+        def read() -> Tuple[Any, ...]:
+            store = cache.store
+            # ``records`` holds exactly the stored ids (one dict across
+            # the shards of a sharded store): len(store) without the
+            # Python-level __len__.
+            values: Tuple[Any, ...] = (len(store.records), store.bytes_used,
+                                       store.evictions, cache.epoch)
+            if shards:
+                entries = shard_entries()
+                for index, shard in enumerate(shards):
+                    values += (shard.bytes_used, entries[index],
+                               shard.evictions)
+            values += (stats.undecodable_dropped, stats.decoded_ok,
+                       stats.data_packets)
+            if resilience is not None:
+                res_stats = resilience.stats
+                values += (getattr(resilience, "resyncing", False),
+                           res_stats.degraded, res_stats.watchdog_trips,
+                           res_stats.resyncs_completed)
+            return values
+
+        self.registry.source(read, gauges)
 
     def register_verifier(self, verifier) -> None:
         """Surface the verification oracles' progress as gauges.
@@ -483,26 +583,24 @@ class Telemetry:
         performed, drops observed — visible in the sampled series and
         the telemetry/v1 export.
         """
-        self.registry.gauge("verify.regions_checked",
-                            fn=lambda v=verifier: v.regions_checked)
-        self.registry.gauge("verify.coherence_checks",
-                            fn=lambda v=verifier: v.coherence_checks)
-        self.registry.gauge("verify.undecodable_seen",
-                            fn=lambda v=verifier: v.undecodable_seen)
-        self.registry.gauge("verify.stale_seen",
-                            fn=lambda v=verifier: v.stale_seen)
+        self.registry.source(
+            lambda v=verifier: (v.regions_checked, v.coherence_checks,
+                                v.undecodable_seen, v.stale_seen),
+            [("verify.regions_checked", {}), ("verify.coherence_checks", {}),
+             ("verify.undecodable_seen", {}), ("verify.stale_seen", {})])
 
     def register_dre_pair(self, encoder_gateway, decoder_gateway) -> None:
         """The running perceived-loss rate (Fig. 13's quantity, live)."""
         enc, dec = encoder_gateway.stats, decoder_gateway.stats
 
-        def perceived() -> float:
+        def perceived() -> Tuple[float]:
             offered = enc.data_packets
             if offered == 0:
-                return 0.0
-            return max(0.0, 1.0 - dec.decoded_ok / offered)
+                return (0.0,)
+            loss = 1.0 - dec.decoded_ok / offered
+            return (loss if loss > 0.0 else 0.0,)   # max(0.0, loss)
 
-        self.registry.gauge("dre.perceived_loss", fn=perceived)
+        self.registry.source(perceived, [("dre.perceived_loss", {})])
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -527,7 +625,8 @@ class Telemetry:
             "reason": reason,
             "sampler": self.sampler.export(),
             "counters": {},
-            "final_gauges": self.registry.snapshot(),
+            # The sample just taken: what registry.snapshot() would read.
+            "final_gauges": self.sampler.latest(),
             "histograms": {},
             "flight_recorder": (
                 self.recorder.dump(DUMP_EVENTS)

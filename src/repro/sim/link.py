@@ -187,9 +187,11 @@ class Link:
     outcome tag (delivered / lost / queue_drop) — the hop that carries
     a trace id across the gateway boundary — at the cost of one
     ``is not None`` check per packet when absent.  Telemetry reads the
-    queue depth and loss counters as pull gauges on its own tick
-    (``Telemetry.register_link``), so the send path carries no extra
-    per-packet work for it.
+    queue depth and loss counters on its own tick
+    (``Telemetry.register_link``), and calls :meth:`watch` to have a
+    queue to count: each packet then crosses in two events, one more
+    dispatched ``_transmitted`` per packet (about 940 per observed
+    574 KB transfer; spans and the verifier keep the same crossing).
     """
 
     down = _DrawnParameter()

@@ -1,0 +1,124 @@
+"""The per-gauge ``TelemetrySampler`` that ``repro.metrics.telemetry``
+shipped before the sampler read one source per tick, kept verbatim as
+the differential reference (ROADMAP: reference variants live in tests,
+not in ``src/``).
+
+A tick calls every gauge's ``fn`` on its own, converts the value with
+``float`` and appends it to that gauge's series list.  It reads the
+registry through ``_gauges`` / ``gauges()`` and each gauge's ``fn`` and
+``_value``, which the live registry still keeps (a gauge of a
+:meth:`~repro.metrics.telemetry.MetricsRegistry.source` reads its own
+value back through its ``fn``), so both samplers can run against one
+registry.  ``tests/test_telemetry_differential.py`` ticks the two side
+by side and compares ``times``, ``series()`` and ``export()``.
+"""
+
+import math
+from collections import OrderedDict
+from typing import Any, Callable, Dict, List, Tuple
+
+from repro.metrics.telemetry import Gauge, MetricsRegistry
+
+
+class TelemetrySampler:
+    """Snapshots registry gauges on a sim-time tick into aligned series.
+
+    All series share one ``times`` axis.  A gauge registered after
+    sampling began is nan-padded back to the first tick so every series
+    has ``len(times)`` points.  When ``max_samples`` is hit the sampler
+    *decimates*: it drops every other stored sample and doubles the
+    tick interval, so an arbitrarily long (e.g. stalled-until-limit)
+    run stays bounded while keeping whole-run coverage.
+    """
+
+    def __init__(self, sim, registry: MetricsRegistry,
+                 interval: float = 0.05, max_samples: int = 2048):
+        if interval <= 0:
+            raise ValueError("interval must be positive")
+        if max_samples < 8:
+            raise ValueError("max_samples must be at least 8")
+        self.sim = sim
+        self.registry = registry
+        self.interval = float(interval)
+        self.initial_interval = float(interval)
+        self.max_samples = int(max_samples)
+        self.times: List[float] = []
+        self._series: "OrderedDict[str, List[float]]" = OrderedDict()
+        # (series.append, gauge) per gauge, bound the first tick that
+        # sees it; registry order, which never changes.
+        self._bound: List[Tuple[Callable[[float], None], Gauge]] = []
+        self.decimations = 0
+        self._started = False
+
+    def start(self) -> None:
+        """Take the t=0 sample and begin ticking."""
+        if self._started:
+            return
+        self._started = True
+        self._tick()
+
+    def sample_once(self) -> None:
+        """Record one aligned sample of every gauge right now."""
+        times = self.times
+        bound = self._bound
+        if len(bound) != len(self.registry._gauges):
+            self._bind_new_gauges(len(times))
+        times.append(self.sim.now)
+        for append, gauge in bound:
+            # ``fn`` is read per tick: unregister_connection clears it
+            # and re-registration replaces it.
+            fn = gauge.fn
+            if fn is None:
+                append(gauge._value)
+                continue
+            try:
+                append(float(fn()))
+            # lint: disable=hygiene-swallowed-violation(gauge callbacks read counters and call no oracle; torn-down state must read nan)
+            except Exception:
+                append(math.nan)
+        if len(times) >= self.max_samples:
+            self._decimate()
+
+    def _bind_new_gauges(self, n_before: int) -> None:
+        """Late registration: nan-pad back along the shared time axis.
+
+        A registry never drops entries, so the gauges past the bound
+        ones are exactly the new ones.
+        """
+        bound = self._bound
+        for gauge in list(self.registry.gauges())[len(bound):]:
+            values = [math.nan] * n_before
+            self._series[gauge.key] = values
+            bound.append((values.append, gauge))
+
+    def series(self) -> Dict[str, List[float]]:
+        """key -> aligned value list (same length as :attr:`times`)."""
+        return dict(self._series)
+
+    # -- internal ----------------------------------------------------------
+
+    def _tick(self) -> None:
+        self.sample_once()
+        self.sim.after(self.interval, self._tick)
+
+    def _decimate(self) -> None:
+        self.decimations += 1
+        self.interval *= 2.0
+        # In place: the bound ``append`` of every series must survive.
+        del self.times[1::2]
+        for values in self._series.values():
+            del values[1::2]
+
+    def export(self) -> Dict[str, Any]:
+        return {
+            "interval": self.interval,
+            "initial_interval": self.initial_interval,
+            "decimations": self.decimations,
+            "times": list(self.times),
+            # Every stored sample is a float; nan and +-inf fail the
+            # range test and export as null (see _json_number).
+            "series": {key: [v if -math.inf < v < math.inf else None
+                             for v in values]
+                       for key, values in self._series.items()},
+        }
+

@@ -172,7 +172,8 @@ class TestTraceRecords:
         sent = self._run(Recorder())
         assert [event for event, _ in seen] == \
             ["encode", "encode", "drop_undecodable", "drop_undecodable"]
-        assert seen[1][1]["deps"] == [sent[1].packet_id]
+        # The encode's own dependency set, uncopied; a dump sorts it.
+        assert seen[1][1]["deps"] == {sent[1].packet_id}
         assert seen[2][1]["missing"] == 1
 
     def test_enabled_tracer_records_as_before(self):

@@ -261,6 +261,18 @@ class TestHotpath:
             "return data"])
         assert "hotpath-span-in-loop" in rules_of(report)
 
+    def test_batched_encode_stages_in_loop_flagged(self, tmp_path):
+        report = self.write(tmp_path, [
+            "spans = self.spans",
+            "for b in data:",
+            "    if spans is not None:",
+            "        spans.encode_stages('enc', 0.0, 0.0, 0.0, 1, 1, b)",
+            "return data"])
+        flagged = [f for f in report.findings
+                   if f.rule == "hotpath-span-in-loop" and f.active]
+        assert len(flagged) == 1
+        assert ".encode_stages()" in flagged[0].message
+
     def test_span_creation_outside_loop_clean(self, tmp_path):
         report = self.write(tmp_path, [
             "spans = self.spans",

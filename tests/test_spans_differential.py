@@ -6,7 +6,8 @@ link and decode, retransmit decisions, nested fault windows, resync
 handshakes, clock steps — and two drivers play it, one per recorder,
 each spelling a step the way the production sites of its era did
 (keyword tags and begin/end stage pairs for the reference, positional
-tags and one-shot stages for the live one).  The ``spans/v1`` exports
+tags, one-shot stages and the encoder's batched ``encode_stages`` for
+the live one).  The ``spans/v1`` exports
 must agree on everything except ``wall``, and so must the ids the
 flight recorder and the oracles ask for along the way.
 """
@@ -37,11 +38,14 @@ class LiveDriver:
     def encode(self, pid, flow, seq, regions, deps, bytes_out, staged):
         rec = self.rec
         span = rec.packet_begin("encode", "enc-gw", pid, flow, seq)
+        # The encoder's three stage spans go out in one call; an
+        # unstaged encode (raw or refused) has only the wire packing.
         if staged:
-            rec.stage("table_probe", "encoder-core", 0.0)
-            rec.stage("region_expand", "encoder-core", 0.0, regions,
-                      len(deps))
-        rec.stage("wire_pack", "encoder-core", 0.0, bytes_out)
+            rec.encode_stages("encoder-core", 0.0, 0.0, 0.0, regions,
+                              len(deps), bytes_out)
+        else:
+            rec.encode_stages("encoder-core", None, None, 0.0, 0, 0,
+                              bytes_out)
         if deps:
             rec.link_deps(span, deps)
         rec.end(span, bool(deps), 1460, bytes_out)
