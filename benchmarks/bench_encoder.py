@@ -1,6 +1,7 @@
 """Micro-benchmarks on the encoder itself (DESIGN.md §5 ablations).
 
-Times the two fingerprinter implementations and the full encode pass,
+Times the fingerprinter, the GF(2) Rabin test reference (run from the
+repository root, so ``tests`` is importable) and the full encode pass,
 and sweeps the sampling parameters (w, zero-bits) the paper fixes at
 w=16, k=4 (§III-B).
 """
@@ -8,10 +9,10 @@ w=16, k=4 (§III-B).
 import pytest
 
 from repro.core import (ByteCache, ByteCachingEncoder, FingerprintScheme,
-                        PolyFingerprinter, RabinFingerprinter,
-                        anchor_memo_clear)
+                        PolyFingerprinter, anchor_memo_clear)
 from repro.core.policies import NaivePolicy, PacketMeta
 from repro.workload.corpus import corpus_object
+from tests.reference_rabin import RabinFingerprinter
 
 PACKET = corpus_object("file1", seed=3)[: 1460]
 BULK = corpus_object("file1", seed=3)[: 64 * 1460]

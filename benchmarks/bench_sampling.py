@@ -7,6 +7,7 @@ evaluation corpus, offline (no network), at matched expected density.
 """
 
 from conftest import print_report
+from winnowing import WinnowingScheme
 
 from repro.experiments.scenarios import offline_compression_ratio
 from repro.core.fingerprint import FingerprintScheme
@@ -19,8 +20,7 @@ def measure():
     for corpus in ("file1", "webpages", "ebook"):
         data = corpus_object(corpus, size=200 * 1460, seed=3)
         cells = [corpus]
-        for selection in ("value", "winnowing"):
-            scheme = FingerprintScheme(selection=selection)
+        for scheme in (FingerprintScheme(), WinnowingScheme()):
             ratio = offline_compression_ratio(data, scheme=scheme)
             cells.append(f"{(1 - ratio) * 100:.1f}%")
         rows.append(cells)

@@ -30,7 +30,7 @@ paper-versus-measured record of every table and figure.
 
 from .core import (ByteCache, ByteCachingDecoder, ByteCachingEncoder,
                    DecodeResult, DecodeStatus, EncodeResult,
-                   FingerprintScheme, PolyFingerprinter, RabinFingerprinter)
+                   FingerprintScheme, PolyFingerprinter)
 from .core.policies.k_distance import (AdaptiveKDistancePolicy,
                                        LossRateEstimator)
 from .experiments import ExperimentConfig, run_transfer
@@ -50,7 +50,6 @@ __all__ = [
     "EncodeResult",
     "FingerprintScheme",
     "PolyFingerprinter",
-    "RabinFingerprinter",
     "AdaptiveKDistancePolicy",
     "LossRateEstimator",
     "ExperimentConfig",

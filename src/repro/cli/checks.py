@@ -48,8 +48,8 @@ def _lint_selectors(text: str) -> Optional[List[str]]:
 
 def add_parsers(sub) -> None:
     cmd = sub.add_parser("verify", help="differential runner: paired "
-                         "executions that must agree (fingerprinters, "
-                         "sweep parallelism, resilience layer)")
+                         "executions that must agree (sweep parallelism, "
+                         "resilience layer, sharded cache)")
     cmd.add_argument("--scale", default="smoke", choices=["smoke", "headline"],
                      help="workload size: 'smoke' for seconds, 'headline' "
                           "for the paper-scale object (CI)")

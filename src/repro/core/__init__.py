@@ -4,9 +4,8 @@ from .cache import ByteCache, PacketStore
 from .decoder import ByteCachingDecoder, DecodeResult, DecodeStatus, DecoderStats
 from .encoder import ByteCachingEncoder, EncodeResult, EncoderStats
 from .fingerprint import (DEFAULT_WINDOW, DEFAULT_ZERO_BITS, FingerprintScheme,
-                          Fingerprinter, anchor_memo_clear, anchor_memo_stats)
+                          anchor_memo_clear, anchor_memo_stats)
 from .polyhash import AnchorSet, PolyFingerprinter
-from .rabin import RabinFingerprinter
 from .region import Region
 from .shardcache import ShardedByteCache, ShardedPacketStore, shard_of
 from .wire import (FIELD_SIZE, MIN_REGION_LENGTH, MissingFingerprintError,
@@ -26,12 +25,10 @@ __all__ = [
     "DEFAULT_WINDOW",
     "DEFAULT_ZERO_BITS",
     "FingerprintScheme",
-    "Fingerprinter",
     "anchor_memo_clear",
     "anchor_memo_stats",
     "AnchorSet",
     "PolyFingerprinter",
-    "RabinFingerprinter",
     "Region",
     "ShardedByteCache",
     "ShardedPacketStore",

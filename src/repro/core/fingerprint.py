@@ -3,6 +3,11 @@
 The paper's parameters (§III-B): window ``w = 16`` bytes, and a
 fingerprint is *representative* (an anchor) when its last ``k = 4``
 bits are zero, i.e. roughly one anchor per 16 byte positions.
+
+There is one scheme.  The GF(2) Rabin reference
+(``tests/reference_rabin.py``) and the winnowing ablation
+(``benchmarks/winnowing.py``) are subclasses that override
+:meth:`FingerprintScheme._select`.
 """
 
 from __future__ import annotations
@@ -10,12 +15,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Dict, Iterable, Protocol, Tuple, Union
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .polyhash import AnchorSet, PolyFingerprinter
-from .rabin import RabinFingerprinter
 
 DEFAULT_WINDOW = 16
 DEFAULT_ZERO_BITS = 4
@@ -33,26 +37,6 @@ _MEMO_MAX_PAYLOAD = 0xFFFF
 #: One stored anchor, 10 bytes: a hit hands the two fields to an
 #: :class:`AnchorSet` as they lie.
 _PACKED = np.dtype([("fingerprint", "<u8"), ("offset", "<u2")])
-
-
-class Fingerprinter(Protocol):
-    """Anything that produces rolling window fingerprints."""
-
-    window: int
-
-    def anchors(self, data: bytes,
-                mask: int) -> Union["AnchorSet",
-                                    Iterable[Tuple[int, int]]]:
-        """All ``(offset, fingerprint)`` selected by the mask rule.
-
-        Either an :class:`~repro.core.polyhash.AnchorSet` (fast path)
-        or a plain list of pairs (reference implementations).
-        """
-        ...
-
-    def window_fingerprints(self, data: bytes) -> Iterable[Tuple[int, int]]:
-        """All ``(offset, fingerprint)`` pairs."""
-        ...
 
 
 class _AnchorMemo:
@@ -93,9 +77,11 @@ class _AnchorMemo:
             self.evictions += 1
 
 
-#: (kind, window, zero_bits, selection) -> the memo every scheme of
-#: those parameters in this process shares.
-_MEMOS: Dict[Tuple[str, int, int, str], _AnchorMemo] = {}
+#: (scheme class, window, zero_bits) -> the memo every scheme of those
+#: parameters in this process shares.  The class is part of the key: a
+#: subclass selects by its own rule, so it must never be answered from
+#: another class's anchors.
+_MEMOS: Dict[Tuple[type, int, int], _AnchorMemo] = {}
 
 
 def anchor_memo_stats() -> Dict[str, int]:
@@ -120,40 +106,26 @@ def anchor_memo_clear() -> None:
 
 @dataclass
 class FingerprintScheme:
-    """A configured fingerprinter plus the anchor-selection rule.
+    """The rolling fingerprinter plus the anchor-selection rule.
 
     Encoder and decoder of a gateway pair must share an identical
     scheme; anchor positions are content-defined so both sides select
-    the same anchors from the same payload bytes.
-
-    ``selection`` chooses the sampling rule: ``"value"`` is the paper's
-    last-k-bits-zero rule (§III-A); ``"winnowing"`` keeps each sliding
-    window's minimum fingerprint (bounded anchor gaps — see
-    :mod:`repro.core.winnowing`).  For winnowing the expected anchor
-    density is matched to value sampling by using a selection window of
-    ``2**zero_bits`` fingerprints.
+    the same anchors from the same payload bytes.  Anchors are the
+    polynomial fingerprints (:mod:`repro.core.polyhash`) whose last
+    ``zero_bits`` bits are zero (value sampling, §III-A).
     """
 
     window: int = DEFAULT_WINDOW
     zero_bits: int = DEFAULT_ZERO_BITS
-    kind: str = "poly"
-    selection: str = "value"
-    _impl: Fingerprinter = field(init=False, repr=False, compare=False)
-    # The process-wide memo of these four parameters (see anchors()).
+    _impl: PolyFingerprinter = field(init=False, repr=False, compare=False)
+    # The process-wide memo of this class and parameters (see anchors()).
     _memo: _AnchorMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.zero_bits < 0 or self.zero_bits > 32:
             raise ValueError("zero_bits must be in [0, 32]")
-        if self.selection not in ("value", "winnowing"):
-            raise ValueError(f"unknown selection rule: {self.selection!r}")
-        if self.kind == "poly":
-            self._impl = PolyFingerprinter(self.window)
-        elif self.kind == "rabin":
-            self._impl = RabinFingerprinter(self.window)
-        else:
-            raise ValueError(f"unknown fingerprinter kind: {self.kind!r}")
-        params = (self.kind, self.window, self.zero_bits, self.selection)
+        self._impl = PolyFingerprinter(self.window)
+        params = (type(self), self.window, self.zero_bits)
         memo = _MEMOS.get(params)
         if memo is None:
             # lint: disable=purity-global-mutation(pure memoisation: anchors are a deterministic function of the payload bytes and the parameters in the key, so a worker-local memo returns the parent's anchors)
@@ -167,14 +139,11 @@ class FingerprintScheme:
     def anchors(self, data: bytes) -> AnchorSet:
         """Selected ``(offset, fingerprint)`` anchors of ``data``.
 
-        Always an :class:`AnchorSet`, regardless of the underlying
-        fingerprinter, so the encoder/decoder hot paths see one type.
-
         The same payload bytes come through again and again: the
         decoder mirrors the encoder's cache update, TCP retransmits,
         and every cell of a sweep pushes the same file through a fresh
-        gateway pair.  All schemes of equal parameters in the process
-        share one byte-bounded memo (:class:`_AnchorMemo`), so a payload
+        gateway pair.  All schemes of one class and equal parameters in
+        the process share one byte-bounded memo (:class:`_AnchorMemo`), so a payload
         is fingerprinted once while it is held.
         """
         if type(data) is not bytes:     # mutable buffers cannot be keys
@@ -192,24 +161,7 @@ class FingerprintScheme:
         return selected
 
     def _select(self, data: bytes) -> AnchorSet:
-        if self.selection == "value":
-            selected = self._impl.anchors(data, self.mask)
-            if isinstance(selected, AnchorSet):
-                return selected
-            return AnchorSet.from_pairs(selected)
-        from .winnowing import winnow_positions
-
-        selection_window = max(2, 1 << self.zero_bits)
-        if hasattr(self._impl, "hashes"):
-            hashes = self._impl.hashes(data)  # type: ignore[attr-defined]
-            positions = winnow_positions(hashes, selection_window)
-            indices = np.asarray(positions, dtype=np.int64)
-            return AnchorSet(indices, hashes[indices])
-        from .winnowing import winnow_anchors
-
-        return AnchorSet.from_pairs(
-            winnow_anchors(list(self._impl.window_fingerprints(data)),
-                           selection_window))
+        return self._impl.anchors(data, self.mask)
 
     def expected_anchor_spacing(self) -> float:
         """Mean byte distance between anchors on random data."""

@@ -24,7 +24,7 @@ byte-compares candidate regions, exactly as the paper does.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -96,16 +96,6 @@ class AnchorSet:
     @classmethod
     def empty(cls) -> "AnchorSet":
         return cls(_EMPTY_I64, _EMPTY_U64)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "AnchorSet":
-        """Wrap an eagerly materialised pair list (reference paths)."""
-        pairs = list(pairs)
-        anchor_set = cls(
-            np.array([off for off, _ in pairs], dtype=np.int64),
-            np.array([fp for _, fp in pairs], dtype=np.uint64))
-        anchor_set._pairs = pairs
-        return anchor_set
 
     def fps_list(self) -> List[int]:
         """The fingerprints as Python ints, converted at most once.
@@ -183,17 +173,6 @@ class PolyFingerprinter:
         np.cumsum(terms, out=prefix[1:])
         raw = (prefix[w:] - prefix[:-w]) * _POWERS.inv_pows[: n - w + 1]
         return _mix(raw)
-
-    def fingerprint(self, data: bytes) -> int:
-        """Fingerprint of a single window (must be >= window bytes)."""
-        hashes = self.hashes(data[: self.window])
-        if len(hashes) == 0:
-            raise ValueError("data shorter than fingerprint window")
-        return int(hashes[0])
-
-    def window_fingerprints(self, data: bytes) -> List[Tuple[int, int]]:
-        """``(offset, fingerprint)`` for every window position."""
-        return list(enumerate(int(h) for h in self.hashes(data)))
 
     def anchors(self, data: bytes, mask: int) -> AnchorSet:
         """All ``(offset, fingerprint)`` with ``fingerprint & mask == 0``.

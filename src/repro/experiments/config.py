@@ -38,7 +38,6 @@ class ExperimentConfig:
     # -- byte caching
     policy: Optional[str] = "cache_flush"   # None disables DRE entirely
     policy_kwargs: Dict[str, Any] = field(default_factory=dict)
-    fingerprint_kind: str = "poly"
     cache_bytes: int = 16 * 1024 * 1024
     cache_max_packets: Optional[int] = None
     cache_eviction: str = "fifo"            # "fifo" (paper) | "lru"

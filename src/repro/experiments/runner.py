@@ -95,7 +95,7 @@ def build_gateways(sim: Simulator, config: ExperimentConfig) -> GatewayPair:
     arms the failure-recovery layer (epochs, resync, heartbeats) on
     both.
     """
-    scheme = FingerprintScheme(kind=config.fingerprint_kind)
+    scheme = FingerprintScheme()
     resilience = (ResilienceConfig(**config.resilience_kwargs)
                   if config.resilience else None)
     encoder_policy, decoder_policy = make_policy_pair(

@@ -42,7 +42,7 @@ import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterator, List, Optional,
-                    Sequence, Tuple)
+                    Sequence, Set, Tuple)
 
 TELEMETRY_SCHEMA = "telemetry/v1"
 
@@ -467,10 +467,13 @@ class Telemetry:
         self.registry = MetricsRegistry()
         self.sampler = TelemetrySampler(sim, self.registry)
         self.recorder = FlightRecorder()
-        # The source registered per connection, so a pruned
-        # connection's callback can be detached (the registry itself
-        # never drops entries — the sampler's alignment depends on it).
-        self._conn_sources: Dict[int, Source] = {}
+        # The source and label registered per connection, so a pruned
+        # connection's callback can be detached and its label handed on
+        # (the registry itself never drops entries — the sampler's
+        # alignment depends on it).
+        self._conn_sources: Dict[int, Tuple[Source, str]] = {}
+        #: Labels whose series a registered connection reads.
+        self._live_labels: Set[str] = set()
 
     # -- component registration hooks -------------------------------------
     # Called by the runner and by instrumented components.  Each
@@ -492,9 +495,20 @@ class Telemetry:
              ("link.packets_offered", name)])
 
     def register_connection(self, conn, label: str) -> None:
-        """cwnd / ssthresh / RTO / in-flight of one TCP connection."""
+        """cwnd / ssthresh / RTO / in-flight of one TCP connection.
+
+        Each live connection reads its own series.  A server accepts
+        every fetch on one port, so a connection whose label a live one
+        holds is registered as ``label#2`` (then ``#3``, ...); a pruned
+        connection's label passes to the next one that asks for it.
+        """
         if not self.config.per_connection:
             return
+        base, suffix = label, 1
+        while label in self._live_labels:
+            suffix += 1
+            label = f"{base}#{suffix}"
+        self._live_labels.add(label)
         conn_label = {"conn": label}
 
         def read(c=conn) -> Tuple[Any, ...]:
@@ -505,20 +519,24 @@ class Telemetry:
                     _SSTHRESH_CAP if _SSTHRESH_CAP < ssthresh else ssthresh,
                     c.rto.rto, c.flight_size)
 
-        self._conn_sources[id(conn)] = self.registry.source(
+        source = self.registry.source(
             read, [("tcp.cwnd", conn_label), ("tcp.ssthresh", conn_label),
                    ("tcp.rto", conn_label), ("tcp.inflight", conn_label)])
+        self._conn_sources[id(conn)] = (source, label)
 
     def unregister_connection(self, conn) -> None:
         """Detach a pruned connection's gauge callback.
 
         The gauges stay registered (series alignment), but stop
-        holding the connection: they read nan from here on and the
-        connection object becomes collectable.
+        holding the connection: they read nan from here on, until a
+        later connection takes the label over, and the connection
+        object becomes collectable.
         """
-        source = self._conn_sources.pop(id(conn), None)
-        if source is not None:
+        entry = self._conn_sources.pop(id(conn), None)
+        if entry is not None:
+            source, label = entry
             source.fn = None
+            self._live_labels.discard(label)
 
     def register_gateway(self, gateway, role: str) -> None:
         """Cache occupancy/evictions and drop accounting of a gateway,

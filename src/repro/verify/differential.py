@@ -1,15 +1,8 @@
 """Differential runner: paired executions that must agree.
 
-Four comparisons, each a pair of runs differing in exactly one choice
+Three comparisons, each a pair of runs differing in exactly one choice
 production actually makes and that must be behaviour-preserving:
 
-* **fingerprinters** — the vectorised polynomial fingerprinter against
-  the GF(2) Rabin reference.  The two schemes select different anchor
-  *values* by construction (see :mod:`repro.core.polyhash`), so the raw
-  wire bytes legitimately differ; what must be bit-identical is the
-  *reconstructed application stream* leaving the decoder — byte caching
-  is transparent or it is broken.  Both runs use zero loss so every
-  packet round-trips through encode→wire→decode.
 * **sweep parallelism** — the same sweep executed serially and on a
   process pool must produce equal ``TransferResult.to_dict()`` lists
   cell-for-cell (the engine's bit-identical-aggregation contract).
@@ -23,7 +16,9 @@ production actually makes and that must be behaviour-preserving:
   so the wire may differ but the delivered stream may not.
 
 Each comparison returns a :class:`DifferentialResult`; ``repro verify``
-runs all of them and exits non-zero on any mismatch.
+runs all of them and exits non-zero on any mismatch.  The polynomial
+fingerprinter against the GF(2) Rabin reference is a test
+(``tests/test_rabin.py``), since the reference lives with the tests.
 """
 
 from __future__ import annotations
@@ -67,32 +62,6 @@ def run_captured(config: ExperimentConfig) -> Tuple[TransferOutcome, bytes]:
                       [Fetch()],
                       on_data=lambda _index, chunk: chunks.append(chunk))
     return run.outcomes[0], b"".join(chunks)
-
-
-def compare_fingerprinters(file_size: int = 40 * 1460,
-                           policy: str = "cache_flush",
-                           seed: int = 11) -> DifferentialResult:
-    """poly vs rabin: the delivered stream must be byte-identical."""
-    base = ExperimentConfig(policy=policy, file_size=file_size,
-                            loss_rate=0.0, seed=seed)
-    source = corpus_object(base.corpus, base.file_size, base.corpus_seed)
-    streams = {}
-    for kind in ("poly", "rabin"):
-        outcome, stream = run_captured(base.with_updates(
-            fingerprint_kind=kind))
-        if not outcome.completed:
-            return DifferentialResult(
-                "fingerprinters", False,
-                f"{kind} run did not complete "
-                f"({outcome.bytes_received}/{outcome.expected_size} bytes)")
-        streams[kind] = stream
-    matched = (streams["poly"] == streams["rabin"] == source)
-    detail = (f"poly and rabin delivered identical {len(source):,}-byte "
-              f"streams (= source object)" if matched else
-              "delivered streams diverge between fingerprinters")
-    return DifferentialResult("fingerprinters", matched, detail,
-                              _digest(streams["poly"]),
-                              _digest(streams["rabin"]))
 
 
 def compare_sweep_parallelism(losses: Tuple[float, ...] = (0.0, 0.02),
@@ -227,19 +196,18 @@ def compare_sharding(n_packets: int = 96, file_size: int = 40 * 1460,
 def run_differential(scale: str = "smoke",
                      log: Optional[Callable[[str], None]] = None
                      ) -> List[DifferentialResult]:
-    """All four comparisons; ``scale`` picks the workload size.
+    """All three comparisons; ``scale`` picks the workload size.
 
     ``smoke`` uses small objects (seconds, used by the test suite);
     ``headline`` uses the paper-scale object of the headline scenario
-    for the fingerprinter/resilience pairs and a wider sweep grid
-    (the CI ``verify-smoke`` job).
+    for the resilience and sharding pairs and a wider sweep grid (the
+    CI ``verify-smoke`` job).
     """
     if scale not in ("smoke", "headline"):
         raise ValueError(f"unknown scale {scale!r}")
     if scale == "headline":
-        # file1's corpus default is the paper's ~574 KB object.  The
-        # Rabin reference fingerprinter is pure Python, so this is the
-        # expensive configuration — CI-sized, not test-sized.
+        # file1's corpus default is the paper's ~574 KB object: the
+        # CI-sized configuration, not the test-sized one.
         pairs = dict(file_size=0)
         sweep = dict(losses=(0.0, 0.02, 0.05), file_size=60 * 1460)
         offline = dict(n_packets=384)
@@ -250,7 +218,6 @@ def run_differential(scale: str = "smoke",
 
     results = []
     for runner in (
-            lambda: compare_fingerprinters(**pairs),
             lambda: compare_sweep_parallelism(**sweep),
             lambda: compare_resilience(**pairs),
             lambda: compare_sharding(**offline, **pairs)):

@@ -333,9 +333,9 @@ class TestExcflow:
 
 class TestSelfLintDataflow:
     def test_shipped_tree_clean_under_new_families(self):
-        """0 active findings, and exactly the six reasoned pragmas
-        (three of them the process-wide pure memos: anchor sets, Rabin
-        tables, corpus objects)."""
+        """0 active findings, and exactly the five reasoned pragmas
+        (two of them the process-wide pure memos: anchor sets, corpus
+        objects)."""
         report = run_lint(REPO_ROOT, select=[
             "purity", "determinism-wallclock",
             "hygiene-swallowed-violation"])
@@ -344,7 +344,6 @@ class TestSelfLintDataflow:
                             if f.suppressed)
         assert suppressed == [
             ("src/repro/core/fingerprint.py", "purity-global-mutation"),
-            ("src/repro/core/rabin.py", "purity-global-mutation"),
             ("src/repro/experiments/sweep.py", "determinism-wallclock"),
             ("src/repro/metrics/telemetry.py",
              "hygiene-swallowed-violation"),

@@ -1,12 +1,23 @@
 """Unit tests for the fingerprint scheme wrapper."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.winnowing import WinnowingScheme
 from repro.core import fingerprint
 from repro.core.fingerprint import (DEFAULT_WINDOW, DEFAULT_ZERO_BITS,
                                     FingerprintScheme, anchor_memo_clear,
                                     anchor_memo_stats)
+from tests.reference_rabin import RabinScheme
+from tests.test_winnowing import RabinWinnowingScheme
+
+#: (fingerprinter, selection rule) -> the scheme class that implements it.
+SCHEMES = {("poly", "value"): FingerprintScheme,
+           ("rabin", "value"): RabinScheme,
+           ("poly", "winnowing"): WinnowingScheme,
+           ("rabin", "winnowing"): RabinWinnowingScheme}
 
 
 def test_defaults_match_paper_parameters():
@@ -17,17 +28,24 @@ def test_defaults_match_paper_parameters():
 
 
 def test_kind_selects_implementation():
+    """The production scheme selects with the polynomial fingerprinter;
+    the reference selects with Rabin's, through the same interface."""
     from repro.core.polyhash import PolyFingerprinter
-    from repro.core.rabin import RabinFingerprinter
+    from tests.reference_rabin import RabinFingerprinter, anchor_set
 
-    assert isinstance(FingerprintScheme(kind="poly")._impl, PolyFingerprinter)
-    assert isinstance(FingerprintScheme(kind="rabin")._impl,
-                      RabinFingerprinter)
+    data = bytes(range(256)) * 8
+    assert FingerprintScheme()._select(data) == \
+        PolyFingerprinter(16).anchors(data, 0xF)
+    assert RabinScheme()._select(data) == \
+        anchor_set(RabinFingerprinter(16).anchors(data, 0xF))
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        FingerprintScheme(kind="nope")
+    """No fingerprinter kind is a knob: a reference is a subclass."""
+    assert [f.name for f in fields(FingerprintScheme) if f.init] == \
+        ["window", "zero_bits"]
+    with pytest.raises(TypeError):
+        FingerprintScheme(kind="rabin")
 
 
 @pytest.mark.parametrize("zero_bits", [-1, 33])
@@ -53,8 +71,8 @@ def test_identical_schemes_identical_anchors():
     """Encoder and decoder configured alike must select identically —
     the cache-synchronisation prerequisite."""
     data = b"some repeated payload content " * 50
-    a = FingerprintScheme(window=16, zero_bits=4, kind="poly")
-    b = FingerprintScheme(window=16, zero_bits=4, kind="poly")
+    a = FingerprintScheme(window=16, zero_bits=4)
+    b = FingerprintScheme(window=16, zero_bits=4)
     assert a.anchors(data) == b.anchors(data)
 
 
@@ -83,14 +101,14 @@ def _same_anchors(got, want):
 @pytest.mark.parametrize("kind", ["poly", "rabin"])
 def test_memoised_anchors_equal_unmemoised(selection, kind):
     anchor_memo_clear()
-    scheme = FingerprintScheme(kind=kind, selection=selection)
+    scheme = SCHEMES[kind, selection]()
     for payload in _payloads(6):
         fresh = scheme._select(payload)
         first = scheme.anchors(payload)
         # An equal-but-distinct bytes object (the decoder's copy) hits,
         # and so does another scheme of the same parameters.
         again = scheme.anchors(bytes(bytearray(payload)))
-        other = FingerprintScheme(kind=kind, selection=selection)
+        other = SCHEMES[kind, selection]()
         for got in (first, again, other.anchors(payload)):
             assert got == fresh
             assert _same_anchors(got, fresh)
@@ -145,10 +163,9 @@ def test_mutable_buffers_bypass_the_memo():
                                    "bytes": 0}
 
 
-_PARAMETERS = st.fixed_dictionaries({
-    "kind": st.sampled_from(["poly", "rabin"]),
-    "selection": st.sampled_from(["value", "winnowing"]),
-    "zero_bits": st.integers(min_value=0, max_value=6)})
+_PARAMETERS = st.tuples(st.sampled_from(sorted(SCHEMES.values(),
+                                                key=lambda c: c.__name__)),
+                        st.integers(min_value=0, max_value=6))
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,8 +173,11 @@ _PARAMETERS = st.fixed_dictionaries({
        second=_PARAMETERS)
 def test_memo_answers_as_select_does_and_never_across_parameters(
         payload, first, second):
+    """The scheme class is a memo parameter: a reference subclass is
+    never answered from the production scheme's anchors."""
     anchor_memo_clear()
-    a, b = FingerprintScheme(**first), FingerprintScheme(**second)
+    (cls_a, bits_a), (cls_b, bits_b) = first, second
+    a, b = cls_a(zero_bits=bits_a), cls_b(zero_bits=bits_b)
     assert (a._memo is b._memo) == (first == second)
     for scheme in (a, b):
         fresh = scheme._select(payload)

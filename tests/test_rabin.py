@@ -1,10 +1,16 @@
-"""Unit tests for the GF(2) Rabin fingerprinter."""
+"""Unit tests for the GF(2) Rabin reference fingerprinter, and the
+poly-vs-Rabin differential: one transfer per scheme, same stream."""
 
 import random
 
 import pytest
 
-from repro.core.rabin import IRREDUCIBLE_POLY, RabinFingerprinter, _poly_mod
+from repro.core.fingerprint import FingerprintScheme
+from repro.experiments import runner
+from repro.experiments.config import ExperimentConfig
+from repro.workload.corpus import EVAL_FILE_SIZE, corpus_object
+from tests.reference_rabin import (IRREDUCIBLE_POLY, RabinFingerprinter,
+                                   RabinScheme, _poly_mod)
 
 
 def test_poly_mod_reduces_degree():
@@ -102,3 +108,43 @@ def test_known_value_stability():
     assert fp == RabinFingerprinter(16).fingerprint(b"0123456789abcdef")
     assert fp.bit_length() <= 64
     assert fp != 0
+
+
+# ---------------------------------------------------------------------------
+# the reference scheme through a whole transfer
+# ---------------------------------------------------------------------------
+
+def _delivered(config):
+    """The stream one transfer delivers, and its encoder's scheme/stats."""
+    chunks = []
+    testbed = runner.build_testbed(config)
+    data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
+    run = runner.run_fetches(
+        testbed, config, {runner.FILE_NAME: data}, [runner.Fetch()],
+        on_data=lambda _index, chunk: chunks.append(chunk))
+    assert run.outcomes[0].completed
+    encoder = testbed.gateways.encoder
+    return b"".join(chunks), encoder.scheme, encoder.encoder.stats
+
+
+@pytest.mark.parametrize("file_size", [40 * 1460, EVAL_FILE_SIZE],
+                         ids=["smoke", "headline"])
+def test_rabin_scheme_delivers_the_poly_stream(monkeypatch, file_size):
+    """The schemes pick different anchor values, so the wire differs;
+    the stream leaving the decoder may not (zero loss: every packet
+    round-trips encode, wire, decode)."""
+    config = ExperimentConfig(policy="cache_flush", file_size=file_size,
+                              loss_rate=0.0, seed=11)
+    source = corpus_object(config.corpus, file_size, config.corpus_seed)
+    assert len(source) == file_size
+    poly, poly_scheme, poly_stats = _delivered(config)
+    monkeypatch.setattr(runner, "FingerprintScheme", RabinScheme)
+    rabin, rabin_scheme, rabin_stats = _delivered(config)
+    assert type(poly_scheme) is FingerprintScheme
+    assert type(rabin_scheme) is RabinScheme
+    # Both encoded for real, and the Rabin run was not answered from
+    # the poly run's anchor memo.
+    assert rabin_scheme._memo is not poly_scheme._memo
+    assert rabin_scheme._memo.misses > 0
+    assert poly_stats.matched_bytes > 0 and rabin_stats.matched_bytes > 0
+    assert poly == rabin == source

@@ -359,6 +359,30 @@ class TestEndToEnd:
             assert expected in keys, expected
         json.dumps(export)  # must be a plain JSON document
 
+    def test_two_fetches_keep_two_server_series(self):
+        """Every accepted connection gets its own ``tcp.*`` series (the
+        first keeps ``server:80``), and pruning one blanks only its own."""
+        from repro.experiments.runner import (FILE_NAME, Fetch,
+                                              build_testbed, run_fetches)
+
+        config = ExperimentConfig(file_size=10 * 1460, telemetry=True)
+        testbed = build_testbed(config)
+        data = bytes(range(256)) * 57
+        run_fetches(testbed, config, {FILE_NAME: data},
+                    [Fetch(), Fetch(gap=0.05)])
+        registry = testbed.telemetry.registry
+        cwnd = sorted(g.key for g in registry.gauges()
+                      if g.name == "tcp.cwnd")
+        assert cwnd == ["tcp.cwnd{conn=client:49152}",
+                        "tcp.cwnd{conn=client:49153}",
+                        "tcp.cwnd{conn=server:80#2}",
+                        "tcp.cwnd{conn=server:80}"]
+        first, second = testbed.server_stack.connections()
+        assert testbed.server_stack.release(first)
+        snapshot = registry.snapshot()
+        assert snapshot["tcp.cwnd{conn=server:80}"] is None
+        assert snapshot["tcp.cwnd{conn=server:80#2}"] == second.cc.cwnd > 0
+
     def test_naive_stall_dumps_flight_recorder(self):
         result = run_transfer(ExperimentConfig(
             policy="naive", file_size=60 * 1460, loss_rate=0.05,

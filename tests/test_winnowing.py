@@ -5,9 +5,29 @@ import random
 import numpy as np
 import pytest
 
+from benchmarks.winnowing import WinnowingScheme, winnow_positions
 from repro.core.cache import PacketStore
 from repro.core.fingerprint import FingerprintScheme
-from repro.core.winnowing import winnow_anchors, winnow_positions
+from tests.reference_rabin import RabinFingerprinter, RabinScheme, anchor_set
+
+
+def winnow_anchors(fingerprints, window):
+    """Winnow an ``(offset, fingerprint)`` list (the list-form reference)."""
+    if not fingerprints:
+        return []
+    values = np.array([fp for _, fp in fingerprints], dtype=np.uint64)
+    return [fingerprints[index]
+            for index in winnow_positions(values, window)]
+
+
+class RabinWinnowingScheme(RabinScheme):
+    """Winnowing over the GF(2) Rabin reference's fingerprints."""
+
+    def _select(self, data: bytes):
+        fingerprints = list(
+            RabinFingerprinter(self.window).window_fingerprints(data))
+        return anchor_set(
+            winnow_anchors(fingerprints, max(2, 1 << self.zero_bits)))
 
 
 class TestWinnowPositions:
@@ -51,7 +71,7 @@ class TestWinnowPositions:
 
 class TestWinnowingScheme:
     def test_scheme_accepts_selection(self):
-        scheme = FingerprintScheme(selection="winnowing")
+        scheme = WinnowingScheme()
         rng = random.Random(4)
         data = rng.randbytes(3000)
         anchors = scheme.anchors(data)
@@ -65,20 +85,22 @@ class TestWinnowingScheme:
     def test_identical_selection_across_instances(self):
         rng = random.Random(5)
         data = rng.randbytes(2000)
-        a = FingerprintScheme(selection="winnowing").anchors(data)
-        b = FingerprintScheme(selection="winnowing").anchors(data)
+        a = WinnowingScheme().anchors(data)
+        b = WinnowingScheme().anchors(data)
         assert a == b
 
     def test_unknown_selection_rejected(self):
-        with pytest.raises(ValueError):
-            FingerprintScheme(selection="magic")
+        """No selection rule is a knob: winnowing is a subclass."""
+        with pytest.raises(TypeError):
+            FingerprintScheme(selection="winnowing")
 
     def test_rabin_backend_winnowing(self):
         rng = random.Random(6)
         data = rng.randbytes(1200)
-        anchors = FingerprintScheme(kind="rabin",
-                                    selection="winnowing").anchors(data)
+        anchors = RabinWinnowingScheme().anchors(data)
         assert anchors
+        offsets = [off for off, _ in anchors]
+        assert max(b - a for a, b in zip(offsets, offsets[1:])) <= 16
 
     def test_winnowing_roundtrips_through_encoder(self):
         from repro.core import (ByteCache, ByteCachingDecoder,
@@ -87,7 +109,7 @@ class TestWinnowingScheme:
                                          PacketMeta)
         from repro.core.checksum import payload_checksum
 
-        scheme = FingerprintScheme(selection="winnowing")
+        scheme = WinnowingScheme()
         encoder = ByteCachingEncoder(scheme, ByteCache(), NaivePolicy())
         decoder = ByteCachingDecoder(scheme, ByteCache(), DecoderPolicy())
         rng = random.Random(7)
@@ -144,10 +166,10 @@ class TestEvictionPolicies:
             def send(self, pkt):
                 self.packets.append(pkt)
 
-        # Winnowing is a scheme option ExperimentConfig does not carry,
-        # so the pair is wired by hand as build_gateways would.
+        # Winnowing is a scheme subclass ExperimentConfig does not
+        # carry, so the pair is wired by hand as build_gateways would.
         sim = Simulator()
-        scheme = FingerprintScheme(selection="winnowing")
+        scheme = WinnowingScheme()
         enc_policy, dec_policy = make_policy_pair("cache_flush")
         encoder = EncoderGateway(sim, "encoder-gw", "10.255.0.1", scheme,
                                  ByteCache(eviction="lru"), enc_policy,
