@@ -4,7 +4,9 @@ An AST-based lint engine that enforces, before every commit, the
 architectural assumptions the rest of the repo only checks at runtime:
 
 * **layering** — the import DAG (core below sim below net below the
-  gateways; metrics imported only from above) stays a DAG;
+  gateways; metrics imported only from above) stays a DAG, and calls
+  reserved to one module (the run sequence, observer attachment, the
+  no-DRE twin) are made only there;
 * **determinism** — all randomness flows through named
   :class:`~repro.sim.rng.RngRegistry` streams and nothing reads wall
   clocks into results, so fuzz replay and paired sweeps stay
@@ -21,23 +23,20 @@ architectural assumptions the rest of the repo only checks at runtime:
   conservative call graph).
 
 Everything is declarative config under ``[tool.repro-lint]`` in
-``pyproject.toml``; findings ratchet down through a committed baseline
-and line-level ``# lint: disable=RULE(reason)`` pragmas whose reasons
-are mandatory.
+``pyproject.toml``; the one way to accept a finding is a line-level
+``# lint: disable=RULE(reason)`` pragma whose reason is mandatory.
 """
 
-from .baseline import BASELINE_SCHEMA, load_baseline, write_baseline
 from .config import LintConfig, load_config
-from .engine import collect_files, format_text, rewrite_baseline, run_lint
+from .engine import collect_files, format_text, run_lint
 from .findings import (FAMILIES, LINT_SCHEMA, Finding, LintReport,
                        validate_lint_report)
 from .project import ProjectModel
 from .registry import RULES, Rule, rule, select_rules
 
 __all__ = [
-    "BASELINE_SCHEMA", "FAMILIES", "Finding", "LINT_SCHEMA",
-    "LintConfig", "LintReport", "ProjectModel", "RULES", "Rule",
-    "collect_files", "format_text", "load_baseline", "load_config",
-    "rewrite_baseline", "rule", "run_lint", "select_rules",
-    "validate_lint_report", "write_baseline",
+    "FAMILIES", "Finding", "LINT_SCHEMA", "LintConfig", "LintReport",
+    "ProjectModel", "RULES", "Rule", "collect_files", "format_text",
+    "load_config", "rule", "run_lint", "select_rules",
+    "validate_lint_report",
 ]

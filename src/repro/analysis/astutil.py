@@ -175,7 +175,7 @@ def walk_functions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
 
 def enclosing_scopes(tree: ast.Module) -> Dict[int, str]:
     """Map node id -> qualified name of its innermost enclosing
-    function/method (for baseline-stable finding scopes)."""
+    function/method (the scope a finding names)."""
     scopes: Dict[int, str] = {}
     for qualname, fn_node in walk_functions(tree):
         for descendant in ast.walk(fn_node):

@@ -1,26 +1,21 @@
 """Declarative lint configuration (``[tool.repro-lint]`` in pyproject).
 
-Everything the rules enforce — the layer order, the determinism
-escape hatches, the registered hot functions — is data, not code, so
-architecture changes are one-line config edits reviewed alongside the
-code that makes them.
-
-``tomllib`` ships only with Python >= 3.11; on 3.10 a minimal fallback
-parser reads just the ``[tool.repro-lint*]`` tables (whose syntax this
-repo controls: strings, booleans, and string arrays).
+Everything the rules enforce — the layer order, the call sites
+reserved to one module, the determinism escape hatches, the registered
+hot functions — is data, not code, so architecture changes are
+one-line config edits reviewed alongside the code that makes them.
+:func:`repro.metrics.pyproject.load_tool_table` reads the table on
+every supported Python.
 """
 
 from __future__ import annotations
 
-import re
+import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-try:  # Python >= 3.11
-    import tomllib as _toml
-except ImportError:  # pragma: no cover - exercised only on 3.10
-    _toml = None
+from ..metrics.pyproject import load_tool_table
 
 
 #: Layer ranks, bottom to top.  A module may import repro modules whose
@@ -81,6 +76,34 @@ DEFAULT_TELEMETRY_ATTRS = ["profiler", "verifier", "telemetry", "recorder",
 DEFAULT_PURITY_SUBMIT = ["repro.experiments.sweep.parallel_map"]
 
 
+@dataclass(frozen=True)
+class CallSiteRule:
+    """One ``[tool.repro-lint.call-sites.<name>]`` entry: a call that
+    names one of ``calls`` (after import aliases) and passes every
+    ``keywords`` pair is allowed only in the modules under ``allow``."""
+
+    name: str
+    calls: Tuple[str, ...]
+    #: keyword -> ``ast.dump`` of the literal it must be passed.
+    keywords: Tuple[Tuple[str, str], ...]
+    allow: Tuple[str, ...]
+    why: str
+
+    @classmethod
+    def parse(cls, name: str, entry: Dict[str, Any]) -> "CallSiteRule":
+        keywords = []
+        for pair in entry.get("keywords", []):
+            keyword, _, literal = pair.partition("=")
+            keywords.append((keyword.strip(), ast.dump(
+                ast.parse(literal.strip(), mode="eval").body)))
+        rule = cls(name, tuple(entry.get("calls", [])), tuple(keywords),
+                   tuple(entry.get("allow", [])), str(entry.get("why", "")))
+        if not (rule.calls or rule.keywords):
+            raise ValueError(f"[tool.repro-lint.call-sites.{name}] names "
+                             "neither calls nor keywords")
+        return rule
+
+
 @dataclass
 class LintConfig:
     """Parsed ``[tool.repro-lint]`` settings."""
@@ -88,7 +111,6 @@ class LintConfig:
     root: Path = field(default_factory=Path.cwd)
     roots: List[str] = field(default_factory=lambda: ["src", "benchmarks"])
     package: str = "repro"
-    baseline: str = "lint-baseline.json"
     layer_order: List[str] = field(
         default_factory=lambda: list(DEFAULT_LAYER_ORDER))
     layer_assign: Dict[str, str] = field(
@@ -103,6 +125,7 @@ class LintConfig:
         default_factory=lambda: list(DEFAULT_TELEMETRY_ATTRS))
     purity_submit: List[str] = field(
         default_factory=lambda: list(DEFAULT_PURITY_SUBMIT))
+    call_sites: List[CallSiteRule] = field(default_factory=list)
 
     def layer_rank(self, module: str) -> Optional[int]:
         """Rank of ``module`` in the layer order, or None if unknown."""
@@ -142,17 +165,7 @@ def load_config(root: Path) -> LintConfig:
     engine is usable on a bare tree.
     """
     config = LintConfig(root=root)
-    pyproject = root / "pyproject.toml"
-    if not pyproject.is_file():
-        return config
-    text = pyproject.read_text(encoding="utf-8")
-    if _toml is not None:
-        data = _toml.loads(text)
-    else:
-        data = _parse_repro_lint_subset(text)
-    table = data.get("tool", {}).get("repro-lint", {})
-    if not isinstance(table, dict):
-        return config
+    table = load_tool_table(root, "repro-lint")
 
     def strings(value: Any) -> Optional[List[str]]:
         if isinstance(value, list) and all(isinstance(v, str) for v in value):
@@ -163,8 +176,6 @@ def load_config(root: Path) -> LintConfig:
         config.roots = strings(table["roots"])
     if isinstance(table.get("package"), str):
         config.package = table["package"]
-    if isinstance(table.get("baseline"), str):
-        config.baseline = table["baseline"]
 
     layers = table.get("layers", {})
     if isinstance(layers, dict):
@@ -196,145 +207,10 @@ def load_config(root: Path) -> LintConfig:
         if strings(purity.get("submit-functions")) is not None:
             config.purity_submit = strings(purity["submit-functions"])
 
+    call_sites = table.get("call-sites", {})
+    if isinstance(call_sites, dict):
+        config.call_sites = [CallSiteRule.parse(name, entry)
+                             for name, entry in sorted(call_sites.items())
+                             if isinstance(entry, dict)]
+
     return config
-
-
-# -- minimal TOML subset (Python 3.10 fallback) ----------------------------
-
-_TABLE_RE = re.compile(r"^\[(?P<name>[^\]]+)\]\s*$")
-
-
-def _parse_repro_lint_subset(text: str) -> Dict[str, Any]:
-    """Parse only the ``[tool.repro-lint*]`` tables out of a TOML file.
-
-    Handles the subset those tables use — string/boolean values and
-    (possibly multi-line) arrays of strings — and ignores every other
-    table entirely, so unrelated pyproject syntax cannot break it.
-    """
-    result: Dict[str, Any] = {}
-    current: Optional[Dict[str, Any]] = None
-    pending_key: Optional[str] = None
-    pending_value = ""
-
-    def commit(key: str, raw: str) -> None:
-        if current is not None:
-            current[key] = _parse_scalar_or_array(raw)
-
-    for raw_line in text.splitlines():
-        line = _strip_comment(raw_line).strip()
-        if not line:
-            continue
-        if pending_key is not None:
-            pending_value += " " + line
-            if _array_closed(pending_value):
-                commit(pending_key, pending_value)
-                pending_key, pending_value = None, ""
-            continue
-        match = _TABLE_RE.match(line)
-        if match:
-            name = match.group("name").strip().strip("\"'")
-            if name == "tool.repro-lint" or name.startswith("tool.repro-lint."):
-                current = result
-                for part in _split_table_name(name):
-                    current = current.setdefault(part, {})
-            else:
-                current = None
-            continue
-        if current is None or "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip().strip("\"'")
-        value = value.strip()
-        if value.startswith("[") and not _array_closed(value):
-            pending_key, pending_value = key, value
-        else:
-            commit(key, value)
-    return result
-
-
-def _split_table_name(name: str) -> List[str]:
-    """Split ``tool.repro-lint.layers`` -> [tool, repro-lint, layers]."""
-    return [part.strip().strip("\"'") for part in name.split(".")]
-
-
-def _strip_comment(line: str) -> str:
-    """Drop a ``#`` comment that sits outside any string literal."""
-    quote: Optional[str] = None
-    for index, char in enumerate(line):
-        if quote is not None:
-            if char == quote:
-                quote = None
-        elif char in ("'", '"'):
-            quote = char
-        elif char == "#":
-            return line[:index]
-    return line
-
-
-def _array_closed(value: str) -> bool:
-    """True once an array literal has its closing bracket (outside
-    strings)."""
-    depth = 0
-    quote: Optional[str] = None
-    for char in value:
-        if quote is not None:
-            if char == quote:
-                quote = None
-        elif char in ("'", '"'):
-            quote = char
-        elif char == "[":
-            depth += 1
-        elif char == "]":
-            depth -= 1
-            if depth == 0:
-                return True
-    return False
-
-
-def _parse_scalar_or_array(raw: str) -> Any:
-    raw = raw.strip()
-    if raw.startswith("["):
-        return _parse_string_array(raw)
-    return _parse_scalar(raw)
-
-
-def _parse_scalar(raw: str) -> Any:
-    raw = raw.strip()
-    if raw in ("true", "false"):
-        return raw == "true"
-    if (raw.startswith('"') and raw.endswith('"')) or (
-            raw.startswith("'") and raw.endswith("'")):
-        return raw[1:-1]
-    try:
-        return int(raw)
-    except ValueError:
-        return raw
-
-
-def _parse_string_array(raw: str) -> List[Any]:
-    inner = raw.strip()
-    if inner.startswith("["):
-        inner = inner[1:]
-    if inner.endswith("]"):
-        inner = inner[:-1]
-    items: List[Any] = []
-    token = ""
-    quote: Optional[str] = None
-    for char in inner:
-        if quote is not None:
-            token += char
-            if char == quote:
-                quote = None
-            continue
-        if char in ("'", '"'):
-            quote = char
-            token += char
-        elif char == ",":
-            if token.strip():
-                items.append(_parse_scalar(token.strip()))
-            token = ""
-        else:
-            token += char
-    if token.strip():
-        items.append(_parse_scalar(token.strip()))
-    return items

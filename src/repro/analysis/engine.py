@@ -1,10 +1,9 @@
-"""The lint engine: walk, parse once, run rules, ratchet, report.
+"""The lint engine: walk, parse once, run rules, report.
 
 Flow: collect ``*.py`` files under the configured roots -> parse each
 exactly once into a :class:`~repro.analysis.astutil.ParsedFile` shared
-by every rule -> run the selected rules -> apply inline pragmas and
-the committed baseline -> emit a :class:`LintReport` (text or
-``repro.lint/v1`` JSON).
+by every rule -> run the selected rules -> apply inline pragmas -> emit
+a :class:`LintReport` (text or ``repro.lint/v2`` JSON).
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional
 
 from .astutil import ParsedFile
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .config import LintConfig, load_config
 from .findings import Finding, LintReport
 from .pragmas import parse_pragmas
@@ -77,8 +75,6 @@ def parse_file(path: Path, config: LintConfig) -> ParsedFile:
 
 def run_lint(root: Path,
              select: Optional[Iterable[str]] = None,
-             baseline_path: Optional[Path] = None,
-             use_baseline: bool = True,
              config: Optional[LintConfig] = None) -> LintReport:
     """Lint the tree at ``root`` and return the full report."""
     config = config if config is not None else load_config(root)
@@ -110,24 +106,8 @@ def run_lint(root: Path,
         findings.extend(_run_rule(rule_obj, parsed_files, config, project))
 
     _apply_pragmas(findings, parsed_files)
-
-    if use_baseline:
-        path = baseline_path if baseline_path is not None \
-            else config.root / config.baseline
-        entries = load_baseline(path)
-        findings, stale = apply_baseline(findings, entries)
-        report.stale_baseline = stale
     report.findings = findings
     return report
-
-
-def rewrite_baseline(root: Path, report: LintReport,
-                     baseline_path: Optional[Path] = None) -> int:
-    """Write the current findings as the new baseline; returns count."""
-    config = load_config(root)
-    path = baseline_path if baseline_path is not None \
-        else config.root / config.baseline
-    return write_baseline(path, report.findings)
 
 
 def _run_rule(rule_obj: Rule, parsed_files: List[ParsedFile],
@@ -164,14 +144,11 @@ def format_text(report: LintReport, verbose_suppressed: bool = False) -> str:
     ordered = sorted(report.findings,
                      key=lambda f: (f.path, f.line, f.col, f.rule))
     for finding in ordered:
-        if finding.active:
-            marker = ""
-        elif finding.baselined:
-            marker = " [baselined]"
-        else:
-            marker = f" [pragma: {finding.suppress_reason}]"
+        marker = ""
+        if not finding.active:
             if not verbose_suppressed:
                 continue
+            marker = f" [pragma: {finding.suppress_reason}]"
         lines.append(f"{finding.path}:{finding.line}:{finding.col + 1}: "
                      f"{finding.rule} {finding.message}{marker}")
         if finding.active and finding.hops:
@@ -180,24 +157,12 @@ def format_text(report: LintReport, verbose_suppressed: bool = False) -> str:
                              f"{hop.get('line')}  {hop.get('detail')}")
         if finding.active and finding.fix:
             lines.append(f"    fix: {finding.fix}")
-    for entry in report.stale_baseline:
-        lines.append(f"{entry.get('path')}: stale baseline entry for "
-                     f"{entry.get('rule')} (finding fixed — prune with "
-                     "--write-baseline)")
     active = report.active
     counts = (f"{report.files_checked} files, "
               f"{len(report.rules_run)} rules: "
               f"{len(active)} finding{'s' if len(active) != 1 else ''}")
-    extras = []
-    baselined = sum(1 for f in report.findings if f.baselined)
     suppressed = sum(1 for f in report.findings if f.suppressed)
-    if baselined:
-        extras.append(f"{baselined} baselined")
     if suppressed:
-        extras.append(f"{suppressed} pragma-suppressed")
-    if report.stale_baseline:
-        extras.append(f"{len(report.stale_baseline)} stale baseline")
-    if extras:
-        counts += f" ({', '.join(extras)})"
+        counts += f" ({suppressed} pragma-suppressed)"
     lines.append(counts)
     return "\n".join(lines)

@@ -1,19 +1,17 @@
-"""Lint findings and the ``repro.lint/v1`` report schema.
+"""Lint findings and the ``repro.lint/v2`` report schema.
 
-A :class:`Finding` is one rule violation pinned to a file location.
-Findings carry a *fingerprint* — a stable hash over everything except
-line/column numbers — so the committed baseline survives unrelated
-edits that shift code around (the ratchet suppresses by fingerprint,
-never by line).
+A :class:`Finding` is one rule violation pinned to a file location.  A
+finding fails the run unless a ``# lint: disable=RULE(reason)`` pragma
+on its line accepts it; the pragma's reason is mandatory and travels
+with the finding.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-LINT_SCHEMA = "repro.lint/v1"
+LINT_SCHEMA = "repro.lint/v2"
 
 #: Rule families, in report order.
 FAMILIES = ("layering", "determinism", "purity", "hotpath", "hygiene",
@@ -25,8 +23,7 @@ class Finding:
     """One rule violation.
 
     ``scope`` is the enclosing qualified name (``Class.method`` or a
-    function name) when the violation sits inside one — it anchors the
-    baseline fingerprint so findings survive line renumbering.
+    function name) when the violation sits inside one.
     """
 
     rule: str
@@ -37,7 +34,6 @@ class Finding:
     scope: str = ""
     fixable: bool = False
     fix: str = ""                  # suggested remedy, for fixable findings
-    baselined: bool = False        # suppressed by the committed baseline
     suppressed: bool = False       # suppressed by an inline pragma
     suppress_reason: str = ""      # the pragma's mandatory reason
     #: Interprocedural findings carry the full source->sink hop chain
@@ -51,12 +47,7 @@ class Finding:
     @property
     def active(self) -> bool:
         """True when this finding should fail the run."""
-        return not (self.baselined or self.suppressed)
-
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching (no line numbers)."""
-        text = "|".join((self.rule, self.path, self.scope, self.message))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        return not self.suppressed
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -67,9 +58,7 @@ class Finding:
             "col": self.col,
             "scope": self.scope,
             "message": self.message,
-            "fingerprint": self.fingerprint(),
             "fixable": self.fixable,
-            "baselined": self.baselined,
             "suppressed": self.suppressed,
         }
         if self.fix:
@@ -95,7 +84,6 @@ class LintReport:
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     rules_run: List[str] = field(default_factory=list)
-    stale_baseline: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def active(self) -> List[Finding]:
@@ -116,17 +104,14 @@ class LintReport:
             "counts": {
                 "total": len(self.findings),
                 "active": len(self.active),
-                "baselined": sum(1 for f in self.findings if f.baselined),
                 "suppressed": sum(1 for f in self.findings if f.suppressed),
-                "stale_baseline": len(self.stale_baseline),
             },
             "findings": [f.to_dict() for f in ordered],
-            "stale_baseline": list(self.stale_baseline),
         }
 
 
 def validate_lint_report(payload: Dict[str, Any]) -> None:
-    """Validate a ``repro.lint/v1`` document; raises ``ValueError``."""
+    """Validate a ``repro.lint/v2`` document; raises ``ValueError``."""
     def fail(message: str) -> None:
         raise ValueError(f"invalid {LINT_SCHEMA} document: {message}")
 
@@ -137,7 +122,7 @@ def validate_lint_report(payload: Dict[str, Any]) -> None:
     counts = payload.get("counts")
     if not isinstance(counts, dict):
         fail("missing counts object")
-    for key in ("total", "active", "baselined", "suppressed"):
+    for key in ("total", "active", "suppressed"):
         if not isinstance(counts.get(key), int):
             fail(f"counts.{key} missing or not an int")
     findings = payload.get("findings")
@@ -148,8 +133,7 @@ def validate_lint_report(payload: Dict[str, Any]) -> None:
     for index, finding in enumerate(findings):
         if not isinstance(finding, dict):
             fail(f"findings[{index}] is not an object")
-        for key in ("rule", "family", "path", "line", "message",
-                    "fingerprint"):
+        for key in ("rule", "family", "path", "line", "message"):
             if key not in finding:
                 fail(f"findings[{index}] missing {key!r}")
         if finding["family"] not in FAMILIES:
@@ -157,7 +141,6 @@ def validate_lint_report(payload: Dict[str, Any]) -> None:
                  f"{finding['family']!r}")
         if not isinstance(finding["line"], int):
             fail(f"findings[{index}].line is not an int")
-    active = [f for f in findings
-              if not (f.get("baselined") or f.get("suppressed"))]
+    active = [f for f in findings if not f.get("suppressed")]
     if counts["active"] != len(active):
         fail("counts.active does not match findings flags")

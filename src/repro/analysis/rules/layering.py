@@ -19,11 +19,17 @@ precise types without inverting the DAG.
 Cycle detection reuses :class:`repro.metrics.depgraph.DependencyGraph`
 — modules are nodes, layers are segment keys, and a layer-level import
 cycle is exactly a :meth:`segment_cycles` hit on the folded graph.
+
+Some calls are architecture too: the one run sequence, the one place
+observers attach, the one builder of the no-DRE twin.
+``[tool.repro-lint.call-sites]`` reserves each such call to the
+modules allowed to make it (``layering-call-site``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+import ast
+from typing import Dict, List, Optional, Set
 
 from ...metrics.depgraph import DependencyGraph
 from ..astutil import ParsedFile
@@ -113,4 +119,51 @@ def check_layer_cycles(files: List[ParsedFile], config: LintConfig,
             rule="layering-cycle", path=file_of.get(cycle[0], "pyproject.toml"),
             line=1, scope=str(cycle[0]),
             message=f"import cycle between layers: {names} -> {cycle[0]}"))
+    return findings
+
+
+def _call_names(parsed: ParsedFile, project: ProjectModel,
+                func: ast.expr) -> Set[Optional[str]]:
+    """The name a call is written with and the one its target is
+    imported as: ``Client(...)`` after ``from m import FileClient as
+    Client`` names both ``Client`` and ``FileClient``."""
+    written = func.attr if isinstance(func, ast.Attribute) else \
+        func.id if isinstance(func, ast.Name) else None
+    dotted = (project.resolve_dotted(parsed.module, func)
+              if parsed.module is not None else parsed.resolve_call(func))
+    return {written, dotted.rsplit(".", 1)[-1] if dotted else None}
+
+
+@rule("layering-call-site")
+def check_call_sites(parsed: ParsedFile, config: LintConfig,
+                     project: ProjectModel) -> List[Finding]:
+    """Calls reserved to one module (``[tool.repro-lint.call-sites]``)."""
+    module = parsed.module or ""
+    entries = [entry for entry in config.call_sites
+               if not any(module == allowed
+                          or module.startswith(allowed + ".")
+                          for allowed in entry.allow)]
+    if not entries:
+        return []
+    findings: List[Finding] = []
+    scopes = project.scopes(parsed)
+    for node in ast.walk(parsed.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        names = _call_names(parsed, project, node.func)
+        passed = {keyword.arg: ast.dump(keyword.value)
+                  for keyword in node.keywords if keyword.arg is not None}
+        for entry in entries:
+            if entry.calls and names.isdisjoint(entry.calls):
+                continue
+            if any(passed.get(keyword) != literal
+                   for keyword, literal in entry.keywords):
+                continue
+            findings.append(Finding(
+                rule="layering-call-site", path=parsed.relpath,
+                line=node.lineno, col=node.col_offset,
+                scope=scopes.get(id(node), ""),
+                message=f"{ast.unparse(node.func)}(...) is reserved to "
+                        f"{', '.join(entry.allow)} (call-sites."
+                        f"{entry.name}): {entry.why}"))
     return findings

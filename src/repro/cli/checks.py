@@ -119,20 +119,11 @@ def add_parsers(sub) -> None:
                      help="repo root holding pyproject.toml (default: cwd)")
     cmd.add_argument("--format", default="text", choices=["text", "json"],
                      dest="fmt", help="report format (json emits the "
-                                      "repro.lint/v1 document)")
+                                      "repro.lint/v2 document)")
     cmd.add_argument("--select", type=_lint_selectors, metavar="RULE,...",
                      help="run only these rule ids or families (e.g. "
                           "layering,determinism-wallclock)")
-    cmd.add_argument("--baseline", metavar="PATH",
-                     help="baseline file (default: [tool.repro-lint] "
-                          "baseline key)")
-    cmd.add_argument("--no-baseline", action="store_true",
-                     help="ignore the baseline: report every finding as "
-                          "active")
-    cmd.add_argument("--write-baseline", action="store_true",
-                     help="rewrite the baseline from current findings "
-                          "(ratchet: prunes stale entries)")
-    cmd.add_argument("--out", help="also write the repro.lint/v1 JSON "
+    cmd.add_argument("--out", help="also write the repro.lint/v2 JSON "
                                    "report to this file")
     cmd.add_argument("--show-suppressed", action="store_true",
                      help="include pragma-suppressed findings in text "
@@ -250,19 +241,9 @@ def cmd_chaos_run(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from ..analysis import format_text, rewrite_baseline, run_lint, validate_lint_report
+    from ..analysis import format_text, run_lint, validate_lint_report
 
-    root = Path(args.root).resolve()
-    baseline_path = Path(args.baseline) if args.baseline else None
-    report = run_lint(root, select=args.select, baseline_path=baseline_path,
-                      use_baseline=not args.no_baseline)
-
-    if args.write_baseline:
-        count = rewrite_baseline(root, report, baseline_path=baseline_path)
-        target = baseline_path or "the configured baseline"
-        print(f"baseline rewritten: {count} finding(s) recorded in {target}")
-        return 0
-
+    report = run_lint(Path(args.root).resolve(), select=args.select)
     payload = report.to_dict()
     validate_lint_report(payload)
     if args.out:

@@ -17,10 +17,8 @@ statistically, not by eyeballing:
 
 Configuration lives in ``pyproject.toml`` under ``[tool.repro-bench]``
 (thresholds are per-bench, next to the hot-path roster they protect).
-Like the architecture lint's config loader this parses with ``tomllib``
-on 3.11+ and falls back to a minimal subset parser on 3.10 — but it is
-deliberately self-contained: ``repro.metrics`` sits *below*
-``repro.analysis`` in the layer DAG and must not import it.
+:func:`repro.metrics.pyproject.load_tool_table` reads it, as it reads
+the architecture lint's ``[tool.repro-lint]``.
 
 ``repro bench diff`` is the CLI face; CI's ``bench-sentinel`` job runs
 it on the committed history (must pass) and on a doctored copy with a
@@ -35,10 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-try:  # Python 3.11+
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised on 3.10 CI
-    tomllib = None  # type: ignore[assignment]
+from .pyproject import load_tool_table
 
 BENCH_DIFF_SCHEMA = "bench_diff/v1"
 
@@ -94,68 +89,9 @@ class BenchDiff:
 
 # -- config loading --------------------------------------------------------
 
-def _parse_scalar(text: str) -> Any:
-    text = text.strip()
-    if text.startswith(('"', "'")):
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _parse_bench_subset(text: str) -> Dict[str, Any]:
-    """Minimal TOML parser for ``[tool.repro-bench*]`` tables only.
-
-    Handles the subset those tables use — bare key/value pairs with
-    string, int, float, bool scalars, and ``#`` comments.  Same
-    fallback strategy as repro.analysis.config, re-implemented here
-    because metrics may not import the analysis layer.
-    """
-    tables: Dict[str, Any] = {}
-    current: Optional[Dict[str, Any]] = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            name = line.strip("[]").strip()
-            if name == "tool.repro-bench" \
-                    or name.startswith("tool.repro-bench."):
-                current = tables
-                for part in name.split(".")[2:]:
-                    current = current.setdefault(part, {})
-            else:
-                current = None
-            continue
-        if current is None or "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        hash_pos = value.find("#")
-        if hash_pos != -1 and '"' not in value[:hash_pos] \
-                and "'" not in value[:hash_pos]:
-            value = value[:hash_pos]
-        current[key.strip()] = _parse_scalar(value)
-    return tables
-
-
 def load_bench_config(root: Path) -> SentinelConfig:
     """Read ``[tool.repro-bench]`` from ``<root>/pyproject.toml``."""
-    path = Path(root) / "pyproject.toml"
-    if not path.is_file():
-        return SentinelConfig()
-    text = path.read_text()
-    if tomllib is not None:
-        data = tomllib.loads(text)
-        table = data.get("tool", {}).get("repro-bench", {})
-    else:
-        table = _parse_bench_subset(text)
+    table = load_tool_table(root, "repro-bench")
     config = SentinelConfig(
         window=int(table.get("window", 5)),
         min_history=int(table.get("min-history", 3)),

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +20,7 @@ from repro.chaos import (CAMPAIGNS, CHAOS_POLICIES, CHAOS_SCHEMA, Campaign,
                          CampaignCell, Phase, canonical_campaign,
                          evaluate_slos, format_scorecard, replay_report,
                          run_campaign, validate_chaos_report)
+from repro.chaos.campaign import POLICY_KWARGS
 from repro.chaos.runner import arm_campaign
 from repro.chaos.slo import ORACLES, SERVING_ORACLES, phase_recovery_times
 from repro.cli import main
@@ -553,6 +555,39 @@ class TestServingTarget:
         doc = json.loads(json.dumps(serving_report.to_dict()))
         _, matches = replay_report(doc, target=ServingSpec(users=40))
         assert not matches
+
+
+def brownout_thrash_decoder(policy):
+    """Run the ``brownout-thrash`` serving cell at seed 11 the way
+    ``CampaignCell.run`` does; returns its decoder gateway."""
+    campaign = canonical_campaign("brownout-thrash")
+    cell = CampaignCell(campaign, policy=policy, seed=11,
+                        policy_kwargs=POLICY_KWARGS.get(policy, {}),
+                        target=SERVING_TARGET)
+    config = cell.config()
+    testbed = build_testbed(config)
+    arm_campaign(campaign, testbed, cell.seed)
+    replace(SERVING_TARGET, seed=cell.seed).run(config, testbed)
+    return testbed.gateways.decoder
+
+
+def test_tcp_seq_brownout_thrash_tail_waits_on_a_backed_off_resync():
+    """TCP-seq's p99 tail under ``brownout-thrash`` (EXPERIMENTS.md
+    "§IV-C serving under chaos"): the watchdog trips inside the control
+    blackout, the backed-off ``cache_resync`` gets through only after
+    it, and until then the decoder drops every region-bearing packet.
+    Cache Flush's encoder flushes on a retransmission, so its watchdog
+    never trips."""
+    tcp_seq = brownout_thrash_decoder("tcp_seq")
+    cache_flush = brownout_thrash_decoder("cache_flush")
+    assert tcp_seq.stats.desync_dropped >= \
+        20 * cache_flush.stats.desync_dropped > 0
+    assert tcp_seq.resilience.stats.watchdog_trips >= 1
+    assert cache_flush.resilience.stats.watchdog_trips == 0
+    drops = [event["time"] for event in tcp_seq.recorder.dump()
+             if event["source"] == tcp_seq.name
+             and event["event"] == "drop_desync"]
+    assert max(drops) > 2.0  # the blackout phase ends at 2.0 s
 
 
 #: sha256 of each canonical smoke campaign's scorecard (sorted-key JSON),

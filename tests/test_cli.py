@@ -333,7 +333,7 @@ def test_lint_command_clean_tree(capsys, tmp_path):
     assert code == 0
     assert "0 findings" in out
     payload = json.loads(out_file.read_text(encoding="utf-8"))
-    assert payload["schema"] == "repro.lint/v1"
+    assert payload["schema"] == "repro.lint/v2"
 
 
 def test_lint_command_select_and_json(capsys):
@@ -345,7 +345,8 @@ def test_lint_command_select_and_json(capsys):
                         "--select", "layering", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["rules_run"] == ["layering-cycle", "layering-import"]
+    assert payload["rules_run"] == ["layering-call-site", "layering-cycle",
+                                   "layering-import"]
 
 
 def test_lint_command_unknown_selector(capsys):

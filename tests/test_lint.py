@@ -2,22 +2,19 @@
 
 Each rule family is exercised against a small synthetic tree written
 into ``tmp_path`` (so fixtures are real files the engine collects and
-parses, exactly like a run over the repo), plus pragma parsing, the
-baseline ratchet, schema validation — and a self-lint asserting the
-shipped tree stays clean.
+parses, exactly like a run over the repo), plus pragma parsing, schema
+validation, doctored copies of real modules — and a self-lint
+asserting the shipped tree stays clean.
 """
 
-import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import (FAMILIES, LINT_SCHEMA, LintConfig, run_lint,
-                            select_rules, validate_lint_report,
-                            write_baseline)
-from repro.analysis.baseline import BASELINE_SCHEMA, apply_baseline
-from repro.analysis.engine import format_text, module_name_for, rewrite_baseline
-from repro.analysis.findings import Finding
+                            select_rules, validate_lint_report)
+from repro.analysis.engine import format_text, module_name_for
 from repro.analysis.pragmas import parse_pragmas
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -448,6 +445,22 @@ class TestPragmas:
         })
         assert lint(tmp_path).exit_code == 0
 
+    def test_new_finding_next_to_a_pragma_still_fails(self, tmp_path):
+        make_tree(tmp_path, {
+            "src/repro/net/stack.py": (
+                "import time\n"
+                "def f(items=[]):\n"
+                "    try:\n"
+                "        return time.time()\n"
+                "    except:  # lint: disable=hygiene-bare-except(legacy)\n"
+                "        return 2\n"),
+        })
+        report = lint(tmp_path)
+        assert report.exit_code == 1
+        # The accepted bare except stays accepted; the new ones fail.
+        assert rules_of(report) == {"determinism-wallclock",
+                                    "hygiene-mutable-default"}
+
     def test_pragma_text_in_docstring_inert(self):
         by_line, findings = parse_pragmas(
             '"""docs mention # lint: disable=rule(reason) here"""\n'
@@ -465,84 +478,159 @@ class TestPragmas:
         assert "determinism-wallclock" in rules_of(lint(tmp_path))
 
 
-class TestBaseline:
-    def seeded(self, tmp_path):
-        return make_tree(tmp_path, {
-            "src/repro/net/stack.py": (
-                "def f():\n"
-                "    try:\n"
-                "        return 1\n"
-                "    except:\n"
-                "        return 2\n"),
-        })
+def with_repo_config(tmp_path):
+    """Give a synthetic tree the repo's own ``[tool.repro-lint]``."""
+    shutil.copy(REPO_ROOT / "pyproject.toml", tmp_path / "pyproject.toml")
+    return tmp_path
 
-    def test_baselined_finding_passes(self, tmp_path):
-        root = self.seeded(tmp_path)
-        report = lint(root)
+
+def call_site_findings(tmp_path, files):
+    make_tree(with_repo_config(tmp_path), files)
+    report = lint(tmp_path, select=["layering-call-site"])
+    return sorted((f.path, f.line) for f in report.findings if f.active)
+
+
+class TestCallSites:
+    """``[tool.repro-lint.call-sites]``: each reserved call is caught
+    where the CI grep it replaced caught it, and where that grep was
+    blind (aliased imports, reordered keywords)."""
+
+    def test_file_client_outside_the_runner(self, tmp_path):
+        assert call_site_findings(tmp_path, {
+            "benchmarks/bench_copy.py": (
+                "from repro.app.transfer import FileClient\n"
+                "client = FileClient(stack, sim)\n"),
+        }) == [("benchmarks/bench_copy.py", 2)]
+
+    def test_aliased_file_client_flagged(self, tmp_path):
+        assert call_site_findings(tmp_path, {
+            "examples/flow.py": (
+                "from repro.app.transfer import FileClient as Client\n"
+                "client = Client(stack, sim)\n"),
+            "src/repro/serving/engine.py": (
+                "from ..app.transfer import FileClient as Fetcher\n"
+                "def serve(stack, sim):\n"
+                "    return Fetcher(stack, sim)\n"),
+        }) == [("examples/flow.py", 2), ("src/repro/serving/engine.py", 3)]
+
+    def test_file_client_in_allowed_modules_clean(self, tmp_path):
+        assert call_site_findings(tmp_path, {
+            "src/repro/experiments/runner.py": (
+                "from ..app.transfer import FileClient as Client\n"
+                "def run(stack, sim):\n"
+                "    return Client(stack, sim)\n"),
+            "src/repro/app/transfer.py": (
+                "class FileClient:\n"
+                "    pass\n"
+                "def fetch():\n"
+                "    return FileClient()\n"),
+        }) == []
+
+    def test_observer_registration_outside_the_runner(self, tmp_path):
+        assert call_site_findings(tmp_path, {
+            "src/repro/serving/engine.py": (
+                "def observe(telemetry, verifier, gateways, link):\n"
+                "    telemetry.register_gateway(gateways.encoder, 'enc')\n"
+                "    verifier.attach_pair(\n"
+                "        gateways.encoder, gateways.decoder)\n"
+                "    telemetry_if(link).register_link(link)\n"),
+        }) == [("src/repro/serving/engine.py", 2),
+               ("src/repro/serving/engine.py", 3),
+               ("src/repro/serving/engine.py", 5)]
+
+    def test_observer_definitions_and_runner_calls_clean(self, tmp_path):
+        assert call_site_findings(tmp_path, {
+            "src/repro/metrics/telemetry.py": (
+                "class Telemetry:\n"
+                "    def register_link(self, link):\n"
+                "        return link\n"),
+            "src/repro/experiments/runner.py": (
+                "def _observe(telemetry, link):\n"
+                "    telemetry.register_link(link)\n"),
+        }) == []
+
+    def test_no_dre_twin_outside_the_sweep(self, tmp_path):
+        assert call_site_findings(tmp_path, {
+            "benchmarks/bench_twin.py": (
+                "from dataclasses import replace\n"
+                "twin = replace(config, policy=None, policy_kwargs={})\n"
+                "flipped = replace(config, policy_kwargs={}, policy=None)\n"
+                "split = replace(config, policy=None,\n"
+                "                policy_kwargs={})\n"
+                "dre = replace(config, policy=None, policy_kwargs={'k': 8})\n"
+                "plain = replace(config, policy=None)\n"),
+        }) == [("benchmarks/bench_twin.py", 2), ("benchmarks/bench_twin.py", 3),
+               ("benchmarks/bench_twin.py", 4)]
+
+    def test_no_dre_twin_in_the_sweep_clean(self, tmp_path):
+        assert call_site_findings(tmp_path, {
+            "src/repro/experiments/sweep.py": (
+                "def twin(config):\n"
+                "    return replace(config, policy_kwargs={}, policy=None)\n"),
+        }) == []
+
+    def test_entry_matching_nothing_is_a_config_error(self, tmp_path):
+        (tmp_path / "pyproject.toml").write_text(
+            "[tool.repro-lint.call-sites.empty]\n"
+            'allow = ["repro.app"]\n', encoding="utf-8")
+        with pytest.raises(ValueError, match="neither calls nor keywords"):
+            lint(tmp_path)
+
+
+#: What CI once appended to real modules in place, now appended to a
+#: copy of the tree: (module, appended text, rule it must raise).
+DOCTORINGS = {
+    "wallclock": ("src/repro/metrics/report.py", """
+
+def _doctored_report() -> str:
+    import json as _doctored_json
+    import time as _doctored_time
+    payload = {"at": _doctored_time.time()}
+    return _doctored_json.dumps(payload)
+""", "determinism-wallclock"),
+    "handler": ("src/repro/gateway/middlebox.py", """
+
+def _doctored_process(gateway, packet):
+    try:
+        return gateway.process(packet)
+    except Exception:
+        return None
+""", "hygiene-swallowed-violation"),
+}
+
+
+@pytest.fixture(scope="module")
+def doctored(tmp_path_factory):
+    """One full lint of a copy of ``src/`` carrying both doctorings;
+    returns the report and each doctored file's original line count."""
+    root = tmp_path_factory.mktemp("doctored")
+    shutil.copytree(REPO_ROOT / "src", root / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(REPO_ROOT / "pyproject.toml", root / "pyproject.toml")
+    lines = {}
+    for relpath, text, _ in DOCTORINGS.values():
+        path = root / relpath
+        original = path.read_text(encoding="utf-8")
+        lines[relpath] = len(original.splitlines())
+        path.write_text(original + text, encoding="utf-8")
+    return run_lint(root), lines
+
+
+class TestDoctoredTree:
+    def test_wallclock_in_a_report_path(self, doctored):
+        report, lines = doctored
+        relpath, _, rule = DOCTORINGS["wallclock"]
         assert report.exit_code == 1
-        baseline = root / "lint-baseline.json"
-        write_baseline(baseline, report.findings)
-        again = lint(root, baseline_path=baseline)
-        assert again.exit_code == 0
-        assert any(f.baselined for f in again.findings)
+        # The ``time.time()`` line: two blank lines, the def, two imports.
+        assert [(f.rule, f.path, f.line) for f in report.active
+                if f.path == relpath] == [(rule, relpath, lines[relpath] + 6)]
 
-    def test_new_finding_still_fails(self, tmp_path):
-        root = self.seeded(tmp_path)
-        baseline = root / "lint-baseline.json"
-        write_baseline(baseline, lint(root).findings)
-        # Introduce a *new* violation: the ratchet must catch it.
-        (root / "src/repro/net/stack.py").write_text(
-            "import time\n"
-            "def f(items=[]):\n"
-            "    try:\n"
-            "        return time.time()\n"
-            "    except:\n"
-            "        return 2\n", encoding="utf-8")
-        report = lint(root, baseline_path=baseline)
-        assert report.exit_code == 1
-        active = rules_of(report)
-        assert "determinism-wallclock" in active
-        assert "hygiene-mutable-default" in active
-        # The pre-existing bare except is still absorbed by the baseline.
-        assert "hygiene-bare-except" not in active
-
-    def test_fixed_finding_leaves_stale_entry(self, tmp_path):
-        root = self.seeded(tmp_path)
-        baseline = root / "lint-baseline.json"
-        write_baseline(baseline, lint(root).findings)
-        (root / "src/repro/net/stack.py").write_text(
-            "def f():\n    return 1\n", encoding="utf-8")
-        report = lint(root, baseline_path=baseline)
-        assert report.exit_code == 0
-        assert len(report.stale_baseline) == 1
-
-    def test_write_baseline_prunes_stale(self, tmp_path):
-        root = self.seeded(tmp_path)
-        baseline = root / "lint-baseline.json"
-        write_baseline(baseline, lint(root).findings)
-        (root / "src/repro/net/stack.py").write_text(
-            "def f():\n    return 1\n", encoding="utf-8")
-        report = lint(root, baseline_path=baseline)
-        rewrite_baseline(root, report, baseline_path=baseline)
-        payload = json.loads(baseline.read_text())
-        assert payload["schema"] == BASELINE_SCHEMA
-        assert payload["entries"] == []
-
-    def test_fingerprint_survives_line_moves(self):
-        a = Finding(rule="r-x", path="p.py", line=3, message="m")
-        b = Finding(rule="r-x", path="p.py", line=99, message="m")
-        assert a.fingerprint() == b.fingerprint()
-
-    def test_count_budget(self):
-        findings = [Finding(rule="r-x", path="p.py", line=i, message="m")
-                    for i in (1, 2, 3)]
-        entries = [{"rule": "r-x", "path": "p.py", "scope": "",
-                    "message": "m",
-                    "fingerprint": findings[0].fingerprint(), "count": 2}]
-        marked, stale = apply_baseline(findings, entries)
-        assert sum(1 for f in marked if f.baselined) == 2
-        assert sum(1 for f in marked if f.active) == 1
-        assert stale == []
+    def test_blanket_handler_in_the_gateway(self, doctored):
+        report, lines = doctored
+        relpath, _, rule = DOCTORINGS["handler"]
+        assert [(f.rule, f.path, f.line) for f in report.active
+                if f.path == relpath] == [(rule, relpath, lines[relpath] + 6)]
+        assert len(report.active) == 2  # nothing else in the copy fires
 
 
 class TestReportAndSelection:
@@ -594,23 +682,16 @@ class TestSelfLint:
         assert active == [], format_text(report)
         assert report.exit_code == 0
 
-    def test_shipped_baseline_is_empty(self):
-        payload = json.loads(
-            (REPO_ROOT / "lint-baseline.json").read_text(encoding="utf-8"))
-        assert payload["schema"] == BASELINE_SCHEMA
-        assert payload["entries"] == []
-
 
 class TestConfigParsing:
     def test_fallback_toml_parser_matches_tomllib(self):
         """The py3.10 fallback must agree with tomllib on our pyproject."""
         tomllib = pytest.importorskip("tomllib")
-        from repro.analysis.config import _parse_repro_lint_subset
+        from repro.metrics.pyproject import parse_tool_table
 
         text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
         reference = tomllib.loads(text)["tool"]["repro-lint"]
-        fallback = _parse_repro_lint_subset(text)["tool"]["repro-lint"]
-        assert fallback == reference
+        assert parse_tool_table(text, "repro-lint") == reference
 
     def test_config_reads_pyproject(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(

@@ -19,7 +19,6 @@ from repro.metrics.regression import (
     BENCH_DIFF_SCHEMA,
     BenchSpec,
     SentinelConfig,
-    _parse_bench_subset,
     bench_diff_report,
     bootstrap_ci,
     diff_bench,
@@ -27,6 +26,7 @@ from repro.metrics.regression import (
     load_bench_config,
     run_bench_diff,
 )
+from repro.metrics.pyproject import parse_tool_table
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -82,13 +82,15 @@ class TestConfig:
 
     def test_subset_parser_matches_tomllib(self):
         """The 3.10 fallback must agree with tomllib on our tables."""
-        table = _parse_bench_subset(PYPROJECT)
+        table = parse_tool_table(PYPROJECT, "repro-bench")
         assert table["window"] == 4
         assert table["confidence"] == pytest.approx(0.9)
         assert table["benches"]["alpha"]["file"] == "BENCH_alpha.json"
         assert table["benches"]["beta"]["metric"] == "throughput"
         # Foreign tables are ignored entirely.
         assert "other-tool" not in table and 99 not in table.values()
+        tomllib = pytest.importorskip("tomllib")
+        assert table == tomllib.loads(PYPROJECT)["tool"]["repro-bench"]
 
     def test_repo_pyproject_parses(self):
         """The committed config names real BENCH files and metrics."""
