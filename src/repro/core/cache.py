@@ -9,15 +9,16 @@ Two cooperating structures, as in Spring & Wetherall:
   packet counter, originating packet id), and the eviction that frees
   the payload frees the record.
 * :class:`~repro.core.ringtable.RingFingerprintTable` — fingerprint ->
-  newest packet containing it.  §III-B: entries are *replaced* when a
-  newer packet contains the same fingerprint, and the byte offset of
-  the fingerprint inside the payload is stored alongside so match
-  expansion starts instantly.
+  pointer ``store_id << 32 | offset`` to the newest packet containing
+  it and the window's byte offset there (§III-B), so a hit names the
+  payload to read and where match expansion starts.  Entries are
+  *replaced* when a newer packet contains the same fingerprint.
 
-:class:`ByteCache` joins the two.  An entry whose packet has been
-evicted from the store dangles: it leaves the table at the next lookup
-of its fingerprint or at the table's next compaction, whichever comes
-first.
+:class:`ByteCache` joins the two: a lookup shifts the pointer to get
+the store id.  A pointer whose packet has been evicted from the store
+dangles: it leaves the table at the next lookup of its fingerprint or
+at the table's next compaction, whichever comes first.  Payloads are
+at most :data:`MAX_PAYLOAD` bytes.
 """
 
 from __future__ import annotations
@@ -30,11 +31,17 @@ from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from .polyhash import AnchorSet
-from .ringtable import (NO_RECORD, PacketRecord, RingEntry,
+from .ringtable import (NO_RECORD, OFFSET_BITS, PacketRecord, RingEntry,
                         RingFingerprintTable)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .shardcache import ShardedPacketStore
+
+
+#: The largest payload a cache stores.  An encoding field addresses the
+#: stored packet with a 2-byte offset (§III-B), so nothing past this
+#: can be referenced; the index's pointers keep 32 offset bits.
+MAX_PAYLOAD = 0xFFFF
 
 
 class PacketStore:
@@ -76,16 +83,21 @@ class PacketStore:
     def add(self, payload: bytes, record: PacketRecord = NO_RECORD,
             route: Optional[int] = None) -> int:
         """Store a payload and its record; returns its store id.  May
-        evict old entries.
+        evict old entries; a payload longer than :data:`MAX_PAYLOAD`
+        raises ``ValueError``.
 
         ``route`` (the payload's first anchor fingerprint) is a
         placement key for stores with more than one home; a single
         store has nowhere to route and ignores it.
         """
+        size = len(payload)
+        if size > MAX_PAYLOAD:
+            raise ValueError(f"payload of {size} bytes exceeds the "
+                             f"{MAX_PAYLOAD}-byte limit")
         store_id = next(self._ids)
         self._data[store_id] = payload
         self.records[store_id] = record
-        self._bytes += len(payload)
+        self._bytes += size
         if self._bytes > self.byte_budget or self.max_packets is not None:
             self._evict()
         return store_id
@@ -271,19 +283,18 @@ class ByteCache:
         """Return (entry, cached payload) or None.
 
         Entries pointing at evicted payloads are removed lazily.  The
-        checks run against the table arrays so the (common) miss and
+        store id is the pointer's high bits, so the (common) miss and
         evicted cases never materialise a :class:`RingEntry` view.
         """
         ring = self.table
-        entry_id = ring._index.get(fingerprint)
-        if entry_id is None:
+        pointer = ring._index.get(fingerprint)
+        if pointer is None:
             return None
-        store_id = ring._pkt.item(entry_id)
-        payload = self.store.get(store_id)
+        payload = self.store.get(pointer >> OFFSET_BITS)
         if payload is None:
             ring.remove(fingerprint)
             return None
-        return RingEntry(ring, entry_id), payload
+        return RingEntry(ring, fingerprint, pointer), payload
 
     def lookup_view(self, fingerprint: int) -> Optional[memoryview]:
         """Zero-copy variant of :meth:`lookup` for region reads.
@@ -295,10 +306,10 @@ class ByteCache:
         referenced region.
         """
         ring = self.table
-        entry_id = ring._index.get(fingerprint)
-        if entry_id is None:
+        pointer = ring._index.get(fingerprint)
+        if pointer is None:
             return None
-        view = self.store.view(ring._pkt.item(entry_id))
+        view = self.store.view(pointer >> OFFSET_BITS)
         if view is None:
             ring.remove(fingerprint)
         return view

@@ -126,12 +126,12 @@ class ByteCachingDecoder:
         lookup_view = self.cache.lookup_view
         sources: Dict[int, memoryview] = {}
         missing: List[int] = []
-        for region in parsed.regions:
-            view = lookup_view(region.fingerprint)
+        for fingerprint, _, _, _ in parsed.regions:
+            view = lookup_view(fingerprint)
             if view is None:
-                missing.append(region.fingerprint)
+                missing.append(fingerprint)
             else:
-                sources[region.fingerprint] = view
+                sources[fingerprint] = view
         if missing:
             self.stats.missing += 1
             if self.verifier is not None:
@@ -170,7 +170,8 @@ class ByteCachingDecoder:
             self.stats.checksum_mismatch += 1
             if self.verifier is not None:
                 self.verifier.on_stale(
-                    meta, [region.fingerprint for region in parsed.regions])
+                    meta, [fingerprint
+                           for fingerprint, _, _, _ in parsed.regions])
             return DecodeResult(DecodeStatus.CHECKSUM_MISMATCH)
 
         self._accept(payload, meta)

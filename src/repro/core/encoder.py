@@ -23,7 +23,7 @@ from .cache import ByteCache
 from .fingerprint import FingerprintScheme
 from .polyhash import AnchorSet
 from .region import Region, expand_bounds
-from .ringtable import RingEntry
+from .ringtable import OFFSET_BITS, OFFSET_MASK, RingEntry
 from .wire import MIN_REGION_LENGTH, SHIM_SIZE, encode_payload, wrap_raw
 from .policies.base import EncoderPolicy, PacketMeta
 
@@ -33,18 +33,18 @@ class _SplitPairs:
 
     Three parallel lists: the ascending ``offsets`` (so the region loop
     can ``bisect`` past every anchor an accepted region swallowed in one
-    C call), their ``fingerprints``, and ``ids`` — the entry id each
-    fingerprint resolved to when the packet was probed, ``None`` for a
-    miss.
+    C call), their ``fingerprints``, and ``pointers`` — the
+    ``store_id << 32 | offset`` each fingerprint resolved to when the
+    packet was probed, ``None`` for a miss.
     """
 
-    __slots__ = ("offsets", "fingerprints", "ids")
+    __slots__ = ("offsets", "fingerprints", "pointers")
 
     def __init__(self, offsets: Sequence[int], fingerprints: Sequence[int],
-                 ids: Sequence[Optional[int]]) -> None:
+                 pointers: Sequence[Optional[int]]) -> None:
         self.offsets = offsets
         self.fingerprints = fingerprints
-        self.ids = ids
+        self.pointers = pointers
 
 
 _EMPTY_SPLIT = _SplitPairs((), (), ())
@@ -152,7 +152,7 @@ class ByteCachingEncoder:
         if timed:
             mark = perf_counter()
         probe = expand = None
-        n_regions = n_dependencies = 0
+        n_regions = n_dependencies = matched = 0
         regions: List[Region] = []
         dependencies: Set[int] = set()
         if not force_raw and self.policy.may_encode(meta):
@@ -161,7 +161,8 @@ class ByteCachingEncoder:
                 now = perf_counter()
                 probe = now - mark
                 mark = now
-            regions, dependencies = self._find_regions(payload, pairs, meta)
+            regions, dependencies, matched = self._find_regions(
+                payload, pairs, meta)
             if timed:
                 now = perf_counter()
                 expand = now - mark
@@ -204,7 +205,7 @@ class ByteCachingEncoder:
         if regions:
             stats.packets_encoded += 1
             stats.regions += len(regions)
-            stats.matched_bytes += sum(r.length for r in regions)
+            stats.matched_bytes += matched
 
         # Positional: the dataclass __init__ binds keywords at more
         # than twice the cost, once per packet.
@@ -228,30 +229,36 @@ class ByteCachingEncoder:
         """The ``table_probe`` stage: resolve a packet's anchors at once.
 
         One ``map`` over the fingerprint index (a C loop, no per-anchor
-        bytecode) yields the entry id behind every anchor;
+        bytecode) yields the pointer behind every anchor;
         :meth:`_find_regions` reads them by position.  A packet whose
         anchors all miss — most of fresh traffic — comes back empty, so
         the region loop binds nothing for it.
         """
         fps = anchors.fps_list()
-        ids = list(map(self.cache.table._index.get, fps))
-        if ids.count(None) == len(ids):
+        pointers = list(map(self.cache.table._index.get, fps))
+        if pointers.count(None) == len(pointers):
             return _EMPTY_SPLIT
-        return _SplitPairs(anchors.offsets.tolist(), fps, ids)
+        return _SplitPairs(anchors.offsets.tolist(), fps, pointers)
 
     def _find_regions(self, payload: bytes, anchors: _SplitPairs,
-                      meta: PacketMeta) -> Tuple[List[Region], Set[int]]:
-        """Redundancy Identification and Elimination (Fig. 2 part B)."""
+                      meta: PacketMeta
+                      ) -> Tuple[List[Region], Set[int], int]:
+        """Redundancy Identification and Elimination (Fig. 2 part B).
+
+        Returns the accepted regions, the packet ids they depend on and
+        the bytes they cover.
+        """
         regions: List[Region] = []
         dependencies: Set[int] = set()
         pos = 0  # first byte not yet covered by an accepted region
+        matched = 0
         offs_l = anchors.offsets
         fps_l = anchors.fingerprints
-        ids = anchors.ids
+        pointers = anchors.pointers
         if not offs_l:
             # Every anchor missed (or there was none) — skip the local
             # binding below (fresh traffic hits this for most packets).
-            return regions, dependencies
+            return regions, dependencies, matched
         cache = self.cache
         policy = self.policy
         entry_eligible = policy.entry_eligible
@@ -261,10 +268,6 @@ class ByteCachingEncoder:
         min_length = MIN_REGION_LENGTH
         payload_len = len(payload)
         ring = cache.table
-        # ndarray.item(i) hands back a plain int; int(ndarray[i]) boxes
-        # a numpy scalar first and costs about twice as much.
-        pkt_at = ring._pkt.item
-        off_at = ring._offsets.item
         store_get = cache.store.get
         records = cache.store.records
         # entry_eligible reads per-packet-record facts only (see the
@@ -288,18 +291,19 @@ class ByteCachingEncoder:
                 # region swallowed.
                 i = bisect_left(offs_l, pos, i + 1)
                 continue
-            fingerprint = fps_l[i]
-            # Inlined ByteCache.lookup against the ring arrays (the
-            # registered hot loop; see that method for the checks),
-            # starting from the id _candidate_pairs resolved.  An id
-            # gone stale since — this loop removed the index entry at
-            # an earlier, duplicate anchor — fails the store check
-            # again and lands on the same ``continue``.
-            eid = ids[i]
-            i += 1
-            if eid is None:
+            # Inlined ByteCache.lookup (the registered hot loop; see
+            # that method for the checks), starting from the pointer
+            # _candidate_pairs resolved.  A pointer gone stale since —
+            # this loop removed the index entry at an earlier,
+            # duplicate anchor — fails the store check again and lands
+            # on the same ``continue``.
+            pointer = pointers[i]
+            if pointer is None:
+                i += 1
                 continue
-            sid = pkt_at(eid)
+            fingerprint = fps_l[i]
+            i += 1
+            sid = pointer >> OFFSET_BITS
             if sid == refused:
                 stats.ineligible_hits += 1
                 continue
@@ -310,13 +314,13 @@ class ByteCachingEncoder:
             eligible = verdicts.get(sid)
             if eligible is None:
                 eligible = verdicts[sid] = entry_eligible(
-                    RingEntry(ring, eid), meta)
+                    RingEntry(ring, fingerprint, pointer), meta)
             if not eligible:
                 stats.ineligible_hits += 1
                 refused = sid
                 continue
             refused = None
-            entry_offset = off_at(eid)
+            entry_offset = pointer & OFFSET_MASK
             if (offset == entry_offset and payload_len == len(stored)
                     and payload == stored):
                 # Identical payloads (the repeated-transfer case): the
@@ -340,10 +344,12 @@ class ByteCachingEncoder:
             region = Region(fingerprint, offset_new, offset_stored, length)
             if verifier is not None:
                 # The only consumer of a per-anchor entry view.
-                verifier.on_region(meta, RingEntry(ring, eid), region)
+                verifier.on_region(meta, RingEntry(ring, fingerprint, pointer),
+                                   region)
             regions.append(region)
             external = records[sid][3]   # stored, so recorded
             if external is not None:
                 dependencies.add(external)
             pos = offset_new + length
-        return regions, dependencies
+            matched += length
+        return regions, dependencies, matched

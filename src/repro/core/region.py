@@ -19,7 +19,8 @@ class Region(NamedTuple):
     incoming and cached payloads; ``length`` is the match length;
     ``fingerprint`` identifies the cached payload at the decoder.  The
     field order is the wire order of §III-B's encoding field, so a
-    region packs and unpacks as one tuple.
+    region packs as one tuple, and the decoder reads the plain tuples
+    ``struct`` unpacks (equal to the region they came from).
 
     A ``NamedTuple`` rather than a frozen dataclass: same immutability
     and equality, but tuple construction skips the per-field
@@ -31,6 +32,12 @@ class Region(NamedTuple):
     offset_new: int
     offset_stored: int
     length: int
+
+
+#: Bytes compared per step of match expansion.  Matches mostly end
+#: within a few chunks of the anchor, so only the chunk holding the
+#: first difference is converted to ints, not the whole room.
+_CHUNK = 64
 
 
 def expand_bounds(new: bytes, new_anchor: int, stored: bytes,
@@ -49,36 +56,48 @@ def expand_bounds(new: bytes, new_anchor: int, stored: bytes,
     """
     if new_anchor < left_limit:
         return None
-    # Each direction is one slice compare (memcmp) that settles the
-    # common fully-matching case; only a mismatch pays for the
-    # big-endian XOR whose leading (trailing) zero bytes count the
+    # Each direction compares _CHUNK-byte slices outward from the
+    # anchor (memcmp); only the first chunk that differs pays for the
+    # big-endian XOR whose leading (trailing) zero bytes count its
     # common prefix (suffix) at C speed.  The anchor window is the
     # head of the right-hand run: a first difference inside it is a
     # fingerprint collision, so verification costs no compare of its
     # own.
-    room = min(len(new) - new_anchor, len(stored) - stored_anchor)
+    room = len(new) - new_anchor
+    other = len(stored) - stored_anchor
+    if other < room:
+        room = other
     if room < window:
         return None
-    a = new[new_anchor: new_anchor + room]
-    b = stored[stored_anchor: stored_anchor + room]
-    if a == b:
-        run = room
-    else:
-        x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-        run = room - ((x.bit_length() + 7) >> 3)
-        if run < window:
-            return None
-
-    left_room = min(new_anchor - left_limit, stored_anchor)
-    if left_room > 0:
-        a = new[new_anchor - left_room: new_anchor]
-        b = stored[stored_anchor - left_room: stored_anchor]
-        if a == b:
-            left = left_room
-        else:
+    run = 0
+    while run < room:
+        end = run + _CHUNK
+        if end > room:
+            end = room
+        a = new[new_anchor + run: new_anchor + end]
+        b = stored[stored_anchor + run: stored_anchor + end]
+        if a != b:
             x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-            left = ((x & -x).bit_length() - 1) >> 3
-    else:
-        left = 0
+            run = end - ((x.bit_length() + 7) >> 3)
+            if run < window:
+                return None
+            break
+        run = end
+
+    left_room = new_anchor - left_limit
+    if stored_anchor < left_room:
+        left_room = stored_anchor
+    left = 0
+    while left < left_room:
+        end = left + _CHUNK
+        if end > left_room:
+            end = left_room
+        a = new[new_anchor - end: new_anchor - left]
+        b = stored[stored_anchor - end: stored_anchor - left]
+        if a != b:
+            x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+            left += ((x & -x).bit_length() - 1) >> 3
+            break
+        left = end
 
     return new_anchor - left, stored_anchor - left, left + run

@@ -175,7 +175,7 @@ class ShardedByteCache(ByteCache):
         self.table.records = self.store.records
         self.byte_budget = byte_budget
         self.n_shards = n_shards
-        # shard_entries() memo: (table inserts, table size) -> counts.
+        # shard_entries() memo: (table inserts, keys indexed) -> counts.
         self._entries_key: Optional[Tuple[int, int]] = None
         self._entries: List[int] = []
 
@@ -189,15 +189,16 @@ class ShardedByteCache(ByteCache):
 
         The table only changes by an insert (bumps ``inserts``; a
         compaction runs only inside one), a lazy removal or a flush
-        (both shrink it), so ``(inserts, size)``
-        names its key set exactly and memoises the routing: the N
+        (both shrink it), so ``(inserts, indexed)`` names its key set
+        exactly and memoises the routing: the N
         per-shard gauges of one telemetry sample share one pass.
         """
         ring = self.table
-        key = (ring.inserts, len(ring))
+        indexed = ring.indexed
+        key = (ring.inserts, indexed)
         if key != self._entries_key:
             fps = np.fromiter(ring._index.keys(), dtype=np.uint64,
-                              count=len(ring))
+                              count=indexed)
             # shard_of, vectorised: uint64 multiplication wraps mod 2^64.
             owners = (fps * np.uint64(_MIX) >> np.uint64(17)) % np.uint64(
                 self.n_shards)

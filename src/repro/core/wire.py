@@ -30,7 +30,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 #: Region reads may be served zero-copy (see PacketStore.view); both
 #: types support the len/slice operations :func:`reconstruct` performs.
@@ -67,12 +67,18 @@ class WireFormatError(Exception):
     """Encoded payload is malformed (truncated, bad magic, bad counts)."""
 
 
+#: One parsed encoding field, ``(fingerprint, offset_new,
+#: offset_stored, length)``: the tuple ``struct`` unpacks, which
+#: compares equal to the :class:`Region` it was packed from.
+Field = Tuple[int, int, int, int]
+
+
 @dataclass
 class EncodedPayload:
     """Parsed form of an encoded payload."""
 
     orig_len: int
-    regions: List[Region]
+    regions: List[Field]
     literals: bytes
 
 
@@ -127,7 +133,8 @@ def parse_payload(data: bytes) -> "EncodedPayload | bytes":
     """Parse a shimmed payload.
 
     Returns raw payload ``bytes`` for pass-through packets, or an
-    :class:`EncodedPayload` for encoded ones.  Raises
+    :class:`EncodedPayload` for encoded ones, whose regions are the
+    wire-order :data:`Field` tuples as unpacked.  Raises
     :class:`WireFormatError` on malformed input (e.g. bit corruption
     that survived into the shim).
     """
@@ -146,8 +153,8 @@ def parse_payload(data: bytes) -> "EncodedPayload | bytes":
     fields_end = ENCODED_HEADER_SIZE + nfields * FIELD_SIZE
     if len(data) < fields_end:
         raise WireFormatError("truncated field table")
-    regions = list(map(Region._make, _FIELD_STRUCT.iter_unpack(
-        data[ENCODED_HEADER_SIZE:fields_end])))
+    regions = list(_FIELD_STRUCT.iter_unpack(
+        data[ENCODED_HEADER_SIZE:fields_end]))
     return EncodedPayload(orig_len, regions, data[fields_end:])
 
 

@@ -63,7 +63,10 @@ class FingerprintTable:
         self.inserts = 0
         self.replacements = 0
 
-    def __len__(self) -> int:
+    @property
+    def indexed(self) -> int:
+        """Fingerprints in the table, dangling ones included (an entry
+        whose packet was evicted stays until a lookup removes it)."""
         return len(self._table)
 
     def put(self, entry: CacheEntry) -> None:
@@ -174,7 +177,7 @@ class PerAnchorEncoder(ByteCachingEncoder):
         return anchors
 
     def _find_regions(self, payload, anchors, meta):
-        regions, dependencies, pos = [], set(), 0
+        regions, dependencies, pos, matched = [], set(), 0, 0
         for offset, fingerprint in anchors.pairs():
             if offset < pos:
                 continue
@@ -202,4 +205,5 @@ class PerAnchorEncoder(ByteCachingEncoder):
             if external is not None:
                 dependencies.add(external)
             pos = offset_new + length
-        return regions, dependencies
+            matched += length
+        return regions, dependencies, matched

@@ -2,12 +2,12 @@
 
 ``ByteCachingEncoder._candidate_pairs`` maps a whole packet's
 fingerprints through the ring index before the region loop runs, and
-``_find_regions`` reads the entry ids by position.  The per-anchor
-reference encoder of ``tests/reference_cache.py`` resolves nothing up
-front and calls ``ByteCache.lookup`` anchor by anchor, so wire
-bytes, regions, dependencies, the whole ``EncoderStats`` and the
+``_find_regions`` reads the resolved pointers by position.  The
+per-anchor reference encoder of ``tests/reference_cache.py`` resolves
+nothing up front and calls ``ByteCache.lookup`` anchor by anchor, so
+wire bytes, regions, dependencies, the whole ``EncoderStats`` and the
 store's recency order must agree on exactly the cases where a
-pre-resolved id could differ from a fresh lookup.
+pre-resolved pointer could differ from a fresh lookup.
 """
 
 import random
@@ -49,10 +49,10 @@ def _assert_same_state(encoders):
     assert new.stats == ref.stats
     # Recency order of the payload store (LRU moves on every get).
     assert list(new.cache.store.ids()) == list(ref.cache.store.ids())
-    assert len(new.cache.table) == len(ref.cache.table)
+    assert new.cache.table.indexed == ref.cache.table.indexed
 
 
-def test_entry_id_zero_is_a_hit():
+def test_first_packet_pointer_is_a_hit():
     scheme = FingerprintScheme(window=16, zero_bits=3)
     for seed in range(50):
         first = random.Random(seed).randbytes(400)
@@ -68,8 +68,9 @@ def test_entry_id_zero_is_a_hit():
     shared = first[:offsets[1] + 15]            # second window cut short
     second = shared + random.Random(999).randbytes(400 - len(shared))
     pairs = encoders[0]._candidate_pairs(scheme.anchors(second))
-    assert pairs.ids[0] == 0                    # the very first entry id
-    assert all(eid is None for eid in pairs.ids[1:])
+    # Store id 1 (the first packet cached), the first anchor's offset.
+    assert pairs.pointers[0] == 1 << 32 | offsets[0]
+    assert all(pointer is None for pointer in pairs.pointers[1:])
     result = _encode_both(encoders, second, _meta(1))
     assert [region.fingerprint for region in result.regions] == \
         [pairs.fingerprints[0]]
@@ -107,7 +108,7 @@ def test_duplicate_fingerprint_pointing_at_an_evicted_payload():
         assert encoder.cache.store.evictions >= 1
         assert duplicated <= set(encoder.cache.table._index)   # dangling
     # First occurrence removes the index entry; the second holds the
-    # id resolved before that and must land on the same ``continue``.
+    # pointer resolved before that and must land on the same ``continue``.
     result = _encode_both(encoders, repeated, _meta(3))
     assert not result.encoded
     _assert_same_state(encoders)
@@ -123,7 +124,7 @@ def test_one_region_swallows_every_other_resolved_hit():
     payload = random.Random(21).randbytes(SEGMENT)
     _encode_both(encoders, payload, _meta(0))
     pairs = encoders[0]._candidate_pairs(encoders[0].scheme.anchors(payload))
-    assert len(pairs.ids) > 5 and None not in pairs.ids
+    assert len(pairs.pointers) > 5 and None not in pairs.pointers
     result = _encode_both(encoders, payload, _meta(1))
     assert len(result.regions) == 1 and result.regions[0].length == SEGMENT
     _assert_same_state(encoders)
@@ -146,12 +147,12 @@ def test_dangling_entry_is_removed_even_when_the_insert_is_deferred():
     for encoder in encoders:
         assert encoder.cache.store.evictions >= 1
         assert fps <= set(encoder.cache.table._index)          # dangling
-    before = len(encoders[0].cache.table)
+    before = encoders[0].cache.table.indexed
     result = _encode_both(encoders, victim, _meta(3))
     assert not result.encoded and not result.cached
     _assert_same_state(encoders)
     for encoder in encoders:
-        assert len(encoder.cache.table) == before - len(fps)
+        assert encoder.cache.table.indexed == before - len(fps)
         assert not fps & set(encoder.cache.table._index)
 
 

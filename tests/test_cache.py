@@ -85,7 +85,7 @@ class TestFingerprintTable:
         table.put(newer)
         assert table.get(42) is newer
         assert table.replacements == 1
-        assert len(table) == 1
+        assert table.indexed == 1
 
     def test_remove_missing_is_noop(self):
         FingerprintTable().remove(999)
@@ -267,4 +267,4 @@ class TestOneRecordPerStoredPayload:
             cache.insert_packet(bytes([i]) * 100, [], external_id=i)
         assert cache.store.evictions >= 42
         self.check(cache)
-        assert len(cache.table) == 0 and cache.table._next == 0
+        assert cache.table.indexed == 0 and cache.table._next == 0

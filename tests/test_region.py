@@ -176,3 +176,45 @@ def test_room_shorter_than_window_rejected(payload, window, data):
                                     0) is None
     assert assert_matches_reference(payload + bytes(64), 0, payload, anchor,
                                     window, 0) is None
+
+
+#: expand_bounds compares this many bytes per step; the seams below sit
+#: on its chunk boundaries.
+CHUNK = 64
+#: Common-run lengths from the anchor: empty, one byte, and every chunk
+#: seam up to five chunks out with one byte either side.
+SEAM_RUNS = sorted({0, 1} | {k * CHUNK + e for k in range(1, 6)
+                             for e in (-1, 0, 1)})
+
+
+@st.composite
+def seam_pairs(draw):
+    """A payload and a shifted copy whose first difference on each side
+    of the anchor falls on a chunk seam, one byte either side of it, or
+    nowhere: the common run can pass two chunks both ways.  The left
+    limit may fall inside a chunk, and the copy may be cut so that the
+    room is shorter than the window."""
+    window = draw(st.integers(1, 32))
+    payload = random.Random(draw(st.integers(0, 2 ** 32 - 1))).randbytes(
+        13 * CHUNK)
+    anchor = draw(st.integers(6 * CHUNK, 7 * CHUNK))
+    copy = bytearray(payload)
+    right = draw(st.one_of(st.none(), st.sampled_from(SEAM_RUNS)))
+    if right is not None:                   # anchor + right differs first
+        copy[anchor + right] ^= draw(st.integers(1, 255))
+    left = draw(st.one_of(st.none(), st.sampled_from(SEAM_RUNS)))
+    if left is not None:                    # anchor - 1 - left differs first
+        copy[anchor - 1 - left] ^= draw(st.integers(1, 255))
+    cut = draw(st.one_of(st.none(), st.integers(0, window - 1)))
+    if cut is not None:                     # room shorter than the window
+        del copy[anchor + cut:]
+    prefix = draw(st.binary(max_size=CHUNK + 6))
+    left_limit = draw(st.one_of(st.just(0), st.integers(0, anchor + 1)))
+    return (payload, anchor, prefix + bytes(copy), anchor + len(prefix),
+            window, left_limit)
+
+
+@settings(max_examples=400, deadline=None)
+@given(seam_pairs())
+def test_expand_bounds_matches_reference_at_chunk_seams(case):
+    assert_matches_reference(*case)

@@ -9,13 +9,15 @@ budget, and a property-level parity sweep against the dict table
 through the ByteCache front door.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cache import ByteCache
+from repro.core.cache import MAX_PAYLOAD, ByteCache
 from repro.core.fingerprint import FingerprintScheme
-from repro.core.ringtable import RingFingerprintTable
+from repro.core.ringtable import OFFSET_BITS, RingFingerprintTable
 from tests.reference_cache import CacheEntry, DictByteCache, FingerprintTable
 
 
@@ -137,22 +139,28 @@ class TestCapacityFromBudget:
             if ring.compactions != compactions:
                 compactions = ring.compactions
                 stored = cache.store.records
-                assert all(ring._pkt.item(entry_id) in stored
-                           for entry_id in ring._index.values())
+                # Every log row and every index key points at a
+                # stored packet straight after a compaction.
+                rows = (ring._ptr[:ring._next] >> OFFSET_BITS).tolist()
+                assert stored.keys() >= set(rows)
+                assert all(pointer >> OFFSET_BITS in stored
+                           for pointer in ring._index.values())
         assert ring.compactions >= 10
         assert ring.capacity <= 4 * start
 
 
 def _brute_previous(table, fingerprint):
-    """previous_entry by walking every live id, newest first: the
-    newest entry whose packet is stored and is not the current one's."""
+    """previous_entry by walking every log row, newest first: the
+    pointer of the newest row whose packet is stored and is not the
+    current one's."""
     current = table._index.get(fingerprint)
-    current_store = None if current is None else int(table._pkt[current])
-    for entry_id in reversed(range(table._next)):
-        store_id = int(table._pkt[entry_id])
-        if (int(table._fps[entry_id]) == fingerprint
+    current_store = None if current is None else current >> OFFSET_BITS
+    for row in reversed(range(table._next)):
+        pointer = int(table._ptr[row])
+        store_id = pointer >> OFFSET_BITS
+        if (int(table._fps[row]) == fingerprint
                 and store_id != current_store and store_id in table.records):
-            return entry_id
+            return pointer
     return None
 
 
@@ -160,7 +168,11 @@ def _assert_history_matches_brute_force(table, fingerprints):
     for fingerprint in fingerprints:
         got = table.previous_entry(fingerprint)
         want = _brute_previous(table, fingerprint)
-        assert (got._id if got is not None else None) == want
+        if got is None:
+            assert want is None
+        else:
+            assert got.fingerprint == fingerprint
+            assert got.store_id << OFFSET_BITS | got.offset == want
 
 
 class TestPreviousEntry:
@@ -221,6 +233,41 @@ class TestPreviousEntry:
         assert peak < 3 * 10_000
 
 
+class TestPointer:
+    """An index value is ``store_id << 32 | offset``."""
+
+    def test_largest_payload_reads_back_exact(self):
+        # The largest payload a cache stores, under the largest store
+        # id a pointer holds: every anchor's offset and store id come
+        # back exact, through the memoised (uint16) anchors and through
+        # a pair list, with nothing carried across the 32-bit seam.
+        scheme = FingerprintScheme(window=16, zero_bits=4)
+        payload = np.random.default_rng(45).integers(
+            0, 256, MAX_PAYLOAD, dtype=np.uint8).tobytes()
+        cache = ByteCache(1 << 20)
+        top = (1 << (63 - OFFSET_BITS)) - 1
+        cache.store._ids = itertools.count(top - 1)
+        anchors = scheme.anchors(payload)
+        assert cache.insert_packet(payload, anchors) == top - 1
+        last = MAX_PAYLOAD - 1
+        assert cache.insert_packet(payload, [(last, 7)]) == top
+        newest = dict((fp, offset) for offset, fp in anchors.pairs())
+        assert max(newest.values()) > MAX_PAYLOAD - 64
+        for fingerprint, offset in newest.items():
+            entry, stored = cache.lookup(fingerprint)
+            assert (entry.store_id, entry.offset) == (top - 1, offset)
+            assert stored[offset: offset + 16] == payload[offset: offset + 16]
+        entry = cache.table.get(7)
+        assert (entry.store_id, entry.offset) == (top, last)
+        assert cache.table._index[7] == top << OFFSET_BITS | last
+
+    def test_payload_past_the_limit_is_refused(self):
+        cache = ByteCache(1 << 20)
+        with pytest.raises(ValueError):
+            cache.insert_packet(bytes(MAX_PAYLOAD + 1), [(0, 1)])
+        assert len(cache.store) == 0 and cache.table.indexed == 0
+
+
 def _entry(fingerprint, store_id, offset, counter):
     return CacheEntry(fingerprint, store_id, offset, None, None, counter)
 
@@ -249,7 +296,7 @@ def test_ring_matches_dict_table_property(ops):
         counter = 100 + store_id
         _put(ring, _entry(fingerprint, store_id, offset, counter))
         reference.put(_entry(fingerprint, store_id, offset, counter))
-    assert len(ring) == len(reference)
+    assert ring.indexed == reference.indexed
     assert ring.inserts == reference.inserts
     assert ring.replacements == reference.replacements
     for fingerprint, _, _ in ops:

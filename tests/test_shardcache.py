@@ -113,7 +113,7 @@ def _run_ops(caches, ops):
         _apply(caches, op, counter)
         counter += op[0] == "insert"
     # Aggregate views agree at the end of every interleaving.
-    for attr in (lambda c: len(c.table), lambda c: len(c.store),
+    for attr in (lambda c: c.table.indexed, lambda c: len(c.store),
                  lambda c: c.store.bytes_used, lambda c: c.store.evictions,
                  lambda c: c.table.inserts, lambda c: c.table.replacements):
         assert len({attr(cache) for cache in caches}) == 1
@@ -188,7 +188,7 @@ def test_evict_fraction_and_lazy_invalidation():
     # Dangling table entries are invalidated lazily on lookup.
     for fp in FPS:
         assert cache.lookup(fp) is None
-    assert len(cache.table) == 0
+    assert cache.table.indexed == 0
     with pytest.raises(ValueError):
         cache.evict_fraction(1.5)
 

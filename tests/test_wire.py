@@ -165,7 +165,7 @@ class TestErrors:
         swapped = (wire[:first] + wire[second:end] + wire[first:second]
                    + wire[end:])
         parsed = parse_payload(swapped)
-        assert [r.fingerprint for r in parsed.regions] == [2, 1]
+        assert [field[0] for field in parsed.regions] == [2, 1]
         assert reconstruct(parsed, lambda fp: stored) == payload
 
     def test_length_mismatch_detected(self):
