@@ -6,8 +6,8 @@ Three layers of machine-checked correctness (see DESIGN.md §10):
   ``ExperimentConfig(verify=True)``; violations raise
   :class:`InvariantViolation` with the flight-recorder dump attached.
 * :mod:`repro.verify.differential` — paired runs that must agree
-  (fingerprinter implementations, serial vs parallel sweeps,
-  resilience on/off under zero faults).
+  (serial vs parallel sweeps, resilience on/off under zero faults,
+  the sharded serving cache vs the transfer cache).
 * :mod:`repro.verify.fuzz` — a seeded scenario fuzzer (random configs +
   scripted faults, oracles armed) with shrinking to a minimal
   replayable JSON case (``repro fuzz`` / ``repro fuzz --replay``).
