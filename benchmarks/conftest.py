@@ -1,19 +1,14 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared helpers for the benchmark harness.
 
-Each ``bench_*`` module regenerates one paper artifact (table/figure),
-times it with pytest-benchmark, and prints the reproduced rows/series
-so the output can be compared against the paper (see EXPERIMENTS.md).
-
-Scenario sweeps are memoised per-session: Figures 10 and 11 come from
-the same set of transfer runs, so the second bench reuses the first's
-sweep instead of re-simulating it.
+Each ``bench_*`` module drives one ablation, extension or cost
+measurement beyond the paper's tables and prints what it reproduced
+(see EXPERIMENTS.md).  The paper's own tables and figures, and the
+checks on them, are ``python -m repro artifact``.
 """
 
 from __future__ import annotations
 
 import os
-
-import pytest
 
 
 def bench_workers():
@@ -25,19 +20,6 @@ def bench_workers():
     """
     value = os.environ.get("REPRO_BENCH_WORKERS", "").strip()
     return int(value) if value else None
-
-
-@pytest.fixture(scope="session")
-def sweep_cache():
-    """Session-scoped memo for scenario results shared across benches."""
-    cache = {}
-
-    def get(name, factory):
-        if name not in cache:
-            cache[name] = factory()
-        return cache[name]
-
-    return get
 
 
 _CAPTURE_MANAGER = None
@@ -52,9 +34,7 @@ def print_report(title: str, report: str) -> None:
     """Print a reproduced artifact so it lands in the run's output.
 
     Capture is suspended around the print so the tables appear even
-    without ``-s`` — the canonical
-    ``pytest benchmarks/ --benchmark-only | tee bench_output.txt``
-    invocation must record them.
+    without ``-s``.
     """
     banner = "#" * max(20, len(title) + 4)
     text = f"\n{banner}\n# {title}\n{banner}\n{report}\n"

@@ -8,7 +8,7 @@ import argparse
 import json
 import math
 import os
-from typing import Any, Callable, Dict, List, NoReturn, Optional
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence
 
 from ..core.policies import ENCODER_POLICIES
 from ..experiments import ExperimentConfig
@@ -82,6 +82,16 @@ def comma_list(parse: Callable[[str], Any], what: str
             raise argparse.ArgumentTypeError(f"no {what} given")
         return values
     return items
+
+
+def one_of(names: Sequence[str], what: str) -> Callable[[str], str]:
+    """argparse type: one of ``names``, each a ``what``."""
+    def parse(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {text!r}; try: {', '.join(names)}")
+        return text
+    return parse
 
 
 def _policy_in(names) -> Callable[[str], str]:

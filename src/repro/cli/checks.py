@@ -17,15 +17,8 @@ from ..metrics.regression import (bench_diff_report, format_bench_diff,
 from ..serving import ServingSpec
 from ..verify import fuzz
 from ..verify.differential import run_differential
-from .args import dir_path, json_file, number, policy_list, write_json
-
-
-def _campaign_name(text: str) -> str:
-    """argparse type: a canonical chaos campaign."""
-    if text not in chaos.CAMPAIGNS:
-        raise argparse.ArgumentTypeError(f"unknown campaign {text!r}; try: "
-                                         f"{', '.join(sorted(chaos.CAMPAIGNS))}")
-    return text
+from .args import (dir_path, json_file, number, one_of, policy_list,
+                   write_json)
 
 
 def _chaos_target(doc) -> Optional[ServingSpec]:
@@ -85,7 +78,7 @@ def add_parsers(sub) -> None:
                       ).set_defaults(handler=cmd_chaos_list)
     cmd = family.add_parser("run", help="run a canonical campaign and print "
                            "its scorecard")
-    cmd.add_argument("name", type=_campaign_name,
+    cmd.add_argument("name", type=one_of(sorted(chaos.CAMPAIGNS), "campaign"),
                      help="campaign name (see: chaos list)")
     cmd.add_argument("--scale", default="smoke", choices=["smoke", "full"],
                      help="workload size: 'smoke' for seconds, 'full' for "
@@ -96,7 +89,7 @@ def add_parsers(sub) -> None:
     cmd.add_argument("--no-resilience", action="store_true",
                      help="disarm the resilience layer (the negative "
                           "control: oracles should fail)")
-    cmd.add_argument("--workers", type=int,
+    cmd.add_argument("--workers", type=number(1, whole=True),
                      help="run campaign cells on a process pool")
     cmd.add_argument("--out", metavar="REPORT.json",
                      help="write the repro.chaos/v1 scorecard to this file")
@@ -109,7 +102,7 @@ def add_parsers(sub) -> None:
                          _chaos_target(doc))),
                      help="a repro.chaos/v1 file written by 'chaos run "
                           "--out'")
-    cmd.add_argument("--workers", type=int)
+    cmd.add_argument("--workers", type=number(1, whole=True))
     cmd.set_defaults(handler=cmd_chaos_replay)
 
     cmd = sub.add_parser("lint", help="architecture lint: layering DAG, "
@@ -143,7 +136,7 @@ def add_parsers(sub) -> None:
     cmd.add_argument("--dir", metavar="PATH",
                      help="directory holding the BENCH_*.json files "
                           "(default: --root)")
-    cmd.add_argument("--window", type=int,
+    cmd.add_argument("--window", type=number(1, whole=True),
                      help="history records to compare against (default: "
                           "[tool.repro-bench] window)")
     cmd.add_argument("--out", metavar="REPORT.json",

@@ -4,28 +4,32 @@
 from __future__ import annotations
 
 import json
+import textwrap
 
 from ..core.policies import ENCODER_POLICIES, make_policy_pair
 from ..experiments import scenarios
 from ..experiments.mobility import MobilityConfig, run_mobility
 from ..metrics import format_table
 from ..serving import ServingSpec, run_serving
-from ..workload import corpus_names, corpus_object
-from .args import number, percent, write_json
+from ..workload import CatalogSpec, corpus_names, corpus_object
+from .args import number, one_of, percent, write_json
 
+#: Artifact name -> (the scenario that computes it, the result method
+#: that prints it).  Figures 10 and 11 are two views of one sweep; each
+#: artifact's checks are the result's checks named after it.
 ARTIFACTS = {
-    "table1": scenarios.table1,
-    "figure6": scenarios.figure6,
-    "figure10": scenarios.figure10_11,
-    "figure11": scenarios.figure10_11,
-    "figure12": scenarios.figure12,
-    "figure13": scenarios.figure13,
-    "table2": scenarios.table2,
-    "headline": scenarios.headline,
-    "ablation": scenarios.ablation_packet_size,
-    "extensions": scenarios.extensions,
-    "impairments": scenarios.impairment_matrix,
-    "stall-scaling": scenarios.stall_scaling,
+    "table1": (scenarios.table1, "report"),
+    "figure6": (scenarios.figure6, "report"),
+    "figure10": (scenarios.figure10_11, "report_bytes"),
+    "figure11": (scenarios.figure10_11, "report_delay"),
+    "figure12": (scenarios.figure12, "report"),
+    "figure13": (scenarios.figure13, "report"),
+    "table2": (scenarios.table2, "report"),
+    "headline": (scenarios.headline, "report"),
+    "ablation": (scenarios.ablation_packet_size, "report"),
+    "extensions": (scenarios.extensions, "report"),
+    "impairments": (scenarios.impairment_matrix, "report"),
+    "stall-scaling": (scenarios.stall_scaling, "report"),
 }
 
 
@@ -40,8 +44,13 @@ def add_parsers(sub) -> None:
     cmd.add_argument("--seed", type=int, default=11)
     cmd.set_defaults(handler=cmd_mobility)
 
-    cmd = sub.add_parser("artifact", help="regenerate a paper table/figure")
-    cmd.add_argument("name", choices=sorted(ARTIFACTS))
+    cmd = sub.add_parser("artifact", help="regenerate paper tables/figures "
+                         "and check the paper's claims on them (exit 1 on "
+                         "an unexpected result)")
+    cmd.add_argument("names", nargs="*", metavar="NAME",
+                     type=one_of(list(ARTIFACTS), "artifact"),
+                     help="artifacts to run (default: all): "
+                          + ", ".join(ARTIFACTS))
     cmd.set_defaults(handler=cmd_artifact)
 
     cmd = sub.add_parser("corpus", help="inspect corpus objects")
@@ -56,7 +65,9 @@ def add_parsers(sub) -> None:
                      help="catalog size (Zipf-ranked)")
     cmd.add_argument("--alpha", type=number(0), default=0.8,
                      help="Zipf skew of content popularity")
-    cmd.add_argument("--mean-object", type=int, default=8192,
+    cmd.add_argument("--mean-object", default=8192,
+                     type=number(CatalogSpec.min_object_bytes,
+                                 CatalogSpec.max_object_bytes, whole=True),
                      help="mean object size in bytes")
     cmd.add_argument("--cache-mb", type=number(0, above=True), default=4.0,
                      help="shared cache budget per direction (MB)")
@@ -106,15 +117,35 @@ def cmd_mobility(args) -> int:
     return 0
 
 
+#: How a check line reads, by (passed, expected to pass); the capitals
+#: are the unexpected outcomes.
+_CHECK_STATUS = {(True, True): "pass", (False, True): "FAIL",
+                 (False, False): "xfail", (True, False): "XPASS"}
+
+
 def cmd_artifact(args) -> int:
-    result = ARTIFACTS[args.name]()
-    if args.name == "figure10":
-        print(result.report_bytes())
-    elif args.name == "figure11":
-        print(result.report_delay())
-    else:
-        print(result.report())
-    return 0
+    results = {}
+    counts = dict.fromkeys(_CHECK_STATUS.values(), 0)
+    for name in args.names or ARTIFACTS:
+        scenario, report = ARTIFACTS[name]
+        if scenario not in results:
+            results[scenario] = scenario()
+        result = results[scenario]
+        print(getattr(result, report)())
+        for check in result.checks():
+            if check.name.partition(".")[0] != name:
+                continue
+            status = _CHECK_STATUS[(check.passed, check.divergence is None)]
+            counts[status] += 1
+            print(f"{status:<5}  {check.name}")
+            if check.divergence:
+                print(textwrap.indent(textwrap.fill(
+                    check.divergence, 72, break_on_hyphens=False), " " * 7))
+        print()
+    print(f"checks: {counts['pass']} passed, {counts['xfail']} failed as "
+          f"expected, {counts['FAIL']} failed, {counts['XPASS']} passed "
+          "unexpectedly")
+    return 1 if counts["FAIL"] or counts["XPASS"] else 0
 
 
 def cmd_corpus(args) -> int:

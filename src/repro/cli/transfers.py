@@ -56,7 +56,7 @@ def add_parsers(sub) -> None:
     cmd.add_argument("--seeds", type=seed_list,
                      help="comma-separated replicate seeds (overrides "
                           "--seed)")
-    cmd.add_argument("--workers", type=int,
+    cmd.add_argument("--workers", type=number(1, whole=True),
                      help="process-pool size (default: serial)")
     cmd.add_argument("--out",
                      help="write a BENCH_sweep.json file here")
@@ -69,7 +69,7 @@ def add_parsers(sub) -> None:
     cmd = sub.add_parser("trace", help="run a transfer and print its "
                          "dependency graph (Fig. 14-style analysis)")
     add_transfer_args(cmd, policy="naive", loss="1", size=60 * 1460)
-    cmd.add_argument("--rows", type=int, default=25,
+    cmd.add_argument("--rows", type=number(1, whole=True), default=25,
                      help="how many packets of the trace to print")
     cmd.add_argument("--out",
                      help="also write the run's spans/v1 export to this "
@@ -88,11 +88,11 @@ def add_parsers(sub) -> None:
                           "series to render (default: cwnd, RTO, "
                           "in-flight, perceived loss, cache entries, "
                           "queue depth)")
-    cmd.add_argument("--width", type=int, default=64,
+    cmd.add_argument("--width", type=number(1, whole=True), default=64,
                      help="chart width in columns")
-    cmd.add_argument("--height", type=int, default=8,
+    cmd.add_argument("--height", type=number(1, whole=True), default=8,
                      help="chart height in rows")
-    cmd.add_argument("--events", type=int, default=20,
+    cmd.add_argument("--events", type=number(1, whole=True), default=20,
                      help="flight-recorder rows to print")
     cmd.add_argument("--out",
                      help="also write the raw telemetry/v1 export as "
@@ -106,9 +106,9 @@ def add_parsers(sub) -> None:
                      choices=["wall", "sim", "count"],
                      help="node weight: host wall time, sim time, or "
                           "span count")
-    cmd.add_argument("--depth", type=int,
-                     help="maximum stack depth to render")
-    cmd.add_argument("--min-frac", type=float, default=0.0,
+    cmd.add_argument("--depth", type=number(0, whole=True),
+                     help="maximum stack depth to render (0 = top level)")
+    cmd.add_argument("--min-frac", type=number(0, 1), default=0.0,
                      dest="min_frac", help="hide nodes below this "
                      "fraction of the total weight")
     cmd.add_argument("--folded", metavar="FILE",
@@ -124,7 +124,7 @@ def add_parsers(sub) -> None:
     _add_span_run_args(cmd)
     cmd.add_argument("--list", action="store_true",
                      help="list traces instead of walking one")
-    cmd.add_argument("--hops", type=int, default=6,
+    cmd.add_argument("--hops", type=number(1, whole=True), default=6,
                      help="cross-trace hops to follow")
     cmd.set_defaults(handler=cmd_spans)
 
@@ -134,7 +134,7 @@ def _add_span_run_args(cmd) -> None:
     add_transfer_args(cmd, policy="classic", loss="1", size=60 * 1460)
     cmd.add_argument("--resilience", action="store_true",
                      help="arm the gateway resilience layer")
-    cmd.add_argument("--sample", type=int, default=1,
+    cmd.add_argument("--sample", type=number(1, whole=True), default=1,
                      help="trace 1 in N flows (default: all)")
     cmd.add_argument("--from", dest="from_file", metavar="SPANS.json",
                      type=json_file("spans/v1 export", validate_spans),

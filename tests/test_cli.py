@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
+import collections
 import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cli.scenarios import ARTIFACTS
+from repro.core.policies.base import EncoderPolicy
+from repro.core.policies.cache_flush import CacheFlushPolicy
+from repro.experiments import scenarios
+from repro.metrics.series import Series
 from repro.sim.engine import Simulator
 
 
@@ -119,7 +126,8 @@ def test_chaos_run_usage_errors_exit_2(capsys, argv, error):
 
 #: Options whose value is a whole number; the rest take any finite one.
 WHOLE = {"--iterations", "--shards", "--users", "--contents",
-         "--max-requests", "--size"}
+         "--max-requests", "--size", "--mean-object", "--width", "--height",
+         "--events", "--rows", "--hops", "--depth", "--sample", "--workers"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -143,13 +151,28 @@ WHOLE = {"--iterations", "--shards", "--users", "--contents",
     ["timeline", "--size", "-5"],
     ["flame", "--size", "-5"],
     ["spans", "--size", "-5"],
+    ["serve-sim", "--mean-object", "0"],
+    ["serve-sim", "--mean-object", "300000"],
+    ["timeline", "--height", "0"],
+    ["timeline", "--height", "-1"],
+    ["timeline", "--events", "0"],
+    ["timeline", "--width", "-1"],
+    ["trace", "--rows", "-1"],
+    ["spans", "--hops", "-1"],
+    ["flame", "--depth", "-1"],
+    ["flame", "--sample", "-1"],
+    ["sweep", "--workers", "-1"],
+    ["flame", "--min-frac", "2"],
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, argv):
     """Refused at parse time, never a ValueError/SimulationError from a
     constructor or (``--size``) a silent corpus-default run."""
     assert main(argv) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    noun = "whole number >=" if argv[1] in WHOLE else "number"
+    noun = "number"
+    if argv[1] in WHOLE:
+        noun = ("whole number in [" if argv[1] == "--mean-object"
+                else "whole number >=")
     assert f"argument {argv[1]}: {argv[2]!r} is not a {noun}" in line
 
 
@@ -276,6 +299,110 @@ def test_artifact_headline(capsys):
     code, out = run_cli(capsys, "artifact", "headline")
     assert code == 0
     assert "byte savings" in out
+
+
+_CHECK_LINE = re.compile(r"^(pass |FAIL |xfail|XPASS)  (\S+)$", re.M)
+
+
+def test_artifact_fails_named_checks_when_cache_flush_never_flushes(
+        capsys, monkeypatch):
+    """The doctored run: with its flush disabled Cache Flush stalls as
+    naive encoding does, and Table II's checks name what broke."""
+    monkeypatch.setattr(CacheFlushPolicy, "before_packet",
+                        EncoderPolicy.before_packet)
+    code, out = run_cli(capsys, "artifact", "table2")
+    assert code == 1
+    assert [name for status, name in _CHECK_LINE.findall(out)
+            if status == "FAIL "] == [
+        "table2.slower_than_plain_at_5pct[cache_flush]",
+        "table2.cf_le_ts_delay_5pct", "table2.cf_le_ts_delay_10pct"]
+
+
+def _table2_result(delays):
+    """A Table II result without a run: every scheme saves bytes, and
+    ``delays`` maps (policy, loss) to its delay ratio."""
+    cells = {("Delay", policy, loss): delay
+             for (policy, loss), delay in delays.items()}
+    cells.update({("Bytes Sent", policy, loss): 0.8
+                  for policy, loss in delays})
+    return scenarios.Table2Result(
+        cells=cells, policies=["cache_flush", "tcp_seq", "k_distance"],
+        losses=[0.05, 0.10])
+
+
+def test_artifact_exits_1_when_an_expected_failure_passes(capsys,
+                                                          monkeypatch):
+    """A divergence that no longer shows is a finding, as a strict xfail
+    is: here Cache Flush has the lowest delay, as in the paper."""
+    result = _table2_result({
+        ("cache_flush", 0.05): 3.5, ("tcp_seq", 0.05): 4.0,
+        ("k_distance", 0.05): 5.0, ("cache_flush", 0.10): 7.0,
+        ("tcp_seq", 0.10): 8.0, ("k_distance", 0.10): 9.0})
+    monkeypatch.setitem(ARTIFACTS, "table2", (lambda: result, "report"))
+    code, out = run_cli(capsys, "artifact", "table2")
+    assert code == 1
+    assert [(status, name) for status, name in _CHECK_LINE.findall(out)
+            if status in ("FAIL ", "XPASS")] == [
+        ("XPASS", "table2.cf_lowest_delay")]
+    assert out.splitlines()[-1].endswith("0 failed, 1 passed unexpectedly")
+
+
+#: Per scenario, a result with the lines and rows its checks look up and
+#: no measurements: what a check is called does not depend on the data.
+_EMPTY_RESULTS = {
+    scenarios.table1: lambda: scenarios.Table1Result(rows=[]),
+    scenarios.figure6: lambda: scenarios.Figure6Result([], 0.01, 1),
+    scenarios.figure10_11: lambda: scenarios.Figure10_11Result(
+        *([Series(f"{policy}({corpus})") for policy in ("cache_flush",
+                                                       "tcp_seq")
+           for corpus in ("file1", "file2")] for _ in range(2)), stalls=0),
+    scenarios.figure12: lambda: scenarios.Figure12Result(
+        [Series("bytes(5%)")], [Series("delay(5%)")], stalls=0),
+    scenarios.figure13: lambda: scenarios.Figure13Result(
+        [Series(name) for name in ("cache_flush", "tcp_seq",
+                                   "k_distance(k=8)")]),
+    scenarios.table2: lambda: _table2_result({}),
+    scenarios.headline: lambda: scenarios.HeadlineResult(0.0, 0.0),
+    scenarios.ablation_packet_size: lambda: scenarios.AblationResult(
+        [("k_distance(k=8)", 0.0, 0), ("k_distance(k=50)", 0.0, 0)]),
+    scenarios.extensions: lambda: scenarios.ExtensionsResult(
+        [], [Series("ack_gated")], {}),
+    scenarios.impairment_matrix: lambda: scenarios.ImpairmentResult(
+        {}, [], [], []),
+    scenarios.stall_scaling: lambda: scenarios.StallScalingResult(
+        {40 * 1024: 0.0}, {}, 0.002),
+}
+
+
+def test_artifact_names_every_check_once(capsys, monkeypatch):
+    """Each artifact has checks, no check name repeats across artifacts,
+    every check of a result is printed under one of its artifacts, each
+    scenario runs once (Figures 10 and 11 share a sweep), and a check
+    that looks up a missing point adds none to the shared result."""
+    calls = collections.Counter()
+    results = {}
+
+    def empty_run(scenario):
+        def run():
+            calls[scenario] += 1
+            results[scenario] = _EMPTY_RESULTS[scenario]()
+            return results[scenario]
+        return run
+
+    runs = {scenario: empty_run(scenario) for scenario in _EMPTY_RESULTS}
+    for name, (scenario, report) in list(ARTIFACTS.items()):
+        monkeypatch.setitem(ARTIFACTS, name, (runs[scenario], report))
+    _, out = run_cli(capsys, "artifact")
+    assert set(calls) == set(_EMPTY_RESULTS)
+    assert set(calls.values()) == {1}
+    names = [name for _, name in _CHECK_LINE.findall(out)]
+    assert {name.partition(".")[0] for name in names} == set(ARTIFACTS)
+    assert len(names) == len(set(names))
+    assert len(names) == sum(len(result.checks())
+                             for result in results.values())
+    shared = results[scenarios.figure10_11]
+    assert not any(line.points
+                   for line in shared.bytes_series + shared.delay_series)
 
 
 def test_parser_requires_command(capsys):
