@@ -113,7 +113,7 @@ def format_timeseries(name: str, times: Sequence[float],
     t_lo, t_hi = points[0][0], points[-1][0]
     span = (t_hi - t_lo) or 1.0
     # Fewer samples than columns would leave gaps; shrink to fit.
-    width = max(8, min(width, len(points)))
+    width = max(1, min(width, len(points)))
     columns: List[List[float]] = [[] for _ in range(width)]
     for t, v in points:
         index = min(width - 1, int((t - t_lo) / span * width))
@@ -150,9 +150,12 @@ def format_timeseries(name: str, times: Sequence[float],
         lines.append(f"  {label.rjust(label_w)} |{''.join(row)}")
     axis = f"  {' ' * label_w} +{'-' * width}"
     lines.append(axis)
-    lines.append(f"  {' ' * label_w}  {_axis_label(t_lo)}"
-                 f"{_axis_label(t_hi).rjust(width - len(_axis_label(t_lo)))}"
-                 "  (sim seconds)")
+    # The time labels sit under the first and last column, the right
+    # one dropped where the chart is too narrow to keep them apart.
+    left, right = _axis_label(t_lo), _axis_label(t_hi)
+    gap = width - len(left) - len(right)
+    ticks = left + " " * gap + right if gap >= 1 else left
+    lines.append(f"  {' ' * label_w}  {ticks}  (sim seconds)")
     return "\n".join(lines)
 
 

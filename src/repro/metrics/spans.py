@@ -98,7 +98,7 @@ SPAN_KINDS: Dict[str, Tuple[Optional[str], ...]] = {
 # allocated per span, so recording adds no work for the cyclic
 # collector.  Span ids are not stored: rows are appended in id order,
 # so id == row // _STRIDE + 1.  _WALL holds the perf_counter reading at
-# open until the span closes.
+# open until the span closes (a link_transit row holds 0.0 throughout).
 (_TRACE, _PARENT, _KIND, _SOURCE, _START, _END, _WALL, _FAULTS,
  _TAG0) = range(9)
 _CLOSE = _TAG0 + 3
@@ -398,7 +398,11 @@ class SpanRecorder:
 
     def link_begin(self, source: str, packet_id: int,
                    size: int) -> Optional[int]:
-        """Open a transit span when a traced packet enters a link."""
+        """Open a transit span when a traced packet enters a link.
+
+        Its ``wall`` stays 0.0: the host time between offer and delivery
+        is spent on other events, which have their own spans.
+        """
         parent = self.packet_rows.get(packet_id)
         if parent is None:
             return None
@@ -409,7 +413,7 @@ class SpanRecorder:
         self._next = row + _STRIDE
         log = self._log
         log += (log[parent], parent, "link_transit", source, self._clock.now,
-                None, perf_counter(), self._fault_tags, packet_id, size,
+                None, 0.0, self._fault_tags, packet_id, size,
                 None, None, None, None)
         self._open_links[packet_id] = row
         self.packet_rows[packet_id] = row
@@ -422,13 +426,14 @@ class SpanRecorder:
             self._notes.setdefault(row, []).append(tag)
 
     def link_end(self, packet_id: int, outcome: str,
-                 reason: Optional[str] = None) -> None:
-        """Close the packet's open transit span with an outcome tag."""
+                 reason: Optional[str] = None,
+                 end: Optional[float] = None) -> None:
+        """Close the packet's open transit span with an outcome tag, at
+        ``end`` (simulated time) or now."""
         row = self._open_links.pop(packet_id, None)
         if row is not None:
             log = self._log
-            log[row + _END] = self._clock.now
-            log[row + _WALL] = perf_counter() - log[row + _WALL]
+            log[row + _END] = self._clock.now if end is None else end
             log[row + _CLOSE] = outcome
             log[row + _CLOSE + 1] = reason
 

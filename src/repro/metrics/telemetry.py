@@ -478,19 +478,15 @@ class Telemetry:
     # -- component registration hooks -------------------------------------
     # Called by the runner and by instrumented components.  Each
     # registers one source, which the sampler reads in one call per
-    # tick.  Nothing here adds per-packet work, except that
-    # register_link keeps a link on its two-event crossing (one more
-    # dispatched `_transmitted` event per packet it carries).
+    # tick.  Nothing here adds per-packet work.
 
     def register_link(self, link) -> None:
-        """Queue depth and loss accounting of one simulated link, which
-        keeps the two-event crossing the queue depth counts."""
-        link.watch()
+        """Queue depth and loss accounting of one simulated link, as
+        ``Link.settled`` reads them at the tick."""
         name = {"link": link.name}
         stats = link.stats
         self.registry.source(
-            lambda l=link, s=stats: (l._queued, s.packets_lost,
-                                     s.packets_offered),
+            lambda l=link, s=stats: (*l.settled(), s.packets_offered),
             [("link.queue_depth", name), ("link.packets_lost", name),
              ("link.packets_offered", name)])
 

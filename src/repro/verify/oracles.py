@@ -341,14 +341,9 @@ class VerificationHarness:
                         for name in encoder.policy.verify_oracles]
 
     def watch_links(self, *links) -> None:
-        """Links whose in-flight accounting gates the coherence checks.
-
-        Each keeps the two-event crossing (``Link.watch``): the check
-        reads the transmitter queue, which only that crossing counts.
-        """
+        """Links whose in-flight accounting gates the coherence checks
+        (read through ``Link.settled``)."""
         self._links = tuple(links)
-        for link in links:
-            link.watch()
 
     def start(self) -> None:
         """Begin the periodic invariant and coherence ticks."""
@@ -413,9 +408,10 @@ class VerificationHarness:
         and the cache epochs agree."""
         for link in self._links:
             stats = link.stats
+            queued, lost = link.settled()
             in_flight = (stats.packets_offered - stats.packets_delivered
-                         - stats.packets_lost - stats.packets_queue_dropped)
-            if in_flight != 0 or link._queued != 0:
+                         - lost - stats.packets_queue_dropped)
+            if in_flight != 0 or queued != 0:
                 return False
         for gateway in (self._encoder_gw, self._decoder_gw):
             if gateway is None:

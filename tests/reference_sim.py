@@ -4,8 +4,8 @@
 ``Simulator.post`` and ``Link._transmitted`` the delivery through
 ``Simulator.post_after``; ``Timer.start`` armed through
 ``Simulator.at``.  Production now builds those heap entries inline
-(the heap-entry contract above ``Simulator.__init__``), and an
-unwatched link crosses in one event.  This module keeps the old
+(the heap-entry contract above ``Simulator.__init__``), and a link
+without an armed fault crosses in one event.  This module keeps the old
 scheduling, line for line, under the same class names so a
 differential test can run both on twin simulators and compare what
 each dispatches, callback qualname included: :class:`Link` always
@@ -93,13 +93,14 @@ class Link(_link.Link):
 class PathLink(Link):
     """The two crossings in plain ``sim.post`` form, picked per packet.
 
-    A packet crosses in one event when the link has no spans, no
-    verifier or telemetry watching (``watched``), no armed fault
+    A packet crosses in one event when the link has no armed fault
     (``armed``), ``corrupt_rate == 0``, is up with no loss model, and
-    no two-event packet is still serialising.  Then loss and re-order
-    are drawn at offer time and only ``_deliver`` is posted.  The
-    one-event packets count in the transmitter queue until the end of
-    their serialisation; one that ends exactly now has left.
+    no two-event packet is still serialising; observers do not matter.
+    Then loss and re-order are drawn at offer time and only ``_deliver``
+    is posted, and a lost packet's transit span closes at its end of
+    serialisation.  The one-event packets count in the transmitter
+    queue until the end of their serialisation; one that ends exactly
+    now has left.
     """
 
     def __init__(self, *args, **kwargs):
@@ -125,8 +126,8 @@ class PathLink(Link):
                 spans.packet_event("queue_drop", self.name, pkt.packet_id)
             return
 
-        one_event = (spans is None and self._queued == 0
-                     and not (self.armed or self.watched or self.corrupt_rate
+        one_event = (self._queued == 0
+                     and not (self.armed or self.corrupt_rate
                               or self.down or self.loss_model is not None))
         if spans is not None:
             spans.link_begin(self.name, pkt.packet_id, size)
@@ -140,11 +141,15 @@ class PathLink(Link):
         self.one_event_done.append(done)
         if self.rng.random() < self.loss_rate:
             stats.packets_lost += 1
+            if spans is not None:
+                spans.link_end(pkt.packet_id, "lost", "loss", done)
             return
         delay = self.prop_delay
         if self.reorder_rate and self.rng.random() < self.reorder_rate:
             stats.packets_reordered += 1
             delay += self.rng.uniform(0.0, self.reorder_extra_delay)
+            if spans is not None:
+                spans.link_annotate(pkt.packet_id, "reordered")
         sim.post(done + delay, self._deliver, pkt)
 
 

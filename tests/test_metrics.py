@@ -189,6 +189,21 @@ class TestTimeseriesRendering:
         assert text.splitlines()[0] == "g   [min 0  max 9  last 9]"
         assert text.splitlines()[1].startswith("  8.5 |")
 
+    @pytest.mark.parametrize("width, ticks", [
+        (4, "0  9"), (2, "0")])
+    def test_narrow_chart_draws_the_width_asked_for(self, width, ticks):
+        """Below 8 columns the chart keeps the width asked for; the time
+        labels keep a space between them, or the right one is dropped."""
+        times = [float(i) for i in range(10)]
+        lines = format_timeseries("g", times, times, width=width,
+                                  height=3).splitlines()
+        assert [len(line.split("|")[1]) for line in lines[1:4]] == [width] * 3
+        assert lines[4].endswith("+" + "-" * width)
+        assert lines[5].strip() == f"{ticks}  (sim seconds)"
+        wide_labels = format_timeseries("g", [t * 0.2 for t in times],
+                                        times, width=width).splitlines()
+        assert wide_labels[-1].strip() == "0  (sim seconds)"
+
     def test_all_missing_series(self):
         text = format_timeseries("g", [0.0, 1.0], [None, None])
         assert "(no samples)" in text

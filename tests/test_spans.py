@@ -333,6 +333,27 @@ def naive_run(loss=0.01, size=60 * 1460, **kwargs):
     return run_transfer(config)
 
 
+def test_wall_flame_charges_link_transit_no_self_time():
+    """The host time between a packet's offer and its delivery is spent
+    on other events, which have their own spans: a transit carries
+    ``wall`` 0.0, so the wall flame gives it no self time while its
+    children (the decode on the far side) keep theirs."""
+    doc = naive_run(loss=0.05).spans
+    transits = [s for s in doc["spans"] if s["name"] == "link_transit"]
+    assert transits and all(s["wall"] == 0.0 for s in transits)
+    root = build_flame(doc, weight="wall")
+    stack = [root]
+    seen = 0
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children.values())
+        if node.name == "link_transit":
+            seen += 1
+            assert node.self_weight == 0.0
+            assert node.total > 0.0
+    assert seen
+
+
 class TestEndToEnd:
     def test_disabled_by_default_and_result_roundtrip(self):
         config = ExperimentConfig(corpus="file1", file_size=20 * 1460,

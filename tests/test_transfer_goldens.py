@@ -142,8 +142,13 @@ def test_transfer_matches_golden(policy):
 
 
 def _dispatch_log(policy):
-    """Every callback the run loop dispatches, as ``(simulated time,
-    callback __qualname__)`` in dispatch order.
+    return _dispatch_run(_config(policy))[1]
+
+
+def _dispatch_run(config):
+    """The testbed of a run of ``config`` and every callback its loop
+    dispatched, as ``(simulated time, callback __qualname__)`` in
+    dispatch order.
 
     A profile hook sees each call whose caller is ``Simulator.run``
     itself, so the log depends on the engine only through what it
@@ -157,7 +162,6 @@ def _dispatch_log(policy):
 
     from repro.sim.engine import Simulator
 
-    config = _config(policy)
     testbed = runner.build_testbed(config)
     data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
     run_code = Simulator.run.__code__
@@ -193,7 +197,7 @@ def _dispatch_log(policy):
                            [runner.Fetch()])
     finally:
         sys.setprofile(None)
-    return log
+    return testbed, log
 
 
 def _count_and_digest(log):
@@ -251,7 +255,7 @@ def test_dispatch_order_matches_golden(policy):
 @pytest.mark.parametrize("policy", list(GOLDEN_DISPATCH), ids=str)
 def test_one_event_dispatch_is_the_two_event_one_less_transmitted(
         policy, monkeypatch):
-    """Crossing an unwatched link in one event drops its
+    """Crossing a link in one event drops its
     ``Link._transmitted`` entries and moves nothing else.
 
     The one-event ``_deliver`` takes its heap ``seq`` when the packet
@@ -270,6 +274,30 @@ def test_one_event_dispatch_is_the_two_event_one_less_transmitted(
     assert [entry for entry in two_event
             if entry[1] != "Link._transmitted"] == one_event
     assert _count_and_digest(two_event) == GOLDEN_DISPATCH_TWO_EVENT[policy]
+
+
+#: What the observers dispatch of their own: the telemetry sampler's
+#: and the verifier's periodic ticks.
+OBSERVER_TICKS = ("TelemetrySampler._tick", "VerificationHarness._tick")
+
+
+@pytest.mark.parametrize("policy", ["tcp_seq", None], ids=str)
+def test_observers_add_only_their_own_ticks(policy):
+    """Telemetry, spans and the verifier change no crossing: an observed
+    transfer dispatches the bare run's events in the bare run's order,
+    plus the sampler's and the oracles' ticks, and every link counts
+    what it counted bare."""
+    bare, bare_log = _dispatch_run(_config(policy))
+    observed, log = _dispatch_run(_config(policy, telemetry=True,
+                                          spans=True, verify=True))
+    ticks = [entry for entry in log if entry[1] in OBSERVER_TICKS]
+    assert [entry for entry in log if entry[1] not in OBSERVER_TICKS] \
+        == bare_log
+    assert ticks and "Link._transmitted" not in {name for _, name in log}
+    assert observed.sim.events_processed \
+        == bare.sim.events_processed + len(ticks)
+    assert ([(link.stats, back.stats) for link, back in observed.links]
+            == [(link.stats, back.stats) for link, back in bare.links])
 
 
 def _strip_spans(doc):
