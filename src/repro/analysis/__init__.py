@@ -13,7 +13,7 @@ architectural assumptions the rest of the repo only checks at runtime:
   bit-identical;
 * **hot-path discipline** — the registered encoder/decoder/simulator
   hot functions keep the single-None-check telemetry pattern that
-  ``bench_hotpath`` and the e2e call budgets hold them to;
+  the e2e call budgets hold them to;
 * **robustness hygiene** — no bare excepts, mutable defaults,
   silently swallowed :class:`InvariantViolation`, or tracked bytecode;
 * **process-boundary purity** — what crosses into a sweep worker

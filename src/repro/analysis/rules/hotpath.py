@@ -1,8 +1,8 @@
 """Hot-path discipline: the per-packet/per-byte loop stays lean.
 
 ``[tool.repro-lint.hotpath] functions`` registers the functions on the
-encoder/decoder/cache/region/simulator hot path — the ones
-``benchmarks/bench_hotpath.py`` times.  Inside them:
+encoder/decoder/cache/region/simulator hot path — the ones the
+e2e harness's ``py_calls_per_op`` budgets count.  Inside them:
 
 * no ``logging`` or ``print`` calls — the disabled-telemetry branch
   must cost one attribute load and an ``is None`` check, nothing more;

@@ -1,6 +1,6 @@
 """Checking commands: ``verify``, ``fuzz``, ``chaos``, ``lint`` and
 ``bench``.  Exit 1 means the check found something (a mismatch, a
-violation, failed SLOs, a lint finding, a regression)."""
+violation, failed SLOs, a lint finding) or a bench run failed."""
 
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from typing import List, Optional
 
 from .. import chaos
 from ..metrics import format_table
-from ..metrics.regression import (bench_diff_report, format_bench_diff,
-                                  run_bench_diff)
 from ..serving import ServingSpec
 from ..verify import fuzz
 from ..verify.differential import run_differential
@@ -123,36 +121,23 @@ def add_parsers(sub) -> None:
                           "output")
     cmd.set_defaults(handler=cmd_lint)
 
-    family = sub.add_parser("bench", help="benchmark utilities (regression "
-                            "sentinel)"
+    family = sub.add_parser("bench", help="paired parent/change runs of "
+                            "the end-to-end benchmark"
                             ).add_subparsers(dest="bench_command",
                                              required=True)
-    cmd = family.add_parser("diff", help="compare current BENCH_*.json "
-                           "records against their committed history; "
-                           "non-zero exit on a statistically significant "
-                           "regression")
-    cmd.add_argument("--root", default=".",
-                     help="repo root holding pyproject.toml (default: cwd)")
-    cmd.add_argument("--dir", metavar="PATH",
-                     help="directory holding the BENCH_*.json files "
-                          "(default: --root)")
-    cmd.add_argument("--window", type=number(1, whole=True),
-                     help="history records to compare against (default: "
-                          "[tool.repro-bench] window)")
-    cmd.add_argument("--out", metavar="REPORT.json",
-                     help="write the bench_diff/v1 report")
-    cmd.set_defaults(handler=cmd_bench_diff)
     cmd = family.add_parser("pair", help="run benchmarks/e2e on a parent "
                            "commit and on this tree in alternating pairs; "
-                           "list every pair, wins, medians and IQR gap of "
-                           "py_calls_per_op and host_cu_per_op")
+                           "list every pair, then per end-to-end metric "
+                           "wins, medians, IQR gap and whether the change "
+                           "is within its BENCHMARK.json bound")
     cmd.add_argument("parent", metavar="PARENT_REF",
                      help="git ref of the parent (checked out into a "
                           "temporary worktree)")
     cmd.add_argument("--workload", action="append", required=True,
                      help="benchmarks/e2e workload (repeatable)")
-    cmd.add_argument("--pairs", type=number(1, whole=True), default=6,
-                     help="pairs per workload (default: 6)")
+    cmd.add_argument("--pairs", type=number(1, whole=True), default=10,
+                     help="pairs per workload (default: 10, the fewest "
+                          "a claimed gain needs)")
     cmd.add_argument("--root", default=".",
                      help="the change's checkout (default: cwd)")
     cmd.set_defaults(handler=cmd_bench_pair)
@@ -263,29 +248,11 @@ def cmd_lint(args) -> int:
     return report.exit_code
 
 
-def cmd_bench_diff(args) -> int:
-    diffs, exit_code = run_bench_diff(
-        Path(args.root).resolve(),
-        bench_dir=Path(args.dir) if args.dir else None,
-        window=args.window)
-    print("\n".join(format_bench_diff(diffs)))
-    if args.out:
-        write_json(args.out, bench_diff_report(diffs), indent=2,
-                   sort_keys=True)
-        print(f"wrote bench_diff/v1 report to {args.out}")
-    regressions = sum(1 for d in diffs if d.status == "regression")
-    if exit_code:
-        print(f"REGRESSION: {regressions} bench(es) significantly "
-              "slower than their history")
-    else:
-        print("no significant regressions")
-    return exit_code
-
-
 def cmd_bench_pair(args) -> int:
     from ..metrics import benchpair
 
     root = Path(args.root).resolve()
+    bounds = benchpair.end_to_end_bounds(root)
     seeds = range(benchpair.FIRST_SEED, benchpair.FIRST_SEED + args.pairs)
     try:
         with benchpair.parent_worktree(root, args.parent) as parent:
@@ -296,7 +263,7 @@ def cmd_bench_pair(args) -> int:
                       f"{args.pairs} pairs from seed {benchpair.FIRST_SEED}")
                 pairs = benchpair.run_pairs(parent, root, workload, seeds,
                                             benchpair.e2e_runner, log=print)
-                print(benchpair.format_pairs(workload, pairs))
+                print(benchpair.format_pairs(workload, pairs, bounds))
                 print()
     except RuntimeError as error:
         print(f"bench pair failed: {error}")

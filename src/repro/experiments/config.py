@@ -86,7 +86,7 @@ class ExperimentConfig:
     #: sampled on a sim-time tick, plus a flight recorder dumped on
     #: stall/watchdog/time-limit.  The telemetry/v1 export lands in
     #: TransferResult.telemetry.  When False every instrumented layer
-    #: pays exactly one None-check (bench_hotpath budget).
+    #: pays exactly one None-check (the e2e py_calls_per_op budget).
     telemetry: bool = False
     #: TelemetryConfig field overrides (per_connection).
     telemetry_kwargs: Dict[str, Any] = field(default_factory=dict)
@@ -95,7 +95,8 @@ class ExperimentConfig:
     #: decode with cross-trace encoded_against/retransmit links, plus
     #: control-plane traces for resyncs and watchdog trips.  The
     #: spans/v1 export lands in TransferResult.spans.  When False every
-    #: hook site pays exactly one None-check (bench_hotpath budget).
+    #: hook site pays exactly one None-check (the e2e py_calls_per_op
+    #: budget).
     spans: bool = False
     #: SpanRecorder overrides (trace_sample=1/N flows, max_spans).
     spans_kwargs: Dict[str, Any] = field(default_factory=dict)
@@ -105,7 +106,7 @@ class ExperimentConfig:
     #: properties, each raising a structured
     #: InvariantViolation (with flight-recorder dump) the moment it is
     #: broken.  When False every hook site pays exactly one None-check
-    #: (the bench_hotpath budget, like profile/telemetry).
+    #: (the e2e py_calls_per_op budget, like profile/telemetry).
     verify: bool = False
 
     def tcp_config(self) -> TCPConfig:

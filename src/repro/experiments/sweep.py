@@ -11,8 +11,8 @@ baseline.  This module turns that shape into data:
   :class:`~concurrent.futures.ProcessPoolExecutor`, deduplicating
   identical specs (hash-keyed) and sharing paired baselines.  It is
   the one place a DRE run's no-DRE twin is built.
-* :func:`write_bench_json` — emits the ``BENCH_sweep.json``
-  perf-trajectory file (schema ``bench_sweep/v1``).
+* :func:`write_bench_json` — writes one run's ``BENCH_sweep.json``
+  (schema ``bench_sweep/v2``).
 
 Determinism: the simulation is fully seeded, so a cell's result is a
 pure function of its spec.  Cells are enumerated in grid-product
@@ -39,7 +39,7 @@ from ..metrics.collectors import RatioPoint
 from .config import ExperimentConfig
 from .runner import run_transfer
 
-BENCH_SCHEMA = "bench_sweep/v1"
+BENCH_SCHEMA = "bench_sweep/v2"
 TELEMETRY_BENCH_SCHEMA = "bench_telemetry/v1"
 
 
@@ -273,7 +273,7 @@ def _cell_metrics(result: Any) -> Dict[str, Any]:
 
 
 def bench_payload(sweep: SweepResult, name: str) -> Dict[str, Any]:
-    """The ``bench_sweep/v1`` document for one sweep run."""
+    """The ``bench_sweep/v2`` document for one sweep run."""
     cells = []
     for cell in sweep.cells:
         entry: Dict[str, Any] = {
@@ -302,49 +302,16 @@ def bench_payload(sweep: SweepResult, name: str) -> Dict[str, Any]:
     }
 
 
-def append_bench_history(payload: Dict[str, Any], path: str) -> Dict[str, Any]:
-    """Write a ``BENCH_*.json`` record, folding the prior run into history.
-
-    If ``path`` already holds a document with the same ``schema``, its
-    ``name``/``generated_at``/``summary`` are appended to this
-    document's ``history`` list — successive runs accumulate a
-    performance trajectory.  Shared by the sweep, hot-path and serving
-    bench writers; ``payload`` must carry ``schema`` and ``summary``
-    keys and is mutated in place (history + timestamp) before being
-    written.
-    """
-    history: List[Dict[str, Any]] = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            previous = json.load(handle)
-        if (isinstance(previous, dict)
-                and previous.get("schema") == payload.get("schema")):
-            history = list(previous.get("history", []))
-            history.append({"name": previous.get("name"),
-                            "generated_at": previous.get("generated_at"),
-                            **previous.get("summary", {})})
-    except (OSError, ValueError):
-        pass
-    payload["history"] = history
-    # lint: disable=determinism-wallclock(report metadata timestamp; never feeds simulation state)
-    payload["generated_at"] = time.time()
+def write_bench_json(sweep: SweepResult, path: str, *,
+                     name: str = "sweep") -> Dict[str, Any]:
+    """Write one sweep run's ``bench_sweep/v2`` document to ``path``."""
+    payload = bench_payload(sweep, name)
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=False)
         handle.write("\n")
     return payload
-
-
-def write_bench_json(sweep: SweepResult, path: str, *,
-                     name: str = "sweep") -> Dict[str, Any]:
-    """Write (or extend) a ``BENCH_sweep.json`` perf-trajectory file.
-
-    If ``path`` already holds a ``bench_sweep/v1`` document, its
-    summary is appended to this document's ``history`` — successive
-    runs accumulate a wall-clock trajectory.
-    """
-    return append_bench_history(bench_payload(sweep, name), path)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +333,7 @@ def telemetry_payload(sweep: SweepResult, name: str) -> Dict[str, Any]:
 
     Carries the per-cell ``telemetry/v1`` exports (cells run without
     ``telemetry=True`` are skipped) so every cell's time series survive
-    alongside the scalar ``bench_sweep/v1`` metrics.
+    alongside the scalar ``bench_sweep/v2`` metrics.
     """
     cells = [_telemetry_cell(cell) for cell in sweep.cells
              if cell.result.telemetry is not None]

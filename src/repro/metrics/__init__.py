@@ -5,10 +5,6 @@ from .depgraph import (DependencyGraph, format_dependency_trace,
                        graph_from_spans)
 from .flame import FlameNode, build_flame, format_flame, to_folded
 from .profiling import STAGES, StageProfiler, profiler_if
-from .regression import (BENCH_DIFF_SCHEMA, BenchDiff, BenchSpec,
-                         SentinelConfig, bench_diff_report,
-                         format_bench_diff, load_bench_config,
-                         run_bench_diff)
 from .report import format_series, format_table, format_timeseries
 from .series import Aggregate, Series
 from .spans import (SPANS_SCHEMA, SpanRecorder, find_livelock_trace,
@@ -34,14 +30,6 @@ __all__ = [
     "build_flame",
     "format_flame",
     "to_folded",
-    "BENCH_DIFF_SCHEMA",
-    "BenchDiff",
-    "BenchSpec",
-    "SentinelConfig",
-    "bench_diff_report",
-    "format_bench_diff",
-    "load_bench_config",
-    "run_bench_diff",
     "TELEMETRY_SCHEMA",
     "FlightRecorder",
     "MetricsRegistry",

@@ -5,12 +5,15 @@ box.  Host time drifts from run to run, so the two trees run in pairs
 of back-to-back runs on one seed (``FIRST_SEED``, then the next, ...),
 the parent first in pairs 1, 3, 5, ... and the change first in the
 others, and the report lists every pair before it summarises them.
-Per metric the summary is the number of pairs the change won, both
-medians, and the IQR gap: how far the change's median lies below the
-parent's, less the distance between the parent's quartiles.  A
-positive gap is a difference the parent's own spread does not cover;
-a metric is *resolved* when it has one and the change also won at
-least nine pairs in ten.  Every end-to-end metric of
+Every metric the runs print on their result line is summarised: the
+number of pairs the change won, both medians, and the IQR gap: how far
+the change's median lies below the parent's, less the distance between
+the parent's quartiles.  A positive gap is a difference the parent's
+own spread does not cover; a metric is *resolved* when it has one and
+the change also won at least nine pairs in ten.  A metric is *within
+bound* when the change's median exceeds the parent's by no more than
+its ``bound`` in the change tree's ``BENCHMARK.json`` (``end_to_end``):
+the no-regression rule.  Every end-to-end metric of
 ``benchmarks/e2e/run.py`` is lower-is-better, and each run lasts that
 script's own default length.
 
@@ -28,7 +31,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Sequence
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence
 
 from .report import format_table
 
@@ -38,10 +41,6 @@ Runner = Callable[[Path, str, int], Dict[str, float]]
 #: Pair ``i`` (from 0) runs seed ``FIRST_SEED + i``: seeds no earlier
 #: measurement in this repository was tuned on.
 FIRST_SEED = 101
-
-#: The exact count a perf claim is gated on, and the host time it
-#: must claim.
-METRICS = ("py_calls_per_op", "host_cu_per_op")
 
 
 @dataclass(frozen=True)
@@ -134,6 +133,17 @@ def parent_worktree(root: Path, ref: str) -> Iterator[Path]:
         shutil.rmtree(scratch, ignore_errors=True)
 
 
+def end_to_end_bounds(tree: Path) -> Dict[str, float]:
+    """``name -> bound`` of the ``end_to_end`` metrics in ``tree``'s
+    ``BENCHMARK.json`` (empty when the file is absent)."""
+    path = tree / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    declared = json.loads(path.read_text(encoding="utf-8"))
+    return {entry["name"]: float(entry["bound"])
+            for entry in declared.get("end_to_end", ())}
+
+
 def compile_tree(tree: Path) -> None:
     """Byte-compile what a run imports, so neither tree pays for it
     inside a timed set-up probe."""
@@ -174,29 +184,39 @@ def summarise(pairs: Sequence[Pair], metric: str) -> Summary:
                    statistics.median(change), high - low)
 
 
-def format_pairs(workload: str, pairs: Sequence[Pair]) -> str:
-    """Every pair, then wins/N, medians and the IQR gap per metric."""
+def format_pairs(workload: str, pairs: Sequence[Pair],
+                 bounds: Mapping[str, float]) -> str:
+    """Every pair, then per metric wins/N, medians, the IQR gap and
+    whether the change's median is within its ``bounds`` entry (a
+    fraction of the parent's median)."""
+    # The metrics of the first pair's result lines that both trees
+    # print, in printed order.
+    metrics = [name for name in pairs[0].parent if name in pairs[0].change]
     headers = ["pair", "seed", "first"]
-    for metric in METRICS:
+    for metric in metrics:
         headers += [f"{metric} parent", "change"]
     rows = []
     for index, pair in enumerate(pairs, 1):
         row: List[object] = [index, pair.seed,
                              "parent" if pair.parent_first else "change"]
-        for metric in METRICS:
+        for metric in metrics:
             row += [f"{pair.parent[metric]:.6g}", f"{pair.change[metric]:.6g}"]
         rows.append(row)
     summary_rows = []
-    for metric in METRICS:
+    for metric in metrics:
         s = summarise(pairs, metric)
+        bound = bounds.get(metric)
         summary_rows.append([
             metric, f"{s.wins}/{s.pairs}", f"{s.parent_median:.6g}",
             f"{s.change_median:.6g}", f"{s.delta * 100:+.2f} %",
             f"{s.parent_iqr:.6g}", f"{s.iqr_gap:.6g}",
-            "yes" if s.resolved else "no"])
+            "yes" if s.resolved else "no",
+            "-" if bound is None else f"{bound * 100:+.2f} %",
+            "-" if bound is None else "yes" if s.delta <= bound else "NO"])
     return "\n\n".join([
         format_table(f"{workload}: every pair", headers, rows),
         format_table(f"{workload}: change vs parent (lower is better)",
                      ["metric", "wins", "parent median", "change median",
-                      "delta", "parent IQR", "IQR gap", "resolved"],
+                      "delta", "parent IQR", "IQR gap", "resolved",
+                      "bound", "within bound"],
                      summary_rows)])

@@ -9,14 +9,14 @@ its own names) — holds an optional profiler reference:
 when it is ``None`` (the default) each hook costs one attribute load
 and an identity check, so profiling is effectively free when off.
 
-Enable it per run with ``ExperimentConfig(profile=True)``; the result
-lands in :attr:`repro.metrics.collectors.TransferResult.profile` and in
-``benchmarks/bench_hotpath.py``'s stage breakdown.
+Enable it per run with ``ExperimentConfig(profile=True)`` (``repro run
+--profile``); the result lands in
+:attr:`repro.metrics.collectors.TransferResult.profile`, which the e2e
+harness reads for its encoder stage shares.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, Iterator, Optional, Tuple
 
 #: Canonical stage names, in pipeline order (unknown stages are allowed;
@@ -44,26 +44,6 @@ class StageProfiler:
             totals[stage] = elapsed
             self.counts[stage] = 1
 
-    def time(self, stage: str) -> "_StageTimer":
-        """Context manager timing a block (for non-hot-path callers)."""
-        return _StageTimer(self, stage)
-
-    def merge(self, other: "StageProfiler") -> None:
-        """Fold another profiler's accumulations into this one."""
-        for stage, total in other.totals.items():
-            if stage in self.totals:
-                self.totals[stage] += total
-                self.counts[stage] += other.counts[stage]
-            else:
-                self.totals[stage] = total
-                self.counts[stage] = other.counts[stage]
-
-    def total(self, stage: str) -> float:
-        return self.totals.get(stage, 0.0)
-
-    def count(self, stage: str) -> int:
-        return self.counts.get(stage, 0)
-
     def stages(self) -> Iterator[Tuple[str, float, int]]:
         """(stage, total seconds, calls), canonical stages first."""
         seen = set()
@@ -79,33 +59,6 @@ class StageProfiler:
         """JSON-friendly snapshot: stage -> {seconds, calls}."""
         return {stage: {"seconds": total, "calls": float(calls)}
                 for stage, total, calls in self.stages()}
-
-    def report(self) -> str:
-        """Small fixed-width table of the stage breakdown."""
-        lines = [f"{'stage':<16} {'seconds':>10} {'calls':>10} {'us/call':>10}"]
-        for stage, total, calls in self.stages():
-            per_call = total / calls * 1e6 if calls else 0.0
-            lines.append(f"{stage:<16} {total:>10.4f} {calls:>10d} "
-                         f"{per_call:>10.2f}")
-        return "\n".join(lines)
-
-
-class _StageTimer:
-    """Context manager produced by :meth:`StageProfiler.time`."""
-
-    __slots__ = ("_profiler", "_stage", "_started")
-
-    def __init__(self, profiler: StageProfiler, stage: str):
-        self._profiler = profiler
-        self._stage = stage
-        self._started = 0.0
-
-    def __enter__(self) -> "_StageTimer":
-        self._started = perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._profiler.add(self._stage, perf_counter() - self._started)
 
 
 def profiler_if(enabled: bool) -> Optional[StageProfiler]:

@@ -1,9 +1,8 @@
 """The ``[tool.<name>]`` tables of ``pyproject.toml``, on every Python.
 
-``repro lint`` (``[tool.repro-lint]``) and ``repro bench diff``
-(``[tool.repro-bench]``) keep their settings in the repo's
-``pyproject.toml``.  :func:`load_tool_table` reads one such table with
-``tomllib`` on Python >= 3.11 and with :func:`parse_tool_table` on
+``repro lint`` keeps its settings in the repo's ``pyproject.toml``
+under ``[tool.repro-lint]``.  :func:`load_tool_table` reads that table
+with ``tomllib`` on Python >= 3.11 and with :func:`parse_tool_table` on
 3.10.  That fallback reads only the syntax the repo's own tables use —
 string, boolean, integer and float values, one-level arrays of them
 (which may span lines), quoted keys and ``#`` comments — and skips

@@ -14,7 +14,7 @@ would ship with:
   instrumented hot paths pay nothing while the sampler is idle.
   Components accept an optional registry/telemetry reference and guard
   every use with one ``is not None`` check — the disabled path stays
-  within the ``bench_hotpath`` overhead budget.
+  within the e2e harness's ``py_calls_per_op`` budget.
 * :class:`TelemetrySampler` — snapshots every registered gauge on a
   simulated-time tick into *aligned* time series (one shared time axis;
   gauges registered mid-run are nan-padded back to the start).  Memory

@@ -12,7 +12,7 @@ against an uncoded oracle.
 Arming is one flag — ``ExperimentConfig(verify=True)`` — and the
 disabled cost is one attribute load + ``is None`` check per packet and
 per emitted region (the same contract as the profiler and telemetry
-hooks; ``benchmarks/bench_hotpath.py`` holds the budget).
+hooks; the e2e harness's ``py_calls_per_op`` budget holds it).
 
 Five oracle families:
 

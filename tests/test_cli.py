@@ -527,7 +527,8 @@ def two_commit_repo(tmp_path, monkeypatch):
 
 def _stub_runner(monkeypatch, calls, fail_on=None):
     """Each tree's ``run.py`` replaced by a stub: the change makes 10 %
-    fewer calls than the parent, and host time depends on the seed."""
+    fewer calls than the parent but takes 0.1 cu more host time, which
+    also grows with the seed."""
     from repro.metrics import benchpair
 
     def run(tree, workload, seed):
@@ -536,7 +537,8 @@ def _stub_runner(monkeypatch, calls, fail_on=None):
         if which == fail_on:
             raise RuntimeError(f"{which} exited 1")
         return {"py_calls_per_op": 1000.0 if which == "parent" else 900.0,
-                "host_cu_per_op": 1.0 + seed / 100}
+                "host_cu_per_op": (1.0 if which == "parent" else 1.1)
+                + seed / 100}
 
     monkeypatch.setattr(benchpair, "e2e_runner", run)
     monkeypatch.setattr(benchpair, "compile_tree", lambda tree: None)
@@ -553,6 +555,10 @@ def _worktrees(repo):
 def test_bench_pair_alternates_trees_and_lists_every_pair(
         capsys, monkeypatch, two_commit_repo):
     repo, scratch = two_commit_repo
+    # The change tree's bounds: its ~5 % more host time exceeds 3 %.
+    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "py_calls_per_op", "bound": 0.035},
+        {"name": "host_cu_per_op", "bound": 0.03}]}))
     calls = []
     _stub_runner(monkeypatch, calls)
     code, out = run_cli(capsys, "bench", "pair", "HEAD~1", "--workload", "w",
@@ -570,12 +576,12 @@ def test_bench_pair_alternates_trees_and_lists_every_pair(
         ["3", "103", "parent", "1000", "900"]]
     summary = next(line.split() for line in out.splitlines()
                    if line.startswith("py_calls_per_op"))
-    # wins, medians, delta, parent IQR, IQR gap, resolved
+    # wins, medians, delta, parent IQR, IQR gap, resolved, bound, within
     assert summary[1:] == ["3/3", "1000", "900", "-10.00", "%", "0", "100",
-                           "yes"]
+                           "yes", "+3.50", "%", "yes"]
     host = next(line.split() for line in out.splitlines()
                 if line.startswith("host_cu_per_op"))
-    assert host[1] == "0/3" and host[-1] == "no"
+    assert host[1] == "0/3" and host[-4:] == ["no", "+3.00", "%", "NO"]
     # The worktree is gone, and so is its temporary directory.
     assert _worktrees(repo) == 1
     assert list(scratch.iterdir()) == []
@@ -614,11 +620,26 @@ def test_bench_pair_reads_the_last_line_of_each_trees_run(
         "print('# a metric line')\n"
         "print(json.dumps({'correct': %r, 'attempted': 4, 'failed': %d,\n"
         "    'metrics': {'py_calls_per_op': {'value': 7.5, 'unit': 'count'},\n"
-        "                'seed': {'value': int(sys.argv[4]), 'unit': ''}}}))\n"
+        "                'seed': {'value': int(sys.argv[4]), 'unit': ''},\n"
+        "                'sim_bytes_sent_ratio': {'value': 0.25,\n"
+        "                                         'unit': 'ratio'}}}))\n"
         % (correct, failed))
     if correct and not failed:
-        assert benchpair.e2e_runner(tmp_path, "w", 103) == {
-            "py_calls_per_op": 7.5, "seed": 103}
+        reading = benchpair.e2e_runner(tmp_path, "w", 103)
+        assert reading == {"py_calls_per_op": 7.5, "seed": 103,
+                           "sim_bytes_sent_ratio": 0.25}
+        # Every metric the result line names is summarised, in its
+        # order; one without a bound says so.
+        table = benchpair.format_pairs(
+            "w", [benchpair.Pair(103, True, reading, reading)],
+            {"sim_bytes_sent_ratio": 0.03})
+        rows = [line.split() for line in table.splitlines()
+                if line.split()[:1] in (["py_calls_per_op"], ["seed"],
+                                        ["sim_bytes_sent_ratio"])]
+        assert [row[0] for row in rows] == list(reading)
+        assert rows[1][-2:] == ["-", "-"]
+        assert rows[2][1:5] == ["0/1", "0.25", "0.25", "+0.00"]
+        assert rows[2][-3:] == ["+3.00", "%", "yes"]
     else:
         with pytest.raises(RuntimeError, match="seed 103 failed"):
             benchpair.e2e_runner(tmp_path, "w", 103)

@@ -44,7 +44,6 @@ COMMANDS = [
     "corpus file1",
     "policies",
     "lint",
-    "bench diff",
 ]
 
 #: Host-time text: (pattern, replacement).

@@ -333,7 +333,7 @@ class TestExcflow:
 
 class TestSelfLintDataflow:
     def test_shipped_tree_clean_under_new_families(self):
-        """0 active findings, and exactly the five reasoned pragmas
+        """0 active findings, and exactly the four reasoned pragmas
         (two of them the process-wide pure memos: anchor sets, corpus
         objects)."""
         report = run_lint(REPO_ROOT, select=[
@@ -344,7 +344,6 @@ class TestSelfLintDataflow:
                             if f.suppressed)
         assert suppressed == [
             ("src/repro/core/fingerprint.py", "purity-global-mutation"),
-            ("src/repro/experiments/sweep.py", "determinism-wallclock"),
             ("src/repro/metrics/telemetry.py",
              "hygiene-swallowed-violation"),
             ("src/repro/metrics/telemetry.py",

@@ -414,3 +414,42 @@ def test_bytes_saved_accounts_for_shim_overhead():
                            shim_overhead=SHIM_SIZE + EPOCH_STAMP_SIZE)
     assert stamped.bytes_saved == 100 - (91 - SHIM_SIZE - EPOCH_STAMP_SIZE)
     assert stamped.bytes_saved == plain.bytes_saved
+
+
+def test_three_phase_mix_encodes_to_the_committed_wire_bytes():
+    """What the per-packet encoder emits, pinned: 480 packets through
+    one naive-policy encoder, each packet's wire output hashed as
+    ``len(data) as 4 big-endian bytes + data``.  The mix covers the hot
+    path's three regimes: *fresh* incompressible packets (anchor
+    selection and cache updates, every resolve all-miss), a *cold*
+    corpus object seen for the first time (intra-object redundancy,
+    mixed hits) and the same object again, *warm* (near-total hits:
+    lookup and region expansion)."""
+    import hashlib
+
+    from repro.core.fingerprint import anchor_memo_clear
+    from repro.core.policies import make_policy_pair
+    from repro.workload.corpus import corpus_object
+
+    mss = 1460
+    rnd = random.Random(0xBC)
+    fresh = [rnd.randbytes(mss) for _ in range(96)]
+    data = corpus_object("file1", seed=3)
+    cold = [data[i: i + mss] for i in range(0, len(data), mss)][:192]
+    # The anchor memo is process-wide: start it cold, as the digest did.
+    anchor_memo_clear()
+    policy, _ = make_policy_pair("naive")
+    encoder = ByteCachingEncoder(FingerprintScheme(window=16, zero_bits=4),
+                                 ByteCache(16 * 1024 * 1024), policy)
+    digest = hashlib.sha256()
+    wire_bytes = 0
+    for counter, payload in enumerate(fresh + cold + cold):
+        result = encoder.encode(payload, PacketMeta(
+            packet_id=counter, flow=("bench", 0),
+            tcp_seq=counter * mss, counter=counter))
+        wire_bytes += result.bytes_out
+        digest.update(len(result.data).to_bytes(4, "big"))
+        digest.update(result.data)
+    assert wire_bytes == 299_142
+    assert digest.hexdigest() == ("fe6c372e88692c38e3bf690f17d83ca6"
+                                  "4a0b198c77712d6bf4bc22b6457c39f6")

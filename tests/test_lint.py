@@ -693,6 +693,46 @@ class TestConfigParsing:
         reference = tomllib.loads(text)["tool"]["repro-lint"]
         assert parse_tool_table(text, "repro-lint") == reference
 
+    def test_subset_parser_matches_tomllib(self):
+        """The 3.10 fallback reads every value shape our tables use, and
+        agrees with tomllib on them."""
+        from repro.metrics.pyproject import parse_tool_table
+
+        text = (
+            '[tool.other-tool]\n'
+            'window = 99\n'
+            '\n'
+            '[tool.repro-lint]\n'
+            'package = "mypkg"     # comment after a value\n'
+            'strict = true\n'
+            'budget = 0.9\n'
+            'roots = ["src",\n'
+            '         "benchmarks"]\n'
+            '\n'
+            '[tool.repro-lint.layers.assign]\n'
+            '"mypkg.odd" = "b"\n'
+            'depth = 4\n')
+        table = parse_tool_table(text, "repro-lint")
+        assert table["package"] == "mypkg" and table["strict"] is True
+        assert table["budget"] == pytest.approx(0.9)
+        assert table["roots"] == ["src", "benchmarks"]
+        assert table["layers"]["assign"] == {"mypkg.odd": "b", "depth": 4}
+        # Foreign tables are ignored entirely.
+        assert "other-tool" not in table and 99 not in table.values()
+        tomllib = pytest.importorskip("tomllib")
+        assert table == tomllib.loads(text)["tool"]["repro-lint"]
+
+    def test_repo_pyproject_parses(self):
+        """The committed pyproject holds the lint table and no other
+        repro table."""
+        from repro.metrics.pyproject import load_tool_table
+
+        table = load_tool_table(REPO_ROOT, "repro-lint")
+        assert table["package"] == "repro"
+        assert "repro.core.encoder.ByteCachingEncoder.encode" in \
+            table["hotpath"]["functions"]
+        assert load_tool_table(REPO_ROOT, "repro-bench") == {}
+
     def test_config_reads_pyproject(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(
             '[tool.repro-lint]\n'

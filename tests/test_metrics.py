@@ -109,45 +109,14 @@ class TestReports:
 
 
 class TestStageProfiler:
-    def test_context_manager_times_block(self):
-        profiler = StageProfiler()
-        with profiler.time("fingerprint"):
-            pass
-        assert profiler.count("fingerprint") == 1
-        assert profiler.total("fingerprint") >= 0.0
-        with profiler.time("fingerprint"):
-            pass
-        assert profiler.count("fingerprint") == 2
-
     def test_unknown_stage_names_are_allowed(self):
         profiler = StageProfiler()
         profiler.add("custom_stage", 0.5)
-        assert profiler.total("custom_stage") == 0.5
+        assert profiler.as_dict()["custom_stage"]["seconds"] == 0.5
         # Unknown stages sort after the canonical ones.
         profiler.add("decode_cache_ops", 0.1)
         order = [stage for stage, _, _ in profiler.stages()]
         assert order == ["decode_cache_ops", "custom_stage"]
-        assert "custom_stage" in profiler.report()
-
-    def test_unmeasured_stage_reads_zero(self):
-        profiler = StageProfiler()
-        assert profiler.total("fingerprint") == 0.0
-        assert profiler.count("fingerprint") == 0
-
-    def test_merge_across_runs(self):
-        first = StageProfiler()
-        first.add("fingerprint", 1.0)
-        first.add("cache_ops", 0.25)
-        second = StageProfiler()
-        second.add("fingerprint", 2.0)
-        second.add("region_expand", 0.5)
-        first.merge(second)
-        assert first.total("fingerprint") == 3.0
-        assert first.count("fingerprint") == 2
-        assert first.total("region_expand") == 0.5
-        assert first.total("cache_ops") == 0.25
-        # merge must not mutate the source
-        assert second.total("cache_ops") == 0.0
 
     def test_as_dict_round_trips_through_stages(self):
         profiler = StageProfiler()
@@ -305,7 +274,7 @@ class TestStageAccounting:
         wall = _time.perf_counter() - started
         for stage in ("fingerprint", "table_probe",
                       "region_expand", "wire_pack", "cache_ops"):
-            assert profiler.count(stage) > 0, stage
+            assert profiler.counts.get(stage, 0) > 0, stage
         stage_sum = sum(total for _, total, _ in profiler.stages())
         # The stages tile the encode pass: only loop glue is untimed, so
         # the sum must land within tolerance of the measured wall time

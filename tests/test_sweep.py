@@ -160,19 +160,19 @@ class TestBenchJson:
         path = tmp_path / "BENCH_sweep.json"
         write_bench_json(swept, str(path), name="unit")
         payload = json.loads(path.read_text())
-        assert payload["schema"] == "bench_sweep/v1"
+        assert payload["schema"] == "bench_sweep/v2"
         assert payload["name"] == "unit"
         assert payload["summary"]["cells"] == 4
-        assert payload["history"] == []
         for cell in payload["cells"]:
             assert set(cell) >= {"params", "seed", "config_hash",
                                  "elapsed", "metrics"}
             assert "bytes_on_link" in cell["metrics"]
-        # A second write folds the first run's summary into history.
-        write_bench_json(swept, str(path), name="unit")
+        # A second write replaces the first: one run's document, no
+        # history of earlier runs.
+        write_bench_json(swept, str(path), name="again")
         payload = json.loads(path.read_text())
-        assert len(payload["history"]) == 1
-        assert payload["history"][0]["cells"] == 4
+        assert set(payload) == {"schema", "name", "cells", "summary"}
+        assert payload["name"] == "again"
 
 
 class TestProfileCollection:
@@ -214,35 +214,3 @@ class TestProfileCollection:
                                                file_size=FILE_SIZE,
                                                policy="cache_flush"))
         assert result.profile is None
-
-
-class TestBenchHistory:
-    def test_append_bench_history_generic_record(self, tmp_path):
-        from repro.experiments.sweep import append_bench_history
-
-        path = str(tmp_path / "BENCH_hotpath.json")
-        first = append_bench_history(
-            {"schema": "bench_hotpath/v1", "name": "hotpath",
-             "summary": {"speedup": 3.2}}, path)
-        assert first["history"] == []
-        second = append_bench_history(
-            {"schema": "bench_hotpath/v1", "name": "hotpath",
-             "summary": {"speedup": 3.4}}, path)
-        assert len(second["history"]) == 1
-        assert second["history"][0]["speedup"] == 3.2
-        assert second["history"][0]["name"] == "hotpath"
-        on_disk = json.loads((tmp_path / "BENCH_hotpath.json").read_text())
-        assert on_disk["summary"]["speedup"] == 3.4
-
-    def test_history_ignores_foreign_schema(self, tmp_path):
-        from repro.experiments.sweep import append_bench_history
-
-        path = str(tmp_path / "BENCH_x.json")
-        append_bench_history(
-            {"schema": "bench_hotpath/v1", "name": "a",
-             "summary": {}}, path)
-        replaced = append_bench_history(
-            {"schema": "bench_multiflow/v1", "name": "b",
-             "summary": {}}, path)
-        # A different schema starts a fresh trajectory.
-        assert replaced["history"] == []
