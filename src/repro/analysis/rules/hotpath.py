@@ -18,7 +18,7 @@ e2e harness's ``py_calls_per_op`` budgets count.  Inside them:
 * telemetry attributes must not be re-read (``self.profiler``) inside
   a loop — hoist the load into a local before the loop, the PR-2/PR-3
   single-None-check pattern;
-* span *creation* calls (``spans.begin`` / ``spans.packet_begin`` /
+* span *creation* calls (``spans.open`` / ``spans.packet_begin`` /
   ... — :data:`repro.metrics.spans.SPAN_CREATION_METHODS`) must not
   sit inside an inner loop: one span per packet is the contract, a
   span per byte/region would dominate the run being measured.

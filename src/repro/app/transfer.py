@@ -26,9 +26,6 @@ class FileServer:
         self.requests_failed = 0
         stack.listen(port, self._accept)
 
-    def add_file(self, name: str, data: bytes) -> None:
-        self.files[name] = data
-
     def _accept(self, conn: TCPConnection) -> None:
         buffer = bytearray()
 

@@ -140,7 +140,7 @@ def add_parsers(sub) -> None:
                           "a claimed gain needs)")
     cmd.add_argument("--root", default=".",
                      help="the change's checkout (default: cwd)")
-    cmd.set_defaults(handler=cmd_bench_pair)
+    cmd.set_defaults(handler=cmd_bench_pair, check=_declared_workloads)
 
 
 def cmd_verify(args) -> int:
@@ -246,6 +246,20 @@ def cmd_lint(args) -> int:
         print(format_text(report,
                           verbose_suppressed=args.show_suppressed))
     return report.exit_code
+
+
+def _declared_workloads(args) -> Optional[str]:
+    """Refuse a workload the change tree's ``BENCHMARK.json`` does not
+    declare before any worktree is made or anything is run."""
+    from ..metrics import benchpair
+
+    declared = [entry["name"] for entry in
+                benchpair.declared(Path(args.root).resolve(), "workloads")]
+    for workload in args.workload:
+        if workload not in declared:
+            return (f"unknown workload {workload!r} (BENCHMARK.json "
+                    f"declares: {', '.join(declared) or 'none'})")
+    return None
 
 
 def cmd_bench_pair(args) -> int:

@@ -11,7 +11,8 @@ from ..experiments import scenarios
 from ..experiments.mobility import MobilityConfig, run_mobility
 from ..metrics import format_table
 from ..serving import ServingSpec, run_serving
-from ..workload import CatalogSpec, corpus_names, corpus_object
+from ..workload import corpus_names, corpus_object
+from ..workload.catalog import MAX_OBJECT_BYTES, MIN_OBJECT_BYTES
 from .args import number, one_of, percent, write_json
 
 #: Artifact name -> (the scenario that computes it, the result method
@@ -66,8 +67,8 @@ def add_parsers(sub) -> None:
     cmd.add_argument("--alpha", type=number(0), default=0.8,
                      help="Zipf skew of content popularity")
     cmd.add_argument("--mean-object", default=8192,
-                     type=number(CatalogSpec.min_object_bytes,
-                                 CatalogSpec.max_object_bytes, whole=True),
+                     type=number(MIN_OBJECT_BYTES, MAX_OBJECT_BYTES,
+                                 whole=True),
                      help="mean object size in bytes")
     cmd.add_argument("--cache-mb", type=number(0, above=True), default=4.0,
                      help="shared cache budget per direction (MB)")

@@ -162,7 +162,3 @@ class FingerprintScheme:
 
     def _select(self, data: bytes) -> AnchorSet:
         return self._impl.anchors(data, self.mask)
-
-    def expected_anchor_spacing(self) -> float:
-        """Mean byte distance between anchors on random data."""
-        return float(1 << self.zero_bits)

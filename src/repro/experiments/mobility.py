@@ -36,6 +36,11 @@ from .config import LAN_DELAY, ExperimentConfig
 from .runner import (CLIENT_ADDR, FILE_NAME, SERVER_ADDR, Fetch, LinkSpec,
                      Testbed, build_gateways, build_path, run_fetches)
 
+#: One-way delay (s) of path B and of path A's bottleneck, and the loss
+#: rate of path B (the direct "WiFi" segment) both ways.
+PATH_DELAY = 0.0025
+LOSS_RATE_B = 0.0
+
 
 @dataclass
 class MobilityConfig:
@@ -48,9 +53,7 @@ class MobilityConfig:
     file_size: int = 0
     corpus_seed: int = 3
     bandwidth: float = 1_000_000.0
-    path_delay: float = 0.0025
     loss_rate_a: float = 0.01
-    loss_rate_b: float = 0.0
     seed: int = 11
     time_limit: float = 120.0
     tcp_max_retries: int = 8
@@ -102,16 +105,16 @@ def run_mobility(config: MobilityConfig) -> MobilityResult:
     # ---- path B: client - direct segment - server (no gateways), wired
     # first: path A's routes on the end hosts hold until the handoff.
     path_b = build_path(sim, rng, server, [
-        (LinkSpec(config.bandwidth, config.path_delay, "path-b",
+        (LinkSpec(config.bandwidth, PATH_DELAY, "path-b",
                   ("path_b_down", "path_b_up"),
-                  forward={"loss_rate": config.loss_rate_b},
-                  reverse={"loss_rate": config.loss_rate_b}), client),
+                  forward={"loss_rate": LOSS_RATE_B},
+                  reverse={"loss_rate": LOSS_RATE_B}), client),
     ], bottleneck=0)
     # ---- path A: server - G2 - bottleneck - G1 - client
     path_a = build_path(sim, rng, server, [
         (LinkSpec(1e9, LAN_DELAY, "lan-server",
                   ("lan_s_down", "lan_s_up")), g2),
-        (LinkSpec(config.bandwidth, config.path_delay, "bottleneck",
+        (LinkSpec(config.bandwidth, PATH_DELAY, "bottleneck",
                   ("bott_down", "bott_up"),
                   forward={"loss_rate": config.loss_rate_a}), g1),
         (LinkSpec(1e9, LAN_DELAY, "lan-client",

@@ -21,6 +21,12 @@ from .config import LAN_DELAY, ExperimentConfig
 from .runner import (CLIENT_ADDR, SERVER_ADDR, LinkSpec, Path, build_gateways,
                      build_path)
 
+#: The frame stream: bytes per frame, seconds between frames, and how
+#: much of each frame repeats its predecessor's tail.
+FRAME_SIZE = 1200
+FRAME_INTERVAL = 0.0015
+OVERLAP_FRACTION = 0.5
+
 
 @dataclass
 class StreamingConfig:
@@ -29,9 +35,6 @@ class StreamingConfig:
     policy: Optional[str] = "k_distance"   # None disables DRE
     k: int = 8
     frame_count: int = 400
-    frame_size: int = 1200
-    frame_interval: float = 0.0015
-    overlap_fraction: float = 0.5     # how much of each frame repeats
     bandwidth: float = 1_000_000.0
     delay: float = 0.0025
     loss_rate: float = 0.0
@@ -71,12 +74,12 @@ def make_frames(config: StreamingConfig) -> List[bytes]:
     rng = random.Random(config.corpus_seed)
     header = rng.randbytes(32)
     frames: List[bytes] = []
-    previous = rng.randbytes(config.frame_size)
-    overlap = int(config.frame_size * config.overlap_fraction)
+    previous = rng.randbytes(FRAME_SIZE)
+    overlap = int(FRAME_SIZE * OVERLAP_FRACTION)
     for index in range(config.frame_count):
-        fresh = rng.randbytes(max(0, config.frame_size - overlap - 36))
+        fresh = rng.randbytes(max(0, FRAME_SIZE - overlap - 36))
         frame = (header + index.to_bytes(4, "big")
-                 + previous[-overlap:] + fresh)[: config.frame_size]
+                 + previous[-overlap:] + fresh)[:FRAME_SIZE]
         frames.append(frame)
         previous = frame
     return frames
@@ -124,9 +127,9 @@ def run_streaming(config: StreamingConfig,
 
     frames = make_frames(config)
     for index, frame in enumerate(frames):
-        sim.at(index * config.frame_interval, sender.sendto, frame,
+        sim.at(index * FRAME_INTERVAL, sender.sendto, frame,
                CLIENT_ADDR, 9000)
-    sim.run(until=config.frame_count * config.frame_interval + 5.0)
+    sim.run(until=config.frame_count * FRAME_INTERVAL + 5.0)
 
     bottleneck = path.bottleneck_forward.stats
     return StreamingResult(

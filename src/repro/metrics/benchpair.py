@@ -31,7 +31,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Mapping, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Sequence
 
 from .report import format_table
 
@@ -133,15 +133,20 @@ def parent_worktree(root: Path, ref: str) -> Iterator[Path]:
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def end_to_end_bounds(tree: Path) -> Dict[str, float]:
-    """``name -> bound`` of the ``end_to_end`` metrics in ``tree``'s
-    ``BENCHMARK.json`` (empty when the file is absent)."""
+def declared(tree: Path, section: str) -> List[Dict[str, Any]]:
+    """The entries of ``section`` (``workloads``, ``end_to_end``) in
+    ``tree``'s ``BENCHMARK.json`` (none when the file is absent)."""
     path = tree / "BENCHMARK.json"
     if not path.is_file():
-        return {}
-    declared = json.loads(path.read_text(encoding="utf-8"))
+        return []
+    return json.loads(path.read_text(encoding="utf-8")).get(section, [])
+
+
+def end_to_end_bounds(tree: Path) -> Dict[str, float]:
+    """``name -> bound`` of the ``end_to_end`` metrics in ``tree``'s
+    ``BENCHMARK.json``."""
     return {entry["name"]: float(entry["bound"])
-            for entry in declared.get("end_to_end", ())}
+            for entry in declared(tree, "end_to_end")}
 
 
 def compile_tree(tree: Path) -> None:

@@ -52,9 +52,6 @@ class DependencyGraph:
     def dependencies_of(self, packet_id: Node) -> Set[Node]:
         return self.edges.get(packet_id, set())
 
-    def degree(self, packet_id: Node) -> int:
-        return len(self.dependencies_of(packet_id))
-
     def average_degree(self, encoded_only: bool = True) -> float:
         degrees = [len(deps) for deps in self.edges.values()
                    if deps or not encoded_only]
@@ -84,24 +81,6 @@ class DependencyGraph:
         if not lost:
             return 0.0
         return len(self.undecodable_closure(lost)) / len(lost)
-
-    def dependency_chain(self, packet_id: Node, dead: Set[Node],
-                         limit: int = 20) -> List[Node]:
-        """One root-cause chain: packet -> dead dependency -> ... .
-
-        Follows dead dependencies breadth-first until it reaches a
-        packet with no dead ancestors (the originally lost one).
-        """
-        chain = [packet_id]
-        current = packet_id
-        for _ in range(limit):
-            dead_deps = [dep for dep in self.dependencies_of(current)
-                         if dep in dead]
-            if not dead_deps:
-                break
-            current = min(dead_deps)
-            chain.append(current)
-        return chain
 
     # ------------------------------------------------------------------
 

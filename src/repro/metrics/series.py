@@ -81,6 +81,3 @@ class Series:
 
     def xs(self) -> List[float]:
         return [p.x for p in self.points]
-
-    def means(self) -> List[float]:
-        return [p.mean for p in self.points]

@@ -52,7 +52,7 @@ SPANS_SCHEMA = "spans/v1"
 #: hotpath family forbids calling any of these inside an inner batch
 #: loop of a registered hot function (see analysis/rules/hotpath.py).
 SPAN_CREATION_METHODS = frozenset([
-    "begin", "open", "event", "child_event", "stage", "encode_stages",
+    "open", "event", "child_event", "stage", "encode_stages",
     "packet_begin", "packet_event", "link_begin", "note_retransmit",
 ])
 
@@ -202,22 +202,7 @@ class SpanRecorder:
                     self._fault_tags, a, b, c, None, None, None)
         return row
 
-    # -- synchronous scopes (same-event begin/end) -------------------------
-
-    def begin(self, kind: str, source: str, a: Any = None, b: Any = None,
-              c: Any = None) -> Optional[int]:
-        """Open a span and push it as the current context.
-
-        Child of the current context if one is active, else the root
-        of a fresh (always-sampled) trace.  Must be closed with
-        :meth:`end` within the same simulator event.
-        """
-        stack = self.context
-        row = self._append(stack[-1] if stack else None, kind, source,
-                           False, a, b, c)
-        if row is not None:
-            stack.append(row)
-        return row
+    # -- closing a span, and one-shot stages -------------------------------
 
     def end(self, row: Optional[int], a: Any = None, b: Any = None,
             c: Any = None) -> None:
@@ -481,13 +466,6 @@ class SpanRecorder:
         if not stack:
             return (None, None)
         row = stack[-1]
-        return (self._log[row], row // _STRIDE + 1)
-
-    def ids_for_packet(self, packet_id: int
-                       ) -> Tuple[Optional[int], Optional[int]]:
-        row = self.packet_rows.get(packet_id)
-        if row is None:
-            return (None, None)
         return (self._log[row], row // _STRIDE + 1)
 
     def span_ids(self, row: int) -> Tuple[int, int]:

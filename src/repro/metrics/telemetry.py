@@ -10,8 +10,9 @@ Three cooperating pieces, modelled on what a production DRE middlebox
 would ship with:
 
 * :class:`MetricsRegistry` — label-aware gauges.  Gauges are
-  *pull-based*: they hold a callable read at sample time, so
-  instrumented hot paths pay nothing while the sampler is idle.
+  *pull-based*: each registers through a source, a callable read at
+  sample time, so instrumented hot paths pay nothing while the sampler
+  is idle.
   Components accept an optional registry/telemetry reference and guard
   every use with one ``is not None`` check — the disabled path stays
   within the e2e harness's ``py_calls_per_op`` budget.
@@ -65,48 +66,30 @@ def metric_key(name: str, labels: Dict[str, Any]) -> str:
 
 
 class Gauge:
-    """A labelled instantaneous value.
+    """A labelled instantaneous value, pulled at sample time.
 
-    Either *pull-based* (constructed with ``fn``, read at sample time —
-    the form every built-in instrumentation site uses, because it costs
-    the instrumented code nothing) or *push-based* via :meth:`set`.  A
-    gauge registered through :meth:`MetricsRegistry.source` belongs to
-    that source (``source``), which the sampler reads in one call; its
-    own ``fn`` reads the one value back for :meth:`read`.
+    A gauge belongs to the :class:`Source` it was registered with
+    (:meth:`MetricsRegistry.source`), which the sampler reads in one
+    call; its own ``fn`` reads the one value back for :meth:`read`.
     """
 
-    __slots__ = ("name", "labels", "key", "fn", "_value", "source")
+    __slots__ = ("name", "labels", "key", "fn", "source")
 
     def __init__(self, name: str, labels: Dict[str, Any],
-                 fn: Optional[Callable[[], float]] = None,
-                 source: Optional["Source"] = None):
+                 fn: Callable[[], float], source: "Source"):
         self.name = name
         self.labels = labels
         #: ``name{k=v,...}``, fixed for life, so built once.
         self.key = metric_key(name, labels)
         self.fn = fn
-        self._value = math.nan
         self.source = source
 
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
     def read(self) -> float:
-        if self.fn is not None:
-            try:
-                return float(self.fn())
-            # lint: disable=hygiene-swallowed-violation(gauge callbacks read counters and call no oracle; torn-down state must read nan)
-            except Exception:
-                return math.nan
-        return self._value
-
-    def _row(self) -> Tuple[float]:
-        """The sampler's read of a lone gauge: its value as a 1-tuple
-        (a raising ``fn`` is the sampler's to catch)."""
-        fn = self.fn
-        if fn is None:
-            return (self._value,)
-        return (float(fn()),)
+        try:
+            return float(self.fn())
+        # lint: disable=hygiene-swallowed-violation(gauge callbacks read counters and call no oracle; torn-down state must read nan)
+        except Exception:
+            return math.nan
 
 
 class Source:
@@ -129,13 +112,9 @@ class Source:
 class MetricsRegistry:
     """Label-aware registry of gauges.
 
-    Gauges are memoised by ``(name, labels)``: asking twice for the
-    same identity returns the same object, so independent components
-    can share a gauge without coordination.  Every gauge is read
-    through one :class:`Source` of :attr:`sources` — a lone gauge
-    through its own, the gauges of :meth:`source` through a shared one
-    — and a source's gauges sit next to each other in registration
-    order, so one sample is one row in that order.
+    Every gauge is registered and read through one :class:`Source` of
+    :attr:`sources`, and a source's gauges sit next to each other in
+    registration order, so one sample is one row in that order.
     """
 
     def __init__(self) -> None:
@@ -145,21 +124,6 @@ class MetricsRegistry:
 
     # -- registration ------------------------------------------------------
 
-    def gauge(self, name: str, fn: Optional[Callable[[], float]] = None,
-              **labels: Any) -> Gauge:
-        key = metric_key(name, labels)
-        gauge = self._gauges.get(key)
-        if gauge is None:
-            gauge = Gauge(name, labels, fn)
-            self._gauges[key] = gauge
-            self.sources.append(Source(gauge._row, (key,)))
-        elif fn is not None:
-            if gauge.source is not None:
-                raise ValueError(f"gauge {key} is read by a source; "
-                                 "re-register the source instead")
-            gauge.fn = fn
-        return gauge
-
     def source(self, fn: Callable[[], Sequence[float]],
                gauges: Sequence[Tuple[str, Dict[str, Any]]]) -> Source:
         """Register ``gauges`` (``(name, labels)`` pairs) read together:
@@ -167,12 +131,11 @@ class MetricsRegistry:
 
         Registering the same gauges again hands the source the new
         ``fn`` (a reopened connection under the same label); a source
-        may not take over gauges registered any other way.
+        may not take over gauges another source registered.
         """
         keys = tuple(metric_key(name, labels) for name, labels in gauges)
         known = self._gauges.get(keys[0])
-        if known is not None and known.source is not None \
-                and known.source.keys == keys:
+        if known is not None and known.source.keys == keys:
             known.source.fn = fn
             return known.source
         taken = [key for key in keys if key in self._gauges]
@@ -382,9 +345,9 @@ class FlightRecorder:
         spans = self.spans
         row = None
         if spans is not None and "trace" not in detail:
-            # The packet's latest span, else the active context: what
-            # spans.ids_for_packet / current_ids would name, read from
-            # the recorder's own tables without two method calls.
+            # The packet's latest span, else the active context (what
+            # current_ids would name), read from the recorder's own
+            # tables without a method call.
             packet_rows = spans.packet_rows
             packet_id = detail["packet_id"] if "packet_id" in detail else None
             if packet_id in packet_rows:
@@ -404,11 +367,6 @@ class FlightRecorder:
         ring: deque = deque(maxlen=self.ring_size)
         self._rings[key] = ring
         return ring
-
-    def note(self, time: float, source: str, event: str,
-             **detail: Any) -> None:
-        """Record an event given as keyword details."""
-        self.record(time, source, event, detail)
 
     def dump(self, max_events: Optional[int] = None) -> List[Dict[str, Any]]:
         """All retained events merged in time order (oldest first).

@@ -18,6 +18,10 @@ from typing import Callable, Optional
 #: 2581's two-segment initial window, the paper's Linux-2012 default).
 INITIAL_CWND_SEGMENTS = 2
 
+#: Slow-start threshold at the start of a connection, in bytes: high
+#: enough that slow start runs until the first loss (RFC 5681 §3.1).
+INITIAL_SSTHRESH = 1 << 30
+
 
 @dataclass
 class RenoStats:
@@ -30,12 +34,12 @@ class RenoStats:
 class RenoCongestionControl:
     """Byte-based Reno congestion control."""
 
-    def __init__(self, mss: int, initial_ssthresh: int = 1 << 30):
+    def __init__(self, mss: int):
         if mss <= 0:
             raise ValueError("mss must be positive")
         self.mss = mss
         self.cwnd = INITIAL_CWND_SEGMENTS * mss
-        self.ssthresh = initial_ssthresh
+        self.ssthresh = INITIAL_SSTHRESH
         self.in_fast_recovery = False
         self._recovery_point = 0
         self.stats = RenoStats()
@@ -105,9 +109,8 @@ class CubicCongestionControl(RenoCongestionControl):
     C = 0.4          # scaling constant (segments/second³)
     BETA = 0.7       # multiplicative decrease factor
 
-    def __init__(self, mss: int, initial_ssthresh: int = 1 << 30,
-                 clock: Optional[Callable[[], float]] = None):
-        super().__init__(mss, initial_ssthresh)
+    def __init__(self, mss: int, clock: Optional[Callable[[], float]] = None):
+        super().__init__(mss)
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._w_max = 0.0          # segments
         self._epoch_start: Optional[float] = None

@@ -55,11 +55,6 @@ class TCPStack:
         conn.connect()
         return conn
 
-    def close_all(self) -> None:
-        for conn in list(self._connections.values()):
-            if conn.is_open:
-                conn.abort("stack_shutdown")
-
     # ------------------------------------------------------------------
 
     def _make_connection(self, local_port: int, remote_addr: str,

@@ -14,6 +14,11 @@ from dataclasses import dataclass
 #: RTO before the first RTT sample (RFC 6298 §2.1).
 INITIAL_RTO = 1.0
 
+#: RFC 6298 §2.3 gains: SRTT and RTTVAR smoothing, RTTVAR multiplier.
+RTO_ALPHA = 1.0 / 8.0
+RTO_BETA = 1.0 / 4.0
+RTO_K = 4.0
+
 
 @dataclass
 class RtoEstimator:
@@ -21,9 +26,6 @@ class RtoEstimator:
 
     min_rto: float = 0.2
     max_rto: float = 60.0
-    alpha: float = 1.0 / 8.0
-    beta: float = 1.0 / 4.0
-    k: float = 4.0
 
     def __post_init__(self) -> None:
         self.srtt: float | None = None
@@ -55,9 +57,9 @@ class RtoEstimator:
             self.srtt = rtt
             self.rttvar = rtt / 2.0
         else:
-            self.rttvar = (1 - self.beta) * self.rttvar + self.beta * abs(self.srtt - rtt)
-            self.srtt = (1 - self.alpha) * self.srtt + self.alpha * rtt
-        self._rto = self.srtt + self.k * self.rttvar
+            self.rttvar = (1 - RTO_BETA) * self.rttvar + RTO_BETA * abs(self.srtt - rtt)
+            self.srtt = (1 - RTO_ALPHA) * self.srtt + RTO_ALPHA * rtt
+        self._rto = self.srtt + RTO_K * self.rttvar
         # A valid sample means the network is delivering: reset backoff
         # (Karn's algorithm, step 3).
         self._backoff = 0

@@ -25,9 +25,6 @@ from .engine import SimulationError, Simulator
 if TYPE_CHECKING:  # type-only: the sim layer stays import-free of repro.net
     from ..net.packet import IPPacket
 
-#: Slots an unbounded link's ring starts with; it doubles when full.
-_UNBOUNDED_RING = 16
-
 
 @dataclass
 class LinkStats:
@@ -176,7 +173,7 @@ class Link:
         behind packets transmitted after it.
     queue_limit:
         Maximum number of packets waiting for the transmitter (at least
-        1, read-only); tail drop beyond it.  ``None`` means unbounded.
+        1, read-only); tail drop beyond it.
     rng:
         Deterministic random stream for the impairments.
 
@@ -210,7 +207,7 @@ class Link:
         corrupt_rate: float = 0.0,
         reorder_rate: float = 0.0,
         reorder_extra_delay: float = 0.05,
-        queue_limit: Optional[int] = 1000,
+        queue_limit: int = 1000,
         rng: Optional[random.Random] = None,
         name: str = "link",
     ):
@@ -229,13 +226,12 @@ class Link:
                                 ("reorder_rate", reorder_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{rate_name} must be in [0, 1], got {rate}")
-        # The ring below has ``queue_limit`` slots, so a fraction, a
+        # The ring below has ``queue_limit`` slots, so None, a fraction, a
         # float or a bool is refused here and not by the list it sizes.
-        if queue_limit is not None and (
-                isinstance(queue_limit, bool)
+        if (isinstance(queue_limit, bool)
                 or not isinstance(queue_limit, int) or queue_limit < 1):
-            raise ValueError("queue_limit must be an integer of at least 1 "
-                             f"or None, got {queue_limit!r}")
+            raise ValueError("queue_limit must be an integer of at least 1, "
+                             f"got {queue_limit!r}")
         self.sim = sim
         self.bandwidth = float(bandwidth)
         # The slots behind the ``_DrawnParameter`` descriptors.
@@ -261,13 +257,11 @@ class Link:
         self._queued = 0
         #: A ring of the end-of-serialisation times of the last
         #: one-event packets, and beside it whether each was lost.
-        #: ``_slot`` is the oldest slot, the one written next: a bounded
-        #: link keeps ``queue_limit`` slots, so its queue is full when
-        #: that slot is still in the future; an unbounded one widens
-        #: the ring then.
-        self._ring_size = size = queue_limit or _UNBOUNDED_RING
-        self._ends = [-math.inf] * size
-        self._lost = [False] * size
+        #: ``_slot`` is the oldest slot, the one written next: the ring
+        #: has ``queue_limit`` slots, so the queue is full when that
+        #: slot is still in the future.
+        self._ends = [-math.inf] * queue_limit
+        self._lost = [False] * queue_limit
         self._slot = 0
         #: End of serialisation of the last one-event packet: until
         #: then a write to a drawn parameter raises.
@@ -278,8 +272,8 @@ class Link:
         self._pick_path()
 
     @property
-    def queue_limit(self) -> Optional[int]:
-        """Tail-drop bound on the transmitter queue (``None``: none)."""
+    def queue_limit(self) -> int:
+        """Tail-drop bound on the transmitter queue."""
         return self._queue_limit
 
     def connect(self, receiver: Callable[[IPPacket], None]) -> None:
@@ -336,13 +330,11 @@ class Link:
             slot = self._slot
             if ends[slot] > now:
                 # The oldest slot still serialises: the ring is full.
-                if self._queue_limit is not None:
-                    stats.packets_queue_dropped += 1
-                    if spans is not None:
-                        spans.packet_event("queue_drop", self.name,
-                                           pkt.packet_id)
-                    return
-                self._widen()
+                stats.packets_queue_dropped += 1
+                if spans is not None:
+                    spans.packet_event("queue_drop", self.name,
+                                       pkt.packet_id)
+                return
             start = self._busy_until
             if start < now:
                 start = now
@@ -351,7 +343,7 @@ class Link:
                 raise SimulationError(
                     f"cannot schedule event in the past: {done} < now {now}")
             self._busy_until = self._drawn_until = ends[slot] = done
-            self._slot = slot + 1 if slot + 1 < self._ring_size else 0
+            self._slot = slot + 1 if slot + 1 < self._queue_limit else 0
             if spans is not None:
                 spans.link_begin(self.name, pkt.packet_id, size)
             rng = self.rng
@@ -378,17 +370,14 @@ class Link:
                                  None))
             return
 
-        limit = self._queue_limit
-        if limit is not None:
-            queued = self._queued
-            if self._drawn_until > now:
-                queued += self._serialising(now)[0]
-            if queued >= limit:
-                stats.packets_queue_dropped += 1
-                if spans is not None:
-                    spans.packet_event("queue_drop", self.name,
-                                       pkt.packet_id)
-                return
+        queued = self._queued
+        if self._drawn_until > now:
+            queued += self._serialising(now)[0]
+        if queued >= self._queue_limit:
+            stats.packets_queue_dropped += 1
+            if spans is not None:
+                spans.packet_event("queue_drop", self.name, pkt.packet_id)
+            return
 
         if spans is not None:
             spans.link_begin(self.name, pkt.packet_id, size)
@@ -417,21 +406,13 @@ class Link:
         ends, lost = self._ends, self._lost
         slot = self._slot
         count = lost_count = 0
-        for _ in range(self._ring_size):
+        for _ in range(self._queue_limit):
             slot -= 1               # a negative index wraps the ring
             if ends[slot] <= now:
                 break
             count += 1
             lost_count += lost[slot]
         return count, lost_count
-
-    def _widen(self) -> None:
-        """Double an unbounded link's ring, keeping its order: the new
-        slots go in before the oldest one, where the next write lands."""
-        slot, size = self._slot, self._ring_size
-        self._ends[slot:slot] = [-math.inf] * size
-        self._lost[slot:slot] = [False] * size
-        self._ring_size = 2 * size
 
     def _transmitted(self, pkt: IPPacket) -> None:
         """Packet finished serialising; apply impairments and propagate.

@@ -538,7 +538,7 @@ class VerificationHarness:
     def _note(self, event: str, **detail: Any) -> None:
         if self.recorder is not None:
             now = self.sim.now if self.sim is not None else 0.0
-            self.recorder.note(now, "verify", event, **detail)
+            self.recorder.record(now, "verify", event, detail)
 
     # -- internal ----------------------------------------------------------
 

@@ -8,7 +8,7 @@ al.).  The catalog here is the serving mode's universe of objects:
 * ``n_contents`` objects, ranked by popularity, request probability
   proportional to ``rank ** -alpha``;
 * object sizes drawn from a lognormal around ``mean_object_bytes``
-  (clamped to ``[min_object_bytes, max_object_bytes]``), so a catalog
+  (clamped to ``[MIN_OBJECT_BYTES, MAX_OBJECT_BYTES]``), so a catalog
   mixes small pages with the occasional heavy download;
 * object *bytes* synthesized lazily by the existing
   dependency-controlled redundancy model
@@ -31,6 +31,14 @@ import numpy as np
 from ..sim.rng import derive_seed
 from .redundancy import DependencyFileSpec, generate_dependency_file
 
+#: Object sizes: sigma of the lognormal draw, and the bounds each size
+#: is clamped to and the mean must lie in.
+SIZE_SPREAD = 0.6
+MIN_OBJECT_BYTES = 512
+MAX_OBJECT_BYTES = 256 * 1024
+#: Mean dependencies per packet of an object's bytes (paper File 1).
+AVG_DEPENDENCIES = 4.0
+
 
 @dataclass(frozen=True)
 class CatalogSpec:
@@ -39,11 +47,7 @@ class CatalogSpec:
     n_contents: int = 200
     alpha: float = 0.8               # Zipf skew; 0 = uniform
     mean_object_bytes: int = 8 * 1024
-    size_spread: float = 0.6         # sigma of the lognormal size draw
-    min_object_bytes: int = 512
-    max_object_bytes: int = 256 * 1024
     redundancy: float = 0.5          # intra-object redundancy (paper model)
-    avg_dependencies: float = 4.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -51,9 +55,10 @@ class CatalogSpec:
             raise ValueError("n_contents must be positive")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
-        if not (0 < self.min_object_bytes <= self.mean_object_bytes
-                <= self.max_object_bytes):
-            raise ValueError("need 0 < min <= mean <= max object bytes")
+        if not (MIN_OBJECT_BYTES <= self.mean_object_bytes
+                <= MAX_OBJECT_BYTES):
+            raise ValueError("mean_object_bytes must be in "
+                             f"[{MIN_OBJECT_BYTES}, {MAX_OBJECT_BYTES}]")
 
 
 class ContentCatalog:
@@ -71,10 +76,10 @@ class ContentCatalog:
         # Sizes: one lognormal draw per content, fixed at catalog build
         # (an object's size is a property of the object, not the request).
         size_rng = np.random.default_rng(derive_seed(spec.seed, "catalog:sizes"))
-        mu = np.log(spec.mean_object_bytes) - 0.5 * spec.size_spread ** 2
-        sizes = np.exp(size_rng.normal(mu, spec.size_spread, size=n))
-        self._sizes = np.clip(np.rint(sizes), spec.min_object_bytes,
-                              spec.max_object_bytes).astype(np.int64)
+        mu = np.log(spec.mean_object_bytes) - 0.5 * SIZE_SPREAD ** 2
+        sizes = np.exp(size_rng.normal(mu, SIZE_SPREAD, size=n))
+        self._sizes = np.clip(np.rint(sizes), MIN_OBJECT_BYTES,
+                              MAX_OBJECT_BYTES).astype(np.int64)
         self._objects: Dict[int, bytes] = {}
         self.materialised = 0
 
@@ -115,7 +120,7 @@ class ContentCatalog:
         spec = self.spec
         body = generate_dependency_file(DependencyFileSpec(
             size=self.size_of(content_id),
-            avg_dependencies=spec.avg_dependencies,
+            avg_dependencies=AVG_DEPENDENCIES,
             redundancy=spec.redundancy,
             seed=derive_seed(spec.seed, f"catalog:object:{content_id}")))
         self._objects[content_id] = body

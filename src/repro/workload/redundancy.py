@@ -22,6 +22,10 @@ from typing import List
 
 DEFAULT_MSS = 1460
 
+#: Shortest copied chunk: longer than a fingerprint window plus the
+#: 14-byte encoding header, so every chunk is encodable.
+MIN_CHUNK = 48
+
 
 @dataclass
 class DependencyFileSpec:
@@ -30,10 +34,8 @@ class DependencyFileSpec:
     size: int
     avg_dependencies: float = 4.0
     redundancy: float = 0.5
-    mss: int = DEFAULT_MSS
     history_window: int = 32     # how far back chunks may be copied from
     locality_scale: float = 5.0  # mean back-distance of a copied chunk
-    min_chunk: int = 48          # keep every chunk encodable (> 14 + w)
     seed: int = 0
 
 
@@ -57,26 +59,26 @@ def generate_dependency_file(spec: DependencyFileSpec) -> bytes:
     if not 0.0 <= spec.redundancy < 0.95:
         raise ValueError("redundancy must be in [0, 0.95)")
     rng = random.Random(spec.seed)
-    n_blocks = (spec.size + spec.mss - 1) // spec.mss
+    n_blocks = (spec.size + DEFAULT_MSS - 1) // DEFAULT_MSS
     blocks: List[bytes] = []
     for index in range(n_blocks):
-        block_len = min(spec.mss, spec.size - index * spec.mss)
+        block_len = min(DEFAULT_MSS, spec.size - index * DEFAULT_MSS)
         blocks.append(_make_block(rng, spec, blocks, index, block_len))
     return b"".join(blocks)
 
 
 def _make_block(rng: random.Random, spec: DependencyFileSpec,
                 blocks: List[bytes], index: int, block_len: int) -> bytes:
-    if index == 0 or spec.redundancy == 0.0 or block_len < 4 * spec.min_chunk:
+    if index == 0 or spec.redundancy == 0.0 or block_len < 4 * MIN_CHUNK:
         return rng.randbytes(block_len)
 
     lo = max(0, index - spec.history_window)
     deps = _poisson(rng, spec.avg_dependencies)
-    deps = max(1, min(deps, index - lo, block_len // (2 * spec.min_chunk)))
+    deps = max(1, min(deps, index - lo, block_len // (2 * MIN_CHUNK)))
     sources = _pick_sources(rng, lo, index, deps, spec.locality_scale)
 
     copy_budget = int(block_len * spec.redundancy)
-    per_chunk = max(spec.min_chunk, copy_budget // deps)
+    per_chunk = max(MIN_CHUNK, copy_budget // deps)
     parts: List[bytes] = []
     used = 0
     gap_budget = block_len - min(copy_budget, per_chunk * deps)
@@ -86,7 +88,7 @@ def _make_block(rng: random.Random, spec: DependencyFileSpec,
         used += gaps[i]
         source = blocks[source_index]
         chunk_len = min(per_chunk, block_len - used, len(source))
-        if chunk_len < spec.min_chunk:
+        if chunk_len < MIN_CHUNK:
             continue
         start = rng.randrange(0, max(1, len(source) - chunk_len + 1))
         parts.append(source[start: start + chunk_len])

@@ -5,12 +5,13 @@ not in ``src/``).
 
 A tick calls every gauge's ``fn`` on its own, converts the value with
 ``float`` and appends it to that gauge's series list.  It reads the
-registry through ``_gauges`` / ``gauges()`` and each gauge's ``fn`` and
-``_value``, which the live registry still keeps (a gauge of a
+registry through ``_gauges`` / ``gauges()`` and each gauge's ``fn``,
+which the live registry still keeps (a gauge of a
 :meth:`~repro.metrics.telemetry.MetricsRegistry.source` reads its own
-value back through its ``fn``), so both samplers can run against one
-registry.  ``tests/test_telemetry_differential.py`` ticks the two side
-by side and compares ``times``, ``series()`` and ``export()``.
+value back through its ``fn``, and reads nan once the source is torn
+down), so both samplers can run against one registry.
+``tests/test_telemetry_differential.py`` ticks the two side by side and
+compares ``times``, ``series()`` and ``export()``.
 """
 
 import math
@@ -65,14 +66,11 @@ class TelemetrySampler:
             self._bind_new_gauges(len(times))
         times.append(self.sim.now)
         for append, gauge in bound:
-            # ``fn`` is read per tick: unregister_connection clears it
-            # and re-registration replaces it.
-            fn = gauge.fn
-            if fn is None:
-                append(gauge._value)
-                continue
+            # The gauge reads its source's ``fn`` per tick:
+            # unregister_connection clears it and re-registration
+            # replaces it.
             try:
-                append(float(fn()))
+                append(float(gauge.fn()))
             # lint: disable=hygiene-swallowed-violation(gauge callbacks read counters and call no oracle; torn-down state must read nan)
             except Exception:
                 append(math.nan)

@@ -508,7 +508,8 @@ def _git(repo, *args):
 
 @pytest.fixture
 def two_commit_repo(tmp_path, monkeypatch):
-    """A repository whose HEAD~1 says "parent" and HEAD says "change";
+    """A repository whose HEAD~1 says "parent" and HEAD says "change",
+    and whose working tree's ``BENCHMARK.json`` declares workload "w";
     temporary directories go under ``tmp_path``."""
     import tempfile
 
@@ -519,6 +520,8 @@ def two_commit_repo(tmp_path, monkeypatch):
         (repo / "tree.txt").write_text(text)
         _git(repo, "add", "tree.txt")
         _git(repo, "commit", "-q", "-m", text)
+    (repo / "BENCHMARK.json").write_text(
+        json.dumps({"workloads": [{"name": "w"}]}))
     scratch = tmp_path / "tmp"
     scratch.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
@@ -556,9 +559,10 @@ def test_bench_pair_alternates_trees_and_lists_every_pair(
         capsys, monkeypatch, two_commit_repo):
     repo, scratch = two_commit_repo
     # The change tree's bounds: its ~5 % more host time exceeds 3 %.
-    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "py_calls_per_op", "bound": 0.035},
-        {"name": "host_cu_per_op", "bound": 0.03}]}))
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w"}], "end_to_end": [
+            {"name": "py_calls_per_op", "bound": 0.035},
+            {"name": "host_cu_per_op", "bound": 0.03}]}))
     calls = []
     _stub_runner(monkeypatch, calls)
     code, out = run_cli(capsys, "bench", "pair", "HEAD~1", "--workload", "w",
@@ -601,6 +605,29 @@ def test_bench_pair_removes_the_worktree_when_a_run_fails(
     code, out = run_cli(capsys, "bench", "pair", "no-such-ref",
                         "--workload", "w", "--root", str(repo))
     assert code == 1 and "cannot check out 'no-such-ref'" in out
+    assert list(scratch.iterdir()) == []
+
+
+@pytest.mark.parametrize("workloads", [["nope"], ["w", "nope"]],
+                         ids=["alone", "beside-a-declared-one"])
+def test_bench_pair_refuses_an_unknown_workload_before_building(
+        capsys, monkeypatch, two_commit_repo, workloads):
+    """A typo is a usage error, exit 2, before any worktree is made,
+    compiled or run: exit 1 means a bench run failed."""
+    from repro.metrics import benchpair
+
+    repo, scratch = two_commit_repo
+    calls, built = [], []
+    _stub_runner(monkeypatch, calls)
+    monkeypatch.setattr(benchpair, "compile_tree", built.append)
+    argv = ["bench", "pair", "HEAD~1", "--root", str(repo)]
+    for workload in workloads:
+        argv += ["--workload", workload]
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "unknown workload 'nope' (BENCHMARK.json declares: w)" in line
+    assert calls == [] and built == []
+    assert _worktrees(repo) == 1
     assert list(scratch.iterdir()) == []
 
 

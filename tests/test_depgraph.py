@@ -46,21 +46,6 @@ class TestClosure:
         assert graph.loss_amplification(set()) == 0.0
 
 
-class TestChains:
-    def test_dependency_chain_reaches_root(self):
-        graph = chain_graph()
-        dead = graph.undecodable_closure({1}) | {1}
-        assert graph.dependency_chain(4, dead) == [4, 3, 2, 1]
-
-    def test_chain_limit(self):
-        graph = DependencyGraph()
-        graph.add_packet(0)
-        for i in range(1, 50):
-            graph.add_packet(i, [i - 1])
-        dead = set(range(49))
-        assert len(graph.dependency_chain(49, dead, limit=5)) <= 6
-
-
 class TestDegrees:
     def test_average_degree_counts_encoded_only(self):
         graph = DependencyGraph()

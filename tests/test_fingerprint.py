@@ -76,11 +76,6 @@ def test_identical_schemes_identical_anchors():
     assert a.anchors(data) == b.anchors(data)
 
 
-def test_expected_anchor_spacing():
-    assert FingerprintScheme(zero_bits=4).expected_anchor_spacing() == 16.0
-    assert FingerprintScheme(zero_bits=6).expected_anchor_spacing() == 64.0
-
-
 # ---------------------------------------------------------------------------
 # anchor memo: content-addressed, byte-bounded, process-wide, invisible
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ class TestHotpath:
             "spans = self.spans",
             "span = None",
             "if spans is not None:",
-            "    span = spans.begin('probe', 'enc')",
+            "    span = spans.packet_begin('encode', 'enc', 1)",
             "for b in data:",
             "    pass",
             "if spans is not None:",

@@ -98,7 +98,7 @@ class TestFlightRecorderEvents:
         spans.end(span)
         spans.link_begin("link", 4, 100)   # the packet moves on
         recorder.record(0.0, "node", "idle")
-        outer = spans.begin("resync", "dec-gw")
+        outer = spans.packet_begin("decode", "dec-gw", 7)
         recorder.record(0.0, "dec-gw", "note", {"packet_id": 99})
         spans.end(outer)
         assert [row["detail"] for row in recorder.dump()] == [
@@ -120,9 +120,10 @@ class TestRegistrySources:
 
     def test_source_cannot_take_over_a_lone_gauge(self):
         registry = MetricsRegistry()
-        registry.gauge("g")
+        registry.source(lambda: (1,), [("g", {})])      # a lone gauge
         with pytest.raises(ValueError):
-            registry.source(lambda: (1,), [("g", {})])
-        registry.source(lambda: (1,), [("h", {})])
+            registry.source(lambda: (1, 2), [("g", {}), ("h", {})])
+        registry.source(lambda: (1, 2), [("h", {}), ("i", {})])
         with pytest.raises(ValueError):
-            registry.gauge("h", fn=lambda: 2)
+            registry.source(lambda: (2,), [("i", {})])
+        assert len(registry) == 3

@@ -45,11 +45,11 @@ def test_back_to_back_packets_queue_fifo():
 
 def test_loss_rate_statistics():
     sim = Simulator()
+    n = 2000
     link = Link(sim, bandwidth=1e9, prop_delay=0.0, loss_rate=0.3,
-                rng=random.Random(1), queue_limit=None)
+                rng=random.Random(1), queue_limit=n)
     delivered = []
     link.connect(delivered.append)
-    n = 2000
     for _ in range(n):
         link.send(make_packet(100))
     sim.run()
@@ -60,7 +60,7 @@ def test_loss_rate_statistics():
 
 def test_zero_loss_delivers_everything():
     sim = Simulator()
-    link = Link(sim, bandwidth=1e9, prop_delay=0.0, queue_limit=None)
+    link = Link(sim, bandwidth=1e9, prop_delay=0.0, queue_limit=500)
     delivered = []
     link.connect(delivered.append)
     for _ in range(500):
@@ -72,7 +72,7 @@ def test_zero_loss_delivers_everything():
 def test_corruption_flips_payload_or_header():
     sim = Simulator()
     link = Link(sim, bandwidth=1e9, prop_delay=0.0, corrupt_rate=1.0,
-                rng=random.Random(3), queue_limit=None)
+                rng=random.Random(3), queue_limit=100)
     received = []
     link.connect(received.append)
     for _ in range(100):
@@ -88,8 +88,7 @@ def test_corruption_flips_payload_or_header():
 def test_reordering_changes_arrival_order():
     sim = Simulator()
     link = Link(sim, bandwidth=1e9, prop_delay=0.001, reorder_rate=0.5,
-                reorder_extra_delay=0.5, rng=random.Random(5),
-                queue_limit=None)
+                reorder_extra_delay=0.5, rng=random.Random(5), queue_limit=50)
     order = []
     link.connect(lambda pkt: order.append(pkt.packet_id))
     packets = [make_packet(100) for _ in range(50)]
@@ -115,7 +114,7 @@ def test_queue_limit_tail_drops():
 
 def test_stats_byte_accounting():
     sim = Simulator()
-    link = Link(sim, bandwidth=1e9, prop_delay=0.0, queue_limit=None)
+    link = Link(sim, bandwidth=1e9, prop_delay=0.0)
     link.connect(lambda pkt: None)
     pkt = make_packet(700)
     link.send(pkt)
@@ -138,8 +137,9 @@ def test_send_without_receiver_raises():
     ("bandwidth", float("nan")), ("prop_delay", float("nan")),
     ("reorder_extra_delay", -0.01), ("reorder_extra_delay", float("nan")),
     # 0 would drop every packet and leave the one-event ring no slot;
-    # None is the unbounded queue.
+    # every link is bounded, so None is refused too.
     ("queue_limit", 0), ("queue_limit", -1), ("queue_limit", float("nan")),
+    ("queue_limit", None),
     # The limit sizes that ring: a fraction, a float from a JSON config
     # or a bool is a ValueError here, not a TypeError from the list.
     ("queue_limit", 2.5), ("queue_limit", 1000.0), ("queue_limit", True),
@@ -157,7 +157,6 @@ def test_queue_limit_is_read_only():
     assert link.queue_limit == 3
     with pytest.raises(AttributeError):
         link.queue_limit = 5
-    assert Link(Simulator(), 1000.0, 0.0, queue_limit=None).queue_limit is None
 
 
 @pytest.mark.parametrize("rate", [-0.1, 1.5])
@@ -316,25 +315,23 @@ def test_link_unwatched_again_waits_for_two_event_packets():
     assert _transmitted_entries(sim) == 0
 
 
-@pytest.mark.parametrize("limit", [3, None])
+@pytest.mark.parametrize("limit", [3])
 def test_settled_reads_the_link_as_two_events_would(limit):
     """Queue depth counts a one-event packet until its serialisation
-    ends, and its loss only from then, as ``_transmitted`` would; an
-    unbounded link widens its ring and keeps every packet counted."""
+    ends, and its loss only from then, as ``_transmitted`` would."""
     sim = Simulator()
     link = Link(sim, 1000.0, 0.0, loss_rate=1.0, queue_limit=limit)
     link.connect(lambda pkt: None)
     for _ in range(40):
         link.send(make_packet(60))          # 0.1 s each, all lost
-    offered = 40 if limit is None else limit
-    assert link.stats.packets_lost == offered
-    assert link.settled() == (offered, 0)
+    assert link.stats.packets_lost == limit
+    assert link.settled() == (limit, 0)
     sim.run(until=0.1)                      # the first has left
-    assert link.settled() == (offered - 1, 1)
+    assert link.settled() == (limit - 1, 1)
     sim.run(until=0.25)
-    assert link.settled() == (offered - 2, 2)
+    assert link.settled() == (limit - 2, 2)
     sim.run(until=10.0)
-    assert link.settled() == (0, offered)
+    assert link.settled() == (0, limit)
     assert _transmitted_entries(sim) == 0
 
 

@@ -104,7 +104,7 @@ _link_params = st.fixed_dictionaries({
     "corrupt_rate": _rate,
     "reorder_rate": _rate,
     "reorder_extra_delay": st.sampled_from([0.0, 0.005, 0.05]),
-    "queue_limit": st.sampled_from([None, 2, 6, 1000]),
+    "queue_limit": st.sampled_from([2, 6, 1000]),
     "seed": st.integers(0, 2**16),
 })
 _op = st.one_of(
@@ -143,7 +143,7 @@ _one_event_params = st.fixed_dictionaries({
     "loss_rate": _rate,
     "reorder_rate": _rate,
     "reorder_extra_delay": st.sampled_from([0.0, 0.005, 0.05]),
-    "queue_limit": st.sampled_from([None, 1, 2, 3, 6]),
+    "queue_limit": st.sampled_from([1, 2, 3, 6]),
     "seed": st.integers(0, 2**16),
 })
 _send_or_wait = st.one_of(

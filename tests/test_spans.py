@@ -23,8 +23,8 @@ class FakeSim:
 class TestSpanRecorderScopes:
     def test_begin_end_nest_under_context_stack(self):
         rec = SpanRecorder()
-        outer = rec.begin("outer", "a")
-        inner = rec.begin("inner", "a")
+        outer = rec.packet_begin("encode", "a", 1)
+        inner = rec.packet_begin("decode", "a", 1)
         assert rec.span(inner)["trace"] == rec.span(outer)["trace"]
         assert rec.span(inner)["parent"] == rec.span(outer)["span"]
         rec.end(inner)
@@ -51,14 +51,14 @@ class TestSpanRecorderScopes:
 
     def test_stage_takes_the_id_its_begin_would_have(self):
         """A one-shot stage is emitted after the work; its id equals the
-        one an open/close pair would have drawn at the start only
-        because nothing allocates a span while the stage runs."""
+        one a span drawn under the packet at the start would have had
+        only because nothing allocates a span while the stage runs."""
         paired, one_shot = SpanRecorder(), SpanRecorder()
         for rec in (paired, one_shot):
             pkt = rec.packet_begin("encode", "gw", packet_id=1)
             if rec is paired:
-                rec.end(rec.begin("table_probe", "enc"))
-                rec.end(rec.begin("wire_pack", "enc"))
+                rec.event("table_probe", "enc")
+                rec.event("wire_pack", "enc")
             else:
                 rec.stage("table_probe", "enc", 0.0)
                 rec.stage("wire_pack", "enc", 0.0)
@@ -74,7 +74,7 @@ class TestSpanRecorderScopes:
     def test_sim_clock_stamps_start_end(self):
         sim = FakeSim()
         rec = SpanRecorder(sim=sim)
-        span = rec.begin("s", "a")
+        span = rec.packet_begin("encode", "a", 1)
         sim.now = 2.5
         rec.end(span)
         doc = rec.span(span)
@@ -180,11 +180,11 @@ class TestTracePropagation:
 
     def test_max_spans_bounds_and_counts_drops(self):
         rec = SpanRecorder(max_spans=2)
-        a = rec.begin("a", "x")
+        a = rec.open("a", "x")
         rec.end(a)
-        b = rec.begin("b", "x")
+        b = rec.open("b", "x")
         rec.end(b)
-        assert rec.begin("c", "x") is None
+        assert rec.open("c", "x") is None
         assert rec.packet_begin("d", "x", 9) is None
         assert len(rec.export()["spans"]) == 2
         assert rec.dropped == 2
@@ -197,8 +197,8 @@ class TestContextStackUnwinds:
 
     def test_out_of_order_close_leaves_no_dead_context(self):
         rec = SpanRecorder()
-        a = rec.begin("a", "x")
-        b = rec.begin("b", "x")
+        a = rec.packet_begin("encode", "x", 1)
+        b = rec.packet_begin("decode", "x", 1)
         rec.end(a)
         rec.end(b)
         assert rec.current_ids() == (None, None)
@@ -209,7 +209,7 @@ class TestContextStackUnwinds:
     def test_closing_a_parent_unwinds_its_abandoned_child(self):
         rec = SpanRecorder()
         outer = rec.packet_begin("encode", "gw", 1)
-        rec.begin("inner", "x")  # never closed: its owner raised
+        rec.packet_begin("decode", "x", 1)  # never closed: its owner raised
         rec.end(outer)
         assert rec.current_ids() == (None, None)
 

@@ -93,6 +93,12 @@ class LiveDriver:
         self.rec.end(self.resync, outcome, epoch, retries)
         self.resync = None
 
+    def packet_ids(self, pid):
+        """The ids of the packet's latest span, read as the flight
+        recorder reads them."""
+        row = self.rec.packet_rows.get(pid)
+        return (None, None) if row is None else self.rec.span_ids(row)
+
 
 class ReferenceDriver(LiveDriver):
     """The same steps as the sites spelt them at the parent commit."""
@@ -101,6 +107,9 @@ class ReferenceDriver(LiveDriver):
         self.clock = Clock()
         self.rec = ReferenceRecorder(sim=self.clock, **kwargs)
         self.resync = None
+
+    def packet_ids(self, pid):
+        return self.rec.ids_for_packet(pid)
 
     def encode(self, pid, flow, seq, regions, deps, bytes_out, staged):
         rec = self.rec
@@ -231,7 +240,7 @@ def play(driver, steps):
             driver.clock.now += args[0]
         else:
             getattr(driver, op)(*args)
-        seen.append((rec.current_ids(), rec.ids_for_packet(step[1])
+        seen.append((rec.current_ids(), driver.packet_ids(step[1])
                      if isinstance(step[1], int) else None))
     return seen
 

@@ -63,14 +63,18 @@ def test_parallel_connections_demuxed():
     assert bytes(results[b"c"]) == b"reply-to-c"
 
 
-def test_connection_count_and_close_all():
+def test_connection_count_drops_on_release():
     testbed = TcpTestbed()
     testbed.server_stack.listen(80, lambda conn: None)
-    conn = testbed.client_stack.connect("10.0.0.2", 80)
+    stack = testbed.client_stack
+    conn = stack.connect("10.0.0.2", 80)
     testbed.sim.run(until=2)
-    assert testbed.client_stack.connection_count() == 1
-    testbed.client_stack.close_all()
+    assert stack.connection_count() == 1
+    assert not stack.release(conn)          # still open: kept
+    conn.abort("test")
     assert conn.state is TCPState.ABORTED
+    assert stack.release(conn)
+    assert stack.connection_count() == 0
 
 
 def test_explicit_local_port():

@@ -19,11 +19,12 @@ from repro.sim.node import Node
 class TestMetricsRegistry:
     def test_same_identity_is_memoised(self):
         registry = MetricsRegistry()
-        a = registry.gauge("g", gw="x")
-        b = registry.gauge("g", gw="x")
+        a = registry.source(lambda: (1,), [("g", {"gw": "x"})])
+        b = registry.source(lambda: (2,), [("g", {"gw": "x"})])
         assert a is b
-        assert a.key == "g{gw=x}"
-        assert registry.gauge("g", gw="y") is not a
+        assert a.keys == ("g{gw=x}",)
+        assert registry.source(lambda: (3,), [("g", {"gw": "y"})]) is not a
+        assert registry.snapshot() == {"g{gw=x}": 2.0, "g{gw=y}": 3.0}
 
     def test_label_order_does_not_matter(self):
         assert (metric_key("m", {"a": 1, "b": 2})
@@ -35,24 +36,24 @@ class TestMetricsRegistry:
     def test_pull_gauge_reads_callback(self):
         registry = MetricsRegistry()
         state = {"v": 1.0}
-        gauge = registry.gauge("g", fn=lambda: state["v"])
-        assert gauge.read() == 1.0
+        registry.source(lambda: (state["v"], 2 * state["v"]),
+                        [("g", {}), ("h", {})])
+        g, h = registry.gauges()
+        assert (g.read(), h.read()) == (1.0, 2.0)
         state["v"] = 7.5
-        assert gauge.read() == 7.5
+        assert (g.read(), h.read()) == (7.5, 15.0)
 
-    def test_push_gauge_and_callback_failure(self):
+    def test_raising_or_torn_down_source_reads_nan(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("g")
-        assert math.isnan(gauge.read())  # never set
-        gauge.set(3)
-        assert gauge.read() == 3.0
-        broken = registry.gauge("bad", fn=lambda: 1 / 0)
-        assert math.isnan(broken.read())  # a gauge must not raise
+        registry.source(lambda: 1 / 0, [("bad", {})])
+        torn = registry.source(lambda: (1.0,), [("torn", {})])
+        torn.fn = None
+        # A gauge must not raise.
+        assert all(math.isnan(gauge.read()) for gauge in registry.gauges())
 
     def test_snapshot_is_json_serialisable(self):
         registry = MetricsRegistry()
-        registry.gauge("g", fn=lambda: float("inf"))
-        registry.gauge("h", fn=lambda: 0.01)
+        registry.source(lambda: (float("inf"), 0.01), [("g", {}), ("h", {})])
         snapshot = registry.snapshot()
         json.dumps(snapshot)  # must not raise
         assert snapshot == {"g": None, "h": 0.01}  # inf -> null
@@ -62,7 +63,7 @@ class TestTelemetrySampler:
     def test_series_align_with_shared_time_axis(self):
         sim = Simulator()
         registry = MetricsRegistry()
-        registry.gauge("a", fn=lambda: sim.now)
+        registry.source(lambda: (sim.now,), [("a", {})])
         sampler = TelemetrySampler(sim, registry, interval=0.1)
         sampler.start()
         sim.run(until=1.0)
@@ -74,10 +75,10 @@ class TestTelemetrySampler:
     def test_late_gauge_is_nan_backfilled(self):
         sim = Simulator()
         registry = MetricsRegistry()
-        registry.gauge("early", fn=lambda: 1.0)
+        registry.source(lambda: (1.0,), [("early", {})])
         sampler = TelemetrySampler(sim, registry, interval=0.1)
         sampler.start()
-        sim.at(0.55, lambda: registry.gauge("late", fn=lambda: 2.0))
+        sim.at(0.55, lambda: registry.source(lambda: (2.0,), [("late", {})]))
         sim.run(until=1.0)
         series = sampler.series()
         assert len(series["late"]) == len(sampler.times)
@@ -88,7 +89,7 @@ class TestTelemetrySampler:
     def test_decimation_bounds_memory_and_doubles_interval(self):
         sim = Simulator()
         registry = MetricsRegistry()
-        registry.gauge("g", fn=lambda: 1.0)
+        registry.source(lambda: (1.0,), [("g", {})])
         sampler = TelemetrySampler(sim, registry, interval=0.01,
                                    max_samples=64)
         sampler.start()
@@ -104,7 +105,7 @@ class TestTelemetrySampler:
         """The max_samples-th sample (not one more) triggers decimation."""
         sim = Simulator()
         registry = MetricsRegistry()
-        registry.gauge("g", fn=lambda: 1.0)
+        registry.source(lambda: (1.0,), [("g", {})])
         sampler = TelemetrySampler(sim, registry, interval=0.01,
                                    max_samples=8)
         for _ in range(7):
@@ -126,13 +127,13 @@ class TestTelemetrySampler:
         """
         sim = Simulator()
         registry = MetricsRegistry()
-        registry.gauge("early", fn=lambda: 1.0)
+        registry.source(lambda: (1.0,), [("early", {})])
         sampler = TelemetrySampler(sim, registry, interval=0.01,
                                    max_samples=16)
         sampler.start()
         # Register mid-run, after at least one decimation has halved
         # the stored series.
-        sim.at(0.5, lambda: registry.gauge("late", fn=lambda: 2.0))
+        sim.at(0.5, lambda: registry.source(lambda: (2.0,), [("late", {})]))
         sim.run(until=1.0)
         assert sampler.decimations >= 1
         series = sampler.series()
@@ -143,28 +144,30 @@ class TestTelemetrySampler:
 
     def test_bound_series_survive_registration_failure_and_decimation(self):
         """One run through everything the pre-bound tick must keep: a
-        gauge registered mid-run, one whose callback raises, one
-        re-registered under the same key, and a decimation crossing."""
+        gauge registered mid-run, one whose callback raises, one torn
+        down mid-run, one re-registered under the same key, and a
+        decimation crossing."""
         sim = Simulator()
         registry = MetricsRegistry()
-        registry.gauge("clock", fn=lambda: sim.now)
-        registry.gauge("torn", fn=lambda: 1 / 0)
-        pushed = registry.gauge("pushed")
+        registry.source(lambda: (sim.now,), [("clock", {})])
+        registry.source(lambda: 1 / 0, [("torn", {})])
+        closed = registry.source(lambda: (7,), [("closed", {})])
         sampler = TelemetrySampler(sim, registry, interval=0.01,
                                    max_samples=16)
         sampler.start()
-        sim.at(0.035, lambda: pushed.set(7))
-        sim.at(0.055, lambda: registry.gauge("late", fn=lambda: 2.0))
-        sim.at(0.075, lambda: registry.gauge("late", fn=lambda: 3.0))
+        sim.at(0.035, lambda: setattr(closed, "fn", None))
+        late = [("late", {})]
+        sim.at(0.055, lambda: registry.source(lambda: (2.0,), late))
+        sim.at(0.075, lambda: registry.source(lambda: (3.0,), late))
         sim.run(until=0.5)
         assert sampler.decimations >= 1
         series = sampler.series()
-        assert list(series) == ["clock", "torn", "pushed", "late"]
+        assert list(series) == ["clock", "torn", "closed", "late"]
         assert all(len(values) == len(sampler.times)
                    for values in series.values())
         assert series["clock"] == sampler.times
         assert all(math.isnan(v) for v in series["torn"])
-        assert math.isnan(series["pushed"][0]) and series["pushed"][-1] == 7.0
+        assert series["closed"][0] == 7.0 and math.isnan(series["closed"][-1])
         assert math.isnan(series["late"][0]) and series["late"][-1] == 3.0
         exported = sampler.export()["series"]
         assert set(exported["torn"]) == {None}  # nan exports as null
@@ -258,7 +261,7 @@ class TestTelemetryFacade:
     def test_export_schema_and_validation(self):
         sim = Simulator()
         telemetry = Telemetry(sim)
-        telemetry.registry.gauge("g", fn=lambda: 1.0)
+        telemetry.registry.source(lambda: (1.0,), [("g", {})])
         telemetry.start()
         sim.run(until=0.5)
         export = telemetry.export(reason="completed")
@@ -279,7 +282,7 @@ class TestTelemetryFacade:
     def test_validate_rejects_misaligned_series(self):
         sim = Simulator()
         telemetry = Telemetry(sim)
-        telemetry.registry.gauge("g", fn=lambda: 1.0)
+        telemetry.registry.source(lambda: (1.0,), [("g", {})])
         export = telemetry.export()
         export["sampler"]["series"]["g"].append(1.0)
         with pytest.raises(ValueError):
@@ -332,7 +335,7 @@ class TestObserversDoNotCrossTalk:
 
         recorder = FlightRecorder()
         recorder.spans = SpanRecorder()
-        recorder.spans.begin("encode", "gw")
+        recorder.spans.packet_begin("encode", "gw", 1)
         recorder.record(0.0, "verify", "violation", {"trace": 9, "span": 4})
         assert recorder.dump()[0]["detail"] == {"trace": 9, "span": 4}
 

@@ -1,10 +1,10 @@
 """Differential test: the row-per-tick ``TelemetrySampler`` against the
 per-gauge sampler it replaced (``tests/reference_telemetry.py``).
 
-Hypothesis draws a script of registry events — lone pull, push and
-raising gauges, multi-gauge sources, registrations after sampling
-began, re-registrations, teardowns (``fn = None``), values that flip
-to nan or inf, sources that start raising — on a simulated clock, with
+Hypothesis draws a script of registry events — one-gauge and
+multi-gauge sources, registrations after sampling began,
+re-registrations, teardowns (``fn = None``), values that flip to nan
+or inf, sources that start raising — on a simulated clock, with
 a sample bound small enough that decimation crossings are common.  The
 script plays twice, in two identical worlds, each sampled by one of
 the two samplers through its own tick.  ``times``, ``series()`` and
@@ -35,6 +35,7 @@ class World:
         self.state = {}
         self.raising = set()
         self.sources = {}
+        self.lone = {}
         self.sampler = sampler_cls(self.sim, self.registry,
                                    interval=interval, max_samples=max_samples)
 
@@ -47,16 +48,12 @@ class World:
         op, args = step[0], step[1:]
         if op == "pull":
             name, = args
-            self.registry.gauge("lone", fn=lambda: self.read(name), g=name)
-        elif op == "push":
-            name, = args
-            self.registry.gauge("lone", g=name)
-        elif op == "set":
-            name, value = args
-            self.registry.gauge("lone", g=name).set(value)
+            self.lone[name] = self.registry.source(
+                lambda: (self.read(name),), [("lone", {"g": name})])
         elif op == "teardown":
             name, = args
-            self.registry.gauge("lone", g=name).fn = None
+            if name in self.lone:
+                self.lone[name].fn = None
         elif op == "source":
             index, width = args
             # Width is fixed by the first registration of an index:
@@ -89,8 +86,6 @@ class World:
 
 STEPS = st.one_of(
     st.tuples(st.just("pull"), st.sampled_from(NAMES)),
-    st.tuples(st.just("push"), st.sampled_from(NAMES)),
-    st.tuples(st.just("set"), st.sampled_from(NAMES), VALUES),
     st.tuples(st.just("teardown"), st.sampled_from(NAMES)),
     st.tuples(st.just("source"), st.integers(0, 2), st.integers(1, 3)),
     st.tuples(st.just("source_teardown"), st.integers(0, 2)),

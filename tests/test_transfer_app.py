@@ -75,9 +75,12 @@ def test_request_split_across_segments():
 
 
 def test_add_file_after_startup():
+    """The server looks a name up per request, so a file added to its
+    mapping after it started listening is served."""
     testbed = TcpTestbed()
-    server = FileServer(testbed.server_stack, {})
-    server.add_file("late", b"late-bytes")
+    files = {}
+    FileServer(testbed.server_stack, files)
+    files["late"] = b"late-bytes"
     client = FileClient(testbed.client_stack, testbed.sim)
     outcome = client.fetch("10.0.0.2", "late", expected_size=10)
     testbed.sim.run(until=10)
