@@ -37,7 +37,7 @@ drops dangling entries the dict table keeps until a lookup.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -172,10 +172,31 @@ class RingFingerprintTable:
         self._index.clear()
         self._next = 0
 
-    def entries(self) -> Iterator[RingEntry]:
-        """Snapshots of the *current* entry of every indexed fingerprint."""
-        for fingerprint, pointer in list(self._index.items()):
-            yield RingEntry(self, fingerprint, pointer)
+    @property
+    def pointers(self) -> Dict[int, int]:
+        """The index itself, fingerprint -> pointer, for read-only
+        checkers.  Compaction replaces the dict: read it anew per use."""
+        return self._index
+
+    def log_mark(self) -> Tuple[int, int]:
+        """``(inserts, next log row)``: where the log stands now, for
+        :meth:`rows_since`."""
+        return self.inserts, self._next
+
+    def rows_since(self, mark: Tuple[int, int]
+                   ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The log rows written since ``mark`` (a :meth:`log_mark`),
+        oldest first, as ``(fingerprints, pointers)`` views of the log.
+
+        ``None`` when the log was emptied or renumbered since (a
+        :meth:`clear` or a compaction): the rows then no longer line
+        up with the insert count.  Growing copies the log in place and
+        keeps the rows.
+        """
+        inserts, row = mark
+        if self._next - row != self.inserts - inserts:
+            return None
+        return self._fps[row:self._next], self._ptr[row:self._next]
 
     def previous_entry(self, fingerprint: int) -> Optional[RingEntry]:
         """The newest entry for ``fingerprint`` whose packet is stored

@@ -45,6 +45,8 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterator, List, Optional,
                     Sequence, Set, Tuple)
 
+from ..net.tcp.congestion import INITIAL_SSTHRESH
+
 TELEMETRY_SCHEMA = "telemetry/v1"
 
 #: Flight-recorder rows carried by a post-mortem export.
@@ -52,9 +54,6 @@ DUMP_EVENTS = 64
 
 #: The detail of an event recorded without one (never written to).
 _NO_DETAIL: Dict[str, Any] = {}
-
-#: ``tcp.ssthresh`` reads an unset (infinite) threshold as this.
-_SSTHRESH_CAP = 1 << 30
 
 
 def metric_key(name: str, labels: Dict[str, Any]) -> str:
@@ -468,9 +467,11 @@ class Telemetry:
         def read(c=conn) -> Tuple[Any, ...]:
             cc = c.cc
             ssthresh = cc.ssthresh
-            # min(ssthresh, _SSTHRESH_CAP) without the call.
+            # min(ssthresh, INITIAL_SSTHRESH) without the call: an
+            # unset (infinite) threshold reads as the initial one.
             return (cc.cwnd,
-                    _SSTHRESH_CAP if _SSTHRESH_CAP < ssthresh else ssthresh,
+                    INITIAL_SSTHRESH if INITIAL_SSTHRESH < ssthresh
+                    else ssthresh,
                     c.rto.rto, c.flight_size)
 
         source = self.registry.source(

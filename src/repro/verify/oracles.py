@@ -44,9 +44,17 @@ run is diagnosable from the exception alone.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from itertools import islice, repeat
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
+
+from ..core.ringtable import OFFSET_BITS, OFFSET_MASK
 
 Verdict = Optional[Tuple[str, Dict[str, Any]]]
+
+#: Encoder-index entries a full coherence pass compares at a time.
+_FULL_PASS_BATCH = 4096
 
 
 class InvariantViolation(Exception):
@@ -321,6 +329,10 @@ class VerificationHarness:
         self._enc_core = None
         self._dec_core = None
         self._links: Tuple = ()
+        #: Where the last clean coherence check left off: both tables
+        #: and epochs, and each log's mark (None: the next check is a
+        #: full pass).
+        self._marks: Optional[tuple] = None
 
     # -- wiring -----------------------------------------------------------
 
@@ -334,6 +346,7 @@ class VerificationHarness:
         """Attach to bare encoder/decoder cores (the unit-test path)."""
         self._enc_core = encoder
         self._dec_core = decoder
+        self._marks = None
         encoder.verifier = self
         if decoder is not None:
             decoder.verifier = self
@@ -455,9 +468,19 @@ class VerificationHarness:
         Every fingerprint present in *both* tables must resolve to
         byte-identical window bytes.  Decoder-side absences are legal
         (lost carrier packets are the modelled perceived loss); a byte
-        mismatch means a poisoned store.  The scan is side-effect-free:
-        it reads the stores with ``peek`` so it cannot perturb LRU order
-        or trigger the caches' lazy invalidation.
+        mismatch means a poisoned store.
+
+        Only the fingerprints written to either side's log since the
+        last clean check are examined.  Any other fingerprint still has
+        the pointers that check passed, or has left an index since;
+        payloads are immutable and store ids never reused, so its
+        verdict cannot have changed.  The first check is a full pass
+        over the encoder index, and so is one after a log was emptied
+        or renumbered (flush, restart, compaction), an epoch changed or
+        a cache was replaced.  Either way the violation raised is the
+        full scan's: the first mismatch in encoder-index order.  Stores
+        are read with ``peek``, so the check cannot perturb LRU order or
+        the caches' lazy removal.
         """
         if not force and not self.quiescent():
             return False
@@ -465,37 +488,58 @@ class VerificationHarness:
             return False
         enc_cache = self._enc_core.cache
         dec_cache = self._dec_core.cache
-        window = self._enc_core.scheme.window
-        dec_lookup = dec_cache.table.get  # side-effect-free on both table kinds
+        enc_table, dec_table = enc_cache.table, dec_cache.table
+        enc_index, dec_index = enc_table.pointers, dec_table.pointers
         self.coherence_checks += 1
-        for entry in list(enc_cache.table.entries()):
-            enc_payload = enc_cache.store.peek(entry.store_id)
-            if enc_payload is None:
-                continue
-            dec_entry = dec_lookup(entry.fingerprint)
-            if dec_entry is None:
-                continue
-            dec_payload = dec_cache.store.peek(dec_entry.store_id)
-            if dec_payload is None:
-                continue
-            enc_window = enc_payload[entry.offset:entry.offset + window]
-            dec_window = dec_payload[dec_entry.offset:
-                                     dec_entry.offset + window]
-            if enc_window != dec_window:
-                self.fail(
-                    "cache_coherence",
-                    f"fingerprint {entry.fingerprint:#x} resolves to "
-                    f"different bytes on the two sides (epoch "
-                    f"{enc_cache.epoch}): the decoder cache is poisoned "
-                    f"— any region sourcing it would reconstruct wrong "
-                    f"bytes",
-                    fingerprint=entry.fingerprint,
-                    epoch=enc_cache.epoch,
-                    encoder_offset=entry.offset,
-                    decoder_offset=dec_entry.offset,
-                    encoder_window=enc_window.hex(),
-                    decoder_window=dec_window.hex())
+        # What must not change for a check to read on from the last
+        # one's log marks.
+        state = enc_table, dec_table, enc_cache.epoch, dec_cache.epoch
+        rows = None
+        marks = self._marks
+        if marks is not None and marks[0] == state:
+            enc_rows = enc_table.rows_since(marks[1])
+            dec_rows = dec_table.rows_since(marks[2])
+            if enc_rows is not None and dec_rows is not None:
+                rows = enc_rows, dec_rows
+        if rows is None:
+            batches = _index_pointers(enc_index, dec_index)
+        else:
+            batches = [_new_pointers(rows[0], rows[1], enc_index,
+                                     dec_index)]
+        for fps, enc, dec in batches:
+            bad = _mismatches(fps, enc, dec, enc_cache.store.peek,
+                              dec_cache.store.peek,
+                              self._enc_core.scheme.window)
+            if bad:
+                self._fail_coherence(next(fp for fp in enc_index
+                                          if fp in bad))
+        self._marks = state, enc_table.log_mark(), dec_table.log_mark()
         return True
+
+    def _fail_coherence(self, fingerprint: int) -> None:
+        enc_cache = self._enc_core.cache
+        dec_cache = self._dec_core.cache
+        window = self._enc_core.scheme.window
+        enc_pointer = enc_cache.table.pointers[fingerprint]
+        dec_pointer = dec_cache.table.pointers[fingerprint]
+        enc_offset = enc_pointer & OFFSET_MASK
+        dec_offset = dec_pointer & OFFSET_MASK
+        enc_window = enc_cache.store.peek(enc_pointer >> OFFSET_BITS)[
+            enc_offset:enc_offset + window]
+        dec_window = dec_cache.store.peek(dec_pointer >> OFFSET_BITS)[
+            dec_offset:dec_offset + window]
+        self.fail(
+            "cache_coherence",
+            f"fingerprint {fingerprint:#x} resolves to different bytes on "
+            f"the two sides (epoch {enc_cache.epoch}): the decoder cache "
+            f"is poisoned — any region sourcing it would reconstruct "
+            f"wrong bytes",
+            fingerprint=fingerprint,
+            epoch=enc_cache.epoch,
+            encoder_offset=enc_offset,
+            decoder_offset=dec_offset,
+            encoder_window=enc_window.hex(),
+            decoder_window=dec_window.hex())
 
     def finalize(self, outcomes=()) -> None:
         """End-of-run checks over every fetch's outcome (the runner
@@ -546,3 +590,126 @@ class VerificationHarness:
         self.check_invariants()
         self.check_coherence()
         self.sim.after(self.coherence_interval, self._tick)
+
+
+def _index_pointers(enc_index: Dict[int, int], dec_index: Dict[int, int]
+                    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every fingerprint the encoder indexes, with both sides' pointers
+    (-1: not indexed), in index order and :data:`_FULL_PASS_BATCH` at a
+    time, so a full pass holds no whole-table array."""
+    keys = iter(enc_index)
+    values = iter(enc_index.values())
+    while True:
+        fps = list(islice(keys, _FULL_PASS_BATCH))
+        if not fps:
+            return
+        n = len(fps)
+        yield (np.fromiter(fps, np.uint64, n),
+               np.fromiter(islice(values, n), np.int64, n),
+               np.fromiter(map(dec_index.get, fps, repeat(-1)), np.int64, n))
+
+
+def _new_pointers(enc_rows: Tuple[np.ndarray, np.ndarray],
+                  dec_rows: Tuple[np.ndarray, np.ndarray],
+                  enc_index: Dict[int, int], dec_index: Dict[int, int]
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fingerprints of either side's new log rows, with both sides'
+    pointers (-1: not indexed).
+
+    A side's pointer for a fingerprint it has new rows for is its
+    newest row's: only an insert writes a pointer, and the index drops
+    one only once its packet has left the store, which the payload
+    read then finds absent, as the index lookup would.  Only the
+    fingerprints new on the other side alone are looked up.
+    """
+    fps, enc = _newest(*enc_rows)
+    dec_fps, dec_ptrs = _newest(*dec_rows)
+    at = fps.searchsorted(dec_fps)
+    common = at < len(fps)
+    common[common] = fps[at[common]] == dec_fps[common]
+    dec = np.empty(len(fps), np.int64)
+    looked_up = np.ones(len(fps), bool)
+    looked_up[at[common]] = False
+    dec[at[common]] = dec_ptrs[common]
+    dec[looked_up] = _lookup(dec_index, fps[looked_up])
+    only = ~common
+    return (np.concatenate((fps, dec_fps[only])),
+            np.concatenate((enc, _lookup(enc_index, dec_fps[only]))),
+            np.concatenate((dec, dec_ptrs[only])))
+
+
+def _newest(fps: np.ndarray, pointers: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct fingerprints of some log rows, sorted, and the
+    pointer of each one's newest (highest) row."""
+    order = fps.argsort()
+    ordered = fps[order]
+    starts = _run_starts(ordered)
+    if not len(starts):
+        return ordered, pointers[:0]
+    return ordered[starts], pointers[np.maximum.reduceat(order, starts)]
+
+
+def _lookup(index: Dict[int, int], fps: np.ndarray) -> np.ndarray:
+    """The pointers ``index`` holds for ``fps`` (-1: none)."""
+    return np.fromiter(map(index.get, fps.tolist(), repeat(-1)), np.int64,
+                       len(fps))
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in ``ordered`` begins."""
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first.nonzero()[0]
+
+
+def _mismatches(fps: np.ndarray, enc: np.ndarray, dec: np.ndarray,
+                enc_peek: Callable[[int], Optional[bytes]],
+                dec_peek: Callable[[int], Optional[bytes]],
+                window: int) -> Set[int]:
+    """The fingerprints whose windows differ on the two sides, given
+    each one's encoder and decoder pointer (-1: not indexed).
+
+    A fingerprint whose two pointers carry the same offset is settled
+    by its packet pair: one ``bytes`` compare per (encoder store id,
+    decoder store id) settles all of them when the payloads are equal.
+    Every other fingerprint, and every pair whose payloads differ, gets
+    its window compared.  A pointer or payload absent on either side is
+    legal and skipped.
+    """
+    rows = ((enc >= 0) & (dec >= 0)).nonzero()[0]
+    enc = enc[rows]
+    dec = dec[rows]
+    # Store ids fit 31 bits (a pointer is a non-negative int64), so a
+    # pair of them packs into one int64 key.
+    pairs = ((enc >> OFFSET_BITS) << OFFSET_BITS) | (dec >> OFFSET_BITS)
+    aligned = ((enc ^ dec) & OFFSET_MASK) == 0
+    distinct = np.sort(pairs[aligned])
+    differing = []
+    for pair in distinct[_run_starts(distinct)].tolist():
+        enc_payload = enc_peek(pair >> OFFSET_BITS)
+        dec_payload = dec_peek(pair & OFFSET_MASK)
+        if (enc_payload is not None and dec_payload is not None
+                and enc_payload != dec_payload):
+            differing.append(pair)
+    unsettled = ~aligned
+    if differing:
+        unsettled |= aligned & np.isin(pairs, differing)
+    picked = unsettled.nonzero()[0]
+    bad: Set[int] = set()
+    for fp, enc_pointer, dec_pointer in zip(fps[rows[picked]].tolist(),
+                                            enc[picked].tolist(),
+                                            dec[picked].tolist()):
+        enc_payload = enc_peek(enc_pointer >> OFFSET_BITS)
+        if enc_payload is None:
+            continue
+        dec_payload = dec_peek(dec_pointer >> OFFSET_BITS)
+        if dec_payload is None:
+            continue
+        enc_offset = enc_pointer & OFFSET_MASK
+        dec_offset = dec_pointer & OFFSET_MASK
+        if (enc_payload[enc_offset:enc_offset + window]
+                != dec_payload[dec_offset:dec_offset + window]):
+            bad.add(fp)
+    return bad

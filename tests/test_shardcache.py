@@ -25,6 +25,7 @@ from repro.core.policies import PacketMeta, make_policy_pair
 from repro.core.shardcache import ShardedByteCache, shard_of
 from repro.workload.corpus import corpus_object
 from tests.reference_cache import DictByteCache
+from tests.reference_coherence import table_entries
 
 BIG = 1 << 30
 
@@ -132,7 +133,7 @@ def test_sharded_cache_parity_with_unsharded_oracle(ops, n_shards):
         # The vectorised routing behind the per-shard entry counts is
         # shard_of, key for key.
         owners = [shard_of(entry.fingerprint, sharded.n_shards)
-                  for entry in sharded.table.entries()]
+                  for entry in table_entries(sharded.table)]
         assert sharded.shard_entries() == [
             owners.count(index) for index in range(sharded.n_shards)]
 
@@ -306,7 +307,7 @@ def test_store_and_table_views_for_telemetry_and_oracles():
     # Coherence-oracle surface: side-effect-free peek.
     assert cache.store.peek(sid) == b"y" * 40
     assert cache.store.peek(sid + 999) is None
-    entries = list(cache.table.entries())
+    entries = table_entries(cache.table)
     assert {e.fingerprint for e in entries} == {FPS[0], FPS[1]}
     occupancy = cache.shard_occupancy()
     assert len(occupancy) == 4
