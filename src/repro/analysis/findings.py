@@ -70,13 +70,6 @@ class Finding:
         return payload
 
 
-def finding_hops_valid(finding: Finding) -> bool:
-    """True when a finding's hop chain is structurally well-formed."""
-    return all(isinstance(hop, dict)
-               and {"path", "line", "detail"} <= set(hop)
-               for hop in finding.hops)
-
-
 @dataclass
 class LintReport:
     """Everything one engine run produced."""

@@ -9,8 +9,8 @@ from .polyhash import AnchorSet, PolyFingerprinter
 from .region import Region
 from .shardcache import ShardedByteCache, ShardedPacketStore, shard_of
 from .wire import (FIELD_SIZE, MIN_REGION_LENGTH, MissingFingerprintError,
-                   WireFormatError, encode_payload, encoded_size, parse_payload,
-                   reconstruct, wrap_raw)
+                   WireFormatError, encode_payload, parse_payload, reconstruct,
+                   wrap_raw)
 
 __all__ = [
     "ByteCache",
@@ -38,7 +38,6 @@ __all__ = [
     "MissingFingerprintError",
     "WireFormatError",
     "encode_payload",
-    "encoded_size",
     "parse_payload",
     "reconstruct",
     "wrap_raw",

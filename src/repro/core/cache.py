@@ -329,11 +329,6 @@ class ByteCache:
             return None
         return entry, payload
 
-    def external_id_for(self, store_id: int) -> Optional[int]:
-        """Originating packet id of a stored payload (for dependency
-        tracking in the metrics layer), if one was recorded."""
-        return self.store.records.get(store_id, NO_RECORD)[3]
-
     def flush(self) -> None:
         """Drop everything (the Cache Flush policy's reset, §V-A)."""
         self.store.clear()

@@ -61,14 +61,6 @@ class EncodeResult:
     regions: List[Region] = field(default_factory=list)
     dependencies: Set[int] = field(default_factory=set)   # packet ids referenced
     cached: bool = True          # False when the cache update was deferred
-    #: Wire-format overhead every packet pays regardless of encoding:
-    #: the 2-byte shim, plus the 1-byte epoch stamp when the gateway
-    #: runs the resilience layer (see repro.gateway.resilience).
-    shim_overhead: int = SHIM_SIZE
-
-    @property
-    def bytes_saved(self) -> int:
-        return self.bytes_in - (self.bytes_out - self.shim_overhead)
 
 
 @dataclass
@@ -84,23 +76,15 @@ class EncoderStats:
     collisions: int = 0          # fingerprint hits rejected by byte compare
     ineligible_hits: int = 0     # hits rejected by the policy
 
-    @property
-    def compression_ratio(self) -> float:
-        if self.bytes_in == 0:
-            return 1.0
-        return self.bytes_out / self.bytes_in
-
 
 class ByteCachingEncoder:
     """Encodes packet payloads against a local byte cache."""
 
     def __init__(self, scheme: FingerprintScheme, cache: ByteCache,
-                 policy: EncoderPolicy,
-                 shim_overhead: int = SHIM_SIZE) -> None:
+                 policy: EncoderPolicy) -> None:
         self.scheme = scheme
         self.cache = cache
         self.policy = policy
-        self.shim_overhead = shim_overhead
         self.stats = EncoderStats()
         #: Optional :class:`repro.metrics.profiling.StageProfiler`;
         #: when None (the default) the timing branches cost one
@@ -210,7 +194,7 @@ class ByteCachingEncoder:
         # Positional: the dataclass __init__ binds keywords at more
         # than twice the cost, once per packet.
         return EncodeResult(data, bool(regions), len(payload), len(data),
-                            regions, dependencies, cached, self.shim_overhead)
+                            regions, dependencies, cached)
 
     def insert_into_cache(self, payload: bytes, anchors: AnchorSet,
                           meta: PacketMeta) -> None:

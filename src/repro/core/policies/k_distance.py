@@ -57,11 +57,6 @@ class KDistancePolicy(EncoderPolicy):
         #: byte observed (learned from the first segment of each flow).
         self._flow_base: dict = {}
         self._last_reference_counter = -1
-        self._references_sent = 0
-
-    @property
-    def references_sent(self) -> int:
-        return self._references_sent
 
     # -- group geometry (TCP / stream mode) --------------------------------
 
@@ -107,7 +102,6 @@ class KDistancePolicy(EncoderPolicy):
         if self.is_reference(meta):
             if meta.tcp_seq is None:
                 self._last_reference_counter = meta.counter
-            self._references_sent += 1
             return False
         return True
 

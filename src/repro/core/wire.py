@@ -122,13 +122,6 @@ def wrap_raw(payload: bytes) -> bytes:
     return _RAW_SHIM + payload
 
 
-def is_encoded(data: bytes) -> bool:
-    """True when the shimmed payload carries encoding fields."""
-    if len(data) < SHIM_SIZE or data[0] != MAGIC:
-        raise WireFormatError("missing shim")
-    return data[1] == FLAG_ENCODED
-
-
 def parse_payload(data: bytes) -> "EncodedPayload | bytes":
     """Parse a shimmed payload.
 
@@ -203,11 +196,3 @@ def reconstruct(parsed: EncodedPayload,
         raise WireFormatError(
             f"reconstructed {len(out)} bytes, expected {parsed.orig_len}")
     return bytes(out)
-
-
-def encoded_size(payload_len: int, regions: List[Region]) -> int:
-    """Size on the wire of ``payload_len`` bytes with ``regions`` encoded."""
-    if not regions:
-        return SHIM_SIZE + payload_len
-    matched = sum(r.length for r in regions)
-    return ENCODED_HEADER_SIZE + FIELD_SIZE * len(regions) + (payload_len - matched)

@@ -75,20 +75,6 @@ def run_sequential_fetches(config: ExperimentConfig, n_fetches: int = 2,
                  for name in names])
 
 
-def run_version_update(config: ExperimentConfig, size: int = 120 * 1460,
-                       change_fraction: float = 0.08) -> MultiFlowResult:
-    """Fetch v1, then fetch v2 of the same artifact (§I "modified
-    content"): the second transfer should cost roughly the changed
-    fraction plus encoding overhead."""
-    from ..workload.objects import generate_software_versions
-
-    v1, v2 = generate_software_versions(size, n_versions=2,
-                                        change_fraction=change_fraction,
-                                        seed=config.corpus_seed)
-    return _run(config, {"v1": v1, "v2": v2},
-                [Fetch("v1"), Fetch("v2", gap=USER_GAP)])
-
-
 def run_concurrent_fetches(config: ExperimentConfig,
                            n_clients: int = 2) -> MultiFlowResult:
     """``n_clients`` connections fetch the same object simultaneously.

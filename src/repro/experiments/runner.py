@@ -243,7 +243,13 @@ def _observe(testbed: Testbed, config: ExperimentConfig,
         verifier = VerificationHarness(sim, recorder=recorder)
         verifier.spans = spans
         verifier.attach_pair(gateways.encoder, gateways.decoder)
-        verifier.watch_links(*bottleneck)
+        # The forward link alone gates the coherence checks.  What the
+        # reverse one carries changes a cache only by a flush that sets
+        # ``resyncing`` or moves an epoch, both of which ``quiescent``
+        # reads (a resync request; the heartbeat ack that ends a
+        # degraded spell), or by an ACK-gated encoder committing
+        # deferred rows, which the next check reads like any new row.
+        verifier.watch_links(testbed.bottleneck_forward)
     if recorder is not None:
         # Flight-recorder rows resolve packet ids back to trace/span
         # ids, so a post-mortem dump points into the span export.

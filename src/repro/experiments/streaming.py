@@ -57,12 +57,6 @@ class StreamingResult:
     def frames_delivered(self) -> int:
         return len(self.delivered)
 
-    @property
-    def delivery_fraction(self) -> float:
-        if self.frames_sent == 0:
-            return 1.0
-        return self.frames_delivered / self.frames_sent
-
 
 def make_frames(config: StreamingConfig) -> List[bytes]:
     """Media-like frames: container header + inter-frame redundancy.

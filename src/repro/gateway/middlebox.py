@@ -26,8 +26,7 @@ from ..core.decoder import ByteCachingDecoder, DecodeStatus
 from ..core.encoder import ByteCachingEncoder
 from ..core.fingerprint import FingerprintScheme
 from ..core.policies.base import DecoderPolicy, EncoderPolicy, PacketMeta
-from ..core.wire import (EPOCH_STAMP_SIZE, SHIM_SIZE, WireFormatError,
-                         parse_payload)
+from ..core.wire import EPOCH_STAMP_SIZE, WireFormatError, parse_payload
 from ..net.packet import (ControlMessage, IPPacket, PROTO_DRE_CONTROL,
                           PROTO_TCP, PROTO_UDP)
 from ..sim.engine import Simulator
@@ -171,12 +170,7 @@ class EncoderGateway(_GatewayBase):
                  resilience: Optional[ResilienceConfig] = None):
         super().__init__(sim, name, address, scheme, cache, data_dst)
         self.policy = policy
-        # Savings accounting nets out the per-packet wire overhead: the
-        # 2-byte shim, plus the epoch stamp when resilience is armed.
-        shim_overhead = SHIM_SIZE + (EPOCH_STAMP_SIZE
-                                     if resilience is not None else 0)
-        self.encoder = ByteCachingEncoder(scheme, cache, policy,
-                                          shim_overhead=shim_overhead)
+        self.encoder = ByteCachingEncoder(scheme, cache, policy)
         if resilience is not None:
             self.resilience = EncoderResilience(self, resilience)
         self._data_counter = 0

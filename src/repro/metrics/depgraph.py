@@ -52,9 +52,9 @@ class DependencyGraph:
     def dependencies_of(self, packet_id: Node) -> Set[Node]:
         return self.edges.get(packet_id, set())
 
-    def average_degree(self, encoded_only: bool = True) -> float:
-        degrees = [len(deps) for deps in self.edges.values()
-                   if deps or not encoded_only]
+    def average_degree(self) -> float:
+        """Mean number of references per encoded packet."""
+        degrees = [len(deps) for deps in self.edges.values() if deps]
         if not degrees:
             return 0.0
         return sum(degrees) / len(degrees)

@@ -474,10 +474,6 @@ class SpanRecorder:
 
     # -- export ------------------------------------------------------------
 
-    def span(self, row: int) -> Dict[str, Any]:
-        """The ``spans/v1`` dict of one span, rendered from its handle."""
-        return self._render(row, row + _STRIDE)[0]
-
     def _render(self, first: int, stop: int) -> List[Dict[str, Any]]:
         """Rows ``first`` (a handle) up to ``stop`` as ``spans/v1`` dicts.
 

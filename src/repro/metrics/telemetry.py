@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterator, List, Optional,
+from typing import (Any, Callable, Dict, List, Optional,
                     Sequence, Set, Tuple)
 
 from ..net.tcp.congestion import INITIAL_SSTHRESH
@@ -149,9 +149,6 @@ class MetricsRegistry:
         return source
 
     # -- introspection -----------------------------------------------------
-
-    def gauges(self) -> Iterator[Gauge]:
-        return iter(self._gauges.values())
 
     def __len__(self) -> int:
         return len(self._gauges)

@@ -71,10 +71,6 @@ class TCPSegment:
     ACK = 0x10
 
     @property
-    def syn(self) -> bool:
-        return bool(self.flags & self.SYN)
-
-    @property
     def fin(self) -> bool:
         return bool(self.flags & self.FIN)
 

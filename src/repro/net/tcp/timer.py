@@ -44,10 +44,6 @@ class RtoEstimator:
             rto = self.min_rto
         return rto if rto < self.max_rto else self.max_rto
 
-    @property
-    def backoff_exponent(self) -> int:
-        return self._backoff
-
     def sample(self, rtt: float) -> None:
         """Feed one RTT measurement (seconds) from a fresh segment."""
         if rtt < 0:

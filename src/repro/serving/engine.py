@@ -357,13 +357,3 @@ def run_serving(spec: ServingSpec, config: Optional[ExperimentConfig] = None,
         report["telemetry"] = testbed.telemetry.export(
             reason="completed", dump_flight_recorder=False)
     return report
-
-
-def deterministic_report(report: Dict[str, Any]) -> Dict[str, Any]:
-    """The report minus its (sampler-timing-sensitive) telemetry block.
-
-    Everything left is a pure function of the spec — the form the
-    bit-identity tests compare.
-    """
-    return {key: value for key, value in report.items()
-            if key != "telemetry"}

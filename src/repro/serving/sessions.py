@@ -87,15 +87,3 @@ def generate_sessions(spec: SessionSpec,
     if spec.max_requests is not None:
         requests = requests[:spec.max_requests]
     return requests
-
-
-def session_digest(requests: List[Request]) -> str:
-    """Stable content hash of a request list (determinism tests)."""
-    import hashlib
-
-    hasher = hashlib.sha256()
-    for req in requests:
-        hasher.update(
-            f"{req.time!r}:{req.user}:{req.index}:{req.content_id};"
-            .encode("ascii"))
-    return hasher.hexdigest()

@@ -190,13 +190,6 @@ class Timer:
         #: a plain attribute, so a sender tests it without a call.
         self.armed = False
 
-    @property
-    def expires_at(self) -> Optional[float]:
-        if self.armed:
-            assert self._event is not None
-            return self._event.time
-        return None
-
     def start(self, delay: float) -> None:
         """(Re)arm the timer ``delay`` seconds from now."""
         sim = self._sim

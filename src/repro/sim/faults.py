@@ -65,39 +65,6 @@ def _control_kind(pkt: "IPPacket") -> Optional[str]:
     return getattr(pkt.payload, "kind", None)
 
 
-def drop_indices(*indices: int) -> Predicate:
-    """Match packets at the given link offer indices (0-based)."""
-    wanted = set(indices)
-    return lambda pkt, index: index in wanted
-
-
-def match_stream_offsets(*offsets: int, once: bool = True) -> Predicate:
-    """Match TCP data segments at the given stream offsets.
-
-    Offsets are relative to the first data byte seen on each flow, so
-    they are independent of the connection's ISS.  With ``once`` only
-    the first copy of each offset matches (retransmissions pass).
-    """
-    wanted = set(offsets)
-    seen: set = set()
-    base: Dict[tuple, int] = {}
-
-    def predicate(pkt: IPPacket, index: int) -> bool:
-        segment = pkt.tcp
-        if segment is None or not segment.data:
-            return False
-        flow = (pkt.src, segment.src_port, pkt.dst, segment.dst_port)
-        if flow not in base or segment.seq < base[flow]:
-            base[flow] = segment.seq
-        offset = segment.seq - base[flow]
-        if offset in wanted and (not once or (flow, offset) not in seen):
-            seen.add((flow, offset))
-            return True
-        return False
-
-    return predicate
-
-
 def match_nth_data(*ordinals: int) -> Predicate:
     """Match the n-th, m-th, ... TCP data segments offered (1-based)."""
     wanted = set(ordinals)
@@ -227,18 +194,10 @@ class FaultInjector:
         self.log = FaultLog()
         self._offer_index = 0
         self._rules: List[Tuple[str, Predicate, Optional[float]]] = []
-        self._detached = False
-        # What `link.__dict__["send"]` held before we patched: None when
-        # the lookup fell through to the class method, or the previous
-        # injector's bound `_send` when injectors are stacked.  detach()
-        # restores exactly this.
-        self._prev_send_patch = link.__dict__.get("send")
+        # The link's class method, or the previous injector's `_send`
+        # when injectors are stacked: what an unmatched packet goes on to.
         self._original_send = link.send
-        # Bind once: `self._send` evaluates to a fresh bound-method
-        # object on every attribute access, so detach()'s identity check
-        # needs the exact object that was installed.
-        self._send_patch = self._send
-        link.send = self._send_patch
+        link.send = self._send
 
     def drop_when(self, predicate: Predicate) -> "FaultInjector":
         self._rules.append(("drop", predicate, None))
@@ -287,36 +246,9 @@ class FaultInjector:
         self._rules.append(("duplicate", predicate, delay))
         return self
 
-    def detach(self) -> None:
-        """Restore the link's original send (idempotent).
-
-        Safe under stacking and late scheduled events: if another
-        injector has since wrapped ``link.send``, the patch chain is
-        left intact and this injector simply becomes a pass-through —
-        detaching twice, or detaching the bottom of a stack, never
-        resurrects a stale patch.
-        """
-        if self._detached:
-            return
-        self._detached = True
-        if self.link.__dict__.get("send") is not self._send_patch:
-            # Someone patched over us; removing anything now would tear
-            # out *their* wrapper.  Pass-through mode is enough.
-            return
-        if self._prev_send_patch is None:
-            # Remove the instance-level patch so lookups fall back to
-            # the class method (preserves identity for callers holding
-            # the unbound original).
-            del self.link.send
-        else:
-            self.link.send = self._prev_send_patch
-
     # ------------------------------------------------------------------
 
     def _send(self, pkt: IPPacket) -> None:
-        if self._detached:
-            self._original_send(pkt)
-            return
         index = self._offer_index
         self._offer_index += 1
         spans = getattr(self.link, "spans", None)

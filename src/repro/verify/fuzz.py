@@ -45,6 +45,9 @@ _BUG_POLICY = {"tcp_seq_gate": "tcp_seq",
 
 MSS = 1460
 
+#: Executions one :func:`shrink` may spend before it stops.
+SHRINK_MAX_RUNS = 200
+
 
 @dataclass
 class FuzzCase:
@@ -225,14 +228,15 @@ def run_case(case: FuzzCase) -> FuzzOutcome:
 
 
 def shrink(case: FuzzCase,
-           reproduces: Optional[Callable[[FuzzCase], bool]] = None,
-           max_runs: int = 200) -> FuzzCase:
+           reproduces: Optional[Callable[[FuzzCase], bool]] = None
+           ) -> FuzzCase:
     """Minimise ``case`` while the violation still reproduces.
 
-    Greedy passes, repeated to fixpoint (bounded by ``max_runs`` total
-    executions): drop fault events one at a time, halve the object,
-    zero out impairment rates, disarm resilience.  Each candidate that
-    still reproduces becomes the new current case.
+    Greedy passes, repeated to fixpoint (bounded by
+    :data:`SHRINK_MAX_RUNS` total executions): drop fault events one at
+    a time, halve the object, zero out impairment rates, disarm
+    resilience.  Each candidate that still reproduces becomes the new
+    current case.
     """
     if reproduces is None:
         reproduces = lambda c: run_case(c).violation is not None
@@ -240,14 +244,14 @@ def shrink(case: FuzzCase,
     runs = [0]
 
     def still_fails(candidate: FuzzCase) -> bool:
-        if runs[0] >= max_runs:
+        if runs[0] >= SHRINK_MAX_RUNS:
             return False
         runs[0] += 1
         return reproduces(candidate)
 
     current = case
     progress = True
-    while progress and runs[0] < max_runs:
+    while progress and runs[0] < SHRINK_MAX_RUNS:
         progress = False
         # 1. Drop fault events, one at a time.
         index = 0
@@ -323,19 +327,14 @@ class CampaignResult:
 
 def run_campaign(root_seed: int, iterations: int,
                  inject_bug: Optional[str] = None,
-                 stop_on_violation: bool = True,
-                 do_shrink: bool = True,
                  log: Optional[Callable[[str], None]] = None
                  ) -> CampaignResult:
     """Generate and run ``iterations`` cases from ``root_seed``.
 
-    On the first violation (expected only under ``inject_bug``) the
-    failing case is shrunk and returned for persistence.
+    The campaign stops at the first violation (expected only under
+    ``inject_bug``); the failing case is shrunk and returned for
+    persistence.
     """
-    violations = 0
-    first_index = None
-    shrunk = None
-    shrunk_violation = None
     for index in range(iterations):
         case = generate_case(root_seed, index, inject_bug=inject_bug)
         outcome = run_case(case)
@@ -343,22 +342,17 @@ def run_campaign(root_seed: int, iterations: int,
             if log is not None and (index + 1) % 50 == 0:
                 log(f"  {index + 1}/{iterations} cases, no violations")
             continue
-        violations += 1
-        if first_index is None:
-            first_index = index
         if log is not None:
             log(f"  case {index}: VIOLATION "
                 f"[{outcome.violation['oracle']}] "
                 f"{outcome.violation['message'][:100]}")
-        if do_shrink and shrunk is None:
-            shrunk = shrink(case)
-            shrunk_violation = run_case(shrunk).violation
-            if log is not None:
-                log(f"  shrunk to {len(shrunk.fault_events)} fault "
-                    f"event(s), {shrunk.file_size // MSS} segments")
-        if stop_on_violation:
-            break
-    return CampaignResult(iterations=iterations, violations=violations,
-                          first_violation_index=first_index,
-                          shrunk_case=shrunk,
-                          shrunk_violation=shrunk_violation)
+        shrunk = shrink(case)
+        shrunk_violation = run_case(shrunk).violation
+        if log is not None:
+            log(f"  shrunk to {len(shrunk.fault_events)} fault "
+                f"event(s), {shrunk.file_size // MSS} segments")
+        return CampaignResult(iterations=iterations, violations=1,
+                              first_violation_index=index,
+                              shrunk_case=shrunk,
+                              shrunk_violation=shrunk_violation)
+    return CampaignResult(iterations=iterations, violations=0)

@@ -21,11 +21,12 @@ Five oracle families:
   delivers, so the violation fires at the first wrong byte, not at the
   end of the run);
 * **cache coherence** — at quiescent points (nothing in flight on the
-  bottleneck, neither gateway down or mid-resync, epochs agreed) every
-  fingerprint present in *both* caches must resolve to byte-identical
-  window bytes.  Since a fingerprint is computed over its window, a
-  mismatch means a poisoned store (or a 64-bit collision) — decoder-side
-  *gaps* are legal, they are exactly the modelled perceived loss;
+  forward bottleneck, neither gateway down or mid-resync, epochs
+  agreed) every fingerprint present in *both* caches must resolve to
+  byte-identical window bytes.  Since a fingerprint is computed over
+  its window, a mismatch means a poisoned store (or a 64-bit
+  collision) — decoder-side *gaps* are legal, they are exactly the
+  modelled perceived loss;
 * **shard invariants** — on every tick, a cache that declares
   ``check_invariants()`` (the sharded serving cache) must report none
   broken: bytes within each shard's budget, one home per store id;
@@ -55,6 +56,9 @@ Verdict = Optional[Tuple[str, Dict[str, Any]]]
 
 #: Encoder-index entries a full coherence pass compares at a time.
 _FULL_PASS_BATCH = 4096
+
+#: Sim-time seconds between two invariant and coherence ticks.
+COHERENCE_INTERVAL = 0.5
 
 
 class InvariantViolation(Exception):
@@ -305,10 +309,7 @@ class VerificationHarness:
       recorder (shared with telemetry when both are armed).
     """
 
-    def __init__(self, sim=None, recorder=None,
-                 coherence_interval: float = 0.5):
-        if coherence_interval <= 0:
-            raise ValueError("coherence_interval must be positive")
+    def __init__(self, sim=None, recorder=None):
         self.sim = sim
         self.recorder = recorder
         # Duck-typed causal span recorder (repro.metrics.spans); the
@@ -316,7 +317,6 @@ class VerificationHarness:
         # names the active trace/span — a replayable causal chain, not
         # just a counter snapshot.
         self.spans = None
-        self.coherence_interval = float(coherence_interval)
         self.oracles: List[EncoderOracle] = []
         self.violations = 0
         self.coherence_checks = 0
@@ -361,7 +361,7 @@ class VerificationHarness:
     def start(self) -> None:
         """Begin the periodic invariant and coherence ticks."""
         if self.sim is not None:
-            self.sim.after(self.coherence_interval, self._tick)
+            self.sim.after(COHERENCE_INTERVAL, self._tick)
 
     # -- hot-path hooks (encoder/decoder call sites guard `is None`) ------
 
@@ -462,7 +462,7 @@ class VerificationHarness:
                           role=role, problems=problems,
                           occupancy=core.cache.shard_occupancy())
 
-    def check_coherence(self, force: bool = False) -> bool:
+    def check_coherence(self) -> bool:
         """Cross-check the caches; returns True if a check was performed.
 
         Every fingerprint present in *both* tables must resolve to
@@ -482,9 +482,7 @@ class VerificationHarness:
         are read with ``peek``, so the check cannot perturb LRU order or
         the caches' lazy removal.
         """
-        if not force and not self.quiescent():
-            return False
-        if self._enc_core is None or self._dec_core is None:
+        if not self.quiescent():
             return False
         enc_cache = self._enc_core.cache
         dec_cache = self._dec_core.cache
@@ -589,7 +587,7 @@ class VerificationHarness:
     def _tick(self) -> None:
         self.check_invariants()
         self.check_coherence()
-        self.sim.after(self.coherence_interval, self._tick)
+        self.sim.after(COHERENCE_INTERVAL, self._tick)
 
 
 def _index_pointers(enc_index: Dict[int, int], dec_index: Dict[int, int]

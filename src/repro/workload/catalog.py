@@ -24,7 +24,7 @@ caller's RNG so the session generator owns the request stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -70,8 +70,7 @@ class ContentCatalog:
         # Popularity: pmf[i] ∝ (i+1)^-alpha over ranks 1..n.
         ranks = np.arange(1, n + 1, dtype=np.float64)
         weights = ranks ** -spec.alpha
-        self._pmf = weights / weights.sum()
-        self._cdf = np.cumsum(self._pmf)
+        self._cdf = np.cumsum(weights / weights.sum())
         self._cdf[-1] = 1.0  # guard searchsorted against fp round-off
         # Sizes: one lognormal draw per content, fixed at catalog build
         # (an object's size is a property of the object, not the request).
@@ -85,10 +84,6 @@ class ContentCatalog:
 
     def __len__(self) -> int:
         return self.spec.n_contents
-
-    def pmf(self) -> np.ndarray:
-        """Theoretical request probability per content id (rank order)."""
-        return self._pmf
 
     def sample(self, u: float) -> int:
         """Content id for a uniform draw ``u`` in [0, 1) (inverse cdf)."""
@@ -135,13 +130,3 @@ class ContentCatalog:
             "total_catalog_bytes": int(self._sizes.sum()),
             "materialised": self.materialised,
         }
-
-
-def zipf_sample_counts(spec: CatalogSpec, n_samples: int,
-                       seed: Optional[int] = None) -> np.ndarray:
-    """Histogram of ``n_samples`` catalog draws (property-test helper)."""
-    catalog = ContentCatalog(spec)
-    rng = np.random.default_rng(
-        derive_seed(spec.seed if seed is None else seed, "catalog:samples"))
-    draws = np.searchsorted(catalog._cdf, rng.random(n_samples), side="right")
-    return np.bincount(draws, minlength=spec.n_contents)

@@ -24,8 +24,8 @@ def _file1(size: int, seed: int) -> bytes:
 
     The Poisson parameter is slightly below the target because clipping
     (at least one dependency per redundant block) and incidental chunk
-    sharing push the realised mean up; ``measure_dependencies`` on the
-    generated file lands at ≈ 4.
+    sharing push the realised mean up; measured on the generated file
+    (``tests/test_workload.py``), it lands at ≈ 4.
     """
     return generate_dependency_file(DependencyFileSpec(
         size=size, avg_dependencies=3.3, redundancy=0.5, seed=seed))

@@ -82,41 +82,6 @@ def generate_video(size: int, seed: int = 0,
     return bytes(out[:size])
 
 
-def generate_software_versions(size: int, n_versions: int = 2,
-                               change_fraction: float = 0.08,
-                               seed: int = 0,
-                               block_size: int = 4096) -> List[bytes]:
-    """Successive versions of a binary artifact.
-
-    §I motivates byte caching for "modified content": a client that
-    fetched version N and later fetches version N+1 should only pay for
-    the changed blocks.  Each version rewrites ``change_fraction`` of
-    the previous version's blocks (and may shift content slightly, which
-    content-defined fingerprinting tolerates where fixed-block dedup
-    would not).
-    """
-    if n_versions < 1:
-        raise ValueError("n_versions must be >= 1")
-    if not 0.0 <= change_fraction <= 1.0:
-        raise ValueError("change_fraction must be in [0, 1]")
-    rng = random.Random(seed)
-    blocks = [rng.randbytes(block_size)
-              for _ in range((size + block_size - 1) // block_size)]
-    versions = [b"".join(blocks)[:size]]
-    for _ in range(n_versions - 1):
-        n_changes = max(1, int(len(blocks) * change_fraction))
-        for _ in range(n_changes):
-            index = rng.randrange(len(blocks))
-            if rng.random() < 0.3:
-                # An insertion-style edit: the block grows a little,
-                # shifting everything after it.
-                blocks[index] = (rng.randbytes(48) + blocks[index])[:block_size + 48]
-            else:
-                blocks[index] = rng.randbytes(len(blocks[index]))
-        versions.append(b"".join(blocks)[:size])
-    return versions
-
-
 def generate_webpage_session(size: int, seed: int = 0,
                              page_size: int = 8 * 1024,
                              template_fraction: float = 0.38,

@@ -145,34 +145,3 @@ def _split_gap(rng: random.Random, total: int, parts: int) -> List[int]:
             gaps[i] -= shift
             gaps[i + 1] += shift
     return gaps
-
-
-def measure_dependencies(file_bytes: bytes, mss: int = DEFAULT_MSS,
-                         scheme=None) -> float:
-    """Measure the realised average dependency degree of a file.
-
-    Runs the file's blocks through a fresh encoder (naive policy, no
-    network) and averages the number of distinct prior packets each
-    encoded packet references — the statistic the paper reports for
-    File 1 (≈4) and File 2 (≈7).
-    """
-    from ..core.cache import ByteCache
-    from ..core.encoder import ByteCachingEncoder
-    from ..core.fingerprint import FingerprintScheme
-    from ..core.policies.base import PacketMeta
-    from ..core.policies.naive import NaivePolicy
-
-    if scheme is None:
-        scheme = FingerprintScheme()
-    encoder = ByteCachingEncoder(scheme, ByteCache(), NaivePolicy())
-    degrees = []
-    for index in range(0, len(file_bytes), mss):
-        block = file_bytes[index: index + mss]
-        meta = PacketMeta(packet_id=index // mss, flow=("m", 0, "m", 1),
-                          tcp_seq=index, counter=index // mss)
-        result = encoder.encode(block, meta)
-        if result.encoded:
-            degrees.append(len(result.dependencies))
-    if not degrees:
-        return 0.0
-    return sum(degrees) / len(degrees)

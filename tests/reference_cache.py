@@ -18,6 +18,7 @@ from typing import Dict, Iterator, Optional, Tuple
 from repro.core.cache import ByteCache
 from repro.core.encoder import ByteCachingEncoder
 from repro.core.region import Region, expand_bounds
+from repro.core.ringtable import NO_RECORD
 from repro.core.wire import MIN_REGION_LENGTH
 
 
@@ -201,7 +202,8 @@ class PerAnchorEncoder(ByteCachingEncoder):
                 continue
             regions.append(Region(fingerprint, offset_new, offset_stored,
                                   length))
-            external = self.cache.external_id_for(entry.store_id)
+            external = self.cache.store.records.get(entry.store_id,
+                                                    NO_RECORD)[3]
             if external is not None:
                 dependencies.add(external)
             pos = offset_new + length

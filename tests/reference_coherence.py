@@ -23,16 +23,14 @@ def table_entries(table: RingFingerprintTable) -> List[RingEntry]:
             for fingerprint, pointer in table.pointers.items()]
 
 
-def full_scan(harness: VerificationHarness, force: bool = False
+def full_scan(harness: VerificationHarness
               ) -> Tuple[bool, Optional[int]]:
     """``(checked, fingerprint)``: whether a check runs now, and the
     first fingerprint, in encoder-table order, whose window bytes
     differ on the two sides (``None``: the caches agree)."""
-    if not force and not harness.quiescent():
+    if not harness.quiescent():
         return False, None
     enc_core, dec_core = harness._enc_core, harness._dec_core
-    if enc_core is None or dec_core is None:
-        return False, None
     enc_cache = enc_core.cache
     dec_cache = dec_core.cache
     window = enc_core.scheme.window
@@ -69,11 +67,11 @@ class DifferentialHarness(VerificationHarness):
         self.verdicts: List[Tuple[float, Optional[int]]] = []
         self.disagreements: List[tuple] = []
 
-    def check_coherence(self, force: bool = False) -> bool:
+    def check_coherence(self) -> bool:
         now = self.sim.now if self.sim is not None else None
-        expected = full_scan(self, force)
+        expected = full_scan(self)
         try:
-            performed = super().check_coherence(force)
+            performed = super().check_coherence()
         except InvariantViolation as violation:
             found = (True, violation.context["fingerprint"])
             self.verdicts.append((now, found[1]))

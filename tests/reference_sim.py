@@ -165,13 +165,6 @@ class Timer:
     def armed(self) -> bool:
         return self._event is not None and not self._event.cancelled
 
-    @property
-    def expires_at(self) -> Optional[float]:
-        if self.armed:
-            assert self._event is not None
-            return self._event.time
-        return None
-
     def start(self, delay: float) -> None:
         """(Re)arm the timer ``delay`` seconds from now."""
         sim = self._sim

@@ -5,11 +5,10 @@ not in ``src/``).
 
 A tick calls every gauge's ``fn`` on its own, converts the value with
 ``float`` and appends it to that gauge's series list.  It reads the
-registry through ``_gauges`` / ``gauges()`` and each gauge's ``fn``,
-which the live registry still keeps (a gauge of a
-:meth:`~repro.metrics.telemetry.MetricsRegistry.source` reads its own
-value back through its ``fn``, and reads nan once the source is torn
-down), so both samplers can run against one registry.
+registry through ``len()`` and ``sources``, and reads a gauge as a
+:meth:`~repro.metrics.telemetry.MetricsRegistry.source` gauge reads its
+own value back (its source's ``fn`` indexed, nan once the source is
+torn down), so both samplers can run against one registry.
 ``tests/test_telemetry_differential.py`` ticks the two side by side and
 compares ``times``, ``series()`` and ``export()``.
 """
@@ -18,7 +17,7 @@ import math
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Tuple
 
-from repro.metrics.telemetry import Gauge, MetricsRegistry
+from repro.metrics.telemetry import MetricsRegistry
 
 
 class TelemetrySampler:
@@ -45,9 +44,10 @@ class TelemetrySampler:
         self.max_samples = int(max_samples)
         self.times: List[float] = []
         self._series: "OrderedDict[str, List[float]]" = OrderedDict()
-        # (series.append, gauge) per gauge, bound the first tick that
+        # (series.append, read) per gauge, bound the first tick that
         # sees it; registry order, which never changes.
-        self._bound: List[Tuple[Callable[[float], None], Gauge]] = []
+        self._bound: List[Tuple[Callable[[float], None],
+                                Callable[[], float]]] = []
         self.decimations = 0
         self._started = False
 
@@ -62,15 +62,15 @@ class TelemetrySampler:
         """Record one aligned sample of every gauge right now."""
         times = self.times
         bound = self._bound
-        if len(bound) != len(self.registry._gauges):
+        if len(bound) != len(self.registry):
             self._bind_new_gauges(len(times))
         times.append(self.sim.now)
-        for append, gauge in bound:
+        for append, read in bound:
             # The gauge reads its source's ``fn`` per tick:
             # unregister_connection clears it and re-registration
             # replaces it.
             try:
-                append(float(gauge.fn()))
+                append(float(read()))
             # lint: disable=hygiene-swallowed-violation(gauge callbacks read counters and call no oracle; torn-down state must read nan)
             except Exception:
                 append(math.nan)
@@ -80,14 +80,19 @@ class TelemetrySampler:
     def _bind_new_gauges(self, n_before: int) -> None:
         """Late registration: nan-pad back along the shared time axis.
 
-        A registry never drops entries, so the gauges past the bound
-        ones are exactly the new ones.
+        A registry never drops entries and a source's gauges sit
+        together in registration order, so the gauges past the bound
+        ones are exactly the new ones.  Each reads its one value back
+        through its source's ``fn``, as a registered gauge does.
         """
         bound = self._bound
-        for gauge in list(self.registry.gauges())[len(bound):]:
+        gauges = [(key, lambda s=source, i=index: s.fn()[i])
+                  for source in self.registry.sources
+                  for index, key in enumerate(source.keys)]
+        for key, fn in gauges[len(bound):]:
             values = [math.nan] * n_before
-            self._series[gauge.key] = values
-            bound.append((values.append, gauge))
+            self._series[key] = values
+            bound.append((values.append, fn))
 
     def series(self) -> Dict[str, List[float]]:
         """key -> aligned value list (same length as :attr:`times`)."""

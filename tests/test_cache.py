@@ -104,7 +104,7 @@ class TestByteCache:
         assert entry.tcp_seq == 5
         assert entry.flow == ("f",)
         assert entry.packet_counter == 3
-        assert cache.external_id_for(entry.store_id) == 77
+        assert cache.store.records[entry.store_id][3] == 77
 
     def test_lookup_miss_returns_none(self):
         assert ByteCache().lookup(123) is None
@@ -151,7 +151,7 @@ class TestByteCache:
         assert cache.lookup(9) is None
         assert len(cache.store) == 0
         assert cache.flushes == 1
-        assert cache.external_id_for(1) is None
+        assert 1 not in cache.store.records
 
     def test_lookup_previous_returns_displaced_entry(self):
         cache = ByteCache()
@@ -197,8 +197,8 @@ class TestByteCache:
         for i in range(200):
             cache.insert_packet(b"x" * 100, [(0, i)], external_id=i)
         assert len(cache.store.records) == 4
-        assert cache.external_id_for(196) is None        # evicted
-        assert cache.external_id_for(197) == 196
+        assert 196 not in cache.store.records            # evicted
+        assert cache.store.records[197][3] == 196
 
     def test_entry_of_an_evicted_packet_reads_no_record(self):
         cache = ByteCache(byte_budget=100)

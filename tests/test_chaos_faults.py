@@ -17,7 +17,7 @@ from repro.net.packet import (ControlMessage, IPPacket, PROTO_DRE_CONTROL,
                               PROTO_TCP, TCPSegment)
 from repro.sim.engine import Simulator
 from repro.sim.faults import (FaultInjector, GatewayFaultLog, all_of,
-                              control_blackout, drop_indices, match_control,
+                              control_blackout, match_control,
                               match_nth_data, match_time_window,
                               schedule_bursty_loss, schedule_clock_skew,
                               schedule_gateway_restart, schedule_link_flap,
@@ -25,7 +25,7 @@ from repro.sim.faults import (FaultInjector, GatewayFaultLog, all_of,
                               schedule_partition)
 from repro.sim.link import GilbertElliottLoss, Link, LinkStats
 
-from tests.tcp_helpers import TcpTestbed
+from tests.tcp_helpers import TcpTestbed, drop_indices
 
 
 class Pkt:
@@ -288,48 +288,30 @@ class TestReorderDuplicate:
             injector.duplicate_when(match_nth_data(1), delay=-0.1)
 
 
-class TestDetachIdempotence:
-    def test_detach_twice_is_a_noop(self):
+class TestStackedInjectors:
+    def test_stacked_injectors_chain_in_install_order(self):
+        # The newest injector sees each packet first; what it passes on
+        # reaches the one below it, which counts its own offers.
         testbed = TcpTestbed()
-        injector = FaultInjector(testbed.s2c)
-        injector.drop_when(drop_indices(0))
-        injector.detach()
-        injector.detach()
-        assert "send" not in testbed.s2c.__dict__
-
-    def test_detached_injector_send_passes_through(self):
-        # A stale scheduled event may still call the old bound _send
-        # after detach; it must forward, not re-apply rules.
-        testbed = TcpTestbed()
-        injector = FaultInjector(testbed.s2c)
-        injector.drop_when(lambda pkt, index: True)
-        injector.detach()
-        injector._send(data_packet())
+        first = FaultInjector(testbed.s2c).drop_when(drop_indices(1))
+        second = FaultInjector(testbed.s2c).drop_when(drop_indices(0))
+        for _ in range(3):
+            testbed.s2c.send(data_packet())
         testbed.sim.run(until=1)
+        assert second.log.dropped == [0]
+        assert first.log.dropped == [1]
         assert len(testbed.s2c.delivered) == 1
-        assert injector.log.dropped == []
 
-    def test_stacked_detach_in_reverse_order_restores_class_send(self):
-        testbed = TcpTestbed()
-        first = FaultInjector(testbed.s2c)
-        second = FaultInjector(testbed.s2c)
-        second.detach()
-        first.detach()
-        assert "send" not in testbed.s2c.__dict__
-
-    def test_stacked_detach_bottom_first_keeps_top_armed(self):
+    def test_stacked_injectors_each_apply_their_rules(self):
         testbed = TcpTestbed()
         first = FaultInjector(testbed.s2c)
         second = FaultInjector(testbed.s2c).drop_when(drop_indices(0))
-        first.detach()                       # bottom of the stack
         testbed.s2c.send(data_packet())      # dropped by the top injector
         testbed.s2c.send(data_packet())
         testbed.sim.run(until=1)
         assert len(second.log.dropped) == 1
+        assert first.log.events == 0
         assert len(testbed.s2c.delivered) == 1
-        # and the stale bottom patch was not resurrected
-        second.detach()
-        first.detach()
 
 
 class FakeGateway:

@@ -8,7 +8,7 @@ These tests hold it to ``tests/reference_coherence.full_scan``: the same
 violation at the same check, on planted poisonings across every reset
 and on whole fuzz and chaos runs; plus its cost contract (no per-entry
 objects, each log row examined once, a check counted even when nothing
-is new).
+is new); and a verified run's last look, in ``finalize``.
 
 A payload is immutable once stored, so a poisoning is planted into a
 packet that no clean check has examined yet, or before a reset.
@@ -30,6 +30,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.verify import InvariantViolation, VerificationHarness
 from repro.verify.fuzz import run_campaign as run_fuzz
+from repro.workload.corpus import corpus_object
 
 from tests.reference_coherence import DifferentialHarness
 
@@ -73,7 +74,7 @@ class Pair:
         data[victim] = bytes(len(data[victim]))
 
     def check(self):
-        return self.harness.check_coherence(force=True)
+        return self.harness.check_coherence()
 
     def assert_caught(self):
         """The next check raises, and the reference found the same."""
@@ -190,7 +191,7 @@ def test_a_check_one_packet_after_a_clean_one_allocates_under_64_kb():
     tracemalloc.start()
     try:
         # The check alone, without the differential's reference scan.
-        assert VerificationHarness.check_coherence(pair.harness, force=True)
+        assert VerificationHarness.check_coherence(pair.harness)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -241,7 +242,7 @@ def test_a_quiescent_tick_with_nothing_new_still_counts():
     harness.start()
     sim.run(until=2.0)
     assert harness.coherence_checks == 4
-    assert harness.check_coherence(force=True)
+    assert harness.check_coherence()
     assert harness.coherence_checks == 5
 
 
@@ -278,3 +279,49 @@ def test_fuzz_campaign_agrees_with_the_full_scan(differential):
 def test_chaos_smoke_campaign_agrees_with_the_full_scan(differential, name):
     run_campaign(canonical_campaign(name), workers=1)
     _assert_agreed(differential)
+
+
+# ---------------------------------------------------------------------------
+# the last look: a run ends with ACKs in flight on the reverse link
+# ---------------------------------------------------------------------------
+
+def _zero_loss_run(policy, poison):
+    """A verified zero-loss file1 transfer; returns the coherence
+    checks made in all and by the harness's end-of-run ``finalize``.
+    With ``poison`` the decoder's newest payload is zeroed after the
+    last periodic tick, just before that last look."""
+    config = ExperimentConfig(policy=policy, verify=True)
+    testbed = runner.build_testbed(config)
+    harness = testbed.verifier
+    store = testbed.gateways.decoder.cache.store
+    last_look = []
+    real_finalize = harness.finalize
+
+    def finalize(outcomes=()):
+        if poison:
+            victim = next(reversed(store._data))
+            store._data[victim] = bytes(len(store._data[victim]))
+        before = harness.coherence_checks
+        real_finalize(outcomes)
+        last_look.append(harness.coherence_checks - before)
+
+    harness.finalize = finalize
+    data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
+    run = runner.run_fetches(testbed, config, {runner.FILE_NAME: data},
+                             [runner.Fetch()])
+    assert run.outcomes[0].completed
+    return harness.coherence_checks, last_look
+
+
+@pytest.mark.parametrize("policy", ["cache_flush", "k_distance", "tcp_seq"])
+def test_zero_loss_transfer_takes_its_last_coherence_look(policy):
+    checks, last_look = _zero_loss_run(policy, poison=False)
+    assert checks >= 1
+    assert last_look == [1]
+
+
+@pytest.mark.parametrize("policy", ["cache_flush", "k_distance", "tcp_seq"])
+def test_last_look_catches_a_store_poisoned_after_the_last_tick(policy):
+    with pytest.raises(InvariantViolation) as excinfo:
+        _zero_loss_run(policy, poison=True)
+    assert excinfo.value.oracle == "cache_coherence"

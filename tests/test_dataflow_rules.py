@@ -14,9 +14,15 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import run_lint
-from repro.analysis.findings import finding_hops_valid
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def finding_hops_valid(finding):
+    """True when a finding's hop chain is structurally well-formed."""
+    return all(isinstance(hop, dict)
+               and {"path", "line", "detail"} <= set(hop)
+               for hop in finding.hops)
 
 
 def make_tree(tmp_path, files):

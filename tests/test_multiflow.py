@@ -64,40 +64,6 @@ class TestConcurrentFlows:
         assert result.all_completed
 
 
-class TestVersionUpdate:
-    def test_v2_costs_roughly_the_changed_fraction(self):
-        """§I "modified content": fetching v2 after v1 pays only for the
-        rewritten blocks (8 % here) plus encoding overhead."""
-        from repro.experiments.multiflow import run_version_update
-
-        result = run_version_update(config(), change_fraction=0.08)
-        assert result.all_completed
-        assert all(outcome.content_ok for outcome in result.outcomes)
-        v1_bytes, v2_bytes = result.per_fetch_link_bytes
-        assert v2_bytes < 0.35 * v1_bytes
-
-    def test_generator_versions_differ_but_share(self):
-        from repro.workload.objects import generate_software_versions
-
-        v1, v2, v3 = generate_software_versions(200_000, n_versions=3,
-                                                seed=3)
-        assert v1 != v2 != v3
-        assert len(v1) == len(v2) == len(v3) == 200_000
-        # Shared content dominates.
-        shared = sum(1 for a, b in zip(v1, v2) if a == b)
-        assert shared > 0.5 * len(v1)
-
-    def test_generator_validation(self):
-        import pytest as _pytest
-
-        from repro.workload.objects import generate_software_versions
-
-        with _pytest.raises(ValueError):
-            generate_software_versions(1000, n_versions=0)
-        with _pytest.raises(ValueError):
-            generate_software_versions(1000, change_fraction=1.5)
-
-
 class TestCrossConnectionPoisoning:
     def test_naive_poisoning_affects_subsequent_connection(self):
         """§IV-C: after a naive-policy stall, the *next* connection

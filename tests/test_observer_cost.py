@@ -114,7 +114,7 @@ class TestRegistrySources:
         gauges = [("g", {"conn": "c"}), ("h", {"conn": "c"})]
         first = registry.source(lambda: (1, 2), gauges)
         assert registry.source(lambda: (3, 4), gauges) is first
-        assert [g.read() for g in registry.gauges()] == [3.0, 4.0]
+        assert registry.snapshot() == {"g{conn=c}": 3.0, "h{conn=c}": 4.0}
         first.fn = None
         assert registry.snapshot() == {"g{conn=c}": None, "h{conn=c}": None}
 

@@ -169,7 +169,6 @@ class TestKDistance:
         encodable = [policy.may_encode(meta(i, counter=i)) for i in range(9)]
         assert encodable == [False, True, True, True,
                              False, True, True, True, False]
-        assert policy.references_sent == 3
 
     def test_eligibility_limited_to_reference_window(self):
         policy = KDistancePolicy(k=4)

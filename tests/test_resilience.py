@@ -393,14 +393,3 @@ class TestGatewayCrash:
         pair.decoder.receive(enc_out.packets[1])
         delivered = [p for p in dec_out.packets if p.proto == PROTO_TCP]
         assert len(delivered) == 2
-
-
-def test_gateway_shim_overhead_includes_epoch_stamp():
-    from repro.core.wire import EPOCH_STAMP_SIZE, SHIM_SIZE
-
-    _sim, pair, _enc_out, _dec_out = make_pair()
-    assert pair.encoder.encoder.shim_overhead == SHIM_SIZE + EPOCH_STAMP_SIZE
-
-    sim2 = Simulator()
-    bare = build_gateways(sim2, ExperimentConfig(policy="naive"))
-    assert bare.encoder.encoder.shim_overhead == SHIM_SIZE

@@ -7,10 +7,11 @@ results is caught deliberately; the soak run holds the sharded-cache
 invariants and the no-per-flow-leak bound under 10k requests of churn.
 """
 
+import hashlib
 import json
-import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,16 +19,29 @@ from repro import ExperimentConfig
 from repro.experiments.runner import Fetch, build_testbed, run_fetches
 from repro.experiments.sweep import SweepSpec, parallel_map, run_sweep
 from repro.serving import ServingSpec, generate_sessions, run_serving
-from repro.serving.engine import deterministic_report
-from repro.serving.sessions import SessionSpec, session_digest
+from repro.serving.sessions import SessionSpec
 from repro.sim.faults import FaultInjector, match_nth_data
-from repro.workload.catalog import (CatalogSpec, ContentCatalog,
-                                    zipf_sample_counts)
+from repro.sim.rng import derive_seed
+from repro.workload.catalog import CatalogSpec, ContentCatalog
 
 
 # ---------------------------------------------------------------------------
 # Zipf sampler matches the theoretical pmf (chi-square)
 # ---------------------------------------------------------------------------
+
+def zipf_sample_counts(spec, n_samples):
+    """Histogram of ``n_samples`` catalog draws from seeded uniforms."""
+    catalog = ContentCatalog(spec)
+    rng = np.random.default_rng(derive_seed(spec.seed, "catalog:samples"))
+    return np.bincount([catalog.sample(u) for u in rng.random(n_samples)],
+                       minlength=spec.n_contents)
+
+
+def zipf_pmf(n_contents, alpha):
+    """The Zipf(alpha) law over ranks 1..n the catalog must sample."""
+    weights = np.arange(1, n_contents + 1, dtype=np.float64) ** -alpha
+    return weights / weights.sum()
+
 
 @pytest.mark.parametrize("alpha", [0.6, 0.8, 1.0, 1.2])
 def test_zipf_sampler_matches_pmf(alpha):
@@ -41,7 +55,7 @@ def test_zipf_sampler_matches_pmf(alpha):
     spec = CatalogSpec(n_contents=50, alpha=alpha, seed=11)
     n_samples = 60_000
     counts = zipf_sample_counts(spec, n_samples)
-    pmf = ContentCatalog(spec).pmf()
+    pmf = zipf_pmf(spec.n_contents, alpha)
     chi2 = sum((counts[i] - n_samples * pmf[i]) ** 2 / (n_samples * pmf[i])
                for i in range(spec.n_contents))
     dof = spec.n_contents - 1
@@ -57,10 +71,17 @@ def test_zipf_sampler_total_and_support(alpha, seed):
     counts = zipf_sample_counts(spec, 2_000)
     assert counts.sum() == 2_000
     assert len(counts) == 20
-    # Monotone pmf: rank 0 is the most popular content in expectation.
-    pmf = ContentCatalog(spec).pmf()
-    assert all(pmf[i] >= pmf[i + 1] - 1e-12 for i in range(19))
-    assert math.isclose(float(pmf.sum()), 1.0, rel_tol=1e-9)
+    # Evenly spaced draws land on each rank in proportion to its
+    # probability (to within one draw): none beyond the last rank, and
+    # rank 0 the most popular.
+    catalog = ContentCatalog(spec)
+    draws = 4_000
+    hits = np.bincount([catalog.sample((i + 0.5) / draws)
+                        for i in range(draws)], minlength=20)
+    assert len(hits) == 20
+    expected = draws * zipf_pmf(20, alpha)
+    assert np.all(np.abs(hits - expected) <= 1.0 + 1e-9)
+    assert all(hits[i] >= hits[i + 1] - 1 for i in range(19))
 
 
 def test_catalog_objects_deterministic_and_distinct():
@@ -80,6 +101,16 @@ def test_catalog_objects_deterministic_and_distinct():
 # ---------------------------------------------------------------------------
 # session generator: deterministic across reruns and worker counts
 # ---------------------------------------------------------------------------
+
+def session_digest(requests):
+    """Stable content hash of a request list."""
+    hasher = hashlib.sha256()
+    for req in requests:
+        hasher.update(
+            f"{req.time!r}:{req.user}:{req.index}:{req.content_id};"
+            .encode("ascii"))
+    return hasher.hexdigest()
+
 
 def _session_digest_job(seed):
     """Module-level so the process pool can pickle it."""
@@ -355,6 +386,13 @@ def test_verified_run_raises_on_one_wrong_byte(monkeypatch):
     assert raised.value.oracle == "byte_integrity"
     assert raised.value.context["first_diff"] == 100
     assert "at byte 100" in str(raised.value)
+
+
+def deterministic_report(report):
+    """The report minus its (sampler-timing-sensitive) telemetry block:
+    everything left is a pure function of the spec."""
+    return {key: value for key, value in report.items()
+            if key != "telemetry"}
 
 
 def test_serving_report_is_deterministic():

@@ -22,6 +22,7 @@ from repro.core.cache import ByteCache
 from repro.core.encoder import ByteCachingEncoder, _SplitPairs
 from repro.core.fingerprint import FingerprintScheme
 from repro.core.policies import PacketMeta, make_policy_pair
+from repro.core.ringtable import NO_RECORD
 from repro.core.shardcache import ShardedByteCache, shard_of
 from repro.workload.corpus import corpus_object
 from tests.reference_cache import DictByteCache
@@ -90,7 +91,7 @@ def _apply(caches, op, counter):
                                     packet_counter=counter,
                                     external_id=counter)
                 for cache in caches]
-        seen = [(sid, cache.external_id_for(sid))
+        seen = [(sid, cache.store.records.get(sid, NO_RECORD)[3])
                 for sid, cache in zip(sids, caches)]
     elif op[0] == "lookup":
         seen = []

@@ -187,13 +187,13 @@ class TestTimer:
 
     def test_armed_and_expiry_introspection(self):
         sim = Simulator()
-        timer = Timer(sim, lambda: None)
+        fired = []
+        timer = Timer(sim, lambda: fired.append((sim.now, timer.armed)))
         assert not timer.armed
-        assert timer.expires_at is None
         timer.start(2.0)
         assert timer.armed
-        assert timer.expires_at == 2.0
         sim.run()
+        assert fired == [(2.0, False)]
         assert not timer.armed
 
     def test_timer_can_rearm_from_callback(self):

@@ -15,6 +15,13 @@ from repro.metrics.spans import (SPANS_SCHEMA, SpanRecorder,
                                  validate_spans)
 
 
+def span_of(rec, handle):
+    """One span's ``spans/v1`` dict, read from the recorder's export."""
+    span_id = rec.span_ids(handle)[1]
+    return next(span for span in rec.export()["spans"]
+                if span["span"] == span_id)
+
+
 class FakeSim:
     def __init__(self):
         self.now = 0.0
@@ -25,8 +32,8 @@ class TestSpanRecorderScopes:
         rec = SpanRecorder()
         outer = rec.packet_begin("encode", "a", 1)
         inner = rec.packet_begin("decode", "a", 1)
-        assert rec.span(inner)["trace"] == rec.span(outer)["trace"]
-        assert rec.span(inner)["parent"] == rec.span(outer)["span"]
+        assert span_of(rec, inner)["trace"] == span_of(rec, outer)["trace"]
+        assert span_of(rec, inner)["parent"] == span_of(rec, outer)["span"]
         rec.end(inner)
         rec.end(outer)
         assert rec.current_ids() == (None, None)
@@ -77,12 +84,12 @@ class TestSpanRecorderScopes:
         span = rec.packet_begin("encode", "a", 1)
         sim.now = 2.5
         rec.end(span)
-        doc = rec.span(span)
+        doc = span_of(rec, span)
         assert doc["start"] == 0.0 and doc["end"] == 2.5
 
     def test_event_is_zero_duration(self):
         rec = SpanRecorder()
-        span = rec.span(rec.event("watchdog_trip", "dec", None, 16))
+        span = span_of(rec, rec.event("watchdog_trip", "dec", None, 16))
         assert span["end"] == span["start"]
         assert span["tags"] == {"window": 16}
 
@@ -90,9 +97,9 @@ class TestSpanRecorderScopes:
         rec = SpanRecorder()
         resync = rec.open("resync", "dec", 3)
         child = rec.child_event(resync, "resync_retry", "dec", 1)
-        assert rec.span(child)["parent"] == rec.span(resync)["span"]
+        assert span_of(rec, child)["parent"] == span_of(rec, resync)["span"]
         rec.end(resync, "completed")
-        assert rec.span(resync)["tags"] == {"resync_id": 3,
+        assert span_of(rec, resync)["tags"] == {"resync_id": 3,
                                            "outcome": "completed"}
 
     def test_tag_outside_the_vocabulary_is_rejected_at_export(self):
@@ -138,7 +145,7 @@ class TestTracePropagation:
         span = rec.packet_begin("encode", "gw", 99)
         rec.end(span)
         drop = rec.packet_event("queue_drop", "link", 99)
-        assert rec.span(drop)["trace"] == rec.span(span)["trace"]
+        assert span_of(rec, drop)["trace"] == span_of(rec, span)["trace"]
 
     def test_link_deps_record_encoded_against(self):
         rec = SpanRecorder()
@@ -147,8 +154,8 @@ class TestTracePropagation:
         cur = rec.packet_begin("encode", "gw", 2)
         rec.link_deps(cur, [1, 42])  # 42 untraced -> skipped
         rec.end(cur)
-        dep = rec.span(dep)
-        assert rec.span(cur)["links"] == [{"ref": "encoded_against",
+        dep = span_of(rec, dep)
+        assert span_of(rec, cur)["links"] == [{"ref": "encoded_against",
                                            "trace": dep["trace"],
                                            "span": dep["span"], "packet": 1}]
 
@@ -158,14 +165,14 @@ class TestTracePropagation:
         first = rec.packet_begin("encode", "gw", 1, flow=flow, seq=500)
         rec.end(first)
         retx = rec.note_retransmit("tcp", flow, 500, 1460)
-        first, retx = rec.span(first), rec.span(retx)
+        first, retx = span_of(rec, first), span_of(rec, retx)
         assert retx["links"] == [{"ref": "retransmission_of",
                                   "trace": first["trace"],
                                   "span": first["span"]}]
         second = rec.packet_begin("encode", "gw", 2, flow=flow, seq=500)
         rec.end(second)
         assert {"ref": "caused_by_retransmit", "trace": retx["trace"],
-                "span": retx["span"]} in rec.span(second)["links"]
+                "span": retx["span"]} in span_of(rec, second)["links"]
 
     def test_fault_windows_tag_spans(self):
         rec = SpanRecorder()
@@ -174,8 +181,8 @@ class TestTracePropagation:
         rec.end(span)
         rec.fault_end("link_flap")
         after = rec.packet_begin("encode", "gw", 2)
-        assert rec.span(span)["tags"]["faults"] == ["link_flap"]
-        assert "faults" not in rec.span(after)["tags"]
+        assert span_of(rec, span)["tags"]["faults"] == ["link_flap"]
+        assert "faults" not in span_of(rec, after)["tags"]
         rec.fault_end("never_opened")  # must not raise
 
     def test_max_spans_bounds_and_counts_drops(self):
@@ -202,9 +209,9 @@ class TestContextStackUnwinds:
         rec.end(a)
         rec.end(b)
         assert rec.current_ids() == (None, None)
-        event = rec.span(rec.event("queue_drop", "x"))
+        event = span_of(rec, rec.event("queue_drop", "x"))
         assert event["parent"] is None
-        assert event["trace"] != rec.span(a)["trace"]
+        assert event["trace"] != span_of(rec, a)["trace"]
 
     def test_closing_a_parent_unwinds_its_abandoned_child(self):
         rec = SpanRecorder()
@@ -239,7 +246,7 @@ class TestContextStackUnwinds:
         validate_spans(doc)
         assert doc["summary"]["open"] == 0
         # The next root event starts its own trace, not the dead one's.
-        assert rec.span(rec.event("watchdog_trip", "dec"))["parent"] is None
+        assert span_of(rec, rec.event("watchdog_trip", "dec"))["parent"] is None
 
 
 class TestExport:

@@ -129,7 +129,8 @@ class TestLossRecovery:
         def drop_acks(pkt, index):
             segment = pkt.tcp
             return (segment is not None and not segment.data
-                    and not segment.syn and 5 <= index <= 12)
+                    and not segment.flags & segment.SYN
+                    and 5 <= index <= 12)
 
         testbed = TcpTestbed(drop_c2s=drop_acks)
         data = payload_bytes(40 * 1460)

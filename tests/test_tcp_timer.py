@@ -55,7 +55,9 @@ def test_backoff_capped_at_max():
     for _ in range(20):
         estimator.back_off()
     assert estimator.rto == 4.0
-    assert estimator.backoff_exponent < 20  # stops growing at the cap
+    # Backing off stopped at the cap: the 3 s RTO doubled once.
+    estimator.max_rto = 100.0
+    assert estimator.rto == pytest.approx(6.0)
 
 
 def test_sample_resets_backoff():
@@ -64,14 +66,17 @@ def test_sample_resets_backoff():
     estimator.back_off()
     estimator.back_off()
     estimator.sample(0.5)
-    assert estimator.backoff_exponent == 0
+    assert estimator.rto == pytest.approx(estimator.srtt
+                                          + 4 * estimator.rttvar)
 
 
 def test_reset_backoff():
     estimator = RtoEstimator()
+    before = estimator.rto
     estimator.back_off()
+    assert estimator.rto == 2 * before
     estimator.reset_backoff()
-    assert estimator.backoff_exponent == 0
+    assert estimator.rto == before
 
 
 def test_negative_sample_rejected():

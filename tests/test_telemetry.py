@@ -38,18 +38,17 @@ class TestMetricsRegistry:
         state = {"v": 1.0}
         registry.source(lambda: (state["v"], 2 * state["v"]),
                         [("g", {}), ("h", {})])
-        g, h = registry.gauges()
-        assert (g.read(), h.read()) == (1.0, 2.0)
+        assert registry.snapshot() == {"g": 1.0, "h": 2.0}
         state["v"] = 7.5
-        assert (g.read(), h.read()) == (7.5, 15.0)
+        assert registry.snapshot() == {"g": 7.5, "h": 15.0}
 
     def test_raising_or_torn_down_source_reads_nan(self):
         registry = MetricsRegistry()
         registry.source(lambda: 1 / 0, [("bad", {})])
         torn = registry.source(lambda: (1.0,), [("torn", {})])
         torn.fn = None
-        # A gauge must not raise.
-        assert all(math.isnan(gauge.read()) for gauge in registry.gauges())
+        # A gauge must not raise: both read nan (null in the snapshot).
+        assert registry.snapshot() == {"bad": None, "torn": None}
 
     def test_snapshot_is_json_serialisable(self):
         registry = MetricsRegistry()
@@ -374,8 +373,8 @@ class TestEndToEnd:
         run_fetches(testbed, config, {FILE_NAME: data},
                     [Fetch(), Fetch(gap=0.05)])
         registry = testbed.telemetry.registry
-        cwnd = sorted(g.key for g in registry.gauges()
-                      if g.name == "tcp.cwnd")
+        cwnd = sorted(key for key in registry.snapshot()
+                      if key.startswith("tcp.cwnd{"))
         assert cwnd == ["tcp.cwnd{conn=client:49152}",
                         "tcp.cwnd{conn=client:49153}",
                         "tcp.cwnd{conn=server:80#2}",

@@ -346,7 +346,11 @@ def _observed_exports(policy, **extra):
 #: (SACK lost-retransmission detection: 7 timeouts became 5); no other
 #: entry moved.  The ``resilience`` run, read before the observers were
 #: attached in one place, arms the resilience gauges on both gateways;
-#: its watchdog trip adds the flight-recorder dump to the document.
+#: its watchdog trip adds the flight-recorder dump to the document.  The
+#: two ``verify`` telemetry digests were re-read when the coherence
+#: checks stopped waiting on the reverse link: the run-end check now
+#: runs, and ``verify.coherence_checks`` ends one higher (6 -> 7 and
+#: 5 -> 6); nothing else in either document moved.
 GOLDEN_EXPORTS = {
     "cache_flush": {
         "telemetry/v1":
@@ -368,13 +372,13 @@ GOLDEN_EXPORTS = {
     },
     "tcp_seq+verify": {
         "telemetry/v1":
-            "b125da3e8adc047b0036c13976fd88221505f1cbcbb7c063b850753b465159ae",
+            "2bb223ef96d57d7a729206f931530eb94c38b0eb827475e6161073c30f4d8f50",
         "repro.spans/v1":
             "20ed780a5a61d83d0983ed09284d679e96c6adb28ec3ea2a61b61d7b18e8fa4a",
     },
     "tcp_seq+verify+resilience": {
         "telemetry/v1":
-            "5af1a4ebc316aca183b0543bf97df21d9d3c942b94df6b6626d9b82522b9e464",
+            "2d74bd766a5c98f813a1f66132f3e0eb17a98dffeeee1a9b3ae32c04ee71f8f7",
         "repro.spans/v1":
             "919c5493e76bde881fdaaf3c2ad7a85dcd18581846fc7354b8467e75d9c57f70",
     },

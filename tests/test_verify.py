@@ -123,7 +123,7 @@ class TestCoherenceOracle:
         encoder, decoder, harness = _core_pair("cache_flush")
         self._populate(encoder, decoder,
                        RngRegistry(5).stream("coherence.clean"))
-        assert harness.check_coherence(force=True)
+        assert harness.check_coherence()
         assert harness.violations == 0
         assert harness.coherence_checks == 1
 
@@ -137,7 +137,7 @@ class TestCoherenceOracle:
         victim = next(iter(store))
         store[victim] = bytes(len(store[victim]))   # zeroed payload
         with pytest.raises(InvariantViolation) as excinfo:
-            harness.check_coherence(force=True)
+            harness.check_coherence()
         assert excinfo.value.oracle == "cache_coherence"
         assert "poisoned" in excinfo.value.message
 
@@ -154,7 +154,7 @@ class TestCoherenceOracle:
             if index % 2 == 0:   # odd packets "lost" before the decoder
                 decoder.decode(result.data, meta,
                                checksum=payload_checksum(payload))
-        assert harness.check_coherence(force=True)
+        assert harness.check_coherence()
         assert harness.violations == 0
 
 

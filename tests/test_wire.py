@@ -6,8 +6,8 @@ from repro.core.region import Region
 from repro.core.wire import (ENCODED_HEADER_SIZE, FIELD_SIZE,
                              MIN_REGION_LENGTH, EncodedPayload,
                              MissingFingerprintError, WireFormatError,
-                             encode_payload, encoded_size, is_encoded,
-                             parse_payload, reconstruct, wrap_raw)
+                             encode_payload, parse_payload, reconstruct,
+                             wrap_raw)
 
 
 def region(fp=0xAB, off_new=0, off_stored=0, length=20):
@@ -20,7 +20,6 @@ class TestRawPath:
         payload = b"hello world"
         shimmed = wrap_raw(payload)
         assert len(shimmed) == len(payload) + 2
-        assert not is_encoded(shimmed)
         assert parse_payload(shimmed) == payload
 
     def test_empty_payload(self):
@@ -33,7 +32,6 @@ class TestEncodedPath:
         payload = b"head" + stored[50:100] + b"tail"
         regions = [region(off_new=4, off_stored=50, length=50)]
         wire = encode_payload(payload, regions)
-        assert is_encoded(wire)
         parsed = parse_payload(wire)
         assert isinstance(parsed, EncodedPayload)
         rebuilt = reconstruct(parsed, lambda fp: stored)
@@ -62,11 +60,10 @@ class TestEncodedPath:
         regions = [region(off_new=0, off_stored=0, length=100)]
         wire = encode_payload(payload, regions)
         assert len(wire) == ENCODED_HEADER_SIZE + FIELD_SIZE + 60
-        assert len(wire) == encoded_size(len(payload), regions)
 
     def test_no_regions_is_raw(self):
         wire = encode_payload(b"data", [])
-        assert not is_encoded(wire)
+        assert parse_payload(wire) == b"data"
 
     def test_region_at_payload_end(self):
         stored = bytes(range(100))
