@@ -66,8 +66,8 @@ def track_changing_channel() -> None:
         testbed.sim.after(0.25, sample)
 
     # A mid-run change to a link's loss rate goes through a fault
-    # helper, which arms the link so the new rate meets every packet
-    # that has not finished serialising.
+    # helper, which records it on the link's timeline before the run so
+    # the new rate meets every packet that finishes serialising after it.
     schedule_loss_window(testbed.sim, testbed.bottleneck_forward, 0.20, 0.10)
     testbed.sim.after(0.20, degrade)
     testbed.sim.after(0.05, sample)

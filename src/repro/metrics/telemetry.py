@@ -298,9 +298,9 @@ class TelemetrySampler:
 class FlightRecorder:
     """Bounded ring of recent events, grouped per flow.
 
-    Events arrive through :meth:`record` from the nodes and gateways
+    Events arrive through :meth:`record`, from the nodes and gateways
     the runner attached it to (:meth:`repro.sim.node.Node.note`) and
-    from explicit :meth:`note` calls (the verification harness).
+    from the verification harness.
     Grouping key: the event detail's ``flow`` if present, else the
     emitting source — so a chatty component cannot evict another flow's
     history.  Both the ring length and the number of distinct groups

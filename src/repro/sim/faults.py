@@ -22,10 +22,10 @@ loss)".  This module scripts exact faults:
   :func:`schedule_loss_window`, :func:`control_blackout`) script the
   sustained adverse regimes the chaos campaigns compose — handover
   flaps, Gilbert-Elliott loss bursts, a window of extra uniform loss,
-  a blacked-out control plane.  Each arms the link it faults
-  (:meth:`~repro.sim.link.Link.arm`) when it is called, so the link
-  samples its impairments at the end of serialisation for the rest of
-  the run and the fault catches a packet that is already queued;
+  a blacked-out control plane.  Each records its changes on the
+  link's timeline (:meth:`~repro.sim.link.Link.write_at`) when it is
+  called, so the fault catches every packet whose serialisation ends
+  inside its window, one already queued when it starts included;
 * the injection table (:data:`INJECTION_KINDS`,
   :func:`check_injection`, :func:`arm_injection`) names every one of
   these faults as a dict with a ``kind`` tag — the one vocabulary a
@@ -453,7 +453,7 @@ def schedule_link_flap(sim: Simulator, link: Link, at: float,
     """Take ``link`` administratively down for ``down_for`` seconds,
     ``flaps`` times, ``period`` seconds apart (a handover storm).
 
-    While down every packet reaching the transmitter is lost — data and
+    While down every packet whose serialisation ends is lost — data and
     control alike — which is how a vanished radio segment behaves, as
     opposed to the targeted drops of a :class:`FaultInjector`.
     """
@@ -463,16 +463,13 @@ def schedule_link_flap(sim: Simulator, link: Link, at: float,
         raise ValueError(f"flaps must be >= 1, got {flaps}")
     if flaps > 1 and (period is None or period <= down_for):
         raise ValueError("flaps > 1 needs period > down_for")
-    link.arm()
 
     def down() -> None:
-        link.down = True
         spans = getattr(link, "spans", None)
         if spans is not None:
             spans.fault_begin("link_flap")
 
     def up() -> None:
-        link.down = False
         spans = getattr(link, "spans", None)
         if spans is not None:
             spans.fault_end("link_flap")
@@ -480,6 +477,8 @@ def schedule_link_flap(sim: Simulator, link: Link, at: float,
     events: List[Event] = []
     for index in range(flaps):
         start = at + index * (period or 0.0)
+        link.write_at(start, "down", True)
+        link.write_at(start + down_for, "down", False)
         events.append(sim.at(start, down))
         events.append(sim.at(start + down_for, up))
     return events
@@ -506,17 +505,17 @@ def schedule_bursty_loss(sim: Simulator, link: Link, at: float, until: float,
     if until <= at:
         raise ValueError(f"window ends before it starts: [{at}, {until})")
     model = GilbertElliottLoss(rng, **gilbert_kwargs)
-    link.arm()
+    link.write_at(at, "loss_model", model)
+    # Only if this model is still the one attached: a later window's
+    # model outlives this window's end.
+    link.write_at(until, "loss_model", None, replacing=model)
 
     def attach() -> None:
-        link.loss_model = model
         spans = getattr(link, "spans", None)
         if spans is not None:
             spans.fault_begin("bursty_loss")
 
     def detach() -> None:
-        if link.loss_model is model:
-            link.loss_model = None
         spans = getattr(link, "spans", None)
         if spans is not None:
             spans.fault_end("bursty_loss")
@@ -527,8 +526,7 @@ def schedule_bursty_loss(sim: Simulator, link: Link, at: float, until: float,
 
 
 def schedule_loss_window(sim: Simulator, link: Link, at: float,
-                         rate: float,
-                         until: Optional[float] = None) -> List[Event]:
+                         rate: float, until: Optional[float] = None) -> None:
     """Set ``link``'s uniform loss rate to ``rate`` from ``at``, and
     restore the rate it has now at ``until`` when given.
 
@@ -541,11 +539,9 @@ def schedule_loss_window(sim: Simulator, link: Link, at: float,
     if until is not None and not until >= at:
         raise ValueError(f"window ends before it starts: [{at}, {until})")
     original = link.loss_rate
-    link.arm()
-    events = [sim.at(at, setattr, link, "loss_rate", rate)]
+    link.write_at(at, "loss_rate", rate)
     if until is not None:
-        events.append(sim.at(until, setattr, link, "loss_rate", original))
-    return events
+        link.write_at(until, "loss_rate", original)
 
 
 def control_blackout(injectors: List[FaultInjector], start: float,

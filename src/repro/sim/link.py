@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from heapq import heappush
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from .engine import SimulationError, Simulator
 
@@ -105,57 +105,28 @@ class GilbertElliottLoss:
         return False
 
 
-class _DrawnParameter:
-    """A link parameter that a packet's fate is drawn from.
+#: :meth:`Link.write_at`'s default ``replacing``: write unconditionally.
+_ANY = object()
 
-    The value lives in the instance slot ``_<name>``, which the send
-    path reads directly.  A write re-picks the link's crossing (see
-    :class:`Link`) and raises :class:`SimulationError` while a packet
-    accepted on the one-event crossing is still serialising: that
-    packet's loss and re-order were drawn when it was offered, under
-    the old value, where the two-event crossing would draw them under
-    the new one.  Arm the link first (:meth:`Link.arm`, which every
-    fault helper of :mod:`repro.sim.faults` does) to change it mid-run.
-    """
-
-    __slots__ = ("name", "slot")
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-        self.slot = "_" + name
-
-    def __get__(self, link: Optional["Link"], owner: type = None):
-        if link is None:
-            return self
-        return link.__dict__[self.slot]
-
-    def __set__(self, link: "Link", value) -> None:
-        now = link.sim.now
-        if link._drawn_until >= now:
-            raise SimulationError(
-                f"link {link.name!r}: {self.name} written at t={now} while "
-                f"a packet whose fate was drawn when it was offered "
-                f"serialises until t={link._drawn_until}; arm the link "
-                f"before the run to change it mid-run")
-        link.__dict__[self.slot] = value
-        link._pick_path()
+#: The parameters :meth:`Link.send` draws a packet's fate from, which
+#: :meth:`Link.write_at` may change mid-run.
+_TIMED = frozenset({"down", "loss_rate", "loss_model", "corrupt_rate",
+                    "reorder_rate", "prop_delay", "reorder_extra_delay"})
 
 
 class Link:
     """One direction of a point-to-point link.
 
-    A crossing takes one of two paths, picked per packet.  The
-    **one-event** crossing draws loss, then re-ordering, in :meth:`send`
-    and pushes ``_deliver`` alone (nothing for a lost packet).  The
-    **two-event** crossing pushes ``_transmitted`` at the end of
-    serialisation, which makes those draws then, from the same ``rng``
-    in the same FIFO order, and pushes ``_deliver``.  Two events are
-    taken only where the draw must wait for that instant:
-    ``corrupt_rate > 0`` (corruption rewrites the payload), an armed
-    fault (:meth:`arm`), or ``down`` / ``loss_model`` set; and while a
-    two-event packet is still serialising, so the draws keep their FIFO
-    order across a switch.  Writes to the parameters a fate is drawn
-    from are guarded (see ``_DrawnParameter``).
+    A crossing is one event.  :meth:`send` draws the packet's fate —
+    ``down`` (no draw), then loss from ``loss_model`` when one is
+    attached and else from ``loss_rate``, then corruption, then
+    re-ordering — from the parameters in force at its end of
+    serialisation, and pushes ``_deliver`` alone (nothing for a lost
+    packet).  Packets leave in FIFO order, so the draws come from each
+    stream in the order of those instants.  A fault that changes a
+    parameter mid-run is a timed write (:meth:`write_at`), recorded
+    when the fault is armed and taken up by the first packet whose
+    serialisation ends at or after its time.
 
     Parameters
     ----------
@@ -173,7 +144,7 @@ class Link:
         behind packets transmitted after it.
     queue_limit:
         Maximum number of packets waiting for the transmitter (at least
-        1, read-only); tail drop beyond it.
+        1); tail drop beyond it.
     rng:
         Deterministic random stream for the impairments.
 
@@ -184,18 +155,9 @@ class Link:
     delivery, closed with an outcome tag (delivered / lost /
     queue_drop) — the hop that carries a trace id across the gateway
     boundary — at the cost of one ``is not None`` check per packet when
-    absent.  A packet lost on the one-event crossing closes its span at
-    its end of serialisation, the time ``_transmitted`` would have run.
+    absent.  A lost packet closes its span at its end of serialisation.
     Telemetry and the verifier read :meth:`settled` on their own ticks.
     """
-
-    down = _DrawnParameter()
-    loss_rate = _DrawnParameter()
-    corrupt_rate = _DrawnParameter()
-    reorder_rate = _DrawnParameter()
-    loss_model = _DrawnParameter()
-    prop_delay = _DrawnParameter()
-    reorder_extra_delay = _DrawnParameter()
 
     def __init__(
         self,
@@ -234,81 +196,80 @@ class Link:
                              f"got {queue_limit!r}")
         self.sim = sim
         self.bandwidth = float(bandwidth)
-        # The slots behind the ``_DrawnParameter`` descriptors.
-        self._prop_delay = float(prop_delay)
-        self._loss_rate = float(loss_rate)
-        self._corrupt_rate = float(corrupt_rate)
-        self._reorder_rate = float(reorder_rate)
-        self._reorder_extra_delay = float(reorder_extra_delay)
+        self.prop_delay = float(prop_delay)
+        self.loss_rate = float(loss_rate)
+        self.corrupt_rate = float(corrupt_rate)
+        self.reorder_rate = float(reorder_rate)
+        self.reorder_extra_delay = float(reorder_extra_delay)
         self._queue_limit = queue_limit
         self.rng = rng if rng is not None else random.Random(0)
         self.name = name
         self.receiver: Optional[Callable[[IPPacket], None]] = None
         self.stats = LinkStats()
         #: Administratively down (link flap / partition window): every
-        #: packet reaching the transmitter is lost.  Toggled by
-        #: :func:`repro.sim.faults.schedule_link_flap`.
-        self._down = False
+        #: packet leaving the transmitter is lost.  Written on a timeline
+        #: by :func:`repro.sim.faults.schedule_link_flap`.
+        self.down = False
         #: Optional stateful loss process (:class:`GilbertElliottLoss`).
         #: While attached it replaces the uniform ``loss_rate``.
-        self._loss_model: Optional[GilbertElliottLoss] = None
-        self._busy_until = 0.0
-        #: Two-event packets accepted and not yet transmitted.
-        self._queued = 0
-        #: A ring of the end-of-serialisation times of the last
-        #: one-event packets, and beside it whether each was lost.
-        #: ``_slot`` is the oldest slot, the one written next: the ring
-        #: has ``queue_limit`` slots, so the queue is full when that
-        #: slot is still in the future.
+        self.loss_model: Optional[GilbertElliottLoss] = None
+        #: End of serialisation of the last packet accepted.
+        self._busy_until = -math.inf
+        #: A ring of the end-of-serialisation times of the last packets,
+        #: and beside it whether each was lost.  ``_slot`` is the oldest
+        #: slot, the one written next: the ring has ``queue_limit``
+        #: slots, so the queue is full when that slot is still in the
+        #: future.
         self._ends = [-math.inf] * queue_limit
         self._lost = [False] * queue_limit
         self._slot = 0
-        #: End of serialisation of the last one-event packet: until
-        #: then a write to a drawn parameter raises.
-        self._drawn_until = -math.inf
+        #: Timed writes not yet taken up, a heap of ``(at, order, name,
+        #: value, replacing)``.
+        self._writes: List[Tuple[float, int, str, Any, Any]] = []
+        self._writes_made = 0
         self.spans = None
-        #: Set by a fault helper that scheduled a fault here.
-        self.armed = False
-        self._pick_path()
-
-    @property
-    def queue_limit(self) -> int:
-        """Tail-drop bound on the transmitter queue."""
-        return self._queue_limit
 
     def connect(self, receiver: Callable[[IPPacket], None]) -> None:
         """Attach the callback invoked for each delivered packet."""
         self.receiver = receiver
 
-    def arm(self) -> None:
-        """Keep the two-event crossing for the rest of the run.
+    def write_at(self, at: float, name: str, value: Any,
+                 replacing: Any = _ANY) -> None:
+        """Set parameter ``name`` to ``value`` for every packet whose
+        serialisation ends at or after ``at``; with ``replacing``, only
+        if the parameter then still holds that very object.
 
-        The fault helpers of :mod:`repro.sim.faults` call this when they
-        schedule a fault on the link, so a flap or a burst that starts
-        while a packet queues still catches it.
+        Writes timed alike take effect in the order they were made.  A
+        packet's fate is drawn when it is offered, so a write timed in
+        the past, or at or before the end of serialisation of a packet
+        already offered, raises :class:`SimulationError`: arm faults
+        before the traffic they should catch.
         """
-        self.armed = True
-        self._pick_path()
-
-    def _pick_path(self) -> None:
-        self._one_event = not (
-            self.armed or self._corrupt_rate or self._down
-            or self._loss_model is not None)
+        if name not in _TIMED:
+            raise ValueError(f"link {self.name!r} has no timed parameter "
+                             f"{name!r}")
+        now = self.sim.now
+        if not (at >= now and at > self._busy_until):
+            raise SimulationError(
+                f"link {self.name!r}: {name} write timed at t={at} falls "
+                f"before now (t={now}) or at or before t="
+                f"{self._busy_until}, the end of serialisation of a packet "
+                f"whose fate is already drawn")
+        self._writes_made += 1
+        heappush(self._writes, (at, self._writes_made, name, value,
+                                replacing))
 
     def settled(self) -> Tuple[int, int]:
         """``(queue depth, packets lost)`` as the link stands at ``sim.now``.
 
-        The depth counts two-event packets not yet transmitted and
-        one-event packets still serialising; the loss count leaves out
-        one-event packets lost whose serialisation has not ended.  Both
-        read as the two-event crossing would have them at this instant,
-        so an observer's samples do not depend on the crossing.
+        The depth counts packets still serialising; the loss count
+        leaves out packets lost whose serialisation has not ended.
         """
         now = self.sim.now
         serialising = lost = 0
-        if self._drawn_until > now:
+        if self._busy_until > now:
             serialising, lost = self._serialising(now)
-        return self._queued + serialising, self.stats.packets_lost - lost
+        return serialising, self.stats.packets_lost - lost
 
     def send(self, pkt: IPPacket) -> None:
         """Offer ``pkt`` to the link for transmission."""
@@ -324,85 +285,69 @@ class Link:
         sim = self.sim
         now = sim.now
 
-        if self._one_event and not self._queued:
-            # The one-event crossing: ``_transmitted``'s draws, made now.
-            ends = self._ends
-            slot = self._slot
-            if ends[slot] > now:
-                # The oldest slot still serialises: the ring is full.
-                stats.packets_queue_dropped += 1
-                if spans is not None:
-                    spans.packet_event("queue_drop", self.name,
-                                       pkt.packet_id)
-                return
-            start = self._busy_until
-            if start < now:
-                start = now
-            done = start + size / self.bandwidth
-            if not done >= now:
-                raise SimulationError(
-                    f"cannot schedule event in the past: {done} < now {now}")
-            self._busy_until = self._drawn_until = ends[slot] = done
-            self._slot = slot + 1 if slot + 1 < self._queue_limit else 0
-            if spans is not None:
-                spans.link_begin(self.name, pkt.packet_id, size)
-            rng = self.rng
-            if rng.random() < self._loss_rate:
-                self._lost[slot] = True
-                stats.packets_lost += 1
-                if spans is not None:
-                    spans.link_end(pkt.packet_id, "lost", "loss", done)
-                return
-            self._lost[slot] = False
-            delay = self._prop_delay
-            if self._reorder_rate and rng.random() < self._reorder_rate:
-                stats.packets_reordered += 1
-                delay += rng.uniform(0.0, self._reorder_extra_delay)
-                if spans is not None:
-                    spans.link_annotate(pkt.packet_id, "reordered")
-            # ``sim.post(done + delay, self._deliver, pkt)`` inline, with
-            # ``_transmitted``'s delay guard.
-            if not delay >= 0:
-                raise SimulationError(f"negative delay: {delay}")
-            seq = sim._seq
-            sim._seq = seq + 1
-            heappush(sim._heap, (done + delay, seq, self._deliver, (pkt,),
-                                 None))
-            return
-
-        queued = self._queued
-        if self._drawn_until > now:
-            queued += self._serialising(now)[0]
-        if queued >= self._queue_limit:
+        ends = self._ends
+        slot = self._slot
+        if ends[slot] > now:
+            # The oldest slot still serialises: the ring is full.
             stats.packets_queue_dropped += 1
             if spans is not None:
                 spans.packet_event("queue_drop", self.name, pkt.packet_id)
             return
-
-        if spans is not None:
-            spans.link_begin(self.name, pkt.packet_id, size)
-        start = now
-        if self._busy_until > start:
-            start = self._busy_until
-        self._busy_until = done = start + size / self.bandwidth
-        self._queued += 1
-        # ``sim.post(done, self._transmitted, pkt)`` inline, guard and
-        # all (the heap-entry contract above ``Simulator.__init__``):
-        # links never cancel a transmission, so the entry has no handle.
+        start = self._busy_until
+        if start < now:
+            start = now
+        done = start + size / self.bandwidth
         if not done >= now:
             raise SimulationError(
                 f"cannot schedule event in the past: {done} < now {now}")
+        self._busy_until = ends[slot] = done
+        self._slot = slot + 1 if slot + 1 < self._queue_limit else 0
+        if spans is not None:
+            spans.link_begin(self.name, pkt.packet_id, size)
+        writes = self._writes
+        if writes and writes[0][0] <= done:
+            self._take_writes(done)
+        rng = self.rng
+        if self.down:
+            reason = "link_down"
+        elif self.loss_model is not None:
+            reason = "bursty_loss" if self.loss_model.lost() else None
+        else:
+            reason = "loss" if rng.random() < self.loss_rate else None
+        if reason is not None:
+            self._lost[slot] = True
+            stats.packets_lost += 1
+            if spans is not None:
+                spans.link_end(pkt.packet_id, "lost", reason, done)
+            return
+        self._lost[slot] = False
+        if self.corrupt_rate and rng.random() < self.corrupt_rate:
+            stats.packets_corrupted += 1
+            self._corrupt(pkt)
+            if spans is not None:
+                spans.link_annotate(pkt.packet_id, "corrupted")
+        delay = self.prop_delay
+        if self.reorder_rate and rng.random() < self.reorder_rate:
+            stats.packets_reordered += 1
+            delay += rng.uniform(0.0, self.reorder_extra_delay)
+            if spans is not None:
+                spans.link_annotate(pkt.packet_id, "reordered")
+        # ``sim.post(done + delay, self._deliver, pkt)`` inline, with a
+        # delay guard (the heap-entry contract above
+        # ``Simulator.__init__``): links never cancel a delivery, so the
+        # entry has no handle.
+        if not delay >= 0:
+            raise SimulationError(f"negative delay: {delay}")
         seq = sim._seq
         sim._seq = seq + 1
-        heappush(sim._heap, (done, seq, self._transmitted, (pkt,), None))
+        heappush(sim._heap, (done + delay, seq, self._deliver, (pkt,), None))
 
     # -- internal ---------------------------------------------------------
 
     def _serialising(self, now: float) -> Tuple[int, int]:
-        """One-event packets still serialising at ``now``, and how many
-        of them were lost: the ring walked back from its newest slot.
-        One that ends exactly at ``now`` has left, where a two-event
-        packet leaves when its ``_transmitted`` entry dispatches."""
+        """Packets still serialising at ``now``, and how many of them
+        were lost: the ring walked back from its newest slot.  One that
+        ends exactly at ``now`` has left."""
         ends, lost = self._ends, self._lost
         slot = self._slot
         count = lost_count = 0
@@ -414,58 +359,13 @@ class Link:
             lost_count += lost[slot]
         return count, lost_count
 
-    def _transmitted(self, pkt: IPPacket) -> None:
-        """Packet finished serialising; apply impairments and propagate.
-
-        Loss, ``down`` and ``loss_model`` are sampled here, at the end
-        of serialisation and not in :meth:`send`: a flap or a burst that
-        starts while the packet queues must still catch it, and
-        corruption rewrites the payload as it leaves.  That is why a
-        corrupting or armed link crosses in two events.
-        """
-        self._queued -= 1
-        spans = self.spans
-
-        if self._down:
-            self.stats.packets_lost += 1
-            if spans is not None:
-                spans.link_end(pkt.packet_id, "lost", "link_down")
-            return
-
-        loss_model = self._loss_model
-        if loss_model is not None:
-            if loss_model.lost():
-                self.stats.packets_lost += 1
-                if spans is not None:
-                    spans.link_end(pkt.packet_id, "lost", "bursty_loss")
-                return
-        elif self.rng.random() < self._loss_rate:
-            self.stats.packets_lost += 1
-            if spans is not None:
-                spans.link_end(pkt.packet_id, "lost", "loss")
-            return
-
-        if self._corrupt_rate and self.rng.random() < self._corrupt_rate:
-            self.stats.packets_corrupted += 1
-            pkt = self._corrupt(pkt)
-            if spans is not None:
-                spans.link_annotate(pkt.packet_id, "corrupted")
-
-        delay = self._prop_delay
-        if self._reorder_rate and self.rng.random() < self._reorder_rate:
-            self.stats.packets_reordered += 1
-            delay += self.rng.uniform(0.0, self._reorder_extra_delay)
-            if spans is not None:
-                spans.link_annotate(pkt.packet_id, "reordered")
-
-        # ``sim.post_after(delay, self._deliver, pkt)`` inline.
-        if not delay >= 0:
-            raise SimulationError(f"negative delay: {delay}")
-        sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        heappush(sim._heap, (sim.now + delay, seq, self._deliver, (pkt,),
-                             None))
+    def _take_writes(self, done: float) -> None:
+        """Apply, in order, every timed write due at or before ``done``."""
+        writes = self._writes
+        while writes and writes[0][0] <= done:
+            _at, _order, name, value, replacing = heappop(writes)
+            if replacing is _ANY or getattr(self, name) is replacing:
+                setattr(self, name, value)
 
     def _deliver(self, pkt: IPPacket) -> None:
         stats = self.stats
@@ -477,7 +377,7 @@ class Link:
         assert self.receiver is not None
         self.receiver(pkt)
 
-    def _corrupt(self, pkt: IPPacket) -> IPPacket:
+    def _corrupt(self, pkt: IPPacket) -> None:
         """Flip some payload bytes in place.
 
         With 20 % probability the damage hits the headers instead
@@ -486,13 +386,11 @@ class Link:
         """
         if self.rng.random() < 0.2 or not getattr(pkt.payload, "data", b""):
             pkt.header_corrupt = True
-            return pkt
+            return
         data = bytearray(pkt.payload.data)
-        n_flips = max(1, self.rng.randint(1, 4))
-        for _ in range(n_flips):
+        for _ in range(self.rng.randint(1, 4)):
             pos = self.rng.randrange(len(data))
             data[pos] ^= self.rng.randint(1, 255)
         pkt.payload.data = bytes(data)
         pkt.reread_size()
-        return pkt
 

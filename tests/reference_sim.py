@@ -1,28 +1,70 @@
 """Link and timer scheduling as it was before they pushed their own entries.
 
 ``Link.send`` once scheduled the end of serialisation through
-``Simulator.post`` and ``Link._transmitted`` the delivery through
-``Simulator.post_after``; ``Timer.start`` armed through
-``Simulator.at``.  Production now builds those heap entries inline
-(the heap-entry contract above ``Simulator.__init__``), and a link
-without an armed fault crosses in one event.  This module keeps the old
-scheduling, line for line, under the same class names so a
-differential test can run both on twin simulators and compare what
-each dispatches, callback qualname included: :class:`Link` always
-crosses in two events, and :class:`PathLink` picks the crossing by the
-production rule and writes it in plain ``sim.post`` form.
+``Simulator.post``, and ``Link._transmitted`` drew the packet's fate
+then and scheduled the delivery through ``Simulator.post_after``;
+``Timer.start`` armed through ``Simulator.at``.  Production now builds
+those heap entries inline (the heap-entry contract above
+``Simulator.__init__``) and crosses a link in one event.  This module
+keeps the old scheduling under the same class names so a differential
+test can run both on twin simulators and compare what each dispatches,
+callback qualname included.  :class:`Link` stands alone: it shares only
+:class:`~repro.sim.link.LinkStats` with production, and it takes a
+timed write (``write_at``) up when a ``_transmitted`` entry dispatches
+at or after its time, the instant the old fault helpers' ``sim.at``
+writes had already run.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from typing import Any, Callable, Optional
 
-from repro.sim import link as _link
 from repro.sim.engine import Event, Simulator
+from repro.sim.link import LinkStats
+
+_ANY = object()
 
 
-class Link(_link.Link):
-    """The production link with its old ``send`` and ``_transmitted``."""
+class Link:
+    """The two-event link: ``send`` queues, ``_transmitted`` draws."""
+
+    def __init__(self, sim: Simulator, bandwidth: float, prop_delay: float,
+                 *, loss_rate: float = 0.0, corrupt_rate: float = 0.0,
+                 reorder_rate: float = 0.0, reorder_extra_delay: float = 0.05,
+                 queue_limit: int = 1000,
+                 rng: Optional[random.Random] = None, name: str = "link"):
+        self.sim = sim
+        self.bandwidth = float(bandwidth)
+        self.prop_delay = float(prop_delay)
+        self.loss_rate = float(loss_rate)
+        self.corrupt_rate = float(corrupt_rate)
+        self.reorder_rate = float(reorder_rate)
+        self.reorder_extra_delay = float(reorder_extra_delay)
+        self.queue_limit = queue_limit
+        self.rng = rng if rng is not None else random.Random(0)
+        self.name = name
+        self.receiver: Optional[Callable] = None
+        self.stats = LinkStats()
+        self.down = False
+        self.loss_model = None
+        self.spans = None
+        self._busy_until = -math.inf
+        self._queued = 0
+        #: Timed writes not yet taken up, in the order they take effect.
+        self._writes = []
+
+    def connect(self, receiver: Callable) -> None:
+        self.receiver = receiver
+
+    def write_at(self, at: float, name: str, value: Any,
+                 replacing: Any = _ANY) -> None:
+        self._writes.append((at, len(self._writes), name, value, replacing))
+        self._writes.sort(key=lambda write: write[:2])
+
+    def settled(self):
+        return self._queued, self.stats.packets_lost
 
     def send(self, pkt) -> None:
         """Offer ``pkt`` to the link for transmission."""
@@ -34,7 +76,7 @@ class Link(_link.Link):
         stats.bytes_offered += size
         spans = self.spans
 
-        if self.queue_limit is not None and self._queued >= self.queue_limit:
+        if self._queued >= self.queue_limit:
             stats.packets_queue_dropped += 1
             if spans is not None:
                 spans.packet_event("queue_drop", self.name, pkt.packet_id)
@@ -43,9 +85,7 @@ class Link(_link.Link):
         if spans is not None:
             spans.link_begin(self.name, pkt.packet_id, size)
         sim = self.sim
-        start = sim.now
-        if self._busy_until > start:
-            start = self._busy_until
+        start = max(sim.now, self._busy_until)
         self._busy_until = done = start + size / self.bandwidth
         self._queued += 1
         sim.post(done, self._transmitted, pkt)
@@ -54,6 +94,10 @@ class Link(_link.Link):
         """Packet finished serialising; apply impairments and propagate."""
         self._queued -= 1
         spans = self.spans
+        while self._writes and self._writes[0][0] <= self.sim.now:
+            _at, _order, name, value, replacing = self._writes.pop(0)
+            if replacing is _ANY or getattr(self, name) is replacing:
+                setattr(self, name, value)
 
         if self.down:
             self.stats.packets_lost += 1
@@ -76,7 +120,7 @@ class Link(_link.Link):
 
         if self.corrupt_rate and self.rng.random() < self.corrupt_rate:
             self.stats.packets_corrupted += 1
-            pkt = self._corrupt(pkt)
+            self._corrupt(pkt)
             if spans is not None:
                 spans.link_annotate(pkt.packet_id, "corrupted")
 
@@ -89,68 +133,25 @@ class Link(_link.Link):
 
         self.sim.post_after(delay, self._deliver, pkt)
 
+    def _deliver(self, pkt) -> None:
+        self.stats.packets_delivered += 1
+        self.stats.bytes_delivered += pkt.wire_size
+        if self.spans is not None:
+            self.spans.link_end(pkt.packet_id, "delivered")
+        self.receiver(pkt)
 
-class PathLink(Link):
-    """The two crossings in plain ``sim.post`` form, picked per packet.
-
-    A packet crosses in one event when the link has no armed fault
-    (``armed``), ``corrupt_rate == 0``, is up with no loss model, and
-    no two-event packet is still serialising; observers do not matter.
-    Then loss and re-order are drawn at offer time and only ``_deliver``
-    is posted, and a lost packet's transit span closes at its end of
-    serialisation.  The one-event packets count in the transmitter
-    queue until the end of their serialisation; one that ends exactly
-    now has left.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        #: End of serialisation of every one-event packet still queued.
-        self.one_event_done = []
-
-    def send(self, pkt) -> None:
-        if self.receiver is None:
-            raise RuntimeError(f"link {self.name!r} has no receiver connected")
-        size = pkt.wire_size
-        stats = self.stats
-        stats.packets_offered += 1
-        stats.bytes_offered += size
-        spans = self.spans
-        sim = self.sim
-        self.one_event_done = [done for done in self.one_event_done
-                               if done > sim.now]
-        queued = self._queued + len(self.one_event_done)
-        if self.queue_limit is not None and queued >= self.queue_limit:
-            stats.packets_queue_dropped += 1
-            if spans is not None:
-                spans.packet_event("queue_drop", self.name, pkt.packet_id)
+    def _corrupt(self, pkt) -> None:
+        """Flip some payload bytes in place (or mark the headers bad)."""
+        if self.rng.random() < 0.2 or not getattr(pkt.payload, "data", b""):
+            pkt.header_corrupt = True
             return
-
-        one_event = (self._queued == 0
-                     and not (self.armed or self.corrupt_rate
-                              or self.down or self.loss_model is not None))
-        if spans is not None:
-            spans.link_begin(self.name, pkt.packet_id, size)
-        start = max(sim.now, self._busy_until)
-        self._busy_until = done = start + size / self.bandwidth
-        if not one_event:
-            self._queued += 1
-            sim.post(done, self._transmitted, pkt)
-            return
-
-        self.one_event_done.append(done)
-        if self.rng.random() < self.loss_rate:
-            stats.packets_lost += 1
-            if spans is not None:
-                spans.link_end(pkt.packet_id, "lost", "loss", done)
-            return
-        delay = self.prop_delay
-        if self.reorder_rate and self.rng.random() < self.reorder_rate:
-            stats.packets_reordered += 1
-            delay += self.rng.uniform(0.0, self.reorder_extra_delay)
-            if spans is not None:
-                spans.link_annotate(pkt.packet_id, "reordered")
-        sim.post(done + delay, self._deliver, pkt)
+        data = bytearray(pkt.payload.data)
+        n_flips = max(1, self.rng.randint(1, 4))
+        for _ in range(n_flips):
+            pos = self.rng.randrange(len(data))
+            data[pos] ^= self.rng.randint(1, 255)
+        pkt.payload.data = bytes(data)
+        pkt.reread_size()
 
 
 class Timer:

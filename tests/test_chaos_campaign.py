@@ -592,6 +592,11 @@ def test_tcp_seq_brownout_thrash_tail_waits_on_a_backed_off_resync():
 
 #: sha256 of each canonical smoke campaign's scorecard (sorted-key JSON),
 #: recorded before the campaign cells moved onto ``run_sweep``.
+#: ``dup-reorder-storm`` was re-read when every link crossing became one
+#: event: only its ``link_transit`` span time moved.  A duplicate shares
+#: its original's packet id, and the two-event crossing closed the
+#: duplicate's span, opened meanwhile, when the original was lost at its
+#: end of serialisation; each packet now closes its own.
 SCORECARD_DIGESTS = {
     "handover-storm":
         "74a4fd3ae1ec08c51ac797d31956eba0a19fedc14960c483bc14554285b69c0e",
@@ -606,7 +611,7 @@ SCORECARD_DIGESTS = {
     "clock-drift":
         "efafb31cdc30046d005e42ff3ac52f80b9bcda5f0c7bc3639bc11e69078c0ae3",
     "dup-reorder-storm":
-        "bb7ae2b421ee58ee3c1b05975b43913651c8c188178b7e8a536eb0a31a81d8ea",
+        "864404d904913406167c1db9474c0b64864f25164f7d355f41d9a4a5f396fd7b",
     "brownout-thrash":
         "7814716457c21aed7e337f58ddce5cf552f76e5cbc38c48e682fce92c8d99938",
 }
@@ -620,3 +625,46 @@ def test_smoke_scorecard_digest_is_pinned(name):
     digest = hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
     assert digest == SCORECARD_DIGESTS[name]
+
+
+def _campaign_dispatch(name):
+    """One ``tcp_seq`` cell of smoke campaign ``name`` at its first seed:
+    its dispatch log and what its faults did."""
+    from repro.chaos.runner import _fault_digest
+    from repro.experiments import runner
+    from repro.workload.corpus import corpus_object
+    from tests.test_transfer_goldens import dispatch_log
+
+    campaign = canonical_campaign(name)
+    cell = CampaignCell(campaign, policy="tcp_seq",
+                        policy_kwargs=POLICY_KWARGS.get("tcp_seq", {}),
+                        seed=campaign.seeds[0])
+    config = cell.config()
+    testbed = runner.build_testbed(config)
+    armed = arm_campaign(campaign, testbed, cell.seed)
+    data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
+    log = dispatch_log(testbed.sim, lambda: runner.run_fetches(
+        testbed, config, {runner.FILE_NAME: data}, [runner.Fetch()],
+        capture_violation=True))
+    return log, _fault_digest(armed)
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_smoke_campaign_dispatches_the_two_event_log_less_transmitted(
+        name, monkeypatch):
+    """Under every smoke campaign's flaps, loss windows and bursts the
+    one-event crossing dispatches what the two-event reference link
+    (``tests/reference_sim.Link``, which draws at the end of
+    serialisation) dispatches, once its ``Link._transmitted`` entries
+    are dropped, and its faults fire alike."""
+    from repro.experiments import runner
+    from tests import reference_sim
+
+    one_event, faults = _campaign_dispatch(name)
+    monkeypatch.setattr(runner, "Link", reference_sim.Link)
+    two_event, reference_faults = _campaign_dispatch(name)
+    transmitted = [entry for entry in two_event
+                   if entry[1] == "Link._transmitted"]
+    assert [entry for entry in two_event
+            if entry[1] != "Link._transmitted"] == one_event
+    assert transmitted and faults == reference_faults

@@ -140,36 +140,38 @@ class TestLinkWindows:
         assert rev_delivered == []
 
     def test_bursty_loss_window_attaches_and_detaches(self):
+        # The model draws for the packets whose serialisation ends
+        # inside its window and for no other.
         sim = Simulator()
-        link, _ = wired_link(sim)
+        link, delivered = wired_link(sim)
         model = schedule_bursty_loss(sim, link, 0.1, 0.3, random.Random(7),
-                                     p_good_bad=0.5, loss_bad=0.8)
-        states = {}
-        sim.at(0.05, lambda: states.update(before=link.loss_model))
-        sim.at(0.2, lambda: states.update(during=link.loss_model))
-        sim.at(0.4, lambda: states.update(after=link.loss_model))
+                                     start_bad=True, p_bad_good=0.0,
+                                     loss_bad=1.0)
+        for t in (0.05, 0.2, 0.25, 0.4):    # before, during x2, after
+            sim.at(t, link.send, Pkt())
         sim.run(until=1.0)
-        assert states["before"] is None
-        assert states["during"] is model
-        assert states["after"] is None
+        assert model.losses == link.stats.packets_lost == 2
+        assert len(delivered) == 2
+        assert link.loss_model is None
 
     def test_bursty_loss_detach_spares_a_newer_model(self):
         # An expiring window must not tear down a model some later
         # window attached in the meantime.
         sim = Simulator()
         link, _ = wired_link(sim)
-        schedule_bursty_loss(sim, link, 0.0, 0.2, random.Random(1))
-        newer = schedule_bursty_loss(sim, link, 0.1, 0.5, random.Random(2))
-        state = {}
-        sim.at(0.3, lambda: state.update(model=link.loss_model))
+        older = schedule_bursty_loss(sim, link, 0.0, 0.2, random.Random(1))
+        newer = schedule_bursty_loss(sim, link, 0.1, 0.5, random.Random(2),
+                                     start_bad=True, p_bad_good=0.0,
+                                     loss_bad=1.0)
+        sim.at(0.3, link.send, Pkt())
         sim.run(until=1.0)
-        assert state["model"] is newer
+        assert link.loss_model is newer
+        assert (older.losses, newer.losses) == (0, 1)
 
     def test_loss_window_sets_and_restores_the_rate(self):
         sim = Simulator()
         link, delivered = wired_link(sim, loss_rate=0.0)
         schedule_loss_window(sim, link, 0.1, 1.0, until=0.2)
-        assert link.armed
         for t in (0.05, 0.15, 0.25):        # before, during, after
             sim.at(t, link.send, Pkt())
         sim.run(until=1.0)
@@ -185,7 +187,7 @@ class TestLinkWindows:
             schedule_loss_window(sim, link, 0.1, rate, until=0.2)
         with pytest.raises(ValueError, match="loss_rate"):
             Link(sim, 1e6, 0.001, loss_rate=rate)
-        assert not link.armed and sim.pending() == 0
+        assert link._writes == [] and sim.pending() == 0
 
     def test_bursty_loss_rejects_empty_window(self):
         sim = Simulator()

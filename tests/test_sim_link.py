@@ -7,6 +7,7 @@ import pytest
 from repro.net.packet import IPPacket, PROTO_TCP, TCPSegment
 from repro.core.checksum import payload_checksum
 from repro.sim import Link, Simulator
+from repro.sim.link import GilbertElliottLoss
 
 
 def make_packet(size_payload: int = 1000) -> IPPacket:
@@ -136,7 +137,7 @@ def test_send_without_receiver_raises():
     # bandwidth) or the first re-ordered packet deep inside a run.
     ("bandwidth", float("nan")), ("prop_delay", float("nan")),
     ("reorder_extra_delay", -0.01), ("reorder_extra_delay", float("nan")),
-    # 0 would drop every packet and leave the one-event ring no slot;
+    # 0 would drop every packet and leave the ring no slot;
     # every link is bounded, so None is refused too.
     ("queue_limit", 0), ("queue_limit", -1), ("queue_limit", float("nan")),
     ("queue_limit", None),
@@ -152,13 +153,6 @@ def test_invalid_link_parameters(field, value):
         Link(sim, **kwargs)
 
 
-def test_queue_limit_is_read_only():
-    link = Link(Simulator(), 1000.0, 0.0, queue_limit=3)
-    assert link.queue_limit == 3
-    with pytest.raises(AttributeError):
-        link.queue_limit = 5
-
-
 @pytest.mark.parametrize("rate", [-0.1, 1.5])
 def test_invalid_rates(rate):
     sim = Simulator()
@@ -166,11 +160,7 @@ def test_invalid_rates(rate):
         Link(sim, 1000.0, 0.0, loss_rate=rate)
 
 
-# -- one-event and two-event crossings ---------------------------------------
-
-def _transmitted_entries(sim):
-    return sum(1 for entry in sim._heap if entry[2].__name__ == "_transmitted")
-
+# -- one crossing, timed writes ----------------------------------------------
 
 def _plain(sim, link):
     pass
@@ -210,63 +200,97 @@ def _loss_window(sim, link):
     schedule_loss_window(sim, link, 5.0, 0.5, until=6.0)
 
 
-@pytest.mark.parametrize("setup, two_events", [
-    pytest.param(setup, two_events, id=setup.__name__[1:])
-    for setup, two_events in [
-        (_plain, False), (_spans, False), (_telemetry, False),
-        (_verifier, False), (_corrupting, True), (_flap, True),
-        (_burst, True), (_loss_window, True)]])
-def test_crossing_keeps_two_events_only_where_it_is_observed(
-        setup, two_events):
-    """A link whose draws must observe the end of serialisation (a
-    corrupting or armed one) dispatches ``_transmitted``; any other
-    pushes only the delivery, and spans, telemetry and the verifier do
-    not change that."""
+@pytest.mark.parametrize("setup", [
+    pytest.param(setup, id=setup.__name__[1:])
+    for setup in [_plain, _spans, _telemetry, _verifier, _corrupting, _flap,
+                  _burst, _loss_window]])
+def test_crossing_keeps_two_events_only_where_it_is_observed(setup):
+    """Nothing observes a crossing between offer and delivery any more:
+    observers, corruption and faults scheduled on the link leave it at
+    one event, and ``send`` pushes the delivery and nothing else."""
     sim = Simulator()
     link = Link(sim, 1000.0, 0.01)
     link = setup(sim, link) or link
     delivered = []
     link.connect(delivered.append)
+    before = {id(entry) for entry in sim._heap}
     link.send(make_packet(100))
-    assert _transmitted_entries(sim) == int(two_events)
+    pushed = [entry for entry in sim._heap if id(entry) not in before]
+    assert [entry[2] for entry in pushed] == [link._deliver]
     sim.run(until=1.0)
     assert len(delivered) == 1
     assert link.stats.packets_delivered == 1
 
 
+def test_timed_write_reaches_a_packet_queued_before_it():
+    """A write takes effect for every packet whose serialisation ends at
+    or after its time, so a flap that starts while a packet queues
+    catches it, and the end of the window, counted in, releases the
+    packet ending exactly then."""
+    from repro.sim.faults import schedule_link_flap
+
+    sim = Simulator()
+    link = Link(sim, 1000.0, 0.0)
+    delivered = []
+    link.connect(delivered.append)
+    schedule_link_flap(sim, link, at=0.05, down_for=0.15)
+    link.send(make_packet(60))              # serialises over [0, 0.1)
+    link.send(make_packet(60))              # [0.1, 0.2): ends as the flap does
+    assert link.stats.packets_lost == 1 and link.down is False
+    sim.run()
+    assert len(delivered) == 1
+    assert link.settled() == (0, 1)
+
+
 @pytest.mark.parametrize("name, value", [
     ("down", True), ("loss_rate", 0.5), ("reorder_rate", 0.5),
-    ("corrupt_rate", 0.5), ("loss_model", object()), ("prop_delay", 0.2),
-    ("reorder_extra_delay", 0.2),
+    ("corrupt_rate", 0.5), ("loss_model", GilbertElliottLoss(random.Random(0))),
+    ("prop_delay", 0.2), ("reorder_extra_delay", 0.2),
 ])
 def test_drawn_parameter_write_refused_while_a_drawn_packet_serialises(
         name, value):
-    """A one-event packet's fate is drawn when it is offered, so a write
-    that would have reached it at the end of serialisation raises; it
-    lands once the packet has left the transmitter, and on an armed
-    link at any time."""
+    """A packet's fate is drawn when it is offered, so a write timed at
+    or before the end of serialisation of a packet already offered, or
+    in the past, raises and records nothing; one timed after it lands.
+    A parameter no draw reads cannot be timed."""
     from repro.sim import SimulationError
-    from repro.sim.faults import schedule_link_flap
 
     sim = Simulator()
     link = Link(sim, 1000.0, 0.01)
     link.connect(lambda pkt: None)
     link.send(make_packet(100))             # serialises until t=0.14
+    for at in (0.0, 0.14):
+        with pytest.raises(SimulationError, match=name):
+            link.write_at(at, name, value)
+    sim.run(until=0.5)
     with pytest.raises(SimulationError, match=name):
-        setattr(link, name, value)
-    sim.run(until=0.14)                     # still serialising at its end
-    with pytest.raises(SimulationError, match=name):
-        setattr(link, name, value)
-    sim.run(until=0.15)
-    setattr(link, name, value)
+        link.write_at(0.4, name, value)
+    assert link._writes == []
+    link.write_at(0.5, name, value)
+    link.send(make_packet(100))
     assert getattr(link, name) is value
+    with pytest.raises(ValueError, match="bandwidth"):
+        link.write_at(1.0, "bandwidth", 500.0)
 
-    armed = Link(sim, 1000.0, 0.01)
-    armed.connect(lambda pkt: None)
-    schedule_link_flap(sim, armed, at=10.0, down_for=1.0)
-    armed.send(make_packet(100))
-    setattr(armed, name, value)
-    assert getattr(armed, name) is value
+
+def test_link_unwatched_again_waits_for_two_event_packets():
+    """``down`` is read at the end of serialisation, so a packet offered
+    while a flap is on, whose serialisation ends after the flap does,
+    is delivered, and so is every packet after it."""
+    from repro.sim.faults import schedule_link_flap
+
+    sim = Simulator()
+    link = Link(sim, 1000.0, 0.0)
+    link.connect(lambda pkt: None)
+    schedule_link_flap(sim, link, at=0.0, down_for=0.05)
+    link.send(make_packet(60))              # [0, 0.1): ends after the flap
+    link.send(make_packet(60))
+    assert link.down is False and link.stats.packets_lost == 0
+    sim.run()
+    assert link.stats.packets_delivered == 2
+    link.send(make_packet(60))
+    sim.run()
+    assert link.stats.packets_delivered == 3
 
 
 def test_one_event_queue_limit_counts_packets_until_they_serialise():
@@ -283,42 +307,12 @@ def test_one_event_queue_limit_counts_packets_until_they_serialise():
     assert link.stats.packets_queue_dropped == 2
     sim.run()
     assert len(delivered) == 3
-    # Packets that crossed in one event still fill the queue after the
-    # link is armed and the next one takes two.
-    link.send(make_packet(60))
-    link.send(make_packet(60))
-    link.arm()
-    link.send(make_packet(60))
-    assert link.stats.packets_queue_dropped == 3
-    assert _transmitted_entries(sim) == 0
-    sim.run(until=sim.now + 0.1)
-    link.send(make_packet(60))
-    assert _transmitted_entries(sim) == 1
-
-
-def test_link_unwatched_again_waits_for_two_event_packets():
-    """Clearing ``down`` puts the link back on one event only once the
-    packets that took two have left, so the draws stay in FIFO order.
-    ``down`` is read at the end of serialisation, so the packet offered
-    while the link was down is delivered."""
-    sim = Simulator()
-    link = Link(sim, 1000.0, 0.0)
-    link.connect(lambda pkt: None)
-    link.down = True
-    link.send(make_packet(60))
-    link.down = False
-    link.send(make_packet(60))
-    assert _transmitted_entries(sim) == 2
-    sim.run()
-    assert link.stats.packets_delivered == 2
-    link.send(make_packet(60))
-    assert _transmitted_entries(sim) == 0
 
 
 @pytest.mark.parametrize("limit", [3])
 def test_settled_reads_the_link_as_two_events_would(limit):
-    """Queue depth counts a one-event packet until its serialisation
-    ends, and its loss only from then, as ``_transmitted`` would."""
+    """Queue depth counts a packet until its serialisation ends, and
+    its loss only from then, as ``_transmitted`` would have."""
     sim = Simulator()
     link = Link(sim, 1000.0, 0.0, loss_rate=1.0, queue_limit=limit)
     link.connect(lambda pkt: None)
@@ -332,40 +326,48 @@ def test_settled_reads_the_link_as_two_events_would(limit):
     assert link.settled() == (limit - 2, 2)
     sim.run(until=10.0)
     assert link.settled() == (0, limit)
-    assert _transmitted_entries(sim) == 0
 
 
 def test_settled_counts_both_crossings_in_one_queue():
-    """After an arm, the two-event packets queue behind the one-event
-    ones still serialising, and both count in the depth."""
+    """A packet lost to a down link and one delivered count alike in
+    the depth until their end of serialisation, and the loss among the
+    losses only from then."""
+    from repro.sim.faults import schedule_link_flap
+
     sim = Simulator()
     link = Link(sim, 1000.0, 0.0, queue_limit=4)
     link.connect(lambda pkt: None)
-    link.send(make_packet(60))
-    link.send(make_packet(60))
-    link.arm()
-    link.send(make_packet(60))
+    schedule_link_flap(sim, link, at=0.15, down_for=1.0)
+    for _ in range(3):
+        link.send(make_packet(60))          # the last two end down
+    assert link.stats.packets_lost == 2
     assert link.settled() == (3, 0)
-    sim.run(until=0.15)
-    assert link.settled() == (2, 0)
+    sim.run(until=0.2)
+    assert link.settled() == (1, 1)
     sim.run()
-    assert link.settled() == (0, 0)
+    assert link.settled() == (0, 2)
 
 
 def test_one_event_transit_spans_match_the_two_event_crossing():
-    """With spans on, a lossy re-ordering link still crosses in one
-    event, and its ``link_transit`` rows read as the two-event
-    crossing's: opened at offer, a loss closed at the end of
-    serialisation, re-ordering flagged, ``wall`` 0.0."""
+    """With spans on, a lossy, corrupting, re-ordering link with a flap
+    and a loss burst scheduled still crosses in one event, and its
+    ``link_transit`` rows read as the two-event crossing's: opened at
+    offer, a loss closed at the end of serialisation with its reason,
+    corruption and re-ordering flagged, ``wall`` 0.0."""
     from repro.metrics.spans import SpanRecorder
+    from repro.sim.faults import schedule_bursty_loss, schedule_link_flap
     from tests import reference_sim
 
     def transits(link_class):
         sim = Simulator()
         link = link_class(sim, 1000.0, 0.01, loss_rate=0.4,
-                          reorder_rate=0.5, rng=random.Random(3))
+                          corrupt_rate=0.3, reorder_rate=0.5,
+                          rng=random.Random(3))
         link.connect(lambda pkt: None)
         link.spans = rec = SpanRecorder(sim=sim)
+        schedule_link_flap(sim, link, at=0.3, down_for=0.2)
+        schedule_bursty_loss(sim, link, 0.6, 0.9, random.Random(4),
+                             p_good_bad=0.5, loss_bad=0.8)
         for _ in range(12):
             pkt = make_packet(60)
             root = rec.packet_begin("encode", "gw", pkt.packet_id)
@@ -383,5 +385,8 @@ def test_one_event_transit_spans_match_the_two_event_crossing():
     assert one_event == two_event
     assert {span["tags"]["outcome"] for span in one_event} == {
         "lost", "delivered"}
+    assert {span["tags"].get("reason") for span in one_event} >= {
+        "loss", "link_down", "bursty_loss"}
     assert any(span["tags"].get("reordered") for span in one_event)
+    assert any(span["tags"].get("corrupted") for span in one_event)
     assert all(span["wall"] == 0.0 for span in one_event)

@@ -9,7 +9,10 @@ keep it in :data:`ALLOWLIST` with the reason.
 
 A read is a name or attribute load, or an identifier-shaped string
 constant (``getattr`` and registry lookups name their targets that
-way), except the strings of an ``__all__``.  An import is not a read:
+way), except the strings of an ``__all__``.  A method or property is
+reached only through an attribute load or a string: a bare name that
+reads like it is a local variable, a parameter or a nested function,
+never the method.  An import is not a read:
 a name re-exported and never used is still unreached.  Functions
 registered by a decorator call (the lint rules' ``@rule(...)``) are
 reached through their registry and are skipped.  Parameters are out of
@@ -64,8 +67,9 @@ def definitions(tree: ast.Module) -> Iterator[Definition]:
     yield from walk(tree.body, "")
 
 
-def reads(tree: ast.Module) -> Iterator[Tuple[str, int]]:
-    """``(name, line)`` of every read in ``tree``."""
+def reads(tree: ast.Module) -> Iterator[Tuple[str, int, bool]]:
+    """``(name, line, bare)`` of every read in ``tree``; ``bare`` marks
+    a plain name load, which cannot reach a method or property."""
     exported: Set[int] = set()
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign)
@@ -74,13 +78,13 @@ def reads(tree: ast.Module) -> Iterator[Tuple[str, int]]:
             exported.update(id(c) for c in ast.walk(node.value))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif (isinstance(node, ast.Attribute)
               and isinstance(node.ctx, ast.Load)):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier() and id(node) not in exported):
-            yield node.value, node.lineno
+            yield node.value, node.lineno, False
 
 
 def unreached(root: Path) -> List[str]:
@@ -88,25 +92,30 @@ def unreached(root: Path) -> List[str]:
     ``root/src/repro`` whose name nothing outside ``tests/`` reads."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((root / "src" / "repro").rglob("*.py"))}
-    read_at: Dict[str, List[Tuple[Path, int]]] = {}
+    read_at: Dict[str, List[Tuple[Path, int, bool]]] = {}
     for path, tree in trees.items():
-        for name, line in reads(tree):
-            read_at.setdefault(name, []).append((path, line))
-    outside: Set[str] = set()
+        for name, line, bare in reads(tree):
+            read_at.setdefault(name, []).append((path, line, bare))
+    outside: Dict[str, bool] = {}   # name -> read only as a bare name
     for folder in ("benchmarks", "examples"):
         for path in sorted((root / folder).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            outside.update(name for name, _line in reads(tree))
+            for name, _line, bare in reads(tree):
+                outside[name] = outside.get(name, True) and bare
     workflows = " ".join(path.read_text(encoding="utf-8")
                          for path in sorted((root / ".github").rglob("*"))
                          if path.is_file())
     found = []
     for path, tree in trees.items():
         for qualname, name, first, last in definitions(tree):
-            if name in outside or re.search(rf"\b{name}\b", workflows):
+            method = "." in qualname
+            if (outside.get(name) is False
+                    or (name in outside and not method)
+                    or re.search(rf"\b{name}\b", workflows)):
                 continue
-            if any(where != path or not first <= line <= last
-                   for where, line in read_at.get(name, ())):
+            if any((where != path or not first <= line <= last)
+                   and not (bare and method)
+                   for where, line, bare in read_at.get(name, ())):
                 continue
             found.append(f"{path.relative_to(root / 'src').as_posix()}"
                          f":{qualname}")
@@ -144,5 +153,26 @@ def test_a_planted_test_only_method_fails(tmp_path):
         "    assert sim.planted_for_tests() == 0\n", encoding="utf-8")
     assert "repro/sim/engine.py:Simulator.planted_for_tests" in \
         unreached(tmp_path)
+    assert set(unreached(tmp_path)) - set(unreached(REPO_ROOT)) == {
+        "repro/sim/engine.py:Simulator.planted_for_tests"}
+
+
+def test_a_method_read_only_as_a_bare_name_fails(tmp_path):
+    """A local variable elsewhere in ``src/`` named like a test-only
+    method does not reach it: only an attribute load or a string can."""
+    for folder in ("src", "benchmarks", "examples", ".github"):
+        shutil.copytree(REPO_ROOT / folder, tmp_path / folder,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    target = tmp_path / "src" / "repro" / "sim" / "engine.py"
+    source = target.read_text(encoding="utf-8")
+    anchor = "    def pending(self) -> int:\n"
+    target.write_text(source.replace(
+        anchor,
+        "    def planted_for_tests(self) -> int:\n"
+        "        return len(self._heap)\n\n" + anchor), encoding="utf-8")
+    reader = tmp_path / "src" / "repro" / "sim" / "node.py"
+    reader.write_text(reader.read_text(encoding="utf-8")
+                      + "\n\ndef _planted_reader(planted_for_tests):\n"
+                      "    return planted_for_tests\n", encoding="utf-8")
     assert set(unreached(tmp_path)) - set(unreached(REPO_ROOT)) == {
         "repro/sim/engine.py:Simulator.planted_for_tests"}

@@ -146,9 +146,17 @@ def _dispatch_log(policy):
 
 
 def _dispatch_run(config):
-    """The testbed of a run of ``config`` and every callback its loop
-    dispatched, as ``(simulated time, callback __qualname__)`` in
-    dispatch order.
+    """The testbed of a run of ``config`` and :func:`dispatch_log`'s log
+    of it."""
+    testbed = runner.build_testbed(config)
+    data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
+    return testbed, dispatch_log(testbed.sim, lambda: runner.run_fetches(
+        testbed, config, {runner.FILE_NAME: data}, [runner.Fetch()]))
+
+
+def dispatch_log(sim, run):
+    """Every callback ``sim``'s loop dispatched while ``run()`` ran, as
+    ``(simulated time, callback __qualname__)`` in dispatch order.
 
     A profile hook sees each call whose caller is ``Simulator.run``
     itself, so the log depends on the engine only through what it
@@ -162,11 +170,8 @@ def _dispatch_run(config):
 
     from repro.sim.engine import Simulator
 
-    testbed = runner.build_testbed(config)
-    data = corpus_object(config.corpus, config.file_size, config.corpus_seed)
     run_code = Simulator.run.__code__
     engine_builtins = (heappop, max)   # the loop's own bookkeeping calls
-    sim = testbed.sim
     log = []
     qualnames = {}
 
@@ -193,11 +198,10 @@ def _dispatch_run(config):
 
     sys.setprofile(on_event)
     try:
-        runner.run_fetches(testbed, config, {runner.FILE_NAME: data},
-                           [runner.Fetch()])
+        run()
     finally:
         sys.setprofile(None)
-    return testbed, log
+    return log
 
 
 def _count_and_digest(log):
@@ -212,8 +216,7 @@ def _dispatch_order(policy):
     return _count_and_digest(_dispatch_log(policy))
 
 
-#: Read with every link crossing in one event (none of these runs has
-#: an observer, a corrupting link or an armed fault), and held by
+#: Read with every link crossing in one event, and held by
 #: ``test_one_event_dispatch_is_the_two_event_one_less_transmitted`` to
 #: the run in which every crossing takes two.  The event counts in
 #: ``GOLDEN`` only catch a tie-order change that happens to move a
